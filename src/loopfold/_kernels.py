@@ -1,73 +1,14 @@
-"""Batch kernels for word enumeration, free reduction, and DFA tracing.
+"""Batch DFA tracing of word sets.
 
-The measurement loops test every word up to a length bound against reachable
-sets and folded graphs, so the per-word inner loops here are the hot path.
-Each kernel has a compiled variant (numba ``@njit``) and an interpreted
-numpy variant with identical semantics.  Set the environment variable
-``LOOPFOLD_PURE=1`` to force the interpreted path; it is also used
-automatically when numba is not installed.
-
-Words are rows of an ``(N, L)`` int16 array of letter codes together with a
-length vector; cells past a word's length are ignored.
+The isodiametric scan tests every reduced trivial word up to a length bound
+against folded loop complexes, one batch per radius.  Words are rows of an
+``(N, L)`` int16 array of letter codes together with a length vector; cells
+past a word's length are ignored.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only when numba is absent
-    HAS_NUMBA = False
-
-PURE_ENV = "LOOPFOLD_PURE"
-
-
-def use_compiled() -> bool:
-    return HAS_NUMBA and os.environ.get(PURE_ENV, "").lower() not in ("1", "true", "yes")
-
-
-def _reduce_batch_impl(words, lengths, out, out_lengths):
-    for i in range(words.shape[0]):
-        top = 0
-        for j in range(lengths[i]):
-            c = words[i, j]
-            if top > 0 and out[i, top - 1] == c ^ 1:
-                top -= 1
-            else:
-                out[i, top] = c
-                top += 1
-        out_lengths[i] = top
-
-
-def _trace_batch_impl(delta, start, words, lengths, out):
-    for i in range(words.shape[0]):
-        s = start
-        for j in range(lengths[i]):
-            s = delta[words[i, j], s]
-            if s < 0:
-                break
-        out[i] = s
-
-
-if HAS_NUMBA:
-    _reduce_batch_jit = njit(cache=False)(_reduce_batch_impl)
-    _trace_batch_jit = njit(cache=False)(_trace_batch_impl)
-
-
-def reduce_batch(words: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Freely reduce every row; returns (reduced rows, reduced lengths)."""
-    words = np.ascontiguousarray(words, dtype=np.int16)
-    lengths = np.ascontiguousarray(lengths, dtype=np.int64)
-    out = np.zeros_like(words)
-    out_lengths = np.zeros(words.shape[0], dtype=np.int64)
-    impl = _reduce_batch_jit if use_compiled() else _reduce_batch_impl
-    impl(words, lengths, out, out_lengths)
-    return out, out_lengths
 
 
 def trace_batch(delta: np.ndarray, start: int, words: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -76,33 +17,12 @@ def trace_batch(delta: np.ndarray, start: int, words: np.ndarray, lengths: np.nd
     ``delta[c, s]`` is the successor state, ``-1`` when undefined; a word that
     falls off the graph ends in ``-1``.  Returns the final state per row.
     """
-    delta = np.ascontiguousarray(delta, dtype=np.int32)
-    words = np.ascontiguousarray(words, dtype=np.int16)
-    lengths = np.ascontiguousarray(lengths, dtype=np.int64)
     out = np.empty(words.shape[0], dtype=np.int32)
-    impl = _trace_batch_jit if use_compiled() else _trace_batch_impl
-    impl(delta, np.int32(start), words, lengths, out)
+    for i in range(words.shape[0]):
+        s = start
+        for j in range(lengths[i]):
+            s = delta[words[i, j], s]
+            if s < 0:
+                break
+        out[i] = s
     return out
-
-
-def enumerate_all_words(alphabet_size: int, length: int) -> np.ndarray:
-    """All words of exactly ``length`` as rows, in lexicographic code order."""
-    if length == 0:
-        return np.zeros((1, 0), dtype=np.int16)
-    grids = np.meshgrid(*([np.arange(alphabet_size, dtype=np.int16)] * length), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
-
-
-def enumerate_reduced_words(alphabet_size: int, length: int) -> np.ndarray:
-    """All freely reduced words of exactly ``length``, in lexicographic order."""
-    if length == 0:
-        return np.zeros((1, 0), dtype=np.int16)
-    words = np.arange(alphabet_size, dtype=np.int16).reshape(alphabet_size, 1)
-    for _ in range(length - 1):
-        n, k = words.shape[0], alphabet_size
-        ext = np.broadcast_to(np.arange(k, dtype=np.int16), (n, k))
-        keep = ext != (words[:, -1] ^ 1).reshape(n, 1)
-        rep = np.repeat(words, k - 1, axis=0)
-        cols = ext[keep].reshape(n * (k - 1), 1)
-        words = np.concatenate([rep, cols], axis=1)
-    return words

@@ -21,7 +21,7 @@ from collections import deque
 
 import numpy as np
 
-from .core import Presentation, Word
+from .core import Presentation, Word, words_up_to
 
 DEFAULT_MEM_CEILING_MB = 512.0
 MEM_CEILING_ENV = "FILLINGS_MEM_CEILING_MB"
@@ -160,21 +160,6 @@ def _reduced_ball_sizes(alphabet_size: int, j: int) -> list[int]:
     return [1] + [alphabet_size * (alphabet_size - 1) ** (k - 1) for k in range(1, j + 1)]
 
 
-def _reduced_words_up_to(alphabet_size: int, j: int) -> list[bytes]:
-    """All reduced code strings of length ≤ j, shortest first, lexicographic."""
-    words: list[bytes] = [b""]
-    layer: list[bytes] = [b""]
-    for _ in range(j):
-        nxt = []
-        for u in layer:
-            for c in range(alphabet_size):
-                if not u or u[-1] != c ^ 1:
-                    nxt.append(u + bytes((c,)))
-        layer = nxt
-        words.extend(layer)
-    return words
-
-
 def build_loop_complex(p: Presentation, j: int) -> LabeledGraph:
     """The wedge, at a single origin, of one loop ``r^u`` per pair of a
     relator ``r`` and a reduced word ``u`` with ``|u| ≤ j``: a fresh path
@@ -190,9 +175,9 @@ def build_loop_complex(p: Presentation, j: int) -> LabeledGraph:
     _check_ceiling(predicted, f"loop complex at radius {j}")
 
     g = LabeledGraph(p.num_generators)
-    for u in _reduced_words_up_to(p.alphabet_size, j):
+    for u in words_up_to(p.alphabet_size, j, reduced=True):
         for r in p.relators:
-            tip = g.add_path(g.origin, Word(u))
+            tip = g.add_path(g.origin, u)
             g.add_loop(tip, r)
     return g
 
@@ -211,19 +196,19 @@ def build_tree_nfa(p: Presentation, j: int) -> LabeledGraph:
 
     g = LabeledGraph(p.num_generators)
     index: dict[bytes, int] = {b"": g.origin}
-    for u in _reduced_words_up_to(p.alphabet_size, j):
-        if u:
+    for u in words_up_to(p.alphabet_size, j, reduced=True):
+        if u.codes:
             v = g.add_vertex()
-            index[u] = v
-            parent = index[u[:-1]]
-            c = u[-1]
+            index[u.codes] = v
+            parent = index[u.codes[:-1]]
+            c = u.codes[-1]
             if c & 1:
                 g.add_edge(v, c >> 1, parent)
             else:
                 g.add_edge(parent, c >> 1, v)
-    for u in _reduced_words_up_to(p.alphabet_size, j):
+    for v in index.values():  # the origin first, then in enumeration order
         for r in p.relators:
-            g.add_loop(index[u], r)
+            g.add_loop(v, r)
     return g
 
 

@@ -38,11 +38,15 @@ from .fillings import (
 )
 from .grammar import double_exp_experiment
 from .rewrite import SearchBudget
-from .toddcoxeter import TcNonTermination, TcState, partial_cayley, tc_round
+from .toddcoxeter import TcState, partial_cayley, tc_round
 
 
 class UsageError(ValueError):
     """Bad flags, bad files, or an oracle that does not fit the presentation."""
+
+
+class BudgetFailure(RuntimeError):
+    """A check that needs Exact values got a row the budget could not settle."""
 
 
 def _load_presentation(path: str) -> Presentation:
@@ -104,6 +108,18 @@ def _canonical_copy(graph: LabeledGraph) -> LabeledGraph:
     return out
 
 
+def _fusion_holds(p: Presentation, n: int, budget: SearchBudget) -> bool:
+    """The halving check behind ``--verify``; every row must be Exact."""
+    report = verify_compression(p, n, budget)
+    for row in report.rows:
+        if row.holds is None:
+            raise BudgetFailure(
+                f"fusion check at n={row.n} is not Exact (base {row.base_area.status}, "
+                f"fused {row.combined_area.status}); raise --budget-len"
+            )
+    return report.all_hold
+
+
 def cmd_wp(args) -> int:
     p = _load_presentation(args.presentation)
     word = parse_word(args.word, p.num_generators)
@@ -128,7 +144,7 @@ def cmd_profile(args) -> int:
     _write(profile_to_csv(profile, report), args.csv)
     ok = report.asserted_hold and report.equality_holds
     if args.verify:
-        ok = ok and verify_compression(p, args.n, budget).all_hold
+        ok = _fusion_holds(p, args.n, budget) and ok
     return 0 if ok else 1
 
 
@@ -137,8 +153,7 @@ def cmd_compress(args) -> int:
     compressed = compress(p)
     sys.stdout.write(render_presentation(compressed.combined))
     if args.verify:
-        budget = _budget(args)
-        if not verify_compression(p, args.n, budget).all_hold:
+        if not _fusion_holds(p, args.n, _budget(args)):
             return 1
     return 0
 
@@ -212,14 +227,16 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--rounds", type=int, default=24,
                          help="coset-enumeration round cap (default 24)")
     profile.add_argument("--verify", action="store_true",
-                         help="also require the relator-fusion halving check")
+                         help="also require the relator-fusion halving check "
+                              "(exit 3 when a row is not Exact)")
     add_budget(profile)
     profile.set_defaults(func=cmd_profile)
 
     compress_cmd = sub.add_parser("compress", help="emit the fused presentation")
     compress_cmd.add_argument("presentation")
     compress_cmd.add_argument("--verify", action="store_true",
-                              help="check the halving bound up to --n and exit 1 on failure")
+                              help="check the halving bound up to --n; exit 1 on failure, "
+                                   "3 when a row is not Exact")
     compress_cmd.add_argument("--n", type=int, default=4,
                               help="verification depth for --verify (default 4)")
     add_budget(compress_cmd)
@@ -251,7 +268,7 @@ def main(argv=None) -> int:
     except (UsageError, ParseError) as exc:
         print(f"loopfold: {exc}", file=sys.stderr)
         return 2
-    except (MemoryCeilingError, TcNonTermination, CombinatorialBlowupError) as exc:
+    except (MemoryCeilingError, BudgetFailure, CombinatorialBlowupError) as exc:
         print(f"loopfold: {exc}", file=sys.stderr)
         return 3
 

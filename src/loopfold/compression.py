@@ -12,15 +12,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from . import _kernels
-from .core import Presentation, Word
+from .core import Presentation, Word, words_up_to
 from .rewrite import (
     OracleResult,
-    OracleStatus,
     RewriteSystem,
     SearchBudget,
     is_trivial,
     min_isoperimetric,
+    prefix_maxima,
 )
 
 DEFAULT_PRODUCT_CAP = 200_000
@@ -93,23 +92,6 @@ class CompressionReport:
         return self.triviality_agreement and all(r.holds is not False for r in self.rows)
 
 
-def _max_area(words, system: RewriteSystem, budget: SearchBudget) -> OracleResult:
-    value = 0
-    worst = OracleStatus.EXACT
-    rank = {
-        OracleStatus.EXACT: 0,
-        OracleStatus.LOWER_BOUND_ONLY: 1,
-        OracleStatus.BUDGET_EXCEEDED: 2,
-    }
-    for w in words:
-        result = min_isoperimetric(w, system, budget)
-        if result.value is not None:
-            value = max(value, result.value)
-        if rank[result.status] > rank[worst]:
-            worst = result.status
-    return OracleResult(value, worst)
-
-
 def verify_compression(
     p: Presentation, n_max: int, budget: SearchBudget
 ) -> CompressionReport:
@@ -121,21 +103,18 @@ def verify_compression(
 
     trivial: list[Word] = []
     agreement = True
-    for length in range(n_max + 1):
-        for row in _kernels.enumerate_all_words(p.alphabet_size, length):
-            w = Word(bytes(int(c) for c in row))
-            in_base = is_trivial(w, base_system, budget)[0]
-            in_combined = is_trivial(w, combined_system, budget)[0]
-            if in_base != in_combined:
-                agreement = False
-            if in_base:
-                trivial.append(w)
+    for w in words_up_to(p.alphabet_size, n_max, reduced=False):
+        in_base = is_trivial(w, base_system, budget)[0]
+        in_combined = is_trivial(w, combined_system, budget)[0]
+        if in_base != in_combined:
+            agreement = False
+        if in_base:
+            trivial.append(w)
 
+    base_areas = prefix_maxima(trivial, n_max, lambda w: min_isoperimetric(w, base_system, budget))
+    combined_areas = prefix_maxima(trivial, n_max, lambda w: min_isoperimetric(w, combined_system, budget))
     rows = []
-    for n in range(n_max + 1):
-        here = [w for w in trivial if len(w) <= n]
-        base_area = _max_area(here, base_system, budget)
-        combined_area = _max_area(here, combined_system, budget)
+    for n, (base_area, combined_area) in enumerate(zip(base_areas, combined_areas)):
         bound = None
         holds = None
         if base_area.exact:

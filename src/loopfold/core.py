@@ -101,6 +101,23 @@ class Word:
 EMPTY = Word()
 
 
+def words_up_to(alphabet_size: int, n: int, *, reduced: bool) -> Iterator[Word]:
+    """Every word of length ≤ n over the codes ``0 .. alphabet_size - 1``, or
+    only the freely reduced ones: shortest first, lexicographic in codes
+    within a length.  Words are made one at a time, never held as a list."""
+
+    def extend(prefix: bytes, left: int) -> Iterator[Word]:
+        if left == 0:
+            yield Word(prefix)
+            return
+        for c in range(alphabet_size):
+            if not (reduced and prefix and prefix[-1] == c ^ 1):
+                yield from extend(prefix + bytes((c,)), left - 1)
+
+    for length in range(n + 1):
+        yield from extend(b"", length)
+
+
 class ParseError(ValueError):
     """A syntax error in presentation or word text, with 1-based position."""
 

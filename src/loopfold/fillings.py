@@ -20,7 +20,7 @@ constants ``C = 2(2|A|+1)·||R||²`` and ``c = (2|A|)²``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .automata import (
     fold,
     transition_table,
 )
-from .core import EMPTY, Presentation, Word
+from .core import EMPTY, Presentation, Word, words_up_to
 from .rewrite import (
     OracleResult,
     OracleStatus,
@@ -40,8 +40,9 @@ from .rewrite import (
     filling_length,
     is_trivial,
     min_isoperimetric,
+    prefix_maxima,
 )
-from .toddcoxeter import TcNonTermination, measure_tc_radius
+from .toddcoxeter import measure_tc_radius
 
 
 class MissingFaceData(ValueError):
@@ -192,44 +193,51 @@ class LoopComplexScanner:
         return bool(np.all(finals == dfa.origin))
 
 
-def _reduced_trivial_rows(p: Presentation, n: int, oracle: ReferenceOracle) -> tuple[np.ndarray, np.ndarray]:
-    """Padded array of all reduced oracle-trivial words of length ≤ n."""
-    rows = []
-    for length in range(n + 1):
-        arr = _kernels.enumerate_reduced_words(p.alphabet_size, length)
-        for row in arr:
-            u = Word(bytes(int(c) for c in row))
-            if oracle.decide(u):
-                rows.append(u.codes)
-    packed = np.zeros((len(rows), max(n, 1)), dtype=np.int16)
+def _reduced_trivial_rows(
+    p: Presentation, n_max: int, oracle: Callable[[Word], bool]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Padded array of all reduced oracle-trivial words of length ≤ n_max,
+    shortest first, their lengths, and for each n the number of rows of
+    length ≤ n."""
+    rows = [u.codes for u in words_up_to(p.alphabet_size, n_max, reduced=True) if oracle(u)]
+    packed = np.zeros((len(rows), max(n_max, 1)), dtype=np.int16)
     lengths = np.zeros(len(rows), dtype=np.int64)
     for i, codes in enumerate(rows):
         packed[i, : len(codes)] = list(codes)
         lengths[i] = len(codes)
-    return packed, lengths
+    return packed, lengths, np.searchsorted(lengths, np.arange(n_max + 1), side="right")
 
 
 def measure_isodiametric(
     p: Presentation,
-    n: int,
-    oracle: ReferenceOracle,
+    n_max: int,
+    oracle: Callable[[Word], bool],
     max_radius: int | None = None,
     scanner: LoopComplexScanner | None = None,
-) -> OracleResult:
-    """Smallest radius ``j`` whose folded loop complex accepts the reduction
-    of every oracle-trivial word of length ≤ n.
+) -> list[OracleResult]:
+    """Entry ``n`` (0 ≤ n ≤ n_max) is d(n), the smallest radius ``j ≤
+    max_radius`` (default ``n``) whose folded loop complex accepts the
+    reduction of every oracle-trivial word of length ≤ n.
 
     Acceptance is sound at every radius, so only completeness is scanned.
     Every trivial word reduces to a reduced trivial word of no greater
-    length, so the scan runs over reduced words only.
+    length, so the scan runs over reduced words only.  A radius that misses
+    a word of length ≤ n misses it for every larger n too, so the scan for
+    n + 1 starts where the scan for n stopped.
     """
-    limit = n if max_radius is None else max_radius
     scanner = scanner or LoopComplexScanner(p)
-    words, lengths = _reduced_trivial_rows(p, n, oracle)
-    for j in range(limit + 1):
-        if scanner.accepts_all(j, words, lengths):
-            return OracleResult(j, OracleStatus.EXACT)
-    return OracleResult(None, OracleStatus.LOWER_BOUND_ONLY)
+    words, lengths, counts = _reduced_trivial_rows(p, n_max, oracle)
+    column = []
+    j = 0
+    for n in range(n_max + 1):
+        limit = n if max_radius is None else max_radius
+        while j <= limit and not scanner.accepts_all(j, words[: counts[n]], lengths[: counts[n]]):
+            j += 1
+        if j <= limit:
+            column.append(OracleResult(j, OracleStatus.EXACT))
+        else:
+            column.append(OracleResult(None, OracleStatus.LOWER_BOUND_ONLY))
+    return column
 
 
 # -- profiles -----------------------------------------------------------------
@@ -251,31 +259,6 @@ class FillingProfile:
     rows: tuple[ProfileRow, ...]
 
 
-_STATUS_RANK = {
-    OracleStatus.EXACT: 0,
-    OracleStatus.LOWER_BOUND_ONLY: 1,
-    OracleStatus.BUDGET_EXCEEDED: 2,
-}
-
-
-def _aggregate(results: list[OracleResult]) -> OracleResult:
-    """Max over per-word results; the max over no words is exactly 0."""
-    value = 0
-    worst = OracleStatus.EXACT
-    for r in results:
-        if r.value is not None:
-            value = max(value, r.value)
-        if _STATUS_RANK[r.status] > _STATUS_RANK[worst]:
-            worst = r.status
-    return OracleResult(value, worst)
-
-
-def _all_words_up_to(alphabet_size: int, n: int) -> Iterator[Word]:
-    for length in range(n + 1):
-        for row in _kernels.enumerate_all_words(alphabet_size, length):
-            yield Word(bytes(int(c) for c in row))
-
-
 def measure_profile(
     p: Presentation,
     n_max: int,
@@ -283,29 +266,31 @@ def measure_profile(
     budget: SearchBudget,
     max_rounds: int = 24,
 ) -> FillingProfile:
-    """Profile of all four filling functions for 0 ≤ n ≤ n_max.
+    """Profile of all four filling functions for 0 ≤ n ≤ n_max, in one pass.
 
-    ``P`` and ``f`` maximize the per-word search oracles over all
-    oracle-trivial words of length ≤ n, non-reduced words included (the
-    word's own length counts).  ``d`` scans folded loop complexes over
-    reduced trivial words, and ``rhoTC`` reruns the coset saturation per n.
+    The oracle decides every word of length ≤ n_max once.  ``P`` and ``f``
+    are running maxima of the per-word search oracles over the trivial
+    words, non-reduced words included (the word's own length counts).  The
+    ``d`` scan and the coset saturation reuse the verdicts for the reduced
+    words; ``rhoTC`` is ``unreached`` from the first n that ``max_rounds``
+    rounds do not decide.
     """
     rs = RewriteSystem(p)
-    scanner = LoopComplexScanner(p)
-    trivial = [w for w in _all_words_up_to(p.alphabet_size, n_max) if oracle.decide(w)]
+    trivial = [w for w in words_up_to(p.alphabet_size, n_max, reduced=False) if oracle.decide(w)]
+    known = {w.codes for w in trivial}
 
-    rows = []
-    for n in range(n_max + 1):
-        here = [w for w in trivial if len(w) <= n]
-        area = _aggregate([min_isoperimetric(w, rs, budget) for w in here])
-        length = _aggregate([filling_length(w, rs, budget) for w in here])
-        diameter = measure_isodiametric(p, n, oracle, scanner=scanner)
-        try:
-            _rounds, radius, _pcg = measure_tc_radius(p, n, oracle.decide, max_rounds=max_rounds)
-            tc = OracleResult(radius, OracleStatus.EXACT)
-        except TcNonTermination:
-            tc = OracleResult(None, OracleStatus.BUDGET_EXCEEDED)
-        rows.append(ProfileRow(n, area, length, diameter, tc))
+    def verdict(u: Word) -> bool:  # the oracle's verdict above, for |u| ≤ n_max
+        return u.codes in known
+
+    area = prefix_maxima(trivial, n_max, lambda w: min_isoperimetric(w, rs, budget))
+    length = prefix_maxima(trivial, n_max, lambda w: filling_length(w, rs, budget))
+    diameter = measure_isodiametric(p, n_max, verdict)
+    tc = [
+        OracleResult(None, OracleStatus.BUDGET_EXCEEDED) if hit is None
+        else OracleResult(hit[1], OracleStatus.EXACT)
+        for hit in measure_tc_radius(p, n_max, verdict, max_rounds=max_rounds)
+    ]
+    rows = (ProfileRow(n, *cells) for n, cells in enumerate(zip(area, length, diameter, tc)))
     return FillingProfile(p, n_max, tuple(rows))
 
 
@@ -340,10 +325,15 @@ class InequalityReport:
         return all(r.d_equals_rho is not False for r in self.rows)
 
 
+def double_exp_constants(p: Presentation) -> tuple[int, int]:
+    """The constants ``(C, c) = (2(2|A|+1)·||R||², (2|A|)²)`` of the
+    double-exponential bound."""
+    return 2 * (2 * p.num_generators + 1) * p.relator_total_length**2, (2 * p.num_generators) ** 2
+
+
 def double_exp_bound(p: Presentation, n: int, d: int) -> int:
     """The explicit double-exponential isoperimetric bound n·2^(C·c^d)."""
-    big_c = 2 * (2 * p.num_generators + 1) * p.relator_total_length**2
-    base = (2 * p.num_generators) ** 2
+    big_c, base = double_exp_constants(p)
     return n * 2 ** (big_c * base**d)
 
 
@@ -360,8 +350,7 @@ def check_inequalities(profile: FillingProfile) -> InequalityReport:
     entries (others are skipped), the d = rhoTC comparison, and the fitted
     (reported, never asserted) bases for P vs f and f vs d+n."""
     p = profile.presentation
-    big_c = 2 * (2 * p.num_generators + 1) * p.relator_total_length**2
-    base = (2 * p.num_generators) ** 2
+    big_c, base = double_exp_constants(p)
 
     rows = []
     area_pairs = []

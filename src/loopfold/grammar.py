@@ -17,16 +17,15 @@ state; product states pair an NFA vertex with a stage.
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable
 
 from .automata import LabeledGraph, build_tree_nfa, nfa_accepts
-from .core import EMPTY, Presentation, Word, inverse_code
+from .core import EMPTY, Presentation, Word, inverse_code, words_up_to
 from .fillings import (
-    LoopComplexScanner,
     ReferenceOracle,
     double_exp_bound,
+    double_exp_constants,
     measure_isodiametric,
 )
 from .rewrite import RewriteSystem, SearchBudget, min_isoperimetric
@@ -592,54 +591,45 @@ def double_exp_experiment(
     the brute-force application count below and the explicit
     double-exponential bound above."""
     rs = RewriteSystem(p)
-    big_c = 2 * (2 * p.num_generators + 1) * p.relator_total_length**2
-    base = (2 * p.num_generators) ** 2
-    scanner = LoopComplexScanner(p)
-    diameters: dict[int, int] = {}
+    big_c, base = double_exp_constants(p)
+    diameters = [d.value for d in measure_isodiametric(p, n_max, oracle.decide)]
+    if None in diameters:
+        raise ValueError(f"diameter scan did not converge at n={diameters.index(None)}")
     trees: dict[int, LabeledGraph] = {}
     reports = []
-    for length in range(n_max + 1):
-        result = measure_isodiametric(p, length, oracle, scanner=scanner)
-        if result.value is None:
-            raise ValueError(f"diameter scan did not converge at n={length}")
-        diameters[length] = result.value
-    for length in range(n_max + 1):
-        for candidate in _all_words(p.alphabet_size, length):
-            if not oracle.decide(candidate):
-                continue
-            d = diameters[length]
-            if d not in trees:
-                trees[d] = build_tree_nfa(p, d)
-            tree = trees[d]
-            pda = build_product_pda(candidate, tree)
-            cfg = simplify_cfg(pda_to_cfg(pda))
-            found = shortest_word(cfg)
-            if found is None:
-                raise ValueError(f"empty intersection for the trivial word {candidate}")
-            ell, witness = found
-            if witness.reduce() != candidate.reduce():
-                raise ValueError("witness is not freely equal to its word")
-            if not nfa_accepts(tree, witness):
-                raise ValueError("witness rejected by the tree complex")
-            area = min_isoperimetric(candidate, rs, budget)
-            if not area.exact:
-                raise ValueError("budget too small for an exact area value")
-            reports.append(
-                BoundReport(
-                    word=candidate,
-                    n=length,
-                    diameter=d,
-                    shortest_length=ell,
-                    witness=witness,
-                    area=area.value,
-                    big_c=big_c,
-                    base=base,
-                    bound=double_exp_bound(p, length, d),
-                )
+    for candidate in words_up_to(p.alphabet_size, n_max, reduced=False):
+        if not oracle.decide(candidate):
+            continue
+        length = len(candidate)
+        d = diameters[length]
+        if d not in trees:
+            trees[d] = build_tree_nfa(p, d)
+        tree = trees[d]
+        pda = build_product_pda(candidate, tree)
+        cfg = simplify_cfg(pda_to_cfg(pda))
+        found = shortest_word(cfg)
+        if found is None:
+            raise ValueError(f"empty intersection for the trivial word {candidate}")
+        ell, witness = found
+        if witness.reduce() != candidate.reduce():
+            raise ValueError("witness is not freely equal to its word")
+        if not nfa_accepts(tree, witness):
+            raise ValueError("witness rejected by the tree complex")
+        area = min_isoperimetric(candidate, rs, budget)
+        if not area.exact:
+            raise ValueError("budget too small for an exact area value")
+        reports.append(
+            BoundReport(
+                word=candidate,
+                n=length,
+                diameter=d,
+                shortest_length=ell,
+                witness=witness,
+                area=area.value,
+                big_c=big_c,
+                base=base,
+                bound=double_exp_bound(p, length, d),
             )
+        )
     return reports
 
-
-def _all_words(alphabet_size: int, length: int):
-    for codes in itertools.product(range(alphabet_size), repeat=length):
-        yield Word(codes)

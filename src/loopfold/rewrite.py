@@ -17,12 +17,14 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .core import EMPTY, Presentation, Word
 
 
 class OracleStatus(enum.Enum):
+    """Declared from best to worst."""
+
     EXACT = "Exact"
     LOWER_BOUND_ONLY = "LowerBoundOnly"
     BUDGET_EXCEEDED = "BudgetExceeded"
@@ -44,6 +46,28 @@ class OracleResult:
 
     def render_value(self) -> str:
         return "unreached" if self.value is None else str(self.value)
+
+
+def prefix_maxima(
+    words: Iterable[Word], n_max: int, measure: Callable[[Word], OracleResult]
+) -> list[OracleResult]:
+    """Entry ``n`` is the largest value ``measure`` gives a word of length
+    ≤ n, with the worst status among those words; the maximum over no words
+    is exactly 0.  ``measure`` runs once per word."""
+    ranks = list(OracleStatus)
+    best = [0] * (n_max + 1)
+    worst = [0] * (n_max + 1)
+    for w in words:
+        result = measure(w)
+        if result.value is not None:
+            best[len(w)] = max(best[len(w)], result.value)
+        worst[len(w)] = max(worst[len(w)], ranks.index(result.status))
+    column = []
+    value = rank = 0
+    for n in range(n_max + 1):
+        value, rank = max(value, best[n]), max(rank, worst[n])
+        column.append(OracleResult(value, ranks[rank]))
+    return column
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import Presentation, Word
+from .core import Presentation, Word, words_up_to
 from .automata import (
     LabeledGraph,
     _check_ceiling,
@@ -26,10 +26,6 @@ from .automata import (
     strip_hairs,
     trace,
 )
-
-
-class TcNonTermination(RuntimeError):
-    """The round limit was reached before the oracle agreed."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,37 +93,35 @@ def tc_decides(g: PartialCayleyGraph, w: Word) -> bool:
     return accepts_reduced(g.graph, w)
 
 
-def _reduced_words_up_to(alphabet_size: int, max_len: int) -> list[Word]:
-    words = [Word(b"")]
-    layer = [b""]
-    for _ in range(max_len):
-        layer = [u + bytes((c,)) for u in layer for c in range(alphabet_size) if not u or u[-1] != c ^ 1]
-        words.extend(Word(u) for u in layer)
-    return words
-
-
 def measure_tc_radius(
     p: Presentation,
-    n: int,
+    n_max: int,
     oracle: Callable[[Word], bool],
     max_rounds: int = 24,
-) -> tuple[int, int, PartialCayleyGraph]:
-    """Run rounds until the partial Cayley graph decides every word of
-    length ≤ ``n`` the way the reference oracle does; return (rounds, radius,
-    graph) for the first such round.
+) -> list[tuple[int, int, PartialCayleyGraph] | None]:
+    """Entry ``n`` (0 ≤ n ≤ n_max) is (rounds, radius, graph) for the first
+    round whose partial Cayley graph decides every word of length ≤ ``n``
+    the way the reference oracle does, or None when ``max_rounds`` rounds
+    do not reach such a graph.
 
     Triviality is invariant under free reduction on both sides, so agreement
-    is checked on reduced words only.  Raises :class:`TcNonTermination` after
-    ``max_rounds`` disagreeing rounds.
+    is checked on reduced words only.  A round that decides the words of
+    length ≤ n + 1 also decides those of length ≤ n, so one run of rounds
+    serves every n: the first deciding round only moves forward.
     """
-    words = _reduced_words_up_to(p.alphabet_size, n)
-    expected = [oracle(u) for u in words]
+    layers: list[list[tuple[Word, bool]]] = [[] for _ in range(n_max + 1)]
+    for u in words_up_to(p.alphabet_size, n_max, reduced=True):
+        layers[len(u)].append((u, oracle(u)))
     state = TcState.initial(p)
-    for _ in range(max_rounds):
-        state = tc_round(state)
-        pcg = partial_cayley(state)
-        if all(tc_decides(pcg, u) == exp for u, exp in zip(words, expected)):
-            return state.round, pcg.radius, pcg
-    raise TcNonTermination(
-        f"no agreement with the oracle on words of length ≤ {n} within {max_rounds} rounds"
-    )
+    pcg = None
+    column: list[tuple[int, int, PartialCayleyGraph] | None] = []
+    for n in range(n_max + 1):
+        pending = layers[n]  # the current graph already decides shorter words
+        while pcg is None or not all(tc_decides(pcg, u) == trivial for u, trivial in pending):
+            if state.round >= max_rounds:
+                return column + [None] * (n_max + 1 - n)
+            state = tc_round(state)
+            pcg = partial_cayley(state)
+            pending = [pair for layer in layers[: n + 1] for pair in layer]
+        column.append((state.round, pcg.radius, pcg))
+    return column

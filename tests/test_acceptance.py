@@ -4,10 +4,11 @@ Criterion 2 is implemented faithfully and fails: the snapshot radius of the
 first deciding coset-enumeration graph does not coincide with the scan
 diameter under the operational definitions in this package (for example
 rho=1 vs d=0 at every n for ⟨a; aa⟩, because the first deciding snapshot
-always carries at least one edge).  The analysis lives in the project
-decisions ledger, outside the package.
+always carries at least one edge).  The analysis is in the "Known red
+check" section of README.md.
 """
 
+import os
 import subprocess
 import sys
 import time
@@ -75,17 +76,25 @@ def scanner_for(name):
 
 
 @lru_cache(maxsize=None)
-def diameter(name, n):
+def diameters(name):
     p, oracle = MATRIX[name]
-    result = measure_isodiametric(p, n, oracle, scanner=scanner_for(name))
-    assert result.exact
-    return result.value
+    column = measure_isodiametric(p, 6, oracle.decide, scanner=scanner_for(name))
+    assert all(result.exact for result in column)
+    return [result.value for result in column]
+
+
+def diameter(name, n):
+    return diameters(name)[n]
 
 
 @lru_cache(maxsize=None)
-def tc_snapshot(name, n):
+def tc_snapshots(name):
     p, oracle = MATRIX[name]
-    return measure_tc_radius(p, n, oracle.decide)
+    return measure_tc_radius(p, 6, oracle.decide)
+
+
+def tc_snapshot(name, n):
+    return tc_snapshots(name)[n]
 
 
 @lru_cache(maxsize=None)
@@ -130,7 +139,7 @@ def test_criterion_2_tc_equality(capsys):
     assert _report(capsys, "criterion-2", ok), (
         "first deciding snapshot differs from the folded loop complex at the "
         f"scan diameter: (name, n, rho, d, same_graph) = {mismatches}; "
-        "see the project decisions ledger for the analysis"
+        "see the Known red check section of README.md for the analysis"
     )
 
 
@@ -259,17 +268,21 @@ def test_criterion_9_determinism(capsys, tmp_path):
         "grammar-bound": ["grammar-bound", str(REPO / "presentations" / "z3.pres"),
                           "--n", "3", "--oracle", "cyclic:3"],
     }
+    pythonpath = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
     ok = True
     for label, argv in commands.items():
         outputs = []
         for run in (1, 2):
             target = tmp_path / f"{label}-{run}.csv"
-            subprocess.run(
+            proc = subprocess.run(
                 [sys.executable, "-m", "loopfold", *argv, "--csv", str(target)],
                 capture_output=True,
+                text=True,
                 cwd=REPO,
-                env={"PYTHONHASHSEED": str(run), "PATH": "/usr/bin:/bin"},
+                env={"PYTHONHASHSEED": str(run), "PATH": "/usr/bin:/bin", "PYTHONPATH": pythonpath},
             )
+            expected = 1 if label == "profile" else 0  # the z2 profile's radius columns disagree
+            assert proc.returncode == expected, (label, proc.returncode, proc.stderr)
             outputs.append(target.read_bytes())
         ok = ok and outputs[0] == outputs[1] and len(outputs[0]) > 0
     assert _report(capsys, "criterion-9", ok)

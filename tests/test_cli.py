@@ -123,6 +123,21 @@ def test_compress_verify_z3(capsys):
     assert run_cli("compress", Z3, "--verify", "--n", "4") == 0
 
 
+def test_compress_verify_budget_failure(capsys):
+    # --budget-len 2 cannot settle the areas of the words of length 4, so
+    # the halving check has no Exact row to judge there
+    assert run_cli("compress", Z2, "--verify", "--n", "8", "--budget-len", "2") == 3
+    captured = capsys.readouterr()
+    assert captured.out == "gens: a\nrels: aa AA aaaa AAAA\n"
+    assert "n=4 is not Exact" in captured.err
+
+
+def test_profile_verify_budget_failure(capsys):
+    assert run_cli("profile", Z2, "--n", "6", "--oracle", "cyclic:2", "--verify",
+                   "--budget-len", "2") == 3
+    assert "n=4 is not Exact" in capsys.readouterr().err
+
+
 # -- tc ----------------------------------------------------------------------------
 
 

@@ -174,12 +174,12 @@ def test_cayley_ball_deterministic():
 
 
 def test_isodiametric_even_words():
-    result = measure_isodiametric(Z2, 4, ReferenceOracle.cyclic(2))
-    assert (result.value, result.status) == (0, OracleStatus.EXACT)
+    column = measure_isodiametric(Z2, 4, ReferenceOracle.cyclic(2).decide)
+    assert [(r.value, r.status) for r in column] == [(0, OracleStatus.EXACT)] * 5
 
 
 def test_isodiametric_three_cycle():
-    result = measure_isodiametric(Z3, 3, ReferenceOracle.cyclic(3))
+    result = measure_isodiametric(Z3, 3, ReferenceOracle.cyclic(3).decide)[3]
     assert (result.value, result.status) == (0, OracleStatus.EXACT)
 
 
@@ -189,16 +189,12 @@ def test_isodiametric_n_zero():
         (LATTICE, ReferenceOracle.free_abelian(2)),
         (FREE2, ReferenceOracle.free(2)),
     ):
-        assert measure_isodiametric(p, 0, oracle).value == 0
+        assert measure_isodiametric(p, 0, oracle.decide)[0].value == 0
 
 
 def test_isodiametric_lattice_values():
-    oracle = ReferenceOracle.free_abelian(2)
-    scanner = LoopComplexScanner(LATTICE)
-    values = [
-        measure_isodiametric(LATTICE, n, oracle, scanner=scanner).value for n in range(7)
-    ]
-    assert values == [0, 0, 0, 0, 2, 2, 3]
+    column = measure_isodiametric(LATTICE, 6, ReferenceOracle.free_abelian(2).decide)
+    assert [r.value for r in column] == [0, 0, 0, 0, 2, 2, 3]
 
 
 def test_isodiametric_lattice_witnesses():
@@ -217,13 +213,15 @@ def test_isodiametric_lattice_witnesses():
 
 
 def test_isodiametric_radius_cutoff():
-    result = measure_isodiametric(LATTICE, 4, ReferenceOracle.free_abelian(2), max_radius=1)
+    column = measure_isodiametric(LATTICE, 4, ReferenceOracle.free_abelian(2).decide, max_radius=1)
+    assert [r.value for r in column[:4]] == [0, 0, 0, 0]
+    result = column[4]
     assert result.value is None
     assert result.status is OracleStatus.LOWER_BOUND_ONLY
 
 
 def test_isodiametric_scanner_reuse():
-    oracle = ReferenceOracle.cyclic(2)
+    oracle = ReferenceOracle.cyclic(2).decide
     scanner = LoopComplexScanner(Z2)
     first = measure_isodiametric(Z2, 4, oracle, scanner=scanner)
     second = measure_isodiametric(Z2, 4, oracle, scanner=scanner)

@@ -1,0 +1,33 @@
+"""Whole-command golden outputs: each command's CSV and exit code, byte for
+byte, for the four sample presentations.  The files under ``golden/`` were
+written by the command lines below; regenerate one with
+``PYTHONPATH=src python -m loopfold <args> > tests/golden/<name>.csv``."""
+
+from pathlib import Path
+
+import pytest
+
+from loopfold.cli import main
+
+REPO = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+CASES = {
+    "profile-z2-n6": ("profile presentations/z2.pres --n 6 --oracle cyclic:2", 1),
+    "profile-z3-n6": ("profile presentations/z3.pres --n 6 --oracle cyclic:3", 1),
+    "profile-free2-n6": ("profile presentations/free2.pres --n 6 --oracle free:2", 0),
+    "profile-zxz-n5": ("profile presentations/zxz.pres --n 5 --oracle free-abelian:2", 1),
+    # two rounds decide n ≤ 5 only, so n = 6 is unreached/BudgetExceeded
+    "profile-zxz-n6-rounds2": (
+        "profile presentations/zxz.pres --n 6 --oracle free-abelian:2 --rounds 2", 1),
+    "profile-z3-n6-rewrite6": ("profile presentations/z3.pres --n 6 --oracle rewrite:6", 1),
+    "grammar-bound-z3-n4": ("grammar-bound presentations/z3.pres --n 4", 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output(name, capsys, monkeypatch):
+    command, exit_code = CASES[name]
+    monkeypatch.chdir(REPO)
+    assert main(command.split()) == exit_code
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.csv").read_text(encoding="utf-8")

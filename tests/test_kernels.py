@@ -1,17 +1,7 @@
-import os
-import random
-
 import numpy as np
-import pytest
 
-from loopfold import _kernels
-from loopfold._kernels import (
-    enumerate_all_words,
-    enumerate_reduced_words,
-    reduce_batch,
-    trace_batch,
-)
-from loopfold.core import Word
+from loopfold._kernels import trace_batch
+from loopfold.core import Word, words_up_to
 
 
 def pack(words):
@@ -26,30 +16,7 @@ def pack(words):
     return arr, lengths
 
 
-@pytest.fixture(params=["compiled", "pure"])
-def kernel_mode(request, monkeypatch):
-    if request.param == "pure":
-        monkeypatch.setenv(_kernels.PURE_ENV, "1")
-        assert not _kernels.use_compiled()
-    else:
-        monkeypatch.delenv(_kernels.PURE_ENV, raising=False)
-        if not _kernels.HAS_NUMBA:
-            pytest.skip("numba not installed")
-        assert _kernels.use_compiled()
-    return request.param
-
-
-def test_reduce_batch_matches_word_reduce(kernel_mode):
-    rng = random.Random(21)
-    words = [[rng.randrange(6) for _ in range(rng.randrange(0, 24))] for _ in range(300)]
-    arr, lengths = pack(words)
-    out, out_lengths = reduce_batch(arr, lengths)
-    for i, u in enumerate(words):
-        expected = Word(bytes(u)).reduce()
-        assert list(out[i, : out_lengths[i]]) == list(expected.codes)
-
-
-def test_trace_batch_walks_table(kernel_mode):
+def test_trace_batch_walks_table():
     # two-state automaton: letter 0 swaps the states, letter 1 is undefined at 1
     delta = np.array([[1, 0], [0, -1]], dtype=np.int32)
     words = [[], [0], [0, 0], [1], [0, 1], [1, 1, 0]]
@@ -58,58 +25,38 @@ def test_trace_batch_walks_table(kernel_mode):
     assert list(out) == [0, 1, 0, 0, -1, 1]
 
 
-def test_trace_batch_dead_state_sticks(kernel_mode):
+def test_trace_batch_dead_state_sticks():
     delta = np.array([[-1, -1]], dtype=np.int32)
     arr, lengths = pack([[0, 0, 0]])
     assert list(trace_batch(delta, 1, arr, lengths)) == [-1]
 
 
+def of_length(k, L, reduced):
+    return [u.codes for u in words_up_to(k, L, reduced=reduced) if len(u) == L]
+
+
 def test_enumerate_all_words_counts():
     for k, L in [(2, 0), (2, 3), (4, 4), (3, 2)]:
-        arr = enumerate_all_words(k, L)
-        assert arr.shape == (k**L if L else 1, L)
-        rows = [tuple(r) for r in arr]
+        rows = of_length(k, L, reduced=False)
+        assert len(rows) == k**L
         assert len(set(rows)) == len(rows)
         assert rows == sorted(rows)
 
 
 def test_enumerate_reduced_words_counts():
     for k, L in [(2, 1), (2, 4), (4, 3), (6, 2)]:
-        arr = enumerate_reduced_words(k, L)
-        expected = k * (k - 1) ** (L - 1)
-        assert arr.shape == (expected, L)
-        for row in arr[:: max(1, expected // 50)]:
-            assert Word(bytes(int(c) for c in row)).is_reduced()
+        rows = of_length(k, L, reduced=True)
+        assert len(rows) == k * (k - 1) ** (L - 1)
+        assert rows == sorted(rows)
+        assert all(Word(row).is_reduced() for row in rows)
 
 
 def test_enumerate_reduced_is_filter_of_all():
-    all_rows = {tuple(r) for r in enumerate_all_words(4, 3) if Word(bytes(map(int, r))).is_reduced()}
-    red_rows = {tuple(r) for r in enumerate_reduced_words(4, 3)}
-    assert all_rows == red_rows
+    every = [u for u in words_up_to(4, 4, reduced=False) if u.is_reduced()]
+    assert every == list(words_up_to(4, 4, reduced=True))
 
 
-def test_compiled_and_pure_agree(monkeypatch):
-    if not _kernels.HAS_NUMBA:
-        pytest.skip("numba not installed")
-    rng = random.Random(22)
-    words = [[rng.randrange(4) for _ in range(rng.randrange(0, 16))] for _ in range(120)]
-    arr, lengths = pack(words)
-    delta = np.array([[1, 2, -1], [2, 0, 1], [0, -1, 2], [-1, 1, 0]], dtype=np.int32)
-
-    monkeypatch.delenv(_kernels.PURE_ENV, raising=False)
-    fast = (reduce_batch(arr, lengths), trace_batch(delta, 0, arr, lengths))
-    monkeypatch.setenv(_kernels.PURE_ENV, "1")
-    slow = (reduce_batch(arr, lengths), trace_batch(delta, 0, arr, lengths))
-
-    assert np.array_equal(fast[0][0], slow[0][0])
-    assert np.array_equal(fast[0][1], slow[0][1])
-    assert np.array_equal(fast[1], slow[1])
-
-
-def test_env_flag_selects_path(monkeypatch):
-    monkeypatch.setenv(_kernels.PURE_ENV, "1")
-    assert not _kernels.use_compiled()
-    monkeypatch.setenv(_kernels.PURE_ENV, "true")
-    assert not _kernels.use_compiled()
-    monkeypatch.delenv(_kernels.PURE_ENV, raising=False)
-    assert _kernels.use_compiled() == _kernels.HAS_NUMBA
+def test_enumeration_is_shortest_first():
+    lengths = [len(u) for u in words_up_to(4, 4, reduced=False)]
+    assert lengths == sorted(lengths)
+    assert len(lengths) == sum(4**L for L in range(5))

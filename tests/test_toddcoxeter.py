@@ -4,7 +4,6 @@ from loopfold.automata import LabeledGraph, canonical_form, restrict_to_radius
 from loopfold.core import EMPTY, Presentation, Word, parse_word
 from loopfold.toddcoxeter import (
     PartialCayleyGraph,
-    TcNonTermination,
     TcState,
     measure_tc_radius,
     partial_cayley,
@@ -148,19 +147,19 @@ class TestDecisions:
 
 class TestMeasureRadius:
     def test_cyclic_groups(self):
-        rounds, rad, _pcg = measure_tc_radius(Z3, 6, oracle_for(Z3))
-        assert (rounds, rad) == (1, 1)
-        rounds, rad, _pcg = measure_tc_radius(Z2, 4, oracle_for(Z2))
+        column = measure_tc_radius(Z3, 6, oracle_for(Z3))
+        assert [(rounds, rad) for rounds, rad, _pcg in column] == [(1, 1)] * 7
+        rounds, rad, _pcg = measure_tc_radius(Z2, 4, oracle_for(Z2))[4]
         assert (rounds, rad) == (1, 1)
 
     def test_free_group_radius_zero(self):
-        rounds, rad, pcg = measure_tc_radius(FREE2, 3, oracle_for(FREE2))
+        rounds, rad, pcg = measure_tc_radius(FREE2, 3, oracle_for(FREE2))[3]
         assert rounds == 1
         assert rad == 0
         assert pcg.graph.num_vertices == 1
 
     def test_lattice_small_lengths(self):
-        _rounds, rad, pcg = measure_tc_radius(LATTICE, 2, oracle_for(LATTICE))
+        _rounds, rad, pcg = measure_tc_radius(LATTICE, 2, oracle_for(LATTICE))[2]
         assert rad >= 1
         ball = LabeledGraph(2, 5)
         ball.add_edge(0, 0, 1)
@@ -171,11 +170,13 @@ class TestMeasureRadius:
 
     def test_agreement_is_genuine(self):
         oracle = oracle_for(Z3)
-        _rounds, _rad, pcg = measure_tc_radius(Z3, 5, oracle)
+        _rounds, _rad, pcg = measure_tc_radius(Z3, 5, oracle)[5]
         for u in reduced_words_up_to(2, 5):
             assert tc_decides(pcg, u) == oracle(u)
 
     def test_nontermination_guard(self):
         lying_oracle = lambda u: True  # claims every word is trivial
-        with pytest.raises(TcNonTermination):
-            measure_tc_radius(FREE2, 2, lying_oracle, max_rounds=2)
+        column = measure_tc_radius(FREE2, 2, lying_oracle, max_rounds=2)
+        assert column[0][0] == 1  # the empty word is decided at once
+        assert column[1:] == [None, None]  # two rounds never agree on a letter
+        assert measure_tc_radius(FREE2, 1, lying_oracle, max_rounds=-1) == [None, None]
