@@ -19,8 +19,6 @@ from __future__ import annotations
 import os
 from collections import deque
 
-import numpy as np
-
 from .core import Presentation, Word, words_up_to
 
 DEFAULT_MEM_CEILING_MB = 512.0
@@ -125,9 +123,6 @@ class LabeledGraph:
                 out.extend((v, g, t) for t in targets)
         out.sort()
         return out
-
-    def degree(self, v: int) -> int:
-        return sum(len(s) for s in self.out[v].values()) + sum(len(s) for s in self.inc[v].values())
 
     def step(self, vertex: int, code: int) -> set[int]:
         """All states reachable from ``vertex`` by one letter (NFA semantics)."""
@@ -474,17 +469,16 @@ def canonical_form(graph: LabeledGraph) -> tuple[int, tuple[tuple[int, int, int]
     return len(order), tuple(sorted(edges))
 
 
-def transition_table(graph: LabeledGraph) -> np.ndarray:
-    """Dense DFA table of a folded graph: ``delta[code, vertex]`` is the
+def transition_table(graph: LabeledGraph) -> list[list[int]]:
+    """Dense DFA table of a folded graph: ``delta[code][vertex]`` is the
     successor under that letter, ``-1`` where undefined."""
-    delta = np.full((2 * graph.num_generators, graph.num_vertices), -1, dtype=np.int32)
+    delta = [[-1] * graph.num_vertices for _ in range(2 * graph.num_generators)]
     for src, g, dst in graph.edges():
-        if delta[2 * g, src] != -1 and delta[2 * g, src] != dst:
+        forward, backward = delta[2 * g], delta[2 * g + 1]
+        if forward[src] not in (-1, dst) or backward[dst] not in (-1, src):
             raise ValueError("transition table requires a folded graph")
-        if delta[2 * g + 1, dst] != -1 and delta[2 * g + 1, dst] != src:
-            raise ValueError("transition table requires a folded graph")
-        delta[2 * g, src] = dst
-        delta[2 * g + 1, dst] = src
+        forward[src] = dst
+        backward[dst] = src
     return delta
 
 

@@ -139,6 +139,8 @@ def cmd_profile(args) -> int:
     oracle = _parse_oracle(args.oracle, p, budget)
     if args.n < 0:
         raise UsageError("--n must be nonnegative")
+    if args.rounds < 1:
+        raise UsageError("--rounds must be at least 1")
     profile = measure_profile(p, args.n, oracle, budget, max_rounds=args.rounds)
     report = check_inequalities(profile)
     _write(profile_to_csv(profile, report), args.csv)

@@ -19,10 +19,9 @@ constants ``C = 2(2|A|+1)·||R||²`` and ``c = (2|A|)²``.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable
-
-import numpy as np
 
 from . import _kernels
 from .automata import (
@@ -178,7 +177,7 @@ class LoopComplexScanner:
     def __init__(self, p: Presentation):
         self.presentation = p
         self._dfas: list[LabeledGraph] = []
-        self._tables: list[np.ndarray] = []
+        self._tables: list[list[list[int]]] = []
 
     def dfa(self, j: int) -> LabeledGraph:
         while len(self._dfas) <= j:
@@ -187,25 +186,9 @@ class LoopComplexScanner:
             self._tables.append(transition_table(folded))
         return self._dfas[j]
 
-    def accepts_all(self, j: int, words: np.ndarray, lengths: np.ndarray) -> bool:
-        dfa = self.dfa(j)
-        finals = _kernels.trace_batch(self._tables[j], dfa.origin, words, lengths)
-        return bool(np.all(finals == dfa.origin))
-
-
-def _reduced_trivial_rows(
-    p: Presentation, n_max: int, oracle: Callable[[Word], bool]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Padded array of all reduced oracle-trivial words of length ≤ n_max,
-    shortest first, their lengths, and for each n the number of rows of
-    length ≤ n."""
-    rows = [u.codes for u in words_up_to(p.alphabet_size, n_max, reduced=True) if oracle(u)]
-    packed = np.zeros((len(rows), max(n_max, 1)), dtype=np.int16)
-    lengths = np.zeros(len(rows), dtype=np.int64)
-    for i, codes in enumerate(rows):
-        packed[i, : len(codes)] = list(codes)
-        lengths[i] = len(codes)
-    return packed, lengths, np.searchsorted(lengths, np.arange(n_max + 1), side="right")
+    def accepts_all(self, j: int, words: list[bytes]) -> bool:
+        origin = self.dfa(j).origin
+        return all(s == origin for s in _kernels.trace_batch(self._tables[j], origin, words))
 
 
 def measure_isodiametric(
@@ -226,12 +209,13 @@ def measure_isodiametric(
     n + 1 starts where the scan for n stopped.
     """
     scanner = scanner or LoopComplexScanner(p)
-    words, lengths, counts = _reduced_trivial_rows(p, n_max, oracle)
+    words = [u.codes for u in words_up_to(p.alphabet_size, n_max, reduced=True) if oracle(u)]
     column = []
     j = 0
     for n in range(n_max + 1):
+        upto_n = words[: bisect_right(words, n, key=len)]  # words are shortest first
         limit = n if max_radius is None else max_radius
-        while j <= limit and not scanner.accepts_all(j, words[: counts[n]], lengths[: counts[n]]):
+        while j <= limit and not scanner.accepts_all(j, upto_n):
             j += 1
         if j <= limit:
             column.append(OracleResult(j, OracleStatus.EXACT))

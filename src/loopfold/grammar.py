@@ -206,6 +206,10 @@ def _rule_key(rule) -> tuple:
     return (_sort_token(lhs), tuple(_sort_token(s) for s in rhs))
 
 
+def _is_nonterminal(sym) -> bool:
+    return isinstance(sym, tuple) or sym == START
+
+
 def pda_to_cfg(pda: Pda) -> Cfg:
     """Triple construction: ``[p, X, q]`` derives the inputs consumed while
     the machine goes from p to q, net effect popping X.  Pop moves become
@@ -245,7 +249,7 @@ def _productive_lengths(rules) -> dict:
         for lhs, rhs in rules:
             total = 0
             for s in rhs:
-                if isinstance(s, tuple) or s == START:
+                if _is_nonterminal(s):
                     if s not in best:
                         break
                     total += best[s]
@@ -345,7 +349,7 @@ def generates(g: Cfg, w: Word) -> bool:
         )
 
     def derives(sym, lo: int, hi: int) -> bool:
-        if not isinstance(sym, tuple) and sym != START:
+        if not _is_nonterminal(sym):
             return hi == lo + 1 and lo < len(codes) and codes[lo] == sym
         key = (sym, lo, hi)
         if key in memo:
@@ -357,16 +361,17 @@ def generates(g: Cfg, w: Word) -> bool:
     return derives(g.start, 0, len(codes))
 
 
-def shortest_word(g: Cfg) -> tuple[int, Word] | None:
-    """Minimum-length derivable string with a witness, by least-fixpoint
-    search over nonterminal costs (priority queue; deterministic
-    tie-breaking by rule text).  ``None`` when the language is empty."""
-    rules = list(g.rules)
+def _best_rules(rules) -> dict:
+    """Knuth's least-fixpoint search over nonterminal costs (priority queue;
+    deterministic tie-breaking by rule text).  Maps every productive
+    nonterminal to the index of the rule that settled it at its least
+    derivable length.  Expanding these rules always terminates: a rule
+    settles only after every nonterminal on its right side has."""
     occ: dict = {}
     remaining = []
     terminal_len = []
     for idx, (lhs, rhs) in enumerate(rules):
-        nts = [s for s in rhs if isinstance(s, tuple) or s == START]
+        nts = [s for s in rhs if _is_nonterminal(s)]
         remaining.append(len(nts))
         terminal_len.append(len(rhs) - len(nts))
         for s in set(nts):  # one entry per rule even when a symbol repeats
@@ -392,42 +397,38 @@ def shortest_word(g: Cfg) -> tuple[int, Word] | None:
             remaining[jdx] -= count
             if remaining[jdx] == 0:
                 heapq.heappush(heap, (cost_acc[jdx], _rule_key(rules[jdx]), jdx))
+    return best_rule
 
-    if g.start not in settled:
+
+def shortest_word(g: Cfg) -> tuple[int, Word] | None:
+    """Minimum-length derivable string with a witness, read off the settled
+    rules of :func:`_best_rules`.  ``None`` when the language is empty."""
+    tree = parse_tree(g)
+    if tree is None:
         return None
 
-    def expand(sym) -> bytes:
-        if not isinstance(sym, tuple) and sym != START:
+    def leaves(node) -> bytes:
+        sym, children = node
+        if not _is_nonterminal(sym):
             return bytes((sym,))
-        return b"".join(expand(s) for s in rules[best_rule[sym]][1])
+        return b"".join(leaves(child) for child in children)
 
-    witness = Word(expand(g.start))
-    return settled[g.start], witness
+    witness = Word(leaves(tree))
+    return len(witness), witness
 
 
 def parse_tree(g: Cfg):
     """Best-rule derivation tree for the shortest word: (symbol, children),
     terminals as leaves.  ``None`` when the language is empty."""
-    if shortest_word(g) is None:
+    rules = g.rules
+    best_rule = _best_rules(rules)
+    if g.start not in best_rule:
         return None
-    rules = list(g.rules)
-    settled = _productive_lengths(rules)
-    # Rebuild the deterministic best-rule choice the shortest-word search makes.
-    best: dict = {}
-    for idx, (lhs, rhs) in enumerate(rules):
-        nts = [s for s in rhs if isinstance(s, tuple) or s == START]
-        if any(s not in settled for s in nts):
-            continue
-        cost = (len(rhs) - len(nts)) + sum(settled[s] for s in nts)
-        key = (cost, _rule_key(rules[idx]))
-        if lhs not in best or key < best[lhs][0]:
-            best[lhs] = (key, idx)
 
     def build(sym):
-        if not isinstance(sym, tuple) and sym != START:
+        if not _is_nonterminal(sym):
             return (sym, ())
-        children = tuple(build(s) for s in rules[best[sym][1]][1])
-        return (sym, children)
+        return (sym, tuple(build(s) for s in rules[best_rule[sym]][1]))
 
     return build(g.start)
 

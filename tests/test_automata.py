@@ -20,6 +20,7 @@ from loopfold.automata import (
     strip_hairs,
     to_dot,
     trace,
+    transition_table,
 )
 from loopfold.core import EMPTY, Presentation, Word, parse_word
 
@@ -278,6 +279,20 @@ class TestGraphAnalysis:
         g.add_edge(0, 0, 2)
         with pytest.raises(ValueError):
             canonical_form(g)
+
+    def test_transition_table_reads_edges_both_ways(self):
+        g = LabeledGraph(2, 3)
+        g.add_edge(0, 0, 1)
+        g.add_edge(1, 1, 2)
+        assert transition_table(g) == [[1, -1, -1], [-1, 0, -1], [-1, 2, -1], [-1, -1, 1]]
+
+    def test_transition_table_rejects_unfolded(self):
+        for edges in ([(0, 0, 1), (0, 0, 2)], [(1, 0, 0), (2, 0, 0)]):
+            g = LabeledGraph(1, 3)
+            for src, gen, dst in edges:
+                g.add_edge(src, gen, dst)
+            with pytest.raises(ValueError):
+                transition_table(g)
 
     def test_distances_and_radius(self):
         g = LabeledGraph(1, 4)

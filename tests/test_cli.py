@@ -107,6 +107,15 @@ def test_profile_bad_budget(capsys):
                    "--budget-len", "0") == 2
 
 
+def test_profile_rounds_must_be_positive(capsys):
+    for rounds in ("0", "-3"):
+        assert run_cli("profile", Z2, "--n", "2", "--oracle", "cyclic:2",
+                       "--rounds", rounds) == 2
+        captured = capsys.readouterr()
+        assert "--rounds must be at least 1" in captured.err
+        assert captured.out == ""
+
+
 # -- compress ---------------------------------------------------------------------
 
 
@@ -190,13 +199,17 @@ def test_grammar_bound_explicit_oracle(tmp_path):
 # -- whole-process checks ------------------------------------------------------------
 
 
+def _child_env(seed):
+    pythonpath = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=pythonpath)
+
+
 def _run_subprocess(args, seed):
-    env = dict(os.environ, PYTHONHASHSEED=str(seed))
     return subprocess.run(
         [sys.executable, "-m", "loopfold", *args],
         capture_output=True,
         text=True,
-        env=env,
+        env=_child_env(seed),
         cwd=REPO,
     )
 
@@ -232,3 +245,22 @@ def test_grammar_bound_bytes_stable_across_hash_seeds(tmp_path):
 def test_module_entry_point_usage_error():
     proc = _run_subprocess(["wp"], 0)
     assert proc.returncode == 2  # argparse usage error
+
+
+def test_runs_on_the_standard_library_only():
+    script = (
+        "import sys\n"
+        "class StdlibOnly:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        top = name.partition('.')[0]\n"
+        "        if top != 'loopfold' and top not in sys.stdlib_module_names:\n"
+        "            raise ImportError(f'{name} is not in the standard library')\n"
+        "sys.meta_path.insert(0, StdlibOnly())\n"
+        "from loopfold.cli import main\n"
+        f"sys.exit(main(['profile', {Z2!r}, '--n', '4', '--oracle', 'cyclic:2']))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=_child_env(0), cwd=REPO
+    )
+    assert proc.returncode == 1, proc.stderr  # the z2 profile's radius columns disagree
+    assert proc.stdout.startswith("n,P,P_status,f,f_status,d,rhoTC,")

@@ -224,12 +224,18 @@ def test_product_shortest_words():
         assert shortest_word(raw) == want
 
 
+def _tree_yield(node):
+    sym, children = node
+    return bytes((sym,)) if not isinstance(sym, tuple) else b"".join(map(_tree_yield, children))
+
+
 def test_shortest_witness_is_generated():
     for name in ("z2", "z3", "lattice"):
         _, _, _, simplified = product_pipeline(name)
         length, witness = shortest_word(simplified)
         assert len(witness) == length
         assert generates(simplified, witness)
+        assert Word(_tree_yield(parse_tree(simplified))) == witness
 
 
 def _hand_cfg(num_generators, start, rules):
@@ -273,6 +279,16 @@ def test_no_repeated_nonterminal_on_root_paths():
             check(child, seen)
 
     check(tree, frozenset())
+
+
+def test_parse_tree_follows_the_shortest_word_rules():
+    # equal-cost unit rules A -> B and B -> A must not be chosen together
+    a, b, c, d = ("A",), ("B",), ("C",), ("D",)
+    cfg = _hand_cfg(1, a, [(a, (b,)), (b, (a,)), (a, (c,)), (c, ()), (b, (d,)), (d, ())])
+    assert shortest_word(cfg) == (0, EMPTY)
+    tree = parse_tree(cfg)
+    assert Word(_tree_yield(tree)) == EMPTY
+    assert tree[0] == a
 
 
 def test_parse_tree_empty_language():

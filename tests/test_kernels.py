@@ -1,34 +1,17 @@
-import numpy as np
-
 from loopfold._kernels import trace_batch
 from loopfold.core import Word, words_up_to
 
 
-def pack(words):
-    """Pack Python words (lists of codes) into the padded-array form."""
-    n = len(words)
-    width = max((len(u) for u in words), default=0)
-    arr = np.zeros((n, max(width, 1)), dtype=np.int16)
-    lengths = np.zeros(n, dtype=np.int64)
-    for i, u in enumerate(words):
-        arr[i, : len(u)] = u
-        lengths[i] = len(u)
-    return arr, lengths
-
-
 def test_trace_batch_walks_table():
     # two-state automaton: letter 0 swaps the states, letter 1 is undefined at 1
-    delta = np.array([[1, 0], [0, -1]], dtype=np.int32)
-    words = [[], [0], [0, 0], [1], [0, 1], [1, 1, 0]]
-    arr, lengths = pack(words)
-    out = trace_batch(delta, 0, arr, lengths)
-    assert list(out) == [0, 1, 0, 0, -1, 1]
+    delta = [[1, 0], [0, -1]]
+    words = [bytes(u) for u in [[], [0], [0, 0], [1], [0, 1], [1, 1, 0]]]
+    assert trace_batch(delta, 0, words) == [0, 1, 0, 0, -1, 1]
 
 
 def test_trace_batch_dead_state_sticks():
-    delta = np.array([[-1, -1]], dtype=np.int32)
-    arr, lengths = pack([[0, 0, 0]])
-    assert list(trace_batch(delta, 1, arr, lengths)) == [-1]
+    delta = [[-1, -1]]
+    assert trace_batch(delta, 1, [bytes([0, 0, 0])]) == [-1]
 
 
 def of_length(k, L, reduced):
