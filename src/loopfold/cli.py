@@ -21,7 +21,12 @@ from .automata import (
     fold,
     to_dot,
 )
-from .compression import CombinatorialBlowupError, compress, verify_compression
+from .compression import (
+    CombinatorialBlowupError,
+    CompressedPresentation,
+    compress,
+    verify_compression,
+)
 from .core import (
     ParseError,
     Presentation,
@@ -37,7 +42,7 @@ from .fillings import (
     profile_to_csv,
 )
 from .grammar import double_exp_experiment
-from .rewrite import SearchBudget
+from .rewrite import RewriteSystem, SearchBudget
 from .toddcoxeter import TcState, partial_cayley, tc_round
 
 
@@ -63,7 +68,9 @@ def _budget(args) -> SearchBudget:
     return SearchBudget(max_word_length=args.budget_len, max_states=args.budget_states)
 
 
-def _parse_oracle(text: str, p: Presentation, budget: SearchBudget) -> ReferenceOracle:
+def _parse_oracle(text: str, system: RewriteSystem, budget: SearchBudget) -> ReferenceOracle:
+    """``rewrite:L`` searches ``system``, the command's one rewrite system."""
+    p = system.presentation
     name, sep, arg = text.partition(":")
     if not sep or not arg:
         raise UsageError(f"oracle {text!r} is not of the form name:parameter")
@@ -79,7 +86,7 @@ def _parse_oracle(text: str, p: Presentation, budget: SearchBudget) -> Reference
         oracle = ReferenceOracle.free(value)
     elif name == "rewrite":
         oracle = ReferenceOracle.rewrite_search(
-            p, SearchBudget(max_word_length=value, max_states=budget.max_states)
+            system, SearchBudget(max_word_length=value, max_states=budget.max_states)
         )
     else:
         raise UsageError(f"unknown oracle {name!r}")
@@ -108,9 +115,12 @@ def _canonical_copy(graph: LabeledGraph) -> LabeledGraph:
     return out
 
 
-def _fusion_holds(p: Presentation, n: int, budget: SearchBudget) -> bool:
-    """The halving check behind ``--verify``; every row must be Exact."""
-    report = verify_compression(p, n, budget)
+def _fusion_holds(
+    compressed: CompressedPresentation, system: RewriteSystem, n: int, budget: SearchBudget
+) -> bool:
+    """The halving check behind ``--verify``; every row must be Exact.
+    ``system`` is the rewrite system of the base presentation."""
+    report = verify_compression(compressed.base, n, budget, compressed=compressed, system=system)
     for row in report.rows:
         if row.holds is None:
             raise BudgetFailure(
@@ -136,17 +146,18 @@ def cmd_wp(args) -> int:
 def cmd_profile(args) -> int:
     p = _load_presentation(args.presentation)
     budget = _budget(args)
-    oracle = _parse_oracle(args.oracle, p, budget)
+    system = RewriteSystem(p)
+    oracle = _parse_oracle(args.oracle, system, budget)
     if args.n < 0:
         raise UsageError("--n must be nonnegative")
     if args.rounds < 1:
         raise UsageError("--rounds must be at least 1")
-    profile = measure_profile(p, args.n, oracle, budget, max_rounds=args.rounds)
+    profile = measure_profile(p, args.n, oracle, budget, max_rounds=args.rounds, system=system)
     report = check_inequalities(profile)
     _write(profile_to_csv(profile, report), args.csv)
     ok = report.asserted_hold and report.equality_holds
     if args.verify:
-        ok = _fusion_holds(p, args.n, budget) and ok
+        ok = _fusion_holds(compress(p), system, args.n, budget) and ok
     return 0 if ok else 1
 
 
@@ -155,7 +166,7 @@ def cmd_compress(args) -> int:
     compressed = compress(p)
     sys.stdout.write(render_presentation(compressed.combined))
     if args.verify:
-        if not _fusion_holds(p, args.n, _budget(args)):
+        if not _fusion_holds(compressed, RewriteSystem(p), args.n, _budget(args)):
             return 1
     return 0
 
@@ -177,10 +188,11 @@ def cmd_tc(args) -> int:
 def cmd_grammar_bound(args) -> int:
     p = _load_presentation(args.presentation)
     budget = _budget(args)
-    oracle = _parse_oracle(args.oracle, p, budget)
+    system = RewriteSystem(p)
+    oracle = _parse_oracle(args.oracle, system, budget)
     if args.n < 0:
         raise UsageError("--n must be nonnegative")
-    reports = double_exp_experiment(p, args.n, oracle, budget)
+    reports = double_exp_experiment(p, args.n, oracle, budget, system=system)
     lines = ["word,n,d,ell,witness,area,bound,holds"]
     for r in reports:
         lines.append(

@@ -93,12 +93,20 @@ class CompressionReport:
 
 
 def verify_compression(
-    p: Presentation, n_max: int, budget: SearchBudget
+    p: Presentation,
+    n_max: int,
+    budget: SearchBudget,
+    *,
+    compressed: CompressedPresentation | None = None,
+    system: RewriteSystem | None = None,
 ) -> CompressionReport:
     """Entrywise check of P_combined(n) ≤ ⌈P_base(n)/2 + n/2⌉ for n ≤ n_max,
-    plus a same-group cross-check (triviality agreement on all words ≤ n_max)."""
-    compressed = compress(p)
-    base_system = RewriteSystem(p)
+    plus a same-group cross-check (triviality agreement on all words ≤ n_max).
+
+    ``compressed`` (``compress(p)``) and ``system`` (``p``'s rewrite system)
+    are made here unless the caller already has them."""
+    compressed = compressed if compressed is not None else compress(p)
+    base_system = system if system is not None else RewriteSystem(p)
     combined_system = RewriteSystem(compressed.combined)
 
     trivial: list[Word] = []

@@ -226,11 +226,11 @@ class Presentation:
         reduced on load; for cyclically reduced relators this is the literal
         closure.  The result presents the same group.
         """
-        words = []
+        rotations = set()  # distinct code strings only: many relators share rotations
         for r in self.relators:
-            for base in (r, r.inverse()):
-                words.extend(base.cyclic_permutations())
-        return Presentation(self.num_generators, words)
+            for base in (r.codes, r.inverse().codes):
+                rotations.update(base[i:] + base[:i] for i in range(len(base)))
+        return Presentation(self.num_generators, map(Word, rotations))
 
 
 def parse_presentation(text: str) -> Presentation:

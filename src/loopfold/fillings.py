@@ -56,18 +56,17 @@ class ReferenceOracle:
     abelian, and free groups, or the rewrite search as a fallback."""
 
     def __init__(self, kind: str, *, order: int = 0, rank: int = 0,
-                 presentation: Presentation | None = None,
+                 system: RewriteSystem | None = None,
                  budget: SearchBudget | None = None):
         if kind not in ("cyclic", "free-abelian", "free", "rewrite"):
             raise ValueError(f"unknown oracle kind {kind!r}")
-        if kind == "rewrite" and (presentation is None or budget is None):
-            raise ValueError("the rewrite-search oracle needs a presentation and a budget")
+        if kind == "rewrite" and (system is None or budget is None):
+            raise ValueError("the rewrite-search oracle needs a rewrite system and a budget")
         self.kind = kind
         self.order = order
         self.rank = rank
-        self.presentation = presentation
+        self.system = system
         self.budget = budget
-        self._system = RewriteSystem(presentation) if kind == "rewrite" else None
 
     @classmethod
     def cyclic(cls, k: int) -> "ReferenceOracle":
@@ -88,15 +87,16 @@ class ReferenceOracle:
         return cls("free", rank=rank)
 
     @classmethod
-    def rewrite_search(cls, p: Presentation, budget: SearchBudget) -> "ReferenceOracle":
-        return cls("rewrite", presentation=p, budget=budget)
+    def rewrite_search(cls, system: RewriteSystem, budget: SearchBudget) -> "ReferenceOracle":
+        """Search ``system``; sweeps it has already made are reused."""
+        return cls("rewrite", system=system, budget=budget)
 
     @property
     def num_generators(self) -> int:
         if self.kind == "cyclic":
             return 1
         if self.kind == "rewrite":
-            return self.presentation.num_generators
+            return self.system.presentation.num_generators
         return self.rank
 
     def decide(self, w: Word) -> bool:
@@ -106,7 +106,7 @@ class ReferenceOracle:
             return all(_exponent_sum(w, g) == 0 for g in range(self.rank))
         if self.kind == "free":
             return w.reduce() == EMPTY
-        return is_trivial(w, self._system, self.budget)[0]
+        return is_trivial(w, self.system, self.budget)[0]
 
     def cayley_ball(self, radius: int) -> LabeledGraph:
         """The ball of the group's Cayley graph: vertices within ``radius``
@@ -249,6 +249,8 @@ def measure_profile(
     oracle: ReferenceOracle,
     budget: SearchBudget,
     max_rounds: int = 24,
+    *,
+    system: RewriteSystem | None = None,
 ) -> FillingProfile:
     """Profile of all four filling functions for 0 ≤ n ≤ n_max, in one pass.
 
@@ -257,9 +259,10 @@ def measure_profile(
     words, non-reduced words included (the word's own length counts).  The
     ``d`` scan and the coset saturation reuse the verdicts for the reduced
     words; ``rhoTC`` is ``unreached`` from the first n that ``max_rounds``
-    rounds do not decide.
+    rounds do not decide.  ``system`` is ``p``'s rewrite system, made here
+    unless the caller already has one.
     """
-    rs = RewriteSystem(p)
+    rs = system if system is not None else RewriteSystem(p)
     trivial = [w for w in words_up_to(p.alphabet_size, n_max, reduced=False) if oracle.decide(w)]
     known = {w.codes for w in trivial}
 
@@ -321,6 +324,14 @@ def double_exp_bound(p: Presentation, n: int, d: int) -> int:
     return n * 2 ** (big_c * base**d)
 
 
+def within_double_exp(p: Presentation, n: int, d: int, value: int) -> bool:
+    """Whether ``value ≤ n·2^E`` with ``E = C·c^d``, decided without building
+    the bound (E bits, 1.3 MB at d = 4 for ℤ²): it holds exactly when
+    ``n ≥ ⌈value / 2^E⌉``, and that ceiling is a shift."""
+    big_c, base = double_exp_constants(p)
+    return n >= -(-value >> (big_c * base**d))
+
+
 def _fit_base(pairs: list[tuple[int, int]], cap: int = 64) -> int | None:
     """Least integer base c ≥ 2 with value ≤ c**exponent for every pair."""
     for c in range(2, cap + 1):
@@ -345,7 +356,7 @@ def check_inequalities(profile: FillingProfile) -> InequalityReport:
             d_le_half_f = row.diameter.value <= -(-row.length.value // 2)
         double_exp = None
         if row.area.exact and row.diameter.exact:
-            double_exp = row.area.value <= double_exp_bound(p, row.n, row.diameter.value)
+            double_exp = within_double_exp(p, row.n, row.diameter.value, row.area.value)
         d_equals_rho = None
         if row.diameter.exact and row.tc_radius.exact:
             d_equals_rho = row.diameter.value == row.tc_radius.value

@@ -586,12 +586,15 @@ def double_exp_experiment(
     n_max: int,
     oracle: ReferenceOracle,
     budget: SearchBudget,
+    *,
+    system: RewriteSystem | None = None,
 ) -> list[BoundReport]:
     """For every oracle-trivial word of length ≤ n_max: run the full product
     pipeline, extract the shortest intersecting word, and compare it against
     the brute-force application count below and the explicit
-    double-exponential bound above."""
-    rs = RewriteSystem(p)
+    double-exponential bound above.  ``system`` is ``p``'s rewrite system,
+    made here unless the caller already has one."""
+    rs = system if system is not None else RewriteSystem(p)
     big_c, base = double_exp_constants(p)
     diameters = [d.value for d in measure_isodiametric(p, n_max, oracle.decide)]
     if None in diameters:

@@ -7,6 +7,13 @@ resulting rewrite graph on words is undirected, so reachability and 0-1
 shortest-path distance from the empty word give, for every word at once, its
 triviality, its minimum relator-application count, and its filling length.
 
+The search reads the relator rules as ``bytes`` from two indexes: the
+insertions ``1 -> v`` and the substitutions keyed by left-hand side, each in
+rule order.  Both are cut to the right-hand sides that fit under the cap, per
+room left, so a sweep costs what its reachable words need rather than what
+the rule count implies (168,880 rules for the fused ℤ² lattice).  The rules
+as :class:`Rule` objects are made only when ``relator_rules`` is read.
+
 Searches are capped by a :class:`SearchBudget`; a value is reported ``Exact``
 only when it has stabilized across two consecutive length caps (``L`` and
 ``L + 2``), since no a-priori bound on intermediate word length is available.
@@ -15,6 +22,7 @@ only when it has stabilized across two consecutive length caps (``L`` and
 from __future__ import annotations
 
 import enum
+import functools
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -80,6 +88,9 @@ class SearchBudget:
             raise ValueError("budget fields must be positive")
 
 
+_INVERSE = bytes(c ^ 1 for c in range(256))  # letter code -> inverse letter code
+
+
 class Rule(NamedTuple):
     lhs: Word
     rhs: Word
@@ -100,15 +111,6 @@ class RewriteSystem:
         self.presentation = presentation
         self.symmetrized_presentation = presentation.symmetrized()
 
-        relator_rules = set()
-        for r in self.symmetrized_presentation.relators:
-            for i in range(len(r) + 1):
-                relator_rules.add((r[:i], r[i:].inverse()))
-        self.relator_rules: tuple[Rule, ...] = tuple(
-            Rule(u, v, True)
-            for u, v in sorted(relator_rules, key=lambda p: (len(p[0]), p[0].codes, len(p[1]), p[1].codes))
-        )
-
         free_rules = []
         for c in range(presentation.alphabet_size):
             pair = Word(bytes((c, c ^ 1)))
@@ -116,18 +118,30 @@ class RewriteSystem:
             free_rules.append(Rule(EMPTY, pair, False))
         self.free_rules: tuple[Rule, ...] = tuple(free_rules)
 
-        # factor-indexed views for the search inner loop
-        self._subst: dict[bytes, tuple[bytes, ...]] = {}
-        self._relator_inserts: tuple[bytes, ...] = ()
-        by_lhs: dict[bytes, list[bytes]] = {}
-        for rule in self.relator_rules:
-            by_lhs.setdefault(rule.lhs.codes, []).append(rule.rhs.codes)
-        inserts = tuple(sorted(by_lhs.pop(b"", [])))
-        self._relator_inserts = inserts
-        self._subst = {u: tuple(sorted(vs)) for u, vs in sorted(by_lhs.items())}
+        # factor-indexed views for the search inner loop, built from bytes
+        by_lhs: dict[bytes, set[bytes]] = {}
+        for r in self.symmetrized_presentation.relators:
+            codes = r.codes
+            for i in range(len(codes) + 1):
+                by_lhs.setdefault(codes[:i], set()).add(codes[i:][::-1].translate(_INVERSE))
+        self._relator_inserts: tuple[bytes, ...] = tuple(sorted(by_lhs.pop(b"", ())))
+        self._subst: dict[bytes, tuple[bytes, ...]] = {
+            u: tuple(sorted(vs)) for u, vs in by_lhs.items()
+        }
         self._lhs_lengths = tuple(sorted({len(u) for u in self._subst}))
+        # the same views cut to the right-hand sides that fit in a given room
+        self._inserts_within: dict[int, tuple[bytes, ...]] = {}
+        self._subst_within: dict[int, dict[bytes, tuple[bytes, ...]]] = {}
 
         self._sweeps: dict[tuple[int, int], Exploration] = {}
+
+    @functools.cached_property
+    def relator_rules(self) -> tuple[Rule, ...]:
+        """Every relator rule ``u -> v``, in (|u|, u, |v|, v) order."""
+        pairs = [(b"", v) for v in self._relator_inserts]
+        pairs += [(u, v) for u, vs in self._subst.items() for v in vs]
+        pairs.sort(key=lambda p: (len(p[0]), p[0], len(p[1]), p[1]))
+        return tuple(Rule(Word(u), Word(v), True) for u, v in pairs)
 
     # -- rule application ------------------------------------------------
 
@@ -142,7 +156,14 @@ class RewriteSystem:
         return out
 
     def _neighbors(self, codes: bytes, cap: int) -> Iterator[tuple[int, bytes]]:
-        """(cost, successor) pairs of ``codes``, intermediates capped at ``cap``."""
+        """(cost, successor) pairs of ``codes``, intermediates capped at ``cap``.
+
+        Order: free cancellations, free insertions, relator insertions (by
+        right-hand side, then position), substitutions (by left-hand length,
+        position, right-hand side).  Right-hand sides are read from views cut
+        to the room left under the cap, so no option is tested for length
+        here; a left-hand side's cut is made the first time it is met.
+        """
         n = len(codes)
         for i in range(n - 1):
             if codes[i + 1] == codes[i] ^ 1:
@@ -151,19 +172,26 @@ class RewriteSystem:
             for i in range(n + 1):
                 for c in range(self.presentation.alphabet_size):
                     yield 0, codes[:i] + bytes((c, c ^ 1)) + codes[i:]
-        for v in self._relator_inserts:
-            if n + len(v) <= cap:
-                for i in range(n + 1):
-                    yield 1, codes[:i] + v + codes[i:]
+        room = cap - n
+        inserts = self._inserts_within.get(room)
+        if inserts is None:
+            inserts = tuple(v for v in self._relator_inserts if len(v) <= room)
+            self._inserts_within[room] = inserts
+        for v in inserts:
+            for i in range(n + 1):
+                yield 1, codes[:i] + v + codes[i:]
         for k in self._lhs_lengths:
             if k > n:
                 break
+            within = self._subst_within.setdefault(room + k, {})
             for i in range(n - k + 1):
-                options = self._subst.get(codes[i : i + k])
-                if options:
-                    for v in options:
-                        if n - k + len(v) <= cap:
-                            yield 1, codes[:i] + v + codes[i + k :]
+                u = codes[i : i + k]
+                options = within.get(u)
+                if options is None:
+                    options = tuple(v for v in self._subst.get(u, ()) if len(v) <= room + k)
+                    within[u] = options
+                for v in options:
+                    yield 1, codes[:i] + v + codes[i + k :]
 
     # -- exhaustive search -----------------------------------------------
 

@@ -253,7 +253,7 @@ def test_criterion_8_oracle_self_consistency(capsys):
     ]
     mismatches = []
     for name, (p, oracle) in pairs:
-        search = ReferenceOracle.rewrite_search(p, budget)
+        search = ReferenceOracle.rewrite_search(RewriteSystem(p), budget)
         for w in all_words_up_to(p.num_generators, 8):
             if search.decide(w) != oracle.decide(w):
                 mismatches.append((name, w))

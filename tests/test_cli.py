@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from loopfold.cli import main
+from loopfold.rewrite import RewriteSystem
 
 REPO = Path(__file__).resolve().parent.parent
 PRES = REPO / "presentations"
@@ -145,6 +146,29 @@ def test_profile_verify_budget_failure(capsys):
     assert run_cli("profile", Z2, "--n", "6", "--oracle", "cyclic:2", "--verify",
                    "--budget-len", "2") == 3
     assert "n=4 is not Exact" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("profile", ZXZ, "--n", "4", "--oracle", "free-abelian:2", "--verify", "--budget-len", "4"),
+    ("profile", Z3, "--n", "6", "--oracle", "rewrite:6"),
+])
+def test_each_sweep_runs_once_per_command(monkeypatch, capsys, argv):
+    # A sweep that runs returns a new Exploration, a cached one the same
+    # object; two systems of one presentation would each run their own.
+    explore = RewriteSystem.explore
+    results = {}
+
+    def recording(self, cap, max_states=2_000_000):
+        result = explore(self, cap, max_states)
+        results.setdefault((self.presentation, cap, max_states), []).append(result)
+        return result
+
+    monkeypatch.setattr(RewriteSystem, "explore", recording)
+    assert run_cli(*argv) in (0, 1)
+    capsys.readouterr()
+    runs = [(len(p.relators), cap, max_states, len({id(r) for r in found}))
+            for (p, cap, max_states), found in results.items()]
+    assert runs and all(count == 1 for *_, count in runs), runs
 
 
 # -- tc ----------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from loopfold.fillings import (
     _fit_base,
     check_inequalities,
     double_exp_bound,
+    within_double_exp,
     LoopComplexScanner,
     measure_isodiametric,
     measure_profile,
@@ -28,7 +29,7 @@ from loopfold.fillings import (
     pull_apart,
     refold,
 )
-from loopfold.rewrite import OracleStatus, SearchBudget
+from loopfold.rewrite import OracleStatus, RewriteSystem, SearchBudget
 from loopfold.toddcoxeter import TcState, partial_cayley, tc_round
 
 Z2 = parse_presentation("gens: a\nrels: aa")
@@ -105,7 +106,7 @@ def test_free_oracle():
 
 
 def test_rewrite_oracle_agrees_with_cyclic():
-    by_search = ReferenceOracle.rewrite_search(Z3, BUDGET)
+    by_search = ReferenceOracle.rewrite_search(RewriteSystem(Z3), BUDGET)
     closed_form = ReferenceOracle.cyclic(3)
     assert by_search.num_generators == 1
     for word in all_words_up_to(2, 5):
@@ -122,7 +123,7 @@ def test_oracle_validation():
     with pytest.raises(ValueError):
         ReferenceOracle.free(-1)
     with pytest.raises(ValueError):
-        ReferenceOracle("rewrite", presentation=Z2)
+        ReferenceOracle("rewrite", system=RewriteSystem(Z2))
 
 
 def test_cayley_ball_cyclic():
@@ -157,7 +158,7 @@ def test_cayley_ball_free_tree():
 
 
 def test_cayley_ball_unavailable_for_rewrite_oracle():
-    oracle = ReferenceOracle.rewrite_search(Z2, BUDGET)
+    oracle = ReferenceOracle.rewrite_search(RewriteSystem(Z2), BUDGET)
     with pytest.raises(ValueError):
         oracle.cayley_ball(1)
 
@@ -311,6 +312,16 @@ def test_double_exp_bound_values():
     assert double_exp_bound(Z2, 4, 0) == 4 * 2**24
     assert double_exp_bound(Z2, 0, 0) == 0
     assert double_exp_bound(LATTICE, 1, 1).bit_length() == 160 * 16 + 1
+
+
+def test_within_double_exp_matches_the_bound():
+    for p in (Z2, LATTICE):
+        for n in range(4):
+            for d in range(2):
+                bound = double_exp_bound(p, n, d)
+                for value in (0, 1, 7, bound - 1, bound, bound + 1, 3 * bound + 5):
+                    if value >= 0:
+                        assert within_double_exp(p, n, d, value) == (value <= bound), (p, n, d, value)
 
 
 def test_check_inequalities_even_cycle():

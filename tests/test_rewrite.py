@@ -1,6 +1,10 @@
+import hashlib
 import random
 from collections import deque
 
+import pytest
+
+from loopfold.compression import compress
 from loopfold.core import EMPTY, Presentation, Word, parse_word
 from loopfold.rewrite import (
     OracleStatus,
@@ -82,21 +86,24 @@ class TestRuleSet:
                 assert u in back
 
     def test_neighbors_match_faithful_enumerator(self):
+        # Relators of mixed lengths and caps just above the word's length
+        # make the room filter cut inside an option list.
         rng = random.Random(32)
-        for p in (Z2, LATTICE, COLLAPSE):
+        mixed = Presentation(2, [w("aa"), w("abAB"), w("bbb")])
+        for p in (Z2, LATTICE, COLLAPSE, compress(Z2).combined, compress(Z3).combined, mixed):
             rs = RewriteSystem(p)
             for _ in range(30):
                 u = random_word(rng, p.alphabet_size, rng.randrange(0, 5))
-                cap = len(u) + 4
-                fast = {}
-                for cost, codes in rs._neighbors(u.codes, cap):
-                    fast[codes] = min(cost, fast.get(codes, 2))
-                slow = {}
-                for rule, _pos, res in rs.apply_rule_positions(u):
-                    if len(res) <= cap:
-                        c = 1 if rule.from_relators else 0
-                        slow[res.codes] = min(c, slow.get(res.codes, 2))
-                assert fast == slow
+                for cap in range(len(u) + 1, len(u) + 5):
+                    fast = {}
+                    for cost, codes in rs._neighbors(u.codes, cap):
+                        fast[codes] = min(cost, fast.get(codes, 2))
+                    slow = {}
+                    for rule, _pos, res in rs.apply_rule_positions(u):
+                        if len(res) <= cap:
+                            c = 1 if rule.from_relators else 0
+                            slow[res.codes] = min(c, slow.get(res.codes, 2))
+                    assert fast == slow, (p, u, cap)
 
 
 class TestMinIsoperimetric:
@@ -261,3 +268,41 @@ class TestDeterminism:
         b = RewriteSystem(LATTICE).explore(6)
         assert a.costs == b.costs
         assert list(a.costs) == list(b.costs)
+
+
+def _digest(pairs):
+    h = hashlib.sha256()
+    for a, b in pairs:
+        h.update(a + b"|" + b + b";")
+    return h.hexdigest()[:16]
+
+
+@pytest.fixture(scope="module")
+def fused_lattice():
+    return RewriteSystem(compress(LATTICE).combined)
+
+
+class TestFusedLattice:
+    """Sweeps of the fused lattice (3,200 relators up to length 16).  The
+    successor order decides which states a budget-cut sweep settles and the
+    order of the keys, so counts, cost sums and key-order digests are pinned."""
+
+    @pytest.mark.parametrize("cap, max_states, complete, states, cost_sum, digest", [
+        (6, 50, False, 253, 126, "5bb46e5341d0044b"),
+        (8, 300, False, 3441, 1831, "612f8de14d594b00"),
+        (6, 2_000_000, True, 441, 176, "7e0d3712e4c4b7e9"),
+    ])
+    def test_sweeps_keep_their_order(self, fused_lattice, cap, max_states, complete,
+                                     states, cost_sum, digest):
+        sweep = fused_lattice.explore(cap, max_states)
+        assert sweep.complete is complete
+        assert (len(sweep.costs), sum(sweep.costs.values())) == (states, cost_sum)
+        assert _digest((k, str(c).encode()) for k, c in sweep.costs.items()) == digest
+
+    def test_relator_rules_in_order(self, fused_lattice):
+        rules = fused_lattice.relator_rules
+        assert len(rules) == 168_880
+        assert all(r.from_relators for r in rules)
+        keys = [(len(r.lhs), r.lhs.codes, len(r.rhs), r.rhs.codes) for r in rules]
+        assert all(a < b for a, b in zip(keys, keys[1:]))  # sorted, no repeats
+        assert _digest((r.lhs.codes, r.rhs.codes) for r in rules) == "99779208c01989b6"
