@@ -120,7 +120,7 @@ def _fusion_holds(
 ) -> bool:
     """The halving check behind ``--verify``; every row must be Exact.
     ``system`` is the rewrite system of the base presentation."""
-    report = verify_compression(compressed.base, n, budget, compressed=compressed, system=system)
+    report = verify_compression(compressed, n, budget, system)
     for row in report.rows:
         if row.holds is None:
             raise BudgetFailure(
@@ -152,7 +152,7 @@ def cmd_profile(args) -> int:
         raise UsageError("--n must be nonnegative")
     if args.rounds < 1:
         raise UsageError("--rounds must be at least 1")
-    profile = measure_profile(p, args.n, oracle, budget, max_rounds=args.rounds, system=system)
+    profile = measure_profile(system, args.n, oracle, budget, max_rounds=args.rounds)
     report = check_inequalities(profile)
     _write(profile_to_csv(profile, report), args.csv)
     ok = report.asserted_hold and report.equality_holds
@@ -192,7 +192,7 @@ def cmd_grammar_bound(args) -> int:
     oracle = _parse_oracle(args.oracle, system, budget)
     if args.n < 0:
         raise UsageError("--n must be nonnegative")
-    reports = double_exp_experiment(p, args.n, oracle, budget, system=system)
+    reports = double_exp_experiment(system, args.n, oracle, budget)
     lines = ["word,n,d,ell,witness,area,bound,holds"]
     for r in reports:
         lines.append(

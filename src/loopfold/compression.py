@@ -93,20 +93,18 @@ class CompressionReport:
 
 
 def verify_compression(
-    p: Presentation,
+    compressed: CompressedPresentation,
     n_max: int,
     budget: SearchBudget,
-    *,
-    compressed: CompressedPresentation | None = None,
-    system: RewriteSystem | None = None,
+    base_system: RewriteSystem,
 ) -> CompressionReport:
     """Entrywise check of P_combined(n) ≤ ⌈P_base(n)/2 + n/2⌉ for n ≤ n_max,
     plus a same-group cross-check (triviality agreement on all words ≤ n_max).
 
-    ``compressed`` (``compress(p)``) and ``system`` (``p``'s rewrite system)
-    are made here unless the caller already has them."""
-    compressed = compressed if compressed is not None else compress(p)
-    base_system = system if system is not None else RewriteSystem(p)
+    ``base_system`` is the rewrite system of ``compressed.base``."""
+    if base_system.presentation != compressed.base:
+        raise ValueError("the rewrite system is not that of the base presentation")
+    p = compressed.base
     combined_system = RewriteSystem(compressed.combined)
 
     trivial: list[Word] = []

@@ -244,13 +244,11 @@ class FillingProfile:
 
 
 def measure_profile(
-    p: Presentation,
+    system: RewriteSystem,
     n_max: int,
     oracle: ReferenceOracle,
     budget: SearchBudget,
     max_rounds: int = 24,
-    *,
-    system: RewriteSystem | None = None,
 ) -> FillingProfile:
     """Profile of all four filling functions for 0 ≤ n ≤ n_max, in one pass.
 
@@ -259,18 +257,18 @@ def measure_profile(
     words, non-reduced words included (the word's own length counts).  The
     ``d`` scan and the coset saturation reuse the verdicts for the reduced
     words; ``rhoTC`` is ``unreached`` from the first n that ``max_rounds``
-    rounds do not decide.  ``system`` is ``p``'s rewrite system, made here
-    unless the caller already has one.
+    rounds do not decide.  ``system`` is the presentation's rewrite system,
+    shared with the caller so that no sweep of it runs twice.
     """
-    rs = system if system is not None else RewriteSystem(p)
+    p = system.presentation
     trivial = [w for w in words_up_to(p.alphabet_size, n_max, reduced=False) if oracle.decide(w)]
     known = {w.codes for w in trivial}
 
     def verdict(u: Word) -> bool:  # the oracle's verdict above, for |u| ≤ n_max
         return u.codes in known
 
-    area = prefix_maxima(trivial, n_max, lambda w: min_isoperimetric(w, rs, budget))
-    length = prefix_maxima(trivial, n_max, lambda w: filling_length(w, rs, budget))
+    area = prefix_maxima(trivial, n_max, lambda w: min_isoperimetric(w, system, budget))
+    length = prefix_maxima(trivial, n_max, lambda w: filling_length(w, system, budget))
     diameter = measure_isodiametric(p, n_max, verdict)
     tc = [
         OracleResult(None, OracleStatus.BUDGET_EXCEEDED) if hit is None
@@ -318,18 +316,22 @@ def double_exp_constants(p: Presentation) -> tuple[int, int]:
     return 2 * (2 * p.num_generators + 1) * p.relator_total_length**2, (2 * p.num_generators) ** 2
 
 
+def _double_exp_exponent(p: Presentation, d: int) -> int:
+    """The exponent ``C·c^d`` of the double-exponential bound."""
+    big_c, base = double_exp_constants(p)
+    return big_c * base**d
+
+
 def double_exp_bound(p: Presentation, n: int, d: int) -> int:
     """The explicit double-exponential isoperimetric bound n·2^(C·c^d)."""
-    big_c, base = double_exp_constants(p)
-    return n * 2 ** (big_c * base**d)
+    return n << _double_exp_exponent(p, d)
 
 
 def within_double_exp(p: Presentation, n: int, d: int, value: int) -> bool:
     """Whether ``value ≤ n·2^E`` with ``E = C·c^d``, decided without building
     the bound (E bits, 1.3 MB at d = 4 for ℤ²): it holds exactly when
     ``n ≥ ⌈value / 2^E⌉``, and that ceiling is a shift."""
-    big_c, base = double_exp_constants(p)
-    return n >= -(-value >> (big_c * base**d))
+    return n >= -(-value >> _double_exp_exponent(p, d))
 
 
 def _fit_base(pairs: list[tuple[int, int]], cap: int = 64) -> int | None:

@@ -582,19 +582,17 @@ class BoundReport:
 
 
 def double_exp_experiment(
-    p: Presentation,
+    system: RewriteSystem,
     n_max: int,
     oracle: ReferenceOracle,
     budget: SearchBudget,
-    *,
-    system: RewriteSystem | None = None,
 ) -> list[BoundReport]:
     """For every oracle-trivial word of length ≤ n_max: run the full product
     pipeline, extract the shortest intersecting word, and compare it against
     the brute-force application count below and the explicit
-    double-exponential bound above.  ``system`` is ``p``'s rewrite system,
-    made here unless the caller already has one."""
-    rs = system if system is not None else RewriteSystem(p)
+    double-exponential bound above.  ``system`` is the presentation's
+    rewrite system, shared with the caller."""
+    p = system.presentation
     big_c, base = double_exp_constants(p)
     diameters = [d.value for d in measure_isodiametric(p, n_max, oracle.decide)]
     if None in diameters:
@@ -619,7 +617,7 @@ def double_exp_experiment(
             raise ValueError("witness is not freely equal to its word")
         if not nfa_accepts(tree, witness):
             raise ValueError("witness rejected by the tree complex")
-        area = min_isoperimetric(candidate, rs, budget)
+        area = min_isoperimetric(candidate, system, budget)
         if not area.exact:
             raise ValueError("budget too small for an exact area value")
         reports.append(

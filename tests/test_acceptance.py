@@ -26,7 +26,7 @@ from loopfold.automata import (
     restrict_to_radius,
     strip_hairs,
 )
-from loopfold.compression import verify_compression
+from loopfold.compression import compress, verify_compression
 from loopfold.core import EMPTY, Presentation, Word, parse_word, render_word
 from loopfold.fillings import (
     LoopComplexScanner,
@@ -100,7 +100,7 @@ def tc_snapshot(name, n):
 @lru_cache(maxsize=None)
 def profile6(name):
     p, oracle = MATRIX[name]
-    profile = measure_profile(p, 6, oracle, SearchBudget(max_word_length=6))
+    profile = measure_profile(RewriteSystem(p), 6, oracle, SearchBudget(max_word_length=6))
     return profile, check_inequalities(profile)
 
 
@@ -160,7 +160,7 @@ def test_criterion_4_compression(capsys):
     budget = SearchBudget(max_word_length=6)
     failures = []
     for name, (p, _) in MATRIX.items():
-        report = verify_compression(p, 6, budget)
+        report = verify_compression(compress(p), 6, budget, RewriteSystem(p))
         if not report.triviality_agreement:
             failures.append((name, "triviality-agreement"))
         for row in report.rows:

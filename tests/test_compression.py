@@ -8,7 +8,7 @@ from loopfold.compression import (
     verify_compression,
 )
 from loopfold.core import Presentation, parse_presentation, parse_word, render_presentation
-from loopfold.rewrite import OracleResult, OracleStatus, SearchBudget
+from loopfold.rewrite import OracleResult, OracleStatus, RewriteSystem, SearchBudget
 
 Z2 = parse_presentation("gens: a\nrels: aa")
 Z3 = parse_presentation("gens: a\nrels: aaa")
@@ -72,7 +72,7 @@ def test_no_empty_relator_in_combined():
 
 
 def test_verify_even_cycle_rows():
-    report = verify_compression(Z2, 6, BUDGET)
+    report = verify_compression(compress(Z2), 6, BUDGET, RewriteSystem(Z2))
     assert report.triviality_agreement
     assert [r.base_area.value for r in report.rows] == [0, 0, 1, 1, 2, 2, 3]
     assert [r.combined_area.value for r in report.rows] == [0, 0, 1, 1, 1, 1, 2]
@@ -82,7 +82,7 @@ def test_verify_even_cycle_rows():
 
 
 def test_verify_three_cycle_rows():
-    report = verify_compression(Z3, 6, BUDGET)
+    report = verify_compression(compress(Z3), 6, BUDGET, RewriteSystem(Z3))
     assert [r.base_area.value for r in report.rows] == [0, 0, 0, 1, 1, 1, 2]
     assert [r.combined_area.value for r in report.rows] == [0, 0, 0, 1, 1, 1, 1]
     assert report.rows[6].bound == 4
@@ -90,7 +90,7 @@ def test_verify_three_cycle_rows():
 
 
 def test_verify_lattice_holds():
-    report = verify_compression(LATTICE, 6, BUDGET)
+    report = verify_compression(compress(LATTICE), 6, BUDGET, RewriteSystem(LATTICE))
     assert report.triviality_agreement
     assert report.all_hold
     assert report.rows[6].base_area == OracleResult(2, OracleStatus.EXACT)
@@ -99,14 +99,19 @@ def test_verify_lattice_holds():
 
 def test_verify_spot_values_match_oracle():
     # The fused relator a^4 retires a^4 in one application instead of two.
-    report = verify_compression(Z2, 4, BUDGET)
+    report = verify_compression(compress(Z2), 4, BUDGET, RewriteSystem(Z2))
     assert report.rows[4].base_area.value == 2
     assert report.rows[4].combined_area.value == 1
     assert report.rows[4].bound == 3
 
 
 def test_verify_zero_row():
-    report = verify_compression(Z3, 0, BUDGET)
+    report = verify_compression(compress(Z3), 0, BUDGET, RewriteSystem(Z3))
     assert report.rows[0].base_area.value == 0
     assert report.rows[0].combined_area.value == 0
     assert report.rows[0].holds is True
+
+
+def test_verify_refuses_another_presentations_system():
+    with pytest.raises(ValueError):
+        verify_compression(compress(Z2), 2, BUDGET, RewriteSystem(Z3))

@@ -55,22 +55,22 @@ def all_words_up_to(alphabet_size: int, n: int):
 
 @functools.lru_cache(maxsize=None)
 def z2_profile() -> FillingProfile:
-    return measure_profile(Z2, 4, ReferenceOracle.cyclic(2), BUDGET)
+    return measure_profile(RewriteSystem(Z2), 4, ReferenceOracle.cyclic(2), BUDGET)
 
 
 @functools.lru_cache(maxsize=None)
 def z3_profile() -> FillingProfile:
-    return measure_profile(Z3, 6, ReferenceOracle.cyclic(3), BUDGET)
+    return measure_profile(RewriteSystem(Z3), 6, ReferenceOracle.cyclic(3), BUDGET)
 
 
 @functools.lru_cache(maxsize=None)
 def free_profile() -> FillingProfile:
-    return measure_profile(FREE2, 4, ReferenceOracle.free(2), BUDGET)
+    return measure_profile(RewriteSystem(FREE2), 4, ReferenceOracle.free(2), BUDGET)
 
 
 @functools.lru_cache(maxsize=None)
 def lattice_profile() -> FillingProfile:
-    return measure_profile(LATTICE, 4, ReferenceOracle.free_abelian(2), BUDGET)
+    return measure_profile(RewriteSystem(LATTICE), 4, ReferenceOracle.free_abelian(2), BUDGET)
 
 
 # -- reference oracles --------------------------------------------------------
@@ -287,7 +287,7 @@ def test_profile_entries_nondecreasing():
 
 
 def test_profile_budget_propagates():
-    tight = measure_profile(Z3, 6, ReferenceOracle.cyclic(3), SearchBudget(max_word_length=4))
+    tight = measure_profile(RewriteSystem(Z3), 6, ReferenceOracle.cyclic(3), SearchBudget(max_word_length=4))
     area6 = tight.rows[6].area
     assert (area6.value, area6.status) == (2, OracleStatus.LOWER_BOUND_ONLY)
     length6 = tight.rows[6].length
@@ -344,7 +344,7 @@ def test_check_inequalities_free_group():
 
 
 def test_check_inequalities_skips_non_exact():
-    tight = measure_profile(Z3, 6, ReferenceOracle.cyclic(3), SearchBudget(max_word_length=4))
+    tight = measure_profile(RewriteSystem(Z3), 6, ReferenceOracle.cyclic(3), SearchBudget(max_word_length=4))
     report = check_inequalities(tight)
     assert report.rows[6].d_le_half_f is None
     assert report.rows[6].double_exp is None
@@ -370,18 +370,18 @@ Z2_CSV = """n,P,P_status,f,f_status,d,rhoTC,d_le_half_f,double_exp,d_eq_rhoTC
 
 
 def test_csv_golden_even_cycle():
-    profile = measure_profile(Z2, 3, ReferenceOracle.cyclic(2), BUDGET)
+    profile = measure_profile(RewriteSystem(Z2), 3, ReferenceOracle.cyclic(2), BUDGET)
     assert profile_to_csv(profile) == Z2_CSV
 
 
 def test_csv_deterministic_across_runs():
-    first = measure_profile(LATTICE, 3, ReferenceOracle.free_abelian(2), BUDGET)
-    second = measure_profile(LATTICE, 3, ReferenceOracle.free_abelian(2), BUDGET)
+    first = measure_profile(RewriteSystem(LATTICE), 3, ReferenceOracle.free_abelian(2), BUDGET)
+    second = measure_profile(RewriteSystem(LATTICE), 3, ReferenceOracle.free_abelian(2), BUDGET)
     assert profile_to_csv(first) == profile_to_csv(second)
 
 
 def test_csv_renders_skips():
-    tight = measure_profile(Z3, 6, ReferenceOracle.cyclic(3), SearchBudget(max_word_length=4))
+    tight = measure_profile(RewriteSystem(Z3), 6, ReferenceOracle.cyclic(3), SearchBudget(max_word_length=4))
     lines = profile_to_csv(tight).splitlines()
     assert lines[-1].startswith("6,2,LowerBoundOnly,")
     assert ",skipped," in lines[-1]

@@ -24,7 +24,7 @@ from loopfold.grammar import (
     simplify_cfg,
     simulate_pda,
 )
-from loopfold.rewrite import SearchBudget
+from loopfold.rewrite import RewriteSystem, SearchBudget
 
 Z2 = Presentation(1, (parse_word("aa", 1),))
 Z3 = Presentation(1, (parse_word("aaa", 1),))
@@ -368,7 +368,7 @@ def test_loop_factors_requires_acceptance():
 
 def test_bound_experiment_z2():
     reports = double_exp_experiment(
-        Z2, 3, ReferenceOracle.cyclic(2), SearchBudget(max_word_length=6)
+        RewriteSystem(Z2), 3, ReferenceOracle.cyclic(2), SearchBudget(max_word_length=6)
     )
     by_word = {render_word(r.word): r for r in reports}
     assert sorted(by_word) == ["1", "AA", "Aa", "aA", "aa"]
@@ -383,7 +383,7 @@ def test_bound_experiment_z2():
 
 def test_bound_experiment_z3():
     reports = double_exp_experiment(
-        Z3, 3, ReferenceOracle.cyclic(3), SearchBudget(max_word_length=6)
+        RewriteSystem(Z3), 3, ReferenceOracle.cyclic(3), SearchBudget(max_word_length=6)
     )
     cubed = {render_word(r.word): r for r in reports}["aaa"]
     assert cubed.big_c == 54
