@@ -42,16 +42,12 @@ from .fillings import (
     profile_to_csv,
 )
 from .grammar import double_exp_experiment
-from .rewrite import RewriteSystem, SearchBudget
+from .rewrite import BudgetFailure, RewriteSystem, SearchBudget
 from .toddcoxeter import TcState, partial_cayley, tc_round
 
 
 class UsageError(ValueError):
     """Bad flags, bad files, or an oracle that does not fit the presentation."""
-
-
-class BudgetFailure(RuntimeError):
-    """A check that needs Exact values got a row the budget could not settle."""
 
 
 def _load_presentation(path: str) -> Presentation:
@@ -185,6 +181,18 @@ def cmd_tc(args) -> int:
     return 0
 
 
+def _decimal(value: int) -> str:
+    """Decimal text of an int of any size.  The bound n·2^(C·c^d) for ℤ² at
+    n = 4, d = 2 has 40,963 bits, past the interpreter's 4,300-digit limit
+    for int-to-str, so the limit is lifted for this one conversion."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def cmd_grammar_bound(args) -> int:
     p = _load_presentation(args.presentation)
     budget = _budget(args)
@@ -204,7 +212,7 @@ def cmd_grammar_bound(args) -> int:
                     str(r.shortest_length),
                     render_word(r.witness),
                     str(r.area),
-                    str(r.bound),
+                    _decimal(r.bound),
                     "true" if r.holds else "false",
                 )
             )

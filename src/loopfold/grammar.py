@@ -1,11 +1,17 @@
 """Pushdown and grammar pipeline for the double-exponential area bound.
 
 The chain: a pushdown machine tracking free reduction of the input against a
-fixed target word, its product with a tree-complex NFA, the standard
-triple-construction grammar for the product, simplification, and a
-shortest-generated-word computation.  The shortest word bounds the rewrite
-application count from above, and the pumping bound turns the grammar size
-into the explicit estimate n·2^{C·c^d}.
+fixed target word, its product with a tree-complex NFA, the triple-construction
+grammar for the product, simplification, and a shortest-generated-word
+computation.  The shortest word bounds the rewrite application count from
+above, and the pumping bound turns the grammar size into the explicit
+estimate n·2^{C·c^d}.
+
+The grammar is built by saturation from the pop moves (CFL reachability,
+Reps 1998; pushdown saturation, Bouajjani, Esparza & Maler 1997): a push
+rule is made only once both triples on its right side derive some word, so
+the grammar names productive nonterminals only and its size follows the
+reachable triples rather than push moves times state pairs.
 
 PDA conventions: acceptance is by empty stack from initial stack ``(z,)``;
 every move either pushes one symbol above the inspected top or pops the top.
@@ -21,14 +27,14 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .automata import LabeledGraph, build_tree_nfa, nfa_accepts
-from .core import EMPTY, Presentation, Word, inverse_code, words_up_to
+from .core import EMPTY, Presentation, Word, inverse_code, render_word, words_up_to
 from .fillings import (
     ReferenceOracle,
     double_exp_bound,
     double_exp_constants,
     measure_isodiametric,
 )
-from .rewrite import RewriteSystem, SearchBudget, min_isoperimetric
+from .rewrite import BudgetFailure, RewriteSystem, SearchBudget, min_isoperimetric
 
 BOTTOM = -1  # the stack-bottom marker, rendered "z"
 
@@ -211,97 +217,76 @@ def _is_nonterminal(sym) -> bool:
 
 
 def pda_to_cfg(pda: Pda) -> Cfg:
-    """Triple construction: ``[p, X, q]`` derives the inputs consumed while
-    the machine goes from p to q, net effect popping X.  Pop moves become
-    terminal rules; push moves become ternary rules over all state pairs."""
-    rules = []
-    for q in pda.states:
-        rules.append((START, ((pda.start, BOTTOM, q),)))
+    """Triple construction by saturation: ``[p, X, q]`` derives the inputs
+    read while the machine goes from p to q, net effect popping X.  Pop
+    moves give terminal rules; a push move from p to p' reading a that puts
+    Y above X gives ``[p, X, r2] -> a [p', Y, r1] [r1, X, r2]`` once both
+    right-hand triples are productive.  So every nonterminal on a right side
+    is the left side of some rule, and ``S -> [start, z, q]`` is kept for
+    productive root triples only."""
+    rules, productive = set(), set()
+    pushes: dict = {}  # (p', Y) -> push moves to p' that put Y on the stack
+    ends: dict = {}  # (r1, X) -> every r2 of a productive [r1, X, r2]
+    waiting: dict = {}  # (r1, X) -> push rules whose first triple ends at r1
     for mv in pda.moves:
-        consumed = () if mv.inp is None else (mv.inp,)
+        read = () if mv.inp is None else (mv.inp,)
         if mv.action[0] == POP:
-            rules.append(((mv.src, mv.top, mv.dst), consumed))
+            rules.add(((mv.src, mv.top, mv.dst), read))
         else:
-            pushed = mv.action[1]
-            for r1 in pda.states:
-                for r2 in pda.states:
-                    rules.append(
-                        (
-                            (mv.src, mv.top, r2),
-                            consumed + ((mv.dst, pushed, r1), (r1, mv.top, r2)),
-                        )
-                    )
-    rules = sorted(set(rules), key=_rule_key)
-    return Cfg(
-        pda.num_generators,
-        START,
-        tuple(rules),
-        root_triple=(pda.start, BOTTOM, pda.final),
-    )
+            pushes.setdefault((mv.dst, mv.action[1]), []).append((mv, read))
+    worklist = [lhs for lhs, _ in rules]
+    while worklist:
+        triple = worklist.pop()
+        if triple in productive:
+            continue
+        productive.add(triple)
+        p, x, q = triple
+        ends.setdefault((p, x), []).append(q)
+        # triple as the second child of a waiting push rule, then as the first
+        new = [
+            ((mv.src, x, q), read + (first, triple))
+            for mv, read, first in waiting.get((p, x), ())
+        ]
+        for mv, read in pushes.get((p, x), ()):
+            waiting.setdefault((q, mv.top), []).append((mv, read, triple))
+            new += [
+                ((mv.src, mv.top, r), read + (triple, (q, mv.top, r)))
+                for r in ends.get((q, mv.top), ())
+            ]
+        rules.update(new)
+        worklist += [lhs for lhs, _ in new]
+    rules.update((START, (t,)) for t in productive if t[:2] == (pda.start, BOTTOM))
+    root = (pda.start, BOTTOM, pda.final)
+    return Cfg(pda.num_generators, START, tuple(sorted(rules, key=_rule_key)), root_triple=root)
 
 
-def _productive_lengths(rules) -> dict:
-    """Least derivable terminal-length per nonterminal (fixpoint)."""
-    best: dict = {}
-    changed = True
-    while changed:
-        changed = False
-        for lhs, rhs in rules:
-            total = 0
-            for s in rhs:
-                if _is_nonterminal(s):
-                    if s not in best:
-                        break
-                    total += best[s]
-                else:
-                    total += 1
-            else:
-                if lhs not in best or total < best[lhs]:
-                    best[lhs] = total
-                    changed = True
-    return best
-
-
-def _only_empty(rules, productive: dict) -> set:
-    """Nonterminals that derive the empty word and nothing else."""
+def _only_empty(rules) -> set:
+    """Nonterminals that derive the empty word and nothing else, given that
+    every rule derives some word."""
     nonempty = set()
     changed = True
     while changed:
         changed = False
         for lhs, rhs in rules:
-            if lhs in nonempty:
-                continue
-            if any(s not in productive for s in rhs if isinstance(s, tuple)):
-                continue  # rule derives nothing at all
-            grows = any(not isinstance(s, tuple) for s in rhs) or any(
-                s in nonempty for s in rhs if isinstance(s, tuple)
-            )
-            if grows:
+            if lhs not in nonempty and any(not isinstance(s, tuple) or s in nonempty for s in rhs):
                 nonempty.add(lhs)
                 changed = True
-    return {n for n in productive if n not in nonempty and isinstance(n, tuple)}
+    return {lhs for lhs, _ in rules if isinstance(lhs, tuple) and lhs not in nonempty}
 
 
 def simplify_cfg(g: Cfg) -> Cfg:
     """Substitute away the empty-word-only (countdown) nonterminals, re-root
-    at the single bottom-popping triple, and prune dead symbols.  The
-    generated language is unchanged; right sides stay within length 3."""
-    productive = _productive_lengths(g.rules)
-    erase = _only_empty(g.rules, productive)
-    rules = []
-    for lhs, rhs in g.rules:
-        if lhs in erase:
-            continue
-        if any(isinstance(s, tuple) and s not in productive for s in rhs):
-            continue
-        rules.append((lhs, tuple(s for s in rhs if s not in erase)))
-
+    at the single bottom-popping triple, and prune unreachable symbols.  The
+    generated language is unchanged; right sides stay within length 3.
+    ``g`` comes from :func:`pda_to_cfg`, so every rule derives some word."""
+    erase = _only_empty(g.rules)
+    rules = [
+        (lhs, tuple(s for s in rhs if s not in erase)) for lhs, rhs in g.rules if lhs not in erase
+    ]
     start = g.root_triple if g.root_triple is not None else g.start
     if start in erase:
         # The whole language is {empty word}; keep a single erased root.
         return Cfg(g.num_generators, start, ((start, ()),), root_triple=g.root_triple)
-    if start != g.start:
-        rules = [(lhs, rhs) for lhs, rhs in rules if lhs != g.start]
 
     reachable = {start}
     frontier = [start]
@@ -309,23 +294,13 @@ def simplify_cfg(g: Cfg) -> Cfg:
     for lhs, rhs in rules:
         by_lhs.setdefault(lhs, []).append(rhs)
     while frontier:
-        sym = frontier.pop()
-        for rhs in by_lhs.get(sym, ()):
+        for rhs in by_lhs.get(frontier.pop(), ()):
             for s in rhs:
                 if isinstance(s, tuple) and s not in reachable:
                     reachable.add(s)
                     frontier.append(s)
-    rules = [
-        (lhs, rhs)
-        for lhs, rhs in rules
-        if lhs in reachable and all(s in reachable for s in rhs if isinstance(s, tuple))
-    ]
-    return Cfg(
-        g.num_generators,
-        start,
-        tuple(sorted(set(rules), key=_rule_key)),
-        root_triple=g.root_triple,
-    )
+    kept = sorted({rule for rule in rules if rule[0] in reachable}, key=_rule_key)
+    return Cfg(g.num_generators, start, tuple(kept), root_triple=g.root_triple)
 
 
 def generates(g: Cfg, w: Word) -> bool:
@@ -596,7 +571,7 @@ def double_exp_experiment(
     big_c, base = double_exp_constants(p)
     diameters = [d.value for d in measure_isodiametric(p, n_max, oracle.decide)]
     if None in diameters:
-        raise ValueError(f"diameter scan did not converge at n={diameters.index(None)}")
+        raise BudgetFailure(f"diameter scan did not converge at n={diameters.index(None)}")
     trees: dict[int, LabeledGraph] = {}
     reports = []
     for candidate in words_up_to(p.alphabet_size, n_max, reduced=False):
@@ -619,7 +594,10 @@ def double_exp_experiment(
             raise ValueError("witness rejected by the tree complex")
         area = min_isoperimetric(candidate, system, budget)
         if not area.exact:
-            raise ValueError("budget too small for an exact area value")
+            raise BudgetFailure(
+                f"area of {render_word(candidate)} is {area.status}, not Exact; "
+                "raise --budget-len"
+            )
         reports.append(
             BoundReport(
                 word=candidate,

@@ -88,6 +88,10 @@ class SearchBudget:
             raise ValueError("budget fields must be positive")
 
 
+class BudgetFailure(RuntimeError):
+    """A result that needs Exact values got one the budget could not settle."""
+
+
 _INVERSE = bytes(c ^ 1 for c in range(256))  # letter code -> inverse letter code
 
 

@@ -4,11 +4,16 @@ and byte-identical reruns."""
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
+from loopfold import cli
 from loopfold.cli import main
+from loopfold.core import parse_presentation, parse_word
+from loopfold.fillings import double_exp_bound
+from loopfold.grammar import BoundReport
 from loopfold.rewrite import RewriteSystem
 
 REPO = Path(__file__).resolve().parent.parent
@@ -218,6 +223,31 @@ def test_grammar_bound_explicit_oracle(tmp_path):
                    "--csv", str(target)) == 0
     rows = target.read_text().splitlines()
     assert any(row.startswith("aaa,3,0,3,aaa,1,") for row in rows)
+
+
+def test_grammar_bound_budget_failure(capsys):
+    # --budget-len 2 cannot settle the area of aaaa
+    assert run_cli("grammar-bound", Z2, "--n", "4", "--oracle", "cyclic:2",
+                   "--budget-len", "2") == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "loopfold: area of aaaa is LowerBoundOnly, not Exact; raise --budget-len\n"
+
+
+def test_grammar_bound_renders_bounds_past_the_digit_limit(monkeypatch, capsys):
+    # the ℤ² row at n = 4, d = 2, without the grammar work behind it
+    with open(ZXZ, encoding="utf-8") as handle:
+        p = parse_presentation(handle.read())
+    word = parse_word("abAB", 2)
+    bound = double_exp_bound(p, 4, 2)
+    assert bound.bit_length() == 40_963
+    report = BoundReport(word, 4, 2, 4, word, 1, 160, 16, bound)
+    monkeypatch.setattr(cli, "double_exp_experiment", lambda *args: [report])
+    limit = sys.get_int_max_str_digits()
+    assert run_cli("grammar-bound", ZXZ, "--n", "4", "--oracle", "free-abelian:2") == 0
+    assert sys.get_int_max_str_digits() == limit
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == f"abAB,4,2,4,abAB,1,{Decimal(bound)},true"
 
 
 # -- whole-process checks ------------------------------------------------------------

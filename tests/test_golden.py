@@ -22,6 +22,10 @@ CASES = {
         "profile presentations/zxz.pres --n 6 --oracle free-abelian:2 --rounds 2", 1),
     "profile-z3-n6-rewrite6": ("profile presentations/z3.pres --n 6 --oracle rewrite:6", 1),
     "grammar-bound-z3-n4": ("grammar-bound presentations/z3.pres --n 4", 0),
+    # the benchmark's grammar-bound commands; the witness among equally short
+    # words depends on the rule set and its order
+    "grammar-bound-z2-n7": ("grammar-bound presentations/z2.pres --n 7 --oracle cyclic:2", 0),
+    "grammar-bound-z3-n7": ("grammar-bound presentations/z3.pres --n 7 --oracle cyclic:3", 0),
 }
 
 

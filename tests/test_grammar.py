@@ -1,6 +1,7 @@
 """Pushdown/grammar pipeline: machines, triple construction, simplification,
 shortest generated words, and the closed-path factor extraction."""
 
+import hashlib
 from functools import lru_cache
 from itertools import product
 
@@ -43,13 +44,13 @@ def all_words_up_to(num_generators, n):
 
 
 @lru_cache(maxsize=None)
-def product_pipeline(name):
+def product_pipeline(name, d=0):
     presentation, target, gens = {
         "z2": (Z2, "aa", 1),
         "z3": (Z3, "aaa", 1),
         "lattice": (LATTICE, "abAB", 2),
     }[name]
-    tree = build_tree_nfa(presentation, 0)
+    tree = build_tree_nfa(presentation, d)
     pda = build_product_pda(w(target, gens), tree)
     raw = pda_to_cfg(pda)
     return tree, pda, raw, simplify_cfg(raw)
@@ -173,9 +174,38 @@ def test_simplified_size_within_pumping_bound():
 
 def test_simplified_z2_is_tiny():
     _, _, raw, simplified = product_pipeline("z2")
-    assert len(raw.rules) == 212
+    assert len(raw.rules) == 18
     assert len(simplified.rules) == 15
     assert len(simplified.nonterminals()) == 7
+
+
+# sha256 of render_cfg(simplified) for the product with the tree complex of
+# radius d, taken from the triple construction over all state pairs followed
+# by a productivity filter: the saturated construction must keep every rule.
+SIMPLIFIED_DIGESTS = {
+    ("z2", 0): "b53eee1dcfc4f0c9af4f782b7ec2c2eeb7305fbdc18362570924b2e4d3bc8290",
+    ("z2", 1): "d1b888cd3e8b399482be6abf060d65e4e376baae855f5201f196ef6157065040",
+    ("z3", 0): "9c4167a19ae88c806539214dab9bf0121d6f2e3fcb303b5f0eb29127f2741e79",
+    ("z3", 1): "8a01ead10af919d93f4e223df4bfd61410158c1faf4642a3ea171763f6cbc693",
+    ("lattice", 0): "671119cccaaa729273ce51f44e0aa36e20797a9f2222ad7879c776988c8e123f",
+    ("lattice", 1): "592e1a4cd15c4eae1d82dd39d6871985b187352f8e42146e0ae7aaff612d5d26",
+}
+
+
+@pytest.mark.parametrize("name,d", sorted(SIMPLIFIED_DIGESTS))
+def test_simplified_grammar_is_pinned(name, d):
+    _, _, _, simplified = product_pipeline(name, d)
+    digest = hashlib.sha256(render_cfg(simplified).encode()).hexdigest()
+    assert digest == SIMPLIFIED_DIGESTS[name, d]
+
+
+@pytest.mark.parametrize("name,d", sorted(SIMPLIFIED_DIGESTS))
+def test_raw_rules_name_only_productive_triples(name, d):
+    _, _, raw, _ = product_pipeline(name, d)
+    heads = {lhs for lhs, _ in raw.rules}
+    for lhs, rhs in raw.rules:
+        for s in rhs:
+            assert not isinstance(s, tuple) or s in heads, (lhs, rhs)
 
 
 # -- shortest generated words -------------------------------------------------
