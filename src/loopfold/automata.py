@@ -3,27 +3,30 @@
 Edges carry generator indices; an edge ``u --g--> v`` is read forwards as the
 generator and backwards as its inverse, so inverse edges are interpreted, not
 materialized.  A graph is *folded* (deterministic) when no vertex carries two
-same-label out-edges or two same-label in-edges; folding merges such pairs to
-a fixpoint with a union-find worklist.
+same-label out-edges or two same-label in-edges.  Every folded graph comes
+from a :class:`Folder`, which folds online, as paths and loops are added.
 
-Two graph families are built here: the loop complex ``Λ_j`` (a wedge of
-conjugated-relator loops ``r^u`` over all reduced ``u`` with ``|u| ≤ j``) and
-its compact substitute, the free-group ball of radius ``j`` with a relator
-loop grafted onto every vertex.  Folding either one yields the same DFA,
-whose accepted reduced words of bounded length are exactly the trivial ones
-once ``j`` is large enough.
+Two graph families are built here: the loop complex ``Λ_j`` (the folded
+wedge of conjugated-relator loops ``r^u`` over all reduced ``u`` with
+``|u| ≤ j``) and its compact substitute for the grammar layer, the unfolded
+free-group ball of radius ``j`` with a relator loop grafted onto every
+vertex.  Folding either yields the same DFA, whose accepted reduced words of
+bounded length are exactly the trivial ones once ``j`` is large enough.
 """
 
 from __future__ import annotations
 
 import os
-from collections import deque
 
 from .core import Presentation, Word, words_up_to
 
 DEFAULT_MEM_CEILING_MB = 512.0
 MEM_CEILING_ENV = "FILLINGS_MEM_CEILING_MB"
-_BYTES_PER_VERTEX = 400  # coarse adjacency-dict footprint estimate
+# Peak bytes per allocated vertex, measured with tracemalloc.  A folder vertex
+# takes about 300 (two folders while a coset round copies one); 30 rounds of
+# ℤ² with their snapshots and partial Cayley graphs peak at 4.7 kB.
+_BYTES_PER_VERTEX = 5000
+_TREE_BYTES_PER_VERTEX = 1000  # unfolded tree automaton: 1.0 kB
 
 
 class MemoryCeilingError(MemoryError):
@@ -42,13 +45,13 @@ def _mem_ceiling_mb() -> float:
         return DEFAULT_MEM_CEILING_MB
 
 
-def _check_ceiling(predicted_vertices: int, what: str) -> None:
-    mb = predicted_vertices * _BYTES_PER_VERTEX / 1e6
+def _check_ceiling(vertices: int, bytes_per_vertex: int, what: str) -> None:
+    mb = vertices * bytes_per_vertex / 1e6
     limit = _mem_ceiling_mb()
     if mb > limit:
         raise MemoryCeilingError(
-            f"{what} needs about {predicted_vertices} vertices (~{mb:.0f} MB), "
-            f"over the {limit:.0f} MB ceiling ({MEM_CEILING_ENV})"
+            f"{what} needs {vertices} vertices or more (~{mb:.1f} MB), "
+            f"over the {limit:g} MB ceiling ({MEM_CEILING_ENV})"
         )
 
 
@@ -88,20 +91,14 @@ class LabeledGraph:
         """Attach a cycle reading ``relator`` at ``basepoint``, through
         ``len(relator) - 1`` fresh vertices, and record it as a face."""
         self.add_face(basepoint, relator)
-        cur = basepoint
-        for i, c in enumerate(relator.codes):
-            nxt = basepoint if i == len(relator) - 1 else self.add_vertex()
-            if c & 1:
-                self.add_edge(nxt, c >> 1, cur)
-            else:
-                self.add_edge(cur, c >> 1, nxt)
-            cur = nxt
+        self.add_path(basepoint, relator, end=basepoint)
 
-    def add_path(self, start: int, word: Word) -> int:
-        """Attach a fresh path reading ``word`` from ``start``; returns its tip."""
+    def add_path(self, start: int, word: Word, end: int | None = None) -> int:
+        """Attach a path reading ``word`` from ``start`` through fresh vertices
+        to ``end``, by default a fresh tip; returns its last vertex."""
         cur = start
-        for c in word.codes:
-            nxt = self.add_vertex()
+        for i, c in enumerate(word.codes):
+            nxt = end if end is not None and i == len(word) - 1 else self.add_vertex()
             if c & 1:
                 self.add_edge(nxt, c >> 1, cur)
             else:
@@ -109,102 +106,18 @@ class LabeledGraph:
             cur = nxt
         return cur
 
-    def copy(self) -> "LabeledGraph":
-        g = LabeledGraph(self.num_generators, self.num_vertices, self.origin)
-        g.out = [{gen: set(s) for gen, s in d.items()} for d in self.out]
-        g.inc = [{gen: set(s) for gen, s in d.items()} for d in self.inc]
-        g.faces = None if self.faces is None else list(self.faces)
-        return g
-
     def edges(self) -> list[tuple[int, int, int]]:
-        out = []
-        for v in range(self.num_vertices):
-            for g, targets in self.out[v].items():
-                out.extend((v, g, t) for t in targets)
-        out.sort()
-        return out
+        return sorted((v, g, t) for v, adj in enumerate(self.out) for g, ts in adj.items() for t in ts)
 
     def step(self, vertex: int, code: int) -> set[int]:
         """All states reachable from ``vertex`` by one letter (NFA semantics)."""
-        if code & 1:
-            return set(self.inc[vertex].get(code >> 1, ()))
-        return set(self.out[vertex].get(code >> 1, ()))
+        return set((self.inc if code & 1 else self.out)[vertex].get(code >> 1, ()))
 
     def is_deterministic(self) -> bool:
-        for v in range(self.num_vertices):
-            if any(len(s) > 1 for s in self.out[v].values()):
-                return False
-            if any(len(s) > 1 for s in self.inc[v].values()):
-                return False
-        return True
+        return all(len(s) <= 1 for adj in (self.out, self.inc) for d in adj for s in d.values())
 
     def neighbors(self, v: int) -> set[int]:
-        out: set[int] = set()
-        for s in self.out[v].values():
-            out |= s
-        for s in self.inc[v].values():
-            out |= s
-        return out
-
-
-# -- construction -----------------------------------------------------------
-
-
-def _reduced_ball_sizes(alphabet_size: int, j: int) -> list[int]:
-    """Count of reduced words of each length 0..j."""
-    return [1] + [alphabet_size * (alphabet_size - 1) ** (k - 1) for k in range(1, j + 1)]
-
-
-def build_loop_complex(p: Presentation, j: int) -> LabeledGraph:
-    """The wedge, at a single origin, of one loop ``r^u`` per pair of a
-    relator ``r`` and a reduced word ``u`` with ``|u| ≤ j``: a fresh path
-    reading ``u`` with a fresh ``r``-cycle at its tip.  Distinct pairs share
-    only the origin."""
-    if j < 0:
-        raise ValueError("radius must be nonnegative")
-    sizes = _reduced_ball_sizes(p.alphabet_size, j)
-    total_r = p.relator_total_length
-    predicted = 1 + sum(
-        n_k * (total_r - len(p.relators) + k * len(p.relators)) for k, n_k in enumerate(sizes)
-    )
-    _check_ceiling(predicted, f"loop complex at radius {j}")
-
-    g = LabeledGraph(p.num_generators)
-    for u in words_up_to(p.alphabet_size, j, reduced=True):
-        for r in p.relators:
-            tip = g.add_path(g.origin, u)
-            g.add_loop(tip, r)
-    return g
-
-
-def build_tree_nfa(p: Presentation, j: int) -> LabeledGraph:
-    """The free-group ball of radius ``j`` (a tree rooted at the origin)
-    with one fresh relator cycle grafted onto every tree vertex."""
-    if j < 0:
-        raise ValueError("radius must be nonnegative")
-    if not p.relators:
-        raise EmptyRelatorSet("tree automaton needs at least one relator")
-    sizes = _reduced_ball_sizes(p.alphabet_size, j)
-    ball = sum(sizes)
-    predicted = ball * (1 + p.relator_total_length - len(p.relators))
-    _check_ceiling(predicted, f"tree automaton at radius {j}")
-
-    g = LabeledGraph(p.num_generators)
-    index: dict[bytes, int] = {b"": g.origin}
-    for u in words_up_to(p.alphabet_size, j, reduced=True):
-        if u.codes:
-            v = g.add_vertex()
-            index[u.codes] = v
-            parent = index[u.codes[:-1]]
-            c = u.codes[-1]
-            if c & 1:
-                g.add_edge(v, c >> 1, parent)
-            else:
-                g.add_edge(parent, c >> 1, v)
-    for v in index.values():  # the origin first, then in enumeration order
-        for r in p.relators:
-            g.add_loop(v, r)
-    return g
+        return set().union(*self.out[v].values(), *self.inc[v].values())
 
 
 # -- folding ------------------------------------------------------------------
@@ -214,97 +127,232 @@ def _min_rotation(codes: bytes) -> bytes:
     return min(codes[i:] + codes[:i] for i in range(len(codes))) if codes else codes
 
 
-def fold(graph: LabeledGraph) -> tuple[LabeledGraph, list[int]]:
-    """Stallings folding: merge vertex pairs joined to a common vertex by
-    equal-label co-oriented edges, until deterministic.
+class Folder:
+    """Stallings folding done online: a union-find over vertices whose
+    classes carry deterministic edges.  Each edge, path or loop added first
+    follows the edges already there, makes a fresh vertex only where one is
+    missing, and merges classes the moment two same-label edges meet.
 
-    Returns the folded graph and the vertex map old-index -> new-index.
-    The result is independent of merge order; the returned numbering keeps
-    surviving union-find roots in ascending order.
+    ``delta[code][v]`` is the vertex that ``v`` reaches by the letter
+    ``code``, or -1, kept at the class root, its least member, and read
+    through :meth:`find`.  Folding is confluent, so classes are those of
+    folding the unfolded graph whole, numbered alike: a class's least member
+    is the vertex that created it.  A face is kept once per class and
+    relator rotation class, the first recorded winning.  A vertex allocated
+    past the memory ceiling raises :class:`MemoryCeilingError`.
     """
-    n = graph.num_vertices
-    parent = list(range(n))
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    def __init__(self, num_generators: int, num_vertices: int = 1, origin: int = 0):
+        self.num_generators = num_generators
+        self.origin = origin
+        self.what = "folded graph"
+        self.parent = list(range(num_vertices))
+        self.delta = [[-1] * num_vertices for _ in range(2 * num_generators)]
+        self.faces: dict[tuple[int, bytes], Word] = {}  # (basepoint, relator codes) -> relator
+        self._max_vertices = int(_mem_ceiling_mb() * 1e6 // _BYTES_PER_VERTEX)
 
-    out = [{g: set(s) for g, s in graph.out[v].items()} for v in range(n)]
-    inc = [{g: set(s) for g, s in graph.inc[v].items()} for v in range(n)]
+    @classmethod
+    def of_graph(cls, graph: LabeledGraph) -> "Folder":
+        """A folder holding ``graph`` folded; vertex ``v`` keeps index ``v``."""
+        folder = cls(graph.num_generators, graph.num_vertices, graph.origin)
+        for src, gen, dst in graph.edges():
+            folder.add_edge(src, gen, dst)
+        for bp, rel in graph.faces or ():
+            folder.add_face(bp, rel)
+        return folder
 
-    work = deque(range(n))
-    queued = [True] * n
+    def copy(self) -> "Folder":
+        twin = Folder(self.num_generators, 0, self.origin)
+        twin.what, twin.faces = self.what, dict(self.faces)
+        twin.parent, twin.delta = self.parent[:], [row[:] for row in self.delta]
+        return twin
 
-    def push(v: int) -> None:
-        if not queued[v]:
-            queued[v] = True
-            work.append(v)
+    def find(self, v: int) -> int:
+        parent = self.parent
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
 
-    def union(a: int, b: int) -> int:
-        a, b = find(a), find(b)
-        if a == b:
-            return a
-        if b < a:
-            a, b = b, a
-        parent[b] = a
-        for g, s in out[b].items():
-            out[a].setdefault(g, set()).update(s)
-        for g, s in inc[b].items():
-            inc[a].setdefault(g, set()).update(s)
-        out[b] = {}
-        inc[b] = {}
-        push(a)
-        return a
+    def vertices(self) -> list[int]:
+        """The class roots, ascending."""
+        return [v for v, up in enumerate(self.parent) if v == up]
 
-    while work:
-        v = work.popleft()
-        queued[v] = False
+    def _grow(self, v: int, c: int) -> int:
+        """A fresh vertex, reached from the root ``v`` by the letter ``c``."""
+        t = len(self.parent)
+        if t >= self._max_vertices:
+            _check_ceiling(t + 1, _BYTES_PER_VERTEX, self.what)
+        self.parent.append(t)
+        for row in self.delta:
+            row.append(-1)
+        self.delta[c][v] = t
+        self.delta[c ^ 1][t] = v
+        return t
+
+    def _merge(self, a: int, b: int) -> None:
+        """Merge the classes of ``a`` and ``b`` and every pair of classes
+        that two same-label edges then force together."""
+        find, parent, delta = self.find, self.parent, self.delta
+        pending = [(a, b)]
+        while pending:
+            a, b = pending.pop()
+            a, b = find(a), find(b)
+            if a == b:
+                continue
+            if b < a:
+                a, b = b, a
+            parent[b] = a
+            for row in delta:
+                if (t := row[b]) >= 0:
+                    if (s := row[a]) < 0:
+                        row[a] = t
+                    else:
+                        pending.append((s, t))
+
+    def _join(self, start: int, codes: bytes, end: int | None) -> int:
+        """Fold in a path reading ``codes`` from ``start`` to ``end``, or to
+        a fresh tip when ``end`` is None; returns the class it ends in."""
+        find, delta = self.find, self.delta
+        last = len(codes)
+        if end is not None:  # the part of the tail that is there already
+            end = find(end)
+            while last and (t := delta[codes[last - 1] ^ 1][end]) >= 0:
+                end, last = find(t), last - 1
+            if not last:  # the whole path is there already
+                if find(start) != end:
+                    self._merge(start, end)
+                return find(end)
+            last -= 1  # codes[last] is the closing edge
+        v = find(start)
+        for c in codes[:last]:
+            t = delta[c][v]
+            v = self._grow(v, c) if t < 0 else find(t)
+        if end is None:
+            return v
+        c = codes[last]  # one closing edge v --c--> end, folded onto any c-edge there
+        if (s := delta[c][v]) >= 0:
+            self._merge(s, end)
+        elif (t := delta[c ^ 1][end]) >= 0:
+            self._merge(t, v)
+        else:
+            delta[c][v], delta[c ^ 1][end] = end, v
+        return find(end)
+
+    def add_edge(self, src: int, gen: int, dst: int) -> None:
+        self._join(src, bytes((2 * gen,)), dst)
+
+    def add_path(self, start: int, word: Word) -> int:
+        """Follow ``word`` from ``start``, growing fresh vertices where an
+        edge is missing; returns the class of the tip."""
+        return self._join(start, word.codes, None)
+
+    def complete(self) -> None:
+        """Give every class an edge for every letter, growing a fresh vertex
+        where one is missing."""
+        for v in self.vertices():
+            for c, row in enumerate(self.delta):
+                if row[v] < 0:
+                    self._grow(v, c)
+
+    def add_face(self, basepoint: int, relator: Word) -> None:
+        self.faces.setdefault((self.find(basepoint), relator.codes), relator)
+
+    def add_loop(self, basepoint: int, relator: Word) -> None:
+        """Fold in a cycle reading ``relator`` at ``basepoint`` and record
+        it as a face."""
+        self.add_face(basepoint, relator)
+        self._join(basepoint, relator.codes, basepoint)
+
+    def trace(self, v: int, word: Word) -> int:
+        """The class that ``v`` reaches by reading ``word``, or -1."""
+        find, delta = self.find, self.delta
         v = find(v)
-        rescan = True
-        while rescan:
-            rescan = False
-            for adj in (out, inc):
-                for g in list(adj[v].keys()):
-                    roots = {find(x) for x in adj[v][g]}
-                    adj[v][g] = roots
-                    if len(roots) > 1:
-                        ordered = sorted(roots)
-                        acc = ordered[0]
-                        for other in ordered[1:]:
-                            acc = union(acc, other)
-                        v = find(v)
-                        rescan = True
-                        break
-                if rescan:
-                    break
+        for c in word.codes:
+            if (t := delta[c][v]) < 0:
+                return -1
+            v = find(t)
+        return v
 
-    roots = sorted({find(v) for v in range(n)})
-    new_index = {r: i for i, r in enumerate(roots)}
-    vertex_map = [new_index[find(v)] for v in range(n)]
+    def snapshot(self) -> LabeledGraph:
+        """The folded graph, its classes numbered by least member."""
+        find = self.find
+        roots = self.vertices()
+        number = {r: i for i, r in enumerate(roots)}
+        graph = LabeledGraph(self.num_generators, len(roots), number[find(self.origin)])
+        for gen in range(self.num_generators):
+            row = self.delta[2 * gen]
+            for r in roots:
+                if (t := row[r]) >= 0:
+                    graph.add_edge(number[r], gen, number[find(t)])
+        rotations = {codes: _min_rotation(codes) for codes in {codes for _, codes in self.faces}}
+        faces: dict[tuple[int, bytes], Word] = {}
+        for (bp, codes), relator in self.faces.items():
+            faces.setdefault((number[find(bp)], rotations[codes]), relator)
+        graph.faces = sorted(((bp, rel) for (bp, _), rel in faces.items()),
+                             key=lambda f: (f[0], f[1].codes))
+        return graph
 
-    folded = LabeledGraph(graph.num_generators, num_vertices=len(roots), origin=vertex_map[graph.origin])
-    for r in roots:
-        for g, targets in out[r].items():
-            for t in targets:
-                folded.out[new_index[r]].setdefault(g, set()).add(new_index[find(t)])
-    for v in range(folded.num_vertices):
-        for g, targets in folded.out[v].items():
-            for t in targets:
-                folded.inc[t].setdefault(g, set()).add(v)
 
+def fold(graph: LabeledGraph) -> tuple[LabeledGraph, list[int]]:
+    """Stallings folding of an arbitrary graph: merge vertex pairs joined to
+    a common vertex by equal-label co-oriented edges, until deterministic.
+    Returns the folded graph, its classes numbered by least member, and the
+    vertex map old-index -> new-index."""
+    folder = Folder.of_graph(graph)
+    folded = folder.snapshot()
     if graph.faces is None:
         folded.faces = None
-    else:
-        seen_faces = set()
-        for bp, rel in graph.faces:
-            key = (vertex_map[bp], _min_rotation(rel.codes))
-            if key not in seen_faces:
-                seen_faces.add(key)
-                folded.faces.append((vertex_map[bp], rel))
-        folded.faces.sort(key=lambda f: (f[0], f[1].codes))
-    return folded, vertex_map
+    number = {r: i for i, r in enumerate(folder.vertices())}
+    return folded, [number[folder.find(v)] for v in range(graph.num_vertices)]
+
+
+# -- construction -----------------------------------------------------------
+
+
+def grow_loop_complex(folder: Folder, p: Presentation, radius: int) -> None:
+    """Fold into ``folder``, which holds ``Λ_{radius-1}`` (or nothing at
+    radius 0), the loops ``r^u`` with ``|u| = radius``; it then holds
+    ``Λ_radius``.  Words are enumerated shortest first, so growing radius by
+    radius builds the same graph as one pass over all ``|u| ≤ j``."""
+    folder.what = f"loop complex at radius {radius}"
+    for u in words_up_to(p.alphabet_size, radius, reduced=True, min_length=radius):
+        for r in p.relators:
+            folder.add_loop(folder.add_path(folder.origin, u), r)
+
+
+def build_loop_complex(p: Presentation, j: int) -> LabeledGraph:
+    """The folded wedge, at a single origin, of one loop ``r^u`` per pair
+    of a relator ``r`` and a reduced word ``u`` with ``|u| ≤ j``: a path
+    reading ``u`` with an ``r``-cycle at its tip."""
+    if j < 0:
+        raise ValueError("radius must be nonnegative")
+    folder = Folder(p.num_generators)
+    for radius in range(j + 1):
+        grow_loop_complex(folder, p, radius)
+    return folder.snapshot()
+
+
+def build_tree_nfa(p: Presentation, j: int) -> LabeledGraph:
+    """The free-group ball of radius ``j`` (a tree rooted at the origin)
+    with one fresh relator cycle grafted onto every tree vertex."""
+    if j < 0:
+        raise ValueError("radius must be nonnegative")
+    if not p.relators:
+        raise EmptyRelatorSet("tree automaton needs at least one relator")
+    k = p.alphabet_size
+    ball = 1 + sum(k * (k - 1) ** (i - 1) for i in range(1, j + 1))  # reduced words
+    predicted = ball * (1 + p.relator_total_length - len(p.relators))
+    _check_ceiling(predicted, _TREE_BYTES_PER_VERTEX, f"tree automaton at radius {j}")
+
+    g = LabeledGraph(p.num_generators)
+    index: dict[bytes, int] = {b"": g.origin}
+    for u in words_up_to(p.alphabet_size, j, reduced=True, min_length=1):
+        index[u.codes] = g.add_path(index[u.codes[:-1]], Word(u.codes[-1:]))
+    for v in index.values():  # the origin first, then in enumeration order
+        for r in p.relators:
+            g.add_loop(v, r)
+    return g
 
 
 # -- decision procedures ------------------------------------------------------
@@ -333,12 +381,9 @@ def nfa_accepts(graph: LabeledGraph, w: Word) -> bool:
     """Nondeterministic acceptance of the literal word (no free reduction)."""
     frontier = {graph.origin}
     for c in w.codes:
-        nxt: set[int] = set()
-        for v in frontier:
-            nxt |= graph.step(v, c)
-        if not nxt:
+        frontier = set().union(*(graph.step(v, c) for v in frontier))
+        if not frontier:
             return False
-        frontier = nxt
     return graph.origin in frontier
 
 
@@ -348,8 +393,7 @@ def decide_word_problem(p: Presentation, w: Word, j: int) -> bool:
     A True answer always certifies triviality; completeness additionally
     needs ``j`` at least the isodiametric value at ``|w|``.
     """
-    dfa, _ = fold(build_loop_complex(p, j))
-    return accepts_reduced(dfa, w)
+    return accepts_reduced(build_loop_complex(p, j), w)
 
 
 # -- analysis helpers ---------------------------------------------------------
@@ -358,13 +402,12 @@ def decide_word_problem(p: Presentation, w: Word, j: int) -> bool:
 def distances_from_origin(graph: LabeledGraph) -> dict[int, int]:
     """Undirected BFS distance of every reachable vertex from the origin."""
     dist = {graph.origin: 0}
-    dq = deque([graph.origin])
-    while dq:
-        v = dq.popleft()
+    order = [graph.origin]
+    for v in order:  # grows while read: breadth-first
         for u in sorted(graph.neighbors(v)):
             if u not in dist:
                 dist[u] = dist[v] + 1
-                dq.append(u)
+                order.append(u)
     return dist
 
 def radius(graph: LabeledGraph) -> int:
@@ -372,19 +415,26 @@ def radius(graph: LabeledGraph) -> int:
     return max(distances_from_origin(graph).values())
 
 
+def _induced(graph: LabeledGraph, kept: list[int]) -> LabeledGraph:
+    """The subgraph induced on the ascending vertex list ``kept``, renumbered
+    in that order, with the face records of kept basepoints."""
+    number = {v: i for i, v in enumerate(kept)}
+    sub = LabeledGraph(graph.num_generators, num_vertices=len(kept), origin=number[graph.origin])
+    for v in kept:
+        for g, targets in graph.out[v].items():
+            for t in targets:
+                if t in number:
+                    sub.add_edge(number[v], g, number[t])
+    sub.faces = None if graph.faces is None else [
+        (number[bp], rel) for bp, rel in graph.faces if bp in number]
+    return sub
+
+
 def restrict_to_radius(graph: LabeledGraph, k: int) -> LabeledGraph:
     """Induced subgraph on vertices within distance ``k`` of the origin,
     renumbered ascending by original index.  Face records are not carried
     over; compare restrictions through :func:`canonical_form`."""
-    dist = distances_from_origin(graph)
-    kept = [v for v, d in sorted(dist.items()) if d <= k]
-    new_index = {v: i for i, v in enumerate(kept)}
-    sub = LabeledGraph(graph.num_generators, num_vertices=len(kept), origin=new_index[graph.origin])
-    for v in kept:
-        for g, targets in graph.out[v].items():
-            for t in targets:
-                if t in new_index:
-                    sub.add_edge(new_index[v], g, new_index[t])
+    sub = _induced(graph, [v for v, d in sorted(distances_from_origin(graph).items()) if d <= k])
     sub.faces = None
     return sub
 
@@ -392,53 +442,21 @@ def restrict_to_radius(graph: LabeledGraph, k: int) -> LabeledGraph:
 def strip_hairs(graph: LabeledGraph) -> LabeledGraph:
     """Repeatedly delete non-origin vertices of total degree ≤ 1 (and their
     edges).  Face records survive when their basepoint does."""
-    alive = [True] * graph.num_vertices
-    out = [{g: set(s) for g, s in graph.out[v].items()} for v in range(graph.num_vertices)]
-    inc = [{g: set(s) for g, s in graph.inc[v].items()} for v in range(graph.num_vertices)]
-
-    def degree(v: int) -> int:
-        return sum(len(s) for s in out[v].values()) + sum(len(s) for s in inc[v].values())
-
-    dq = deque(v for v in range(graph.num_vertices) if v != graph.origin and degree(v) <= 1)
-    while dq:
-        v = dq.popleft()
-        if not alive[v] or v == graph.origin or degree(v) > 1:
-            continue
-        alive[v] = False
-        touched = set()
-        for g, targets in out[v].items():
-            for t in targets:
-                inc[t][g].discard(v)
-                touched.add(t)
-        for g, sources in inc[v].items():
-            for s in sources:
-                out[s][g].discard(v)
-                touched.add(s)
-        out[v] = {}
-        inc[v] = {}
-        for t in touched:
-            if alive[t] and t != graph.origin and degree(t) <= 1:
-                dq.append(t)
-
-    kept = [v for v in range(graph.num_vertices) if alive[v]]
-    new_index = {v: i for i, v in enumerate(kept)}
-    stripped = LabeledGraph(graph.num_generators, num_vertices=len(kept), origin=new_index[graph.origin])
-    for v in kept:
-        for g, targets in out[v].items():
-            for t in targets:
-                stripped.add_edge(new_index[v], g, new_index[t])
-    if graph.faces is None:
-        stripped.faces = None
-    else:
-        seen = set()
-        for bp, rel in graph.faces:
-            if alive[bp]:
-                key = (new_index[bp], _min_rotation(rel.codes))
-                if key not in seen:
-                    seen.add(key)
-                    stripped.faces.append((new_index[bp], rel))
-        stripped.faces.sort(key=lambda f: (f[0], f[1].codes))
-    return stripped
+    n, origin = graph.num_vertices, graph.origin
+    ends = [[t for adj in (graph.out[v], graph.inc[v]) for s in adj.values() for t in s] for v in range(n)]
+    degree = [len(e) for e in ends]
+    alive = [True] * n
+    hairs = [v for v in range(n) if v != origin and degree[v] <= 1]
+    while hairs:
+        v = hairs.pop()
+        if alive[v]:
+            alive[v] = False
+            for t in ends[v]:
+                if alive[t]:
+                    degree[t] -= 1
+                    if t != origin and degree[t] <= 1:
+                        hairs.append(t)
+    return _induced(graph, [v for v in range(n) if alive[v]])
 
 
 def canonical_form(graph: LabeledGraph) -> tuple[int, tuple[tuple[int, int, int], ...]]:
@@ -448,9 +466,7 @@ def canonical_form(graph: LabeledGraph) -> tuple[int, tuple[tuple[int, int, int]
     Face records are deliberately not part of the form."""
     number: dict[int, int] = {graph.origin: 0}
     order = [graph.origin]
-    dq = deque([graph.origin])
-    while dq:
-        v = dq.popleft()
+    for v in order:  # grows while read: breadth-first
         for c in range(2 * graph.num_generators):
             targets = graph.step(v, c)
             if len(targets) > 1:
@@ -459,14 +475,10 @@ def canonical_form(graph: LabeledGraph) -> tuple[int, tuple[tuple[int, int, int]
                 if t not in number:
                     number[t] = len(order)
                     order.append(t)
-                    dq.append(t)
-    edges = set()
-    for v in order:
-        for g, targets in graph.out[v].items():
-            for t in targets:
-                if t in number:
-                    edges.add((number[v], g, number[t]))
-    return len(order), tuple(sorted(edges))
+    edges = sorted(
+        (number[v], g, number[t]) for v in order for g, ts in graph.out[v].items() for t in ts if t in number
+    )
+    return len(order), tuple(edges)
 
 
 def transition_table(graph: LabeledGraph) -> list[list[int]]:

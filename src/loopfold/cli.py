@@ -10,15 +10,14 @@ configuration.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from .automata import (
     LabeledGraph,
     MemoryCeilingError,
-    accepts_reduced,
-    build_loop_complex,
     canonical_form,
-    fold,
+    decide_word_problem,
     to_dot,
 )
 from .compression import (
@@ -94,12 +93,19 @@ def _parse_oracle(text: str, system: RewriteSystem, budget: SearchBudget) -> Ref
     return oracle
 
 
-def _write(text: str, path: str | None) -> None:
+@contextlib.contextmanager
+def _output(path: str | None):
+    """Standard output, or the file at ``path`` opened for writing."""
     if path is None:
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            yield handle
+
+
+def _write(text: str, path: str | None) -> None:
+    with _output(path) as out:
+        out.write(text)
 
 
 def _canonical_copy(graph: LabeledGraph) -> LabeledGraph:
@@ -131,8 +137,7 @@ def cmd_wp(args) -> int:
     word = parse_word(args.word, p.num_generators)
     if args.radius < 0:
         raise UsageError("--radius must be nonnegative")
-    dfa, _ = fold(build_loop_complex(p, args.radius))
-    if accepts_reduced(dfa, word):
+    if decide_word_problem(p, word, args.radius):
         print("trivial")
         return 0
     print(f"not-accepted-at-radius-{args.radius}")
@@ -201,23 +206,23 @@ def cmd_grammar_bound(args) -> int:
     if args.n < 0:
         raise UsageError("--n must be nonnegative")
     reports = double_exp_experiment(system, args.n, oracle, budget)
-    lines = ["word,n,d,ell,witness,area,bound,holds"]
-    for r in reports:
-        lines.append(
-            ",".join(
-                (
-                    render_word(r.word),
-                    str(r.n),
-                    str(r.diameter),
-                    str(r.shortest_length),
-                    render_word(r.witness),
-                    str(r.area),
-                    _decimal(r.bound),
-                    "true" if r.holds else "false",
-                )
+    bounds: dict[tuple[int, int], str] = {}  # the bound depends on (n, d) only
+    with _output(args.csv) as out:
+        out.write("word,n,d,ell,witness,area,bound,holds\n")
+        for r in reports:
+            if (r.n, r.diameter) not in bounds:
+                bounds[r.n, r.diameter] = _decimal(r.bound)
+            cells = (
+                render_word(r.word),
+                str(r.n),
+                str(r.diameter),
+                str(r.shortest_length),
+                render_word(r.witness),
+                str(r.area),
+                bounds[r.n, r.diameter],
+                "true" if r.holds else "false",
             )
-        )
-    _write("\n".join(lines) + "\n", args.csv)
+            out.write(",".join(cells) + "\n")
     return 0 if all(r.holds for r in reports) else 1
 
 

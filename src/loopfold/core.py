@@ -101,10 +101,13 @@ class Word:
 EMPTY = Word()
 
 
-def words_up_to(alphabet_size: int, n: int, *, reduced: bool) -> Iterator[Word]:
-    """Every word of length ≤ n over the codes ``0 .. alphabet_size - 1``, or
-    only the freely reduced ones: shortest first, lexicographic in codes
-    within a length.  Words are made one at a time, never held as a list."""
+def words_up_to(
+    alphabet_size: int, n: int, *, reduced: bool, min_length: int = 0
+) -> Iterator[Word]:
+    """Every word of length ``min_length`` to ``n`` over the codes ``0 ..
+    alphabet_size - 1``, or only the freely reduced ones: shortest first,
+    lexicographic in codes within a length.  Words are made one at a time,
+    never held as a list."""
 
     def extend(prefix: bytes, left: int) -> Iterator[Word]:
         if left == 0:
@@ -114,7 +117,7 @@ def words_up_to(alphabet_size: int, n: int, *, reduced: bool) -> Iterator[Word]:
             if not (reduced and prefix and prefix[-1] == c ^ 1):
                 yield from extend(prefix + bytes((c,)), left - 1)
 
-    for length in range(n + 1):
+    for length in range(min_length, n + 1):
         yield from extend(b"", length)
 
 

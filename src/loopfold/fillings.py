@@ -25,9 +25,9 @@ from typing import Callable
 
 from . import _kernels
 from .automata import (
+    Folder,
     LabeledGraph,
-    build_loop_complex,
-    fold,
+    grow_loop_complex,
     transition_table,
 )
 from .core import EMPTY, Presentation, Word, words_up_to
@@ -171,17 +171,19 @@ def _exponent_sum(w: Word, gen: int) -> int:
 
 
 class LoopComplexScanner:
-    """Folds loop complexes of increasing radius once each and batch-traces
-    word sets against them."""
+    """Grows one folded loop complex radius by radius and batch-traces word
+    sets against each radius's DFA."""
 
     def __init__(self, p: Presentation):
         self.presentation = p
+        self._folder = Folder(p.num_generators)
         self._dfas: list[LabeledGraph] = []
         self._tables: list[list[list[int]]] = []
 
     def dfa(self, j: int) -> LabeledGraph:
         while len(self._dfas) <= j:
-            folded, _ = fold(build_loop_complex(self.presentation, len(self._dfas)))
+            grow_loop_complex(self._folder, self.presentation, len(self._dfas))
+            folded = self._folder.snapshot()
             self._dfas.append(folded)
             self._tables.append(transition_table(folded))
         return self._dfas[j]
@@ -441,9 +443,7 @@ def pull_apart(graph: LabeledGraph) -> list[tuple[Word, Word]]:
 
 def refold(num_generators: int, loops: list[tuple[Word, Word]]) -> LabeledGraph:
     """Fold the wedge of conjugated relator loops r^x at a fresh origin."""
-    g = LabeledGraph(num_generators)
+    folder = Folder(num_generators)
     for rel, conjugator in loops:
-        tip = g.add_path(g.origin, conjugator)
-        g.add_loop(tip, rel)
-    folded, _ = fold(g)
-    return folded
+        folder.add_loop(folder.add_path(folder.origin, conjugator), rel)
+    return folder.snapshot()

@@ -573,6 +573,7 @@ def double_exp_experiment(
     if None in diameters:
         raise BudgetFailure(f"diameter scan did not converge at n={diameters.index(None)}")
     trees: dict[int, LabeledGraph] = {}
+    bounds: dict[tuple[int, int], int] = {}  # one shared int per (n, d)
     reports = []
     for candidate in words_up_to(p.alphabet_size, n_max, reduced=False):
         if not oracle.decide(candidate):
@@ -592,6 +593,8 @@ def double_exp_experiment(
             raise ValueError("witness is not freely equal to its word")
         if not nfa_accepts(tree, witness):
             raise ValueError("witness rejected by the tree complex")
+        if (length, d) not in bounds:
+            bounds[length, d] = double_exp_bound(p, length, d)
         area = min_isoperimetric(candidate, system, budget)
         if not area.exact:
             raise BudgetFailure(
@@ -608,7 +611,7 @@ def double_exp_experiment(
                 area=area.value,
                 big_c=big_c,
                 base=base,
-                bound=double_exp_bound(p, length, d),
+                bound=bounds[length, d],
             )
         )
     return reports

@@ -2,41 +2,45 @@
 
 Starting from a single origin vertex, each round (1) gives every existing
 vertex a full set of outgoing and incoming generator edges, growing fresh
-vertices where edges are missing, (2) attaches a fresh relator cycle at every
-vertex where the relator does not already trace a loop, and (3) folds.  The
-folded graph with all hairs removed is a partial Cayley graph: its origin
-loops decide triviality soundly at every round, and completely for words up
-to a length that grows with the rounds.  The radius of the first partial
-Cayley graph whose decisions agree with a reference oracle on all words of
-length up to ``n`` is the saturation radius at ``n``.
+vertices where edges are missing, and (2) folds in a relator cycle at every
+vertex where the relator does not already trace a loop.  The folded graph
+with all hairs removed is a partial Cayley graph: its origin loops decide
+triviality soundly at every round, and completely for words up to a length
+that grows with the rounds.  The radius of the first partial Cayley graph
+whose decisions agree with a reference oracle on all words of length up to
+``n`` is the saturation radius at ``n``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 from .core import Presentation, Word, words_up_to
 from .automata import (
+    Folder,
     LabeledGraph,
-    _check_ceiling,
     accepts_reduced,
-    fold,
     radius as graph_radius,
     strip_hairs,
-    trace,
 )
 
 
 @dataclass(frozen=True, eq=False)
 class TcState:
     presentation: Presentation
-    graph: LabeledGraph
+    folder: Folder  # owned by this state: a round advances a copy
     round: int
 
     @classmethod
     def initial(cls, p: Presentation) -> "TcState":
-        return cls(p, LabeledGraph(p.num_generators), 0)
+        return cls(p, Folder(p.num_generators), 0)
+
+    @cached_property
+    def graph(self) -> LabeledGraph:
+        """The round's folded graph, its classes numbered by least member."""
+        return self.folder.snapshot()
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,34 +51,17 @@ class PartialCayleyGraph:
 
 def tc_round(s: TcState) -> TcState:
     """One saturation round: complete edges, attach missing relator loops,
-    fold.  Edge completion covers the vertices present when the round starts;
-    loop guards are evaluated on the graph as it stands after completion,
-    before any new loop is attached."""
+    folding as they go.  Edge completion covers the vertices present when
+    the round starts; loop guards are evaluated on the graph as it stands
+    after completion, before any new loop is attached."""
     p = s.presentation
-    g = s.graph.copy()
-
-    start_vertices = g.num_vertices
-    _check_ceiling(start_vertices * (1 + 2 * p.num_generators), "edge completion")
-    for v in range(start_vertices):
-        for gen in range(p.num_generators):
-            if not g.out[v].get(gen):
-                g.add_edge(v, gen, g.add_vertex())
-            if not g.inc[v].get(gen):
-                g.add_edge(g.add_vertex(), gen, v)
-
-    completed_vertices = g.num_vertices
-    need = [
-        (v, r)
-        for v in range(completed_vertices)
-        for r in p.relators
-        if trace(g, r, start=v) != v
-    ]
-    _check_ceiling(completed_vertices + sum(len(r) - 1 for _v, r in need), "loop attachment")
+    f = s.folder.copy()
+    f.what = f"coset round {s.round + 1}"
+    f.complete()
+    need = [(v, r) for v in f.vertices() for r in p.relators if f.trace(v, r) != v]
     for v, r in need:
-        g.add_loop(v, r)
-
-    folded, _ = fold(g)
-    return TcState(p, folded, s.round + 1)
+        f.add_loop(v, r)
+    return TcState(p, f, s.round + 1)
 
 
 def partial_cayley(s: TcState) -> PartialCayleyGraph:

@@ -5,6 +5,7 @@ import pytest
 
 from loopfold.automata import (
     EmptyRelatorSet,
+    Folder,
     LabeledGraph,
     MemoryCeilingError,
     accepts_reduced,
@@ -50,6 +51,17 @@ def reduced_words_up_to(alphabet_size, max_len):
     return words
 
 
+def wedge(p, j):
+    """The unfolded loop complex: one fresh path reading ``u`` with a fresh
+    ``r``-cycle at its tip per pair of a relator ``r`` and a reduced word
+    ``u`` with ``|u| ≤ j``; distinct pairs share only the origin."""
+    g = LabeledGraph(p.num_generators)
+    for u in reduced_words_up_to(p.alphabet_size, j):
+        for r in p.relators:
+            g.add_loop(g.add_path(g.origin, u), r)
+    return g
+
+
 def relabeled(graph, perm):
     g2 = LabeledGraph(graph.num_generators, graph.num_vertices, origin=perm[graph.origin])
     for src, g, dst in graph.edges():
@@ -61,8 +73,8 @@ def relabeled(graph, perm):
 
 class TestConstruction:
     def test_loop_complex_sizes_order_two(self):
-        assert build_loop_complex(Z2, 0).num_vertices == 2
-        assert build_loop_complex(Z2, 1).num_vertices == 6
+        assert wedge(Z2, 0).num_vertices == 2
+        assert wedge(Z2, 1).num_vertices == 6
 
     def test_loop_complex_size_formula(self):
         rng = random.Random(41)
@@ -77,7 +89,7 @@ class TestConstruction:
                 continue
             p = Presentation(gens, rels)
             j = rng.randrange(0, 3)
-            g = build_loop_complex(p, j)
+            g = wedge(p, j)
             k = p.alphabet_size
             sizes = [1] + [k * (k - 1) ** (i - 1) for i in range(1, j + 1)]
             expected = 1 + sum(
@@ -118,7 +130,7 @@ class TestConstruction:
             build_tree_nfa(LATTICE, 2)
 
     def test_faces_recorded(self):
-        g = build_loop_complex(Z2, 1)
+        g = wedge(Z2, 1)
         assert len(g.faces) == 3  # pairs (1,aa), (a,aa), (a^-1,aa)
         assert all(rel == w("aa", 1) for _bp, rel in g.faces)
 
@@ -139,6 +151,11 @@ class TestFold:
         folded, _ = fold(g)
         assert canonical_form(folded) == canonical_form(g)
         assert folded.num_vertices == 2
+        complex_ = build_loop_complex(LATTICE, 2)
+        folded, vertex_map = fold(complex_)
+        assert vertex_map == list(range(complex_.num_vertices))
+        assert (folded.origin, folded.edges(), folded.faces) == (
+            complex_.origin, complex_.edges(), complex_.faces)
 
     def test_fold_loop_complex_order_two(self):
         folded, _ = fold(build_loop_complex(Z2, 1))
@@ -179,6 +196,31 @@ class TestFold:
         for src, gen, dst in g.edges():
             assert vmap[dst] in folded.out[vmap[src]].get(gen, set())
 
+    def test_online_folding_matches_folding_the_wedge(self):
+        rng = random.Random(45)
+        cases = [(Z2, 2), (Z3, 2), (LATTICE, 2)]
+        while len(cases) < 20:  # relators need not be cyclically reduced
+            gens = rng.choice([1, 2])
+            rels = [Word(bytes(rng.randrange(2 * gens) for _ in range(rng.randrange(1, 6)))).reduce()
+                    for _ in range(rng.randrange(1, 3))]
+            if all(len(r) for r in rels):
+                cases.append((Presentation(gens, rels), rng.randrange(0, 3)))
+        for p, j in cases:
+            online = build_loop_complex(p, j)
+            whole, _ = fold(wedge(p, j))
+            assert (online.num_vertices, online.origin, online.edges(), online.faces) == (
+                whole.num_vertices, whole.origin, whole.edges(), whole.faces), (p, j)
+
+    def test_folder_allocates_only_missing_vertices(self):
+        folder = Folder(2, 2)
+        folder.add_edge(1, 1, 0)  # 1 --b--> 0
+        folder.add_loop(0, w("ab"))  # closes onto the b-edge: one new a-edge 0 --a--> 1
+        assert len(folder.parent) == 2
+        folder.add_loop(1, w("ba"))  # traces already
+        folder.add_path(0, w("aa"))  # a fresh tip only for the second a
+        assert len(folder.parent) == 3
+        assert folder.snapshot().edges() == [(0, 0, 1), (1, 0, 2), (1, 1, 0)]
+
     def test_fold_dedups_faces(self):
         g = LabeledGraph(1, 1)
         g.add_loop(0, w("aa", 1))
@@ -205,8 +247,8 @@ class TestAcceptance:
         rng = random.Random(43)
         for p in (Z2, Z3, LATTICE):
             oracle = TRIVIAL_ORACLES[id(p)]
-            complex_ = build_loop_complex(p, 2)
-            dfa, _ = fold(complex_)
+            complex_ = wedge(p, 2)
+            dfa = build_loop_complex(p, 2)
             conjugators = reduced_words_up_to(p.alphabet_size, 2)
             for _ in range(40):
                 parts = []

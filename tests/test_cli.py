@@ -61,6 +61,15 @@ def test_wp_negative_radius(capsys):
     assert run_cli("wp", Z2, "a", "--radius", "-1") == 2
 
 
+def test_wp_over_the_memory_ceiling(capsys, monkeypatch):
+    monkeypatch.setenv("FILLINGS_MEM_CEILING_MB", "0.05")  # ten folder vertices
+    assert run_cli("wp", ZXZ, "abAB", "--radius", "3") == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("loopfold: loop complex at radius ")
+    assert captured.err.count("\n") == 1 and "FILLINGS_MEM_CEILING_MB" in captured.err
+
+
 # -- profile ---------------------------------------------------------------------
 
 
@@ -194,6 +203,15 @@ def test_tc_summary_and_three_cycle(tmp_path, capsys):
         '  2 -> 0 [label="a"];\n'
         "}\n"
     )
+
+
+def test_tc_over_the_memory_ceiling(capsys, monkeypatch):
+    monkeypatch.setenv("FILLINGS_MEM_CEILING_MB", "0.05")  # ten folder vertices
+    assert run_cli("tc", ZXZ, "--rounds", "3") == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("loopfold: coset round ")
+    assert captured.err.count("\n") == 1 and "FILLINGS_MEM_CEILING_MB" in captured.err
 
 
 def test_tc_requires_rounds():

@@ -1,7 +1,10 @@
 """Whole-command golden outputs: each command's CSV and exit code, byte for
-byte, for the four sample presentations.  The files under ``golden/`` were
-written by the command lines below; regenerate one with
-``PYTHONPATH=src python -m loopfold <args> > tests/golden/<name>.csv``."""
+byte, for the four sample presentations, and the summary line and DOT
+snapshot of the benchmark's ``tc`` commands.  The files under ``golden/``
+were written by the command lines below; regenerate one with
+``PYTHONPATH=src python -m loopfold <args> > tests/golden/<name>.csv``, or
+for a ``tc`` case with ``PYTHONPATH=src python -m loopfold <args> --dot
+tests/golden/<name>.dot > tests/golden/<name>.out``."""
 
 from pathlib import Path
 
@@ -35,3 +38,20 @@ def test_golden_output(name, capsys, monkeypatch):
     monkeypatch.chdir(REPO)
     assert main(command.split()) == exit_code
     assert capsys.readouterr().out == (GOLDEN / f"{name}.csv").read_text(encoding="utf-8")
+
+
+# the benchmark's coset saturation commands; the DOT goes through the
+# canonical renumbering, so it pins the folded snapshot up to isomorphism
+TC_CASES = {
+    "tc-zxz-r30": "tc presentations/zxz.pres --rounds 30",
+    "tc-z3-r4": "tc presentations/z3.pres --rounds 4",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TC_CASES))
+def test_golden_tc_output(name, capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(REPO)
+    dot = tmp_path / f"{name}.dot"
+    assert main(TC_CASES[name].split() + ["--dot", str(dot)]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+    assert dot.read_text(encoding="utf-8") == (GOLDEN / f"{name}.dot").read_text(encoding="utf-8")

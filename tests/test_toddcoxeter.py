@@ -1,6 +1,6 @@
 import pytest
 
-from loopfold.automata import LabeledGraph, canonical_form, restrict_to_radius
+from loopfold.automata import Folder, LabeledGraph, canonical_form, fold, restrict_to_radius, trace
 from loopfold.core import EMPTY, Presentation, Word, parse_word
 from loopfold.toddcoxeter import (
     PartialCayleyGraph,
@@ -52,7 +52,39 @@ def reduced_words_up_to(alphabet_size, max_len):
     return words
 
 
+def unfolded_round(p, graph):
+    """One round built unfolded on a copy of ``graph`` and folded whole:
+    the definition that :func:`tc_round` folds online."""
+    g = LabeledGraph(graph.num_generators, graph.num_vertices, graph.origin)
+    for src, gen, dst in graph.edges():
+        g.add_edge(src, gen, dst)
+    for bp, rel in graph.faces:
+        g.add_face(bp, rel)
+    for v in range(graph.num_vertices):
+        for gen in range(p.num_generators):
+            if not g.out[v].get(gen):
+                g.add_edge(v, gen, g.add_vertex())
+            if not g.inc[v].get(gen):
+                g.add_edge(g.add_vertex(), gen, v)
+    need = [(v, r) for v in range(g.num_vertices) for r in p.relators if trace(g, r, start=v) != v]
+    for v, r in need:
+        g.add_loop(v, r)
+    return fold(g)[0]
+
+
 class TestRound:
+    def test_online_round_matches_folding_the_unfolded_round(self):
+        bs12 = Presentation(2, [w("abABB")])
+        mixed = Presentation(2, [w("aab"), w("abA")])  # abA is not cyclically reduced
+        for p in (Z2, Z3, LATTICE, FREE2, bs12, mixed):
+            state = TcState.initial(p)
+            for _ in range(4):
+                expected = unfolded_round(p, state.graph)
+                state = tc_round(state)
+                got = state.graph
+                assert (got.num_vertices, got.origin, got.edges(), got.faces) == (
+                    expected.num_vertices, expected.origin, expected.edges(), expected.faces), (p, state.round)
+
     def test_cyclic_three_first_round_gives_cycle(self):
         state = tc_round(TcState.initial(Z3))
         assert state.round == 1
@@ -69,7 +101,7 @@ class TestRound:
         assert partial_cayley(state).graph.num_vertices == 1
 
     def test_round_is_idempotent_on_complete_cayley_graph(self):
-        state = TcState(Z3, three_cycle(), 1)
+        state = TcState(Z3, Folder.of_graph(three_cycle()), 1)
         after = tc_round(state)
         assert canonical_form(partial_cayley(after).graph) == canonical_form(three_cycle())
 
@@ -98,14 +130,14 @@ class TestPartialCayley:
     def test_single_edge_collapses_to_origin(self):
         g = LabeledGraph(1, 2)
         g.add_edge(0, 0, 1)
-        pcg = partial_cayley(TcState(Z2, g, 1))
+        pcg = partial_cayley(TcState(Z2, Folder.of_graph(g), 1))
         assert pcg.graph.num_vertices == 1
         assert pcg.radius == 0
 
     def test_pendant_edge_on_cycle_is_ignored(self):
         g = three_cycle()
         g.add_edge(1, 0, g.add_vertex())
-        pcg = partial_cayley(TcState(Z3, g, 1))
+        pcg = partial_cayley(TcState(Z3, Folder.of_graph(g), 1))
         assert canonical_form(pcg.graph) == canonical_form(three_cycle())
         assert pcg.radius == 1
 
@@ -117,7 +149,7 @@ class TestPartialCayley:
         g.add_edge(0, 0, v)
         g.add_edge(v, 0, u)
         g.add_edge(u, 0, t)
-        pcg = partial_cayley(TcState(Z3, g, 1))
+        pcg = partial_cayley(TcState(Z3, Folder.of_graph(g), 1))
         assert canonical_form(pcg.graph) == canonical_form(three_cycle())
 
     def test_requires_a_completed_round(self):
