@@ -149,7 +149,7 @@ class Folder:
         self.parent = list(range(num_vertices))
         self.delta = [[-1] * num_vertices for _ in range(2 * num_generators)]
         self.faces: dict[tuple[int, bytes], Word] = {}  # (basepoint, relator codes) -> relator
-        self._max_vertices = int(_mem_ceiling_mb() * 1e6 // _BYTES_PER_VERTEX)
+        self._max_vertices = _mem_ceiling_mb() * 1e6 / _BYTES_PER_VERTEX
 
     @classmethod
     def of_graph(cls, graph: LabeledGraph) -> "Folder":
@@ -181,7 +181,7 @@ class Folder:
     def _grow(self, v: int, c: int) -> int:
         """A fresh vertex, reached from the root ``v`` by the letter ``c``."""
         t = len(self.parent)
-        if t >= self._max_vertices:
+        if t + 1 > self._max_vertices:
             _check_ceiling(t + 1, _BYTES_PER_VERTEX, self.what)
         self.parent.append(t)
         for row in self.delta:

@@ -129,6 +129,10 @@ class TestConstruction:
         with pytest.raises(MemoryCeilingError):
             build_tree_nfa(LATTICE, 2)
 
+    def test_unbounded_ceiling(self, monkeypatch):
+        monkeypatch.setenv("FILLINGS_MEM_CEILING_MB", "inf")
+        assert build_loop_complex(LATTICE, 2).is_deterministic()
+
     def test_faces_recorded(self):
         g = wedge(Z2, 1)
         assert len(g.faces) == 3  # pairs (1,aa), (a,aa), (a^-1,aa)
