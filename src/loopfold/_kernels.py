@@ -1,8 +1,10 @@
-"""Batch DFA tracing of word sets.
+"""Batch DFA tracing of word sets, for both monotone scans.
 
 The isodiametric scan tests every reduced trivial word up to a length bound
-against folded loop complexes, one batch per radius.  Words are ``bytes``
-strings of letter codes; a DFA is one list of successor states per letter.
+against folded loop complexes, one batch per radius; the saturation scan
+tests the reduced words of each length against the partial Cayley graph of
+each round.  Words are ``bytes`` strings of letter codes; a DFA is a folded
+graph's ``delta``, one list of successor states per letter.
 """
 
 from __future__ import annotations

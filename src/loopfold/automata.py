@@ -1,10 +1,13 @@
 """Rooted edge-labeled graphs as automata over a symmetric alphabet.
 
 Edges carry generator indices; an edge ``u --g--> v`` is read forwards as the
-generator and backwards as its inverse, so inverse edges are interpreted, not
-materialized.  A graph is *folded* (deterministic) when no vertex carries two
-same-label out-edges or two same-label in-edges.  Every folded graph comes
-from a :class:`Folder`, which folds online, as paths and loops are added.
+generator and backwards as its inverse.  A graph is *folded* (deterministic)
+when no vertex carries two same-label out-edges or two same-label in-edges.
+
+A :class:`LabeledGraph` is an unfolded graph (an NFA of edge sets), a
+:class:`Folder` folds paths and loops as they are added, and a
+:class:`FoldedGraph` is a folder's snapshot: its per-letter successor lists,
+which every consumer of a folded graph reads.
 
 Two graph families are built here: the loop complex ``Λ_j`` (the folded
 wedge of conjugated-relator loops ``r^u`` over all reduced ``u`` with
@@ -16,16 +19,18 @@ bounded length are exactly the trivial ones once ``j`` is large enough.
 
 from __future__ import annotations
 
+import math
 import os
+from dataclasses import dataclass, replace
 
 from .core import Presentation, Word, words_up_to
 
 DEFAULT_MEM_CEILING_MB = 512.0
 MEM_CEILING_ENV = "FILLINGS_MEM_CEILING_MB"
 # Peak bytes per allocated vertex, measured with tracemalloc.  A folder vertex
-# takes about 300 (two folders while a coset round copies one); 30 rounds of
-# ℤ² with their snapshots and partial Cayley graphs peak at 4.7 kB.
-_BYTES_PER_VERTEX = 5000
+# takes about 190 (two folders while a coset round copies one); 30 rounds of
+# ℤ² with their snapshots and partial Cayley graphs peak at 535 (Python 3.11).
+_BYTES_PER_VERTEX = 600
 _TREE_BYTES_PER_VERTEX = 1000  # unfolded tree automaton: 1.0 kB
 
 
@@ -33,16 +38,25 @@ class MemoryCeilingError(MemoryError):
     """Construction would exceed the configured memory ceiling."""
 
 
+class CeilingSettingError(ValueError):
+    """The memory ceiling setting is not a nonnegative number."""
+
+
 class EmptyRelatorSet(ValueError):
     """Raised where a construction needs at least one relator."""
 
 
 def _mem_ceiling_mb() -> float:
+    """The ceiling in MB: unset or empty means the default, ``inf`` none."""
     raw = os.environ.get(MEM_CEILING_ENV, "")
     try:
-        return float(raw) if raw else DEFAULT_MEM_CEILING_MB
+        mb = float(raw) if raw else DEFAULT_MEM_CEILING_MB
     except ValueError:
-        return DEFAULT_MEM_CEILING_MB
+        mb = math.nan
+    if not mb >= 0:  # negative, or nan
+        raise CeilingSettingError(
+            f"{MEM_CEILING_ENV} must be a nonnegative number of megabytes, not {raw!r}")
+    return mb
 
 
 def _check_ceiling(vertices: int, bytes_per_vertex: int, what: str) -> None:
@@ -56,10 +70,9 @@ def _check_ceiling(vertices: int, bytes_per_vertex: int, what: str) -> None:
 
 
 class LabeledGraph:
-    """A rooted directed graph with generator-labeled edges and face records.
-
-    Mutable while being built; algorithms in this module treat finished
-    graphs as read-only and return new graphs.
+    """An unfolded rooted graph: per-vertex sets of generator-labeled edges,
+    and face records.  Mutable while being built; fold it to get a
+    :class:`FoldedGraph`.
     """
 
     def __init__(self, num_generators: int, num_vertices: int = 1, origin: int = 0):
@@ -68,9 +81,7 @@ class LabeledGraph:
         self.origin = origin
         self.out: list[dict[int, set[int]]] = [dict() for _ in range(num_vertices)]
         self.inc: list[dict[int, set[int]]] = [dict() for _ in range(num_vertices)]
-        # None marks a graph whose face records were dropped (e.g. by a
-        # radius restriction), as opposed to a graph with no faces.
-        self.faces: list[tuple[int, Word]] | None = []
+        self.faces: list[tuple[int, Word]] = []
 
     def add_vertex(self) -> int:
         self.out.append(dict())
@@ -83,8 +94,6 @@ class LabeledGraph:
         self.inc[dst].setdefault(gen, set()).add(src)
 
     def add_face(self, basepoint: int, relator: Word) -> None:
-        if self.faces is None:
-            raise ValueError("face records were dropped from this graph")
         self.faces.append((basepoint, relator))
 
     def add_loop(self, basepoint: int, relator: Word) -> None:
@@ -113,11 +122,29 @@ class LabeledGraph:
         """All states reachable from ``vertex`` by one letter (NFA semantics)."""
         return set((self.inc if code & 1 else self.out)[vertex].get(code >> 1, ()))
 
-    def is_deterministic(self) -> bool:
-        return all(len(s) <= 1 for adj in (self.out, self.inc) for d in adj for s in d.values())
 
-    def neighbors(self, v: int) -> set[int]:
-        return set().union(*self.out[v].values(), *self.inc[v].values())
+@dataclass(frozen=True, eq=False)
+class FoldedGraph:
+    """A folded rooted graph.  ``delta[code][v]`` is the vertex that ``v``
+    reaches by the letter ``code``, or -1; an edge ``u --g--> v`` is stored
+    both ways, as ``delta[2g][u] = v`` and ``delta[2g + 1][v] = u``.
+    ``faces`` is the sorted list of (basepoint, relator) records, or None
+    once they were dropped (as opposed to a graph with no faces)."""
+
+    num_generators: int
+    origin: int
+    delta: list[list[int]]
+    faces: list[tuple[int, Word]] | None
+
+    @property
+    def num_vertices(self) -> int:
+        return len(self.delta[0])
+
+    def edges(self) -> list[tuple[int, int, int]]:
+        """Every edge ``(src, gen, dst)`` once, ascending."""
+        forward = self.delta[::2]
+        return [(v, g, row[v]) for v in range(self.num_vertices)
+                for g, row in enumerate(forward) if row[v] >= 0]
 
 
 # -- folding ------------------------------------------------------------------
@@ -157,7 +184,7 @@ class Folder:
         folder = cls(graph.num_generators, graph.num_vertices, graph.origin)
         for src, gen, dst in graph.edges():
             folder.add_edge(src, gen, dst)
-        for bp, rel in graph.faces or ():
+        for bp, rel in graph.faces:
             folder.add_face(bp, rel)
         return folder
 
@@ -274,37 +301,37 @@ class Folder:
             v = find(t)
         return v
 
-    def snapshot(self) -> LabeledGraph:
+    def _numbering(self) -> list[int]:
+        """Entry ``v`` is the number of the class of ``v``, classes numbered
+        by least member; one more entry, -1, is what a missing edge maps to."""
+        number = [-1] * (len(self.parent) + 1)
+        for i, root in enumerate(self.vertices()):
+            number[root] = i
+        for v in range(len(self.parent)):
+            number[v] = number[self.find(v)]
+        return number
+
+    def snapshot(self) -> FoldedGraph:
         """The folded graph, its classes numbered by least member."""
-        find = self.find
+        number = self._numbering()
         roots = self.vertices()
-        number = {r: i for i, r in enumerate(roots)}
-        graph = LabeledGraph(self.num_generators, len(roots), number[find(self.origin)])
-        for gen in range(self.num_generators):
-            row = self.delta[2 * gen]
-            for r in roots:
-                if (t := row[r]) >= 0:
-                    graph.add_edge(number[r], gen, number[find(t)])
+        delta = [[number[row[r]] for r in roots] for row in self.delta]
         rotations = {codes: _min_rotation(codes) for codes in {codes for _, codes in self.faces}}
         faces: dict[tuple[int, bytes], Word] = {}
         for (bp, codes), relator in self.faces.items():
-            faces.setdefault((number[find(bp)], rotations[codes]), relator)
-        graph.faces = sorted(((bp, rel) for (bp, _), rel in faces.items()),
-                             key=lambda f: (f[0], f[1].codes))
-        return graph
+            faces.setdefault((number[bp], rotations[codes]), relator)
+        return FoldedGraph(
+            self.num_generators, number[self.origin], delta,
+            sorted(((bp, rel) for (bp, _), rel in faces.items()), key=lambda f: (f[0], f[1].codes)))
 
 
-def fold(graph: LabeledGraph) -> tuple[LabeledGraph, list[int]]:
+def fold(graph: LabeledGraph) -> tuple[FoldedGraph, list[int]]:
     """Stallings folding of an arbitrary graph: merge vertex pairs joined to
     a common vertex by equal-label co-oriented edges, until deterministic.
     Returns the folded graph, its classes numbered by least member, and the
     vertex map old-index -> new-index."""
     folder = Folder.of_graph(graph)
-    folded = folder.snapshot()
-    if graph.faces is None:
-        folded.faces = None
-    number = {r: i for i, r in enumerate(folder.vertices())}
-    return folded, [number[folder.find(v)] for v in range(graph.num_vertices)]
+    return folder.snapshot(), folder._numbering()[: graph.num_vertices]
 
 
 # -- construction -----------------------------------------------------------
@@ -321,7 +348,7 @@ def grow_loop_complex(folder: Folder, p: Presentation, radius: int) -> None:
             folder.add_loop(folder.add_path(folder.origin, u), r)
 
 
-def build_loop_complex(p: Presentation, j: int) -> LabeledGraph:
+def build_loop_complex(p: Presentation, j: int) -> FoldedGraph:
     """The folded wedge, at a single origin, of one loop ``r^u`` per pair
     of a relator ``r`` and a reduced word ``u`` with ``|u| ≤ j``: a path
     reading ``u`` with an ``r``-cycle at its tip."""
@@ -358,21 +385,19 @@ def build_tree_nfa(p: Presentation, j: int) -> LabeledGraph:
 # -- decision procedures ------------------------------------------------------
 
 
-def trace(graph: LabeledGraph, w: Word, start: int | None = None) -> int | None:
+def trace(graph: FoldedGraph, w: Word, start: int | None = None) -> int | None:
     """Deterministic trace of ``w``; returns the final vertex or None if the
-    trace falls off the graph.  The graph must be folded."""
+    trace falls off the graph."""
     v = graph.origin if start is None else start
+    delta = graph.delta
     for c in w.codes:
-        targets = graph.step(v, c)
-        if not targets:
+        v = delta[c][v]
+        if v < 0:
             return None
-        if len(targets) > 1:
-            raise ValueError("trace requires a folded graph")
-        (v,) = targets
     return v
 
 
-def accepts_reduced(dfa: LabeledGraph, w: Word) -> bool:
+def accepts_reduced(dfa: FoldedGraph, w: Word) -> bool:
     """Reduce ``w``, trace it from the origin, accept iff it returns there."""
     return trace(dfa, w.reduce()) == dfa.origin
 
@@ -399,108 +424,84 @@ def decide_word_problem(p: Presentation, w: Word, j: int) -> bool:
 # -- analysis helpers ---------------------------------------------------------
 
 
-def distances_from_origin(graph: LabeledGraph) -> dict[int, int]:
-    """Undirected BFS distance of every reachable vertex from the origin."""
+def distances_from_origin(graph: FoldedGraph) -> dict[int, int]:
+    """Undirected BFS distance of every reachable vertex from the origin,
+    in the order the search meets them, trying letters in the order a, a⁻¹,
+    b, b⁻¹, ..."""
     dist = {graph.origin: 0}
     order = [graph.origin]
     for v in order:  # grows while read: breadth-first
-        for u in sorted(graph.neighbors(v)):
-            if u not in dist:
+        for row in graph.delta:
+            if (u := row[v]) >= 0 and u not in dist:
                 dist[u] = dist[v] + 1
                 order.append(u)
     return dist
 
-def radius(graph: LabeledGraph) -> int:
+
+def radius(graph: FoldedGraph) -> int:
     """Eccentricity of the origin over its reachable component."""
     return max(distances_from_origin(graph).values())
 
 
-def _induced(graph: LabeledGraph, kept: list[int]) -> LabeledGraph:
+def _induced(graph: FoldedGraph, kept: list[int]) -> FoldedGraph:
     """The subgraph induced on the ascending vertex list ``kept``, renumbered
     in that order, with the face records of kept basepoints."""
-    number = {v: i for i, v in enumerate(kept)}
-    sub = LabeledGraph(graph.num_generators, num_vertices=len(kept), origin=number[graph.origin])
-    for v in kept:
-        for g, targets in graph.out[v].items():
-            for t in targets:
-                if t in number:
-                    sub.add_edge(number[v], g, number[t])
-    sub.faces = None if graph.faces is None else [
-        (number[bp], rel) for bp, rel in graph.faces if bp in number]
-    return sub
+    number = [-1] * (graph.num_vertices + 1)  # the last entry maps -1 to -1
+    for i, v in enumerate(kept):
+        number[v] = i
+    delta = [[number[row[v]] for v in kept] for row in graph.delta]
+    faces = None if graph.faces is None else [
+        (number[bp], rel) for bp, rel in graph.faces if number[bp] >= 0]
+    return FoldedGraph(graph.num_generators, number[graph.origin], delta, faces)
 
 
-def restrict_to_radius(graph: LabeledGraph, k: int) -> LabeledGraph:
+def restrict_to_radius(graph: FoldedGraph, k: int) -> FoldedGraph:
     """Induced subgraph on vertices within distance ``k`` of the origin,
     renumbered ascending by original index.  Face records are not carried
     over; compare restrictions through :func:`canonical_form`."""
-    sub = _induced(graph, [v for v, d in sorted(distances_from_origin(graph).items()) if d <= k])
-    sub.faces = None
-    return sub
+    sub = _induced(graph, sorted(v for v, d in distances_from_origin(graph).items() if d <= k))
+    return replace(sub, faces=None)
 
 
-def strip_hairs(graph: LabeledGraph) -> LabeledGraph:
+def strip_hairs(graph: FoldedGraph) -> FoldedGraph:
     """Repeatedly delete non-origin vertices of total degree ≤ 1 (and their
     edges).  Face records survive when their basepoint does."""
-    n, origin = graph.num_vertices, graph.origin
-    ends = [[t for adj in (graph.out[v], graph.inc[v]) for s in adj.values() for t in s] for v in range(n)]
-    degree = [len(e) for e in ends]
+    n, origin, delta = graph.num_vertices, graph.origin, graph.delta
+    degree = [sum(t >= 0 for t in ends) for ends in zip(*delta)]
     alive = [True] * n
     hairs = [v for v in range(n) if v != origin and degree[v] <= 1]
     while hairs:
         v = hairs.pop()
         if alive[v]:
             alive[v] = False
-            for t in ends[v]:
-                if alive[t]:
+            for row in delta:
+                if (t := row[v]) >= 0 and alive[t]:
                     degree[t] -= 1
                     if t != origin and degree[t] <= 1:
                         hairs.append(t)
     return _induced(graph, [v for v in range(n) if alive[v]])
 
 
-def canonical_form(graph: LabeledGraph) -> tuple[int, tuple[tuple[int, int, int], ...]]:
-    """Isomorphism invariant of the origin's component of a folded graph:
-    vertices are renumbered by BFS from the origin exploring letters in the
-    fixed order a, a⁻¹, b, b⁻¹, ...; returns (vertex count, edge tuple).
-    Face records are deliberately not part of the form."""
-    number: dict[int, int] = {graph.origin: 0}
-    order = [graph.origin]
-    for v in order:  # grows while read: breadth-first
-        for c in range(2 * graph.num_generators):
-            targets = graph.step(v, c)
-            if len(targets) > 1:
-                raise ValueError("canonical form requires a folded graph")
-            for t in targets:
-                if t not in number:
-                    number[t] = len(order)
-                    order.append(t)
-    edges = sorted(
-        (number[v], g, number[t]) for v in order for g, ts in graph.out[v].items() for t in ts if t in number
-    )
-    return len(order), tuple(edges)
+def canonical_form(graph: FoldedGraph) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+    """Isomorphism invariant of the origin's component: vertices are
+    renumbered in the order of :func:`distances_from_origin`; returns
+    (vertex count, edge tuple).  Face records are deliberately not part of
+    the form."""
+    number = {v: i for i, v in enumerate(distances_from_origin(graph))}
+    edges = sorted((number[v], g, number[t]) for v, g, t in graph.edges() if v in number)
+    return len(number), tuple(edges)
 
 
-def transition_table(graph: LabeledGraph) -> list[list[int]]:
-    """Dense DFA table of a folded graph: ``delta[code][vertex]`` is the
-    successor under that letter, ``-1`` where undefined."""
-    delta = [[-1] * graph.num_vertices for _ in range(2 * graph.num_generators)]
-    for src, g, dst in graph.edges():
-        forward, backward = delta[2 * g], delta[2 * g + 1]
-        if forward[src] not in (-1, dst) or backward[dst] not in (-1, src):
-            raise ValueError("transition table requires a folded graph")
-        forward[src] = dst
-        backward[dst] = src
-    return delta
-
-
-def to_dot(graph: LabeledGraph) -> str:
-    """Graphviz rendering; origin double-circled, edges labeled by letter."""
+def to_dot(graph: FoldedGraph) -> str:
+    """Graphviz rendering of the origin's component, numbered as in
+    :func:`canonical_form` so that it is stable across runs; the origin
+    (vertex 0) double-circled, edges labeled by letter."""
+    count, edges = canonical_form(graph)
     lines = ["digraph G {", "  rankdir=LR;"]
-    for v in range(graph.num_vertices):
-        shape = "doublecircle" if v == graph.origin else "circle"
+    for v in range(count):
+        shape = "doublecircle" if v == 0 else "circle"
         lines.append(f'  {v} [shape={shape}];')
-    for src, g, dst in graph.edges():
+    for src, g, dst in edges:
         lines.append(f'  {src} -> {dst} [label="{chr(ord("a") + g)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

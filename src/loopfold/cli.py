@@ -14,9 +14,8 @@ import contextlib
 import sys
 
 from .automata import (
-    LabeledGraph,
+    CeilingSettingError,
     MemoryCeilingError,
-    canonical_form,
     decide_word_problem,
     to_dot,
 )
@@ -108,15 +107,6 @@ def _write(text: str, path: str | None) -> None:
         out.write(text)
 
 
-def _canonical_copy(graph: LabeledGraph) -> LabeledGraph:
-    """Renumber a folded graph so DOT output is stable across runs."""
-    count, edges = canonical_form(graph)
-    out = LabeledGraph(graph.num_generators, num_vertices=count, origin=0)
-    for src, gen, dst in edges:
-        out.add_edge(src, gen, dst)
-    return out
-
-
 def _fusion_holds(
     compressed: CompressedPresentation, system: RewriteSystem, n: int, budget: SearchBudget
 ) -> bool:
@@ -182,7 +172,7 @@ def cmd_tc(args) -> int:
     pcg = partial_cayley(state)
     print(f"rounds={args.rounds} vertices={pcg.graph.num_vertices} radius={pcg.radius}")
     if args.dot is not None:
-        _write(to_dot(_canonical_copy(pcg.graph)), args.dot)
+        _write(to_dot(pcg.graph), args.dot)
     return 0
 
 
@@ -292,7 +282,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, ParseError) as exc:
+    except (UsageError, ParseError, CeilingSettingError) as exc:
         print(f"loopfold: {exc}", file=sys.stderr)
         return 2
     except (MemoryCeilingError, BudgetFailure, CombinatorialBlowupError) as exc:

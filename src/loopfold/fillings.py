@@ -24,12 +24,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import _kernels
-from .automata import (
-    Folder,
-    LabeledGraph,
-    grow_loop_complex,
-    transition_table,
-)
+from .automata import Folder, FoldedGraph, grow_loop_complex
 from .core import EMPTY, Presentation, Word, words_up_to
 from .rewrite import (
     OracleResult,
@@ -108,7 +103,7 @@ class ReferenceOracle:
             return w.reduce() == EMPTY
         return is_trivial(w, self.system, self.budget)[0]
 
-    def cayley_ball(self, radius: int) -> LabeledGraph:
+    def cayley_ball(self, radius: int) -> FoldedGraph:
         """The ball of the group's Cayley graph: vertices within ``radius``
         of the identity, with all edges between them, numbered in BFS order.
         Not available for the rewrite-search fallback."""
@@ -131,13 +126,13 @@ class ReferenceOracle:
                     index[nxt] = len(order)
                     order.append(nxt)
                     dist.append(d + 1)
-        g = LabeledGraph(self.num_generators, num_vertices=len(order))
-        for elem in order:
+        delta = [[-1] * len(order) for _ in range(2 * self.num_generators)]
+        for v, elem in enumerate(order):
             for gen in range(self.num_generators):
-                target = mult(elem, 2 * gen)
-                if target in index:
-                    g.add_edge(index[elem], gen, index[target])
-        return g
+                t = index.get(mult(elem, 2 * gen))
+                if t is not None:
+                    delta[2 * gen][v], delta[2 * gen + 1][t] = t, v
+        return FoldedGraph(self.num_generators, 0, delta, [])
 
     def _identity(self):
         if self.kind == "cyclic":
@@ -177,20 +172,17 @@ class LoopComplexScanner:
     def __init__(self, p: Presentation):
         self.presentation = p
         self._folder = Folder(p.num_generators)
-        self._dfas: list[LabeledGraph] = []
-        self._tables: list[list[list[int]]] = []
+        self._dfas: list[FoldedGraph] = []
 
-    def dfa(self, j: int) -> LabeledGraph:
+    def dfa(self, j: int) -> FoldedGraph:
         while len(self._dfas) <= j:
             grow_loop_complex(self._folder, self.presentation, len(self._dfas))
-            folded = self._folder.snapshot()
-            self._dfas.append(folded)
-            self._tables.append(transition_table(folded))
+            self._dfas.append(self._folder.snapshot())
         return self._dfas[j]
 
     def accepts_all(self, j: int, words: list[bytes]) -> bool:
-        origin = self.dfa(j).origin
-        return all(s == origin for s in _kernels.trace_batch(self._tables[j], origin, words))
+        dfa = self.dfa(j)
+        return all(s == dfa.origin for s in _kernels.trace_batch(dfa.delta, dfa.origin, words))
 
 
 def measure_isodiametric(
@@ -415,7 +407,7 @@ def profile_to_csv(profile: FillingProfile, report: InequalityReport | None = No
 # -- pulling a complex apart --------------------------------------------------
 
 
-def pull_apart(graph: LabeledGraph) -> list[tuple[Word, Word]]:
+def pull_apart(graph: FoldedGraph) -> list[tuple[Word, Word]]:
     """One (relator, conjugator) pair per recorded face: the conjugator is
     the label of a breadth-first geodesic from the origin to the face's
     basepoint, so its length is at most the graph radius.  Re-folding the
@@ -428,11 +420,10 @@ def pull_apart(graph: LabeledGraph) -> list[tuple[Word, Word]]:
     while head < len(queue):
         v = queue[head]
         head += 1
-        for code in range(2 * graph.num_generators):
-            for t in sorted(graph.step(v, code)):
-                if t not in paths:
-                    paths[t] = Word(paths[v].codes + bytes((code,)))
-                    queue.append(t)
+        for code, row in enumerate(graph.delta):
+            if (t := row[v]) >= 0 and t not in paths:
+                paths[t] = Word(paths[v].codes + bytes((code,)))
+                queue.append(t)
     out = []
     for bp, rel in graph.faces:
         if bp not in paths:
@@ -441,7 +432,7 @@ def pull_apart(graph: LabeledGraph) -> list[tuple[Word, Word]]:
     return out
 
 
-def refold(num_generators: int, loops: list[tuple[Word, Word]]) -> LabeledGraph:
+def refold(num_generators: int, loops: list[tuple[Word, Word]]) -> FoldedGraph:
     """Fold the wedge of conjugated relator loops r^x at a fresh origin."""
     folder = Folder(num_generators)
     for rel, conjugator in loops:

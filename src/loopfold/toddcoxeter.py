@@ -17,10 +17,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
+from . import _kernels
 from .core import Presentation, Word, words_up_to
 from .automata import (
     Folder,
-    LabeledGraph,
+    FoldedGraph,
     accepts_reduced,
     radius as graph_radius,
     strip_hairs,
@@ -38,14 +39,14 @@ class TcState:
         return cls(p, Folder(p.num_generators), 0)
 
     @cached_property
-    def graph(self) -> LabeledGraph:
+    def graph(self) -> FoldedGraph:
         """The round's folded graph, its classes numbered by least member."""
         return self.folder.snapshot()
 
 
 @dataclass(frozen=True, eq=False)
 class PartialCayleyGraph:
-    graph: LabeledGraph  # folded and hair-free
+    graph: FoldedGraph  # hair-free
     radius: int
 
 
@@ -80,6 +81,11 @@ def tc_decides(g: PartialCayleyGraph, w: Word) -> bool:
     return accepts_reduced(g.graph, w)
 
 
+def _decides(g: FoldedGraph, words: list[bytes], verdicts: list[bool]) -> bool:
+    """Whether ``g`` accepts exactly the reduced ``words`` marked trivial."""
+    return [s == g.origin for s in _kernels.trace_batch(g.delta, g.origin, words)] == verdicts
+
+
 def measure_tc_radius(
     p: Presentation,
     n_max: int,
@@ -96,19 +102,21 @@ def measure_tc_radius(
     length ≤ n + 1 also decides those of length ≤ n, so one run of rounds
     serves every n: the first deciding round only moves forward.
     """
-    layers: list[list[tuple[Word, bool]]] = [[] for _ in range(n_max + 1)]
+    layers: list[tuple[list[bytes], list[bool]]] = [([], []) for _ in range(n_max + 1)]
     for u in words_up_to(p.alphabet_size, n_max, reduced=True):
-        layers[len(u)].append((u, oracle(u)))
+        words, verdicts = layers[len(u)]
+        words.append(u.codes)
+        verdicts.append(oracle(u))
     state = TcState.initial(p)
     pcg = None
     column: list[tuple[int, int, PartialCayleyGraph] | None] = []
     for n in range(n_max + 1):
-        pending = layers[n]  # the current graph already decides shorter words
-        while pcg is None or not all(tc_decides(pcg, u) == trivial for u, trivial in pending):
+        pending = layers[n : n + 1]  # the current graph already decides shorter words
+        while pcg is None or not all(_decides(pcg.graph, *layer) for layer in pending):
             if state.round >= max_rounds:
                 return column + [None] * (n_max + 1 - n)
             state = tc_round(state)
             pcg = partial_cayley(state)
-            pending = [pair for layer in layers[: n + 1] for pair in layer]
+            pending = layers[: n + 1]
         column.append((state.round, pcg.radius, pcg))
     return column

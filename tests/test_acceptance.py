@@ -21,7 +21,6 @@ from loopfold.automata import (
     build_loop_complex,
     build_tree_nfa,
     canonical_form,
-    fold,
     nfa_accepts,
     restrict_to_radius,
     strip_hairs,
@@ -110,7 +109,7 @@ def test_criterion_1_folding_correctness(capsys):
     for name, (p, oracle) in MATRIX.items():
         d6 = diameter(name, 6)
         dfas = {
-            j: fold(build_loop_complex(p, j))[0]
+            j: build_loop_complex(p, j)
             for j in sorted({0, 1, 2, d6})
         }
         for w in all_words_up_to(p.num_generators, 6):
@@ -131,7 +130,7 @@ def test_criterion_2_tc_equality(capsys):
         for n in range(7):
             _, rho, pcg = tc_snapshot(name, n)
             d = diameter(name, n)
-            lam = strip_hairs(fold(build_loop_complex(p, d))[0])
+            lam = strip_hairs(build_loop_complex(p, d))
             same_graph = canonical_form(pcg.graph) == canonical_form(lam)
             if not (same_graph and rho == d):
                 mismatches.append((name, n, rho, d, same_graph))

@@ -21,7 +21,6 @@ from loopfold.automata import (
     strip_hairs,
     to_dot,
     trace,
-    transition_table,
 )
 from loopfold.core import EMPTY, Presentation, Word, parse_word
 
@@ -60,6 +59,23 @@ def wedge(p, j):
         for r in p.relators:
             g.add_loop(g.add_path(g.origin, u), r)
     return g
+
+
+def folded(graph):
+    return fold(graph)[0]
+
+
+def assert_folded(graph):
+    """``delta`` stores every edge both ways: the rows of a letter and of
+    its inverse are partial inverse maps, so no vertex has two same-label
+    out-edges or in-edges."""
+    n = graph.num_vertices
+    for code, row in enumerate(graph.delta):
+        assert len(row) == n
+        back = graph.delta[code ^ 1]
+        for v, t in enumerate(row):
+            assert -1 <= t < n
+            assert t < 0 or back[t] == v, (code, v, t)
 
 
 def relabeled(graph, perm):
@@ -130,8 +146,12 @@ class TestConstruction:
             build_tree_nfa(LATTICE, 2)
 
     def test_unbounded_ceiling(self, monkeypatch):
+        expected = build_loop_complex(LATTICE, 2)
         monkeypatch.setenv("FILLINGS_MEM_CEILING_MB", "inf")
-        assert build_loop_complex(LATTICE, 2).is_deterministic()
+        unbounded = build_loop_complex(LATTICE, 2)
+        assert_folded(unbounded)
+        assert (unbounded.origin, unbounded.edges(), unbounded.faces) == (
+            expected.origin, expected.edges(), expected.faces)
 
     def test_faces_recorded(self):
         g = wedge(Z2, 1)
@@ -152,29 +172,26 @@ class TestFold:
         g = LabeledGraph(1, 2)
         g.add_edge(0, 0, 1)
         g.add_edge(1, 0, 0)
-        folded, _ = fold(g)
-        assert canonical_form(folded) == canonical_form(g)
-        assert folded.num_vertices == 2
+        graph, vertex_map = fold(g)
+        assert (graph.num_vertices, graph.edges(), vertex_map) == (2, g.edges(), [0, 1])
         complex_ = build_loop_complex(LATTICE, 2)
-        folded, vertex_map = fold(complex_)
+        graph, vertex_map = fold(relabeled(complex_, list(range(complex_.num_vertices))))
         assert vertex_map == list(range(complex_.num_vertices))
-        assert (folded.origin, folded.edges(), folded.faces) == (
+        assert (graph.origin, graph.edges(), graph.faces) == (
             complex_.origin, complex_.edges(), complex_.faces)
 
     def test_fold_loop_complex_order_two(self):
-        folded, _ = fold(build_loop_complex(Z2, 1))
+        complex_ = build_loop_complex(Z2, 1)
         # the 2-cycle: Cayley graph of the order-two group
         expected = LabeledGraph(1, 2)
         expected.add_edge(0, 0, 1)
         expected.add_edge(1, 0, 0)
-        assert canonical_form(folded) == canonical_form(expected)
+        assert canonical_form(complex_) == canonical_form(folded(expected))
 
     def test_folded_graphs_are_deterministic(self):
         for p, j in [(Z2, 2), (Z3, 2), (LATTICE, 1)]:
-            folded, _ = fold(build_loop_complex(p, j))
-            assert folded.is_deterministic()
-            folded_tree, _ = fold(build_tree_nfa(p, j))
-            assert folded_tree.is_deterministic()
+            assert_folded(build_loop_complex(p, j))
+            assert_folded(folded(build_tree_nfa(p, j)))
 
     def test_confluence_under_relabeling(self):
         rng = random.Random(42)
@@ -189,16 +206,16 @@ class TestFold:
     def test_fold_of_tree_and_loop_complex_agree(self):
         for p in (Z2, Z3, LATTICE):
             for j in range(3):
-                a = canonical_form(fold(build_loop_complex(p, j))[0])
+                a = canonical_form(build_loop_complex(p, j))
                 b = canonical_form(fold(build_tree_nfa(p, j))[0])
                 assert a == b, (p, j)
 
     def test_vertex_map_preserves_edges_and_origin(self):
         g = build_tree_nfa(Z3, 1)
-        folded, vmap = fold(g)
-        assert folded.origin == vmap[g.origin]
+        graph, vmap = fold(g)
+        assert graph.origin == vmap[g.origin]
         for src, gen, dst in g.edges():
-            assert vmap[dst] in folded.out[vmap[src]].get(gen, set())
+            assert graph.delta[2 * gen][vmap[src]] == vmap[dst]
 
     def test_online_folding_matches_folding_the_wedge(self):
         rng = random.Random(45)
@@ -230,13 +247,12 @@ class TestFold:
         g.add_loop(0, w("aa", 1))
         g.add_face(0, w("aa", 1))
         g.add_face(0, w("aa", 1))
-        folded, _ = fold(g)
-        assert folded.faces == [(0, w("aa", 1))]
+        assert folded(g).faces == [(0, w("aa", 1))]
 
 
 class TestAcceptance:
     def test_folded_examples_order_two(self):
-        dfa, _ = fold(build_loop_complex(Z2, 0))
+        dfa = build_loop_complex(Z2, 0)
         assert accepts_reduced(dfa, w("aaaa", 1)) is True
         assert accepts_reduced(dfa, w("a", 1)) is False
         assert accepts_reduced(dfa, EMPTY) is True
@@ -270,14 +286,14 @@ class TestAcceptance:
         for p in (Z2, Z3, LATTICE):
             oracle = TRIVIAL_ORACLES[id(p)]
             for j in range(3):
-                dfa, _ = fold(build_loop_complex(p, j))
+                dfa = build_loop_complex(p, j)
                 for u in reduced_words_up_to(p.alphabet_size, 6):
                     if accepts_reduced(dfa, u):
                         assert oracle(u), (p, j, u)
 
     def test_folded_acceptance_monotone_in_radius(self):
         for p in (Z2, Z3, LATTICE):
-            dfas = [fold(build_loop_complex(p, j))[0] for j in range(3)]
+            dfas = [build_loop_complex(p, j) for j in range(3)]
             for u in reduced_words_up_to(p.alphabet_size, 5):
                 accepted = [accepts_reduced(d, u) for d in dfas]
                 for lo, hi in zip(accepted, accepted[1:]):
@@ -296,18 +312,19 @@ class TestGraphAnalysis:
     def test_trace_follows_in_edges_backwards(self):
         g = LabeledGraph(1, 2)
         g.add_edge(0, 0, 1)
+        g = folded(g)
         assert trace(g, w("a", 1)) == 1
         assert trace(g, w("A", 1), start=1) == 0
         assert trace(g, w("A", 1)) is None
 
     def test_canonical_form_is_renumbering_invariant(self):
         rng = random.Random(44)
-        base, _ = fold(build_tree_nfa(Z3, 2))
+        base = folded(build_tree_nfa(Z3, 2))
         reference = canonical_form(base)
         for _ in range(8):
             perm = list(range(base.num_vertices))
             rng.shuffle(perm)
-            assert canonical_form(relabeled(base, perm)) == reference
+            assert canonical_form(folded(relabeled(base, perm))) == reference
 
     def test_canonical_form_separates_cycles(self):
         two = LabeledGraph(1, 2)
@@ -317,33 +334,19 @@ class TestGraphAnalysis:
         three.add_edge(0, 0, 1)
         three.add_edge(1, 0, 2)
         three.add_edge(2, 0, 0)
-        assert canonical_form(two) != canonical_form(three)
+        assert canonical_form(folded(two)) != canonical_form(folded(three))
 
-    def test_canonical_form_rejects_unfolded(self):
-        g = LabeledGraph(1, 3)
-        g.add_edge(0, 0, 1)
-        g.add_edge(0, 0, 2)
-        with pytest.raises(ValueError):
-            canonical_form(g)
-
-    def test_transition_table_reads_edges_both_ways(self):
+    def test_folded_delta_reads_edges_both_ways(self):
         g = LabeledGraph(2, 3)
         g.add_edge(0, 0, 1)
         g.add_edge(1, 1, 2)
-        assert transition_table(g) == [[1, -1, -1], [-1, 0, -1], [-1, 2, -1], [-1, -1, 1]]
-
-    def test_transition_table_rejects_unfolded(self):
-        for edges in ([(0, 0, 1), (0, 0, 2)], [(1, 0, 0), (2, 0, 0)]):
-            g = LabeledGraph(1, 3)
-            for src, gen, dst in edges:
-                g.add_edge(src, gen, dst)
-            with pytest.raises(ValueError):
-                transition_table(g)
+        assert folded(g).delta == [[1, -1, -1], [-1, 0, -1], [-1, 2, -1], [-1, -1, 1]]
 
     def test_distances_and_radius(self):
         g = LabeledGraph(1, 4)
         for i in range(3):
             g.add_edge(i, 0, i + 1)
+        g = folded(g)
         assert distances_from_origin(g) == {0: 0, 1: 1, 2: 2, 3: 3}
         assert radius(g) == 3
 
@@ -351,17 +354,18 @@ class TestGraphAnalysis:
         g = LabeledGraph(1, 4)
         for i in range(3):
             g.add_edge(i, 0, i + 1)
-        sub = restrict_to_radius(g, 1)
+        sub = restrict_to_radius(folded(g), 1)
         assert sub.num_vertices == 2
         assert sub.edges() == [(0, 0, 1)]
 
     def test_strip_hairs_removes_dangling_path(self):
-        g = LabeledGraph(1, 5)
+        g = LabeledGraph(2, 5)
         g.add_edge(0, 0, 1)
         g.add_edge(1, 0, 0)  # 2-cycle at origin
-        g.add_edge(1, 0, 2)  # hair chain 1 -> 2 -> 3 -> 4
-        g.add_edge(2, 0, 3)
-        g.add_edge(3, 0, 4)
+        g.add_edge(1, 1, 2)  # hair chain 1 -> 2 -> 3 -> 4
+        g.add_edge(2, 1, 3)
+        g.add_edge(3, 1, 4)
+        g = folded(g)
         stripped = strip_hairs(g)
         assert stripped.num_vertices == 2
         assert canonical_form(stripped) == canonical_form(restrict_to_radius(g, 1))
@@ -369,22 +373,22 @@ class TestGraphAnalysis:
     def test_strip_hairs_keeps_origin(self):
         g = LabeledGraph(1, 2)
         g.add_edge(0, 0, 1)
-        stripped = strip_hairs(g)
+        stripped = strip_hairs(folded(g))
         assert stripped.num_vertices == 1
         assert stripped.origin == 0
         assert stripped.edges() == []
 
     def test_strip_hairs_keeps_faces_on_survivors(self):
-        g = LabeledGraph(1, 2)
-        g.add_loop(0, w("aa", 1))
-        g.add_edge(0, 0, 1)  # hair off the loop
-        stripped = strip_hairs(g)
-        assert stripped.faces == [(0, w("aa", 1))]
+        g = LabeledGraph(2, 2)
+        g.add_loop(0, w("aa"))
+        g.add_edge(0, 1, 1)  # hair off the loop
+        stripped = strip_hairs(folded(g))
+        assert stripped.faces == [(0, w("aa"))]
         assert stripped.num_vertices == 2
 
     def test_dot_export_is_deterministic(self):
-        a = to_dot(fold(build_loop_complex(Z3, 1))[0])
-        b = to_dot(fold(build_loop_complex(Z3, 1))[0])
+        a = to_dot(build_loop_complex(Z3, 1))
+        b = to_dot(build_loop_complex(Z3, 1))
         assert a == b
         assert "doublecircle" in a
         assert a.endswith("}\n")

@@ -62,7 +62,7 @@ def test_wp_negative_radius(capsys):
 
 
 def test_wp_over_the_memory_ceiling(capsys, monkeypatch):
-    monkeypatch.setenv("FILLINGS_MEM_CEILING_MB", "0.05")  # ten folder vertices
+    monkeypatch.setenv("FILLINGS_MEM_CEILING_MB", "0.006")  # ten folder vertices
     assert run_cli("wp", ZXZ, "abAB", "--radius", "3") == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -206,12 +206,23 @@ def test_tc_summary_and_three_cycle(tmp_path, capsys):
 
 
 def test_tc_over_the_memory_ceiling(capsys, monkeypatch):
-    monkeypatch.setenv("FILLINGS_MEM_CEILING_MB", "0.05")  # ten folder vertices
+    monkeypatch.setenv("FILLINGS_MEM_CEILING_MB", "0.006")  # ten folder vertices
     assert run_cli("tc", ZXZ, "--rounds", "3") == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("loopfold: coset round ")
     assert captured.err.count("\n") == 1 and "FILLINGS_MEM_CEILING_MB" in captured.err
+
+
+@pytest.mark.parametrize("value", ["1GB", "abc", "-1", "nan", "-inf"])
+@pytest.mark.parametrize("argv", [("tc", Z3, "--rounds", "2"), ("wp", Z2, "aa", "--radius", "1")])
+def test_malformed_memory_ceiling_is_a_usage_error(capsys, monkeypatch, argv, value):
+    monkeypatch.setenv("FILLINGS_MEM_CEILING_MB", value)
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("loopfold: FILLINGS_MEM_CEILING_MB ")
+    assert captured.err.count("\n") == 1 and repr(value) in captured.err
 
 
 def test_tc_requires_rounds():

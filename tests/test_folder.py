@@ -47,11 +47,16 @@ PINS = {
 
 
 def digest(g):
-    adjacency = lambda maps: tuple(
-        tuple(sorted((gen, tuple(sorted(s))) for gen, s in d.items() if s)) for d in maps
-    )
+    """The record of the pins, read off the successor lists: per vertex its
+    out-edges from the even rows and its in-edges from the odd rows."""
+    def adjacency(parity):
+        rows = g.delta[parity::2]
+        return tuple(
+            tuple((gen, (row[v],)) for gen, row in enumerate(rows) if row[v] >= 0)
+            for v in range(g.num_vertices)
+        )
     faces = None if g.faces is None else tuple((bp, rel.codes) for bp, rel in g.faces)
-    record = (g.num_vertices, g.origin, adjacency(g.out), adjacency(g.inc), faces)
+    record = (g.num_vertices, g.origin, adjacency(0), adjacency(1), faces)
     return hashlib.sha256(repr(record).encode()).hexdigest()[:16]
 
 

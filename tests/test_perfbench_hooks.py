@@ -1,0 +1,36 @@
+"""The benchmark's tracer binds loopfold entry points by name and reads
+counts off their results.  A rename, or a result without ``.num_vertices``,
+would leave ``perfbench/run.py --trace 1`` reading zeros without an error,
+so this runs the tracer over three commands and checks that its vertex and
+word counters move."""
+
+import importlib.util
+from pathlib import Path
+
+from loopfold import cli
+
+REPO = Path(__file__).resolve().parent.parent
+PRES = REPO / "presentations"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", REPO / "perfbench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_counts_graph_vertices_and_traced_words(capsys):
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["tc", str(PRES / "z3.pres"), "--rounds", "2"]) == 0
+        assert cli.main(["wp", str(PRES / "zxz.pres"), "abAB", "--radius", "2"]) == 0
+        assert cli.main(["profile", str(PRES / "z2.pres"), "--n", "4", "--oracle", "cyclic:2"]) == 1
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    metrics = tracer.layer_metrics()
+    for name in ("automata.loop_complex_vertices", "toddcoxeter.snapshot_vertices",
+                 "kernels.trace_batch_words"):
+        assert metrics[name] > 0, name

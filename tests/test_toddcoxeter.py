@@ -1,5 +1,8 @@
+import tracemalloc
+
 import pytest
 
+from loopfold import automata
 from loopfold.automata import Folder, LabeledGraph, canonical_form, fold, restrict_to_radius, trace
 from loopfold.core import EMPTY, Presentation, Word, parse_word
 from loopfold.toddcoxeter import (
@@ -52,21 +55,28 @@ def reduced_words_up_to(alphabet_size, max_len):
     return words
 
 
-def unfolded_round(p, graph):
-    """One round built unfolded on a copy of ``graph`` and folded whole:
-    the definition that :func:`tc_round` folds online."""
+def unfolded(graph):
+    """A copy of a folded graph as a :class:`LabeledGraph`, same numbering."""
     g = LabeledGraph(graph.num_generators, graph.num_vertices, graph.origin)
     for src, gen, dst in graph.edges():
         g.add_edge(src, gen, dst)
     for bp, rel in graph.faces:
         g.add_face(bp, rel)
+    return g
+
+
+def unfolded_round(p, graph):
+    """One round built unfolded on a copy of ``graph`` and folded whole:
+    the definition that :func:`tc_round` folds online."""
+    g = unfolded(graph)
     for v in range(graph.num_vertices):
         for gen in range(p.num_generators):
             if not g.out[v].get(gen):
                 g.add_edge(v, gen, g.add_vertex())
             if not g.inc[v].get(gen):
                 g.add_edge(g.add_vertex(), gen, v)
-    need = [(v, r) for v in range(g.num_vertices) for r in p.relators if trace(g, r, start=v) != v]
+    complete = fold(g)[0]  # g is still deterministic, so folding keeps its numbering
+    need = [(v, r) for v in range(g.num_vertices) for r in p.relators if trace(complete, r, start=v) != v]
     for v, r in need:
         g.add_loop(v, r)
     return fold(g)[0]
@@ -89,7 +99,7 @@ class TestRound:
         state = tc_round(TcState.initial(Z3))
         assert state.round == 1
         pcg = partial_cayley(state)
-        assert canonical_form(pcg.graph) == canonical_form(three_cycle())
+        assert canonical_form(pcg.graph) == canonical_form(fold(three_cycle())[0])
         assert pcg.radius == 1
 
     def test_free_group_rounds_grow_a_tree(self):
@@ -103,13 +113,19 @@ class TestRound:
     def test_round_is_idempotent_on_complete_cayley_graph(self):
         state = TcState(Z3, Folder.of_graph(three_cycle()), 1)
         after = tc_round(state)
-        assert canonical_form(partial_cayley(after).graph) == canonical_form(three_cycle())
+        assert canonical_form(partial_cayley(after).graph) == canonical_form(fold(three_cycle())[0])
 
     def test_rounds_fold_deterministic(self):
         state = TcState.initial(LATTICE)
         for _ in range(3):
             state = tc_round(state)
-            assert state.graph.is_deterministic()
+            graph = state.graph
+            for code, row in enumerate(graph.delta):  # every edge stored both ways
+                back = graph.delta[code ^ 1]
+                assert all(t < 0 or back[t] == v for v, t in enumerate(row)), (state.round, code)
+            refolded, vertex_map = fold(unfolded(graph))
+            assert vertex_map == list(range(graph.num_vertices))
+            assert (refolded.origin, refolded.edges()) == (graph.origin, graph.edges())
 
     def test_vertex_counts_nondecreasing(self):
         state = TcState.initial(Z2)
@@ -126,6 +142,24 @@ class TestRound:
         assert all(rel == w("aaa", 1) for _bp, rel in pcg.graph.faces)
 
 
+class TestMemory:
+    def test_ceiling_bytes_per_vertex_cover_the_peak(self):
+        # the calibration of the memory ceiling: 30 rounds of ℤ², each with
+        # its snapshot and partial Cayley graph, as measure_tc_radius runs them
+        tracemalloc.start()
+        try:
+            state = TcState.initial(LATTICE)
+            for _ in range(30):
+                state = tc_round(state)
+                pcg = partial_cayley(state)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        allocated = len(state.folder.parent)
+        assert pcg.graph.num_vertices == 6421
+        assert peak / allocated <= automata._BYTES_PER_VERTEX, (peak, allocated)
+
+
 class TestPartialCayley:
     def test_single_edge_collapses_to_origin(self):
         g = LabeledGraph(1, 2)
@@ -138,7 +172,7 @@ class TestPartialCayley:
         g = three_cycle()
         g.add_edge(1, 0, g.add_vertex())
         pcg = partial_cayley(TcState(Z3, Folder.of_graph(g), 1))
-        assert canonical_form(pcg.graph) == canonical_form(three_cycle())
+        assert canonical_form(pcg.graph) == canonical_form(fold(three_cycle())[0])
         assert pcg.radius == 1
 
     def test_hair_chains_removed_transitively(self):
@@ -150,7 +184,7 @@ class TestPartialCayley:
         g.add_edge(v, 0, u)
         g.add_edge(u, 0, t)
         pcg = partial_cayley(TcState(Z3, Folder.of_graph(g), 1))
-        assert canonical_form(pcg.graph) == canonical_form(three_cycle())
+        assert canonical_form(pcg.graph) == canonical_form(fold(three_cycle())[0])
 
     def test_requires_a_completed_round(self):
         with pytest.raises(ValueError):
@@ -198,7 +232,7 @@ class TestMeasureRadius:
         ball.add_edge(2, 0, 0)
         ball.add_edge(0, 1, 3)
         ball.add_edge(4, 1, 0)
-        assert canonical_form(restrict_to_radius(pcg.graph, 1)) == canonical_form(ball)
+        assert canonical_form(restrict_to_radius(pcg.graph, 1)) == canonical_form(fold(ball)[0])
 
     def test_agreement_is_genuine(self):
         oracle = oracle_for(Z3)
