@@ -269,6 +269,13 @@ class Folder:
     def add_edge(self, src: int, gen: int, dst: int) -> None:
         self._join(src, bytes((2 * gen,)), dst)
 
+    def step(self, v: int, c: int) -> int:
+        """The class that ``v`` reaches by the letter ``c``, grown fresh
+        when the edge is missing."""
+        v = self.find(v)
+        t = self.delta[c][v]
+        return self._grow(v, c) if t < 0 else self.find(t)
+
     def add_path(self, start: int, word: Word) -> int:
         """Follow ``word`` from ``start``, growing fresh vertices where an
         edge is missing; returns the class of the tip."""
@@ -343,9 +350,23 @@ def grow_loop_complex(folder: Folder, p: Presentation, radius: int) -> None:
     ``Λ_radius``.  Words are enumerated shortest first, so growing radius by
     radius builds the same graph as one pass over all ``|u| ≤ j``."""
     folder.what = f"loop complex at radius {radius}"
-    for u in words_up_to(p.alphabet_size, radius, reduced=True, min_length=radius):
-        for r in p.relators:
-            folder.add_loop(folder.add_path(folder.origin, u), r)
+    k = p.alphabet_size
+
+    def walk(v: int, last: int, left: int) -> None:
+        """Conjugators extending the prefix that ends at ``v`` with
+        ``left`` letters, depth first in code order.  Folding only merges
+        classes, so ``v`` still marks the prefix's tip after the loops of
+        earlier conjugators went in; its class is found afresh each step."""
+        if left == 0:
+            for r in p.relators:
+                folder.add_loop(v, r)
+            return
+        for c in range(k):
+            if c != last ^ 1:
+                walk(folder.step(v, c), c, left - 1)
+
+    if p.relators:
+        walk(folder.origin, -2, radius)
 
 
 def build_loop_complex(p: Presentation, j: int) -> FoldedGraph:

@@ -227,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--budget-len", type=int, default=8,
                          help="search cap on rewrite word length (default 8)")
         cmd.add_argument("--budget-states", type=int, default=2_000_000,
-                         help="search cap on visited states (default 2000000)")
+                         help="search cap on the word orbits a sweep holds (default 2000000)")
 
     wp = sub.add_parser("wp", help="decide triviality against a folded loop complex")
     wp.add_argument("presentation")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import _kernels
-from .automata import Folder, FoldedGraph, grow_loop_complex
+from .automata import Folder, FoldedGraph, distances_from_origin, grow_loop_complex
 from .core import EMPTY, Presentation, Word, words_up_to
 from .rewrite import (
     OracleResult,
@@ -102,6 +102,34 @@ class ReferenceOracle:
         if self.kind == "free":
             return w.reduce() == EMPTY
         return is_trivial(w, self.system, self.budget)[0]
+
+    def trivial_words(self, n: int) -> list[Word]:
+        """Every word of length ≤ n that the oracle calls trivial, shortest
+        first and lexicographic in codes within a length.  A closed form
+        walks prefixes through its Cayley ball and extends one only while
+        the word norm of its element, its distance from the identity, is at
+        most the number of letters left; the rewrite search decides every
+        word."""
+        if self.kind == "rewrite":
+            return [w for w in words_up_to(2 * self.num_generators, n, reduced=False)
+                    if self.decide(w)]
+        # a prefix's element lies within n/2 of the identity, so its
+        # neighbours all lie in the ball
+        ball = self.cayley_ball(n // 2 + 1)
+        norm = distances_from_origin(ball)
+        out: list[Word] = []
+
+        def extend(prefix: bytes, v: int, left: int) -> None:
+            if left == 0:
+                out.append(Word(prefix))
+                return
+            for code, row in enumerate(ball.delta):
+                if norm[t := row[v]] < left:  # at most left - 1 letters remain
+                    extend(prefix + bytes((code,)), t, left - 1)
+
+        for length in range(n + 1):
+            extend(b"", ball.origin, length)
+        return out
 
     def cayley_ball(self, radius: int) -> FoldedGraph:
         """The ball of the group's Cayley graph: vertices within ``radius``
@@ -246,23 +274,27 @@ def measure_profile(
 ) -> FillingProfile:
     """Profile of all four filling functions for 0 ≤ n ≤ n_max, in one pass.
 
-    The oracle decides every word of length ≤ n_max once.  ``P`` and ``f``
-    are running maxima of the per-word search oracles over the trivial
-    words, non-reduced words included (the word's own length counts).  The
-    ``d`` scan and the coset saturation reuse the verdicts for the reduced
-    words; ``rhoTC`` is ``unreached`` from the first n that ``max_rounds``
-    rounds do not decide.  ``system`` is the presentation's rewrite system,
+    The oracle lists the trivial words of length ≤ n_max once.  ``P`` and
+    ``f`` are running maxima of the per-word search oracles over the trivial
+    words, non-reduced words included (the word's own length counts); both
+    are constant on the orbits of the system's symmetries, so they are read
+    once per orbit.  The ``d`` scan and the coset saturation reuse the
+    verdicts for the reduced words; ``rhoTC`` is ``unreached`` from the
+    first n that ``max_rounds`` rounds do not decide.  ``system`` is the presentation's rewrite system,
     shared with the caller so that no sweep of it runs twice.
     """
     p = system.presentation
-    trivial = [w for w in words_up_to(p.alphabet_size, n_max, reduced=False) if oracle.decide(w)]
+    if oracle.num_generators != p.num_generators:
+        raise ValueError("the oracle and the presentation have different generator counts")
+    trivial = oracle.trivial_words(n_max)
     known = {w.codes for w in trivial}
 
     def verdict(u: Word) -> bool:  # the oracle's verdict above, for |u| ≤ n_max
         return u.codes in known
 
-    area = prefix_maxima(trivial, n_max, lambda w: min_isoperimetric(w, system, budget))
-    length = prefix_maxima(trivial, n_max, lambda w: filling_length(w, system, budget))
+    orbits = [Word(codes) for codes in dict.fromkeys(system.canonical(w.codes) for w in trivial)]
+    area = prefix_maxima(orbits, n_max, lambda w: min_isoperimetric(w, system, budget))
+    length = prefix_maxima(orbits, n_max, lambda w: filling_length(w, system, budget))
     diameter = measure_isodiametric(p, n_max, verdict)
     tc = [
         OracleResult(None, OracleStatus.BUDGET_EXCEEDED) if hit is None

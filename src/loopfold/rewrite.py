@@ -14,6 +14,14 @@ room left, so a sweep costs what its reachable words need rather than what
 the rule count implies (168,880 rules for the fused ℤ² lattice).  The rules
 as :class:`Rule` objects are made only when ``relator_rules`` is read.
 
+Sweeps are taken up to symmetry (Emerson & Sistla, *Symmetry and model
+checking*, 1996).  A signed generator permutation that maps the symmetrized
+relator set onto itself, with or without ``w -> w^-1``, is an automorphism of
+the rewrite graph that keeps costs, lengths and the empty word, so a sweep
+holds one representative per orbit of such maps, its least image, and a
+state budget counts orbits.  A cost lookup canonicalizes the word first:
+see :meth:`Exploration.cost`.
+
 Searches are capped by a :class:`SearchBudget`; a value is reported ``Exact``
 only when it has stabilized across two consecutive length caps (``L`` and
 ``L + 2``), since no a-priori bound on intermediate word length is available.
@@ -25,6 +33,7 @@ import enum
 import functools
 from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .core import EMPTY, Presentation, Word
@@ -93,6 +102,51 @@ class BudgetFailure(RuntimeError):
 
 
 _INVERSE = bytes(c ^ 1 for c in range(256))  # letter code -> inverse letter code
+_IDENTITY = bytes(range(256))
+# Past this many maps, least images cost more than the quotient saves, and
+# finding them all would take longer than the sweep: a larger symmetry group
+# (768 maps for rank-4 free abelian, 2·2^g·g! for a free group of rank g) is
+# replaced by {id, w -> w^-1}.
+_MAX_SYMMETRIES = 128
+
+
+def _letter_maps(relators: frozenset[bytes], num_generators: int, limit: int) -> list[bytes] | None:
+    """Translation tables of the signed generator permutations (letter maps
+    that commute with ``c ^ 1``) mapping ``relators`` onto itself, or None
+    when there are more than ``limit``.  Backtracking assigns the most-used
+    generators first and checks each relator once all its generators have
+    an image; a generator only maps to one used as often."""
+    counts = [0] * num_generators
+    for r in relators:
+        for c in r:
+            counts[c >> 1] += 1
+    order = sorted(range(num_generators), key=lambda g: -counts[g])
+    depth_of = {g: d for d, g in enumerate(order)}
+    due: list[list[bytes]] = [[] for _ in order]  # relators checkable at each depth
+    for r in relators:
+        due[max(depth_of[c >> 1] for c in r)].append(r)
+    table = bytearray(_IDENTITY)
+    taken = [False] * num_generators
+    found: list[bytes] = []
+
+    def extend(depth: int) -> bool:  # False once past the limit
+        if depth == num_generators:
+            found.append(bytes(table))
+            return len(found) <= limit
+        g = order[depth]
+        for image in range(num_generators):
+            if taken[image] or counts[image] != counts[g]:
+                continue
+            taken[image] = True
+            for sign in (0, 1):
+                table[2 * g], table[2 * g + 1] = 2 * image + sign, 2 * image + (sign ^ 1)
+                images = map(bytes.translate, due[depth], repeat(table))
+                if relators.issuperset(images) and not extend(depth + 1):
+                    return False
+            taken[image] = False
+        return True
+
+    return found if extend(0) else None
 
 
 class Rule(NamedTuple):
@@ -102,10 +156,17 @@ class Rule(NamedTuple):
 
 
 class Exploration(NamedTuple):
-    """Everything reachable from the empty word under a length cap."""
+    """Everything reachable from the empty word under a length cap, one
+    word per orbit of the system's symmetry group."""
 
-    costs: dict[bytes, int]  # word codes -> minimum relator-rule count
+    costs: dict[bytes, int]  # orbit representative -> minimum relator-rule count
     complete: bool  # False when the state budget stopped the frontier
+    canonical: Callable[[bytes], bytes]  # word codes -> orbit representative
+
+    def cost(self, codes: bytes) -> int | None:
+        """The cost of any word, None when the sweep did not reach it: the
+        cost of its orbit's representative."""
+        return self.costs.get(self.canonical(codes))
 
 
 class RewriteSystem:
@@ -137,7 +198,19 @@ class RewriteSystem:
         self._inserts_within: dict[int, tuple[bytes, ...]] = {}
         self._subst_within: dict[int, dict[bytes, tuple[bytes, ...]]] = {}
 
+        # the symmetry group: letter maps, each also composed with inversion
+        relators = frozenset(r.codes for r in self.symmetrized_presentation.relators)
+        maps = _letter_maps(relators, presentation.num_generators, _MAX_SYMMETRIES // 2)
+        self.symmetries: tuple[bytes, ...] = tuple(maps or [_IDENTITY])
+        # a table for w -> σ(w^-1), read on the reversed word
+        self._inverted: tuple[bytes, ...] = tuple(t.translate(_INVERSE) for t in self.symmetries)
+
         self._sweeps: dict[tuple[int, int], Exploration] = {}
+
+    def canonical(self, codes: bytes) -> bytes:
+        """The least image of ``codes`` under the symmetry group."""
+        return min([*map(codes.translate, self.symmetries),
+                    *map(codes[::-1].translate, self._inverted)])
 
     @functools.cached_property
     def relator_rules(self) -> tuple[Rule, ...]:
@@ -200,39 +273,44 @@ class RewriteSystem:
     # -- exhaustive search -----------------------------------------------
 
     def explore(self, cap: int, max_states: int = 2_000_000) -> Exploration:
-        """0-1 BFS from the empty word over words of length ≤ ``cap``.
+        """0-1 BFS from the empty word over words of length ≤ ``cap``, on
+        orbit representatives: each successor is replaced by its least image.
 
         By symmetry of the rule set, the cost recorded for ``w`` equals the
         minimum relator-rule count of a capped rewrite sequence from ``w``
-        to the empty word.  Results are cached per (cap, state budget).
+        to the empty word.  The sweep holds at most ``max_states`` orbits;
+        one more makes it incomplete.  Results are cached per (cap, state
+        budget).
         """
         key = (cap, max_states)
         cached = self._sweeps.get(key)
         if cached is not None:
             return cached
 
+        canonical = self.canonical
         costs: dict[bytes, int] = {b"": 0}
         dq: deque[tuple[int, bytes]] = deque([(0, b"")])
         complete = True
-        settled = 0
-        while dq:
+        while dq and complete:
             cost, codes = dq.popleft()
-            if costs.get(codes) != cost:
+            if costs[codes] != cost:
                 continue
-            settled += 1
-            if settled > max_states:
-                complete = False
-                break
             for dcost, nxt in self._neighbors(codes, cap):
                 nc = cost + dcost
-                old = costs.get(nxt)
+                old = costs.get(nxt)  # a key is its own least image
+                if old is None:
+                    nxt = canonical(nxt)
+                    old = costs.get(nxt)
+                    if old is None and len(costs) >= max_states:
+                        complete = False
+                        break
                 if old is None or nc < old:
                     costs[nxt] = nc
                     if dcost:
                         dq.append((nc, nxt))
                     else:
                         dq.appendleft((nc, nxt))
-        result = Exploration(costs, complete)
+        result = Exploration(costs, complete, canonical)
         self._sweeps[key] = result
         return result
 
@@ -245,7 +323,7 @@ def min_isoperimetric(w: Word, rs: RewriteSystem, budget: SearchBudget) -> Oracl
     """
     lo = rs.explore(budget.max_word_length, budget.max_states)
     hi = rs.explore(budget.max_word_length + 2, budget.max_states)
-    v_lo, v_hi = lo.costs.get(w.codes), hi.costs.get(w.codes)
+    v_lo, v_hi = lo.cost(w.codes), hi.cost(w.codes)
     if not (lo.complete and hi.complete):
         return OracleResult(v_hi if v_hi is not None else v_lo, OracleStatus.BUDGET_EXCEEDED)
     if v_hi is None:
@@ -268,13 +346,13 @@ def filling_length(w: Word, rs: RewriteSystem, budget: SearchBudget) -> OracleRe
     first = rs.explore(len(w), budget.max_states)
     if not first.complete:
         return OracleResult(None, OracleStatus.BUDGET_EXCEEDED)
-    if w.codes in first.costs:
+    if first.cost(w.codes) is not None:
         return OracleResult(len(w), OracleStatus.EXACT)
 
     outer = rs.explore(cap_limit, budget.max_states)
     if not outer.complete:
         return OracleResult(None, OracleStatus.BUDGET_EXCEEDED)
-    if w.codes not in outer.costs:
+    if outer.cost(w.codes) is None:
         return OracleResult(None, OracleStatus.LOWER_BOUND_ONLY)
 
     lo, hi = len(w), cap_limit  # unreached at lo, reached at hi
@@ -283,7 +361,7 @@ def filling_length(w: Word, rs: RewriteSystem, budget: SearchBudget) -> OracleRe
         probe = rs.explore(mid, budget.max_states)
         if not probe.complete:
             return OracleResult(None, OracleStatus.BUDGET_EXCEEDED)
-        if w.codes in probe.costs:
+        if probe.cost(w.codes) is not None:
             hi = mid
         else:
             lo = mid
@@ -294,7 +372,7 @@ def is_trivial(w: Word, rs: RewriteSystem, budget: SearchBudget) -> tuple[bool, 
     """Semidecision: True iff ``w`` rewrites to the empty word within budget."""
     cap = max(budget.max_word_length, len(w))
     sweep = rs.explore(cap, budget.max_states)
-    if w.codes in sweep.costs:
+    if sweep.cost(w.codes) is not None:
         return True, OracleStatus.EXACT
     return False, (
         OracleStatus.LOWER_BOUND_ONLY if sweep.complete else OracleStatus.BUDGET_EXCEEDED

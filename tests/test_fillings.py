@@ -113,6 +113,17 @@ def test_rewrite_oracle_agrees_with_cyclic():
         assert by_search.decide(word) == closed_form.decide(word), word
 
 
+@pytest.mark.parametrize("oracle, n", [
+    (ReferenceOracle.cyclic(1), 4), (ReferenceOracle.cyclic(2), 6), (ReferenceOracle.cyclic(3), 7),
+    (ReferenceOracle.free_abelian(1), 6), (ReferenceOracle.free_abelian(2), 6),
+    (ReferenceOracle.free(1), 6), (ReferenceOracle.free(2), 6),
+    (ReferenceOracle.rewrite_search(RewriteSystem(Z3), BUDGET), 5),
+], ids=lambda x: x.kind if isinstance(x, ReferenceOracle) else str(x))
+def test_trivial_words_are_the_decided_words_in_order(oracle, n):
+    words = sorted(all_words_up_to(2 * oracle.num_generators, n), key=lambda u: (len(u), u.codes))
+    assert oracle.trivial_words(n) == [u for u in words if oracle.decide(u)]
+
+
 def test_oracle_validation():
     with pytest.raises(ValueError):
         ReferenceOracle("parity")

@@ -24,6 +24,10 @@ CASES = {
     "profile-zxz-n6-rounds2": (
         "profile presentations/zxz.pres --n 6 --oracle free-abelian:2 --rounds 2", 1),
     "profile-z3-n6-rewrite6": ("profile presentations/z3.pres --n 6 --oracle rewrite:6", 1),
+    # the benchmark's profile commands; n = 8 on ℤ² runs the cap-10 sweep
+    "profile-zxz-n8": ("profile presentations/zxz.pres --n 8 --oracle free-abelian:2", 1),
+    "profile-z3-n8": ("profile presentations/z3.pres --n 8 --oracle cyclic:3", 1),
+    "profile-z2-n8": ("profile presentations/z2.pres --n 8 --oracle cyclic:2", 1),
     "grammar-bound-z3-n4": ("grammar-bound presentations/z3.pres --n 4", 0),
     # the benchmark's grammar-bound commands; the witness among equally short
     # words depends on the rule set and its order

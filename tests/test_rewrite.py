@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 from collections import deque
 
 import pytest
@@ -141,14 +142,14 @@ class TestMinIsoperimetric:
             sweep = rs.explore(cap)
             for _ in range(25):
                 u = random_word(rng, p.alphabet_size, rng.randrange(0, 5))
-                assert sweep.costs.get(u.codes) == naive_cost_to_empty(u, rs, cap)
+                assert sweep.cost(u.codes) == naive_cost_to_empty(u, rs, cap)
 
     def test_matches_naive_search_lattice(self):
         rs = RewriteSystem(LATTICE)
         sweep = rs.explore(6)
         for text in ("abAB", "aabABA", "abab", "a"):
             u = w(text)
-            assert sweep.costs.get(u.codes) == naive_cost_to_empty(u, rs, 6)
+            assert sweep.cost(u.codes) == naive_cost_to_empty(u, rs, 6)
 
     def test_budget_monotonicity(self):
         rs = RewriteSystem(Z2)
@@ -203,7 +204,7 @@ class TestFillingLength:
         for _ in range(60):
             u = random_word(rng, 2, rng.randrange(0, 7))
             r = filling_length(u, rs, budget)
-            caps = [c for c in range(0, 9) if u.codes in rs.explore(c).costs]
+            caps = [c for c in range(0, 9) if rs.explore(c).cost(u.codes) is not None]
             if r.value is None:
                 assert not caps
             else:
@@ -262,12 +263,99 @@ class TestIsTrivial:
                 assert is_trivial(u, rs, budget)[0] == is_trivial(u, rs_sym, budget)[0]
 
 
+BS12 = Presentation(2, [parse_word("abABB", 2)])  # Baumslag-Solitar BS(1,2)
+ASYMMETRIC = Presentation(2, [parse_word("aab", 2), parse_word("bbbaB", 2)])
+
+
+class TestSymmetry:
+    """Sweeps hold one word per orbit of the symmetry group: letter maps
+    that commute with inversion and fix the symmetrized relators, each with
+    and without ``w -> w^-1``."""
+
+    def test_group_sizes(self, fused_lattice):
+        sizes = [len(symmetry_maps(rs)) for rs in (RewriteSystem(LATTICE), fused_lattice,
+                                                    RewriteSystem(Z3), RewriteSystem(ASYMMETRIC))]
+        assert sizes == [16, 16, 4, 2]
+
+    def test_maps_commute_with_inversion_and_fix_the_relators(self, fused_lattice):
+        for rs in (RewriteSystem(LATTICE), fused_lattice, RewriteSystem(Z3), RewriteSystem(BS12)):
+            rels = {r.codes for r in rs.symmetrized_presentation.relators}
+            for t in rs.symmetries:
+                assert all(t[c ^ 1] == t[c] ^ 1 for c in range(rs.presentation.alphabet_size))
+            for m in symmetry_maps(rs):
+                assert {m(r) for r in rels} == rels
+                for r in list(rels)[:50]:
+                    assert m(r[::-1].translate(INVERSE)) == m(r)[::-1].translate(INVERSE)
+
+    @pytest.mark.parametrize("p, cap", [(LATTICE, 8), (Z3, 10), (BS12, 8), (ASYMMETRIC, 7)],
+                             ids=["zxz", "z3", "bs12", "asymmetric"])
+    def test_quotient_costs_equal_a_plain_sweep(self, p, cap):
+        rs = RewriteSystem(p)
+        plain = plain_sweep(rs, cap)
+        sweep = rs.explore(cap)
+        assert sweep.complete
+        assert len(sweep.costs) < len(plain)
+        assert all(rs.canonical(rep) == rep for rep in sweep.costs)
+        assert expand_orbits(rs, sweep) == plain
+        assert all(sweep.cost(codes) == cost for codes, cost in plain.items())
+
+    def test_budget_caps_the_orbits_held(self):
+        rs = RewriteSystem(LATTICE)
+        reachable = len(rs.explore(8).costs)
+        for k in (1, 2, 5, 50, reachable - 1, reachable, reachable + 1):
+            sweep = rs.explore(8, k)
+            assert len(sweep.costs) <= k
+            assert sweep.complete is (k >= reachable)
+
+    def test_large_groups_fall_back_to_inversion(self):
+        start = time.perf_counter()
+        rs = RewriteSystem(Presentation(8, []))  # 2·2^8·8! symmetries
+        sweep = rs.explore(6)
+        assert time.perf_counter() - start < 1.0
+        assert len(symmetry_maps(rs)) == 2
+        assert sweep.complete and sweep.cost(w("abcCBA", 8).codes) == 0
+
+
 class TestDeterminism:
     def test_fresh_systems_explore_identically(self):
         a = RewriteSystem(LATTICE).explore(6)
         b = RewriteSystem(LATTICE).explore(6)
         assert a.costs == b.costs
         assert list(a.costs) == list(b.costs)
+
+
+def expand_orbits(rs, sweep):
+    """Every word of the sweep's orbits with its representative's cost."""
+    costs = {}
+    for rep, cost in sweep.costs.items():
+        for m in symmetry_maps(rs):
+            costs[m(rep)] = cost
+    return costs
+
+
+def symmetry_maps(rs):
+    """The symmetry group of ``rs`` as functions on word codes: each letter
+    map, and each letter map after inversion."""
+    maps = [lambda codes, t=t: codes.translate(t) for t in rs.symmetries]
+    return maps + [lambda codes, m=m: m(codes[::-1].translate(INVERSE)) for m in maps]
+
+
+INVERSE = bytes(c ^ 1 for c in range(256))
+
+
+def plain_sweep(rs, cap):
+    """A 0-1 BFS from the empty word over every word, no quotient."""
+    costs = {b"": 0}
+    dq = deque([(0, b"")])
+    while dq:
+        cost, codes = dq.popleft()
+        if costs[codes] != cost:
+            continue
+        for dcost, nxt in rs._neighbors(codes, cap):
+            if nxt not in costs or cost + dcost < costs[nxt]:
+                costs[nxt] = cost + dcost
+                (dq.append if dcost else dq.appendleft)((cost + dcost, nxt))
+    return costs
 
 
 def _digest(pairs):
@@ -283,20 +371,33 @@ def fused_lattice():
 
 
 class TestFusedLattice:
-    """Sweeps of the fused lattice (3,200 relators up to length 16).  The
-    successor order decides which states a budget-cut sweep settles and the
-    order of the keys, so counts, cost sums and key-order digests are pinned."""
+    """Sweeps of the fused lattice (3,200 relators up to length 16).  A
+    complete sweep, its orbits expanded, must give every word the cost the
+    unquotiented sweep gave it: digests of the sorted (word, cost) pairs
+    pin those costs.  The successor order decides which orbits a budget-cut
+    sweep holds and the order of its keys, so its counts, cost sum and
+    key-order digest are pinned."""
 
-    @pytest.mark.parametrize("cap, max_states, complete, states, cost_sum, digest", [
-        (6, 50, False, 253, 126, "5bb46e5341d0044b"),
-        (8, 300, False, 3441, 1831, "612f8de14d594b00"),
-        (6, 2_000_000, True, 441, 176, "7e0d3712e4c4b7e9"),
+    @pytest.mark.parametrize("cap, states, cost_sum, digest", [
+        (6, 441, 176, "32b24f4bd23b5621"),
+        (8, 5341, 3016, "dd172c3a72f1222d"),
     ])
-    def test_sweeps_keep_their_order(self, fused_lattice, cap, max_states, complete,
-                                     states, cost_sum, digest):
+    def test_full_sweeps_keep_their_costs(self, fused_lattice, cap, states, cost_sum, digest):
+        sweep = fused_lattice.explore(cap)
+        assert sweep.complete
+        costs = expand_orbits(fused_lattice, sweep)
+        assert (len(costs), sum(costs.values())) == (states, cost_sum)
+        assert _digest((k, str(c).encode()) for k, c in sorted(costs.items())) == digest
+
+    @pytest.mark.parametrize("cap, max_states, orbits, cost_sum, digest", [
+        (6, 20, 20, 8, "c89c57f05935f139"),
+        (8, 300, 300, 171, "bc3f2a9d1229fced"),
+    ])
+    def test_cut_sweeps_keep_their_order(self, fused_lattice, cap, max_states, orbits,
+                                         cost_sum, digest):
         sweep = fused_lattice.explore(cap, max_states)
-        assert sweep.complete is complete
-        assert (len(sweep.costs), sum(sweep.costs.values())) == (states, cost_sum)
+        assert sweep.complete is False
+        assert (len(sweep.costs), sum(sweep.costs.values())) == (orbits, cost_sum)
         assert _digest((k, str(c).encode()) for k, c in sweep.costs.items()) == digest
 
     def test_relator_rules_in_order(self, fused_lattice):
