@@ -40,7 +40,7 @@ from .fillings import (
     profile_to_csv,
 )
 from .grammar import double_exp_experiment
-from .rewrite import BudgetFailure, RewriteSystem, SearchBudget
+from .rewrite import BudgetFailure, OracleStatus, RewriteSystem, SearchBudget
 from .toddcoxeter import TcState, partial_cayley, tc_round
 
 
@@ -146,6 +146,11 @@ def cmd_profile(args) -> int:
     profile = measure_profile(system, args.n, oracle, budget, max_rounds=args.rounds)
     report = check_inequalities(profile)
     _write(profile_to_csv(profile, report), args.csv)
+    for row in profile.rows:
+        for name, cell in (("P", row.area), ("f", row.length)):
+            if cell.status is OracleStatus.BUDGET_EXCEEDED:
+                raise BudgetFailure(
+                    f"{name} at n={row.n} is BudgetExceeded; raise --budget-states")
     ok = report.asserted_hold and report.equality_holds
     if args.verify:
         ok = _fusion_holds(compress(p), system, args.n, budget) and ok

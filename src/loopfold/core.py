@@ -9,6 +9,8 @@ A word is an immutable sequence of codes; free reduction cancels adjacent
 
 from __future__ import annotations
 
+import functools
+import re
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -23,6 +25,9 @@ class Letter(NamedTuple):
 
 def inverse_code(code: int) -> int:
     return code ^ 1
+
+
+_INVERSE = bytes(c ^ 1 for c in range(256))  # letter code -> inverse letter code
 
 
 def reduce_codes(codes: bytes) -> bytes:
@@ -79,7 +84,7 @@ class Word:
         return f"Word({render_word(self)!r})"
 
     def inverse(self) -> "Word":
-        return Word(bytes(c ^ 1 for c in reversed(self.codes)))
+        return Word(self.codes[::-1].translate(_INVERSE))
 
     def reduce(self) -> "Word":
         return Word(reduce_codes(self.codes))
@@ -108,17 +113,34 @@ def words_up_to(
     alphabet_size - 1``, or only the freely reduced ones: shortest first,
     lexicographic in codes within a length.  Words are made one at a time,
     never held as a list."""
-
-    def extend(prefix: bytes, left: int) -> Iterator[Word]:
-        if left == 0:
-            yield Word(prefix)
-            return
-        for c in range(alphabet_size):
-            if not (reduced and prefix and prefix[-1] == c ^ 1):
-                yield from extend(prefix + bytes((c,)), left - 1)
-
+    letters = range(alphabet_size)
     for length in range(min_length, n + 1):
-        yield from extend(b"", length)
+        if length == 0:
+            yield EMPTY
+            continue
+        word = bytearray(length)  # the least word; a run of code 0 is reduced
+        while True:
+            skip = word[-2] ^ 1 if reduced and length > 1 else -1
+            for c in letters:
+                if c != skip:
+                    word[-1] = c
+                    yield Word(word)
+            # odometer step: raise the rightmost letter before the last that
+            # can still grow, and reset the letters after it to the least
+            # tail; after code 1 a reduced word cannot take 0, so that tail
+            # is a run of 1
+            i = length - 2
+            while i >= 0:
+                c = word[i] + 1
+                if reduced and i and c == word[i - 1] ^ 1:
+                    c += 1
+                if c < alphabet_size:
+                    break
+                i -= 1
+            else:
+                break
+            word[i] = c
+            word[i + 1 :] = (b"\x01" if reduced and c == 1 else b"\x00") * (length - 1 - i)
 
 
 class ParseError(ValueError):
@@ -161,6 +183,16 @@ def render_word(w: Word) -> str:
     return "".join(out)
 
 
+@functools.cache
+def _irregular(alphabet_size: int) -> re.Pattern[bytes]:
+    """A pattern matching a cancelling pair ``c c^-1`` or a letter outside
+    the alphabet: a nonempty word it does not match is a reduced word over
+    the alphabet."""
+    top = min(alphabet_size, 256) - 1  # letters are bytes
+    pairs = [b"\\x%02x\\x%02x" % (c, c ^ 1) for c in range(top + 1)]
+    return re.compile(b"|".join([*pairs, b"[^\\x00-\\x%02x]" % top]))
+
+
 class Presentation:
     """A finite presentation: a generator count and a tuple of relators.
 
@@ -174,15 +206,21 @@ class Presentation:
     def __init__(self, num_generators: int, relators: Iterable[Word] = ()):
         if not isinstance(num_generators, int) or num_generators < 1:
             raise ValueError("a presentation needs at least one generator")
+        irregular = _irregular(2 * num_generators)
         reduced = []
         for r in relators:
+            # most relators are reduced words over the alphabet already: one
+            # C-level search finds them, and only the rest are reduced here
+            if r.codes and irregular.search(r.codes) is None:
+                reduced.append(r)
+                continue
             r = r.reduce()
             if len(r) == 0:
                 raise ValueError("the empty word is not allowed as a relator")
             if any(c >= 2 * num_generators for c in r.codes):
                 raise ValueError("relator uses a letter outside the alphabet")
             reduced.append(r)
-        reduced.sort(key=lambda w: (len(w), w.codes))
+        reduced.sort(key=lambda w: (len(w.codes), w.codes))
         seen, kept = set(), []
         for r in reduced:
             if r.codes not in seen:
@@ -226,14 +264,31 @@ class Presentation:
         """Close the relator set under inversion and cyclic permutation.
 
         Permutations of a relator that is not cyclically reduced are freely
-        reduced on load; for cyclically reduced relators this is the literal
+        reduced; for cyclically reduced relators this is the literal
         closure.  The result presents the same group.
         """
         rotations = set()  # distinct code strings only: many relators share rotations
         for r in self.relators:
             for base in (r.codes, r.inverse().codes):
-                rotations.update(base[i:] + base[:i] for i in range(len(base)))
+                rotations |= _reduced_rotations(base)
         return Presentation(self.num_generators, map(Word, rotations))
+
+
+def _reduced_rotations(codes: bytes) -> set[bytes]:
+    """The freely reduced cyclic permutations of a nonempty reduced word.
+
+    Write ``codes = x u x^-1`` with ``u`` cyclically reduced.  A rotation
+    inside ``u`` reduces to a rotation of ``u``; one inside ``x`` or
+    ``x^-1`` cancels at the seam down to ``y u y^-1`` for a suffix ``y`` of
+    ``x``, the middle factor of ``codes`` that drops ``|x| - |y|`` letters
+    from each end.  So no rotation has to be reduced letter by letter.
+    """
+    n = len(codes)
+    k = 0  # |x|; the scan stops by the middle, as ``codes`` is reduced
+    while codes[k] == codes[n - 1 - k] ^ 1:
+        k += 1
+    u = codes[k : n - k]
+    return {codes[i : n - i] for i in range(k)} | {u[i:] + u[:i] for i in range(len(u))}
 
 
 def parse_presentation(text: str) -> Presentation:

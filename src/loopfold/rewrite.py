@@ -9,10 +9,14 @@ triviality, its minimum relator-application count, and its filling length.
 
 The search reads the relator rules as ``bytes`` from two indexes: the
 insertions ``1 -> v`` and the substitutions keyed by left-hand side, each in
-rule order.  Both are cut to the right-hand sides that fit under the cap, per
-room left, so a sweep costs what its reachable words need rather than what
-the rule count implies (168,880 rules for the fused ℤ² lattice).  The rules
-as :class:`Rule` objects are made only when ``relator_rules`` is read.
+rule order.  They hold only the rules that can fire under the largest cap
+asked for so far, those with |u| ≤ cap and |v| ≤ cap, and grow when a larger
+cap is asked for: the fused ℤ² lattice has 168,880 rules, and its sweeps at
+caps 4 and 6 index 408 and 4,872 of them.  Both indexes are cut again to the
+right-hand sides that fit in the room left under the cap, so a sweep costs
+what its reachable words need rather than what the rule count implies.  The
+rules as :class:`Rule` objects are made only when ``relator_rules`` is read,
+straight from the symmetrized relators.
 
 Sweeps are taken up to symmetry (Emerson & Sistla, *Symmetry and model
 checking*, 1996).  A signed generator permutation that maps the symmetrized
@@ -31,12 +35,13 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from collections import deque
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .core import EMPTY, Presentation, Word
+from .core import _INVERSE, EMPTY, Presentation, Word
 
 
 class OracleStatus(enum.Enum):
@@ -101,7 +106,6 @@ class BudgetFailure(RuntimeError):
     """A result that needs Exact values got one the budget could not settle."""
 
 
-_INVERSE = bytes(c ^ 1 for c in range(256))  # letter code -> inverse letter code
 _IDENTITY = bytes(range(256))
 # Past this many maps, least images cost more than the quotient saves, and
 # finding them all would take longer than the sweep: a larger symmetry group
@@ -183,23 +187,20 @@ class RewriteSystem:
             free_rules.append(Rule(EMPTY, pair, False))
         self.free_rules: tuple[Rule, ...] = tuple(free_rules)
 
-        # factor-indexed views for the search inner loop, built from bytes
-        by_lhs: dict[bytes, set[bytes]] = {}
-        for r in self.symmetrized_presentation.relators:
-            codes = r.codes
-            for i in range(len(codes) + 1):
-                by_lhs.setdefault(codes[:i], set()).add(codes[i:][::-1].translate(_INVERSE))
-        self._relator_inserts: tuple[bytes, ...] = tuple(sorted(by_lhs.pop(b"", ())))
-        self._subst: dict[bytes, tuple[bytes, ...]] = {
-            u: tuple(sorted(vs)) for u, vs in by_lhs.items()
-        }
-        self._lhs_lengths = tuple(sorted({len(u) for u in self._subst}))
+        # shortlex, so the relators that fit under a cap come first
+        self._relators = tuple(r.codes for r in self.symmetrized_presentation.relators)
+        # factor-indexed views for the search inner loop, built from bytes by
+        # _cover for the largest cap asked for so far (empty until then)
+        self._index_cap: float = -1
+        self._relator_inserts: tuple[bytes, ...] = ()
+        self._subst: dict[bytes, tuple[bytes, ...]] = {}
+        self._lhs_lengths: tuple[int, ...] = ()
         # the same views cut to the right-hand sides that fit in a given room
         self._inserts_within: dict[int, tuple[bytes, ...]] = {}
         self._subst_within: dict[int, dict[bytes, tuple[bytes, ...]]] = {}
 
         # the symmetry group: letter maps, each also composed with inversion
-        relators = frozenset(r.codes for r in self.symmetrized_presentation.relators)
+        relators = frozenset(self._relators)
         maps = _letter_maps(relators, presentation.num_generators, _MAX_SYMMETRIES // 2)
         self.symmetries: tuple[bytes, ...] = tuple(maps or [_IDENTITY])
         # a table for w -> σ(w^-1), read on the reversed word
@@ -215,10 +216,33 @@ class RewriteSystem:
     @functools.cached_property
     def relator_rules(self) -> tuple[Rule, ...]:
         """Every relator rule ``u -> v``, in (|u|, u, |v|, v) order."""
-        pairs = [(b"", v) for v in self._relator_inserts]
-        pairs += [(u, v) for u, vs in self._subst.items() for v in vs]
-        pairs.sort(key=lambda p: (len(p[0]), p[0], len(p[1]), p[1]))
-        return tuple(Rule(Word(u), Word(v), True) for u, v in pairs)
+        pairs = {(r[:i], r[i:][::-1].translate(_INVERSE))
+                 for r in self._relators for i in range(len(r) + 1)}
+        ordered = sorted(pairs, key=lambda p: (len(p[0]), p[0], len(p[1]), p[1]))
+        return tuple(Rule(Word(u), Word(v), True) for u, v in ordered)
+
+    def _cover(self, cap: int) -> None:
+        """Index the relator rules that can fire under ``cap``: the splits
+        ``r = u * v^-1`` with |u| ≤ cap and |v| ≤ cap.  Any other rule has a
+        left-hand side longer than every word or a result longer than the
+        cap.  A relator longer than ``2 * cap`` has no such split, and the
+        relators are in shortlex order, so the loop stops at the first one.
+        Once the cap reaches the longest relator the index holds every rule
+        and is never rebuilt.  The cut views stay valid across a rebuild:
+        each holds only right-hand sides no longer than the cap it was cut
+        for, all of which were indexed then."""
+        by_lhs: dict[bytes, set[bytes]] = {}
+        for r in self._relators:
+            n = len(r)
+            if n > 2 * cap:
+                break
+            for i in range(max(0, n - cap), min(n, cap) + 1):
+                by_lhs.setdefault(r[:i], set()).add(r[i:][::-1].translate(_INVERSE))
+        self._relator_inserts = tuple(sorted(by_lhs.pop(b"", ())))
+        self._subst = {u: tuple(sorted(vs)) for u, vs in by_lhs.items()}
+        self._lhs_lengths = tuple(sorted({len(u) for u in self._subst}))
+        longest = len(self._relators[-1]) if self._relators else 0
+        self._index_cap = cap if cap < longest else math.inf
 
     # -- rule application ------------------------------------------------
 
@@ -239,9 +263,12 @@ class RewriteSystem:
         right-hand side, then position), substitutions (by left-hand length,
         position, right-hand side).  Right-hand sides are read from views cut
         to the room left under the cap, so no option is tested for length
-        here; a left-hand side's cut is made the first time it is met.
+        here; a left-hand side's cut is made the first time it is met.  The
+        index is grown first if it does not cover the cap or the word.
         """
         n = len(codes)
+        if cap > self._index_cap or n > self._index_cap:
+            self._cover(max(cap, n))
         for i in range(n - 1):
             if codes[i + 1] == codes[i] ^ 1:
                 yield 0, codes[:i] + codes[i + 2 :]

@@ -131,6 +131,18 @@ def test_profile_rounds_must_be_positive(capsys):
         assert captured.out == ""
 
 
+def test_profile_state_budget_failure(capsys):
+    # 50 orbits stop every sweep, so every P cell is BudgetExceeded; the CSV
+    # is still written in full
+    assert run_cli("profile", FREE2, "--n", "6", "--oracle", "free:2",
+                   "--budget-states", "50") == 3
+    captured = capsys.readouterr()
+    rows = captured.out.splitlines()
+    assert len(rows) == 8
+    assert all(row.split(",")[2] == "BudgetExceeded" for row in rows[1:])
+    assert captured.err == "loopfold: P at n=0 is BudgetExceeded; raise --budget-states\n"
+
+
 # -- compress ---------------------------------------------------------------------
 
 

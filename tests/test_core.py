@@ -156,6 +156,21 @@ class TestPresentation:
                 for perm in r.cyclic_permutations():
                     assert perm.reduce() in rels
 
+    def test_symmetrized_reduces_every_rotation(self):
+        # relators that are not cyclically reduced (conjugates x u x^-1)
+        # reduce their rotations to rotations of u and middle factors
+        rng = random.Random(13)
+        for _ in range(200):
+            x = random_word(rng, 2, rng.randrange(0, 4))
+            u = random_word(rng, 2, rng.randrange(1, 6))
+            r = (x * u * x.inverse()).reduce()
+            if not len(r):
+                continue
+            expected = {reduce_oracle(base[i:] + base[:i])
+                        for base in (r.codes, r.inverse().codes) for i in range(len(base))}
+            s = Presentation(2, [r]).symmetrized()
+            assert {q.codes for q in s.relators} == expected - {b""}, r
+
 
 class TestTextFormat:
     def test_parse_round_trip(self):

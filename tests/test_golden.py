@@ -1,10 +1,12 @@
 """Whole-command golden outputs: each command's CSV and exit code, byte for
-byte, for the four sample presentations, and the summary line and DOT
-snapshot of the benchmark's ``tc`` commands.  The files under ``golden/``
-were written by the command lines below; regenerate one with
-``PYTHONPATH=src python -m loopfold <args> > tests/golden/<name>.csv``, or
-for a ``tc`` case with ``PYTHONPATH=src python -m loopfold <args> --dot
-tests/golden/<name>.dot > tests/golden/<name>.out``."""
+byte, for the four sample presentations; the summary line and DOT snapshot
+of the benchmark's ``tc`` commands; and the fused presentation that the
+benchmark's heaviest ``compress --verify`` prints.  The files under
+``golden/`` were written by the command lines below; regenerate one with
+``PYTHONPATH=src python -m loopfold <args> > tests/golden/<name>.csv``
+(``.out`` for the ``compress`` case), or for a ``tc`` case with
+``PYTHONPATH=src python -m loopfold <args> --dot tests/golden/<name>.dot >
+tests/golden/<name>.out``."""
 
 from pathlib import Path
 
@@ -42,6 +44,15 @@ def test_golden_output(name, capsys, monkeypatch):
     monkeypatch.chdir(REPO)
     assert main(command.split()) == exit_code
     assert capsys.readouterr().out == (GOLDEN / f"{name}.csv").read_text(encoding="utf-8")
+
+
+def test_golden_compress_output(capsys, monkeypatch):
+    # the benchmark's heaviest fusion check: stdout is the fused presentation
+    # (3,200 relators), and every row of the halving check holds
+    monkeypatch.chdir(REPO)
+    assert main("compress presentations/zxz.pres --verify --n 4 --budget-len 4".split()) == 0
+    golden = GOLDEN / "compress-zxz-n4-verify.out"
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
 
 # the benchmark's coset saturation commands; the DOT goes through the

@@ -1,3 +1,5 @@
+import itertools
+
 from loopfold._kernels import trace_batch
 from loopfold.core import Word, words_up_to
 
@@ -43,3 +45,14 @@ def test_enumeration_is_shortest_first():
     lengths = [len(u) for u in words_up_to(4, 4, reduced=False)]
     assert lengths == sorted(lengths)
     assert len(lengths) == sum(4**L for L in range(5))
+
+
+def test_enumeration_matches_a_product_listing():
+    for k, n, min_length in [(1, 4, 0), (2, 5, 2), (3, 4, 1), (4, 3, 3), (4, 2, 3)]:
+        for reduced in (False, True):
+            expected = [bytes(t) for L in range(min_length, n + 1)
+                        for t in itertools.product(range(k), repeat=L)]
+            if reduced:
+                expected = [u for u in expected if Word(u).is_reduced()]
+            got = [u.codes for u in words_up_to(k, n, reduced=reduced, min_length=min_length)]
+            assert got == expected, (k, n, min_length, reduced)
