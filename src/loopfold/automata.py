@@ -19,9 +19,11 @@ bounded length are exactly the trivial ones once ``j`` is large enough.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass, replace
+from typing import Iterator
 
 from .core import Presentation, Word, words_up_to
 
@@ -344,12 +346,12 @@ def fold(graph: LabeledGraph) -> tuple[FoldedGraph, list[int]]:
 # -- construction -----------------------------------------------------------
 
 
-def grow_loop_complex(folder: Folder, p: Presentation, radius: int) -> None:
-    """Fold into ``folder``, which holds ``Λ_{radius-1}`` (or nothing at
-    radius 0), the loops ``r^u`` with ``|u| = radius``; it then holds
-    ``Λ_radius``.  Words are enumerated shortest first, so growing radius by
-    radius builds the same graph as one pass over all ``|u| ≤ j``."""
-    folder.what = f"loop complex at radius {radius}"
+def loop_complexes(p: Presentation) -> Iterator[FoldedGraph]:
+    """The loop complexes ``Λ_0, Λ_1, …``, grown in one folder: radius ``j``
+    folds in the loops ``r^u`` with ``|u| = j``.  Words are enumerated
+    shortest first, so growing radius by radius builds the same graph as
+    one pass over all ``|u| ≤ j``."""
+    folder = Folder(p.num_generators)
     k = p.alphabet_size
 
     def walk(v: int, last: int, left: int) -> None:
@@ -365,8 +367,11 @@ def grow_loop_complex(folder: Folder, p: Presentation, radius: int) -> None:
             if c != last ^ 1:
                 walk(folder.step(v, c), c, left - 1)
 
-    if p.relators:
-        walk(folder.origin, -2, radius)
+    for radius in itertools.count():
+        folder.what = f"loop complex at radius {radius}"
+        if p.relators:
+            walk(folder.origin, -2, radius)
+        yield folder.snapshot()
 
 
 def build_loop_complex(p: Presentation, j: int) -> FoldedGraph:
@@ -375,10 +380,7 @@ def build_loop_complex(p: Presentation, j: int) -> FoldedGraph:
     reading ``u`` with an ``r``-cycle at its tip."""
     if j < 0:
         raise ValueError("radius must be nonnegative")
-    folder = Folder(p.num_generators)
-    for radius in range(j + 1):
-        grow_loop_complex(folder, p, radius)
-    return folder.snapshot()
+    return next(itertools.islice(loop_complexes(p), j, None))
 
 
 def build_tree_nfa(p: Presentation, j: int) -> LabeledGraph:

@@ -56,6 +56,11 @@ def _load_presentation(path: str) -> Presentation:
         raise UsageError(f"cannot read presentation: {exc}") from exc
 
 
+def _need_relators(p: Presentation, what: str) -> None:
+    if not p.relators:
+        raise UsageError(f"{what} needs a presentation with at least one relator")
+
+
 def _budget(args) -> SearchBudget:
     if args.budget_len <= 0 or args.budget_states <= 0:
         raise UsageError("budget caps must be positive")
@@ -72,18 +77,19 @@ def _parse_oracle(text: str, system: RewriteSystem, budget: SearchBudget) -> Ref
         value = int(arg)
     except ValueError as exc:
         raise UsageError(f"oracle parameter {arg!r} is not an integer") from exc
-    if name == "cyclic":
-        oracle = ReferenceOracle.cyclic(value)
-    elif name == "free-abelian":
-        oracle = ReferenceOracle.free_abelian(value)
-    elif name == "free":
-        oracle = ReferenceOracle.free(value)
-    elif name == "rewrite":
-        oracle = ReferenceOracle.rewrite_search(
-            system, SearchBudget(max_word_length=value, max_states=budget.max_states)
-        )
-    else:
+    makers = {
+        "cyclic": ReferenceOracle.cyclic,
+        "free-abelian": ReferenceOracle.free_abelian,
+        "free": ReferenceOracle.free,
+        "rewrite": lambda length: ReferenceOracle.rewrite_search(
+            system, SearchBudget(max_word_length=length, max_states=budget.max_states)),
+    }
+    if name not in makers:
         raise UsageError(f"unknown oracle {name!r}")
+    try:
+        oracle = makers[name](value)
+    except ValueError as exc:
+        raise UsageError(f"oracle {text!r}: {exc}") from exc
     if oracle.num_generators != p.num_generators:
         raise UsageError(
             f"oracle {text!r} speaks {oracle.num_generators} generator(s), "
@@ -143,6 +149,8 @@ def cmd_profile(args) -> int:
         raise UsageError("--n must be nonnegative")
     if args.rounds < 1:
         raise UsageError("--rounds must be at least 1")
+    if args.verify:
+        _need_relators(p, "profile --verify")
     profile = measure_profile(system, args.n, oracle, budget, max_rounds=args.rounds)
     report = check_inequalities(profile)
     _write(profile_to_csv(profile, report), args.csv)
@@ -159,10 +167,12 @@ def cmd_profile(args) -> int:
 
 def cmd_compress(args) -> int:
     p = _load_presentation(args.presentation)
+    _need_relators(p, "compress")
+    budget = _budget(args) if args.verify else None
     compressed = compress(p)
     sys.stdout.write(render_presentation(compressed.combined))
     if args.verify:
-        if not _fusion_holds(compressed, RewriteSystem(p), args.n, _budget(args)):
+        if not _fusion_holds(compressed, RewriteSystem(p), args.n, budget):
             return 1
     return 0
 
@@ -200,6 +210,7 @@ def cmd_grammar_bound(args) -> int:
     oracle = _parse_oracle(args.oracle, system, budget)
     if args.n < 0:
         raise UsageError("--n must be nonnegative")
+    _need_relators(p, "grammar-bound")
     reports = double_exp_experiment(system, args.n, oracle, budget)
     bounds: dict[tuple[int, int], str] = {}  # the bound depends on (n, d) only
     with _output(args.csv) as out:

@@ -19,12 +19,10 @@ constants ``C = 2(2|A|+1)·||R||²`` and ``c = (2|A|)²``.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable
 
 from . import _kernels
-from .automata import Folder, FoldedGraph, distances_from_origin, grow_loop_complex
+from .automata import Folder, FoldedGraph, distances_from_origin, loop_complexes
 from .core import EMPTY, Presentation, Word, words_up_to
 from .rewrite import (
     OracleResult,
@@ -193,57 +191,33 @@ def _exponent_sum(w: Word, gen: int) -> int:
 # -- isodiametric measurement -------------------------------------------------
 
 
-class LoopComplexScanner:
-    """Grows one folded loop complex radius by radius and batch-traces word
-    sets against each radius's DFA."""
-
-    def __init__(self, p: Presentation):
-        self.presentation = p
-        self._folder = Folder(p.num_generators)
-        self._dfas: list[FoldedGraph] = []
-
-    def dfa(self, j: int) -> FoldedGraph:
-        while len(self._dfas) <= j:
-            grow_loop_complex(self._folder, self.presentation, len(self._dfas))
-            self._dfas.append(self._folder.snapshot())
-        return self._dfas[j]
-
-    def accepts_all(self, j: int, words: list[bytes]) -> bool:
-        dfa = self.dfa(j)
-        return all(s == dfa.origin for s in _kernels.trace_batch(dfa.delta, dfa.origin, words))
-
-
 def measure_isodiametric(
     p: Presentation,
     n_max: int,
-    oracle: Callable[[Word], bool],
+    trivial: list[Word],
     max_radius: int | None = None,
-    scanner: LoopComplexScanner | None = None,
 ) -> list[OracleResult]:
     """Entry ``n`` (0 ≤ n ≤ n_max) is d(n), the smallest radius ``j ≤
     max_radius`` (default ``n``) whose folded loop complex accepts the
-    reduction of every oracle-trivial word of length ≤ n.
+    reduction of every word of length ≤ n in ``trivial``, the oracle's list
+    of trivial words of length ≤ n_max.
 
     Acceptance is sound at every radius, so only completeness is scanned.
     Every trivial word reduces to a reduced trivial word of no greater
-    length, so the scan runs over reduced words only.  A radius that misses
-    a word of length ≤ n misses it for every larger n too, so the scan for
-    n + 1 starts where the scan for n stopped.
+    length, so the scan runs over the reduced words of the list only.
     """
-    scanner = scanner or LoopComplexScanner(p)
-    words = [u.codes for u in words_up_to(p.alphabet_size, n_max, reduced=True) if oracle(u)]
-    column = []
-    j = 0
-    for n in range(n_max + 1):
-        upto_n = words[: bisect_right(words, n, key=len)]  # words are shortest first
-        limit = n if max_radius is None else max_radius
-        while j <= limit and not scanner.accepts_all(j, upto_n):
-            j += 1
-        if j <= limit:
-            column.append(OracleResult(j, OracleStatus.EXACT))
-        else:
-            column.append(OracleResult(None, OracleStatus.LOWER_BOUND_ONLY))
-    return column
+    layers: list[tuple[list[bytes], list[bool]]] = [([], []) for _ in range(n_max + 1)]
+    for u in trivial:
+        if u.is_reduced():
+            words, verdicts = layers[len(u)]
+            words.append(u.codes)
+            verdicts.append(True)
+    limits = [n if max_radius is None else max_radius for n in range(n_max + 1)]
+    return [
+        OracleResult(None, OracleStatus.LOWER_BOUND_ONLY) if hit is None
+        else OracleResult(hit[0], OracleStatus.EXACT)
+        for hit in _kernels.first_deciding(loop_complexes(p), layers, limits)
+    ]
 
 
 # -- profiles -----------------------------------------------------------------
@@ -278,28 +252,23 @@ def measure_profile(
     ``f`` are running maxima of the per-word search oracles over the trivial
     words, non-reduced words included (the word's own length counts); both
     are constant on the orbits of the system's symmetries, so they are read
-    once per orbit.  The ``d`` scan and the coset saturation reuse the
-    verdicts for the reduced words; ``rhoTC`` is ``unreached`` from the
-    first n that ``max_rounds`` rounds do not decide.  ``system`` is the presentation's rewrite system,
+    once per orbit.  The ``d`` scan and the coset saturation read the same
+    list; ``rhoTC`` is ``unreached`` from the first n that ``max_rounds``
+    rounds do not decide.  ``system`` is the presentation's rewrite system,
     shared with the caller so that no sweep of it runs twice.
     """
     p = system.presentation
     if oracle.num_generators != p.num_generators:
         raise ValueError("the oracle and the presentation have different generator counts")
     trivial = oracle.trivial_words(n_max)
-    known = {w.codes for w in trivial}
-
-    def verdict(u: Word) -> bool:  # the oracle's verdict above, for |u| ≤ n_max
-        return u.codes in known
-
     orbits = [Word(codes) for codes in dict.fromkeys(system.canonical(w.codes) for w in trivial)]
     area = prefix_maxima(orbits, n_max, lambda w: min_isoperimetric(w, system, budget))
     length = prefix_maxima(orbits, n_max, lambda w: filling_length(w, system, budget))
-    diameter = measure_isodiametric(p, n_max, verdict)
+    diameter = measure_isodiametric(p, n_max, trivial)
     tc = [
         OracleResult(None, OracleStatus.BUDGET_EXCEEDED) if hit is None
         else OracleResult(hit[1], OracleStatus.EXACT)
-        for hit in measure_tc_radius(p, n_max, verdict, max_rounds=max_rounds)
+        for hit in measure_tc_radius(p, n_max, trivial, max_rounds=max_rounds)
     ]
     rows = (ProfileRow(n, *cells) for n, cells in enumerate(zip(area, length, diameter, tc)))
     return FillingProfile(p, n_max, tuple(rows))

@@ -15,9 +15,9 @@ reachable triples rather than push moves times state pairs.
 
 PDA conventions: acceptance is by empty stack from initial stack ``(z,)``;
 every move either pushes one symbol above the inspected top or pops the top.
-States are all-integer labels for deterministic ordering — the countdown
-stages m..0 (stage m doubles as the reading phase) plus -1 for the final
-state; product states pair an NFA vertex with a stage.
+A state pairs an NFA vertex with a stage: the countdown stages m..0 (stage
+m doubles as the reading phase) plus -1 for the final state.  Both parts
+are integers, so states order deterministically.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .automata import LabeledGraph, build_tree_nfa, nfa_accepts
-from .core import EMPTY, Presentation, Word, inverse_code, render_word, words_up_to
+from .core import EMPTY, Presentation, Word, inverse_code, render_word
 from .fillings import (
     ReferenceOracle,
     double_exp_bound,
@@ -65,26 +65,12 @@ def _stack_alphabet(num_generators: int) -> list[int]:
 
 
 def build_dyck_pda(w: Word, num_generators: int) -> Pda:
-    """Standalone machine accepting exactly the words freely equal to ``w``.
-
-    Reading phase at stage m: pop when the input letter inverts the top,
-    push otherwise.  Countdown phase: empty-input pops matching red(w) from
-    its last letter down, then the bottom marker.
-    """
-    target = w.reduce().codes
-    m = len(target)
-    states = tuple(range(m, -1, -1)) + (-1,)
-    moves = []
-    for a in range(2 * num_generators):
-        for t in _stack_alphabet(num_generators):
-            if t == inverse_code(a):
-                moves.append(Move(m, a, t, m, (POP,)))
-            else:
-                moves.append(Move(m, a, t, m, (PUSH, a)))
-    for i in range(m, 0, -1):
-        moves.append(Move(i, None, target[i - 1], i - 1, (POP,)))
-    moves.append(Move(0, None, BOTTOM, -1, (POP,)))
-    return Pda(num_generators, states, start=m, final=-1, moves=tuple(moves))
+    """Standalone machine accepting exactly the words freely equal to ``w``:
+    the product with a one-vertex NFA that loops on every letter."""
+    bouquet = LabeledGraph(num_generators)
+    for gen in range(num_generators):
+        bouquet.add_edge(0, gen, 0)
+    return build_product_pda(w, bouquet)
 
 
 def build_product_pda(w: Word, tree: LabeledGraph) -> Pda:
@@ -174,10 +160,8 @@ class Cfg:
 
 
 def _state_text(state) -> str:
-    if isinstance(state, tuple):
-        vertex, stage = state
-        return f"q{vertex}f" if stage == -1 else f"q{vertex}s{stage}"
-    return "f" if state == -1 else f"s{state}"
+    vertex, stage = state
+    return f"q{vertex}f" if stage == -1 else f"q{vertex}s{stage}"
 
 
 def _letter_text(code: int) -> str:
@@ -569,15 +553,14 @@ def double_exp_experiment(
     rewrite system, shared with the caller."""
     p = system.presentation
     big_c, base = double_exp_constants(p)
-    diameters = [d.value for d in measure_isodiametric(p, n_max, oracle.decide)]
+    trivial = oracle.trivial_words(n_max)
+    diameters = [d.value for d in measure_isodiametric(p, n_max, trivial)]
     if None in diameters:
         raise BudgetFailure(f"diameter scan did not converge at n={diameters.index(None)}")
     trees: dict[int, LabeledGraph] = {}
     bounds: dict[tuple[int, int], int] = {}  # one shared int per (n, d)
     reports = []
-    for candidate in words_up_to(p.alphabet_size, n_max, reduced=False):
-        if not oracle.decide(candidate):
-            continue
+    for candidate in trivial:
         length = len(candidate)
         d = diameters[length]
         if d not in trees:

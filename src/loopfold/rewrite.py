@@ -120,15 +120,15 @@ def _letter_maps(relators: frozenset[bytes], num_generators: int, limit: int) ->
     when there are more than ``limit``.  Backtracking assigns the most-used
     generators first and checks each relator once all its generators have
     an image; a generator only maps to one used as often."""
-    counts = [0] * num_generators
-    for r in relators:
-        for c in r:
-            counts[c >> 1] += 1
+    letters = b"".join(relators)
+    counts = [letters.count(2 * g) + letters.count(2 * g + 1) for g in range(num_generators)]
     order = sorted(range(num_generators), key=lambda g: -counts[g])
-    depth_of = {g: d for d, g in enumerate(order)}
+    depth_of = bytearray(256)  # a letter's table: the depth its generator is assigned at
+    for d, g in enumerate(order):
+        depth_of[2 * g] = depth_of[2 * g + 1] = d
     due: list[list[bytes]] = [[] for _ in order]  # relators checkable at each depth
     for r in relators:
-        due[max(depth_of[c >> 1] for c in r)].append(r)
+        due[max(r.translate(depth_of))].append(r)
     table = bytearray(_IDENTITY)
     taken = [False] * num_generators
     found: list[bytes] = []

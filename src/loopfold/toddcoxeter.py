@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 from . import _kernels
 from .core import Presentation, Word, words_up_to
@@ -47,7 +46,10 @@ class TcState:
 @dataclass(frozen=True, eq=False)
 class PartialCayleyGraph:
     graph: FoldedGraph  # hair-free
-    radius: int
+
+    @cached_property
+    def radius(self) -> int:
+        return graph_radius(self.graph)
 
 
 def tc_round(s: TcState) -> TcState:
@@ -69,8 +71,7 @@ def partial_cayley(s: TcState) -> PartialCayleyGraph:
     """Strip hairs (iteratively) from the round's folded graph."""
     if s.round < 1:
         raise ValueError("run at least one round first")
-    bald = strip_hairs(s.graph)
-    return PartialCayleyGraph(bald, graph_radius(bald))
+    return PartialCayleyGraph(strip_hairs(s.graph))
 
 
 def tc_decides(g: PartialCayleyGraph, w: Word) -> bool:
@@ -81,42 +82,35 @@ def tc_decides(g: PartialCayleyGraph, w: Word) -> bool:
     return accepts_reduced(g.graph, w)
 
 
-def _decides(g: FoldedGraph, words: list[bytes], verdicts: list[bool]) -> bool:
-    """Whether ``g`` accepts exactly the reduced ``words`` marked trivial."""
-    return [s == g.origin for s in _kernels.trace_batch(g.delta, g.origin, words)] == verdicts
-
-
 def measure_tc_radius(
     p: Presentation,
     n_max: int,
-    oracle: Callable[[Word], bool],
+    trivial: list[Word],
     max_rounds: int = 24,
 ) -> list[tuple[int, int, PartialCayleyGraph] | None]:
     """Entry ``n`` (0 ≤ n ≤ n_max) is (rounds, radius, graph) for the first
     round whose partial Cayley graph decides every word of length ≤ ``n``
-    the way the reference oracle does, or None when ``max_rounds`` rounds
-    do not reach such a graph.
+    the way ``trivial``, the oracle's list of trivial words of length ≤
+    n_max, does, or None when ``max_rounds`` rounds do not reach such a
+    graph.
 
     Triviality is invariant under free reduction on both sides, so agreement
-    is checked on reduced words only.  A round that decides the words of
-    length ≤ n + 1 also decides those of length ≤ n, so one run of rounds
-    serves every n: the first deciding round only moves forward.
+    is checked on reduced words only: a round must accept the reduced words
+    on the list and no other.  One run of rounds serves every n.
     """
+    known = {u.codes for u in trivial}
     layers: list[tuple[list[bytes], list[bool]]] = [([], []) for _ in range(n_max + 1)]
     for u in words_up_to(p.alphabet_size, n_max, reduced=True):
         words, verdicts = layers[len(u)]
         words.append(u.codes)
-        verdicts.append(oracle(u))
-    state = TcState.initial(p)
-    pcg = None
-    column: list[tuple[int, int, PartialCayleyGraph] | None] = []
-    for n in range(n_max + 1):
-        pending = layers[n : n + 1]  # the current graph already decides shorter words
-        while pcg is None or not all(_decides(pcg.graph, *layer) for layer in pending):
-            if state.round >= max_rounds:
-                return column + [None] * (n_max + 1 - n)
+        verdicts.append(u.codes in known)
+
+    def rounds():
+        state = TcState.initial(p)
+        while True:
             state = tc_round(state)
-            pcg = partial_cayley(state)
-            pending = layers[: n + 1]
-        column.append((state.round, pcg.radius, pcg))
-    return column
+            yield partial_cayley(state).graph
+
+    hits = _kernels.first_deciding(rounds(), layers, [max_rounds - 1] * (n_max + 1))
+    pcgs = {i: PartialCayleyGraph(g) for i, g in filter(None, hits)}
+    return [None if hit is None else (hit[0] + 1, pcgs[hit[0]].radius, pcgs[hit[0]]) for hit in hits]

@@ -28,7 +28,6 @@ from loopfold.automata import (
 from loopfold.compression import compress, verify_compression
 from loopfold.core import EMPTY, Presentation, Word, parse_word, render_word
 from loopfold.fillings import (
-    LoopComplexScanner,
     ReferenceOracle,
     check_inequalities,
     double_exp_bound,
@@ -70,14 +69,9 @@ def all_words_up_to(num_generators, n):
 
 
 @lru_cache(maxsize=None)
-def scanner_for(name):
-    return LoopComplexScanner(MATRIX[name][0])
-
-
-@lru_cache(maxsize=None)
 def diameters(name):
     p, oracle = MATRIX[name]
-    column = measure_isodiametric(p, 6, oracle.decide, scanner=scanner_for(name))
+    column = measure_isodiametric(p, 6, oracle.trivial_words(6))
     assert all(result.exact for result in column)
     return [result.value for result in column]
 
@@ -89,7 +83,7 @@ def diameter(name, n):
 @lru_cache(maxsize=None)
 def tc_snapshots(name):
     p, oracle = MATRIX[name]
-    return measure_tc_radius(p, 6, oracle.decide)
+    return measure_tc_radius(p, 6, oracle.trivial_words(6))
 
 
 def tc_snapshot(name, n):

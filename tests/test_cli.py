@@ -11,8 +11,8 @@ import pytest
 
 from loopfold import cli
 from loopfold.cli import main
-from loopfold.core import parse_presentation, parse_word
-from loopfold.fillings import double_exp_bound
+from loopfold.core import parse_presentation, parse_word, words_up_to
+from loopfold.fillings import ReferenceOracle, double_exp_bound
 from loopfold.grammar import BoundReport
 from loopfold.rewrite import RewriteSystem
 
@@ -131,6 +131,58 @@ def test_profile_rounds_must_be_positive(capsys):
         assert captured.out == ""
 
 
+def watch_oracle(monkeypatch):
+    """Record the lengths the oracle lists trivial words for, and make any
+    call to ``decide`` raise."""
+    trivial_words = ReferenceOracle.trivial_words
+    listed = []
+    monkeypatch.setattr(ReferenceOracle, "trivial_words",
+                        lambda self, n: listed.append(n) or trivial_words(self, n))
+    monkeypatch.setattr(ReferenceOracle, "decide", None)
+    return listed
+
+
+@pytest.mark.parametrize("oracle", ["cyclic:0", "free-abelian:0", "free:0", "rewrite:0"])
+def test_profile_bad_oracle_parameter(capsys, oracle):
+    assert run_cli("profile", Z2, "--n", "2", "--oracle", oracle) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"loopfold: oracle {oracle!r}: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("compress", FREE2),
+    ("compress", FREE2, "--verify"),
+    ("profile", FREE2, "--n", "2", "--oracle", "free:2", "--verify"),
+    ("grammar-bound", FREE2, "--n", "2", "--oracle", "free:2"),
+])
+def test_relator_free_presentation_is_a_usage_error(capsys, argv):
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("loopfold: ")
+    assert "at least one relator" in captured.err and captured.err.count("\n") == 1
+
+
+def test_profile_enumerates_reduced_words_once(monkeypatch, capsys):
+    # The oracle lists the trivial words once; only the coset-saturation
+    # scan, which must also see the non-trivial words, enumerates reduced
+    # words, and no word is decided one at a time.
+    calls = []
+    for name, module in list(sys.modules.items()):
+        if name.startswith("loopfold.") and getattr(module, "words_up_to", None) is words_up_to:
+            def recording(*args, _name=name, **kwargs):
+                calls.append((_name, kwargs.get("reduced")))
+                return words_up_to(*args, **kwargs)
+            monkeypatch.setattr(module, "words_up_to", recording)
+    listed = watch_oracle(monkeypatch)
+    assert run_cli("profile", Z2, "--n", "4", "--oracle", "cyclic:2") == 1
+    capsys.readouterr()
+    assert listed == [4]
+    assert calls == [("loopfold.toddcoxeter", True)]
+
+
 def test_profile_state_budget_failure(capsys):
     # 50 orbits stop every sweep, so every P cell is BudgetExceeded; the CSV
     # is still written in full
@@ -157,6 +209,13 @@ def test_compress_verify_passes(capsys):
 
 def test_compress_verify_z3(capsys):
     assert run_cli("compress", Z3, "--verify", "--n", "4") == 0
+
+
+def test_compress_verify_bad_budget_writes_nothing(capsys):
+    assert run_cli("compress", Z2, "--verify", "--budget-len", "0") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "loopfold: budget caps must be positive\n"
 
 
 def test_compress_verify_budget_failure(capsys):
@@ -273,6 +332,13 @@ def test_grammar_bound_budget_failure(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "loopfold: area of aaaa is LowerBoundOnly, not Exact; raise --budget-len\n"
+
+
+def test_grammar_bound_lists_trivial_words_once_and_decides_none(monkeypatch, capsys):
+    listed = watch_oracle(monkeypatch)
+    assert run_cli("grammar-bound", Z3, "--n", "3", "--oracle", "cyclic:3") == 0
+    assert "aaa,3,0,3,aaa,1," in capsys.readouterr().out
+    assert listed == [3]
 
 
 def test_grammar_bound_renders_bounds_past_the_digit_limit(monkeypatch, capsys):

@@ -22,7 +22,6 @@ from loopfold.fillings import (
     check_inequalities,
     double_exp_bound,
     within_double_exp,
-    LoopComplexScanner,
     measure_isodiametric,
     measure_profile,
     profile_to_csv,
@@ -185,12 +184,12 @@ def test_cayley_ball_deterministic():
 
 
 def test_isodiametric_even_words():
-    column = measure_isodiametric(Z2, 4, ReferenceOracle.cyclic(2).decide)
+    column = measure_isodiametric(Z2, 4, ReferenceOracle.cyclic(2).trivial_words(4))
     assert [(r.value, r.status) for r in column] == [(0, OracleStatus.EXACT)] * 5
 
 
 def test_isodiametric_three_cycle():
-    result = measure_isodiametric(Z3, 3, ReferenceOracle.cyclic(3).decide)[3]
+    result = measure_isodiametric(Z3, 3, ReferenceOracle.cyclic(3).trivial_words(3))[3]
     assert (result.value, result.status) == (0, OracleStatus.EXACT)
 
 
@@ -200,11 +199,11 @@ def test_isodiametric_n_zero():
         (LATTICE, ReferenceOracle.free_abelian(2)),
         (FREE2, ReferenceOracle.free(2)),
     ):
-        assert measure_isodiametric(p, 0, oracle.decide)[0].value == 0
+        assert measure_isodiametric(p, 0, oracle.trivial_words(0))[0].value == 0
 
 
 def test_isodiametric_lattice_values():
-    column = measure_isodiametric(LATTICE, 6, ReferenceOracle.free_abelian(2).decide)
+    column = measure_isodiametric(LATTICE, 6, ReferenceOracle.free_abelian(2).trivial_words(6))
     assert [r.value for r in column] == [0, 0, 0, 0, 2, 2, 3]
 
 
@@ -224,19 +223,12 @@ def test_isodiametric_lattice_witnesses():
 
 
 def test_isodiametric_radius_cutoff():
-    column = measure_isodiametric(LATTICE, 4, ReferenceOracle.free_abelian(2).decide, max_radius=1)
+    column = measure_isodiametric(
+        LATTICE, 4, ReferenceOracle.free_abelian(2).trivial_words(4), max_radius=1)
     assert [r.value for r in column[:4]] == [0, 0, 0, 0]
     result = column[4]
     assert result.value is None
     assert result.status is OracleStatus.LOWER_BOUND_ONLY
-
-
-def test_isodiametric_scanner_reuse():
-    oracle = ReferenceOracle.cyclic(2).decide
-    scanner = LoopComplexScanner(Z2)
-    first = measure_isodiametric(Z2, 4, oracle, scanner=scanner)
-    second = measure_isodiametric(Z2, 4, oracle, scanner=scanner)
-    assert first == second == measure_isodiametric(Z2, 4, oracle)
 
 
 # -- profiles -----------------------------------------------------------------

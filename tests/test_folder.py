@@ -5,13 +5,13 @@ Vertex numbering is part of the digest, so the online folder must number
 classes exactly as that fold did."""
 
 import hashlib
+import itertools
 from pathlib import Path
 
 import pytest
 
-from loopfold.automata import build_loop_complex
+from loopfold.automata import build_loop_complex, loop_complexes
 from loopfold.core import parse_presentation
-from loopfold.fillings import LoopComplexScanner
 from loopfold.toddcoxeter import TcState, tc_round
 
 PRESENTATIONS = Path(__file__).resolve().parent.parent / "presentations"
@@ -75,8 +75,7 @@ def test_loop_complexes_match_pins(name):
 def test_scanner_growth_equals_a_build_from_scratch(name):
     p = presentation(name)
     pins = PINS[f"loop-{name}"]
-    scanner = LoopComplexScanner(p)
-    grown = [digest(scanner.dfa(j)) for j in range(len(pins))]
+    grown = [digest(g) for g in itertools.islice(loop_complexes(p), len(pins))]
     assert grown == [digest(build_loop_complex(p, j)) for j in range(len(pins))] == pins
 
 

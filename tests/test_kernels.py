@@ -1,6 +1,8 @@
 import itertools
 
-from loopfold._kernels import trace_batch
+from loopfold import _kernels
+from loopfold._kernels import first_deciding, trace_batch
+from loopfold.automata import FoldedGraph
 from loopfold.core import Word, words_up_to
 
 
@@ -14,6 +16,81 @@ def test_trace_batch_walks_table():
 def test_trace_batch_dead_state_sticks():
     delta = [[-1, -1]]
     assert trace_batch(delta, 1, [bytes([0, 0, 0])]) == [-1]
+
+
+# Over one generator (codes 0 = a, 1 = A): the graph with no edge, a loop,
+# the two-cycle of Z/2, and a second loop that no scan below should draw.
+EMPTY_GRAPH = FoldedGraph(1, 0, [[-1], [-1]], [])
+LOOP = FoldedGraph(1, 0, [[0], [0]], [])
+TWO_CYCLE = FoldedGraph(1, 0, [[1, 0], [1, 0]], [])
+LATE_LOOP = FoldedGraph(1, 0, [[0], [0]], [])
+GRAPHS = {"empty": EMPTY_GRAPH, "loop": LOOP, "cycle": TWO_CYCLE, "late": LATE_LOOP}
+NAMES = {id(g.delta): name for name, g in GRAPHS.items()}  # a graph's name by its table
+
+# The words of Z/2 by length: even powers trivial, odd ones not.
+LAYERS = [
+    ([b""], [True]),
+    ([b"\x00", b"\x01"], [False, False]),
+    ([b"\x00\x00", b"\x01\x01"], [True, True]),
+    ([b"\x00\x00\x00", b"\x01\x01\x01"], [False, False]),
+]
+
+
+def scan(limits, monkeypatch):
+    """Run the scan over the four graphs; returns its column by graph name,
+    the graphs drawn, and every traced batch as (graph, word count)."""
+    drawn, batches = [], []
+
+    def graphs():
+        for name, g in GRAPHS.items():
+            drawn.append(name)
+            yield g
+
+    def traced(delta, start, words):
+        batches.append((NAMES[id(delta)], len(words[0])))
+        return trace_batch(delta, start, words)
+
+    monkeypatch.setattr(_kernels, "trace_batch", traced)
+    column = first_deciding(graphs(), LAYERS, limits)
+    return [None if hit is None else (hit[0], NAMES[id(hit[1].delta)]) for hit in column], drawn, batches
+
+
+def test_first_deciding_retries_every_layer_after_a_miss(monkeypatch):
+    # The empty graph decides lengths 0 and 1 and misses aa.  The loop
+    # accepts aa but also a, so it must fail on layer 1 although layer 2,
+    # the one the empty graph missed, passes; the two-cycle decides all.
+    column, drawn, batches = scan([5] * 4, monkeypatch)
+    assert column == [(0, "empty"), (0, "empty"), (2, "cycle"), (2, "cycle")]
+    assert drawn == ["empty", "loop", "cycle"]
+    # (graph, length of the layer traced): a graph that decided the layers
+    # below n is tried on layer n alone; the next graph after a miss on all
+    assert batches == [
+        ("empty", 0), ("empty", 1), ("empty", 2),
+        ("loop", 0), ("loop", 1),
+        ("cycle", 0), ("cycle", 1), ("cycle", 2),
+        ("cycle", 3),
+    ]
+
+
+def test_first_deciding_never_reports_a_missed_graph(monkeypatch):
+    # At n = 2 the limit stops the scan after the loop missed; at n = 3 the
+    # scan resumes with the next graph, tried on every layer, and never
+    # goes back to the graphs that missed.
+    column, drawn, batches = scan([0, 0, 1, 2], monkeypatch)
+    assert column == [(0, "empty"), (0, "empty"), None, (2, "cycle")]
+    assert drawn == ["empty", "loop", "cycle"]
+    assert batches[-4:] == [("cycle", 0), ("cycle", 1), ("cycle", 2), ("cycle", 3)]
+
+
+def test_first_deciding_draws_nothing_below_limit_zero():
+    drawn = []
+
+    def graphs():
+        drawn.append(EMPTY_GRAPH)
+        yield EMPTY_GRAPH
+
+    assert first_deciding(graphs(), LAYERS[:2], [-1, -1]) == [None, None]
+    assert drawn == []
 
 
 def of_length(k, L, reduced):

@@ -34,3 +34,25 @@ def test_tracer_counts_graph_vertices_and_traced_words(capsys):
     for name in ("automata.loop_complex_vertices", "toddcoxeter.snapshot_vertices",
                  "kernels.trace_batch_words"):
         assert metrics[name] > 0, name
+
+
+def test_tracer_sees_both_scans(capsys):
+    # The d(n) scan, the saturation scan and the batch tracer under both are
+    # called through their module globals, where the tracer binds them.
+    tracing = load_tracing()
+    runs = {
+        "profile": (["profile", str(PRES / "z2.pres"), "--n", "4", "--oracle", "cyclic:2"], 1,
+                    ["fillings.isodiametric", "toddcoxeter.tc_radius", "kernels.trace_batch"]),
+        "grammar-bound": (["grammar-bound", str(PRES / "z2.pres"), "--n", "2", "--oracle", "cyclic:2"], 0,
+                          ["fillings.isodiametric", "kernels.trace_batch"]),
+    }
+    for command, (argv, code, spans) in runs.items():
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            assert cli.main(argv) == code
+        finally:
+            tracer.uninstall()
+        _self_s, calls = tracer.self_times()
+        assert all(calls.get(span, 0) > 0 for span in spans), (command, calls)
+    capsys.readouterr()

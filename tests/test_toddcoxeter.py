@@ -4,7 +4,7 @@ import pytest
 
 from loopfold import automata
 from loopfold.automata import Folder, LabeledGraph, canonical_form, fold, restrict_to_radius, trace
-from loopfold.core import EMPTY, Presentation, Word, parse_word
+from loopfold.core import EMPTY, Presentation, Word, parse_word, words_up_to
 from loopfold.toddcoxeter import (
     PartialCayleyGraph,
     TcState,
@@ -36,6 +36,11 @@ def oracle_for(p):
     if p is LATTICE:
         return lambda u: exponent_sum(u, 0) == 0 and exponent_sum(u, 1) == 0
     return lambda u: u.reduce() == EMPTY
+
+
+def trivial_for(p, n):
+    """The oracle's list of trivial words of length ≤ n."""
+    return [u for u in words_up_to(p.alphabet_size, n, reduced=False) if oracle_for(p)(u)]
 
 
 def three_cycle():
@@ -213,19 +218,19 @@ class TestDecisions:
 
 class TestMeasureRadius:
     def test_cyclic_groups(self):
-        column = measure_tc_radius(Z3, 6, oracle_for(Z3))
+        column = measure_tc_radius(Z3, 6, trivial_for(Z3, 6))
         assert [(rounds, rad) for rounds, rad, _pcg in column] == [(1, 1)] * 7
-        rounds, rad, _pcg = measure_tc_radius(Z2, 4, oracle_for(Z2))[4]
+        rounds, rad, _pcg = measure_tc_radius(Z2, 4, trivial_for(Z2, 4))[4]
         assert (rounds, rad) == (1, 1)
 
     def test_free_group_radius_zero(self):
-        rounds, rad, pcg = measure_tc_radius(FREE2, 3, oracle_for(FREE2))[3]
+        rounds, rad, pcg = measure_tc_radius(FREE2, 3, trivial_for(FREE2, 3))[3]
         assert rounds == 1
         assert rad == 0
         assert pcg.graph.num_vertices == 1
 
     def test_lattice_small_lengths(self):
-        _rounds, rad, pcg = measure_tc_radius(LATTICE, 2, oracle_for(LATTICE))[2]
+        _rounds, rad, pcg = measure_tc_radius(LATTICE, 2, trivial_for(LATTICE, 2))[2]
         assert rad >= 1
         ball = LabeledGraph(2, 5)
         ball.add_edge(0, 0, 1)
@@ -236,13 +241,13 @@ class TestMeasureRadius:
 
     def test_agreement_is_genuine(self):
         oracle = oracle_for(Z3)
-        _rounds, _rad, pcg = measure_tc_radius(Z3, 5, oracle)[5]
+        _rounds, _rad, pcg = measure_tc_radius(Z3, 5, trivial_for(Z3, 5))[5]
         for u in reduced_words_up_to(2, 5):
             assert tc_decides(pcg, u) == oracle(u)
 
     def test_nontermination_guard(self):
-        lying_oracle = lambda u: True  # claims every word is trivial
-        column = measure_tc_radius(FREE2, 2, lying_oracle, max_rounds=2)
+        every_word = list(words_up_to(4, 2, reduced=False))  # a list that lies
+        column = measure_tc_radius(FREE2, 2, every_word, max_rounds=2)
         assert column[0][0] == 1  # the empty word is decided at once
         assert column[1:] == [None, None]  # two rounds never agree on a letter
-        assert measure_tc_radius(FREE2, 1, lying_oracle, max_rounds=-1) == [None, None]
+        assert measure_tc_radius(FREE2, 1, every_word, max_rounds=-1) == [None, None]
