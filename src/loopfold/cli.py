@@ -103,9 +103,13 @@ def _output(path: str | None):
     """Standard output, or the file at ``path`` opened for writing."""
     if path is None:
         yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8") as handle:
-            yield handle
+        return
+    try:
+        handle = open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot write output: {exc}") from exc
+    with handle:
+        yield handle
 
 
 def _write(text: str, path: str | None) -> None:
@@ -169,6 +173,8 @@ def cmd_compress(args) -> int:
     p = _load_presentation(args.presentation)
     _need_relators(p, "compress")
     budget = _budget(args) if args.verify else None
+    if args.verify and args.n < 0:
+        raise UsageError("--n must be nonnegative")
     compressed = compress(p)
     sys.stdout.write(render_presentation(compressed.combined))
     if args.verify:

@@ -23,7 +23,7 @@ are integers, so states order deterministically.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from .automata import LabeledGraph, build_tree_nfa, nfa_accepts
@@ -54,7 +54,6 @@ class Move:
 @dataclass(frozen=True)
 class Pda:
     num_generators: int
-    states: tuple
     start: object
     final: object
     moves: tuple[Move, ...]
@@ -81,8 +80,6 @@ def build_product_pda(w: Word, tree: LabeledGraph) -> Pda:
     m = len(target)
     k = tree.num_generators
     origin = tree.origin
-    reading = [(v, m) for v in range(tree.num_vertices)]
-    countdown = [(origin, i) for i in range(m - 1, -1, -1)] + [(origin, -1)]
     moves = []
     for v in range(tree.num_vertices):
         for a in range(2 * k):
@@ -95,13 +92,7 @@ def build_product_pda(w: Word, tree: LabeledGraph) -> Pda:
     for i in range(m, 0, -1):
         moves.append(Move((origin, i), None, target[i - 1], (origin, i - 1), (POP,)))
     moves.append(Move((origin, 0), None, BOTTOM, (origin, -1), (POP,)))
-    return Pda(
-        k,
-        tuple(reading) + tuple(countdown[:-1]) + ((origin, -1),),
-        start=(origin, m),
-        final=(origin, -1),
-        moves=tuple(moves),
-    )
+    return Pda(k, start=(origin, m), final=(origin, -1), moves=tuple(moves))
 
 
 def simulate_pda(pda: Pda, w: Word) -> bool:
@@ -137,19 +128,17 @@ def simulate_pda(pda: Pda, w: Word) -> bool:
 
 # -- grammars -----------------------------------------------------------------
 
-START = "S"
-
-
 @dataclass(frozen=True)
 class Cfg:
-    """Rules are (lhs, rhs) with terminal letter codes as ints, nonterminal
-    triples (state, stack symbol, state) as tuples, and the start symbol
-    :data:`START`."""
+    """Rules are (lhs, rhs) with terminal letter codes as ints and
+    nonterminal triples (state, stack symbol, state) as tuples; the start
+    symbol is a triple too.  Every right side the module builds holds at
+    most one letter, placed first, followed by triples, so rules order as
+    plain tuples: a letter is never compared with a triple."""
 
     num_generators: int
-    start: object
-    rules: tuple[tuple[object, tuple], ...]
-    root_triple: tuple | None = field(default=None, compare=False)
+    start: tuple
+    rules: tuple[tuple[tuple, tuple], ...]
 
     def nonterminals(self) -> set:
         out = {self.start}
@@ -177,27 +166,11 @@ def _symbol_text(sym) -> str:
             p, c, q = sym
             return f"[{_state_text(p)},{_letter_text(c)},{_state_text(q)}]"
         return "[" + ",".join(str(part) for part in sym) + "]"
-    if sym == START:
-        return START
     return _letter_text(sym)
 
 
-def _sort_token(sym) -> tuple:
-    # heterogeneous symbols need type tags to stay comparable
-    if isinstance(sym, tuple):
-        return (1, tuple(_sort_token(part) for part in sym))
-    if isinstance(sym, int):
-        return (0, sym)
-    return (2, str(sym))
-
-
-def _rule_key(rule) -> tuple:
-    lhs, rhs = rule
-    return (_sort_token(lhs), tuple(_sort_token(s) for s in rhs))
-
-
 def _is_nonterminal(sym) -> bool:
-    return isinstance(sym, tuple) or sym == START
+    return isinstance(sym, tuple)
 
 
 def pda_to_cfg(pda: Pda) -> Cfg:
@@ -206,8 +179,9 @@ def pda_to_cfg(pda: Pda) -> Cfg:
     moves give terminal rules; a push move from p to p' reading a that puts
     Y above X gives ``[p, X, r2] -> a [p', Y, r1] [r1, X, r2]`` once both
     right-hand triples are productive.  So every nonterminal on a right side
-    is the left side of some rule, and ``S -> [start, z, q]`` is kept for
-    productive root triples only."""
+    is the left side of some rule.  Only the countdown's last move pops the
+    stack bottom, into the final state, so the start symbol is the root
+    triple ``[start, z, final]``."""
     rules, productive = set(), set()
     pushes: dict = {}  # (p', Y) -> push moves to p' that put Y on the stack
     ends: dict = {}  # (r1, X) -> every r2 of a productive [r1, X, r2]
@@ -239,9 +213,7 @@ def pda_to_cfg(pda: Pda) -> Cfg:
             ]
         rules.update(new)
         worklist += [lhs for lhs, _ in new]
-    rules.update((START, (t,)) for t in productive if t[:2] == (pda.start, BOTTOM))
-    root = (pda.start, BOTTOM, pda.final)
-    return Cfg(pda.num_generators, START, tuple(sorted(rules, key=_rule_key)), root_triple=root)
+    return Cfg(pda.num_generators, (pda.start, BOTTOM, pda.final), tuple(sorted(rules)))
 
 
 def _only_empty(rules) -> set:
@@ -255,22 +227,22 @@ def _only_empty(rules) -> set:
             if lhs not in nonempty and any(not isinstance(s, tuple) or s in nonempty for s in rhs):
                 nonempty.add(lhs)
                 changed = True
-    return {lhs for lhs, _ in rules if isinstance(lhs, tuple) and lhs not in nonempty}
+    return {lhs for lhs, _ in rules if lhs not in nonempty}
 
 
 def simplify_cfg(g: Cfg) -> Cfg:
-    """Substitute away the empty-word-only (countdown) nonterminals, re-root
-    at the single bottom-popping triple, and prune unreachable symbols.  The
+    """Substitute away the empty-word-only (countdown) nonterminals and
+    prune the symbols unreachable from the start triple.  The
     generated language is unchanged; right sides stay within length 3.
     ``g`` comes from :func:`pda_to_cfg`, so every rule derives some word."""
     erase = _only_empty(g.rules)
     rules = [
         (lhs, tuple(s for s in rhs if s not in erase)) for lhs, rhs in g.rules if lhs not in erase
     ]
-    start = g.root_triple if g.root_triple is not None else g.start
+    start = g.start
     if start in erase:
         # The whole language is {empty word}; keep a single erased root.
-        return Cfg(g.num_generators, start, ((start, ()),), root_triple=g.root_triple)
+        return Cfg(g.num_generators, start, ((start, ()),))
 
     reachable = {start}
     frontier = [start]
@@ -283,8 +255,8 @@ def simplify_cfg(g: Cfg) -> Cfg:
                 if isinstance(s, tuple) and s not in reachable:
                     reachable.add(s)
                     frontier.append(s)
-    kept = sorted({rule for rule in rules if rule[0] in reachable}, key=_rule_key)
-    return Cfg(g.num_generators, start, tuple(kept), root_triple=g.root_triple)
+    kept = sorted({rule for rule in rules if rule[0] in reachable})
+    return Cfg(g.num_generators, start, tuple(kept))
 
 
 def generates(g: Cfg, w: Word) -> bool:
@@ -322,7 +294,7 @@ def generates(g: Cfg, w: Word) -> bool:
 
 def _best_rules(rules) -> dict:
     """Knuth's least-fixpoint search over nonterminal costs (priority queue;
-    deterministic tie-breaking by rule text).  Maps every productive
+    ties broken by the rule itself).  Maps every productive
     nonterminal to the index of the rule that settled it at its least
     derivable length.  Expanding these rules always terminates: a rule
     settles only after every nonterminal on its right side has."""
@@ -341,7 +313,7 @@ def _best_rules(rules) -> dict:
     heap: list = []
     for idx, (lhs, rhs) in enumerate(rules):
         if remaining[idx] == 0:
-            heapq.heappush(heap, (terminal_len[idx], _rule_key(rules[idx]), idx))
+            heapq.heappush(heap, (terminal_len[idx], rules[idx], idx))
     cost_acc = list(terminal_len)
     while heap:
         cost, _, idx = heapq.heappop(heap)
@@ -355,7 +327,7 @@ def _best_rules(rules) -> dict:
             cost_acc[jdx] += settled[lhs] * count
             remaining[jdx] -= count
             if remaining[jdx] == 0:
-                heapq.heappush(heap, (cost_acc[jdx], _rule_key(rules[jdx]), jdx))
+                heapq.heappush(heap, (cost_acc[jdx], rules[jdx], jdx))
     return best_rule
 
 

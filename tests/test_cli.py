@@ -218,6 +218,13 @@ def test_compress_verify_bad_budget_writes_nothing(capsys):
     assert captured.err == "loopfold: budget caps must be positive\n"
 
 
+def test_compress_verify_negative_depth_writes_nothing(capsys):
+    assert run_cli("compress", Z2, "--verify", "--n", "-1") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "loopfold: --n must be nonnegative\n"
+
+
 def test_compress_verify_budget_failure(capsys):
     # --budget-len 2 cannot settle the areas of the words of length 4, so
     # the halving check has no Exact row to judge there
@@ -254,6 +261,19 @@ def test_each_sweep_runs_once_per_command(monkeypatch, capsys, argv):
     runs = [(len(p.relators), cap, max_states, len({id(r) for r in found}))
             for (p, cap, max_states), found in results.items()]
     assert runs and all(count == 1 for *_, count in runs), runs
+
+
+@pytest.mark.parametrize("argv", [
+    ("profile", Z2, "--n", "2", "--oracle", "cyclic:2", "--csv"),
+    ("grammar-bound", Z2, "--n", "2", "--csv"),
+    ("tc", Z3, "--rounds", "2", "--dot"),
+])
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "out.txt"
+    assert run_cli(*argv, str(target)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("loopfold: cannot write output: ")
+    assert err.count("\n") == 1 and str(target) in err
 
 
 # -- tc ----------------------------------------------------------------------------

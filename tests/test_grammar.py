@@ -122,8 +122,12 @@ def test_pda_shape():
 def test_cfg_rhs_never_longer_than_three():
     for name in ("z2", "z3", "lattice"):
         _, _, raw, simplified = product_pipeline(name)
-        assert max(len(rhs) for _, rhs in raw.rules) <= 3
-        assert max(len(rhs) for _, rhs in simplified.rules) <= 3
+        for g in (raw, simplified):
+            assert max(len(rhs) for _, rhs in g.rules) <= 3
+            # at most one letter, placed first, then triples: rules order as
+            # plain tuples
+            for _, rhs in g.rules:
+                assert all(isinstance(s, tuple) for s in rhs[1:]), rhs
 
 
 def test_toy_grammar_generates_cancelling_pairs():
@@ -156,9 +160,8 @@ def test_simplification_structure():
     for name, target, gens in [("z2", "aa", 1), ("z3", "aaa", 1), ("lattice", "abAB", 2)]:
         tree, pda, raw, simplified = product_pipeline(name)
         m = len(w(target, gens))
-        # re-rooted at the single bottom-popping triple; plain start symbol gone
-        assert simplified.start == (pda.start, BOTTOM, pda.final)
-        assert raw.start not in simplified.nonterminals()
+        # both rooted at the single bottom-popping triple
+        assert raw.start == simplified.start == (pda.start, BOTTOM, pda.final)
         # countdown states never appear on the consuming (left) side
         for nt in simplified.nonterminals():
             assert nt[0][1] == m, nt
@@ -174,7 +177,7 @@ def test_simplified_size_within_pumping_bound():
 
 def test_simplified_z2_is_tiny():
     _, _, raw, simplified = product_pipeline("z2")
-    assert len(raw.rules) == 18
+    assert len(raw.rules) == 17
     assert len(simplified.rules) == 15
     assert len(simplified.nonterminals()) == 7
 
