@@ -203,9 +203,10 @@ class Folder:
             v = parent[v]
         return v
 
-    def vertices(self) -> list[int]:
-        """The class roots, ascending."""
-        return [v for v, up in enumerate(self.parent) if v == up]
+    def vertices(self, start: int = 0) -> list[int]:
+        """The class roots from ``start`` on, ascending."""
+        parent = self.parent
+        return [v for v in range(start, len(parent)) if parent[v] == v]
 
     def _grow(self, v: int, c: int) -> int:
         """A fresh vertex, reached from the root ``v`` by the letter ``c``."""
@@ -283,10 +284,10 @@ class Folder:
         edge is missing; returns the class of the tip."""
         return self._join(start, word.codes, None)
 
-    def complete(self) -> None:
-        """Give every class an edge for every letter, growing a fresh vertex
-        where one is missing."""
-        for v in self.vertices():
+    def complete(self, start: int = 0) -> None:
+        """Give every class rooted at ``start`` or later an edge for every
+        letter, growing a fresh vertex where one is missing."""
+        for v in self.vertices(start):
             for c, row in enumerate(self.delta):
                 if row[v] < 0:
                     self._grow(v, c)
@@ -505,26 +506,37 @@ def strip_hairs(graph: FoldedGraph) -> FoldedGraph:
     return _induced(graph, [v for v in range(n) if alive[v]])
 
 
+def _component_edges(graph: FoldedGraph) -> tuple[int, Iterator[tuple[int, int, int]]]:
+    """The origin's component renumbered in the order of
+    :func:`distances_from_origin`: its vertex count and its edges, ascending.
+    Walking the vertices in that order, each through its forward rows in
+    letter order, meets the edges sorted, as a letter leaves a vertex once."""
+    number = {v: i for i, v in enumerate(distances_from_origin(graph))}
+    forward = list(enumerate(graph.delta[::2]))
+    edges = ((i, g, number[t]) for v, i in number.items() for g, row in forward if (t := row[v]) >= 0)
+    return len(number), edges
+
+
 def canonical_form(graph: FoldedGraph) -> tuple[int, tuple[tuple[int, int, int], ...]]:
     """Isomorphism invariant of the origin's component: vertices are
     renumbered in the order of :func:`distances_from_origin`; returns
     (vertex count, edge tuple).  Face records are deliberately not part of
     the form."""
-    number = {v: i for i, v in enumerate(distances_from_origin(graph))}
-    edges = sorted((number[v], g, number[t]) for v, g, t in graph.edges() if v in number)
-    return len(number), tuple(edges)
+    count, edges = _component_edges(graph)
+    return count, tuple(edges)
 
 
 def to_dot(graph: FoldedGraph) -> str:
     """Graphviz rendering of the origin's component, numbered as in
     :func:`canonical_form` so that it is stable across runs; the origin
     (vertex 0) double-circled, edges labeled by letter."""
-    count, edges = canonical_form(graph)
+    count, edges = _component_edges(graph)
     lines = ["digraph G {", "  rankdir=LR;"]
     for v in range(count):
         shape = "doublecircle" if v == 0 else "circle"
         lines.append(f'  {v} [shape={shape}];')
+    labels = [chr(ord("a") + g) for g in range(graph.num_generators)]
     for src, g, dst in edges:
-        lines.append(f'  {src} -> {dst} [label="{chr(ord("a") + g)}"];')
+        lines.append(f'  {src} -> {dst} [label="{labels[g]}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -191,9 +191,13 @@ def cmd_tc(args) -> int:
     for _ in range(args.rounds):
         state = tc_round(state)
     pcg = partial_cayley(state)
-    print(f"rounds={args.rounds} vertices={pcg.graph.num_vertices} radius={pcg.radius}")
-    if args.dot is not None:
-        _write(to_dot(pcg.graph), args.dot)
+    summary = f"rounds={args.rounds} vertices={pcg.graph.num_vertices} radius={pcg.radius}"
+    if args.dot is None:
+        print(summary)
+        return 0
+    with _output(args.dot) as out:  # opened first: an unwritable path prints nothing
+        print(summary)
+        out.write(to_dot(pcg.graph))
     return 0
 
 

@@ -10,6 +10,7 @@ A word is an immutable sequence of codes; free reduction cancels adjacent
 from __future__ import annotations
 
 import functools
+import operator
 import re
 from typing import Iterable, Iterator, NamedTuple
 
@@ -90,7 +91,9 @@ class Word:
         return Word(reduce_codes(self.codes))
 
     def is_reduced(self) -> bool:
-        return all(self.codes[i] != self.codes[i + 1] ^ 1 for i in range(len(self.codes) - 1))
+        """No letter is followed by its inverse (compared at C level)."""
+        codes = self.codes
+        return not any(map(operator.eq, codes[1:], codes.translate(_INVERSE)))
 
     def conjugate(self, by: "Word") -> "Word":
         """Literal (unreduced) conjugate ``by^-1 * self * by``."""

@@ -29,9 +29,19 @@ from .automata import (
 
 @dataclass(frozen=True, eq=False)
 class TcState:
+    """A presentation's coset graph after ``round`` rounds.
+
+    Every class holding a vertex below ``settled`` is complete and closes
+    every relator.  Folding only merges classes and never removes an edge,
+    so such a class stays complete and closed in every later round, and so
+    does any class rooted below ``settled``, a root being its class's least
+    member.  The default 0 claims nothing: a hand-made state is checked in
+    full."""
+
     presentation: Presentation
     folder: Folder  # owned by this state: a round advances a copy
     round: int
+    settled: int = 0
 
     @classmethod
     def initial(cls, p: Presentation) -> "TcState":
@@ -56,15 +66,25 @@ def tc_round(s: TcState) -> TcState:
     """One saturation round: complete edges, attach missing relator loops,
     folding as they go.  Edge completion covers the vertices present when
     the round starts; loop guards are evaluated on the graph as it stands
-    after completion, before any new loop is attached."""
+    after completion, before any new loop is attached.
+
+    Afterwards every class holding a vertex present when the round started
+    is complete and closes every relator: completion and the attached loops
+    saw to its root, or, for a root below ``s.settled``, an earlier round
+    did.  Folding keeps both, so the next state is settled below the
+    round's starting vertex count.  The roots below ``s.settled`` need no
+    edge and no loop, so the round completes and traces only the roots from
+    there on: it costs what the previous round added, and builds the graph
+    that checking every root would.
+    """
     p = s.presentation
     f = s.folder.copy()
     f.what = f"coset round {s.round + 1}"
-    f.complete()
-    need = [(v, r) for v in f.vertices() for r in p.relators if f.trace(v, r) != v]
+    f.complete(s.settled)
+    need = [(v, r) for v in f.vertices(s.settled) for r in p.relators if f.trace(v, r) != v]
     for v, r in need:
         f.add_loop(v, r)
-    return TcState(p, f, s.round + 1)
+    return TcState(p, f, s.round + 1, len(s.folder.parent))
 
 
 def partial_cayley(s: TcState) -> PartialCayleyGraph:
@@ -97,13 +117,26 @@ def measure_tc_radius(
     Triviality is invariant under free reduction on both sides, so agreement
     is checked on reduced words only: a round must accept the reduced words
     on the list and no other.  One run of rounds serves every n.
+
+    The list must hold its reduced words in the order of
+    :func:`~loopfold.core.words_up_to`, shortest first and lexicographic in
+    codes within a length, each once, as the oracle lists them: one merge
+    walk beside the enumeration marks them.  A list out of that order
+    raises ValueError.
     """
-    known = {u.codes for u in trivial}
+    listed = (u.codes for u in trivial if len(u) <= n_max and u.is_reduced())
+    nxt = next(listed, None)
     layers: list[tuple[list[bytes], list[bool]]] = [([], []) for _ in range(n_max + 1)]
     for u in words_up_to(p.alphabet_size, n_max, reduced=True):
-        words, verdicts = layers[len(u)]
-        words.append(u.codes)
-        verdicts.append(u.codes in known)
+        codes = u.codes
+        words, verdicts = layers[len(codes)]
+        words.append(codes)
+        verdicts.append(codes == nxt)
+        if codes == nxt:
+            nxt = next(listed, None)
+    if nxt is not None:  # the walk passed it by
+        raise ValueError("trivial words must be listed shortest first, lexicographic "
+                         "within a length, each once, over the presentation's alphabet")
 
     def rounds():
         state = TcState.initial(p)

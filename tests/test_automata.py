@@ -326,6 +326,21 @@ class TestGraphAnalysis:
             rng.shuffle(perm)
             assert canonical_form(folded(relabeled(base, perm))) == reference
 
+    def test_canonical_form_meets_its_edges_sorted(self):
+        # the edges come in search order without a sort; a shuffled
+        # numbering and a second component keep that order from being free
+        rng = random.Random(45)
+        base = build_loop_complex(LATTICE, 2)
+        for _ in range(4):
+            perm = list(range(base.num_vertices))
+            rng.shuffle(perm)
+            g = relabeled(base, perm)
+            g.add_edge(g.add_vertex(), 1, g.add_vertex())
+            graph = folded(g)
+            number = {v: i for i, v in enumerate(distances_from_origin(graph))}
+            edges = sorted((number[v], gen, number[t]) for v, gen, t in graph.edges() if v in number)
+            assert canonical_form(graph) == (base.num_vertices, tuple(edges))
+
     def test_canonical_form_separates_cycles(self):
         two = LabeledGraph(1, 2)
         two.add_edge(0, 0, 1)

@@ -271,7 +271,8 @@ def test_each_sweep_runs_once_per_command(monkeypatch, capsys, argv):
 def test_unwritable_output_is_a_usage_error(tmp_path, capsys, argv):
     target = tmp_path / "missing" / "out.txt"
     assert run_cli(*argv, str(target)) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""  # tc's summary line included
     assert err.startswith("loopfold: cannot write output: ")
     assert err.count("\n") == 1 and str(target) in err
 

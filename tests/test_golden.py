@@ -81,6 +81,25 @@ def test_golden_output_digest(command, capsys, monkeypatch):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+# sixty rounds, where a round leaves most of the graph unchecked as settled;
+# the 2,070,818-byte DOT is pinned by its digest
+TC_DIGEST_CASES = {
+    "tc presentations/zxz.pres --rounds 60": (
+        "rounds=60 vertices=25441 radius=180\n",
+        "1732f6d257462443364b18a002f14791a21a2a68061d66691173eb10d6afd58f"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(TC_DIGEST_CASES))
+def test_golden_tc_output_digest(command, capsys, monkeypatch, tmp_path):
+    summary, digest = TC_DIGEST_CASES[command]
+    monkeypatch.chdir(REPO)
+    dot = tmp_path / "out.dot"
+    assert main(command.split() + ["--dot", str(dot)]) == 0
+    assert capsys.readouterr().out == summary
+    assert hashlib.sha256(dot.read_bytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("name", sorted(TC_CASES))
 def test_golden_tc_output(name, capsys, monkeypatch, tmp_path):
     monkeypatch.chdir(REPO)

@@ -56,3 +56,18 @@ def test_tracer_sees_both_scans(capsys):
         _self_s, calls = tracer.self_times()
         assert all(calls.get(span, 0) > 0 for span in spans), (command, calls)
     capsys.readouterr()
+
+
+def test_tracer_counts_coset_rounds(capsys):
+    # toddcoxeter.rounds counts the calls of tc_round made through its
+    # module global, one per round
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["tc", str(PRES / "z3.pres"), "--rounds", "2"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    _self_s, calls = tracer.self_times()
+    assert calls["toddcoxeter.tc_round"] == 2
+    assert tracer.layer_metrics()["toddcoxeter.rounds"] == 2

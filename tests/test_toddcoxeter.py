@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -147,6 +148,39 @@ class TestRound:
         assert all(rel == w("aaa", 1) for _bp, rel in pcg.graph.faces)
 
 
+class TestSettled:
+    def test_round_traces_no_root_below_settled(self, monkeypatch):
+        traced = []
+        untraced = Folder.trace
+
+        def recording(folder, v, word):
+            traced.append(v)
+            return untraced(folder, v, word)
+
+        monkeypatch.setattr(Folder, "trace", recording)
+        state, total = TcState.initial(LATTICE), 0
+        for _ in range(30):
+            traced.clear()
+            after = tc_round(state)
+            assert traced and min(traced) >= state.settled, state.round
+            assert after.settled == len(state.folder.parent)
+            total += len(traced)
+            state = after
+        assert total == 11_344  # checking every class in every round traces 66,995
+
+    def test_skipping_settled_classes_builds_the_graph_of_a_full_check(self):
+        bs12 = Presentation(2, [w("abABB")])
+        mixed = Presentation(2, [w("aab"), w("abA")])
+        for p, rounds in ((Z3, 4), (LATTICE, 12), (FREE2, 4), (bs12, 5), (mixed, 4)):
+            state = TcState.initial(p)
+            for _ in range(rounds):
+                full = tc_round(replace(state, settled=0))
+                state = tc_round(state)
+                assert len(state.folder.parent) == len(full.folder.parent), (p, state.round)
+                got, expected = state.graph, full.graph
+                assert (got.origin, got.delta, got.faces) == (expected.origin, expected.delta, expected.faces)
+
+
 class TestMemory:
     def test_ceiling_bytes_per_vertex_cover_the_peak(self):
         # the calibration of the memory ceiling: 30 rounds of ℤ², each with
@@ -244,6 +278,15 @@ class TestMeasureRadius:
         _rounds, _rad, pcg = measure_tc_radius(Z3, 5, trivial_for(Z3, 5))[5]
         for u in reduced_words_up_to(2, 5):
             assert tc_decides(pcg, u) == oracle(u)
+
+    def test_trivial_list_out_of_order_is_refused(self):
+        trivial = trivial_for(Z3, 4)
+        with pytest.raises(ValueError):
+            measure_tc_radius(Z3, 4, trivial[::-1])
+        with pytest.raises(ValueError):
+            measure_tc_radius(Z3, 4, trivial + trivial)
+        with pytest.raises(ValueError):  # in order, but over a letter Z3 lacks
+            measure_tc_radius(Z3, 4, trivial + [w("bbbb")])
 
     def test_nontermination_guard(self):
         every_word = list(words_up_to(4, 2, reduced=False))  # a list that lies
