@@ -22,7 +22,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass, replace
 from typing import Iterator
 
 from .core import Presentation, Word, words_up_to
@@ -125,18 +124,26 @@ class LabeledGraph:
         return set((self.inc if code & 1 else self.out)[vertex].get(code >> 1, ()))
 
 
-@dataclass(frozen=True, eq=False)
 class FoldedGraph:
     """A folded rooted graph.  ``delta[code][v]`` is the vertex that ``v``
     reaches by the letter ``code``, or -1; an edge ``u --g--> v`` is stored
     both ways, as ``delta[2g][u] = v`` and ``delta[2g + 1][v] = u``.
     ``faces`` is the sorted list of (basepoint, relator) records, or None
-    once they were dropped (as opposed to a graph with no faces)."""
+    once they were dropped (as opposed to a graph with no faces).  Two
+    graphs are equal only when they are the same object; compare them
+    through :func:`canonical_form`."""
 
-    num_generators: int
-    origin: int
-    delta: list[list[int]]
-    faces: list[tuple[int, Word]] | None
+    __slots__ = ("num_generators", "origin", "delta", "faces")
+
+    def __init__(self, num_generators: int, origin: int, delta: list[list[int]],
+                 faces: list[tuple[int, Word]] | None):
+        object.__setattr__(self, "num_generators", num_generators)
+        object.__setattr__(self, "origin", origin)
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "faces", faces)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FoldedGraph is immutable")
 
     @property
     def num_vertices(self) -> int:
@@ -484,7 +491,7 @@ def restrict_to_radius(graph: FoldedGraph, k: int) -> FoldedGraph:
     renumbered ascending by original index.  Face records are not carried
     over; compare restrictions through :func:`canonical_form`."""
     sub = _induced(graph, sorted(v for v, d in distances_from_origin(graph).items() if d <= k))
-    return replace(sub, faces=None)
+    return FoldedGraph(sub.num_generators, sub.origin, sub.delta, None)
 
 
 def strip_hairs(graph: FoldedGraph) -> FoldedGraph:

@@ -40,7 +40,7 @@ from .fillings import (
     profile_to_csv,
 )
 from .grammar import double_exp_experiment
-from .rewrite import BudgetFailure, OracleStatus, RewriteSystem, SearchBudget
+from .rewrite import BudgetFailure, OracleStatus, RewriteSystem, SearchBudget, budget_flags
 from .toddcoxeter import TcState, partial_cayley, tc_round
 
 
@@ -127,7 +127,8 @@ def _fusion_holds(
         if row.holds is None:
             raise BudgetFailure(
                 f"fusion check at n={row.n} is not Exact (base {row.base_area.status}, "
-                f"fused {row.combined_area.status}); raise --budget-len"
+                f"fused {row.combined_area.status}); "
+                f"raise {budget_flags(row.base_area.status, row.combined_area.status)}"
             )
     return report.all_hold
 

@@ -10,7 +10,7 @@ through the 0-1 BFS oracle and compares entrywise.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import Presentation, Word, words_up_to
 from .rewrite import (
@@ -29,8 +29,7 @@ class CombinatorialBlowupError(RuntimeError):
     """The fused-relator enumeration would exceed the configured cap."""
 
 
-@dataclass(frozen=True)
-class CompressedPresentation:
+class CompressedPresentation(NamedTuple):
     base: Presentation
     symmetrized: tuple[Word, ...]
     fused: tuple[Word, ...]
@@ -71,8 +70,7 @@ def compress(p: Presentation, max_products: int = DEFAULT_PRODUCT_CAP) -> Compre
     )
 
 
-@dataclass(frozen=True)
-class CompressionRow:
+class CompressionRow(NamedTuple):
     n: int
     base_area: OracleResult
     combined_area: OracleResult
@@ -80,8 +78,7 @@ class CompressionRow:
     holds: bool | None  # None when either area is not Exact
 
 
-@dataclass(frozen=True)
-class CompressionReport:
+class CompressionReport(NamedTuple):
     compressed: CompressedPresentation
     n_max: int
     rows: tuple[CompressionRow, ...]

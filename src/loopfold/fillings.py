@@ -19,8 +19,8 @@ constants ``C = 2(2|A|+1)·||R||²`` and ``c = (2|A|)²``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
+from typing import NamedTuple
 
 from . import _kernels
 from .automata import Folder, FoldedGraph, distances_from_origin, loop_complexes
@@ -217,8 +217,7 @@ def measure_isodiametric(
 # -- profiles -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProfileRow:
+class ProfileRow(NamedTuple):
     n: int
     area: OracleResult  # P(n)
     length: OracleResult  # f(n)
@@ -226,8 +225,7 @@ class ProfileRow:
     tc_radius: OracleResult  # rhoTC(n)
 
 
-@dataclass(frozen=True)
-class FillingProfile:
+class FillingProfile(NamedTuple):
     presentation: Presentation
     n_max: int
     rows: tuple[ProfileRow, ...]
@@ -246,10 +244,11 @@ def measure_profile(
     ``f`` are running maxima of the per-word search oracles over the trivial
     words, non-reduced words included (the word's own length counts); both
     are constant on the orbits of the system's symmetries, so they are read
-    once per orbit.  The ``d`` scan and the coset saturation read the same
-    list; ``rhoTC`` is ``unreached`` from the first n that ``max_rounds``
-    rounds do not decide.  ``system`` is the presentation's rewrite system,
-    shared with the caller so that no sweep of it runs twice.
+    once per orbit.  The ``d`` scan and the coset saturation read the
+    list's reduced words, filtered once; ``rhoTC`` is ``unreached`` from
+    the first n that ``max_rounds`` rounds do not decide.  ``system`` is the
+    presentation's rewrite system, shared with the caller so that no sweep
+    of it runs twice.
     """
     p = system.presentation
     if oracle.num_generators != p.num_generators:
@@ -258,11 +257,12 @@ def measure_profile(
     orbits = [Word(codes) for codes in dict.fromkeys(system.canonical(w.codes) for w in trivial)]
     area = prefix_maxima(orbits, n_max, lambda w: min_isoperimetric(w, system, budget))
     length = prefix_maxima(orbits, n_max, lambda w: filling_length(w, system, budget))
-    diameter = measure_isodiametric(p, n_max, trivial)
+    reduced = [w for w in trivial if w.is_reduced()]
+    diameter = measure_isodiametric(p, n_max, reduced)
     tc = [
         OracleResult(None, OracleStatus.BUDGET_EXCEEDED) if hit is None
         else OracleResult(hit[1], OracleStatus.EXACT)
-        for hit in measure_tc_radius(p, n_max, trivial, max_rounds=max_rounds)
+        for hit in measure_tc_radius(p, n_max, reduced, max_rounds=max_rounds)
     ]
     rows = (ProfileRow(n, *cells) for n, cells in enumerate(zip(area, length, diameter, tc)))
     return FillingProfile(p, n_max, tuple(rows))
@@ -271,16 +271,14 @@ def measure_profile(
 # -- inequality checks --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InequalityRow:
+class InequalityRow(NamedTuple):
     n: int
     d_le_half_f: bool | None  # None when an input is not Exact
     double_exp: bool | None
     d_equals_rho: bool | None
 
 
-@dataclass(frozen=True)
-class InequalityReport:
+class InequalityReport(NamedTuple):
     presentation: Presentation
     big_c: int  # C = 2(2|A|+1)||R||^2
     base: int  # c = (2|A|)^2

@@ -23,8 +23,7 @@ are integers, so states order deterministically.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .automata import LabeledGraph, build_tree_nfa, nfa_accepts
 from .core import EMPTY, Presentation, Word, inverse_code, render_word
@@ -34,7 +33,7 @@ from .fillings import (
     double_exp_constants,
     measure_isodiametric,
 )
-from .rewrite import BudgetFailure, RewriteSystem, SearchBudget, min_isoperimetric
+from .rewrite import BudgetFailure, RewriteSystem, SearchBudget, budget_flags, min_isoperimetric
 
 BOTTOM = -1  # the stack-bottom marker, rendered "z"
 
@@ -42,8 +41,7 @@ PUSH = "push"
 POP = "pop"
 
 
-@dataclass(frozen=True)
-class Move:
+class Move(NamedTuple):
     src: object
     inp: int | None  # None = empty-input move
     top: int  # inspected top of stack (letter code or BOTTOM)
@@ -51,8 +49,7 @@ class Move:
     action: tuple  # (PUSH, code) or (POP,)
 
 
-@dataclass(frozen=True)
-class Pda:
+class Pda(NamedTuple):
     num_generators: int
     start: object
     final: object
@@ -128,8 +125,7 @@ def simulate_pda(pda: Pda, w: Word) -> bool:
 
 # -- grammars -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Cfg:
+class Cfg(NamedTuple):
     """Rules are (lhs, rhs) with terminal letter codes as ints and
     nonterminal triples (state, stack symbol, state) as tuples; the start
     symbol is a triple too.  Every right side the module builds holds at
@@ -495,8 +491,7 @@ def multiply_factors(factors: list[tuple[Word, Word, int]]) -> Word:
 # -- the end-to-end bound experiment -------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     word: Word
     n: int
     diameter: int
@@ -526,7 +521,8 @@ def double_exp_experiment(
     p = system.presentation
     big_c, base = double_exp_constants(p)
     trivial = oracle.trivial_words(n_max)
-    diameters = [d.value for d in measure_isodiametric(p, n_max, trivial)]
+    reduced = [w for w in trivial if w.is_reduced()]
+    diameters = [d.value for d in measure_isodiametric(p, n_max, reduced)]
     if None in diameters:
         raise BudgetFailure(f"diameter scan did not converge at n={diameters.index(None)}")
     trees: dict[int, LabeledGraph] = {}
@@ -554,7 +550,7 @@ def double_exp_experiment(
         if not area.exact:
             raise BudgetFailure(
                 f"area of {render_word(candidate)} is {area.status}, not Exact; "
-                "raise --budget-len"
+                f"raise {budget_flags(area.status)}"
             )
         reports.append(
             BoundReport(

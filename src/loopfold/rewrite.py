@@ -37,7 +37,6 @@ import enum
 import functools
 import math
 from collections import deque
-from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -55,8 +54,7 @@ class OracleStatus(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     """A measured value with its confidence; ``value`` is None for unreached."""
 
     value: int | None
@@ -92,18 +90,45 @@ def prefix_maxima(
     return column
 
 
-@dataclass(frozen=True)
 class SearchBudget:
-    max_word_length: int = 8
-    max_states: int = 2_000_000
+    """The caps of a rewrite search: the longest intermediate word and the
+    word orbits a sweep may hold.  Both must be at least 1."""
 
-    def __post_init__(self):
-        if self.max_word_length < 1 or self.max_states < 1:
+    __slots__ = ("max_word_length", "max_states")
+
+    def __init__(self, max_word_length: int = 8, max_states: int = 2_000_000):
+        if max_word_length < 1 or max_states < 1:
             raise ValueError("budget fields must be positive")
+        object.__setattr__(self, "max_word_length", max_word_length)
+        object.__setattr__(self, "max_states", max_states)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SearchBudget is immutable")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SearchBudget):
+            return NotImplemented
+        return (self.max_word_length, self.max_states) == (other.max_word_length, other.max_states)
+
+    def __hash__(self) -> int:
+        return hash((self.max_word_length, self.max_states))
+
+    def __repr__(self) -> str:
+        return f"SearchBudget(max_word_length={self.max_word_length}, max_states={self.max_states})"
 
 
 class BudgetFailure(RuntimeError):
     """A result that needs Exact values got one the budget could not settle."""
+
+
+def budget_flags(*statuses: OracleStatus) -> str:
+    """The command-line caps to raise for results short of Exact:
+    ``--budget-states`` for BudgetExceeded (the state cap stopped a sweep)
+    and ``--budget-len`` for LowerBoundOnly (the length cap left the value
+    unsettled), joined by "and" when both occur."""
+    flags = {OracleStatus.BUDGET_EXCEEDED: "--budget-states",
+             OracleStatus.LOWER_BOUND_ONLY: "--budget-len"}
+    return " and ".join(flag for status, flag in flags.items() if status in statuses)
 
 
 _IDENTITY = bytes(range(256))

@@ -13,7 +13,6 @@ whose decisions agree with a reference oracle on all words of length up to
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from . import _kernels
@@ -27,7 +26,6 @@ from .automata import (
 )
 
 
-@dataclass(frozen=True, eq=False)
 class TcState:
     """A presentation's coset graph after ``round`` rounds.
 
@@ -36,12 +34,16 @@ class TcState:
     so such a class stays complete and closed in every later round, and so
     does any class rooted below ``settled``, a root being its class's least
     member.  The default 0 claims nothing: a hand-made state is checked in
-    full."""
+    full.  States compare by identity."""
 
-    presentation: Presentation
-    folder: Folder  # owned by this state: a round advances a copy
-    round: int
-    settled: int = 0
+    def __init__(self, presentation: Presentation, folder: Folder, round: int, settled: int = 0):
+        object.__setattr__(self, "presentation", presentation)
+        object.__setattr__(self, "folder", folder)  # owned by this state: a round advances a copy
+        object.__setattr__(self, "round", round)
+        object.__setattr__(self, "settled", settled)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("TcState is immutable")
 
     @classmethod
     def initial(cls, p: Presentation) -> "TcState":
@@ -53,9 +55,14 @@ class TcState:
         return self.folder.snapshot()
 
 
-@dataclass(frozen=True, eq=False)
 class PartialCayleyGraph:
-    graph: FoldedGraph  # hair-free
+    """A round's folded graph with its hairs stripped; compares by identity."""
+
+    def __init__(self, graph: FoldedGraph):
+        object.__setattr__(self, "graph", graph)  # hair-free
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PartialCayleyGraph is immutable")
 
     @cached_property
     def radius(self) -> int:

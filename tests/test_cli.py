@@ -355,6 +355,28 @@ def test_grammar_bound_budget_failure(capsys):
     assert captured.err == "loopfold: area of aaaa is LowerBoundOnly, not Exact; raise --budget-len\n"
 
 
+@pytest.mark.parametrize("argv, out, err", [
+    (("compress", Z3, "--verify", "--n", "2", "--budget-states", "1"),
+     "gens: a\nrels: aaa AAA aaaaaa AAAAAA aaaaaaaaa AAAAAAAAA\n",
+     "loopfold: fusion check at n=0 is not Exact (base BudgetExceeded, fused BudgetExceeded); "
+     "raise --budget-states\n"),
+    (("compress", Z2, "--verify", "--n", "8", "--budget-len", "2"),
+     "gens: a\nrels: aa AA aaaa AAAA\n",
+     "loopfold: fusion check at n=4 is not Exact (base LowerBoundOnly, fused LowerBoundOnly); "
+     "raise --budget-len\n"),
+    (("grammar-bound", Z2, "--n", "3", "--oracle", "cyclic:2", "--budget-states", "3"),
+     "",
+     "loopfold: area of 1 is BudgetExceeded, not Exact; raise --budget-states\n"),
+])
+def test_budget_failure_names_the_cap_that_stopped_it(capsys, argv, out, err):
+    # BudgetExceeded: the state cap stopped a sweep; LowerBoundOnly: the
+    # length cap left the value unsettled (grammar-bound's LowerBoundOnly
+    # message is pinned by test_grammar_bound_budget_failure)
+    assert run_cli(*argv) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (out, err)
+
+
 def test_grammar_bound_lists_trivial_words_once_and_decides_none(monkeypatch, capsys):
     listed = watch_oracle(monkeypatch)
     assert run_cli("grammar-bound", Z3, "--n", "3", "--oracle", "cyclic:3") == 0
@@ -446,3 +468,25 @@ def test_runs_on_the_standard_library_only():
     )
     assert proc.returncode == 1, proc.stderr  # the z2 profile's radius columns disagree
     assert proc.stdout.startswith("n,P,P_status,f,f_status,d,rhoTC,")
+
+
+def test_start_up_imports_neither_dataclasses_nor_inspect():
+    # the two modules cost about 30 ms of every command's start-up; -S keeps
+    # site hooks of the environment out of the check
+    script = (
+        "import runpy, sys\n"
+        "import loopfold.cli\n"
+        "loaded = [m for m in ('dataclasses', 'inspect') if m in sys.modules]\n"
+        f"sys.argv = ['loopfold', 'wp', {Z2!r}, 'aaaa']\n"
+        "try:\n"
+        "    runpy.run_module('loopfold', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "loaded += [m for m in ('dataclasses', 'inspect') if m in sys.modules]\n"
+        "print(code, sorted(set(loaded)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True, env=_child_env(0), cwd=REPO
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "trivial\n0 []\n"

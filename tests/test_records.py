@@ -1,0 +1,96 @@
+"""The contracts of loopfold's record types: value records compare and hash
+by value, the search budget refuses caps below 1, graph records compare by
+identity, and the lazy graph properties are computed once per object."""
+
+import pytest
+
+from loopfold import toddcoxeter
+from loopfold.automata import Folder, FoldedGraph
+from loopfold.core import Presentation, parse_word
+from loopfold.fillings import ProfileRow
+from loopfold.rewrite import OracleResult, OracleStatus, SearchBudget, budget_flags
+from loopfold.toddcoxeter import PartialCayleyGraph, TcState, partial_cayley, tc_round
+
+LATTICE = Presentation(2, [parse_word("abAB", 2)])
+EXACT = OracleStatus.EXACT
+
+
+@pytest.mark.parametrize("args", [(0,), (8, 0), (-1, 5), (0, 0)])
+def test_search_budget_refuses_caps_below_one(args):
+    with pytest.raises(ValueError, match="budget fields must be positive"):
+        SearchBudget(*args)
+
+
+def test_search_budget_defaults_and_value_equality():
+    budget = SearchBudget()
+    assert (budget.max_word_length, budget.max_states) == (8, 2_000_000)
+    assert SearchBudget(6) == SearchBudget(max_word_length=6, max_states=2_000_000)
+    assert SearchBudget(6) != SearchBudget(6, 5)
+    assert hash(SearchBudget(6, 5)) == hash(SearchBudget(6, 5))
+    with pytest.raises(AttributeError):
+        budget.max_states = 5
+
+
+def test_oracle_result_compares_and_hashes_by_value():
+    a, b = OracleResult(3, EXACT), OracleResult(3, EXACT)
+    assert a == b and a is not b and hash(a) == hash(b)
+    assert a != OracleResult(3, OracleStatus.LOWER_BOUND_ONLY)
+    assert a != OracleResult(4, EXACT)
+    assert len({a, b, OracleResult(None, OracleStatus.BUDGET_EXCEEDED)}) == 2
+    assert (a.value, a.status, a.exact, a.render_value()) == (3, EXACT, True, "3")
+    assert OracleResult(None, EXACT).render_value() == "unreached"
+    with pytest.raises(AttributeError):
+        a.value = 4
+
+
+def test_profile_row_compares_and_hashes_by_value():
+    cells = [OracleResult(k, EXACT) for k in range(4)]
+    a, b = ProfileRow(2, *cells), ProfileRow(n=2, area=cells[0], length=cells[1],
+                                             diameter=cells[2], tc_radius=cells[3])
+    assert a == b and hash(a) == hash(b)
+    assert a != ProfileRow(3, *cells)
+    assert a.tc_radius == OracleResult(3, EXACT)
+
+
+def test_budget_flags_name_the_cap_behind_each_status():
+    assert budget_flags(OracleStatus.BUDGET_EXCEEDED) == "--budget-states"
+    assert budget_flags(OracleStatus.LOWER_BOUND_ONLY, EXACT) == "--budget-len"
+    assert budget_flags(OracleStatus.LOWER_BOUND_ONLY, OracleStatus.BUDGET_EXCEEDED) == (
+        "--budget-states and --budget-len")
+
+
+def test_folded_graph_keeps_identity_equality():
+    a = FoldedGraph(1, 0, [[0], [0]], [])
+    b = FoldedGraph(1, 0, [[0], [0]], [])
+    assert a == a and a != b
+    assert len({a, b}) == 2
+    with pytest.raises(AttributeError):
+        a.faces = None
+
+
+def test_coset_records_keep_identity_equality():
+    state = tc_round(TcState.initial(LATTICE))
+    twin = TcState(state.presentation, state.folder, state.round, state.settled)
+    assert state != twin and state == state
+    assert PartialCayleyGraph(state.graph) != PartialCayleyGraph(state.graph)
+    with pytest.raises(AttributeError):
+        state.settled = 0
+
+
+def test_tc_state_graph_is_built_once(monkeypatch):
+    snapshots = []
+    snapshot = Folder.snapshot
+    monkeypatch.setattr(Folder, "snapshot", lambda self: snapshots.append(self) or snapshot(self))
+    state = tc_round(tc_round(TcState.initial(LATTICE)))
+    assert snapshots == []
+    assert state.graph is state.graph
+    assert snapshots == [state.folder]
+
+
+def test_partial_cayley_radius_is_computed_once(monkeypatch):
+    graph_radius = toddcoxeter.graph_radius
+    calls = []
+    monkeypatch.setattr(toddcoxeter, "graph_radius", lambda g: calls.append(g) or graph_radius(g))
+    pcg = partial_cayley(tc_round(tc_round(TcState.initial(LATTICE))))
+    assert pcg.radius == pcg.radius == graph_radius(pcg.graph)
+    assert calls == [pcg.graph]

@@ -1,5 +1,4 @@
 import tracemalloc
-from dataclasses import replace
 
 import pytest
 
@@ -174,7 +173,7 @@ class TestSettled:
         for p, rounds in ((Z3, 4), (LATTICE, 12), (FREE2, 4), (bs12, 5), (mixed, 4)):
             state = TcState.initial(p)
             for _ in range(rounds):
-                full = tc_round(replace(state, settled=0))
+                full = tc_round(TcState(state.presentation, state.folder, state.round, settled=0))
                 state = tc_round(state)
                 assert len(state.folder.parent) == len(full.folder.parent), (p, state.round)
                 got, expected = state.graph, full.graph
