@@ -28,9 +28,10 @@ from .core import Presentation, Word, words_up_to
 
 DEFAULT_MEM_CEILING_MB = 512.0
 MEM_CEILING_ENV = "FILLINGS_MEM_CEILING_MB"
-# Peak bytes per allocated vertex, measured with tracemalloc.  A folder vertex
-# takes about 190 (two folders while a coset round copies one); 30 rounds of
-# ℤ² with their snapshots and partial Cayley graphs peak at 535 (Python 3.11).
+# Peak bytes per allocated vertex, measured with tracemalloc (Python 3.11).  A
+# folder vertex takes about 190, and coset rounds grow one folder; 30 rounds of
+# ℤ², each with its snapshot and partial Cayley graph, peak at 536, the last
+# snapshot (about 260) and its hair-stripped graph sitting beside the folder.
 _BYTES_PER_VERTEX = 600
 _TREE_BYTES_PER_VERTEX = 1000  # unfolded tree automaton: 1.0 kB
 
@@ -196,12 +197,6 @@ class Folder:
         for bp, rel in graph.faces:
             folder.add_face(bp, rel)
         return folder
-
-    def copy(self) -> "Folder":
-        twin = Folder(self.num_generators, 0, self.origin)
-        twin.what, twin.faces = self.what, dict(self.faces)
-        twin.parent, twin.delta = self.parent[:], [row[:] for row in self.delta]
-        return twin
 
     def find(self, v: int) -> int:
         parent = self.parent

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
+from itertools import islice
 
 from .automata import (
     CeilingSettingError,
@@ -41,7 +42,7 @@ from .fillings import (
 )
 from .grammar import double_exp_experiment
 from .rewrite import BudgetFailure, OracleStatus, RewriteSystem, SearchBudget, budget_flags
-from .toddcoxeter import TcState, partial_cayley, tc_round
+from .toddcoxeter import coset_rounds, partial_cayley
 
 
 class UsageError(ValueError):
@@ -188,10 +189,7 @@ def cmd_tc(args) -> int:
     p = _load_presentation(args.presentation)
     if args.rounds < 1:
         raise UsageError("--rounds must be at least 1")
-    state = TcState.initial(p)
-    for _ in range(args.rounds):
-        state = tc_round(state)
-    pcg = partial_cayley(state)
+    pcg = partial_cayley(next(islice(coset_rounds(p), args.rounds - 1, None)))
     summary = f"rounds={args.rounds} vertices={pcg.graph.num_vertices} radius={pcg.radius}"
     if args.dot is None:
         print(summary)

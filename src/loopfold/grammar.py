@@ -27,12 +27,7 @@ from typing import Iterable, NamedTuple
 
 from .automata import LabeledGraph, build_tree_nfa, nfa_accepts
 from .core import EMPTY, Presentation, Word, inverse_code, render_word
-from .fillings import (
-    ReferenceOracle,
-    double_exp_bound,
-    double_exp_constants,
-    measure_isodiametric,
-)
+from .fillings import ReferenceOracle, double_exp_bound, measure_isodiametric
 from .rewrite import BudgetFailure, RewriteSystem, SearchBudget, budget_flags, min_isoperimetric
 
 BOTTOM = -1  # the stack-bottom marker, rendered "z"
@@ -140,7 +135,7 @@ class Cfg(NamedTuple):
         out = {self.start}
         for lhs, rhs in self.rules:
             out.add(lhs)
-            out.update(s for s in rhs if isinstance(s, tuple))
+            out.update(filter(_is_nonterminal, rhs))
         return out
 
 
@@ -157,11 +152,9 @@ def _letter_text(code: int) -> str:
 
 
 def _symbol_text(sym) -> str:
-    if isinstance(sym, tuple):
-        if len(sym) == 3:
-            p, c, q = sym
-            return f"[{_state_text(p)},{_letter_text(c)},{_state_text(q)}]"
-        return "[" + ",".join(str(part) for part in sym) + "]"
+    if _is_nonterminal(sym):
+        p, c, q = sym
+        return f"[{_state_text(p)},{_letter_text(c)},{_state_text(q)}]"
     return _letter_text(sym)
 
 
@@ -220,7 +213,7 @@ def _only_empty(rules) -> set:
     while changed:
         changed = False
         for lhs, rhs in rules:
-            if lhs not in nonempty and any(not isinstance(s, tuple) or s in nonempty for s in rhs):
+            if lhs not in nonempty and any(not _is_nonterminal(s) or s in nonempty for s in rhs):
                 nonempty.add(lhs)
                 changed = True
     return {lhs for lhs, _ in rules if lhs not in nonempty}
@@ -248,7 +241,7 @@ def simplify_cfg(g: Cfg) -> Cfg:
     while frontier:
         for rhs in by_lhs.get(frontier.pop(), ()):
             for s in rhs:
-                if isinstance(s, tuple) and s not in reachable:
+                if _is_nonterminal(s) and s not in reachable:
                     reachable.add(s)
                     frontier.append(s)
     kept = sorted({rule for rule in rules if rule[0] in reachable})
@@ -294,34 +287,28 @@ def _best_rules(rules) -> dict:
     nonterminal to the index of the rule that settled it at its least
     derivable length.  Expanding these rules always terminates: a rule
     settles only after every nonterminal on its right side has."""
-    occ: dict = {}
-    remaining = []
-    terminal_len = []
+    occ: dict = {}  # nonterminal -> one rule index per occurrence on a right side
+    remaining = []  # nonterminal occurrences not yet settled, per rule
+    cost_acc = []  # letters plus the settled costs so far, per rule
     for idx, (lhs, rhs) in enumerate(rules):
         nts = [s for s in rhs if _is_nonterminal(s)]
         remaining.append(len(nts))
-        terminal_len.append(len(rhs) - len(nts))
-        for s in set(nts):  # one entry per rule even when a symbol repeats
+        cost_acc.append(len(rhs) - len(nts))
+        for s in nts:
             occ.setdefault(s, []).append(idx)
 
-    settled: dict = {}
     best_rule: dict = {}
-    heap: list = []
-    for idx, (lhs, rhs) in enumerate(rules):
-        if remaining[idx] == 0:
-            heapq.heappush(heap, (terminal_len[idx], rules[idx], idx))
-    cost_acc = list(terminal_len)
+    heap = [(cost_acc[idx], rule, idx) for idx, rule in enumerate(rules) if remaining[idx] == 0]
+    heapq.heapify(heap)
     while heap:
         cost, _, idx = heapq.heappop(heap)
         lhs = rules[idx][0]
-        if lhs in settled:
+        if lhs in best_rule:
             continue
-        settled[lhs] = cost
         best_rule[lhs] = idx
         for jdx in occ.get(lhs, ()):
-            count = sum(1 for s in rules[jdx][1] if s == lhs)
-            cost_acc[jdx] += settled[lhs] * count
-            remaining[jdx] -= count
+            cost_acc[jdx] += cost
+            remaining[jdx] -= 1
             if remaining[jdx] == 0:
                 heapq.heappush(heap, (cost_acc[jdx], rules[jdx], jdx))
     return best_rule
@@ -498,8 +485,6 @@ class BoundReport(NamedTuple):
     shortest_length: int
     witness: Word
     area: int
-    big_c: int
-    base: int
     bound: int
 
     @property
@@ -519,7 +504,6 @@ def double_exp_experiment(
     double-exponential bound above.  ``system`` is the presentation's
     rewrite system, shared with the caller."""
     p = system.presentation
-    big_c, base = double_exp_constants(p)
     trivial = oracle.trivial_words(n_max)
     reduced = [w for w in trivial if w.is_reduced()]
     diameters = [d.value for d in measure_isodiametric(p, n_max, reduced)]
@@ -560,8 +544,6 @@ def double_exp_experiment(
                 shortest_length=ell,
                 witness=witness,
                 area=area.value,
-                big_c=big_c,
-                base=base,
                 bound=bounds[length, d],
             )
         )

@@ -13,46 +13,13 @@ whose decisions agree with a reference oracle on all words of length up to
 
 from __future__ import annotations
 
+import itertools
 from functools import cached_property
+from typing import Iterator
 
 from . import _kernels
 from .core import Presentation, Word, words_up_to
-from .automata import (
-    Folder,
-    FoldedGraph,
-    accepts_reduced,
-    radius as graph_radius,
-    strip_hairs,
-)
-
-
-class TcState:
-    """A presentation's coset graph after ``round`` rounds.
-
-    Every class holding a vertex below ``settled`` is complete and closes
-    every relator.  Folding only merges classes and never removes an edge,
-    so such a class stays complete and closed in every later round, and so
-    does any class rooted below ``settled``, a root being its class's least
-    member.  The default 0 claims nothing: a hand-made state is checked in
-    full.  States compare by identity."""
-
-    def __init__(self, presentation: Presentation, folder: Folder, round: int, settled: int = 0):
-        object.__setattr__(self, "presentation", presentation)
-        object.__setattr__(self, "folder", folder)  # owned by this state: a round advances a copy
-        object.__setattr__(self, "round", round)
-        object.__setattr__(self, "settled", settled)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TcState is immutable")
-
-    @classmethod
-    def initial(cls, p: Presentation) -> "TcState":
-        return cls(p, Folder(p.num_generators), 0)
-
-    @cached_property
-    def graph(self) -> FoldedGraph:
-        """The round's folded graph, its classes numbered by least member."""
-        return self.folder.snapshot()
+from .automata import Folder, FoldedGraph, radius as graph_radius, strip_hairs
 
 
 class PartialCayleyGraph:
@@ -69,44 +36,46 @@ class PartialCayleyGraph:
         return graph_radius(self.graph)
 
 
-def tc_round(s: TcState) -> TcState:
-    """One saturation round: complete edges, attach missing relator loops,
-    folding as they go.  Edge completion covers the vertices present when
-    the round starts; loop guards are evaluated on the graph as it stands
-    after completion, before any new loop is attached.
+def tc_round(folder: Folder, p: Presentation, settled: int = 0) -> int:
+    """One saturation round, advancing ``folder`` in place: complete edges,
+    attach missing relator loops, folding as they go.  Edge completion
+    covers the vertices present when the round starts; loop guards are
+    evaluated on the graph as it stands after completion, before any new
+    loop is attached.  Returns that starting vertex count, the next round's
+    ``settled``.
 
+    Every class rooted below ``settled`` must already be complete and close
+    every relator; the default 0 claims nothing and checks every class.
     Afterwards every class holding a vertex present when the round started
-    is complete and closes every relator: completion and the attached loops
-    saw to its root, or, for a root below ``s.settled``, an earlier round
-    did.  Folding keeps both, so the next state is settled below the
-    round's starting vertex count.  The roots below ``s.settled`` need no
-    edge and no loop, so the round completes and traces only the roots from
-    there on: it costs what the previous round added, and builds the graph
-    that checking every root would.
+    is complete and closed, and stays so in every later round: folding only
+    merges classes and never removes an edge, and a root is its class's
+    least member.  The roots below ``settled`` need no edge and no loop, so
+    the round completes and traces only the roots from there on: it costs
+    what the previous round added, and builds the graph that checking every
+    root would.
     """
-    p = s.presentation
-    f = s.folder.copy()
-    f.what = f"coset round {s.round + 1}"
-    f.complete(s.settled)
-    need = [(v, r) for v in f.vertices(s.settled) for r in p.relators if f.trace(v, r) != v]
+    start = len(folder.parent)
+    folder.complete(settled)
+    need = [(v, r) for v in folder.vertices(settled) for r in p.relators if folder.trace(v, r) != v]
     for v, r in need:
-        f.add_loop(v, r)
-    return TcState(p, f, s.round + 1, len(s.folder.parent))
+        folder.add_loop(v, r)
+    return start
 
 
-def partial_cayley(s: TcState) -> PartialCayleyGraph:
-    """Strip hairs (iteratively) from the round's folded graph."""
-    if s.round < 1:
-        raise ValueError("run at least one round first")
-    return PartialCayleyGraph(strip_hairs(s.graph))
+def coset_rounds(p: Presentation) -> Iterator[Folder]:
+    """Rounds 1, 2, … of coset saturation, grown in one folder: each round
+    advances the folder in place, and the folder itself is yielded, valid
+    until the next round is drawn."""
+    folder, settled = Folder(p.num_generators), 0
+    for i in itertools.count(1):
+        folder.what = f"coset round {i}"
+        settled = tc_round(folder, p, settled)
+        yield folder
 
 
-def tc_decides(g: PartialCayleyGraph, w: Word) -> bool:
-    """Trace ``red(w)`` on the partial Cayley graph; True means trivial.
-
-    Sound at every round; complete only once enough rounds have run for
-    ``|w|`` (see :func:`measure_tc_radius`)."""
-    return accepts_reduced(g.graph, w)
+def partial_cayley(folder: Folder) -> PartialCayleyGraph:
+    """Strip hairs (iteratively) from the folder's folded graph."""
+    return PartialCayleyGraph(strip_hairs(folder.snapshot()))
 
 
 def measure_tc_radius(
@@ -145,12 +114,7 @@ def measure_tc_radius(
         raise ValueError("trivial words must be listed shortest first, lexicographic "
                          "within a length, each once, over the presentation's alphabet")
 
-    def rounds():
-        state = TcState.initial(p)
-        while True:
-            state = tc_round(state)
-            yield partial_cayley(state).graph
-
-    hits = _kernels.first_deciding(rounds(), layers, [max_rounds - 1] * (n_max + 1))
+    graphs = (partial_cayley(f).graph for f in coset_rounds(p))
+    hits = _kernels.first_deciding(graphs, layers, [max_rounds - 1] * (n_max + 1))
     pcgs = {i: PartialCayleyGraph(g) for i, g in filter(None, hits)}
     return [None if hit is None else (hit[0] + 1, pcgs[hit[0]].radius, pcgs[hit[0]]) for hit in hits]

@@ -391,7 +391,7 @@ def test_grammar_bound_renders_bounds_past_the_digit_limit(monkeypatch, capsys):
     word = parse_word("abAB", 2)
     bound = double_exp_bound(p, 4, 2)
     assert bound.bit_length() == 40_963
-    report = BoundReport(word, 4, 2, 4, word, 1, 160, 16, bound)
+    report = BoundReport(word, 4, 2, 4, word, 1, bound)
     monkeypatch.setattr(cli, "double_exp_experiment", lambda *args: [report])
     limit = sys.get_int_max_str_digits()
     assert run_cli("grammar-bound", ZXZ, "--n", "4", "--oracle", "free-abelian:2") == 0

@@ -29,7 +29,7 @@ from loopfold.fillings import (
     refold,
 )
 from loopfold.rewrite import OracleStatus, RewriteSystem, SearchBudget
-from loopfold.toddcoxeter import TcState, partial_cayley, tc_round
+from loopfold.toddcoxeter import coset_rounds, partial_cayley
 
 Z2 = parse_presentation("gens: a\nrels: aa")
 Z3 = parse_presentation("gens: a\nrels: aaa")
@@ -413,7 +413,7 @@ def test_pull_apart_round_trip_loop_complexes():
 
 
 def test_pull_apart_saturation_graph():
-    pcg = partial_cayley(tc_round(TcState.initial(Z3)))
+    pcg = partial_cayley(next(coset_rounds(Z3)))
     loops = pull_apart(pcg.graph)
     assert loops, "saturation should have recorded faces"
     for rel, conjugator in loops:
@@ -424,7 +424,7 @@ def test_pull_apart_saturation_graph():
 
 
 def test_pull_apart_lattice_saturation_round_trip():
-    pcg = partial_cayley(tc_round(TcState.initial(LATTICE)))
+    pcg = partial_cayley(next(coset_rounds(LATTICE)))
     loops = pull_apart(pcg.graph)
     rebuilt = refold(2, loops)
     assert canonical_form(rebuilt) == canonical_form(pcg.graph)

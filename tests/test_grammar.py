@@ -9,7 +9,7 @@ import pytest
 
 from loopfold.automata import build_tree_nfa, nfa_accepts
 from loopfold.core import EMPTY, Presentation, Word, parse_word, render_word
-from loopfold.fillings import ReferenceOracle
+from loopfold.fillings import ReferenceOracle, double_exp_constants
 from loopfold.grammar import (
     BOTTOM,
     build_dyck_pda,
@@ -419,8 +419,7 @@ def test_bound_experiment_z3():
         RewriteSystem(Z3), 3, ReferenceOracle.cyclic(3), SearchBudget(max_word_length=6)
     )
     cubed = {render_word(r.word): r for r in reports}["aaa"]
-    assert cubed.big_c == 54
-    assert cubed.base == 4
+    assert double_exp_constants(Z3) == (54, 4)
     assert cubed.bound == 3 * 2**54
     assert cubed.shortest_length == 3
     assert cubed.area == 1

@@ -2,14 +2,16 @@
 by value, the search budget refuses caps below 1, graph records compare by
 identity, and the lazy graph properties are computed once per object."""
 
+from itertools import islice
+
 import pytest
 
 from loopfold import toddcoxeter
-from loopfold.automata import Folder, FoldedGraph
+from loopfold.automata import FoldedGraph
 from loopfold.core import Presentation, parse_word
 from loopfold.fillings import ProfileRow
 from loopfold.rewrite import OracleResult, OracleStatus, SearchBudget, budget_flags
-from loopfold.toddcoxeter import PartialCayleyGraph, TcState, partial_cayley, tc_round
+from loopfold.toddcoxeter import PartialCayleyGraph, coset_rounds, partial_cayley
 
 LATTICE = Presentation(2, [parse_word("abAB", 2)])
 EXACT = OracleStatus.EXACT
@@ -69,28 +71,17 @@ def test_folded_graph_keeps_identity_equality():
 
 
 def test_coset_records_keep_identity_equality():
-    state = tc_round(TcState.initial(LATTICE))
-    twin = TcState(state.presentation, state.folder, state.round, state.settled)
-    assert state != twin and state == state
-    assert PartialCayleyGraph(state.graph) != PartialCayleyGraph(state.graph)
+    graph = next(coset_rounds(LATTICE)).snapshot()
+    pcg = PartialCayleyGraph(graph)
+    assert pcg == pcg and pcg != PartialCayleyGraph(graph)
     with pytest.raises(AttributeError):
-        state.settled = 0
-
-
-def test_tc_state_graph_is_built_once(monkeypatch):
-    snapshots = []
-    snapshot = Folder.snapshot
-    monkeypatch.setattr(Folder, "snapshot", lambda self: snapshots.append(self) or snapshot(self))
-    state = tc_round(tc_round(TcState.initial(LATTICE)))
-    assert snapshots == []
-    assert state.graph is state.graph
-    assert snapshots == [state.folder]
+        pcg.graph = graph
 
 
 def test_partial_cayley_radius_is_computed_once(monkeypatch):
     graph_radius = toddcoxeter.graph_radius
     calls = []
     monkeypatch.setattr(toddcoxeter, "graph_radius", lambda g: calls.append(g) or graph_radius(g))
-    pcg = partial_cayley(tc_round(tc_round(TcState.initial(LATTICE))))
+    pcg = partial_cayley(next(islice(coset_rounds(LATTICE), 1, None)))
     assert pcg.radius == pcg.radius == graph_radius(pcg.graph)
     assert calls == [pcg.graph]

@@ -1,18 +1,24 @@
 import tracemalloc
+from itertools import islice
+from pathlib import Path
 
 import pytest
 
 from loopfold import automata
-from loopfold.automata import Folder, LabeledGraph, canonical_form, fold, restrict_to_radius, trace
-from loopfold.core import EMPTY, Presentation, Word, parse_word, words_up_to
-from loopfold.toddcoxeter import (
-    PartialCayleyGraph,
-    TcState,
-    measure_tc_radius,
-    partial_cayley,
-    tc_decides,
-    tc_round,
+from loopfold.automata import (
+    Folder,
+    LabeledGraph,
+    accepts_reduced,
+    canonical_form,
+    fold,
+    restrict_to_radius,
+    trace,
 )
+from loopfold.cli import main
+from loopfold.core import EMPTY, Presentation, Word, parse_word, words_up_to
+from loopfold.toddcoxeter import coset_rounds, measure_tc_radius, partial_cayley, tc_round
+
+ZXZ = str(Path(__file__).resolve().parent.parent / "presentations" / "zxz.pres")
 
 Z2 = Presentation(1, [parse_word("aa", 1)])
 Z3 = Presentation(1, [parse_word("aaa", 1)])
@@ -92,59 +98,85 @@ class TestRound:
         bs12 = Presentation(2, [w("abABB")])
         mixed = Presentation(2, [w("aab"), w("abA")])  # abA is not cyclically reduced
         for p in (Z2, Z3, LATTICE, FREE2, bs12, mixed):
-            state = TcState.initial(p)
-            for _ in range(4):
-                expected = unfolded_round(p, state.graph)
-                state = tc_round(state)
-                got = state.graph
-                assert (got.num_vertices, got.origin, got.edges(), got.faces) == (
-                    expected.num_vertices, expected.origin, expected.edges(), expected.faces), (p, state.round)
+            graph = Folder(p.num_generators).snapshot()
+            for i, folder in enumerate(islice(coset_rounds(p), 4), 1):
+                expected = unfolded_round(p, graph)
+                graph = folder.snapshot()
+                assert (graph.num_vertices, graph.origin, graph.edges(), graph.faces) == (
+                    expected.num_vertices, expected.origin, expected.edges(), expected.faces), (p, i)
 
     def test_cyclic_three_first_round_gives_cycle(self):
-        state = tc_round(TcState.initial(Z3))
-        assert state.round == 1
-        pcg = partial_cayley(state)
+        folder = next(coset_rounds(Z3))
+        assert folder.what == "coset round 1"
+        pcg = partial_cayley(folder)
         assert canonical_form(pcg.graph) == canonical_form(fold(three_cycle())[0])
         assert pcg.radius == 1
 
     def test_free_group_rounds_grow_a_tree(self):
-        state = tc_round(TcState.initial(FREE2))
-        assert state.graph.num_vertices == 5  # origin plus four fresh ends
-        assert partial_cayley(state).radius == 0
-        state = tc_round(state)
-        assert state.graph.num_vertices == 17  # ball of radius 2 in the tree
-        assert partial_cayley(state).graph.num_vertices == 1
+        rounds = coset_rounds(FREE2)
+        folder = next(rounds)
+        assert folder.snapshot().num_vertices == 5  # origin plus four fresh ends
+        assert partial_cayley(folder).radius == 0
+        assert next(rounds) is folder  # grown in place
+        assert folder.snapshot().num_vertices == 17  # ball of radius 2 in the tree
+        assert partial_cayley(folder).graph.num_vertices == 1
 
     def test_round_is_idempotent_on_complete_cayley_graph(self):
-        state = TcState(Z3, Folder.of_graph(three_cycle()), 1)
-        after = tc_round(state)
-        assert canonical_form(partial_cayley(after).graph) == canonical_form(fold(three_cycle())[0])
+        folder = Folder.of_graph(three_cycle())
+        assert tc_round(folder, Z3) == 3
+        assert canonical_form(partial_cayley(folder).graph) == canonical_form(fold(three_cycle())[0])
 
     def test_rounds_fold_deterministic(self):
-        state = TcState.initial(LATTICE)
-        for _ in range(3):
-            state = tc_round(state)
-            graph = state.graph
+        for i, folder in enumerate(islice(coset_rounds(LATTICE), 3), 1):
+            graph = folder.snapshot()
             for code, row in enumerate(graph.delta):  # every edge stored both ways
                 back = graph.delta[code ^ 1]
-                assert all(t < 0 or back[t] == v for v, t in enumerate(row)), (state.round, code)
+                assert all(t < 0 or back[t] == v for v, t in enumerate(row)), (i, code)
             refolded, vertex_map = fold(unfolded(graph))
             assert vertex_map == list(range(graph.num_vertices))
             assert (refolded.origin, refolded.edges()) == (graph.origin, graph.edges())
 
     def test_vertex_counts_nondecreasing(self):
-        state = TcState.initial(Z2)
-        sizes = []
-        for _ in range(4):
-            state = tc_round(state)
-            sizes.append(state.graph.num_vertices)
+        sizes = [folder.snapshot().num_vertices for folder in islice(coset_rounds(Z2), 4)]
         assert sizes == sorted(sizes)
 
     def test_faces_survive_to_partial_graph(self):
-        state = tc_round(TcState.initial(Z3))
-        pcg = partial_cayley(state)
+        pcg = partial_cayley(next(coset_rounds(Z3)))
         assert pcg.graph.faces
         assert all(rel == w("aaa", 1) for _bp, rel in pcg.graph.faces)
+
+    def test_coset_rounds_take_no_snapshot(self, monkeypatch):
+        snapshots = []
+        monkeypatch.setattr(Folder, "snapshot", lambda self: snapshots.append(self))
+        assert len(list(islice(coset_rounds(LATTICE), 5))) == 5
+        assert snapshots == []
+
+
+class TestOneFolder:
+    """Coset saturation grows one folder: neither a command nor the ρ_TC
+    scan builds a folder per round."""
+
+    @pytest.fixture
+    def folders(self, monkeypatch):
+        built = []
+        init = Folder.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Folder, "__init__", counting)
+        return built
+
+    def test_tc_command_builds_one_folder(self, folders, capsys):
+        assert main(["tc", ZXZ, "--rounds", "30"]) == 0
+        assert capsys.readouterr().out.startswith("rounds=30 ")
+        assert len(folders) == 1
+
+    def test_tc_radius_scan_builds_one_folder(self, folders):
+        column = measure_tc_radius(LATTICE, 4, trivial_for(LATTICE, 4))
+        assert max(rounds for rounds, _rad, _pcg in column) > 1
+        assert len(folders) == 1
 
 
 class TestSettled:
@@ -157,26 +189,34 @@ class TestSettled:
             return untraced(folder, v, word)
 
         monkeypatch.setattr(Folder, "trace", recording)
-        state, total = TcState.initial(LATTICE), 0
-        for _ in range(30):
+        folder, settled, total = Folder(LATTICE.num_generators), 0, 0
+        for i in range(30):
             traced.clear()
-            after = tc_round(state)
-            assert traced and min(traced) >= state.settled, state.round
-            assert after.settled == len(state.folder.parent)
+            start = len(folder.parent)
+            after = tc_round(folder, LATTICE, settled)
+            assert traced and min(traced) >= settled, i
+            assert after == start
             total += len(traced)
-            state = after
+            settled = after
         assert total == 11_344  # checking every class in every round traces 66,995
 
     def test_skipping_settled_classes_builds_the_graph_of_a_full_check(self):
         bs12 = Presentation(2, [w("abABB")])
         mixed = Presentation(2, [w("aab"), w("abA")])
+
+        def replayed(p, rounds):
+            """A fresh folder after ``rounds`` rounds, the last checking every class."""
+            folder, settled = Folder(p.num_generators), 0
+            for _ in range(rounds - 1):
+                settled = tc_round(folder, p, settled)
+            tc_round(folder, p)
+            return folder
+
         for p, rounds in ((Z3, 4), (LATTICE, 12), (FREE2, 4), (bs12, 5), (mixed, 4)):
-            state = TcState.initial(p)
-            for _ in range(rounds):
-                full = tc_round(TcState(state.presentation, state.folder, state.round, settled=0))
-                state = tc_round(state)
-                assert len(state.folder.parent) == len(full.folder.parent), (p, state.round)
-                got, expected = state.graph, full.graph
+            for i, folder in enumerate(islice(coset_rounds(p), rounds), 1):
+                full = replayed(p, i)
+                assert len(folder.parent) == len(full.parent), (p, i)
+                got, expected = folder.snapshot(), full.snapshot()
                 assert (got.origin, got.delta, got.faces) == (expected.origin, expected.delta, expected.faces)
 
 
@@ -186,14 +226,12 @@ class TestMemory:
         # its snapshot and partial Cayley graph, as measure_tc_radius runs them
         tracemalloc.start()
         try:
-            state = TcState.initial(LATTICE)
-            for _ in range(30):
-                state = tc_round(state)
-                pcg = partial_cayley(state)
+            for folder in islice(coset_rounds(LATTICE), 30):
+                pcg = partial_cayley(folder)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        allocated = len(state.folder.parent)
+        allocated = len(folder.parent)
         assert pcg.graph.num_vertices == 6421
         assert peak / allocated <= automata._BYTES_PER_VERTEX, (peak, allocated)
 
@@ -202,14 +240,14 @@ class TestPartialCayley:
     def test_single_edge_collapses_to_origin(self):
         g = LabeledGraph(1, 2)
         g.add_edge(0, 0, 1)
-        pcg = partial_cayley(TcState(Z2, Folder.of_graph(g), 1))
+        pcg = partial_cayley(Folder.of_graph(g))
         assert pcg.graph.num_vertices == 1
         assert pcg.radius == 0
 
     def test_pendant_edge_on_cycle_is_ignored(self):
         g = three_cycle()
         g.add_edge(1, 0, g.add_vertex())
-        pcg = partial_cayley(TcState(Z3, Folder.of_graph(g), 1))
+        pcg = partial_cayley(Folder.of_graph(g))
         assert canonical_form(pcg.graph) == canonical_form(fold(three_cycle())[0])
         assert pcg.radius == 1
 
@@ -221,32 +259,26 @@ class TestPartialCayley:
         g.add_edge(0, 0, v)
         g.add_edge(v, 0, u)
         g.add_edge(u, 0, t)
-        pcg = partial_cayley(TcState(Z3, Folder.of_graph(g), 1))
+        pcg = partial_cayley(Folder.of_graph(g))
         assert canonical_form(pcg.graph) == canonical_form(fold(three_cycle())[0])
-
-    def test_requires_a_completed_round(self):
-        with pytest.raises(ValueError):
-            partial_cayley(TcState.initial(Z3))
 
 
 class TestDecisions:
     def test_cyclic_three_traces(self):
-        pcg = partial_cayley(tc_round(TcState.initial(Z3)))
-        assert tc_decides(pcg, w("aaa", 1)) is True
-        assert tc_decides(pcg, w("a", 1)) is False
-        assert tc_decides(pcg, EMPTY) is True
-        assert tc_decides(pcg, w("aAaaa", 1)) is True  # reduction first
+        pcg = partial_cayley(next(coset_rounds(Z3)))
+        assert accepts_reduced(pcg.graph, w("aaa", 1)) is True
+        assert accepts_reduced(pcg.graph, w("a", 1)) is False
+        assert accepts_reduced(pcg.graph, EMPTY) is True
+        assert accepts_reduced(pcg.graph, w("aAaaa", 1)) is True  # reduction first
 
     def test_soundness_at_every_round(self):
         for p in (Z3, LATTICE):
             oracle = oracle_for(p)
-            state = TcState.initial(p)
-            for _ in range(3):
-                state = tc_round(state)
-                pcg = partial_cayley(state)
+            for i, folder in enumerate(islice(coset_rounds(p), 3), 1):
+                pcg = partial_cayley(folder)
                 for u in reduced_words_up_to(p.alphabet_size, 4):
-                    if tc_decides(pcg, u):
-                        assert oracle(u), (p, state.round, u)
+                    if accepts_reduced(pcg.graph, u):
+                        assert oracle(u), (p, i, u)
 
 
 class TestMeasureRadius:
@@ -276,7 +308,7 @@ class TestMeasureRadius:
         oracle = oracle_for(Z3)
         _rounds, _rad, pcg = measure_tc_radius(Z3, 5, trivial_for(Z3, 5))[5]
         for u in reduced_words_up_to(2, 5):
-            assert tc_decides(pcg, u) == oracle(u)
+            assert accepts_reduced(pcg.graph, u) == oracle(u)
 
     def test_trivial_list_out_of_order_is_refused(self):
         trivial = trivial_for(Z3, 4)
