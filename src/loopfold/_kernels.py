@@ -1,16 +1,18 @@
 """Batch DFA tracing of word sets, and the one monotone scan built on it.
 
-Both d(n) and ρ_TC(n) are read off a growing sequence of folded graphs: the
-first graph that decides every word of length ≤ n.  The isodiametric scan
-runs over the loop complexes Λ_0, Λ_1, … on the reduced trivial words; the
-saturation scan runs over the coset rounds on every reduced word.  Words are
-``bytes`` strings of letter codes; a DFA is a folded graph's ``delta``, one
-list of successor states per letter.
+Both d(n) and ρ_TC(n) are read off a growing sequence of folded graphs, the
+loop complexes Λ_0, Λ_1, … and the coset rounds: the first graph that
+accepts every reduced trivial word of length ≤ n.  No graph of either
+sequence accepts a non-trivial word (it maps onto the Cayley graph), so
+neither scan traces one.  Words are ``bytes`` strings of letter codes; a
+DFA is a folded graph's ``delta``, one list of successor states per letter.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, TypeVar
+
+from .core import Word
 
 G = TypeVar("G")  # a folded graph: ``delta`` and ``origin``
 
@@ -33,35 +35,44 @@ def trace_batch(delta: list[list[int]], start: int, words: list[bytes]) -> list[
     return out
 
 
+def trivial_layers(trivial: Iterable[Word], n_max: int, alphabet_size: int) -> list[list[bytes]]:
+    """The codes of the reduced words of ``trivial`` of length ≤ n_max, by
+    length: the layers both scans hand :func:`first_deciding`.  Every listed
+    word reduces to one of them.  Longer words are skipped; a letter outside
+    the alphabet raises ValueError."""
+    layers: list[list[bytes]] = [[] for _ in range(n_max + 1)]
+    for u in trivial:
+        if max(u.codes, default=0) >= alphabet_size:
+            raise ValueError(f"{u!r} has a letter outside the presentation's alphabet")
+        if len(u) <= n_max and u.is_reduced():
+            layers[len(u)].append(u.codes)
+    return layers
+
+
 def first_deciding(
     graphs: Iterable[G],
-    layers: list[tuple[list[bytes], list[bool]]],
+    layers: list[list[bytes]],
     limits: list[int],
 ) -> list[tuple[int, G] | None]:
     """Entry ``n`` is ``(i, graph)`` for the first graph ``i ≤ limits[n]``
-    of ``graphs`` that decides every layer ``layers[m] = (words, verdicts)``
-    with ``m ≤ n``, or None.  A graph decides a layer when the words it
-    leads from the origin back to the origin are exactly those marked True.
+    of ``graphs`` that leads every word of every ``layers[m]``, ``m ≤ n``,
+    from the origin back to the origin, or None.
 
-    A graph that decides the layers ``≤ n + 1`` decides those ``≤ n``, so
-    the first deciding graph only moves forward with ``n``: a graph that
-    decided the layers below ``n`` is tried on layer ``n`` alone, and after
-    a miss the next graph is tried on every layer ``≤ n``.  Graphs are drawn
-    from ``graphs`` only when tried.
+    Each graph must accept every word its predecessor accepts, as graphs
+    grown in a folder that only merges classes do.  So a layer once
+    accepted stays accepted: each graph is traced only on the layers that
+    no earlier graph accepted.  Graphs are drawn only when tried.
     """
     graphs = iter(graphs)
     column: list[tuple[int, G] | None] = []
-    i, g, decided = 0, None, 0  # g is graph i once drawn; it decides layers[:decided]
+    i, g, accepted = 0, None, 0  # g is graph i once drawn; graphs from i on accept layers[:accepted]
     for n, limit in enumerate(limits):
-        while i <= limit:
+        while accepted <= n and i <= limit:
             if g is None:
-                g, decided = next(graphs), 0
-            if all(
-                [s == g.origin for s in trace_batch(g.delta, g.origin, words)] == verdicts
-                for words, verdicts in layers[decided : n + 1]
-            ):
-                decided = n + 1
-                break
-            i, g = i + 1, None
-        column.append((i, g) if i <= limit else None)
+                g = next(graphs)
+            if all(s == g.origin for s in trace_batch(g.delta, g.origin, layers[accepted])):
+                accepted += 1
+            else:
+                i, g = i + 1, None
+        column.append((i, g) if accepted > n else None)
     return column

@@ -29,9 +29,9 @@ from .core import Presentation, Word, words_up_to
 DEFAULT_MEM_CEILING_MB = 512.0
 MEM_CEILING_ENV = "FILLINGS_MEM_CEILING_MB"
 # Peak bytes per allocated vertex, measured with tracemalloc (Python 3.11).  A
-# folder vertex takes about 190, and coset rounds grow one folder; 30 rounds of
-# ℤ², each with its snapshot and partial Cayley graph, peak at 536, the last
-# snapshot (about 260) and its hair-stripped graph sitting beside the folder.
+# folder vertex takes about 190, and coset rounds grow one folder.  `tc` pays
+# the peak at its last round: 30 rounds of ℤ² peak at 536 with that round's
+# snapshot (about 260) and its hair-stripped graph beside the folder.
 _BYTES_PER_VERTEX = 600
 _TREE_BYTES_PER_VERTEX = 1000  # unfolded tree automaton: 1.0 kB
 
@@ -349,11 +349,12 @@ def fold(graph: LabeledGraph) -> tuple[FoldedGraph, list[int]]:
 # -- construction -----------------------------------------------------------
 
 
-def loop_complexes(p: Presentation) -> Iterator[FoldedGraph]:
+def loop_complexes(p: Presentation) -> Iterator[Folder]:
     """The loop complexes ``Λ_0, Λ_1, …``, grown in one folder: radius ``j``
     folds in the loops ``r^u`` with ``|u| = j``.  Words are enumerated
     shortest first, so growing radius by radius builds the same graph as
-    one pass over all ``|u| ≤ j``."""
+    one pass over all ``|u| ≤ j``.  The folder itself is yielded, valid
+    until the next radius is drawn; its snapshot is ``Λ_j``."""
     folder = Folder(p.num_generators)
     k = p.alphabet_size
 
@@ -374,7 +375,7 @@ def loop_complexes(p: Presentation) -> Iterator[FoldedGraph]:
         folder.what = f"loop complex at radius {radius}"
         if p.relators:
             walk(folder.origin, -2, radius)
-        yield folder.snapshot()
+        yield folder
 
 
 def build_loop_complex(p: Presentation, j: int) -> FoldedGraph:
@@ -383,7 +384,7 @@ def build_loop_complex(p: Presentation, j: int) -> FoldedGraph:
     reading ``u`` with an ``r``-cycle at its tip."""
     if j < 0:
         raise ValueError("radius must be nonnegative")
-    return next(itertools.islice(loop_complexes(p), j, None))
+    return next(itertools.islice(loop_complexes(p), j, None)).snapshot()
 
 
 def build_tree_nfa(p: Presentation, j: int) -> LabeledGraph:

@@ -7,8 +7,8 @@ trivial words of length ≤ n:
 * ``f(n)`` — the largest filling length (rewrite search);
 * ``d(n)`` — the smallest loop-complex radius whose folded DFA accepts every
   reduced trivial word (completeness scan; soundness holds at any radius);
-* ``rhoTC(n)`` — the radius of the first partial Cayley graph that decides
-  all words of length ≤ n correctly.
+* ``rhoTC(n)`` — the radius of the first partial Cayley graph that accepts
+  every reduced trivial word (no round accepts a non-trivial word).
 
 Ground truth for "trivial" comes from a :class:`ReferenceOracle` — a closed
 form for the classical small groups, or the rewrite search itself as a
@@ -196,21 +196,16 @@ def measure_isodiametric(
     reduction of every word of length ≤ n in ``trivial``, the oracle's list
     of trivial words of length ≤ n_max.
 
-    Acceptance is sound at every radius, so only completeness is scanned.
-    Every trivial word reduces to a reduced trivial word of no greater
-    length, so the scan runs over the reduced words of the list only.
+    Acceptance is sound at every radius, so only completeness is scanned,
+    on the reduced words of the list (:func:`~loopfold._kernels.trivial_layers`).
     """
-    layers: list[tuple[list[bytes], list[bool]]] = [([], []) for _ in range(n_max + 1)]
-    for u in trivial:
-        if u.is_reduced():
-            words, verdicts = layers[len(u)]
-            words.append(u.codes)
-            verdicts.append(True)
+    layers = _kernels.trivial_layers(trivial, n_max, p.alphabet_size)
     limits = [n if max_radius is None else max_radius for n in range(n_max + 1)]
+    graphs = (f.snapshot() for f in loop_complexes(p))
     return [
         OracleResult(None, OracleStatus.LOWER_BOUND_ONLY) if hit is None
         else OracleResult(hit[0], OracleStatus.EXACT)
-        for hit in _kernels.first_deciding(loop_complexes(p), layers, limits)
+        for hit in _kernels.first_deciding(graphs, layers, limits)
     ]
 
 

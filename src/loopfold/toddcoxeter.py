@@ -4,11 +4,12 @@ Starting from a single origin vertex, each round (1) gives every existing
 vertex a full set of outgoing and incoming generator edges, growing fresh
 vertices where edges are missing, and (2) folds in a relator cycle at every
 vertex where the relator does not already trace a loop.  The folded graph
-with all hairs removed is a partial Cayley graph: its origin loops decide
-triviality soundly at every round, and completely for words up to a length
-that grows with the rounds.  The radius of the first partial Cayley graph
-whose decisions agree with a reference oracle on all words of length up to
-``n`` is the saturation radius at ``n``.
+with all hairs removed is a partial Cayley graph.  It maps onto the Cayley
+graph, so its origin loops never accept a non-trivial word, and they accept
+every trivial word up to a length that grows with the rounds.  The radius
+of the first partial Cayley graph that accepts every reduced trivial word
+of length up to ``n`` in a reference oracle's list is the saturation
+radius at ``n``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from functools import cached_property
 from typing import Iterator
 
 from . import _kernels
-from .core import Presentation, Word, words_up_to
+from .core import Presentation, Word
 from .automata import Folder, FoldedGraph, radius as graph_radius, strip_hairs
 
 
@@ -85,36 +86,17 @@ def measure_tc_radius(
     max_rounds: int = 24,
 ) -> list[tuple[int, int, PartialCayleyGraph] | None]:
     """Entry ``n`` (0 ≤ n ≤ n_max) is (rounds, radius, graph) for the first
-    round whose partial Cayley graph decides every word of length ≤ ``n``
-    the way ``trivial``, the oracle's list of trivial words of length ≤
-    n_max, does, or None when ``max_rounds`` rounds do not reach such a
-    graph.
+    round whose partial Cayley graph accepts every reduced word of length ≤
+    ``n`` in ``trivial``, the oracle's list of trivial words of length ≤
+    n_max, or None when ``max_rounds`` rounds do not reach such a graph.
 
-    Triviality is invariant under free reduction on both sides, so agreement
-    is checked on reduced words only: a round must accept the reduced words
-    on the list and no other.  One run of rounds serves every n.
-
-    The list must hold its reduced words in the order of
-    :func:`~loopfold.core.words_up_to`, shortest first and lexicographic in
-    codes within a length, each once, as the oracle lists them: one merge
-    walk beside the enumeration marks them.  A list out of that order
-    raises ValueError.
+    No round accepts a non-trivial word, so with a correct oracle that
+    round decides every word of length ≤ ``n``.  A reduced closed walk
+    never enters a hair, so rounds are traced on their snapshots, and
+    hairs are stripped only from the rounds the column reports.
     """
-    listed = (u.codes for u in trivial if len(u) <= n_max and u.is_reduced())
-    nxt = next(listed, None)
-    layers: list[tuple[list[bytes], list[bool]]] = [([], []) for _ in range(n_max + 1)]
-    for u in words_up_to(p.alphabet_size, n_max, reduced=True):
-        codes = u.codes
-        words, verdicts = layers[len(codes)]
-        words.append(codes)
-        verdicts.append(codes == nxt)
-        if codes == nxt:
-            nxt = next(listed, None)
-    if nxt is not None:  # the walk passed it by
-        raise ValueError("trivial words must be listed shortest first, lexicographic "
-                         "within a length, each once, over the presentation's alphabet")
-
-    graphs = (partial_cayley(f).graph for f in coset_rounds(p))
+    layers = _kernels.trivial_layers(trivial, n_max, p.alphabet_size)
+    graphs = (f.snapshot() for f in coset_rounds(p))
     hits = _kernels.first_deciding(graphs, layers, [max_rounds - 1] * (n_max + 1))
-    pcgs = {i: PartialCayleyGraph(g) for i, g in filter(None, hits)}
+    pcgs = {i: PartialCayleyGraph(strip_hairs(g)) for i, g in dict(filter(None, hits)).items()}
     return [None if hit is None else (hit[0] + 1, pcgs[hit[0]].radius, pcgs[hit[0]]) for hit in hits]

@@ -165,10 +165,9 @@ def test_relator_free_presentation_is_a_usage_error(capsys, argv):
     assert "at least one relator" in captured.err and captured.err.count("\n") == 1
 
 
-def test_profile_enumerates_reduced_words_once(monkeypatch, capsys):
-    # The oracle lists the trivial words once; only the coset-saturation
-    # scan, which must also see the non-trivial words, enumerates reduced
-    # words, and no word is decided one at a time.
+def test_profile_enumerates_no_word(monkeypatch, capsys):
+    # The oracle lists the trivial words once; both scans read that list,
+    # so no module enumerates words, and no word is decided one at a time.
     calls = []
     for name, module in list(sys.modules.items()):
         if name.startswith("loopfold.") and getattr(module, "words_up_to", None) is words_up_to:
@@ -180,7 +179,7 @@ def test_profile_enumerates_reduced_words_once(monkeypatch, capsys):
     assert run_cli("profile", Z2, "--n", "4", "--oracle", "cyclic:2") == 1
     capsys.readouterr()
     assert listed == [4]
-    assert calls == [("loopfold.toddcoxeter", True)]
+    assert calls == []
 
 
 def test_profile_state_budget_failure(capsys):

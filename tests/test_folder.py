@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from loopfold.automata import build_loop_complex, loop_complexes
+from loopfold.automata import Folder, build_loop_complex, loop_complexes
 from loopfold.core import parse_presentation
 from loopfold.toddcoxeter import coset_rounds
 
@@ -75,8 +75,16 @@ def test_loop_complexes_match_pins(name):
 def test_scanner_growth_equals_a_build_from_scratch(name):
     p = presentation(name)
     pins = PINS[f"loop-{name}"]
-    grown = [digest(g) for g in itertools.islice(loop_complexes(p), len(pins))]
+    grown = [digest(folder.snapshot()) for folder in itertools.islice(loop_complexes(p), len(pins))]
     assert grown == [digest(build_loop_complex(p, j)) for j in range(len(pins))] == pins
+
+
+def test_loop_complex_build_snapshots_only_its_radius(monkeypatch):
+    # loop_complexes yields the live folder; Λ_7 alone is snapshotted
+    snapshot, taken = Folder.snapshot, []
+    monkeypatch.setattr(Folder, "snapshot", lambda folder: taken.append(folder) or snapshot(folder))
+    assert digest(build_loop_complex(presentation("zxz"), 7)) == PINS["loop-zxz"][7]
+    assert len(taken) == 1
 
 
 @pytest.mark.parametrize("name", ["zxz", "free2"])

@@ -18,27 +18,25 @@ def test_trace_batch_dead_state_sticks():
     assert trace_batch(delta, 1, [bytes([0, 0, 0])]) == [-1]
 
 
-# Over one generator (codes 0 = a, 1 = A): the graph with no edge, a loop,
-# the two-cycle of Z/2, and a second loop that no scan below should draw.
+# Over one generator (codes 0 = a, 1 = A), a chain in which each graph
+# accepts every word its predecessor accepts, as the scans' graphs do: no
+# edge, the two-cycle of Z/2, a loop, and a second loop that no scan below
+# should draw.
 EMPTY_GRAPH = FoldedGraph(1, 0, [[-1], [-1]], [])
-LOOP = FoldedGraph(1, 0, [[0], [0]], [])
 TWO_CYCLE = FoldedGraph(1, 0, [[1, 0], [1, 0]], [])
+LOOP = FoldedGraph(1, 0, [[0], [0]], [])
 LATE_LOOP = FoldedGraph(1, 0, [[0], [0]], [])
-GRAPHS = {"empty": EMPTY_GRAPH, "loop": LOOP, "cycle": TWO_CYCLE, "late": LATE_LOOP}
+GRAPHS = {"empty": EMPTY_GRAPH, "cycle": TWO_CYCLE, "loop": LOOP, "late": LATE_LOOP}
 NAMES = {id(g.delta): name for name, g in GRAPHS.items()}  # a graph's name by its table
 
-# The words of Z/2 by length: even powers trivial, odd ones not.
-LAYERS = [
-    ([b""], [True]),
-    ([b"\x00", b"\x01"], [False, False]),
-    ([b"\x00\x00", b"\x01\x01"], [True, True]),
-    ([b"\x00\x00\x00", b"\x01\x01\x01"], [False, False]),
-]
+# Words to accept, by length: the empty graph accepts layers 0 and 1, the
+# two-cycle also layer 2, and only the loop layer 3.
+LAYERS = [[b""], [], [b"\x00\x00", b"\x01\x01"], [b"\x00\x00\x00"]]
 
 
 def scan(limits, monkeypatch):
     """Run the scan over the four graphs; returns its column by graph name,
-    the graphs drawn, and every traced batch as (graph, word count)."""
+    the graphs drawn, and every traced batch as (graph, layer index)."""
     drawn, batches = [], []
 
     def graphs():
@@ -47,7 +45,7 @@ def scan(limits, monkeypatch):
             yield g
 
     def traced(delta, start, words):
-        batches.append((NAMES[id(delta)], len(words[0])))
+        batches.append((NAMES[id(delta)], next(m for m, layer in enumerate(LAYERS) if layer is words)))
         return trace_batch(delta, start, words)
 
     monkeypatch.setattr(_kernels, "trace_batch", traced)
@@ -55,31 +53,32 @@ def scan(limits, monkeypatch):
     return [None if hit is None else (hit[0], NAMES[id(hit[1].delta)]) for hit in column], drawn, batches
 
 
-def test_first_deciding_retries_every_layer_after_a_miss(monkeypatch):
-    # The empty graph decides lengths 0 and 1 and misses aa.  The loop
-    # accepts aa but also a, so it must fail on layer 1 although layer 2,
-    # the one the empty graph missed, passes; the two-cycle decides all.
+def test_first_deciding_never_retraces_an_accepted_layer(monkeypatch):
+    # The empty graph accepts layers 0 and 1 and misses aa; the two-cycle
+    # is tried from layer 2 on, the one the empty graph missed, and the
+    # loop from layer 3 on.
     column, drawn, batches = scan([5] * 4, monkeypatch)
-    assert column == [(0, "empty"), (0, "empty"), (2, "cycle"), (2, "cycle")]
-    assert drawn == ["empty", "loop", "cycle"]
-    # (graph, length of the layer traced): a graph that decided the layers
-    # below n is tried on layer n alone; the next graph after a miss on all
+    assert column == [(0, "empty"), (0, "empty"), (1, "cycle"), (2, "loop")]
+    assert drawn == ["empty", "cycle", "loop"]
     assert batches == [
         ("empty", 0), ("empty", 1), ("empty", 2),
-        ("loop", 0), ("loop", 1),
-        ("cycle", 0), ("cycle", 1), ("cycle", 2),
-        ("cycle", 3),
+        ("cycle", 2), ("cycle", 3),
+        ("loop", 3),
     ]
 
 
 def test_first_deciding_never_reports_a_missed_graph(monkeypatch):
-    # At n = 2 the limit stops the scan after the loop missed; at n = 3 the
-    # scan resumes with the next graph, tried on every layer, and never
-    # goes back to the graphs that missed.
-    column, drawn, batches = scan([0, 0, 1, 2], monkeypatch)
-    assert column == [(0, "empty"), (0, "empty"), None, (2, "cycle")]
-    assert drawn == ["empty", "loop", "cycle"]
-    assert batches[-4:] == [("cycle", 0), ("cycle", 1), ("cycle", 2), ("cycle", 3)]
+    # At n = 2 the limit stops the scan after the empty graph missed; at
+    # n = 3 the scan resumes with the next graph, from the layer the empty
+    # graph missed, and never goes back to it.
+    column, drawn, batches = scan([0, 0, 0, 2], monkeypatch)
+    assert column == [(0, "empty"), (0, "empty"), None, (2, "loop")]
+    assert drawn == ["empty", "cycle", "loop"]
+    assert batches == [
+        ("empty", 0), ("empty", 1), ("empty", 2),
+        ("cycle", 2), ("cycle", 3),
+        ("loop", 3),
+    ]
 
 
 def test_first_deciding_draws_nothing_below_limit_zero():

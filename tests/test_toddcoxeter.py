@@ -1,21 +1,24 @@
 import tracemalloc
+from fractions import Fraction
 from itertools import islice
 from pathlib import Path
 
 import pytest
 
-from loopfold import automata
+from loopfold import _kernels, automata, toddcoxeter
 from loopfold.automata import (
     Folder,
     LabeledGraph,
     accepts_reduced,
     canonical_form,
     fold,
+    loop_complexes,
     restrict_to_radius,
     trace,
 )
 from loopfold.cli import main
-from loopfold.core import EMPTY, Presentation, Word, parse_word, words_up_to
+from loopfold.core import EMPTY, Presentation, Word, parse_presentation, parse_word, words_up_to
+from loopfold.fillings import ReferenceOracle, measure_isodiametric
 from loopfold.toddcoxeter import coset_rounds, measure_tc_radius, partial_cayley, tc_round
 
 ZXZ = str(Path(__file__).resolve().parent.parent / "presentations" / "zxz.pres")
@@ -44,9 +47,44 @@ def oracle_for(p):
     return lambda u: u.reduce() == EMPTY
 
 
-def trivial_for(p, n):
+def trivial_for(p, n, oracle=None):
     """The oracle's list of trivial words of length ≤ n."""
-    return [u for u in words_up_to(p.alphabet_size, n, reduced=False) if oracle_for(p)(u)]
+    oracle = oracle or oracle_for(p)
+    return [u for u in words_up_to(p.alphabet_size, n, reduced=False) if oracle(u)]
+
+
+def baumslag_solitar(k):
+    """BS(1, k) = ⟨a, b | a b a⁻¹ = b^k⟩ and its faithful affine action on
+    the rationals, a ↦ (x ↦ kx) and b ↦ (x ↦ x + 1): a word is trivial when
+    it acts as the identity."""
+    maps = [(Fraction(k), 0), (Fraction(1, k), 0), (1, 1), (1, -1)]  # a, A, b, B
+
+    def oracle(u):
+        m, t = Fraction(1), Fraction(0)
+        for c in u.codes:
+            f, g = maps[c]
+            m, t = m * f, m * g + t  # compose, the last letter acting first
+        return m == 1 and t == 0
+
+    return Presentation(2, [w("ab" + "A" + "B" * k)]), oracle
+
+
+BS12, BS13 = baumslag_solitar(2), baumslag_solitar(3)
+
+# The groups the ρ_TC scan is checked on, each with a closed-form oracle.
+GROUPS = {
+    "Z/2": (Z2, oracle_for(Z2)),
+    "Z/3": (Z3, oracle_for(Z3)),
+    "Z/4": (Presentation(1, [w("aaaa", 1)]), lambda u: exponent_sum(u, 0) % 4 == 0),
+    "Z^2": (LATTICE, oracle_for(LATTICE)),
+    "F_2": (FREE2, oracle_for(FREE2)),
+    "Z/2xZ/2": (Presentation(2, [w("aa"), w("bb"), w("abAB")]),
+                lambda u: exponent_sum(u, 0) % 2 == 0 == exponent_sum(u, 1) % 2),
+    "BS(1,2)": BS12,
+    "BS(1,3)": BS13,
+    "<a,b|aab,abA>": (Presentation(2, [w("aab"), w("abA")]),  # abA makes b trivial
+                      lambda u: exponent_sum(u, 0) % 2 == 0),
+}
 
 
 def three_cycle():
@@ -223,7 +261,8 @@ class TestSettled:
 class TestMemory:
     def test_ceiling_bytes_per_vertex_cover_the_peak(self):
         # the calibration of the memory ceiling: 30 rounds of ℤ², each with
-        # its snapshot and partial Cayley graph, as measure_tc_radius runs them
+        # its snapshot and partial Cayley graph; the last round's pair beside
+        # the folder sets the peak, which is what `tc` pays at its last round
         tracemalloc.start()
         try:
             for folder in islice(coset_rounds(LATTICE), 30):
@@ -281,6 +320,28 @@ class TestDecisions:
                         assert oracle(u), (p, i, u)
 
 
+class TestMonotone:
+    """Both scans rely on their graphs only gaining words: each Λ_j and each
+    coset round accepts every reduced word its predecessor accepts."""
+
+    @staticmethod
+    def assert_only_gain(sequence, count, n):
+        for name, (p, _oracle) in GROUPS.items():
+            words = reduced_words_up_to(p.alphabet_size, n)
+            before = set()
+            for i, folder in enumerate(islice(sequence(p), count)):
+                graph = folder.snapshot()
+                accepted = {u for u in words if accepts_reduced(graph, u)}
+                assert before <= accepted, (name, i, sorted(before - accepted, key=len)[:3])
+                before = accepted
+
+    def test_loop_complexes_only_gain_words(self):
+        self.assert_only_gain(loop_complexes, 4, 6)
+
+    def test_coset_rounds_only_gain_words(self):
+        self.assert_only_gain(coset_rounds, 4, 6)
+
+
 class TestMeasureRadius:
     def test_cyclic_groups(self):
         column = measure_tc_radius(Z3, 6, trivial_for(Z3, 6))
@@ -310,14 +371,65 @@ class TestMeasureRadius:
         for u in reduced_words_up_to(2, 5):
             assert accepts_reduced(pcg.graph, u) == oracle(u)
 
-    def test_trivial_list_out_of_order_is_refused(self):
+    def test_trivial_list_over_another_alphabet_is_refused(self):
+        # both scans read the list through one layer builder
         trivial = trivial_for(Z3, 4)
-        with pytest.raises(ValueError):
-            measure_tc_radius(Z3, 4, trivial[::-1])
-        with pytest.raises(ValueError):
-            measure_tc_radius(Z3, 4, trivial + trivial)
-        with pytest.raises(ValueError):  # in order, but over a letter Z3 lacks
-            measure_tc_radius(Z3, 4, trivial + [w("bbbb")])
+        for scan in (measure_tc_radius, measure_isodiametric):
+            with pytest.raises(ValueError, match="outside the presentation's alphabet"):
+                scan(Z3, 4, trivial + [w("bbbb")])
+
+    def test_words_past_n_max_are_skipped(self):
+        trivial = trivial_for(Z3, 4)
+        longer = trivial + [w("aaaaaa", 1)]
+        assert measure_isodiametric(Z3, 4, longer) == measure_isodiametric(Z3, 4, trivial)
+        assert ([hit[:2] for hit in measure_tc_radius(Z3, 4, longer)]
+                == [hit[:2] for hit in measure_tc_radius(Z3, 4, trivial)])
+
+    def test_scan_matches_the_deciding_definition(self):
+        # The reference: among all reduced words of length ≤ n, the first
+        # round whose partial Cayley graph accepts exactly the oracle's
+        # trivial ones.  The scan checks only that the trivial ones are
+        # accepted, since no round accepts a non-trivial word.
+        n_max, rounds = 6, 4
+        for name, (p, oracle) in GROUPS.items():
+            graphs = [partial_cayley(folder) for folder in islice(coset_rounds(p), rounds)]
+            verdicts = [(u, oracle(u)) for u in reduced_words_up_to(p.alphabet_size, n_max)]
+            # round i + 1 decides the words of length ≤ n when n < wrong[i]
+            wrong = [min((len(u) for u, trivial in verdicts if accepts_reduced(pcg.graph, u) != trivial),
+                         default=n_max + 1) for pcg in graphs]
+            trivial = trivial_for(p, n_max, oracle)
+            for max_rounds in (2, rounds):
+                expected = []
+                for n in range(n_max + 1):
+                    i = next((i for i in range(max_rounds) if n < wrong[i]), None)
+                    expected.append(None if i is None else
+                                    (i + 1, graphs[i].radius, canonical_form(graphs[i].graph)))
+                got = [None if hit is None else (hit[0], hit[1], canonical_form(hit[2].graph))
+                       for hit in measure_tc_radius(p, n_max, trivial, max_rounds=max_rounds)]
+                assert got == expected, (name, max_rounds)
+
+    def test_hairs_are_stripped_only_from_reported_rounds(self, monkeypatch):
+        # BS(1,3) at n = 6: round 2 is traced, misses layer 6 and is never
+        # reported, so only rounds 1 and 3 lose their hairs
+        stripped = []
+        monkeypatch.setattr(toddcoxeter, "strip_hairs", lambda g: stripped.append(g) or automata.strip_hairs(g))
+        p, oracle = BS13
+        column = measure_tc_radius(p, 6, trivial_for(p, 6, oracle))
+        assert [rounds for rounds, _rad, _pcg in column] == [1] * 6 + [3]
+        assert len(stripped) == 2
+
+    def test_scan_traces_only_the_reduced_trivial_words(self, monkeypatch):
+        # zxz at n = 8: the trivial list holds 5,341 words, 361 of them
+        # reduced; layers 4, 6 and 8 are traced twice, on the round that
+        # misses each and on the next, the others once (the parent: 27,860)
+        p = parse_presentation(Path(ZXZ).read_text(encoding="utf-8"))
+        traced = []
+        untraced = _kernels.trace_batch
+        monkeypatch.setattr(_kernels, "trace_batch",
+                            lambda delta, start, words: traced.extend(words) or untraced(delta, start, words))
+        column = measure_tc_radius(p, 8, ReferenceOracle.free_abelian(2).trivial_words(8))
+        assert [(rounds, rad) for rounds, rad, _pcg in column][-1] == (4, 12)
+        assert len(traced) == 721
 
     def test_nontermination_guard(self):
         every_word = list(words_up_to(4, 2, reduced=False))  # a list that lies
