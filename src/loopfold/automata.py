@@ -6,8 +6,11 @@ when no vertex carries two same-label out-edges or two same-label in-edges.
 
 A :class:`LabeledGraph` is an unfolded graph (an NFA of edge sets), a
 :class:`Folder` folds paths and loops as they are added, and a
-:class:`FoldedGraph` is a folder's snapshot: its per-letter successor lists,
-which every consumer of a folded graph reads.
+:class:`FoldedGraph` is a folder's snapshot.  A folded graph is its
+successor table and nothing more: every consumer reads the per-letter
+successor lists, and the loops folded in are not recorded, since the
+graph's own closed walks give them back (see
+:func:`loopfold.fillings.pull_apart`).
 
 Two graph families are built here: the loop complex ``Λ_j`` (the folded
 wedge of conjugated-relator loops ``r^u`` over all reduced ``u`` with
@@ -28,10 +31,12 @@ from .core import Presentation, Word, words_up_to
 
 DEFAULT_MEM_CEILING_MB = 512.0
 MEM_CEILING_ENV = "FILLINGS_MEM_CEILING_MB"
-# Peak bytes per allocated vertex, measured with tracemalloc (Python 3.11).  A
-# folder vertex takes about 190, and coset rounds grow one folder.  `tc` pays
-# the peak at its last round: 30 rounds of ℤ² peak at 536 with that round's
-# snapshot (about 260) and its hair-stripped graph beside the folder.
+# Bytes per allocated vertex, above the peak measured with tracemalloc (Python
+# 3.11).  A folder vertex takes about 95, and coset rounds grow one folder.
+# `tc` pays the peak at its last round: 30 rounds of ℤ² peak at 284 with that
+# round's snapshot and its hair-stripped graph (about 47 each) beside the
+# folder.  The constant is kept at 600, so that a given ceiling keeps stopping
+# the same commands.
 _BYTES_PER_VERTEX = 600
 _TREE_BYTES_PER_VERTEX = 1000  # unfolded tree automaton: 1.0 kB
 
@@ -72,9 +77,8 @@ def _check_ceiling(vertices: int, bytes_per_vertex: int, what: str) -> None:
 
 
 class LabeledGraph:
-    """An unfolded rooted graph: per-vertex sets of generator-labeled edges,
-    and face records.  Mutable while being built; fold it to get a
-    :class:`FoldedGraph`.
+    """An unfolded rooted graph: per-vertex sets of generator-labeled edges.
+    Mutable while being built; fold it to get a :class:`FoldedGraph`.
     """
 
     def __init__(self, num_generators: int, num_vertices: int = 1, origin: int = 0):
@@ -83,7 +87,6 @@ class LabeledGraph:
         self.origin = origin
         self.out: list[dict[int, set[int]]] = [dict() for _ in range(num_vertices)]
         self.inc: list[dict[int, set[int]]] = [dict() for _ in range(num_vertices)]
-        self.faces: list[tuple[int, Word]] = []
 
     def add_vertex(self) -> int:
         self.out.append(dict())
@@ -95,13 +98,9 @@ class LabeledGraph:
         self.out[src].setdefault(gen, set()).add(dst)
         self.inc[dst].setdefault(gen, set()).add(src)
 
-    def add_face(self, basepoint: int, relator: Word) -> None:
-        self.faces.append((basepoint, relator))
-
     def add_loop(self, basepoint: int, relator: Word) -> None:
         """Attach a cycle reading ``relator`` at ``basepoint``, through
-        ``len(relator) - 1`` fresh vertices, and record it as a face."""
-        self.add_face(basepoint, relator)
+        ``len(relator) - 1`` fresh vertices."""
         self.add_path(basepoint, relator, end=basepoint)
 
     def add_path(self, start: int, word: Word, end: int | None = None) -> int:
@@ -129,19 +128,16 @@ class FoldedGraph:
     """A folded rooted graph.  ``delta[code][v]`` is the vertex that ``v``
     reaches by the letter ``code``, or -1; an edge ``u --g--> v`` is stored
     both ways, as ``delta[2g][u] = v`` and ``delta[2g + 1][v] = u``.
-    ``faces`` is the sorted list of (basepoint, relator) records, or None
-    once they were dropped (as opposed to a graph with no faces).  Two
+    The graph is this successor table and its origin, nothing more.  Two
     graphs are equal only when they are the same object; compare them
     through :func:`canonical_form`."""
 
-    __slots__ = ("num_generators", "origin", "delta", "faces")
+    __slots__ = ("num_generators", "origin", "delta")
 
-    def __init__(self, num_generators: int, origin: int, delta: list[list[int]],
-                 faces: list[tuple[int, Word]] | None):
+    def __init__(self, num_generators: int, origin: int, delta: list[list[int]]):
         object.__setattr__(self, "num_generators", num_generators)
         object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "faces", faces)
 
     def __setattr__(self, name, value):
         raise AttributeError("FoldedGraph is immutable")
@@ -160,10 +156,6 @@ class FoldedGraph:
 # -- folding ------------------------------------------------------------------
 
 
-def _min_rotation(codes: bytes) -> bytes:
-    return min(codes[i:] + codes[:i] for i in range(len(codes))) if codes else codes
-
-
 class Folder:
     """Stallings folding done online: a union-find over vertices whose
     classes carry deterministic edges.  Each edge, path or loop added first
@@ -174,9 +166,8 @@ class Folder:
     ``code``, or -1, kept at the class root, its least member, and read
     through :meth:`find`.  Folding is confluent, so classes are those of
     folding the unfolded graph whole, numbered alike: a class's least member
-    is the vertex that created it.  A face is kept once per class and
-    relator rotation class, the first recorded winning.  A vertex allocated
-    past the memory ceiling raises :class:`MemoryCeilingError`.
+    is the vertex that created it.  A vertex allocated past the memory
+    ceiling raises :class:`MemoryCeilingError`.
     """
 
     def __init__(self, num_generators: int, num_vertices: int = 1, origin: int = 0):
@@ -185,7 +176,6 @@ class Folder:
         self.what = "folded graph"
         self.parent = list(range(num_vertices))
         self.delta = [[-1] * num_vertices for _ in range(2 * num_generators)]
-        self.faces: dict[tuple[int, bytes], Word] = {}  # (basepoint, relator codes) -> relator
         self._max_vertices = _mem_ceiling_mb() * 1e6 / _BYTES_PER_VERTEX
 
     @classmethod
@@ -194,8 +184,6 @@ class Folder:
         folder = cls(graph.num_generators, graph.num_vertices, graph.origin)
         for src, gen, dst in graph.edges():
             folder.add_edge(src, gen, dst)
-        for bp, rel in graph.faces:
-            folder.add_face(bp, rel)
         return folder
 
     def find(self, v: int) -> int:
@@ -294,13 +282,8 @@ class Folder:
                 if row[v] < 0:
                     self._grow(v, c)
 
-    def add_face(self, basepoint: int, relator: Word) -> None:
-        self.faces.setdefault((self.find(basepoint), relator.codes), relator)
-
     def add_loop(self, basepoint: int, relator: Word) -> None:
-        """Fold in a cycle reading ``relator`` at ``basepoint`` and record
-        it as a face."""
-        self.add_face(basepoint, relator)
+        """Fold in a cycle reading ``relator`` at ``basepoint``."""
         self._join(basepoint, relator.codes, basepoint)
 
     def trace(self, v: int, word: Word) -> int:
@@ -328,13 +311,7 @@ class Folder:
         number = self._numbering()
         roots = self.vertices()
         delta = [[number[row[r]] for r in roots] for row in self.delta]
-        rotations = {codes: _min_rotation(codes) for codes in {codes for _, codes in self.faces}}
-        faces: dict[tuple[int, bytes], Word] = {}
-        for (bp, codes), relator in self.faces.items():
-            faces.setdefault((number[bp], rotations[codes]), relator)
-        return FoldedGraph(
-            self.num_generators, number[self.origin], delta,
-            sorted(((bp, rel) for (bp, _), rel in faces.items()), key=lambda f: (f[0], f[1].codes)))
+        return FoldedGraph(self.num_generators, number[self.origin], delta)
 
 
 def fold(graph: LabeledGraph) -> tuple[FoldedGraph, list[int]]:
@@ -472,27 +449,25 @@ def radius(graph: FoldedGraph) -> int:
 
 def _induced(graph: FoldedGraph, kept: list[int]) -> FoldedGraph:
     """The subgraph induced on the ascending vertex list ``kept``, renumbered
-    in that order, with the face records of kept basepoints."""
+    in that order."""
     number = [-1] * (graph.num_vertices + 1)  # the last entry maps -1 to -1
     for i, v in enumerate(kept):
         number[v] = i
     delta = [[number[row[v]] for v in kept] for row in graph.delta]
-    faces = None if graph.faces is None else [
-        (number[bp], rel) for bp, rel in graph.faces if number[bp] >= 0]
-    return FoldedGraph(graph.num_generators, number[graph.origin], delta, faces)
+    return FoldedGraph(graph.num_generators, number[graph.origin], delta)
 
 
 def restrict_to_radius(graph: FoldedGraph, k: int) -> FoldedGraph:
     """Induced subgraph on vertices within distance ``k`` of the origin,
-    renumbered ascending by original index.  Face records are not carried
-    over; compare restrictions through :func:`canonical_form`."""
-    sub = _induced(graph, sorted(v for v, d in distances_from_origin(graph).items() if d <= k))
-    return FoldedGraph(sub.num_generators, sub.origin, sub.delta, None)
+    renumbered ascending by original index."""
+    return _induced(graph, sorted(v for v, d in distances_from_origin(graph).items() if d <= k))
 
 
 def strip_hairs(graph: FoldedGraph) -> FoldedGraph:
     """Repeatedly delete non-origin vertices of total degree ≤ 1 (and their
-    edges).  Face records survive when their basepoint does."""
+    edges).  A reduced closed walk at the origin never enters a hair, so
+    the stripped graph accepts the same reduced words from a smaller
+    successor table."""
     n, origin, delta = graph.num_vertices, graph.origin, graph.delta
     degree = [sum(t >= 0 for t in ends) for ends in zip(*delta)]
     alive = [True] * n
@@ -523,8 +498,8 @@ def _component_edges(graph: FoldedGraph) -> tuple[int, Iterator[tuple[int, int, 
 def canonical_form(graph: FoldedGraph) -> tuple[int, tuple[tuple[int, int, int], ...]]:
     """Isomorphism invariant of the origin's component: vertices are
     renumbered in the order of :func:`distances_from_origin`; returns
-    (vertex count, edge tuple).  Face records are deliberately not part of
-    the form."""
+    (vertex count, edge tuple).  A folded graph is its successor table, so
+    two graphs with one form are isomorphic and accept the same words."""
     count, edges = _component_edges(graph)
     return count, tuple(edges)
 

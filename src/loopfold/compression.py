@@ -12,12 +12,12 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
-from .core import Presentation, Word, words_up_to
+from .core import Presentation, Word
+from .fillings import ReferenceOracle
 from .rewrite import (
     OracleResult,
     RewriteSystem,
     SearchBudget,
-    is_trivial,
     min_isoperimetric,
     prefix_maxima,
 )
@@ -96,23 +96,17 @@ def verify_compression(
     base_system: RewriteSystem,
 ) -> CompressionReport:
     """Entrywise check of P_combined(n) ≤ ⌈P_base(n)/2 + n/2⌉ for n ≤ n_max,
-    plus a same-group cross-check (triviality agreement on all words ≤ n_max).
+    plus a same-group cross-check: both systems' rewrite-search oracles list
+    the same trivial words of length ≤ n_max.  Both lists come from one
+    enumeration order, so they are equal exactly when the systems agree on
+    every word.
 
     ``base_system`` is the rewrite system of ``compressed.base``."""
     if base_system.presentation != compressed.base:
         raise ValueError("the rewrite system is not that of the base presentation")
-    p = compressed.base
     combined_system = RewriteSystem(compressed.combined)
-
-    trivial: list[Word] = []
-    agreement = True
-    for w in words_up_to(p.alphabet_size, n_max, reduced=False):
-        in_base = is_trivial(w, base_system, budget)[0]
-        in_combined = is_trivial(w, combined_system, budget)[0]
-        if in_base != in_combined:
-            agreement = False
-        if in_base:
-            trivial.append(w)
+    trivial = ReferenceOracle.rewrite_search(base_system, budget).trivial_words(n_max)
+    agreement = trivial == ReferenceOracle.rewrite_search(combined_system, budget).trivial_words(n_max)
 
     base_areas = prefix_maxima(trivial, n_max, lambda w: min_isoperimetric(w, base_system, budget))
     combined_areas = prefix_maxima(trivial, n_max, lambda w: min_isoperimetric(w, combined_system, budget))

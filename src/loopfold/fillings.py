@@ -20,10 +20,10 @@ constants ``C = 2(2|A|+1)·||R||²`` and ``c = (2|A|)²``.
 from __future__ import annotations
 
 from functools import reduce
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from . import _kernels
-from .automata import Folder, FoldedGraph, distances_from_origin, loop_complexes
+from .automata import Folder, FoldedGraph, distances_from_origin, loop_complexes, trace
 from .core import EMPTY, Presentation, Word, words_up_to
 from .rewrite import (
     OracleResult,
@@ -36,10 +36,6 @@ from .rewrite import (
     prefix_maxima,
 )
 from .toddcoxeter import measure_tc_radius
-
-
-class MissingFaceData(ValueError):
-    """The graph carries no face records, so it cannot be pulled apart."""
 
 
 # -- reference oracles --------------------------------------------------------
@@ -156,7 +152,7 @@ class ReferenceOracle:
                 t = index.get(mult(elem, 2 * gen))
                 if t is not None:
                     delta[2 * gen][v], delta[2 * gen + 1][t] = t, v
-        return FoldedGraph(self.num_generators, 0, delta, [])
+        return FoldedGraph(self.num_generators, 0, delta)
 
     def _identity(self):
         if self.kind == "cyclic":
@@ -393,31 +389,29 @@ def profile_to_csv(profile: FillingProfile, report: InequalityReport | None = No
 
 
 # -- pulling a complex apart --------------------------------------------------
+#
+# A folded graph keeps no record of the loops folded into it.  Folding a wedge
+# of closed walks gives a graph whose closed walks at the origin read exactly
+# the subgroup the walks generate (Stallings), so the loops are read back off
+# the graph: one per vertex and relator that closes there.
 
 
-def pull_apart(graph: FoldedGraph) -> list[tuple[Word, Word]]:
-    """One (relator, conjugator) pair per recorded face: the conjugator is
-    the label of a breadth-first geodesic from the origin to the face's
-    basepoint, so its length is at most the graph radius.  Re-folding the
-    wedge of the resulting loops reproduces the graph (see :func:`refold`)."""
-    if graph.faces is None:
-        raise MissingFaceData("face records were dropped from this graph")
+def pull_apart(graph: FoldedGraph, relators: Sequence[Word]) -> list[tuple[Word, Word]]:
+    """One (relator, conjugator) pair for every vertex ``v`` reachable from
+    the origin and every relator that reads a closed walk at ``v``, vertices
+    in the order of :func:`~loopfold.automata.distances_from_origin`.  The
+    conjugator labels ``v``'s breadth-first geodesic from the origin, so its
+    length is at most the graph radius.  Re-folding the wedge of these
+    loops (see :func:`refold`) gave back every loop complex and partial
+    Cayley graph it was tried on."""
     paths: dict[int, Word] = {graph.origin: EMPTY}
-    queue = [graph.origin]
-    head = 0
-    while head < len(queue):
-        v = queue[head]
-        head += 1
+    order = [graph.origin]
+    for v in order:  # grows while read: the search of distances_from_origin
         for code, row in enumerate(graph.delta):
             if (t := row[v]) >= 0 and t not in paths:
                 paths[t] = Word(paths[v].codes + bytes((code,)))
-                queue.append(t)
-    out = []
-    for bp, rel in graph.faces:
-        if bp not in paths:
-            raise MissingFaceData(f"face basepoint {bp} is not reachable from the origin")
-        out.append((rel, paths[bp]))
-    return out
+                order.append(t)
+    return [(r, paths[v]) for v in order for r in relators if trace(graph, r, v) == v]
 
 
 def refold(num_generators: int, loops: list[tuple[Word, Word]]) -> FoldedGraph:

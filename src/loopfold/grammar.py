@@ -505,8 +505,7 @@ def double_exp_experiment(
     rewrite system, shared with the caller."""
     p = system.presentation
     trivial = oracle.trivial_words(n_max)
-    reduced = [w for w in trivial if w.is_reduced()]
-    diameters = [d.value for d in measure_isodiametric(p, n_max, reduced)]
+    diameters = [d.value for d in measure_isodiametric(p, n_max, trivial)]
     if None in diameters:
         raise BudgetFailure(f"diameter scan did not converge at n={diameters.index(None)}")
     trees: dict[int, LabeledGraph] = {}

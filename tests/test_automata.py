@@ -82,8 +82,6 @@ def relabeled(graph, perm):
     g2 = LabeledGraph(graph.num_generators, graph.num_vertices, origin=perm[graph.origin])
     for src, g, dst in graph.edges():
         g2.add_edge(perm[src], g, perm[dst])
-    for bp, rel in graph.faces:
-        g2.add_face(perm[bp], rel)
     return g2
 
 
@@ -150,13 +148,7 @@ class TestConstruction:
         monkeypatch.setenv("FILLINGS_MEM_CEILING_MB", "inf")
         unbounded = build_loop_complex(LATTICE, 2)
         assert_folded(unbounded)
-        assert (unbounded.origin, unbounded.edges(), unbounded.faces) == (
-            expected.origin, expected.edges(), expected.faces)
-
-    def test_faces_recorded(self):
-        g = wedge(Z2, 1)
-        assert len(g.faces) == 3  # pairs (1,aa), (a,aa), (a^-1,aa)
-        assert all(rel == w("aa", 1) for _bp, rel in g.faces)
+        assert (unbounded.origin, unbounded.edges()) == (expected.origin, expected.edges())
 
 
 class TestFold:
@@ -177,8 +169,7 @@ class TestFold:
         complex_ = build_loop_complex(LATTICE, 2)
         graph, vertex_map = fold(relabeled(complex_, list(range(complex_.num_vertices))))
         assert vertex_map == list(range(complex_.num_vertices))
-        assert (graph.origin, graph.edges(), graph.faces) == (
-            complex_.origin, complex_.edges(), complex_.faces)
+        assert (graph.origin, graph.edges()) == (complex_.origin, complex_.edges())
 
     def test_fold_loop_complex_order_two(self):
         complex_ = build_loop_complex(Z2, 1)
@@ -229,8 +220,8 @@ class TestFold:
         for p, j in cases:
             online = build_loop_complex(p, j)
             whole, _ = fold(wedge(p, j))
-            assert (online.num_vertices, online.origin, online.edges(), online.faces) == (
-                whole.num_vertices, whole.origin, whole.edges(), whole.faces), (p, j)
+            assert (online.num_vertices, online.origin, online.edges()) == (
+                whole.num_vertices, whole.origin, whole.edges()), (p, j)
 
     def test_folder_allocates_only_missing_vertices(self):
         folder = Folder(2, 2)
@@ -241,13 +232,6 @@ class TestFold:
         folder.add_path(0, w("aa"))  # a fresh tip only for the second a
         assert len(folder.parent) == 3
         assert folder.snapshot().edges() == [(0, 0, 1), (1, 0, 2), (1, 1, 0)]
-
-    def test_fold_dedups_faces(self):
-        g = LabeledGraph(1, 1)
-        g.add_loop(0, w("aa", 1))
-        g.add_face(0, w("aa", 1))
-        g.add_face(0, w("aa", 1))
-        assert folded(g).faces == [(0, w("aa", 1))]
 
 
 class TestAcceptance:
@@ -398,7 +382,7 @@ class TestGraphAnalysis:
         g.add_loop(0, w("aa"))
         g.add_edge(0, 1, 1)  # hair off the loop
         stripped = strip_hairs(folded(g))
-        assert stripped.faces == [(0, w("aa"))]
+        assert stripped.edges() == [(0, 0, 1), (1, 0, 0)]  # the aa-cycle, without the hair
         assert stripped.num_vertices == 2
 
     def test_dot_export_is_deterministic(self):

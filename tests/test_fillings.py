@@ -1,6 +1,7 @@
 """Profile measurements, inequality checks, and loop decompositions."""
 
 import functools
+import itertools
 
 import pytest
 
@@ -8,15 +9,14 @@ from loopfold.automata import (
     LabeledGraph,
     build_loop_complex,
     canonical_form,
+    distances_from_origin,
     fold,
     radius,
-    restrict_to_radius,
     trace,
 )
 from loopfold.core import EMPTY, Presentation, Word, parse_presentation, parse_word
 from loopfold.fillings import (
     FillingProfile,
-    MissingFaceData,
     ReferenceOracle,
     _fit_base,
     check_inequalities,
@@ -392,65 +392,69 @@ def test_csv_renders_skips():
 # -- pulling a complex apart --------------------------------------------------
 
 
+def loops_close(g, loops):
+    """Every (r, u) of ``loops`` reads r as a closed walk at the tip of u, a
+    geodesic no longer than the graph radius."""
+    limit = radius(g)
+    for rel, conjugator in loops:
+        v = trace(g, conjugator)
+        assert v is not None and trace(g, rel, v) == v
+        assert len(conjugator) <= limit
+
+
 def test_pull_apart_single_face():
     g = build_loop_complex(Z2, 0)
-    assert pull_apart(g) == [(w("aa", 1), EMPTY)]
+    # the one folded loop closes at both of its vertices
+    assert pull_apart(g, Z2.relators) == [(w("aa", 1), EMPTY), (w("aa", 1), w("a", 1))]
 
 
 def test_pull_apart_round_trip_loop_complexes():
-    for p in (Z2, Z3, LATTICE):
-        for j in range(3):
-            g = build_loop_complex(p, j)
-            loops = pull_apart(g)
-            assert len(loops) == len(g.faces)
-            limit = radius(g)
-            for rel, conjugator in loops:
-                assert rel in p.relators
-                assert len(conjugator) <= limit
-                assert trace(g, conjugator) is not None
-            rebuilt = refold(p.num_generators, loops)
-            assert canonical_form(rebuilt) == canonical_form(g), (p, j)
+    graphs = [(p, build_loop_complex(p, j)) for p in (Z2, Z3, LATTICE) for j in range(3)]
+    graphs += [(p, partial_cayley(folder).graph)
+               for p in (Z3, LATTICE) for folder in itertools.islice(coset_rounds(p), 3)]
+    for p, g in graphs:
+        loops = pull_apart(g, p.relators)
+        loops_close(g, loops)
+        assert all(rel in p.relators for rel, _ in loops)
+        rebuilt = refold(p.num_generators, loops)
+        assert canonical_form(rebuilt) == canonical_form(g), p
 
 
 def test_pull_apart_saturation_graph():
     pcg = partial_cayley(next(coset_rounds(Z3)))
-    loops = pull_apart(pcg.graph)
-    assert loops, "saturation should have recorded faces"
-    for rel, conjugator in loops:
-        assert rel == w("aaa", 1)
-        assert len(conjugator) <= pcg.radius
+    loops = pull_apart(pcg.graph, Z3.relators)
+    assert loops, "a saturated graph closes its relator somewhere"
+    loops_close(pcg.graph, loops)
+    assert all(rel == w("aaa", 1) for rel, _ in loops)
     rebuilt = refold(1, loops)
     assert canonical_form(rebuilt) == canonical_form(pcg.graph)
 
 
 def test_pull_apart_lattice_saturation_round_trip():
     pcg = partial_cayley(next(coset_rounds(LATTICE)))
-    loops = pull_apart(pcg.graph)
+    loops = pull_apart(pcg.graph, LATTICE.relators)
     rebuilt = refold(2, loops)
     assert canonical_form(rebuilt) == canonical_form(pcg.graph)
 
 
 def test_pull_apart_conjugators_trace_to_basepoints():
     g = build_loop_complex(LATTICE, 2)
-    for (bp, _rel), (rel, conjugator) in zip(g.faces, pull_apart(g)):
-        assert trace(g, conjugator) == bp
-        assert rel == _rel
+    loops = pull_apart(g, LATTICE.relators)
+    loops_close(g, loops)
+    # basepoints come in breadth-first order, each once per closing relator
+    basepoints = [trace(g, conjugator) for _, conjugator in loops]
+    dist = distances_from_origin(g)
+    assert basepoints == [v for v in dist if trace(g, LATTICE.relators[0], v) == v]
+    assert [len(u) for _, u in loops] == [dist[v] for v in basepoints]
 
 
 def test_pull_apart_no_faces():
     lonely, _ = fold(LabeledGraph(1))
-    assert pull_apart(lonely) == []
+    assert pull_apart(lonely, Z2.relators) == []
     rebuilt = refold(1, [])
     assert canonical_form(rebuilt) == (1, ())
 
 
-def test_pull_apart_missing_face_data():
-    g = build_loop_complex(Z2, 1)
-    clipped = restrict_to_radius(g, 1)
-    with pytest.raises(MissingFaceData):
-        pull_apart(clipped)
-
-
 def test_pull_apart_deterministic():
     g = build_loop_complex(LATTICE, 1)
-    assert pull_apart(g) == pull_apart(g)
+    assert pull_apart(g, LATTICE.relators) == pull_apart(g, LATTICE.relators)

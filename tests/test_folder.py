@@ -1,8 +1,11 @@
 """Pins of the folded graphs: sha256 digests of (vertex count, origin,
-out-edges, in-edges, faces) of every loop complex Λ_j and every coset
-round, taken from the whole-graph fold that the online folder replaced.
-Vertex numbering is part of the digest, so the online folder must number
-classes exactly as that fold did."""
+out-edges, in-edges) of every loop complex Λ_j and every coset round.  A
+folded graph is its successor table, so this record is the whole graph.
+The pins were re-derived when graphs stopped keeping face records, on the
+last code that kept them; that code still matched the earlier pins, which
+came from the whole-graph fold that the online folder replaced.  Vertex
+numbering is part of the digest, so the online folder must number classes
+exactly as that fold did."""
 
 import hashlib
 import itertools
@@ -19,29 +22,29 @@ PRESENTATIONS = Path(__file__).resolve().parent.parent / "presentations"
 # Λ_0, Λ_1, ... of each presentation, then the graph after round 1, 2, ...
 PINS = {
     "loop-zxz": [
-        "7d423f7c5f667b9c", "983c199a5a37bb39", "4d900afbd853c320", "6350b51309e98b25",
-        "18c18f9581cfe27c", "b19fd26addd9a216", "fc1a85eaa9ff07ec", "d486f9190e7faa72",
+        "89f3bff4742d626c", "791bd93fe3ee3c50", "44e02d8dd71b5afe", "3c8c54c5bcedbe6f",
+        "81276d2a14df5baa", "8efca68553fe204c", "90fc784025f4e235", "b4deca6bc7d828f1",
     ],
     "loop-z2": [
-        "023c13f41da9e2fa", "92d8c171ce615433", "92d8c171ce615433", "92d8c171ce615433",
-        "92d8c171ce615433", "92d8c171ce615433",
+        "6f7e76796430f43f", "6f7e76796430f43f", "6f7e76796430f43f", "6f7e76796430f43f",
+        "6f7e76796430f43f", "6f7e76796430f43f",
     ],
     "loop-z3": [
-        "05e8f917de23dbde", "9d18cf8e48d1c4ac", "9d18cf8e48d1c4ac", "9d18cf8e48d1c4ac",
-        "9d18cf8e48d1c4ac", "9d18cf8e48d1c4ac",
+        "65652abe051d5195", "65652abe051d5195", "65652abe051d5195", "65652abe051d5195",
+        "65652abe051d5195", "65652abe051d5195",
     ],
     "tc-zxz": [
-        "1e3fb56d18163ba9", "92f0b182d29ce937", "5e3e2a39d02e9d08", "81ff27e183784505",
-        "5488a6c937fc21b6", "315ef1bb2a672c69", "45af3fbeee1eab3b", "f2e51d4ffae148e8",
-        "eaff3cc664b9e1ee", "cc5cbdfac6950cc8", "510959517d7773b5", "51c19fefc1b5a5c3",
-        "ca2aac77963242f6", "4b4ad24faf45a469", "26fc8c36d2e3db5f", "02f617fd8cd747b3",
-        "573023d8446e1360", "ebb5838415cb5c22", "cb09d8a002bc885f", "213ff2f4f3ede67f",
-        "a78fd68eea037d47", "81d4e71ded0d1fea", "b4784252c755d2da", "659d87c4c02974a8",
-        "9d7cad35e59e87a0", "403adec7e7b59e15", "a40a5ed21ee1f386", "1435236940794fd1",
-        "fc5db12ad1fc974b", "28037ffd8b498a10",
+        "6907973e8c8afcaf", "793305ba398f7e20", "53669f2618286463", "b6964f6aaba21396",
+        "a7bb832ce9859c2b", "e95e2c4802a1aa7d", "81fbbed8df9f3035", "ecf58bcf5ab79eb1",
+        "94e1a1fee08ab4bb", "119e614799104b17", "cc3fc932202a7607", "4e32d8df0de4a6d5",
+        "3a5fb2daec6f7890", "44042d265a77336b", "c6734c312267114d", "7c4d191056e358af",
+        "7db15469429595e8", "22badfd4a4c06623", "a912b8da0b2deaef", "68dec8cd3ce6c877",
+        "f55e2e7022b73756", "98a66c19c316b5d3", "2cd32deb3b174639", "420f3d4a1f46a91f",
+        "7613f35cd75c6ada", "8147a924464108ee", "84d3c1a8bd2bf585", "368493f588711e9d",
+        "baaafdb037503dd3", "c769fe789d5b3562",
     ],
     "tc-free2": [
-        "c535def4d7944ba5", "ac00928a4801e101", "428fd0f408ab7ee4", "a83d03b12d1dc734",
+        "dac665d2468ac5a2", "47e8bbae49aa2f59", "82e32e97dd728094", "fb7de7483b471d65",
     ],
 }
 
@@ -55,8 +58,7 @@ def digest(g):
             tuple((gen, (row[v],)) for gen, row in enumerate(rows) if row[v] >= 0)
             for v in range(g.num_vertices)
         )
-    faces = None if g.faces is None else tuple((bp, rel.codes) for bp, rel in g.faces)
-    record = (g.num_vertices, g.origin, adjacency(0), adjacency(1), faces)
+    record = (g.num_vertices, g.origin, adjacency(0), adjacency(1))
     return hashlib.sha256(repr(record).encode()).hexdigest()[:16]
 
 

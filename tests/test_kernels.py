@@ -22,10 +22,10 @@ def test_trace_batch_dead_state_sticks():
 # accepts every word its predecessor accepts, as the scans' graphs do: no
 # edge, the two-cycle of Z/2, a loop, and a second loop that no scan below
 # should draw.
-EMPTY_GRAPH = FoldedGraph(1, 0, [[-1], [-1]], [])
-TWO_CYCLE = FoldedGraph(1, 0, [[1, 0], [1, 0]], [])
-LOOP = FoldedGraph(1, 0, [[0], [0]], [])
-LATE_LOOP = FoldedGraph(1, 0, [[0], [0]], [])
+EMPTY_GRAPH = FoldedGraph(1, 0, [[-1], [-1]])
+TWO_CYCLE = FoldedGraph(1, 0, [[1, 0], [1, 0]])
+LOOP = FoldedGraph(1, 0, [[0], [0]])
+LATE_LOOP = FoldedGraph(1, 0, [[0], [0]])
 GRAPHS = {"empty": EMPTY_GRAPH, "cycle": TWO_CYCLE, "loop": LOOP, "late": LATE_LOOP}
 NAMES = {id(g.delta): name for name, g in GRAPHS.items()}  # a graph's name by its table
 

