@@ -502,12 +502,14 @@ def double_exp_experiment(
     pipeline, extract the shortest intersecting word, and compare it against
     the brute-force application count below and the explicit
     double-exponential bound above.  ``system`` is the presentation's
-    rewrite system, shared with the caller."""
+    rewrite system, shared with the caller; the oracle's area lower bound
+    certifies the areas it meets, as in :func:`~loopfold.fillings.measure_profile`."""
     p = system.presentation
     trivial = oracle.trivial_words(n_max)
     diameters = [d.value for d in measure_isodiametric(p, n_max, trivial)]
     if None in diameters:
         raise BudgetFailure(f"diameter scan did not converge at n={diameters.index(None)}")
+    lower = oracle.area_lower_bound(p)
     trees: dict[int, LabeledGraph] = {}
     bounds: dict[tuple[int, int], int] = {}  # one shared int per (n, d)
     reports = []
@@ -529,7 +531,8 @@ def double_exp_experiment(
             raise ValueError("witness rejected by the tree complex")
         if (length, d) not in bounds:
             bounds[length, d] = double_exp_bound(p, length, d)
-        area = min_isoperimetric(candidate, system, budget)
+        area = min_isoperimetric(candidate, system, budget,
+                                 None if lower is None else lower(candidate))
         if not area.exact:
             raise BudgetFailure(
                 f"area of {render_word(candidate)} is {area.status}, not Exact; "

@@ -26,9 +26,13 @@ holds one representative per orbit of such maps, its least image, and a
 state budget counts orbits.  A cost lookup canonicalizes the word first:
 see :meth:`Exploration.cost`.
 
-Searches are capped by a :class:`SearchBudget`; a value is reported ``Exact``
-only when it has stabilized across two consecutive length caps (``L`` and
-``L + 2``), since no a-priori bound on intermediate word length is available.
+Searches are capped by a :class:`SearchBudget`, and no a-priori bound on
+intermediate word length is available.  An area is reported ``Exact`` when
+the cap-``L`` value meets a lower bound the caller proves for the word (a
+complete sweep's value is the cost of a real derivation, so it is then the
+minimum), or else when it has stabilized across two consecutive length caps
+(``L`` and ``L + 2``).  The first is a proof; the second is a stop rule, and
+the cap-``L + 2`` sweep runs only for the words that need it.
 """
 
 from __future__ import annotations
@@ -367,15 +371,23 @@ class RewriteSystem:
         return result
 
 
-def min_isoperimetric(w: Word, rs: RewriteSystem, budget: SearchBudget) -> OracleResult:
+def min_isoperimetric(
+    w: Word, rs: RewriteSystem, budget: SearchBudget, lower: int | None = None
+) -> OracleResult:
     """Minimum relator-rule count rewriting ``w`` to the empty word.
 
-    Runs the capped search at ``L`` and ``L + 2``; agreement of the two
-    values is the evidence for ``Exact``.
+    Runs the capped search at ``L``.  When that sweep is complete and its
+    value equals ``lower``, a proved lower bound on the area of ``w``, the
+    value is ``Exact`` by proof and no other sweep runs.  Otherwise the
+    search also runs at ``L + 2``, and agreement of the two values is the
+    evidence for ``Exact``.
     """
     lo = rs.explore(budget.max_word_length, budget.max_states)
+    v_lo = lo.cost(w.codes)
+    if lower is not None and lo.complete and v_lo == lower:
+        return OracleResult(v_lo, OracleStatus.EXACT)
     hi = rs.explore(budget.max_word_length + 2, budget.max_states)
-    v_lo, v_hi = lo.cost(w.codes), hi.cost(w.codes)
+    v_hi = hi.cost(w.codes)
     if not (lo.complete and hi.complete):
         return OracleResult(v_hi if v_hi is not None else v_lo, OracleStatus.BUDGET_EXCEEDED)
     if v_hi is None:

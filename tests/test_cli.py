@@ -262,6 +262,42 @@ def test_each_sweep_runs_once_per_command(monkeypatch, capsys, argv):
     assert runs and all(count == 1 for *_, count in runs), runs
 
 
+@pytest.mark.parametrize("argv, wider", [
+    # the benchmark's commands: the area bound certifies every cap-8 area
+    (("profile", ZXZ, "--n", "8", "--oracle", "free-abelian:2"), set()),
+    (("profile", Z3, "--n", "8", "--oracle", "cyclic:3"), set()),
+    (("profile", Z2, "--n", "8", "--oracle", "cyclic:2"), set()),
+    (("profile", FREE2, "--n", "6", "--oracle", "free:2"), set()),
+    (("grammar-bound", Z2, "--n", "7", "--oracle", "cyclic:2"), set()),
+    # no bound under the rewrite search, nor when ℤ/4 does not kill aa
+    (("profile", Z3, "--n", "6", "--oracle", "rewrite:6"), {10}),
+    (("profile", Z2, "--n", "8", "--oracle", "cyclic:4"), {10}),
+])
+def test_only_uncertified_areas_sweep_past_the_length_cap(monkeypatch, capsys, argv, wider):
+    # the length cap L is 8: a sweep at cap 10 is the stop rule's L + 2
+    explore = RewriteSystem.explore
+    caps = set()
+
+    def recording(self, cap, max_states=2_000_000):
+        caps.add(cap)
+        return explore(self, cap, max_states)
+
+    monkeypatch.setattr(RewriteSystem, "explore", recording)
+    assert run_cli(*argv) in (0, 1)
+    capsys.readouterr()
+    assert 8 in caps and {cap for cap in caps if cap > 8} == wider
+
+
+def test_profile_areas_certified_under_a_state_budget_that_stops_cap_ten(capsys):
+    # 1,000 orbits hold the cap-8 sweep but not the cap-10 one; the bound
+    # earns every area at cap 8, so the CSV is the unbudgeted one
+    assert run_cli("profile", ZXZ, "--n", "8", "--oracle", "free-abelian:2",
+                   "--budget-states", "1000") == 1
+    captured = capsys.readouterr()
+    assert captured.out == (REPO / "tests" / "golden" / "profile-zxz-n8.csv").read_text(encoding="utf-8")
+    assert captured.err == ""
+
+
 @pytest.mark.parametrize("argv", [
     ("profile", Z2, "--n", "2", "--oracle", "cyclic:2", "--csv"),
     ("grammar-bound", Z2, "--n", "2", "--csv"),

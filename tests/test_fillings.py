@@ -28,13 +28,15 @@ from loopfold.fillings import (
     pull_apart,
     refold,
 )
-from loopfold.rewrite import OracleStatus, RewriteSystem, SearchBudget
+from loopfold.rewrite import OracleStatus, RewriteSystem, SearchBudget, min_isoperimetric
 from loopfold.toddcoxeter import coset_rounds, partial_cayley
 
 Z2 = parse_presentation("gens: a\nrels: aa")
 Z3 = parse_presentation("gens: a\nrels: aaa")
 LATTICE = parse_presentation("gens: a b\nrels: abAB")
 FREE2 = Presentation(2, ())
+LATTICE3 = parse_presentation("gens: a b c\nrels: abAB acAC bcBC")
+A4_A6 = parse_presentation("gens: a\nrels: aaaa aaaaaa")  # ℤ/2 again
 
 BUDGET = SearchBudget(max_word_length=6)
 
@@ -297,6 +299,64 @@ def test_profile_budget_propagates():
     assert length6.value == 4  # longest word the budget could certify
     # Small n are still exact under the tight budget.
     assert tight.rows[3].area == z3_profile().rows[3].area
+
+
+# -- certified area -------------------------------------------------------------
+
+
+def test_area_lower_bound_values():
+    lattice = ReferenceOracle.free_abelian(2).area_lower_bound(LATTICE)
+    assert [lattice(w(t)) for t in ("", "aA", "abAB", "aabbAABB", "abABabAB", "abABbaBA")] == [
+        0, 0, 1, 4, 2, 0]
+    lattice3 = ReferenceOracle.free_abelian(3).area_lower_bound(LATTICE3)
+    # the hexagon abcABC projects to one unit square in each of the three planes
+    assert [lattice3(w(t, 3)) for t in ("acAC", "abcABC", "aabcAABC")] == [1, 3, 5]
+    cyclic = ReferenceOracle.cyclic(3).area_lower_bound(Z3)
+    assert [cyclic(w(t, 1)) for t in ("aaaaaa", "aaaAAA", "AAA", "aaaa")] == [2, 0, 1, 2]
+    assert ReferenceOracle.free(2).area_lower_bound(FREE2)(w("abBA")) == 0
+    # no relator to divide by: only the freely trivial words fill
+    assert ReferenceOracle.free_abelian(2).area_lower_bound(FREE2)(w("abBA")) == 0
+
+
+def test_no_area_lower_bound_without_a_closed_form_that_kills_the_relators():
+    # the rewrite search has no functional, ℤ/4 does not kill aa, and the
+    # free group does not kill abAB
+    search = ReferenceOracle.rewrite_search(RewriteSystem(Z2), BUDGET)
+    assert search.area_lower_bound(Z2) is None
+    assert ReferenceOracle.cyclic(4).area_lower_bound(Z2) is None
+    assert ReferenceOracle.free(2).area_lower_bound(LATTICE) is None
+    assert ReferenceOracle.free_abelian(2).area_lower_bound(
+        parse_presentation("gens: a b\nrels: abAB aab")) is None
+
+
+@pytest.mark.parametrize("p, oracle, n", [
+    (LATTICE, ReferenceOracle.free_abelian(2), 8),
+    (Z2, ReferenceOracle.cyclic(2), 8),
+    (Z3, ReferenceOracle.cyclic(3), 8),
+    (LATTICE3, ReferenceOracle.free_abelian(3), 6),
+    (A4_A6, ReferenceOracle.cyclic(2), 8),
+], ids=["lattice", "z2", "z3", "lattice3", "a4-a6"])
+def test_area_lower_bound_is_sound(p, oracle, n):
+    # on every trivial word, the bound is at most the stop rule's area, and
+    # where the stop rule says Exact the certified path gives the same result
+    system, budget = RewriteSystem(p), SearchBudget(max_word_length=n)
+    bound = oracle.area_lower_bound(p)
+    for word in oracle.trivial_words(n):
+        stop = min_isoperimetric(word, system, budget)
+        assert stop.value is not None and bound(word) <= stop.value, word
+        if stop.exact:
+            assert min_isoperimetric(word, system, budget, bound(word)) == stop, word
+
+
+def test_a_bound_short_of_the_area_falls_back_to_the_stop_rule():
+    # aa = a^6 a^-4 takes two relator steps, the bound only ⌈2/6⌉ = 1
+    system, budget = RewriteSystem(A4_A6), SearchBudget(max_word_length=6)
+    bound = ReferenceOracle.cyclic(2).area_lower_bound(A4_A6)
+    word = w("aa", 1)
+    assert bound(word) == 1
+    certified = min_isoperimetric(word, system, budget, bound(word))
+    assert certified == (2, OracleStatus.EXACT)
+    assert (8, budget.max_states) in system._sweeps
 
 
 # -- inequality checks --------------------------------------------------------

@@ -32,6 +32,9 @@ CASES = {
     "profile-zxz-n8": ("profile presentations/zxz.pres --n 8 --oracle free-abelian:2", 1),
     "profile-z3-n8": ("profile presentations/z3.pres --n 8 --oracle cyclic:3", 1),
     "profile-z2-n8": ("profile presentations/z2.pres --n 8 --oracle cyclic:2", 1),
+    # ℤ/4 does not kill the relator aa, so no area bound: the stop rule
+    # earns every Exact
+    "profile-z2-n8-cyclic4": ("profile presentations/z2.pres --n 8 --oracle cyclic:4", 1),
     "grammar-bound-z3-n4": ("grammar-bound presentations/z3.pres --n 4", 0),
     # the benchmark's grammar-bound commands; the witness among equally short
     # words depends on the rule set and its order
@@ -66,10 +69,14 @@ TC_CASES = {
 
 
 # two generators: the witness among equally short words depends on the rule
-# order most here; the 445,041-byte CSV is pinned by its digest
+# order most here; the 445,041-byte CSV is pinned by its digest.  The ℤ²
+# profile at n = 10 was pinned while its Exact cells still came from the
+# caps 10 and 12 agreeing; the area bound now earns them at cap 10 alone.
 DIGEST_CASES = {
     "grammar-bound presentations/zxz.pres --n 4 --oracle free-abelian:2": (
         "04f58fba6ccbb6a92cdf540efb9d89168913bd1aa6fba6c798be8799c8006d05", 0),
+    "profile presentations/zxz.pres --n 10 --budget-len 10 --oracle free-abelian:2": (
+        "f07a22655443ba6f928b89f3e07aa7eb1c49b9ecf7ec08ba8182baf68222e07e", 1),
 }
 
 
