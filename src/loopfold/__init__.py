@@ -8,7 +8,6 @@ built from a pushdown automaton over the Dyck language.
 
 from .core import (
     EMPTY,
-    Letter,
     ParseError,
     Presentation,
     Word,
@@ -20,7 +19,6 @@ from .core import (
 
 __all__ = [
     "EMPTY",
-    "Letter",
     "ParseError",
     "Presentation",
     "Word",

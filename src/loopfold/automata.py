@@ -27,7 +27,7 @@ import math
 import os
 from typing import Iterator
 
-from .core import Presentation, Word, words_up_to
+from .core import Presentation, Word
 
 DEFAULT_MEM_CEILING_MB = 512.0
 MEM_CEILING_ENV = "FILLINGS_MEM_CEILING_MB"
@@ -366,7 +366,10 @@ def build_loop_complex(p: Presentation, j: int) -> FoldedGraph:
 
 def build_tree_nfa(p: Presentation, j: int) -> LabeledGraph:
     """The free-group ball of radius ``j`` (a tree rooted at the origin)
-    with one fresh relator cycle grafted onto every tree vertex."""
+    with one fresh relator cycle grafted onto every tree vertex.  The ball
+    grows a layer at a time, each tip extended by every letter but the
+    inverse of its last, so tree vertices are numbered in shortlex order of
+    the reduced words they end."""
     if j < 0:
         raise ValueError("radius must be nonnegative")
     if not p.relators:
@@ -377,10 +380,11 @@ def build_tree_nfa(p: Presentation, j: int) -> LabeledGraph:
     _check_ceiling(predicted, _TREE_BYTES_PER_VERTEX, f"tree automaton at radius {j}")
 
     g = LabeledGraph(p.num_generators)
-    index: dict[bytes, int] = {b"": g.origin}
-    for u in words_up_to(p.alphabet_size, j, reduced=True, min_length=1):
-        index[u.codes] = g.add_path(index[u.codes[:-1]], Word(u.codes[-1:]))
-    for v in index.values():  # the origin first, then in enumeration order
+    letters = [Word(bytes((c,))) for c in range(k)]
+    layer = [(g.origin, -2)]  # the tips and their last letters
+    for _ in range(j):
+        layer = [(g.add_path(v, letters[c]), c) for v, last in layer for c in range(k) if c != last ^ 1]
+    for v in range(g.num_vertices):  # the tree vertices, the origin first
         for r in p.relators:
             g.add_loop(v, r)
     return g

@@ -5,27 +5,18 @@ formal inverse is ``2*g + 1``, so inversion of a single letter is ``code ^ 1``.
 A word is an immutable sequence of codes; free reduction cancels adjacent
 ``x x^-1`` pairs.  The text form writes generator ``g`` as a lowercase letter
 (``a``, ``b``, ...) and its inverse as the corresponding uppercase letter.
+:func:`words_up_to` is the one general word lister: every word up to a
+length, shortest first and lexicographic in codes within a length, each
+length taken from ``itertools.product``.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 import re
-from typing import Iterable, Iterator, NamedTuple
-
-
-class Letter(NamedTuple):
-    generator: int
-    sign: int  # +1 or -1
-
-    @property
-    def code(self) -> int:
-        return 2 * self.generator + (0 if self.sign > 0 else 1)
-
-
-def inverse_code(code: int) -> int:
-    return code ^ 1
+from typing import Iterable, Iterator
 
 
 _INVERSE = bytes(c ^ 1 for c in range(256))  # letter code -> inverse letter code
@@ -54,23 +45,8 @@ class Word:
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
 
-    @classmethod
-    def from_letters(cls, letters: Iterable[Letter | tuple[int, int]]) -> "Word":
-        return cls(bytes(Letter(*l).code for l in letters))
-
-    def letters(self) -> list[Letter]:
-        return [Letter(c >> 1, -1 if c & 1 else 1) for c in self.codes]
-
     def __len__(self) -> int:
         return len(self.codes)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.codes)
-
-    def __getitem__(self, i) -> "Word":
-        if isinstance(i, slice):
-            return Word(self.codes[i])
-        return Word(self.codes[i : i + 1])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Word) and self.codes == other.codes
@@ -95,10 +71,6 @@ class Word:
         codes = self.codes
         return not any(map(operator.eq, codes[1:], codes.translate(_INVERSE)))
 
-    def conjugate(self, by: "Word") -> "Word":
-        """Literal (unreduced) conjugate ``by^-1 * self * by``."""
-        return by.inverse() * self * by
-
     def cyclic_permutations(self) -> list["Word"]:
         n = len(self.codes)
         if n == 0:
@@ -109,41 +81,13 @@ class Word:
 EMPTY = Word()
 
 
-def words_up_to(
-    alphabet_size: int, n: int, *, reduced: bool, min_length: int = 0
-) -> Iterator[Word]:
-    """Every word of length ``min_length`` to ``n`` over the codes ``0 ..
-    alphabet_size - 1``, or only the freely reduced ones: shortest first,
-    lexicographic in codes within a length.  Words are made one at a time,
-    never held as a list."""
-    letters = range(alphabet_size)
-    for length in range(min_length, n + 1):
-        if length == 0:
-            yield EMPTY
-            continue
-        word = bytearray(length)  # the least word; a run of code 0 is reduced
-        while True:
-            skip = word[-2] ^ 1 if reduced and length > 1 else -1
-            for c in letters:
-                if c != skip:
-                    word[-1] = c
-                    yield Word(word)
-            # odometer step: raise the rightmost letter before the last that
-            # can still grow, and reset the letters after it to the least
-            # tail; after code 1 a reduced word cannot take 0, so that tail
-            # is a run of 1
-            i = length - 2
-            while i >= 0:
-                c = word[i] + 1
-                if reduced and i and c == word[i - 1] ^ 1:
-                    c += 1
-                if c < alphabet_size:
-                    break
-                i -= 1
-            else:
-                break
-            word[i] = c
-            word[i + 1 :] = (b"\x01" if reduced and c == 1 else b"\x00") * (length - 1 - i)
+def words_up_to(alphabet_size: int, n: int) -> Iterator[Word]:
+    """Every word of length at most ``n`` over the codes ``0 ..
+    alphabet_size - 1``: shortest first, lexicographic in codes within a
+    length, as ``itertools.product`` lists each length.  Words are made one
+    at a time, never held as a list."""
+    for length in range(n + 1):
+        yield from map(Word, itertools.product(range(alphabet_size), repeat=length))
 
 
 class ParseError(ValueError):

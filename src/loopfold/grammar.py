@@ -26,7 +26,7 @@ import heapq
 from typing import Iterable, NamedTuple
 
 from .automata import LabeledGraph, build_tree_nfa, nfa_accepts
-from .core import EMPTY, Presentation, Word, inverse_code, render_word
+from .core import EMPTY, Presentation, Word, render_word
 from .fillings import ReferenceOracle, double_exp_bound, measure_isodiametric
 from .rewrite import BudgetFailure, RewriteSystem, SearchBudget, budget_flags, min_isoperimetric
 
@@ -77,7 +77,7 @@ def build_product_pda(w: Word, tree: LabeledGraph) -> Pda:
         for a in range(2 * k):
             for p in sorted(tree.step(v, a)):
                 for t in _stack_alphabet(k):
-                    if t == inverse_code(a):
+                    if t == a ^ 1:
                         moves.append(Move((v, m), a, t, (p, m), (POP,)))
                     else:
                         moves.append(Move((v, m), a, t, (p, m), (PUSH, a)))
@@ -410,7 +410,7 @@ def _cyclic_core(w: Word) -> tuple[Word, Word]:
     """Split w = t · core · t⁻¹ with core cyclically reduced."""
     codes = w.reduce().codes
     lo, hi = 0, len(codes)
-    while hi - lo >= 2 and codes[lo] == inverse_code(codes[hi - 1]):
+    while hi - lo >= 2 and codes[lo] == codes[hi - 1] ^ 1:
         lo += 1
         hi -= 1
     return Word(codes[:lo]), Word(codes[lo:hi])

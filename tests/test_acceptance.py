@@ -13,7 +13,6 @@ import subprocess
 import sys
 import time
 from functools import lru_cache
-from itertools import product
 from pathlib import Path
 
 from loopfold.automata import (
@@ -26,7 +25,7 @@ from loopfold.automata import (
     strip_hairs,
 )
 from loopfold.compression import compress, verify_compression
-from loopfold.core import EMPTY, Presentation, Word, parse_word, render_word
+from loopfold.core import Presentation, parse_word, render_word, words_up_to
 from loopfold.fillings import (
     ReferenceOracle,
     check_inequalities,
@@ -59,13 +58,6 @@ def _report(capsys, name, ok, detail=""):
         suffix = f"  ({detail})" if detail else ""
         print(f"\n{name}: {'pass' if ok else 'fail'}{suffix}")
     return ok
-
-
-def all_words_up_to(num_generators, n):
-    yield EMPTY
-    for length in range(1, n + 1):
-        for codes in product(range(2 * num_generators), repeat=length):
-            yield Word(codes)
 
 
 @lru_cache(maxsize=None)
@@ -106,7 +98,7 @@ def test_criterion_1_folding_correctness(capsys):
             j: build_loop_complex(p, j)
             for j in sorted({0, 1, 2, d6})
         }
-        for w in all_words_up_to(p.num_generators, 6):
+        for w in words_up_to(p.alphabet_size, 6):
             trivial = oracle.decide(w)
             if accepts_reduced(dfas[d6], w) != trivial:
                 failures.append((name, d6, w))
@@ -174,7 +166,7 @@ def test_criterion_5_double_exp_pipeline(capsys):
         p, oracle = MATRIX[name]
         rs = RewriteSystem(p)
         trees = {}
-        for w in all_words_up_to(p.num_generators, 5):
+        for w in words_up_to(p.alphabet_size, 5):
             if not oracle.decide(w):
                 continue
             d = diameter(name, len(w))
@@ -216,7 +208,7 @@ def test_criterion_6_pda_cfg_equivalence(capsys):
         tree = build_tree_nfa(p, 0)
         pda = build_product_pda(parse_word(target, p.num_generators), tree)
         cfg = simplify_cfg(pda_to_cfg(pda))
-        for z in all_words_up_to(p.num_generators, 4):
+        for z in words_up_to(p.alphabet_size, 4):
             if simulate_pda(pda, z) != generates(cfg, z):
                 mismatches.append((name, z))
     ok = not mismatches
@@ -247,7 +239,7 @@ def test_criterion_8_oracle_self_consistency(capsys):
     mismatches = []
     for name, (p, oracle) in pairs:
         search = ReferenceOracle.rewrite_search(RewriteSystem(p), budget)
-        for w in all_words_up_to(p.num_generators, 8):
+        for w in words_up_to(p.alphabet_size, 8):
             if search.decide(w) != oracle.decide(w):
                 mismatches.append((name, w))
     ok = not mismatches

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -22,7 +23,7 @@ from loopfold.automata import (
     to_dot,
     trace,
 )
-from loopfold.core import EMPTY, Presentation, Word, parse_word
+from loopfold.core import EMPTY, Presentation, Word, parse_word, words_up_to
 
 Z2 = Presentation(1, [parse_word("aa", 1)])
 Z3 = Presentation(1, [parse_word("aaa", 1)])
@@ -37,17 +38,18 @@ TRIVIAL_ORACLES = {
 }
 
 
+# sha256 (first 16 hex digits) of (vertex count, origin, edges) of the tree
+# automaton at radius 0 … 4, taken from a build that indexed tree vertices by
+# their words; vertex numbering is part of the pin
+TREE_NFA_PINS = {
+    "zxz": ["954af2b9443bb943", "21df191f9e0c6f3b", "4090e0568b6239b3", "0758dec55a4e0a9f", "e8b5f31c2884efc3"],
+    "z2": ["7a8e8db7918b8886", "5510ecd62de0a164", "955feb42b3f7b6e1", "ab8ccac0d8dd44ad", "54e55c31be7742b9"],
+    "z3": ["9c2f2d9e6d79cf5f", "e047dbb624226cfb", "342f1023190cb016", "d97e2bfcf827ae1f", "64a6967458f0c021"],
+}
+
+
 def w(text, n=2):
     return parse_word(text, n)
-
-
-def reduced_words_up_to(alphabet_size, max_len):
-    words = [Word(b"")]
-    layer = [b""]
-    for _ in range(max_len):
-        layer = [u + bytes((c,)) for u in layer for c in range(alphabet_size) if not u or u[-1] != c ^ 1]
-        words.extend(Word(u) for u in layer)
-    return words
 
 
 def wedge(p, j):
@@ -55,7 +57,7 @@ def wedge(p, j):
     ``r``-cycle at its tip per pair of a relator ``r`` and a reduced word
     ``u`` with ``|u| ≤ j``; distinct pairs share only the origin."""
     g = LabeledGraph(p.num_generators)
-    for u in reduced_words_up_to(p.alphabet_size, j):
+    for u in filter(Word.is_reduced, words_up_to(p.alphabet_size, j)):
         for r in p.relators:
             g.add_loop(g.add_path(g.origin, u), r)
     return g
@@ -131,6 +133,13 @@ class TestConstruction:
             ball = 1 + sum(k * (k - 1) ** (i - 1) for i in range(1, j + 1))
             assert g.num_vertices == ball * (1 + p.relator_total_length - len(p.relators))
             assert g.num_vertices <= p.relator_total_length * ball
+
+    @pytest.mark.parametrize("name,p", [("zxz", LATTICE), ("z2", Z2), ("z3", Z3)])
+    def test_tree_nfa_matches_pins(self, name, p):
+        def digest(g):
+            return hashlib.sha256(repr((g.num_vertices, g.origin, g.edges())).encode()).hexdigest()[:16]
+
+        assert [digest(build_tree_nfa(p, j)) for j in range(5)] == TREE_NFA_PINS[name]
 
     def test_tree_nfa_needs_relators(self):
         with pytest.raises(EmptyRelatorSet):
@@ -253,7 +262,7 @@ class TestAcceptance:
             oracle = TRIVIAL_ORACLES[id(p)]
             complex_ = wedge(p, 2)
             dfa = build_loop_complex(p, 2)
-            conjugators = reduced_words_up_to(p.alphabet_size, 2)
+            conjugators = list(filter(Word.is_reduced, words_up_to(p.alphabet_size, 2)))
             for _ in range(40):
                 parts = []
                 for _ in range(rng.randrange(1, 4)):
@@ -271,14 +280,14 @@ class TestAcceptance:
             oracle = TRIVIAL_ORACLES[id(p)]
             for j in range(3):
                 dfa = build_loop_complex(p, j)
-                for u in reduced_words_up_to(p.alphabet_size, 6):
+                for u in filter(Word.is_reduced, words_up_to(p.alphabet_size, 6)):
                     if accepts_reduced(dfa, u):
                         assert oracle(u), (p, j, u)
 
     def test_folded_acceptance_monotone_in_radius(self):
         for p in (Z2, Z3, LATTICE):
             dfas = [build_loop_complex(p, j) for j in range(3)]
-            for u in reduced_words_up_to(p.alphabet_size, 5):
+            for u in filter(Word.is_reduced, words_up_to(p.alphabet_size, 5)):
                 accepted = [accepts_reduced(d, u) for d in dfas]
                 for lo, hi in zip(accepted, accepted[1:]):
                     assert not (lo and not hi), (p, u)

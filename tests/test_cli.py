@@ -171,9 +171,9 @@ def test_profile_enumerates_no_word(monkeypatch, capsys):
     calls = []
     for name, module in list(sys.modules.items()):
         if name.startswith("loopfold.") and getattr(module, "words_up_to", None) is words_up_to:
-            def recording(*args, _name=name, **kwargs):
-                calls.append((_name, kwargs.get("reduced")))
-                return words_up_to(*args, **kwargs)
+            def recording(*args, _name=name):
+                calls.append(_name)
+                return words_up_to(*args)
             monkeypatch.setattr(module, "words_up_to", recording)
     listed = watch_oracle(monkeypatch)
     assert run_cli("profile", Z2, "--n", "4", "--oracle", "cyclic:2") == 1

@@ -69,11 +69,6 @@ class TestWord:
             assert (u.inverse() * u).reduce() == EMPTY
             assert u.inverse().inverse() == u
 
-    def test_conjugate_is_literal(self):
-        x, y = w("ab"), w("bA")
-        assert x.conjugate(y) == w("aBabbA")
-        assert len(x.conjugate(y)) == len(x) + 2 * len(y)
-
     def test_cyclic_permutations(self):
         perms = w("aab").cyclic_permutations()
         assert perms == [w("aab"), w("aba"), w("baa")]
@@ -84,11 +79,6 @@ class TestWord:
         with pytest.raises(AttributeError):
             u.codes = b""
         assert len({u, w("ab"), w("ba")}) == 2
-
-    def test_letters_round_trip(self):
-        u = w("aBc", 3)
-        assert [(l.generator, l.sign) for l in u.letters()] == [(0, 1), (1, -1), (2, 1)]
-        assert Word.from_letters(u.letters()) == u
 
 
 class TestPresentation:

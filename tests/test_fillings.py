@@ -14,7 +14,7 @@ from loopfold.automata import (
     radius,
     trace,
 )
-from loopfold.core import EMPTY, Presentation, Word, parse_presentation, parse_word
+from loopfold.core import EMPTY, Presentation, Word, parse_presentation, parse_word, words_up_to
 from loopfold.fillings import (
     FillingProfile,
     ReferenceOracle,
@@ -45,15 +45,6 @@ def w(text: str, gens: int = 2) -> Word:
     return parse_word(text, gens)
 
 
-def all_words_up_to(alphabet_size: int, n: int):
-    out = [Word()]
-    frontier = [Word()]
-    for _ in range(n):
-        frontier = [Word(u.codes + bytes((c,))) for u in frontier for c in range(alphabet_size)]
-        out.extend(frontier)
-    return out
-
-
 @functools.lru_cache(maxsize=None)
 def z2_profile() -> FillingProfile:
     return measure_profile(RewriteSystem(Z2), 4, ReferenceOracle.cyclic(2), BUDGET)
@@ -81,7 +72,7 @@ def test_cyclic_oracle_matches_exponent_count():
     for k in (2, 3, 5):
         oracle = ReferenceOracle.cyclic(k)
         assert oracle.num_generators == 1
-        for word in all_words_up_to(2, 5):
+        for word in words_up_to(2, 5):
             exponent = sum(1 if c == 0 else -1 for c in word.codes)
             assert oracle.decide(word) == (exponent % k == 0), (k, word)
 
@@ -110,7 +101,7 @@ def test_rewrite_oracle_agrees_with_cyclic():
     by_search = ReferenceOracle.rewrite_search(RewriteSystem(Z3), BUDGET)
     closed_form = ReferenceOracle.cyclic(3)
     assert by_search.num_generators == 1
-    for word in all_words_up_to(2, 5):
+    for word in words_up_to(2, 5):
         assert by_search.decide(word) == closed_form.decide(word), word
 
 
@@ -121,7 +112,7 @@ def test_rewrite_oracle_agrees_with_cyclic():
     (ReferenceOracle.rewrite_search(RewriteSystem(Z3), BUDGET), 5),
 ], ids=lambda x: x.kind if isinstance(x, ReferenceOracle) else str(x))
 def test_trivial_words_are_the_decided_words_in_order(oracle, n):
-    words = sorted(all_words_up_to(2 * oracle.num_generators, n), key=lambda u: (len(u), u.codes))
+    words = words_up_to(2 * oracle.num_generators, n)
     assert oracle.trivial_words(n) == [u for u in words if oracle.decide(u)]
 
 

@@ -3,12 +3,11 @@ shortest generated words, and the closed-path factor extraction."""
 
 import hashlib
 from functools import lru_cache
-from itertools import product
 
 import pytest
 
 from loopfold.automata import build_tree_nfa, nfa_accepts
-from loopfold.core import EMPTY, Presentation, Word, parse_word, render_word
+from loopfold.core import EMPTY, Presentation, Word, parse_word, render_word, words_up_to
 from loopfold.fillings import ReferenceOracle, double_exp_constants
 from loopfold.grammar import (
     BOTTOM,
@@ -36,13 +35,6 @@ def w(text, gens=1):
     return parse_word(text, gens)
 
 
-def all_words_up_to(num_generators, n):
-    yield EMPTY
-    for length in range(1, n + 1):
-        for codes in product(range(2 * num_generators), repeat=length):
-            yield Word(codes)
-
-
 @lru_cache(maxsize=None)
 def product_pipeline(name, d=0):
     presentation, target, gens = {
@@ -63,14 +55,14 @@ def test_dyck_pda_matches_free_reduction_exhaustively():
     for target in ("", "aa"):
         goal = w(target).reduce()
         pda = build_dyck_pda(w(target), 1)
-        for z in all_words_up_to(1, 5):
+        for z in words_up_to(2, 5):
             assert simulate_pda(pda, z) == (z.reduce() == goal), (target, z)
 
 
 def test_dyck_pda_two_generators():
     pda = build_dyck_pda(w("ab", 2), 2)
     goal = w("ab", 2)
-    for z in all_words_up_to(2, 4):
+    for z in words_up_to(4, 4):
         assert simulate_pda(pda, z) == (z.reduce() == goal)
 
 
@@ -78,7 +70,7 @@ def test_dyck_pda_reduces_its_target():
     # aAaa and aa carve out the same language
     left = build_dyck_pda(w("aAaa"), 1)
     right = build_dyck_pda(w("aa"), 1)
-    for z in all_words_up_to(1, 4):
+    for z in words_up_to(2, 4):
         assert simulate_pda(left, z) == simulate_pda(right, z)
 
 
@@ -94,7 +86,7 @@ def test_dyck_pda_empty_target_accepts_cancellations():
 def test_product_pda_is_the_intersection():
     tree, pda, _, _ = product_pipeline("z2")
     goal = w("aa")
-    for z in all_words_up_to(1, 4):
+    for z in words_up_to(2, 4):
         expected = z.reduce() == goal and nfa_accepts(tree, z)
         assert simulate_pda(pda, z) == expected, z
 
@@ -144,7 +136,7 @@ def test_toy_grammar_generates_cancelling_pairs():
 def test_raw_cfg_matches_pda():
     for name, gens in [("z2", 1), ("z3", 1)]:
         _, pda, raw, _ = product_pipeline(name)
-        for z in all_words_up_to(gens, 4):
+        for z in words_up_to(2 * gens, 4):
             assert generates(raw, z) == simulate_pda(pda, z), (name, z)
 
 
@@ -152,7 +144,7 @@ def test_simplification_preserves_the_language():
     cases = [("z2", 1, 4), ("z3", 1, 4), ("lattice", 2, 3)]
     for name, gens, depth in cases:
         _, pda, _, simplified = product_pipeline(name)
-        for z in all_words_up_to(gens, depth):
+        for z in words_up_to(2 * gens, depth):
             assert generates(simplified, z) == simulate_pda(pda, z), (name, z)
 
 
@@ -380,7 +372,7 @@ def test_loop_factors_conjugated_relator():
 def test_loop_factors_every_accepted_word():
     tree = build_tree_nfa(Z3, 0)
     checked = 0
-    for z in all_words_up_to(1, 6):
+    for z in words_up_to(2, 6):
         if not nfa_accepts(tree, z):
             continue
         factors = loop_factors(tree, Z3, z)

@@ -1,9 +1,7 @@
-import itertools
-
 from loopfold import _kernels
 from loopfold._kernels import first_deciding, trace_batch
 from loopfold.automata import FoldedGraph
-from loopfold.core import Word, words_up_to
+from loopfold.core import words_up_to
 
 
 def test_trace_batch_walks_table():
@@ -92,43 +90,19 @@ def test_first_deciding_draws_nothing_below_limit_zero():
     assert drawn == []
 
 
-def of_length(k, L, reduced):
-    return [u.codes for u in words_up_to(k, L, reduced=reduced) if len(u) == L]
+def of_length(k, L):
+    return [u.codes for u in words_up_to(k, L) if len(u) == L]
 
 
 def test_enumerate_all_words_counts():
     for k, L in [(2, 0), (2, 3), (4, 4), (3, 2)]:
-        rows = of_length(k, L, reduced=False)
+        rows = of_length(k, L)
         assert len(rows) == k**L
         assert len(set(rows)) == len(rows)
         assert rows == sorted(rows)
 
 
-def test_enumerate_reduced_words_counts():
-    for k, L in [(2, 1), (2, 4), (4, 3), (6, 2)]:
-        rows = of_length(k, L, reduced=True)
-        assert len(rows) == k * (k - 1) ** (L - 1)
-        assert rows == sorted(rows)
-        assert all(Word(row).is_reduced() for row in rows)
-
-
-def test_enumerate_reduced_is_filter_of_all():
-    every = [u for u in words_up_to(4, 4, reduced=False) if u.is_reduced()]
-    assert every == list(words_up_to(4, 4, reduced=True))
-
-
 def test_enumeration_is_shortest_first():
-    lengths = [len(u) for u in words_up_to(4, 4, reduced=False)]
+    lengths = [len(u) for u in words_up_to(4, 4)]
     assert lengths == sorted(lengths)
     assert len(lengths) == sum(4**L for L in range(5))
-
-
-def test_enumeration_matches_a_product_listing():
-    for k, n, min_length in [(1, 4, 0), (2, 5, 2), (3, 4, 1), (4, 3, 3), (4, 2, 3)]:
-        for reduced in (False, True):
-            expected = [bytes(t) for L in range(min_length, n + 1)
-                        for t in itertools.product(range(k), repeat=L)]
-            if reduced:
-                expected = [u for u in expected if Word(u).is_reduced()]
-            got = [u.codes for u in words_up_to(k, n, reduced=reduced, min_length=min_length)]
-            assert got == expected, (k, n, min_length, reduced)

@@ -50,7 +50,7 @@ def oracle_for(p):
 def trivial_for(p, n, oracle=None):
     """The oracle's list of trivial words of length ≤ n."""
     oracle = oracle or oracle_for(p)
-    return [u for u in words_up_to(p.alphabet_size, n, reduced=False) if oracle(u)]
+    return [u for u in words_up_to(p.alphabet_size, n) if oracle(u)]
 
 
 def baumslag_solitar(k):
@@ -93,15 +93,6 @@ def three_cycle():
     g.add_edge(1, 0, 2)
     g.add_edge(2, 0, 0)
     return g
-
-
-def reduced_words_up_to(alphabet_size, max_len):
-    words = [Word(b"")]
-    layer = [b""]
-    for _ in range(max_len):
-        layer = [u + bytes((c,)) for u in layer for c in range(alphabet_size) if not u or u[-1] != c ^ 1]
-        words.extend(Word(u) for u in layer)
-    return words
 
 
 def unfolded(graph):
@@ -309,7 +300,7 @@ class TestDecisions:
             oracle = oracle_for(p)
             for i, folder in enumerate(islice(coset_rounds(p), 3), 1):
                 pcg = partial_cayley(folder)
-                for u in reduced_words_up_to(p.alphabet_size, 4):
+                for u in filter(Word.is_reduced, words_up_to(p.alphabet_size, 4)):
                     if accepts_reduced(pcg.graph, u):
                         assert oracle(u), (p, i, u)
 
@@ -321,7 +312,7 @@ class TestMonotone:
     @staticmethod
     def assert_only_gain(sequence, count, n):
         for name, (p, _oracle) in GROUPS.items():
-            words = reduced_words_up_to(p.alphabet_size, n)
+            words = list(filter(Word.is_reduced, words_up_to(p.alphabet_size, n)))
             before = set()
             for i, folder in enumerate(islice(sequence(p), count)):
                 graph = folder.snapshot()
@@ -362,7 +353,7 @@ class TestMeasureRadius:
     def test_agreement_is_genuine(self):
         oracle = oracle_for(Z3)
         _rounds, _rad, pcg = measure_tc_radius(Z3, 5, trivial_for(Z3, 5))[5]
-        for u in reduced_words_up_to(2, 5):
+        for u in filter(Word.is_reduced, words_up_to(2, 5)):
             assert accepts_reduced(pcg.graph, u) == oracle(u)
 
     def test_trivial_list_over_another_alphabet_is_refused(self):
@@ -387,7 +378,7 @@ class TestMeasureRadius:
         n_max, rounds = 6, 4
         for name, (p, oracle) in GROUPS.items():
             graphs = [partial_cayley(folder) for folder in islice(coset_rounds(p), rounds)]
-            verdicts = [(u, oracle(u)) for u in reduced_words_up_to(p.alphabet_size, n_max)]
+            verdicts = [(u, oracle(u)) for u in words_up_to(p.alphabet_size, n_max) if u.is_reduced()]
             # round i + 1 decides the words of length ≤ n when n < wrong[i]
             wrong = [min((len(u) for u, trivial in verdicts if accepts_reduced(pcg.graph, u) != trivial),
                          default=n_max + 1) for pcg in graphs]
@@ -426,7 +417,7 @@ class TestMeasureRadius:
         assert len(traced) == 721
 
     def test_nontermination_guard(self):
-        every_word = list(words_up_to(4, 2, reduced=False))  # a list that lies
+        every_word = list(words_up_to(4, 2))  # a list that lies
         column = measure_tc_radius(FREE2, 2, every_word, max_rounds=2)
         assert column[0][0] == 1  # the empty word is decided at once
         assert column[1:] == [None, None]  # two rounds never agree on a letter
