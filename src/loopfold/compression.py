@@ -9,7 +9,6 @@ through the 0-1 BFS oracle and compares entrywise.
 
 from __future__ import annotations
 
-import itertools
 from typing import NamedTuple
 
 from .core import Presentation, Word
@@ -43,7 +42,13 @@ def compress(p: Presentation, max_products: int = DEFAULT_PRODUCT_CAP) -> Compre
     Products reducing to the empty word are discarded; the fused set keeps
     literal reduced words (no cyclic identification).  Raises
     :class:`CombinatorialBlowupError` instead of truncating when the tuple
-    count Σ |R_s|^i exceeds ``max_products``.
+    count Σ |R_s|^i exceeds ``max_products``; the check runs before any
+    product is formed.
+
+    Products are built level by level rather than tuple by tuple: the
+    reduced products of ``i`` relators are those of ``i - 1`` relators,
+    empty word included, each times a relator.  Both factors are reduced,
+    so only their seam cancels.
     """
     if not p.relators:
         raise ValueError("nothing to fuse: the relator set is empty")
@@ -54,18 +59,29 @@ def compress(p: Presentation, max_products: int = DEFAULT_PRODUCT_CAP) -> Compre
         raise CombinatorialBlowupError(
             f"{total} relator tuples exceed the cap of {max_products}"
         )
-    fused = set()
-    for i in range(2, m + 1):
-        for combo in itertools.product(symmetrized, repeat=i):
-            product = Word(b"".join(r.codes for r in combo)).reduce()
-            if len(product) > 0:
-                fused.add(product)
-    combined = Presentation(p.num_generators, symmetrized + tuple(fused))
+    relators = [r.codes for r in symmetrized]
+    level = set(relators)
+    fused: set[bytes] = set()
+    for _ in range(2, m + 1):
+        products = set()
+        for u in level:
+            n = len(u)
+            for v in relators:
+                k = 0  # letters cancelled at the seam
+                while k < n and k < len(v) and u[n - 1 - k] == v[k] ^ 1:
+                    k += 1
+                products.add(u[: n - k] + v[k:])
+        fused |= products
+        level = products
+    fused.discard(b"")
+    ordered = sorted(fused)
+    ordered.sort(key=len)  # stable: shortlex
+    fused_words = tuple(map(Word, ordered))
     return CompressedPresentation(
         base=p,
         symmetrized=symmetrized,
-        fused=tuple(sorted(fused, key=lambda u: (len(u), u.codes))),
-        combined=combined,
+        fused=fused_words,
+        combined=Presentation(p.num_generators, symmetrized + fused_words),
         m=m,
     )
 

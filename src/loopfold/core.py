@@ -118,16 +118,19 @@ def parse_word(text: str, num_generators: int, line: int = 1, col: int = 1) -> W
     return Word(bytes(_letter_code(ch, num_generators, line, col + i) for i, ch in enumerate(text)))
 
 
+# letter code -> text: generator g as the g-th lowercase letter, its inverse
+# uppercase; codes past 26 generators have no text form
+_LETTERS = bytes((ord("A") if c & 1 else ord("a")) + (c >> 1) for c in range(52))
+_TEXT = _LETTERS.ljust(256)
+
+
 def render_word(w: Word) -> str:
-    if len(w) == 0:
+    codes = w.codes
+    if not codes:
         return "1"
-    out = []
-    for c in w.codes:
-        g = c >> 1
-        if g >= 26:
-            raise ValueError("text form supports at most 26 generators")
-        out.append(chr((ord("A") if c & 1 else ord("a")) + g))
-    return "".join(out)
+    if max(codes) >= len(_LETTERS):
+        raise ValueError("text form supports at most 26 generators")
+    return codes.translate(_TEXT).decode("ascii")
 
 
 @functools.cache
@@ -167,14 +170,11 @@ class Presentation:
             if any(c >= 2 * num_generators for c in r.codes):
                 raise ValueError("relator uses a letter outside the alphabet")
             reduced.append(r)
-        reduced.sort(key=lambda w: (len(w.codes), w.codes))
-        seen, kept = set(), []
-        for r in reduced:
-            if r.codes not in seen:
-                seen.add(r.codes)
-                kept.append(r)
+        reduced.sort(key=operator.attrgetter("codes"))
+        reduced.sort(key=len)  # stable: shortlex
+        kept = {r.codes: r for r in reduced}  # first occurrence's place, one per code string
         object.__setattr__(self, "num_generators", num_generators)
-        object.__setattr__(self, "relators", tuple(kept))
+        object.__setattr__(self, "relators", tuple(kept.values()))
 
     def __setattr__(self, name, value):
         raise AttributeError("Presentation is immutable")
@@ -214,11 +214,25 @@ class Presentation:
         reduced; for cyclically reduced relators this is the literal
         closure.  The result presents the same group.
         """
-        rotations = set()  # distinct code strings only: many relators share rotations
-        for r in self.relators:
-            for base in (r.codes, r.inverse().codes):
-                rotations |= _reduced_rotations(base)
-        return Presentation(self.num_generators, map(Word, rotations))
+        return Presentation(self.num_generators, map(Word, symmetric_closure(self.relators)))
+
+
+def symmetric_closure(relators: Iterable[Word]) -> list[bytes]:
+    """The freely reduced cyclic permutations of nonempty reduced relators
+    and of their inverses, in shortlex order.
+
+    A word already in the set is skipped: it is a reduced rotation of a word
+    taken before, and the reduced rotations of a reduced rotation are among
+    those of the word, so they are in the set too.
+    """
+    closure: set[bytes] = set()
+    for r in relators:
+        for base in (r.codes, r.codes[::-1].translate(_INVERSE)):
+            if base not in closure:
+                closure |= _reduced_rotations(base)
+    ordered = sorted(closure)
+    ordered.sort(key=len)  # stable: shortlex
+    return ordered
 
 
 def _reduced_rotations(codes: bytes) -> set[bytes]:
@@ -234,8 +248,9 @@ def _reduced_rotations(codes: bytes) -> set[bytes]:
     k = 0  # |x|; the scan stops by the middle, as ``codes`` is reduced
     while codes[k] == codes[n - 1 - k] ^ 1:
         k += 1
-    u = codes[k : n - k]
-    return {codes[i : n - i] for i in range(k)} | {u[i:] + u[:i] for i in range(len(u))}
+    m = n - 2 * k
+    uu = codes[k : n - k] * 2
+    return {codes[i : n - i] for i in range(k)} | {uu[i : i + m] for i in range(m)}
 
 
 def parse_presentation(text: str) -> Presentation:

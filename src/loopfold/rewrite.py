@@ -7,6 +7,12 @@ resulting rewrite graph on words is undirected, so reachability and 0-1
 shortest-path distance from the empty word give, for every word at once, its
 triviality, its minimum relator-application count, and its filling length.
 
+A system is built on ``bytes``: the symmetrized relators come from
+:func:`~loopfold.core.symmetric_closure` once, in shortlex order, and no
+:class:`Presentation` of them is made unless ``symmetrized_presentation`` is
+read.  The fused ℤ² lattice's 3,200 relators close to 11,040 in 1,470
+rotation scans, as a relator or inverse already in the closure adds nothing.
+
 The search reads the relator rules as ``bytes`` from two indexes: the
 insertions ``1 -> v`` and the substitutions keyed by left-hand side, each in
 rule order.  They hold only the rules that can fire under the largest cap
@@ -23,8 +29,10 @@ checking*, 1996).  A signed generator permutation that maps the symmetrized
 relator set onto itself, with or without ``w -> w^-1``, is an automorphism of
 the rewrite graph that keeps costs, lengths and the empty word, so a sweep
 holds one representative per orbit of such maps, its least image, and a
-state budget counts orbits.  A cost lookup canonicalizes the word first:
-see :meth:`Exploration.cost`.
+state budget counts orbits.  The maps are found by checking the
+presentation's own relators against the closure, which is enough (see
+:func:`_letter_maps`).  A cost lookup canonicalizes the word first: see
+:meth:`Exploration.cost`.
 
 Searches are capped by a :class:`SearchBudget`, and no a-priori bound on
 intermediate word length is available.  An area is reported ``Exact`` when
@@ -44,7 +52,7 @@ from collections import deque
 from itertools import repeat
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .core import _INVERSE, EMPTY, Presentation, Word
+from .core import _INVERSE, EMPTY, Presentation, Word, symmetric_closure
 
 
 class OracleStatus(enum.Enum):
@@ -143,13 +151,24 @@ _IDENTITY = bytes(range(256))
 _MAX_SYMMETRIES = 128
 
 
-def _letter_maps(relators: frozenset[bytes], num_generators: int, limit: int) -> list[bytes] | None:
+def _letter_maps(
+    closure: frozenset[bytes], relators: Iterable[bytes], num_generators: int, limit: int
+) -> list[bytes] | None:
     """Translation tables of the signed generator permutations (letter maps
-    that commute with ``c ^ 1``) mapping ``relators`` onto itself, or None
-    when there are more than ``limit``.  Backtracking assigns the most-used
-    generators first and checks each relator once all its generators have
-    an image; a generator only maps to one used as often."""
-    letters = b"".join(relators)
+    that commute with ``c ^ 1``) mapping ``closure``, the symmetric closure
+    of ``relators``, onto itself, or None when there are more than
+    ``limit``.  Backtracking assigns the most-used generators first, by
+    their letter counts over the closure, and checks each given relator
+    once all its generators have an image; a generator only maps to one
+    used as often.
+
+    Checking the given relators suffices.  Such a map σ is injective, keeps
+    lengths and commutes with inversion, cyclic permutation and free
+    reduction, so σ(closure(S)) = closure(σ(S)).  If σ(S) ⊆ closure(S),
+    then σ maps the finite set closure(S) into itself, hence onto itself;
+    the converse holds as S ⊆ closure(S).  So the same maps are found, in
+    the same order, from the relators rather than all their rotations."""
+    letters = b"".join(closure)
     counts = [letters.count(2 * g) + letters.count(2 * g + 1) for g in range(num_generators)]
     order = sorted(range(num_generators), key=lambda g: -counts[g])
     depth_of = bytearray(256)  # a letter's table: the depth its generator is assigned at
@@ -174,7 +193,7 @@ def _letter_maps(relators: frozenset[bytes], num_generators: int, limit: int) ->
             for sign in (0, 1):
                 table[2 * g], table[2 * g + 1] = 2 * image + sign, 2 * image + (sign ^ 1)
                 images = map(bytes.translate, due[depth], repeat(table))
-                if relators.issuperset(images) and not extend(depth + 1):
+                if closure.issuperset(images) and not extend(depth + 1):
                     return False
             taken[image] = False
         return True
@@ -207,7 +226,6 @@ class RewriteSystem:
 
     def __init__(self, presentation: Presentation):
         self.presentation = presentation
-        self.symmetrized_presentation = presentation.symmetrized()
 
         free_rules = []
         for c in range(presentation.alphabet_size):
@@ -216,8 +234,9 @@ class RewriteSystem:
             free_rules.append(Rule(EMPTY, pair, False))
         self.free_rules: tuple[Rule, ...] = tuple(free_rules)
 
-        # shortlex, so the relators that fit under a cap come first
-        self._relators = tuple(r.codes for r in self.symmetrized_presentation.relators)
+        # the symmetrized relators, shortlex, so those that fit under a cap
+        # come first
+        self._relators = tuple(symmetric_closure(presentation.relators))
         # factor-indexed views for the search inner loop, built from bytes by
         # _cover for the largest cap asked for so far (empty until then)
         self._index_cap: float = -1
@@ -229,13 +248,18 @@ class RewriteSystem:
         self._subst_within: dict[int, dict[bytes, tuple[bytes, ...]]] = {}
 
         # the symmetry group: letter maps, each also composed with inversion
-        relators = frozenset(self._relators)
-        maps = _letter_maps(relators, presentation.num_generators, _MAX_SYMMETRIES // 2)
+        maps = _letter_maps(frozenset(self._relators), [r.codes for r in presentation.relators],
+                            presentation.num_generators, _MAX_SYMMETRIES // 2)
         self.symmetries: tuple[bytes, ...] = tuple(maps or [_IDENTITY])
         # a table for w -> σ(w^-1), read on the reversed word
         self._inverted: tuple[bytes, ...] = tuple(t.translate(_INVERSE) for t in self.symmetries)
 
         self._sweeps: dict[tuple[int, int], Exploration] = {}
+
+    @functools.cached_property
+    def symmetrized_presentation(self) -> Presentation:
+        """The symmetrized relators as a presentation, made on first read."""
+        return self.presentation.symmetrized()
 
     def canonical(self, codes: bytes) -> bytes:
         """The least image of ``codes`` under the symmetry group."""

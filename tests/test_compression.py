@@ -1,5 +1,7 @@
 """Relator fusion and the application-count halving check."""
 
+import itertools
+
 import pytest
 
 from loopfold.compression import (
@@ -7,12 +9,15 @@ from loopfold.compression import (
     compress,
     verify_compression,
 )
-from loopfold.core import Presentation, parse_presentation, parse_word, render_presentation
+from loopfold.core import Presentation, Word, parse_presentation, parse_word, render_presentation
 from loopfold.rewrite import OracleResult, OracleStatus, RewriteSystem, SearchBudget
 
 Z2 = parse_presentation("gens: a\nrels: aa")
 Z3 = parse_presentation("gens: a\nrels: aaa")
 LATTICE = parse_presentation("gens: a b\nrels: abAB")
+POWERS = parse_presentation("gens: a\nrels: aaaa aaaaaa")
+# abA is a conjugate of b, not cyclically reduced
+CONJUGATE = parse_presentation("gens: a b\nrels: aab abA")
 
 BUDGET = SearchBudget(max_word_length=6)
 
@@ -115,3 +120,32 @@ def test_verify_zero_row():
 def test_verify_refuses_another_presentations_system():
     with pytest.raises(ValueError):
         verify_compression(compress(Z2), 2, BUDGET, RewriteSystem(Z3))
+
+
+def fused_by_definition(p):
+    """The reduced products of 2..m symmetrized relators, tuple by tuple,
+    each reduced letter by letter, with the tuple count the cap is read
+    against."""
+    symmetrized = p.symmetrized().relators
+    m = p.max_relator_length
+    fused = set()
+    for i in range(2, m + 1):
+        for combo in itertools.product(symmetrized, repeat=i):
+            product = Word(b"".join(r.codes for r in combo)).reduce()
+            if len(product) > 0:
+                fused.add(product)
+    ordered = tuple(sorted(fused, key=lambda u: (len(u), u.codes)))
+    total = sum(len(symmetrized) ** i for i in range(2, m + 1))
+    return ordered, Presentation(p.num_generators, symmetrized + ordered), total
+
+
+@pytest.mark.parametrize("p", [Z2, Z3, LATTICE, POWERS, CONJUGATE],
+                         ids=["z2", "z3", "lattice", "powers", "conjugate"])
+def test_fusion_equals_its_definition(p):
+    fused, combined, total = fused_by_definition(p)
+    c = compress(p)
+    assert c.fused == fused
+    assert c.combined == combined
+    with pytest.raises(CombinatorialBlowupError):
+        compress(p, max_products=total - 1)
+    assert compress(p, max_products=total).fused == fused

@@ -11,6 +11,8 @@ from loopfold.core import (
     parse_word,
     render_presentation,
     render_word,
+    symmetric_closure,
+    words_up_to,
 )
 
 
@@ -162,6 +164,49 @@ class TestPresentation:
             assert {q.codes for q in s.relators} == expected - {b""}, r
 
 
+    def test_relators_sorted_shortlex_without_duplicates(self):
+        rng = random.Random(14)
+        for _ in range(100):
+            rels = [random_word(rng, 2, rng.randrange(1, 6)).reduce() for _ in range(rng.randrange(1, 30))]
+            rels = [r for r in rels if len(r)]
+            rels += rng.sample(rels, len(rels) // 2)  # literal duplicates
+            rng.shuffle(rels)
+            expected = sorted({r.codes for r in rels}, key=lambda codes: (len(codes), codes))
+            assert [r.codes for r in Presentation(2, rels).relators] == expected
+
+    def test_symmetric_closure_equals_the_rotation_union(self):
+        # every relator and inverse taken, none skipped, each rotation
+        # reduced by the reference construction
+        rng = random.Random(15)
+        for _ in range(200):
+            rels = []
+            for _ in range(rng.randrange(1, 5)):
+                x = random_word(rng, 2, rng.randrange(0, 3))
+                u = random_word(rng, 2, rng.randrange(1, 6))
+                r = (x * u * x.inverse()).reduce()
+                if len(r):
+                    rels.append(r)
+            expected = set()
+            for r in rels:
+                for base in (r.codes, r.inverse().codes):
+                    expected |= rotations_by_definition(base)
+            closure = symmetric_closure(rels)
+            assert closure == sorted(expected, key=lambda codes: (len(codes), codes)), rels
+            assert symmetric_closure(map(Word, closure)) == closure
+
+
+def rotations_by_definition(codes):
+    """The reduced cyclic permutations of a reduced word ``x u x^-1`` (``u``
+    cyclically reduced): its middle factors ``y u y^-1`` and the rotations
+    of ``u``."""
+    n = len(codes)
+    k = 0
+    while codes[k] == codes[n - 1 - k] ^ 1:
+        k += 1
+    u = codes[k : n - k]
+    return {codes[i : n - i] for i in range(k)} | {u[i:] + u[:i] for i in range(len(u))}
+
+
 class TestTextFormat:
     def test_parse_round_trip(self):
         text = "gens: a b\nrels: aa abAB\n"
@@ -173,6 +218,13 @@ class TestTextFormat:
         assert parse_word("", 2) == EMPTY
         assert parse_word("1", 2) == EMPTY
         assert render_word(EMPTY) == "1"
+
+    def test_render_word_round_trip(self):
+        for word in words_up_to(52, 2):
+            assert parse_word(render_word(word), 26) == word
+        assert render_word(EMPTY) == "1"
+        with pytest.raises(ValueError):
+            render_word(Word(bytes([0, 52])))
 
     def test_parse_ignores_blank_lines(self):
         p = parse_presentation("\ngens: a\n\nrels: aa\n\n")

@@ -60,6 +60,16 @@ def test_golden_compress_output(capsys, monkeypatch):
     assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
 
+def test_golden_compress_conjugate_digest(capsys, tmp_path):
+    # abA conjugates b, so its rotations and the products' seams reduce; the
+    # 5,796-byte fused presentation is pinned by its digest
+    pres = tmp_path / "conjugate.pres"
+    pres.write_text("gens: a b\nrels: aab abA\n", encoding="utf-8")
+    assert main(["compress", str(pres)]) == 0
+    digest = "5e3f45c067bd137f157981d2a0b7ff2339e506e4b312855e48c6faea17670426"
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 # the benchmark's coset saturation commands; the DOT goes through the
 # canonical renumbering, so it pins the folded snapshot up to isomorphism
 TC_CASES = {

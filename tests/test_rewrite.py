@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 import time
 import tracemalloc
@@ -266,6 +267,7 @@ class TestIsTrivial:
 
 BS12 = Presentation(2, [parse_word("abABB", 2)])  # Baumslag-Solitar BS(1,2)
 ASYMMETRIC = Presentation(2, [parse_word("aab", 2), parse_word("bbbaB", 2)])
+CONJUGATE = Presentation(2, [parse_word("aab", 2), parse_word("abA", 2)])  # abA is not cyclically reduced
 
 
 class TestSymmetry:
@@ -287,6 +289,24 @@ class TestSymmetry:
                 assert {m(r) for r in rels} == rels
                 for r in list(rels)[:50]:
                     assert m(r[::-1].translate(INVERSE)) == m(r)[::-1].translate(INVERSE)
+
+    def test_group_equals_a_brute_force(self, fused_lattice):
+        # every signed generator permutation, checked against every
+        # symmetrized relator
+        for rs in (RewriteSystem(LATTICE), fused_lattice, RewriteSystem(Z3), RewriteSystem(BS12),
+                   RewriteSystem(ASYMMETRIC), RewriteSystem(CONJUGATE)):
+            closure = {r.codes for r in rs.symmetrized_presentation.relators}
+            g = rs.presentation.num_generators
+            expected = []
+            for images in itertools.permutations(range(g)):
+                for signs in itertools.product((0, 1), repeat=g):
+                    table = bytearray(range(256))
+                    for gen, (image, sign) in enumerate(zip(images, signs)):
+                        table[2 * gen], table[2 * gen + 1] = 2 * image + sign, 2 * image + (sign ^ 1)
+                    if {r.translate(table) for r in closure} == closure:
+                        expected.append(bytes(table))
+            assert sorted(rs.symmetries) == sorted(expected)
+            assert len(set(rs.symmetries)) == len(rs.symmetries)
 
     @pytest.mark.parametrize("p, cap", [(LATTICE, 8), (Z3, 10), (BS12, 8), (ASYMMETRIC, 7)],
                              ids=["zxz", "z3", "bs12", "asymmetric"])
