@@ -9,8 +9,9 @@ A :class:`LabeledGraph` is an unfolded graph (an NFA of edge sets), a
 :class:`FoldedGraph` is a folder's snapshot.  A folded graph is its
 successor table and nothing more: every consumer reads the per-letter
 successor lists, and the loops folded in are not recorded, since the
-graph's own closed walks give them back (see
-:func:`loopfold.fillings.pull_apart`).
+graph's own closed walks give them back (Stallings 1983).  No command calls
+the references :func:`fold` (whence the folder's pins), :func:`restrict_to_radius`
+(acceptance criterion 3) or :func:`canonical_form` (isomorphism in tests).
 
 Two graph families are built here: the loop complex ``Λ_j`` (the folded
 wedge of conjugated-relator loops ``r^u`` over all reduced ``u`` with

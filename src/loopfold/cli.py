@@ -96,6 +96,8 @@ def _parse_oracle(text: str, system: RewriteSystem, budget: SearchBudget) -> Ref
             f"oracle {text!r} speaks {oracle.num_generators} generator(s), "
             f"the presentation has {p.num_generators}"
         )
+    if not oracle.kills_relators(p):
+        raise UsageError(f"oracle {text!r}: its group does not kill every relator")
     return oracle
 
 

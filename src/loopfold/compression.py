@@ -95,8 +95,6 @@ class CompressionRow(NamedTuple):
 
 
 class CompressionReport(NamedTuple):
-    compressed: CompressedPresentation
-    n_max: int
     rows: tuple[CompressionRow, ...]
     triviality_agreement: bool
 
@@ -135,9 +133,4 @@ def verify_compression(
             if combined_area.exact:
                 holds = combined_area.value <= bound
         rows.append(CompressionRow(n, base_area, combined_area, bound, holds))
-    return CompressionReport(
-        compressed=compressed,
-        n_max=n_max,
-        rows=tuple(rows),
-        triviality_agreement=agreement,
-    )
+    return CompressionReport(tuple(rows), agreement)

@@ -71,12 +71,6 @@ class Word:
         codes = self.codes
         return not any(map(operator.eq, codes[1:], codes.translate(_INVERSE)))
 
-    def cyclic_permutations(self) -> list["Word"]:
-        n = len(self.codes)
-        if n == 0:
-            return [self]
-        return [Word(self.codes[i:] + self.codes[:i]) for i in range(n)]
-
 
 EMPTY = Word()
 

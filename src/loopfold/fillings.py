@@ -22,11 +22,11 @@ from __future__ import annotations
 
 from functools import partial, reduce
 from itertools import combinations
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 from . import _kernels
-from .automata import Folder, FoldedGraph, distances_from_origin, loop_complexes, trace
-from .core import EMPTY, Presentation, Word, words_up_to
+from .automata import FoldedGraph, distances_from_origin, loop_complexes
+from .core import Presentation, Word, words_up_to
 from .rewrite import (
     OracleResult,
     OracleStatus,
@@ -96,10 +96,16 @@ class ReferenceOracle:
             return is_trivial(w, self.system, self.budget)[0]
         return self._kills(w.codes)
 
+    def kills_relators(self, p: Presentation) -> bool:
+        """Whether the group kills ``p``'s relators, so its list holds ``p``'s trivial words."""
+        if self.kind == "rewrite":
+            return self.system.presentation == p
+        return all(self._kills(r.codes) for r in p.relators)
+
     def area_lower_bound(self, p: Presentation) -> Callable[[Word], int] | None:
         """A proved lower bound on the area of the words trivial in ``p``,
         or None for the rewrite search and when the closed-form group does
-        not kill every relator of ``p``.
+        not kill every relator of ``p`` (:meth:`kills_relators`).
 
         A functional F that free moves leave unchanged, and that one
         relator step ``xuy -> xvy`` changes by at most ``|F(u v^-1)|``, a
@@ -120,7 +126,7 @@ class ReferenceOracle:
         every word of a derivation, and every relator step's ``u v^-1``,
         map to the identity, a closed loop whose functional is defined.
         """
-        if self.kind == "rewrite" or not all(self._kills(r.codes) for r in p.relators):
+        if self.kind == "rewrite" or not self.kills_relators(p):
             return None
         if self.kind == "free":
             return lambda w: 0
@@ -253,27 +259,20 @@ def _winding_area(codes: bytes, rank: int) -> int:
 # -- isodiametric measurement -------------------------------------------------
 
 
-def measure_isodiametric(
-    p: Presentation,
-    n_max: int,
-    trivial: list[Word],
-    max_radius: int | None = None,
-) -> list[OracleResult]:
-    """Entry ``n`` (0 ≤ n ≤ n_max) is d(n), the smallest radius ``j ≤
-    max_radius`` (default ``n``) whose folded loop complex accepts the
-    reduction of every word of length ≤ n in ``trivial``, the oracle's list
-    of trivial words of length ≤ n_max.
+def measure_isodiametric(p: Presentation, n_max: int, trivial: list[Word]) -> list[OracleResult]:
+    """Entry ``n`` (0 ≤ n ≤ n_max) is d(n), the smallest radius ``j ≤ n``
+    whose folded loop complex accepts the reduction of every word of length
+    ≤ n in ``trivial``, the oracle's list of trivial words of length ≤ n_max.
 
     Acceptance is sound at every radius, so only completeness is scanned,
     on the reduced words of the list (:func:`~loopfold._kernels.trivial_layers`).
     """
     layers = _kernels.trivial_layers(trivial, n_max, p.alphabet_size)
-    limits = [n if max_radius is None else max_radius for n in range(n_max + 1)]
     graphs = (f.snapshot() for f in loop_complexes(p))
     return [
         OracleResult(None, OracleStatus.LOWER_BOUND_ONLY) if hit is None
         else OracleResult(hit[0], OracleStatus.EXACT)
-        for hit in _kernels.first_deciding(graphs, layers, limits)
+        for hit in _kernels.first_deciding(graphs, layers, list(range(n_max + 1)))
     ]
 
 
@@ -290,7 +289,6 @@ class ProfileRow(NamedTuple):
 
 class FillingProfile(NamedTuple):
     presentation: Presentation
-    n_max: int
     rows: tuple[ProfileRow, ...]
 
 
@@ -335,7 +333,7 @@ def measure_profile(
         for hit in measure_tc_radius(p, n_max, reduced, max_rounds=max_rounds)
     ]
     rows = (ProfileRow(n, *cells) for n, cells in enumerate(zip(area, length, diameter, tc)))
-    return FillingProfile(p, n_max, tuple(rows))
+    return FillingProfile(p, tuple(rows))
 
 
 # -- inequality checks --------------------------------------------------------
@@ -349,12 +347,7 @@ class InequalityRow(NamedTuple):
 
 
 class InequalityReport(NamedTuple):
-    presentation: Presentation
-    big_c: int  # C = 2(2|A|+1)||R||^2
-    base: int  # c = (2|A|)^2
     rows: tuple[InequalityRow, ...]
-    fitted_area_base: int | None  # least integer c >= 2 with P(n) <= c^f(n)
-    fitted_length_base: int | None  # least integer c >= 2 with f(n) <= c^(d(n)+n)
 
     @property
     def asserted_hold(self) -> bool:
@@ -391,26 +384,11 @@ def within_double_exp(p: Presentation, n: int, d: int, value: int) -> bool:
     return n >= -(-value >> _double_exp_exponent(p, d))
 
 
-def _fit_base(pairs: list[tuple[int, int]], cap: int = 64) -> int | None:
-    """Least integer base c ≥ 2 with value ≤ c**exponent for every pair."""
-    for c in range(2, cap + 1):
-        if all(value <= c**exponent for value, exponent in pairs):
-            return c
-    return None
-
-
 def check_inequalities(profile: FillingProfile) -> InequalityReport:
-    """Per-n checks: d(n) ≤ ⌈f(n)/2⌉ and P(n) ≤ n·2^(C·c^d(n)) on Exact
-    entries (others are skipped), the d = rhoTC comparison, and the fitted
-    bases for P vs f and f vs d+n.  The bases are never asserted, and no
-    command prints them nor any CSV holds them: they are for library
-    callers only."""
+    """Per-n checks on Exact entries (others are skipped): d(n) ≤ ⌈f(n)/2⌉,
+    P(n) ≤ n·2^(C·c^d(n)), and the d = rhoTC comparison."""
     p = profile.presentation
-    big_c, base = double_exp_constants(p)
-
     rows = []
-    area_pairs = []
-    length_pairs = []
     for row in profile.rows:
         d_le_half_f = None
         if row.diameter.exact and row.length.exact:
@@ -422,34 +400,18 @@ def check_inequalities(profile: FillingProfile) -> InequalityReport:
         if row.diameter.exact and row.tc_radius.exact:
             d_equals_rho = row.diameter.value == row.tc_radius.value
         rows.append(InequalityRow(row.n, d_le_half_f, double_exp, d_equals_rho))
-        if row.area.exact and row.length.exact:
-            area_pairs.append((row.area.value, row.length.value))
-        if row.length.exact and row.diameter.exact:
-            length_pairs.append((row.length.value, row.diameter.value + row.n))
-
-    return InequalityReport(
-        presentation=p,
-        big_c=big_c,
-        base=base,
-        rows=tuple(rows),
-        fitted_area_base=_fit_base(area_pairs),
-        fitted_length_base=_fit_base(length_pairs),
-    )
+    return InequalityReport(tuple(rows))
 
 
-def profile_to_csv(profile: FillingProfile, report: InequalityReport | None = None) -> str:
+def profile_to_csv(profile: FillingProfile, report: InequalityReport) -> str:
     """Deterministic CSV: one row per n, statuses spelled out, inequality
     verdicts as true/false with 'skipped' for non-Exact inputs."""
-    if report is None:
-        report = check_inequalities(profile)
-    by_n = {r.n: r for r in report.rows}
 
     def render_bool(b: bool | None) -> str:
         return "skipped" if b is None else ("true" if b else "false")
 
     lines = ["n,P,P_status,f,f_status,d,rhoTC,d_le_half_f,double_exp,d_eq_rhoTC"]
-    for row in profile.rows:
-        checks = by_n[row.n]
+    for row, checks in zip(profile.rows, report.rows):
         lines.append(
             ",".join(
                 [
@@ -468,36 +430,3 @@ def profile_to_csv(profile: FillingProfile, report: InequalityReport | None = No
         )
     return "\n".join(lines) + "\n"
 
-
-# -- pulling a complex apart --------------------------------------------------
-#
-# A folded graph keeps no record of the loops folded into it.  Folding a wedge
-# of closed walks gives a graph whose closed walks at the origin read exactly
-# the subgroup the walks generate (Stallings), so the loops are read back off
-# the graph: one per vertex and relator that closes there.
-
-
-def pull_apart(graph: FoldedGraph, relators: Sequence[Word]) -> list[tuple[Word, Word]]:
-    """One (relator, conjugator) pair for every vertex ``v`` reachable from
-    the origin and every relator that reads a closed walk at ``v``, vertices
-    in the order of :func:`~loopfold.automata.distances_from_origin`.  The
-    conjugator labels ``v``'s breadth-first geodesic from the origin, so its
-    length is at most the graph radius.  Re-folding the wedge of these
-    loops (see :func:`refold`) gave back every loop complex and partial
-    Cayley graph it was tried on."""
-    paths: dict[int, Word] = {graph.origin: EMPTY}
-    order = [graph.origin]
-    for v in order:  # grows while read: the search of distances_from_origin
-        for code, row in enumerate(graph.delta):
-            if (t := row[v]) >= 0 and t not in paths:
-                paths[t] = Word(paths[v].codes + bytes((code,)))
-                order.append(t)
-    return [(r, paths[v]) for v in order for r in relators if trace(graph, r, v) == v]
-
-
-def refold(num_generators: int, loops: list[tuple[Word, Word]]) -> FoldedGraph:
-    """Fold the wedge of conjugated relator loops r^x at a fresh origin."""
-    folder = Folder(num_generators)
-    for rel, conjugator in loops:
-        folder.add_loop(folder.add_path(folder.origin, conjugator), rel)
-    return folder.snapshot()

@@ -13,6 +13,10 @@ rule is made only once both triples on its right side derive some word, so
 the grammar names productive nonterminals only and its size follows the
 reachable triples rather than push moves times state pairs.
 
+No command calls :func:`build_dyck_pda`, :func:`simulate_pda`, :func:`generates`
+(acceptance criterion 6), :func:`render_cfg` (sha256 pins), :meth:`Cfg.nonterminals`
+(grammar sizes in tests), or yet :func:`loop_factors` and :func:`multiply_factors`.
+
 PDA conventions: acceptance is by empty stack from initial stack ``(z,)``;
 every move either pushes one symbol above the inspected top or pops the top.
 A state pairs an NFA vertex with a stage: the countdown stages m..0 (stage

@@ -9,9 +9,9 @@ triviality, its minimum relator-application count, and its filling length.
 
 A system is built on ``bytes``: the symmetrized relators come from
 :func:`~loopfold.core.symmetric_closure` once, in shortlex order, and no
-:class:`Presentation` of them is made unless ``symmetrized_presentation`` is
-read.  The fused ℤ² lattice's 3,200 relators close to 11,040 in 1,470
-rotation scans, as a relator or inverse already in the closure adds nothing.
+:class:`Presentation` of them is made.  The fused ℤ² lattice's 3,200
+relators close to 11,040 in 1,470 rotation scans, as a relator or inverse
+already in the closure adds nothing.
 
 The search reads the relator rules as ``bytes`` from two indexes: the
 insertions ``1 -> v`` and the substitutions keyed by left-hand side, each in
@@ -22,7 +22,8 @@ caps 4 and 6 index 408 and 4,872 of them.  Both indexes are cut again to the
 right-hand sides that fit in the room left under the cap, so a sweep costs
 what its reachable words need rather than what the rule count implies.  The
 rules as :class:`Rule` objects are made only when ``relator_rules`` is read,
-straight from the symmetrized relators.
+straight from the symmetrized relators: with ``free_rules`` and
+:meth:`RewriteSystem.apply_rule_positions`, the tests' reference for the search.
 
 Sweeps are taken up to symmetry (Emerson & Sistla, *Symmetry and model
 checking*, 1996).  A signed generator permutation that maps the symmetrized
@@ -255,11 +256,6 @@ class RewriteSystem:
         self._inverted: tuple[bytes, ...] = tuple(t.translate(_INVERSE) for t in self.symmetries)
 
         self._sweeps: dict[tuple[int, int], Exploration] = {}
-
-    @functools.cached_property
-    def symmetrized_presentation(self) -> Presentation:
-        """The symmetrized relators as a presentation, made on first read."""
-        return self.presentation.symmetrized()
 
     def canonical(self, codes: bytes) -> bytes:
         """The least image of ``codes`` under the symmetry group."""

@@ -142,6 +142,29 @@ def watch_oracle(monkeypatch):
     return listed
 
 
+@pytest.mark.parametrize("argv", [
+    # each group misses a trivial word: abAB, aa and aaa
+    ("profile", ZXZ, "--n", "4", "--oracle", "free:2"),
+    ("profile", Z2, "--n", "2", "--oracle", "cyclic:4"),
+    ("profile", Z3, "--n", "2", "--oracle", "cyclic:2"),
+    ("grammar-bound", Z2, "--n", "2", "--oracle", "cyclic:4"),
+])
+def test_oracle_whose_group_keeps_a_relator_is_a_usage_error(monkeypatch, capsys, argv):
+    listed = watch_oracle(monkeypatch)
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"loopfold: oracle {argv[-1]!r}: its group does not kill every relator\n"
+    assert listed == []
+
+
+def test_oracle_of_a_quotient_group_is_accepted(capsys):
+    # ℤ² kills every relator of the free group (there are none), so its list
+    # holds every trivial word of F2 and more
+    assert run_cli("profile", FREE2, "--n", "2", "--rounds", "2", "--oracle", "free-abelian:2") == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("oracle", ["cyclic:0", "free-abelian:0", "free:0", "rewrite:0"])
 def test_profile_bad_oracle_parameter(capsys, oracle):
     assert run_cli("profile", Z2, "--n", "2", "--oracle", oracle) == 2
@@ -269,9 +292,8 @@ def test_each_sweep_runs_once_per_command(monkeypatch, capsys, argv):
     (("profile", Z2, "--n", "8", "--oracle", "cyclic:2"), set()),
     (("profile", FREE2, "--n", "6", "--oracle", "free:2"), set()),
     (("grammar-bound", Z2, "--n", "7", "--oracle", "cyclic:2"), set()),
-    # no bound under the rewrite search, nor when ℤ/4 does not kill aa
+    # no bound under the rewrite search
     (("profile", Z3, "--n", "6", "--oracle", "rewrite:6"), {10}),
-    (("profile", Z2, "--n", "8", "--oracle", "cyclic:4"), {10}),
 ])
 def test_only_uncertified_areas_sweep_past_the_length_cap(monkeypatch, capsys, argv, wider):
     # the length cap L is 8: a sweep at cap 10 is the stop rule's L + 2

@@ -1,35 +1,23 @@
-"""Profile measurements, inequality checks, and loop decompositions."""
+"""Profile measurements and inequality checks."""
 
 import functools
-import itertools
 
 import pytest
 
-from loopfold.automata import (
-    LabeledGraph,
-    build_loop_complex,
-    canonical_form,
-    distances_from_origin,
-    fold,
-    radius,
-    trace,
-)
+from loopfold.automata import LabeledGraph, build_loop_complex, canonical_form, fold, trace
 from loopfold.core import EMPTY, Presentation, Word, parse_presentation, parse_word, words_up_to
 from loopfold.fillings import (
     FillingProfile,
     ReferenceOracle,
-    _fit_base,
     check_inequalities,
     double_exp_bound,
+    double_exp_constants,
     within_double_exp,
     measure_isodiametric,
     measure_profile,
     profile_to_csv,
-    pull_apart,
-    refold,
 )
 from loopfold.rewrite import OracleStatus, RewriteSystem, SearchBudget, min_isoperimetric
-from loopfold.toddcoxeter import coset_rounds, partial_cayley
 
 Z2 = parse_presentation("gens: a\nrels: aa")
 Z3 = parse_presentation("gens: a\nrels: aaa")
@@ -216,12 +204,10 @@ def test_isodiametric_lattice_witnesses():
 
 
 def test_isodiametric_radius_cutoff():
-    column = measure_isodiametric(
-        LATTICE, 4, ReferenceOracle.free_abelian(2).trivial_words(4), max_radius=1)
-    assert [r.value for r in column[:4]] == [0, 0, 0, 0]
-    result = column[4]
-    assert result.value is None
-    assert result.status is OracleStatus.LOWER_BOUND_ONLY
+    # ℤ/2's list holds aa, which no loop complex of ℤ/3 accepts: from n = 2
+    # on, no radius j ≤ n decides
+    column = measure_isodiametric(Z3, 4, ReferenceOracle.cyclic(2).trivial_words(4))
+    assert column == [(0, OracleStatus.EXACT)] * 2 + [(None, OracleStatus.LOWER_BOUND_ONLY)] * 3
 
 
 # -- profiles -----------------------------------------------------------------
@@ -354,11 +340,8 @@ def test_a_bound_short_of_the_area_falls_back_to_the_stop_rule():
 
 
 def test_inequality_constants():
-    assert check_inequalities(z2_profile()).big_c == 24
-    assert check_inequalities(z2_profile()).base == 4
-    report = check_inequalities(lattice_profile())
-    assert report.big_c == 160
-    assert report.base == 16
+    assert double_exp_constants(Z2) == (24, 4)
+    assert double_exp_constants(LATTICE) == (160, 16)
 
 
 def test_double_exp_bound_values():
@@ -384,8 +367,6 @@ def test_check_inequalities_even_cycle():
     assert all(row.d_equals_rho is False for row in report.rows)
     assert report.asserted_hold
     assert not report.equality_holds
-    assert report.fitted_area_base == 2
-    assert report.fitted_length_base == 2
 
 
 def test_check_inequalities_free_group():
@@ -393,7 +374,6 @@ def test_check_inequalities_free_group():
     assert all(row.d_equals_rho is True for row in report.rows)
     assert report.equality_holds
     assert report.asserted_hold
-    assert report.fitted_area_base == 2
 
 
 def test_check_inequalities_skips_non_exact():
@@ -402,14 +382,6 @@ def test_check_inequalities_skips_non_exact():
     assert report.rows[6].d_le_half_f is None
     assert report.rows[6].double_exp is None
     assert report.rows[3].d_le_half_f is True
-
-
-def test_fit_base():
-    assert _fit_base([]) == 2
-    assert _fit_base([(9, 2)]) == 3
-    assert _fit_base([(10, 1)]) == 10
-    assert _fit_base([(2**70, 1)]) is None
-    assert _fit_base([(0, 0), (4, 2)]) == 2
 
 
 # -- CSV emission -------------------------------------------------------------
@@ -422,90 +394,24 @@ Z2_CSV = """n,P,P_status,f,f_status,d,rhoTC,d_le_half_f,double_exp,d_eq_rhoTC
 """
 
 
+def csv(profile: FillingProfile) -> str:
+    return profile_to_csv(profile, check_inequalities(profile))
+
+
 def test_csv_golden_even_cycle():
     profile = measure_profile(RewriteSystem(Z2), 3, ReferenceOracle.cyclic(2), BUDGET)
-    assert profile_to_csv(profile) == Z2_CSV
+    assert csv(profile) == Z2_CSV
 
 
 def test_csv_deterministic_across_runs():
     first = measure_profile(RewriteSystem(LATTICE), 3, ReferenceOracle.free_abelian(2), BUDGET)
     second = measure_profile(RewriteSystem(LATTICE), 3, ReferenceOracle.free_abelian(2), BUDGET)
-    assert profile_to_csv(first) == profile_to_csv(second)
+    assert csv(first) == csv(second)
 
 
 def test_csv_renders_skips():
     tight = measure_profile(RewriteSystem(Z3), 6, ReferenceOracle.cyclic(3), SearchBudget(max_word_length=4))
-    lines = profile_to_csv(tight).splitlines()
+    lines = csv(tight).splitlines()
     assert lines[-1].startswith("6,2,LowerBoundOnly,")
     assert ",skipped," in lines[-1]
 
-
-# -- pulling a complex apart --------------------------------------------------
-
-
-def loops_close(g, loops):
-    """Every (r, u) of ``loops`` reads r as a closed walk at the tip of u, a
-    geodesic no longer than the graph radius."""
-    limit = radius(g)
-    for rel, conjugator in loops:
-        v = trace(g, conjugator)
-        assert v is not None and trace(g, rel, v) == v
-        assert len(conjugator) <= limit
-
-
-def test_pull_apart_single_face():
-    g = build_loop_complex(Z2, 0)
-    # the one folded loop closes at both of its vertices
-    assert pull_apart(g, Z2.relators) == [(w("aa", 1), EMPTY), (w("aa", 1), w("a", 1))]
-
-
-def test_pull_apart_round_trip_loop_complexes():
-    graphs = [(p, build_loop_complex(p, j)) for p in (Z2, Z3, LATTICE) for j in range(3)]
-    graphs += [(p, partial_cayley(folder).graph)
-               for p in (Z3, LATTICE) for folder in itertools.islice(coset_rounds(p), 3)]
-    for p, g in graphs:
-        loops = pull_apart(g, p.relators)
-        loops_close(g, loops)
-        assert all(rel in p.relators for rel, _ in loops)
-        rebuilt = refold(p.num_generators, loops)
-        assert canonical_form(rebuilt) == canonical_form(g), p
-
-
-def test_pull_apart_saturation_graph():
-    pcg = partial_cayley(next(coset_rounds(Z3)))
-    loops = pull_apart(pcg.graph, Z3.relators)
-    assert loops, "a saturated graph closes its relator somewhere"
-    loops_close(pcg.graph, loops)
-    assert all(rel == w("aaa", 1) for rel, _ in loops)
-    rebuilt = refold(1, loops)
-    assert canonical_form(rebuilt) == canonical_form(pcg.graph)
-
-
-def test_pull_apart_lattice_saturation_round_trip():
-    pcg = partial_cayley(next(coset_rounds(LATTICE)))
-    loops = pull_apart(pcg.graph, LATTICE.relators)
-    rebuilt = refold(2, loops)
-    assert canonical_form(rebuilt) == canonical_form(pcg.graph)
-
-
-def test_pull_apart_conjugators_trace_to_basepoints():
-    g = build_loop_complex(LATTICE, 2)
-    loops = pull_apart(g, LATTICE.relators)
-    loops_close(g, loops)
-    # basepoints come in breadth-first order, each once per closing relator
-    basepoints = [trace(g, conjugator) for _, conjugator in loops]
-    dist = distances_from_origin(g)
-    assert basepoints == [v for v in dist if trace(g, LATTICE.relators[0], v) == v]
-    assert [len(u) for _, u in loops] == [dist[v] for v in basepoints]
-
-
-def test_pull_apart_no_faces():
-    lonely, _ = fold(LabeledGraph(1))
-    assert pull_apart(lonely, Z2.relators) == []
-    rebuilt = refold(1, [])
-    assert canonical_form(rebuilt) == (1, ())
-
-
-def test_pull_apart_deterministic():
-    g = build_loop_complex(LATTICE, 1)
-    assert pull_apart(g, LATTICE.relators) == pull_apart(g, LATTICE.relators)

@@ -32,9 +32,6 @@ CASES = {
     "profile-zxz-n8": ("profile presentations/zxz.pres --n 8 --oracle free-abelian:2", 1),
     "profile-z3-n8": ("profile presentations/z3.pres --n 8 --oracle cyclic:3", 1),
     "profile-z2-n8": ("profile presentations/z2.pres --n 8 --oracle cyclic:2", 1),
-    # ℤ/4 does not kill the relator aa, so no area bound: the stop rule
-    # earns every Exact
-    "profile-z2-n8-cyclic4": ("profile presentations/z2.pres --n 8 --oracle cyclic:4", 1),
     "grammar-bound-z3-n4": ("grammar-bound presentations/z3.pres --n 4", 0),
     # the benchmark's grammar-bound commands; the witness among equally short
     # words depends on the rule set and its order

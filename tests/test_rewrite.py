@@ -65,7 +65,7 @@ class TestRuleSet:
 
     def test_rule_products_lie_in_symmetrized_relators(self):
         rs = RewriteSystem(LATTICE)
-        rels = set(rs.symmetrized_presentation.relators)
+        rels = set(rs.presentation.symmetrized().relators)
         for rule in rs.relator_rules:
             assert (rule.lhs * rule.rhs.inverse()).reduce() in rels
 
@@ -282,7 +282,7 @@ class TestSymmetry:
 
     def test_maps_commute_with_inversion_and_fix_the_relators(self, fused_lattice):
         for rs in (RewriteSystem(LATTICE), fused_lattice, RewriteSystem(Z3), RewriteSystem(BS12)):
-            rels = {r.codes for r in rs.symmetrized_presentation.relators}
+            rels = {r.codes for r in rs.presentation.symmetrized().relators}
             for t in rs.symmetries:
                 assert all(t[c ^ 1] == t[c] ^ 1 for c in range(rs.presentation.alphabet_size))
             for m in symmetry_maps(rs):
@@ -295,7 +295,7 @@ class TestSymmetry:
         # symmetrized relator
         for rs in (RewriteSystem(LATTICE), fused_lattice, RewriteSystem(Z3), RewriteSystem(BS12),
                    RewriteSystem(ASYMMETRIC), RewriteSystem(CONJUGATE)):
-            closure = {r.codes for r in rs.symmetrized_presentation.relators}
+            closure = {r.codes for r in rs.presentation.symmetrized().relators}
             g = rs.presentation.num_generators
             expected = []
             for images in itertools.permutations(range(g)):

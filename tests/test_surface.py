@@ -1,0 +1,52 @@
+"""The library surface that no code in ``src`` reaches.
+
+Every module-level function and class of ``loopfold``, and every public
+method, must be referenced somewhere in ``src`` (as a name, an attribute or a
+keyword) or be listed below with the reason it stays.  Code that only tests
+reach either serves as a reference for a check, or it goes."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "loopfold"
+
+KEPT = {
+    "automata.fold": "the whole-graph fold the folder's pins came from; perfbench times it",
+    "automata.restrict_to_radius": "acceptance criterion 3 compares Cayley balls with it",
+    "automata.canonical_form": "the tests' isomorphism check of folded graphs",
+    "grammar.build_dyck_pda": "acceptance criterion 6: the machine the grammar is checked against",
+    "grammar.simulate_pda": "acceptance criterion 6: the machine's acceptance",
+    "grammar.generates": "acceptance criterion 6: the grammar's membership",
+    "grammar.render_cfg": "the text the grammar sha256 pins are taken of",
+    "grammar.Cfg.nonterminals": "the tests' grammar-size measure",
+    "grammar.loop_factors": "for grammar-bound to check its witness with",
+    "grammar.multiply_factors": "for grammar-bound to check its witness with",
+    "rewrite.RewriteSystem.apply_rule_positions": "the single-step reference for the search",
+}
+
+
+def unreferenced() -> set[str]:
+    """Qualified names of the definitions whose name no node of ``src`` reads."""
+    definitions: dict[str, str] = {}
+    names: set[str] = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                definitions[f"{path.stem}.{node.name}"] = node.name
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        definitions[f"{path.stem}.{node.name}.{item.name}"] = item.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.keyword) and node.arg:
+                names.add(node.arg)
+    return {qualified for qualified, name in definitions.items() if name not in names}
+
+
+def test_unreferenced_surface_is_the_kept_references():
+    assert unreferenced() == set(KEPT)
