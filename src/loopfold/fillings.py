@@ -4,7 +4,7 @@ For every length bound ``n`` up to a limit, the profile aggregates, over the
 trivial words of length ≤ n:
 
 * ``P(n)`` — the largest minimum relator-application count (rewrite search,
-  certified by the oracle's area lower bound where the two meet);
+  certified by :class:`RewriteSystem`'s area lower bound where the two meet);
 * ``f(n)`` — the largest filling length (rewrite search);
 * ``d(n)`` — the smallest loop-complex radius whose folded DFA accepts every
   reduced trivial word (completeness scan; soundness holds at any radius);
@@ -20,9 +20,8 @@ constants ``C = 2(2|A|+1)·||R||²`` and ``c = (2|A|)²``.
 
 from __future__ import annotations
 
-from functools import partial, reduce
-from itertools import combinations
-from typing import Callable, NamedTuple
+from functools import reduce
+from typing import NamedTuple
 
 from . import _kernels
 from .automata import FoldedGraph, distances_from_origin, loop_complexes
@@ -102,38 +101,13 @@ class ReferenceOracle:
             return self.system.presentation == p
         return all(self._kills(r.codes) for r in p.relators)
 
-    def area_lower_bound(self, p: Presentation) -> Callable[[Word], int] | None:
-        """A proved lower bound on the area of the words trivial in ``p``,
-        or None for the rewrite search and when the closed-form group does
-        not kill every relator of ``p`` (:meth:`kills_relators`).
-
-        A functional F that free moves leave unchanged, and that one
-        relator step ``xuy -> xvy`` changes by at most ``|F(u v^-1)|``, a
-        rotation of a relator or of its inverse, bounds the area of ``w``
-        below by ``⌈|F(w)| / max_r |F(r)|⌉`` over the relators ``r``:
-
-        * ℤ^r: the homological area, the ℓ1 norm of the winding-number
-          function of the word's lattice loop in each coordinate plane,
-          summed over the planes (Gersten, "Homological Dehn functions and
-          the word problem", 1999; Abrams, Brady, Dani & Young,
-          "Homological and homotopical Dehn functions are different", PNAS
-          2013).  The loop of ``xvy`` differs from that of ``xuy`` by a
-          translate of the relator's loop, and winding numbers add.
-        * ℤ/k: the exponent sum.
-        * free groups: 0.
-
-        The argument needs the group to kill every relator: only then does
-        every word of a derivation, and every relator step's ``u v^-1``,
-        map to the identity, a closed loop whose functional is defined.
-        """
-        if self.kind == "rewrite" or not self.kills_relators(p):
-            return None
-        if self.kind == "free":
-            return lambda w: 0
-        functional = _exponent_sum if self.kind == "cyclic" else partial(_winding_area, rank=self.rank)
-        # when no relator changes F, a word that fills has F = 0
-        step = max((abs(functional(r.codes)) for r in p.relators), default=0) or 1
-        return lambda w: -(-abs(functional(w.codes)) // step)
+    def check(self, p: Presentation) -> None:
+        """Raise ValueError unless the oracle speaks ``p``'s generators and
+        its group kills every relator of ``p``, so its list holds ``p``'s trivial words."""
+        if self.num_generators != p.num_generators:
+            raise ValueError("the oracle and the presentation have different generator counts")
+        if not self.kills_relators(p):
+            raise ValueError("the oracle's group does not kill every relator of the presentation")
 
     def trivial_words(self, n: int) -> list[Word]:
         """Every word of length ≤ n that the oracle calls trivial, shortest
@@ -222,40 +196,6 @@ class ReferenceOracle:
         return mult_free
 
 
-def _exponent_sum(codes: bytes) -> int:
-    """The exponent sum of a word over one generator."""
-    return len(codes) - 2 * codes.count(1)
-
-
-def _winding_area(codes: bytes, rank: int) -> int:
-    """The ℓ1 norm of the winding-number function of a closed word's loop in
-    ℤ^rank, projected on each coordinate plane (i, j), summed over the
-    planes.  The winding number about the unit square at column ``x`` and
-    height ``h`` is the signed count of i-steps across column ``x`` at
-    heights ≤ h; the loop is closed, so each column's count returns to 0."""
-    total = 0
-    for i, j in combinations(range(rank), 2):
-        x = y = 0
-        crossings: dict[tuple[int, int], int] = {}  # (column, height) -> signed i-steps
-        for c in codes:
-            g = c >> 1
-            if g == i:
-                if c & 1:
-                    x -= 1
-                    crossings[x, y] = crossings.get((x, y), 0) - 1
-                else:
-                    crossings[x, y] = crossings.get((x, y), 0) + 1
-                    x += 1
-            elif g == j:
-                y += -1 if c & 1 else 1
-        run = height = 0
-        for (_, h), s in sorted(crossings.items()):
-            total += abs(run) * (h - height)
-            run += s
-            height = h
-    return total
-
-
 # -- isodiametric measurement -------------------------------------------------
 
 
@@ -305,9 +245,9 @@ def measure_profile(
     ``f`` are running maxima of the per-word search oracles over the trivial
     words, non-reduced words included (the word's own length counts); both
     are constant on the orbits of the system's symmetries, so they are read
-    once per orbit.  An area that meets the oracle's lower bound
-    (:meth:`ReferenceOracle.area_lower_bound`) is ``Exact`` at the length
-    cap; only the others need the sweep at the cap plus 2.  The ``d`` scan
+    once per orbit.  An area that meets the bound ``system`` reads off its
+    relators (:meth:`RewriteSystem.area_lower_bound`) is ``Exact`` at the
+    length cap; only the others need the sweep at the cap plus 2.  The ``d`` scan
     and the coset saturation read the list's reduced words, filtered once
     here: both scans' :func:`_kernels.trivial_layers` would skip the
     unreduced words too, but only after checking each one's alphabet, and
@@ -317,13 +257,10 @@ def measure_profile(
     with the caller so that no sweep of it runs twice.
     """
     p = system.presentation
-    if oracle.num_generators != p.num_generators:
-        raise ValueError("the oracle and the presentation have different generator counts")
+    oracle.check(p)
     trivial = oracle.trivial_words(n_max)
     orbits = [Word(codes) for codes in dict.fromkeys(system.canonical(w.codes) for w in trivial)]
-    bound = oracle.area_lower_bound(p)
-    area = prefix_maxima(orbits, n_max, lambda w: min_isoperimetric(
-        w, system, budget, None if bound is None else bound(w)))
+    area = prefix_maxima(orbits, n_max, lambda w: min_isoperimetric(w, system, budget))
     length = prefix_maxima(orbits, n_max, lambda w: filling_length(w, system, budget))
     reduced = [w for w in trivial if w.is_reduced()]
     diameter = measure_isodiametric(p, n_max, reduced)

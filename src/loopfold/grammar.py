@@ -5,7 +5,8 @@ fixed target word, its product with a tree-complex NFA, the triple-construction
 grammar for the product, simplification, and a shortest-generated-word
 computation.  The shortest word bounds the rewrite application count from
 above, and the pumping bound turns the grammar size into the explicit
-estimate n·2^{C·c^d}.
+estimate n·2^{C·c^d}.  The count itself comes from the rewrite search,
+certified by the lower bound :class:`RewriteSystem` reads off the relators.
 
 The grammar is built by saturation from the pop moves (CFL reachability,
 Reps 1998; pushdown saturation, Bouajjani, Esparza & Maler 1997): a push
@@ -506,14 +507,15 @@ def double_exp_experiment(
     pipeline, extract the shortest intersecting word, and compare it against
     the brute-force application count below and the explicit
     double-exponential bound above.  ``system`` is the presentation's
-    rewrite system, shared with the caller; the oracle's area lower bound
-    certifies the areas it meets, as in :func:`~loopfold.fillings.measure_profile`."""
+    rewrite system, shared with the caller; the bound it reads off its
+    relators (:meth:`RewriteSystem.area_lower_bound`) certifies the areas
+    it meets, as in :func:`~loopfold.fillings.measure_profile`."""
     p = system.presentation
+    oracle.check(p)
     trivial = oracle.trivial_words(n_max)
     diameters = [d.value for d in measure_isodiametric(p, n_max, trivial)]
     if None in diameters:
         raise BudgetFailure(f"diameter scan did not converge at n={diameters.index(None)}")
-    lower = oracle.area_lower_bound(p)
     trees: dict[int, LabeledGraph] = {}
     bounds: dict[tuple[int, int], int] = {}  # one shared int per (n, d)
     reports = []
@@ -535,8 +537,7 @@ def double_exp_experiment(
             raise ValueError("witness rejected by the tree complex")
         if (length, d) not in bounds:
             bounds[length, d] = double_exp_bound(p, length, d)
-        area = min_isoperimetric(candidate, system, budget,
-                                 None if lower is None else lower(candidate))
+        area = min_isoperimetric(candidate, system, budget)
         if not area.exact:
             raise BudgetFailure(
                 f"area of {render_word(candidate)} is {area.status}, not Exact; "

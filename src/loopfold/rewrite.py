@@ -37,11 +37,12 @@ presentation's own relators against the closure, which is enough (see
 
 Searches are capped by a :class:`SearchBudget`, and no a-priori bound on
 intermediate word length is available.  An area is reported ``Exact`` when
-the cap-``L`` value meets a lower bound the caller proves for the word (a
-complete sweep's value is the cost of a real derivation, so it is then the
-minimum), or else when it has stabilized across two consecutive length caps
-(``L`` and ``L + 2``).  The first is a proof; the second is a stop rule, and
-the cap-``L + 2`` sweep runs only for the words that need it.
+the cap-``L`` value meets the bound the system reads off its relators
+(:meth:`RewriteSystem.area_lower_bound`; a complete sweep's value is the
+cost of a real derivation, so it is then the minimum), or else when it has
+stabilized across two consecutive length caps (``L`` and ``L + 2``).  The
+first is a proof; the second is a stop rule, and the cap-``L + 2`` sweep
+runs only for the words that need it.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ import enum
 import functools
 import math
 from collections import deque
-from itertools import repeat
+from itertools import combinations, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .core import _INVERSE, EMPTY, Presentation, Word, symmetric_closure
@@ -202,6 +203,40 @@ def _letter_maps(
     return found if extend(0) else None
 
 
+def _exponent_sum(codes: bytes, g: int) -> int:
+    """The exponent sum of generator ``g`` in a word."""
+    return codes.count(2 * g) - codes.count(2 * g + 1)
+
+
+def _winding_area(codes: bytes, rank: int) -> int:
+    """The ℓ1 norm of the winding-number function of a closed word's loop in
+    ℤ^rank, projected on each coordinate plane (i, j), summed over the
+    planes.  The winding number about the unit square at column ``x`` and
+    height ``h`` is the signed count of i-steps across column ``x`` at
+    heights ≤ h; the loop is closed, so each column's count returns to 0."""
+    total = 0
+    for i, j in combinations(range(rank), 2):
+        x = y = 0
+        crossings: list[tuple[int, int, int]] = []  # (column, height, ±1) per i-step
+        for c in codes:
+            g = c >> 1
+            if g == i:
+                if c & 1:
+                    x -= 1
+                    crossings.append((x, y, -1))
+                else:
+                    crossings.append((x, y, 1))
+                    x += 1
+            elif g == j:
+                y += -1 if c & 1 else 1
+        run = height = 0
+        for _, h, s in sorted(crossings):
+            total += abs(run) * (h - height)
+            run += s
+            height = h
+    return total
+
+
 class Rule(NamedTuple):
     lhs: Word
     rhs: Word
@@ -346,6 +381,35 @@ class RewriteSystem:
                 for v in options:
                     yield 1, codes[:i] + v + codes[i + k :]
 
+    @functools.cached_property
+    def area_lower_bound(self) -> Callable[[bytes], int]:
+        """A proved lower bound on the area of a word trivial in the
+        presentation, read off the relators alone; built on the first query.
+
+        A functional F that free moves leave unchanged, and that a relator
+        step ``xuy -> xvy`` changes by at most ``|F(u v^-1)|``, bounds the
+        area of ``w`` below by ``⌈|F(w)| / max_r |F(r)|⌉``.  The bound is the
+        largest of these, or 0, over the exponent sum of each generator and,
+        when at least two generators have exponent sum 0 on every relator,
+        the homological area of the projection onto them (:func:`_winding_area`;
+        Gersten 1999; Abrams, Brady, Dani & Young, PNAS 2013): it sends every
+        word of a derivation, and every ``u v^-1``, to a closed loop in ℤ^k,
+        and winding numbers add.  An F that is 0 on every relator is constant
+        along a derivation, so it is left out."""
+        relators = [r.codes for r in self.presentation.relators]
+        functionals = [functools.partial(_exponent_sum, g=g)
+                       for g in range(self.presentation.num_generators)]
+        balanced = [g for g, f in enumerate(functionals) if not any(map(f, relators))]
+        if len(balanced) >= 2:
+            kept = bytes(c for g in balanced for c in (2 * g, 2 * g + 1))
+            project = bytes.maketrans(kept, bytes(range(len(kept))))
+            dropped = bytes(c for c in range(self.presentation.alphabet_size) if c not in kept)
+            functionals.append(lambda codes: _winding_area(codes.translate(project, dropped),
+                                                           len(balanced)))
+        steps = [max((abs(f(r)) for r in relators), default=0) for f in functionals]
+        bounds = [(f, step) for f, step in zip(functionals, steps) if step]
+        return lambda codes: max((-(-abs(f(codes)) // step) for f, step in bounds), default=0)
+
     # -- exhaustive search -----------------------------------------------
 
     def explore(self, cap: int, max_states: int = 2_000_000) -> Exploration:
@@ -391,20 +455,18 @@ class RewriteSystem:
         return result
 
 
-def min_isoperimetric(
-    w: Word, rs: RewriteSystem, budget: SearchBudget, lower: int | None = None
-) -> OracleResult:
+def min_isoperimetric(w: Word, rs: RewriteSystem, budget: SearchBudget) -> OracleResult:
     """Minimum relator-rule count rewriting ``w`` to the empty word.
 
     Runs the capped search at ``L``.  When that sweep is complete and its
-    value equals ``lower``, a proved lower bound on the area of ``w``, the
-    value is ``Exact`` by proof and no other sweep runs.  Otherwise the
-    search also runs at ``L + 2``, and agreement of the two values is the
-    evidence for ``Exact``.
+    value meets the system's proved lower bound on the area of ``w``
+    (:meth:`RewriteSystem.area_lower_bound`), the value is ``Exact`` by
+    proof and no other sweep runs.  Otherwise the search also runs at
+    ``L + 2``, and agreement of the two values is the evidence for ``Exact``.
     """
     lo = rs.explore(budget.max_word_length, budget.max_states)
     v_lo = lo.cost(w.codes)
-    if lower is not None and lo.complete and v_lo == lower:
+    if lo.complete and v_lo == rs.area_lower_bound(w.codes):
         return OracleResult(v_lo, OracleStatus.EXACT)
     hi = rs.explore(budget.max_word_length + 2, budget.max_states)
     v_hi = hi.cost(w.codes)

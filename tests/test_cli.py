@@ -285,18 +285,8 @@ def test_each_sweep_runs_once_per_command(monkeypatch, capsys, argv):
     assert runs and all(count == 1 for *_, count in runs), runs
 
 
-@pytest.mark.parametrize("argv, wider", [
-    # the benchmark's commands: the area bound certifies every cap-8 area
-    (("profile", ZXZ, "--n", "8", "--oracle", "free-abelian:2"), set()),
-    (("profile", Z3, "--n", "8", "--oracle", "cyclic:3"), set()),
-    (("profile", Z2, "--n", "8", "--oracle", "cyclic:2"), set()),
-    (("profile", FREE2, "--n", "6", "--oracle", "free:2"), set()),
-    (("grammar-bound", Z2, "--n", "7", "--oracle", "cyclic:2"), set()),
-    # no bound under the rewrite search
-    (("profile", Z3, "--n", "6", "--oracle", "rewrite:6"), {10}),
-])
-def test_only_uncertified_areas_sweep_past_the_length_cap(monkeypatch, capsys, argv, wider):
-    # the length cap L is 8: a sweep at cap 10 is the stop rule's L + 2
+def swept_caps(monkeypatch, capsys, argv) -> set[int]:
+    """The caps of the sweeps a command runs; it must exit 0 or 1."""
     explore = RewriteSystem.explore
     caps = set()
 
@@ -307,7 +297,37 @@ def test_only_uncertified_areas_sweep_past_the_length_cap(monkeypatch, capsys, a
     monkeypatch.setattr(RewriteSystem, "explore", recording)
     assert run_cli(*argv) in (0, 1)
     capsys.readouterr()
-    assert 8 in caps and {cap for cap in caps if cap > 8} == wider
+    return caps
+
+
+@pytest.mark.parametrize("argv, wider", [
+    # the benchmark's commands: the area bound certifies every cap-L area
+    (("profile", ZXZ, "--n", "8", "--oracle", "free-abelian:2"), set()),
+    (("profile", Z3, "--n", "8", "--oracle", "cyclic:3"), set()),
+    (("profile", Z2, "--n", "8", "--oracle", "cyclic:2"), set()),
+    (("profile", FREE2, "--n", "6", "--oracle", "free:2"), set()),
+    (("grammar-bound", Z2, "--n", "7", "--oracle", "cyclic:2"), set()),
+    # the bound comes from the presentation, so the rewrite search gets it too
+    (("profile", Z3, "--n", "6", "--oracle", "rewrite:6"), set()),
+    (("compress", ZXZ, "--verify", "--n", "4", "--budget-len", "4"), set()),
+    (("compress", Z2, "--verify", "--n", "8"), set()),
+    (("compress", Z3, "--verify", "--n", "8"), set()),
+    (("grammar-bound", Z3, "--n", "4"), set()),
+])
+def test_only_uncertified_areas_sweep_past_the_length_cap(monkeypatch, capsys, argv, wider):
+    # the length cap L is --budget-len, 8 by default; a sweep past it is the
+    # stop rule's L + 2
+    cap = int(argv[argv.index("--budget-len") + 1]) if "--budget-len" in argv else 8
+    caps = swept_caps(monkeypatch, capsys, argv)
+    assert cap in caps and {c for c in caps if c > cap} == wider
+
+
+def test_a_bound_short_of_the_area_sweeps_past_the_length_cap(tmp_path, monkeypatch, capsys):
+    # on ⟨a | a⁴, a⁶⟩, aa has bound ⌈2/6⌉ = 1 and area 2
+    pres = tmp_path / "a4a6.pres"
+    pres.write_text("gens: a\nrels: aaaa aaaaaa\n", encoding="utf-8")
+    caps = swept_caps(monkeypatch, capsys, ("profile", str(pres), "--n", "2", "--oracle", "cyclic:2"))
+    assert {c for c in caps if c > 8} == {10}
 
 
 def test_profile_areas_certified_under_a_state_budget_that_stops_cap_ten(capsys):
@@ -317,6 +337,24 @@ def test_profile_areas_certified_under_a_state_budget_that_stops_cap_ten(capsys)
                    "--budget-states", "1000") == 1
     captured = capsys.readouterr()
     assert captured.out == (REPO / "tests" / "golden" / "profile-zxz-n8.csv").read_text(encoding="utf-8")
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("argv, code, golden", [
+    (("compress", ZXZ, "--verify", "--n", "4", "--budget-len", "4", "--budget-states", "20"),
+     0, "compress-zxz-n4-verify.out"),
+    (("compress", Z3, "--verify", "--n", "8", "--budget-states", "100"), 0, None),
+    (("profile", Z3, "--n", "6", "--oracle", "rewrite:6", "--budget-states", "100"),
+     1, "profile-z3-n6-rewrite6.csv"),
+    (("grammar-bound", Z3, "--n", "4", "--budget-states", "100"), 0, "grammar-bound-z3-n4.csv"),
+], ids=["compress-zxz", "compress-z3", "profile-z3-rewrite", "grammar-bound-z3"])
+def test_areas_certified_under_a_state_budget_that_stops_cap_l_plus_2(capsys, argv, code, golden):
+    # the state budget holds the cap-L sweeps but not the cap-L+2 ones, and
+    # the presentation's bound earns every area at cap L
+    assert run_cli(*argv) == code
+    captured = capsys.readouterr()
+    if golden is not None:
+        assert captured.out == (REPO / "tests" / "golden" / golden).read_text(encoding="utf-8")
     assert captured.err == ""
 
 

@@ -1,6 +1,7 @@
 """Profile measurements and inequality checks."""
 
 import functools
+import itertools
 
 import pytest
 
@@ -17,6 +18,7 @@ from loopfold.fillings import (
     measure_profile,
     profile_to_csv,
 )
+from loopfold.grammar import double_exp_experiment
 from loopfold.rewrite import OracleStatus, RewriteSystem, SearchBudget, min_isoperimetric
 
 Z2 = parse_presentation("gens: a\nrels: aa")
@@ -281,59 +283,120 @@ def test_profile_budget_propagates():
 # -- certified area -------------------------------------------------------------
 
 
+def closed_form_bound(oracle: ReferenceOracle, p: Presentation, word: Word) -> int:
+    """The area lower bound a closed-form oracle proved for its own group,
+    kept as the reference for the one the rewrite system reads off ``p``'s
+    relators: homological area for ℤ^r, exponent sum for ℤ/k, 0 for free
+    groups, each over its largest value on a relator."""
+    if oracle.kind == "free":
+        return 0
+
+    def winding_area(codes: bytes) -> int:
+        total = 0
+        for i, j in itertools.combinations(range(oracle.rank), 2):
+            x = y = 0
+            crossings: dict[tuple[int, int], int] = {}
+            for c in codes:
+                if c >> 1 == i:
+                    if c & 1:
+                        x -= 1
+                        crossings[x, y] = crossings.get((x, y), 0) - 1
+                    else:
+                        crossings[x, y] = crossings.get((x, y), 0) + 1
+                        x += 1
+                elif c >> 1 == j:
+                    y += -1 if c & 1 else 1
+            run = height = 0
+            for (_, h), s in sorted(crossings.items()):
+                total += abs(run) * (h - height)
+                run += s
+                height = h
+        return total
+
+    def exponent_sum(codes: bytes) -> int:
+        return len(codes) - 2 * codes.count(1)
+
+    functional = exponent_sum if oracle.kind == "cyclic" else winding_area
+    step = max((abs(functional(r.codes)) for r in p.relators), default=0) or 1
+    return -(-abs(functional(word.codes)) // step)
+
+
+def stop_rule(word: Word, system: RewriteSystem, budget: SearchBudget) -> tuple[int | None, bool]:
+    """The area at cap L + 2 and whether the caps L and L + 2 agree on it,
+    with no lower bound: the rule every area rested on before the bound."""
+    lo = system.explore(budget.max_word_length, budget.max_states)
+    hi = system.explore(budget.max_word_length + 2, budget.max_states)
+    value = hi.cost(word.codes)
+    return value, lo.complete and hi.complete and value is not None and lo.cost(word.codes) == value
+
+
 def test_area_lower_bound_values():
-    lattice = ReferenceOracle.free_abelian(2).area_lower_bound(LATTICE)
-    assert [lattice(w(t)) for t in ("", "aA", "abAB", "aabbAABB", "abABabAB", "abABbaBA")] == [
+    lattice = RewriteSystem(LATTICE).area_lower_bound
+    assert [lattice(w(t).codes) for t in ("", "aA", "abAB", "aabbAABB", "abABabAB", "abABbaBA")] == [
         0, 0, 1, 4, 2, 0]
-    lattice3 = ReferenceOracle.free_abelian(3).area_lower_bound(LATTICE3)
+    lattice3 = RewriteSystem(LATTICE3).area_lower_bound
     # the hexagon abcABC projects to one unit square in each of the three planes
-    assert [lattice3(w(t, 3)) for t in ("acAC", "abcABC", "aabcAABC")] == [1, 3, 5]
-    cyclic = ReferenceOracle.cyclic(3).area_lower_bound(Z3)
-    assert [cyclic(w(t, 1)) for t in ("aaaaaa", "aaaAAA", "AAA", "aaaa")] == [2, 0, 1, 2]
-    assert ReferenceOracle.free(2).area_lower_bound(FREE2)(w("abBA")) == 0
+    assert [lattice3(w(t, 3).codes) for t in ("acAC", "abcABC", "aabcAABC")] == [1, 3, 5]
+    cyclic = RewriteSystem(Z3).area_lower_bound
+    assert [cyclic(w(t, 1).codes) for t in ("aaaaaa", "aaaAAA", "AAA", "aaaa")] == [2, 0, 1, 2]
     # no relator to divide by: only the freely trivial words fill
-    assert ReferenceOracle.free_abelian(2).area_lower_bound(FREE2)(w("abBA")) == 0
+    assert RewriteSystem(FREE2).area_lower_bound(w("abBA").codes) == 0
+    # the ab-plane of the Heisenberg group: c's exponent sum is not 0 on abABC
+    heisenberg = RewriteSystem(parse_presentation("gens: a b c\nrels: abABC acAC bcBC"))
+    assert [heisenberg.area_lower_bound(w(t, 3).codes) for t in ("abABC", "aabbAABB", "cc")] == [
+        1, 4, 2]
 
 
-def test_no_area_lower_bound_without_a_closed_form_that_kills_the_relators():
-    # the rewrite search has no functional, ℤ/4 does not kill aa, and the
-    # free group does not kill abAB
-    search = ReferenceOracle.rewrite_search(RewriteSystem(Z2), BUDGET)
-    assert search.area_lower_bound(Z2) is None
-    assert ReferenceOracle.cyclic(4).area_lower_bound(Z2) is None
-    assert ReferenceOracle.free(2).area_lower_bound(LATTICE) is None
-    assert ReferenceOracle.free_abelian(2).area_lower_bound(
-        parse_presentation("gens: a b\nrels: abAB aab")) is None
-
-
-@pytest.mark.parametrize("p, oracle, n", [
+CLOSED_FORMS = pytest.mark.parametrize("p, oracle, n", [
     (LATTICE, ReferenceOracle.free_abelian(2), 8),
     (Z2, ReferenceOracle.cyclic(2), 8),
     (Z3, ReferenceOracle.cyclic(3), 8),
     (LATTICE3, ReferenceOracle.free_abelian(3), 6),
     (A4_A6, ReferenceOracle.cyclic(2), 8),
-], ids=["lattice", "z2", "z3", "lattice3", "a4-a6"])
+    (FREE2, ReferenceOracle.free(2), 8),
+], ids=["lattice", "z2", "z3", "lattice3", "a4-a6", "free2"])
+
+
+@CLOSED_FORMS
+def test_area_lower_bound_equals_the_closed_form_one(p, oracle, n):
+    bound = RewriteSystem(p).area_lower_bound
+    for word in oracle.trivial_words(n):
+        assert bound(word.codes) == closed_form_bound(oracle, p, word), word
+
+
+@CLOSED_FORMS
 def test_area_lower_bound_is_sound(p, oracle, n):
     # on every trivial word, the bound is at most the stop rule's area, and
-    # where the stop rule says Exact the certified path gives the same result
+    # where the stop rule says Exact the certified search gives the same result
     system, budget = RewriteSystem(p), SearchBudget(max_word_length=n)
-    bound = oracle.area_lower_bound(p)
     for word in oracle.trivial_words(n):
-        stop = min_isoperimetric(word, system, budget)
-        assert stop.value is not None and bound(word) <= stop.value, word
-        if stop.exact:
-            assert min_isoperimetric(word, system, budget, bound(word)) == stop, word
+        value, exact = stop_rule(word, system, budget)
+        assert value is not None and system.area_lower_bound(word.codes) <= value, word
+        if exact:
+            assert min_isoperimetric(word, system, budget) == (value, OracleStatus.EXACT), word
 
 
 def test_a_bound_short_of_the_area_falls_back_to_the_stop_rule():
     # aa = a^6 a^-4 takes two relator steps, the bound only ⌈2/6⌉ = 1
     system, budget = RewriteSystem(A4_A6), SearchBudget(max_word_length=6)
-    bound = ReferenceOracle.cyclic(2).area_lower_bound(A4_A6)
     word = w("aa", 1)
-    assert bound(word) == 1
-    certified = min_isoperimetric(word, system, budget, bound(word))
-    assert certified == (2, OracleStatus.EXACT)
+    assert system.area_lower_bound(word.codes) == 1
+    assert min_isoperimetric(word, system, budget) == (2, OracleStatus.EXACT)
     assert (8, budget.max_states) in system._sweeps
+
+
+@pytest.mark.parametrize("run", [
+    lambda system, oracle: measure_profile(system, 2, oracle, BUDGET),
+    lambda system, oracle: double_exp_experiment(system, 2, oracle, BUDGET),
+], ids=["profile", "experiment"])
+@pytest.mark.parametrize("oracle, message", [
+    (ReferenceOracle.cyclic(4), "does not kill every relator"),
+    (ReferenceOracle.free_abelian(2), "different generator counts"),
+], ids=["keeps-a-relator", "two-generators"])
+def test_an_oracle_that_does_not_fit_the_presentation_is_refused(run, oracle, message):
+    # ℤ/4's list misses aa, trivial in ℤ/2; ℤ² speaks a letter ⟨a | aa⟩ lacks
+    with pytest.raises(ValueError, match=message):
+        run(RewriteSystem(Z2), oracle)
 
 
 # -- inequality checks --------------------------------------------------------

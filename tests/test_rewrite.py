@@ -337,6 +337,38 @@ class TestSymmetry:
         assert sweep.complete and sweep.cost(w("abcCBA", 8).codes) == 0
 
 
+HEISENBERG = Presentation(3, [parse_word(t, 3) for t in ("abABC", "acAC", "bcBC")])
+# the same group with its central generator first: a's letters must leave the
+# projection before b and c are renumbered onto its codes
+HEISENBERG_A = Presentation(3, [parse_word(t, 3) for t in ("bcBCA", "baBA", "caCA")])
+A4_A6 = Presentation(1, [parse_word("aaaa", 1), parse_word("aaaaaa", 1)])
+
+
+class TestAreaLowerBound:
+    @pytest.mark.parametrize("make, cap, orbits", [
+        (lambda: BS12, 8, 792),
+        (lambda: HEISENBERG, 6, 463),
+        (lambda: CONJUGATE, 8, 22_016),
+        (lambda: A4_A6, 6, 29),
+        (lambda: compress(LATTICE).combined, 6, 42),
+    ], ids=["bs12", "heisenberg", "conjugate", "a4-a6", "fused-lattice"])
+    def test_at_most_the_cost_of_every_reached_orbit(self, make, cap, orbits):
+        # a sweep's cost is that of a real derivation, so no proved bound exceeds it
+        rs = RewriteSystem(make())
+        sweep = rs.explore(cap)
+        assert sweep.complete and len(sweep.costs) == orbits
+        assert all(rs.area_lower_bound(codes) <= cost for codes, cost in sweep.costs.items())
+
+    @pytest.mark.parametrize("p", [HEISENBERG, HEISENBERG_A], ids=["central-c", "central-a"])
+    def test_meets_the_heisenberg_plane_areas(self, p):
+        # the central generator's exponent sum is not 0 on the commutator
+        # relator, so only the plane of the other two winds
+        rs = RewriteSystem(p)
+        costs = rs.explore(6).costs
+        assert len(costs) == 463
+        assert sum(rs.area_lower_bound(codes) == cost for codes, cost in costs.items()) == 307
+
+
 class TestDeterminism:
     def test_fresh_systems_explore_identically(self):
         a = RewriteSystem(LATTICE).explore(6)
