@@ -231,26 +231,22 @@ class Folder:
                     else:
                         pending.append((s, t))
 
-    def _join(self, start: int, codes: bytes, end: int | None) -> int:
-        """Fold in a path reading ``codes`` from ``start`` to ``end``, or to
-        a fresh tip when ``end`` is None; returns the class it ends in."""
+    def _join(self, start: int, codes: bytes, end: int) -> int:
+        """Fold in a path reading ``codes`` from ``start`` to ``end``;
+        returns the class it ends in."""
         find, delta = self.find, self.delta
-        last = len(codes)
-        if end is not None:  # the part of the tail that is there already
-            end = find(end)
-            while last and (t := delta[codes[last - 1] ^ 1][end]) >= 0:
-                end, last = find(t), last - 1
-            if not last:  # the whole path is there already
-                if find(start) != end:
-                    self._merge(start, end)
-                return find(end)
-            last -= 1  # codes[last] is the closing edge
+        end, last = find(end), len(codes)
+        while last and (t := delta[codes[last - 1] ^ 1][end]) >= 0:  # the tail already there
+            end, last = find(t), last - 1
+        if not last:  # the whole path is there already
+            if find(start) != end:
+                self._merge(start, end)
+            return find(end)
+        last -= 1  # codes[last] is the closing edge
         v = find(start)
         for c in codes[:last]:
             t = delta[c][v]
             v = self._grow(v, c) if t < 0 else find(t)
-        if end is None:
-            return v
         c = codes[last]  # one closing edge v --c--> end, folded onto any c-edge there
         if (s := delta[c][v]) >= 0:
             self._merge(s, end)
@@ -269,11 +265,6 @@ class Folder:
         v = self.find(v)
         t = self.delta[c][v]
         return self._grow(v, c) if t < 0 else self.find(t)
-
-    def add_path(self, start: int, word: Word) -> int:
-        """Follow ``word`` from ``start``, growing fresh vertices where an
-        edge is missing; returns the class of the tip."""
-        return self._join(start, word.codes, None)
 
     def complete(self, start: int = 0) -> None:
         """Give every class rooted at ``start`` or later an edge for every

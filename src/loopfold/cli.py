@@ -69,8 +69,8 @@ def _budget(args) -> SearchBudget:
 
 
 def _parse_oracle(text: str, system: RewriteSystem, budget: SearchBudget) -> ReferenceOracle:
-    """``rewrite:L`` searches ``system``, the command's one rewrite system."""
-    p = system.presentation
+    """The oracle ``text`` names, checked against ``system``'s presentation;
+    ``rewrite:L`` searches ``system``, the command's one rewrite system."""
     name, sep, arg = text.partition(":")
     if not sep or not arg:
         raise UsageError(f"oracle {text!r} is not of the form name:parameter")
@@ -89,15 +89,9 @@ def _parse_oracle(text: str, system: RewriteSystem, budget: SearchBudget) -> Ref
         raise UsageError(f"unknown oracle {name!r}")
     try:
         oracle = makers[name](value)
+        oracle.check(system.presentation)
     except ValueError as exc:
         raise UsageError(f"oracle {text!r}: {exc}") from exc
-    if oracle.num_generators != p.num_generators:
-        raise UsageError(
-            f"oracle {text!r} speaks {oracle.num_generators} generator(s), "
-            f"the presentation has {p.num_generators}"
-        )
-    if not oracle.kills_relators(p):
-        raise UsageError(f"oracle {text!r}: its group does not kill every relator")
     return oracle
 
 

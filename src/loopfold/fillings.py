@@ -11,11 +11,12 @@ trivial words of length ≤ n:
 * ``rhoTC(n)`` — the radius of the first partial Cayley graph that accepts
   every reduced trivial word (no round accepts a non-trivial word).
 
-Ground truth for "trivial" comes from a :class:`ReferenceOracle` — a closed
-form for the classical small groups, or the rewrite search itself as a
-fallback.  The profile feeds the inequality checks relating the four
-functions, with the double-exponential bound instantiated at the explicit
-constants ``C = 2(2|A|+1)·||R||²`` and ``c = (2|A|)²``.
+Ground truth for "trivial" comes from a :class:`ReferenceOracle`: a closed
+form for the small classical groups, held as an identity and the action of a
+letter, or the rewrite search; its ``check`` is the one rule for whether it
+fits a presentation.  The profile feeds the inequality checks relating the
+four functions, with the double-exponential bound instantiated at the
+explicit constants ``C = 2(2|A|+1)·||R||²`` and ``c = (2|A|)²``.
 """
 
 from __future__ import annotations
@@ -43,19 +44,16 @@ from .toddcoxeter import measure_tc_radius
 
 
 class ReferenceOracle:
-    """Ground-truth triviality decider: a closed form for cyclic, free
-    abelian, and free groups, or the rewrite search as a fallback."""
+    """Ground-truth triviality decider.  A closed form (cyclic, free abelian
+    or free group) holds its group as data: the ``identity`` and
+    ``act(element, code)``, the element times the letter ``code``.  The
+    fallback holds the rewrite ``system`` it searches under ``budget``."""
 
-    def __init__(self, kind: str, *, order: int = 0, rank: int = 0,
-                 system: RewriteSystem | None = None,
-                 budget: SearchBudget | None = None):
-        if kind not in ("cyclic", "free-abelian", "free", "rewrite"):
-            raise ValueError(f"unknown oracle kind {kind!r}")
-        if kind == "rewrite" and (system is None or budget is None):
-            raise ValueError("the rewrite-search oracle needs a rewrite system and a budget")
-        self.kind = kind
-        self.order = order
-        self.rank = rank
+    def __init__(self, num_generators: int, *, identity=None, act=None,
+                 system: RewriteSystem | None = None, budget: SearchBudget | None = None):
+        self.num_generators = num_generators
+        self.identity = identity
+        self.act = act
         self.system = system
         self.budget = budget
 
@@ -63,60 +61,59 @@ class ReferenceOracle:
     def cyclic(cls, k: int) -> "ReferenceOracle":
         if k < 1:
             raise ValueError("cyclic order must be positive")
-        return cls("cyclic", order=k)
+        return cls(1, identity=0, act=lambda e, code: (e + (-1 if code & 1 else 1)) % k)
 
     @classmethod
     def free_abelian(cls, rank: int) -> "ReferenceOracle":
         if rank < 1:
             raise ValueError("rank must be positive")
-        return cls("free-abelian", rank=rank)
+
+        def act(e, code):
+            g, delta = code >> 1, -1 if code & 1 else 1
+            return e[:g] + (e[g] + delta,) + e[g + 1 :]
+        return cls(rank, identity=(0,) * rank, act=act)
 
     @classmethod
     def free(cls, rank: int) -> "ReferenceOracle":
         if rank < 1:
             raise ValueError("rank must be positive")
-        return cls("free", rank=rank)
+
+        def act(e, code):
+            return e[:-1] if e and e[-1] == code ^ 1 else e + bytes((code,))
+        return cls(rank, identity=b"", act=act)
 
     @classmethod
     def rewrite_search(cls, system: RewriteSystem, budget: SearchBudget) -> "ReferenceOracle":
         """Search ``system``; sweeps it has already made are reused."""
-        return cls("rewrite", system=system, budget=budget)
-
-    @property
-    def num_generators(self) -> int:
-        if self.kind == "cyclic":
-            return 1
-        if self.kind == "rewrite":
-            return self.system.presentation.num_generators
-        return self.rank
+        return cls(system.presentation.num_generators, system=system, budget=budget)
 
     def decide(self, w: Word) -> bool:
-        if self.kind == "rewrite":
+        if self.system is not None:
             return is_trivial(w, self.system, self.budget)[0]
         return self._kills(w.codes)
 
-    def kills_relators(self, p: Presentation) -> bool:
-        """Whether the group kills ``p``'s relators, so its list holds ``p``'s trivial words."""
-        if self.kind == "rewrite":
-            return self.system.presentation == p
-        return all(self._kills(r.codes) for r in p.relators)
-
     def check(self, p: Presentation) -> None:
         """Raise ValueError unless the oracle speaks ``p``'s generators and
-        its group kills every relator of ``p``, so its list holds ``p``'s trivial words."""
+        its group kills every relator of ``p`` (a search: it searches ``p``),
+        so its list holds ``p``'s trivial words.  Decides no word."""
         if self.num_generators != p.num_generators:
-            raise ValueError("the oracle and the presentation have different generator counts")
-        if not self.kills_relators(p):
-            raise ValueError("the oracle's group does not kill every relator of the presentation")
+            raise ValueError(f"different generator counts: the oracle speaks "
+                             f"{self.num_generators}, the presentation has {p.num_generators}")
+        kills = (self.system.presentation == p if self.system is not None
+                 else all(self._kills(r.codes) for r in p.relators))
+        if not kills:
+            raise ValueError("its group does not kill every relator")
 
     def trivial_words(self, n: int) -> list[Word]:
         """Every word of length ≤ n that the oracle calls trivial, shortest
-        first and lexicographic in codes within a length.  A closed form
-        walks prefixes through its Cayley ball and extends one only while
-        the word norm of its element, its distance from the identity, is at
-        most the number of letters left; the rewrite search decides every
-        word."""
-        if self.kind == "rewrite":
+        first and lexicographic in codes within a length; none when n < 0.
+        A closed form walks prefixes through its Cayley ball and extends one
+        only while the word norm of its element, its distance from the
+        identity, is at most the number of letters left; the rewrite search
+        decides every word."""
+        if n < 0:
+            return []
+        if self.system is not None:
             return [w for w in words_up_to(2 * self.num_generators, n) if self.decide(w)]
         # a prefix's element lies within n/2 of the identity, so its
         # neighbours all lie in the ball
@@ -139,11 +136,13 @@ class ReferenceOracle:
     def cayley_ball(self, radius: int) -> FoldedGraph:
         """The ball of the group's Cayley graph: vertices within ``radius``
         of the identity, with all edges between them, numbered in BFS order.
-        Not available for the rewrite-search fallback."""
-        if self.kind == "rewrite":
+        Raises ValueError for a negative radius, and for the rewrite-search
+        fallback, which has no closed form."""
+        if self.system is not None:
             raise ValueError("the rewrite-search oracle has no closed-form Cayley graph")
-        mult = self._multiplication()
-        identity = self._identity()
+        if radius < 0:
+            raise ValueError("radius must be nonnegative")
+        act, identity = self.act, self.identity
         index = {identity: 0}
         order = [identity]
         dist = [0]
@@ -154,7 +153,7 @@ class ReferenceOracle:
             if d == radius:
                 continue
             for code in range(2 * self.num_generators):
-                nxt = mult(elem, code)
+                nxt = act(elem, code)
                 if nxt not in index:
                     index[nxt] = len(order)
                     order.append(nxt)
@@ -162,38 +161,14 @@ class ReferenceOracle:
         delta = [[-1] * len(order) for _ in range(2 * self.num_generators)]
         for v, elem in enumerate(order):
             for gen in range(self.num_generators):
-                t = index.get(mult(elem, 2 * gen))
+                t = index.get(act(elem, 2 * gen))
                 if t is not None:
                     delta[2 * gen][v], delta[2 * gen + 1][t] = t, v
         return FoldedGraph(self.num_generators, 0, delta)
 
     def _kills(self, codes: bytes) -> bool:
         """Whether ``codes`` maps to the identity of the closed-form group."""
-        identity = self._identity()
-        return reduce(self._multiplication(), codes, identity) == identity
-
-    def _identity(self):
-        if self.kind == "cyclic":
-            return 0
-        if self.kind == "free-abelian":
-            return (0,) * self.rank
-        return b""
-
-    def _multiplication(self):
-        if self.kind == "cyclic":
-            k = self.order
-            return lambda e, code: (e + (-1 if code & 1 else 1)) % k
-        if self.kind == "free-abelian":
-            def mult(e, code):
-                g, delta = code >> 1, -1 if code & 1 else 1
-                return e[:g] + (e[g] + delta,) + e[g + 1 :]
-            return mult
-
-        def mult_free(e, code):
-            if e and e[-1] == code ^ 1:
-                return e[:-1]
-            return e + bytes((code,))
-        return mult_free
+        return reduce(self.act, codes, self.identity) == self.identity
 
 
 # -- isodiametric measurement -------------------------------------------------

@@ -238,7 +238,7 @@ class TestFold:
         folder.add_loop(0, w("ab"))  # closes onto the b-edge: one new a-edge 0 --a--> 1
         assert len(folder.parent) == 2
         folder.add_loop(1, w("ba"))  # traces already
-        folder.add_path(0, w("aa"))  # a fresh tip only for the second a
+        folder.step(folder.step(0, 0), 0)  # a fresh tip only for the second a
         assert len(folder.parent) == 3
         assert folder.snapshot().edges() == [(0, 0, 1), (1, 0, 2), (1, 1, 0)]
 

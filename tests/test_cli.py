@@ -158,6 +158,20 @@ def test_oracle_whose_group_keeps_a_relator_is_a_usage_error(monkeypatch, capsys
     assert listed == []
 
 
+@pytest.mark.parametrize("argv", [
+    ("profile", Z2, "--n", "2", "--oracle", "free-abelian:2"),
+    ("grammar-bound", Z2, "--n", "2", "--oracle", "free:2"),
+])
+def test_oracle_with_another_generator_count_is_a_usage_error(monkeypatch, capsys, argv):
+    listed = watch_oracle(monkeypatch)
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"loopfold: oracle {argv[-1]!r}: different generator counts")
+    assert captured.err.count("\n") == 1
+    assert listed == []
+
+
 def test_oracle_of_a_quotient_group_is_accepted(capsys):
     # ℤ² kills every relator of the free group (there are none), so its list
     # holds every trivial word of F2 and more

@@ -100,7 +100,8 @@ def test_rewrite_oracle_agrees_with_cyclic():
     (ReferenceOracle.free_abelian(1), 6), (ReferenceOracle.free_abelian(2), 6),
     (ReferenceOracle.free(1), 6), (ReferenceOracle.free(2), 6),
     (ReferenceOracle.rewrite_search(RewriteSystem(Z3), BUDGET), 5),
-], ids=lambda x: x.kind if isinstance(x, ReferenceOracle) else str(x))
+], ids=["cyclic-4", "cyclic-6", "cyclic-7", "free-abelian-6_0", "free-abelian-6_1",
+        "free-6_0", "free-6_1", "rewrite-5"])  # family-n; _0 and _1 are ranks 1 and 2
 def test_trivial_words_are_the_decided_words_in_order(oracle, n):
     words = words_up_to(2 * oracle.num_generators, n)
     assert oracle.trivial_words(n) == [u for u in words if oracle.decide(u)]
@@ -108,15 +109,28 @@ def test_trivial_words_are_the_decided_words_in_order(oracle, n):
 
 def test_oracle_validation():
     with pytest.raises(ValueError):
-        ReferenceOracle("parity")
-    with pytest.raises(ValueError):
         ReferenceOracle.cyclic(0)
     with pytest.raises(ValueError):
         ReferenceOracle.free_abelian(0)
     with pytest.raises(ValueError):
         ReferenceOracle.free(-1)
-    with pytest.raises(ValueError):
-        ReferenceOracle("rewrite", system=RewriteSystem(Z2))
+
+
+INFINITE = pytest.mark.parametrize("oracle", [
+    ReferenceOracle.free_abelian(2), ReferenceOracle.free(2)], ids=["lattice", "free2"])
+
+
+@INFINITE
+def test_no_trivial_words_below_length_zero(oracle):
+    # n = -3 asks for a ball of radius -1, which an infinite group never closes
+    assert [oracle.trivial_words(n) for n in (-1, -2, -3, -8)] == [[], [], [], []]
+
+
+@INFINITE
+def test_cayley_ball_refuses_a_negative_radius(oracle):
+    for radius in (-1, -3):
+        with pytest.raises(ValueError, match="radius must be nonnegative"):
+            oracle.cayley_ball(radius)
 
 
 def test_cayley_ball_cyclic():
@@ -283,17 +297,17 @@ def test_profile_budget_propagates():
 # -- certified area -------------------------------------------------------------
 
 
-def closed_form_bound(oracle: ReferenceOracle, p: Presentation, word: Word) -> int:
-    """The area lower bound a closed-form oracle proved for its own group,
-    kept as the reference for the one the rewrite system reads off ``p``'s
-    relators: homological area for ℤ^r, exponent sum for ℤ/k, 0 for free
-    groups, each over its largest value on a relator."""
-    if oracle.kind == "free":
+def closed_form_bound(family: str, rank: int, p: Presentation, word: Word) -> int:
+    """The area lower bound proved for the closed-form group ``family`` of
+    ``rank`` generators, kept as the reference for the one the rewrite system
+    reads off ``p``'s relators: homological area for ℤ^r, exponent sum for
+    ℤ/k, 0 for free groups, each over its largest value on a relator."""
+    if family == "free":
         return 0
 
     def winding_area(codes: bytes) -> int:
         total = 0
-        for i, j in itertools.combinations(range(oracle.rank), 2):
+        for i, j in itertools.combinations(range(rank), 2):
             x = y = 0
             crossings: dict[tuple[int, int], int] = {}
             for c in codes:
@@ -316,7 +330,7 @@ def closed_form_bound(oracle: ReferenceOracle, p: Presentation, word: Word) -> i
     def exponent_sum(codes: bytes) -> int:
         return len(codes) - 2 * codes.count(1)
 
-    functional = exponent_sum if oracle.kind == "cyclic" else winding_area
+    functional = exponent_sum if family == "cyclic" else winding_area
     step = max((abs(functional(r.codes)) for r in p.relators), default=0) or 1
     return -(-abs(functional(word.codes)) // step)
 
@@ -347,25 +361,25 @@ def test_area_lower_bound_values():
         1, 4, 2]
 
 
-CLOSED_FORMS = pytest.mark.parametrize("p, oracle, n", [
-    (LATTICE, ReferenceOracle.free_abelian(2), 8),
-    (Z2, ReferenceOracle.cyclic(2), 8),
-    (Z3, ReferenceOracle.cyclic(3), 8),
-    (LATTICE3, ReferenceOracle.free_abelian(3), 6),
-    (A4_A6, ReferenceOracle.cyclic(2), 8),
-    (FREE2, ReferenceOracle.free(2), 8),
+CLOSED_FORMS = pytest.mark.parametrize("p, oracle, group, n", [
+    (LATTICE, ReferenceOracle.free_abelian(2), ("free-abelian", 2), 8),
+    (Z2, ReferenceOracle.cyclic(2), ("cyclic", 1), 8),
+    (Z3, ReferenceOracle.cyclic(3), ("cyclic", 1), 8),
+    (LATTICE3, ReferenceOracle.free_abelian(3), ("free-abelian", 3), 6),
+    (A4_A6, ReferenceOracle.cyclic(2), ("cyclic", 1), 8),
+    (FREE2, ReferenceOracle.free(2), ("free", 2), 8),
 ], ids=["lattice", "z2", "z3", "lattice3", "a4-a6", "free2"])
 
 
 @CLOSED_FORMS
-def test_area_lower_bound_equals_the_closed_form_one(p, oracle, n):
+def test_area_lower_bound_equals_the_closed_form_one(p, oracle, group, n):
     bound = RewriteSystem(p).area_lower_bound
     for word in oracle.trivial_words(n):
-        assert bound(word.codes) == closed_form_bound(oracle, p, word), word
+        assert bound(word.codes) == closed_form_bound(*group, p, word), word
 
 
 @CLOSED_FORMS
-def test_area_lower_bound_is_sound(p, oracle, n):
+def test_area_lower_bound_is_sound(p, oracle, group, n):
     # on every trivial word, the bound is at most the stop rule's area, and
     # where the stop rule says Exact the certified search gives the same result
     system, budget = RewriteSystem(p), SearchBudget(max_word_length=n)
@@ -392,9 +406,11 @@ def test_a_bound_short_of_the_area_falls_back_to_the_stop_rule():
 @pytest.mark.parametrize("oracle, message", [
     (ReferenceOracle.cyclic(4), "does not kill every relator"),
     (ReferenceOracle.free_abelian(2), "different generator counts"),
-], ids=["keeps-a-relator", "two-generators"])
+    (ReferenceOracle.rewrite_search(RewriteSystem(Z3), BUDGET), "does not kill every relator"),
+], ids=["keeps-a-relator", "two-generators", "searches-another-presentation"])
 def test_an_oracle_that_does_not_fit_the_presentation_is_refused(run, oracle, message):
-    # ℤ/4's list misses aa, trivial in ℤ/2; ℤ² speaks a letter ⟨a | aa⟩ lacks
+    # ℤ/4's list misses aa, trivial in ℤ/2; ℤ² speaks a letter ⟨a | aa⟩ lacks;
+    # a search of ⟨a | aaa⟩ lists the trivial words of ℤ/3, which miss aa too
     with pytest.raises(ValueError, match=message):
         run(RewriteSystem(Z2), oracle)
 
