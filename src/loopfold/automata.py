@@ -326,12 +326,22 @@ def loop_complexes(p: Presentation) -> Iterator[Folder]:
     until the next radius is drawn; its snapshot is ``Λ_j``."""
     folder = Folder(p.num_generators)
     k = p.alphabet_size
+    walked: set[tuple[int, int, int]] = set()
 
     def walk(v: int, last: int, left: int) -> None:
         """Conjugators extending the prefix that ends at ``v`` with
         ``left`` letters, depth first in code order.  Folding only merges
         classes, so ``v`` still marks the prefix's tip after the loops of
-        earlier conjugators went in; its class is found afresh each step."""
+        earlier conjugators went in; its class is found afresh each step.
+        A walk from a class already walked with the same ``last`` and
+        ``left`` would only follow what the first one folded in, so it is
+        skipped.  A radius then walks from each class root at most once
+        per last letter and length left, not once per conjugator, of which
+        there are 2k·(2k−1)^(j−1) at radius j."""
+        key = (folder.find(v), last, left)
+        if key in walked:
+            return
+        walked.add(key)
         if left == 0:
             for r in p.relators:
                 folder.add_loop(v, r)
@@ -342,6 +352,7 @@ def loop_complexes(p: Presentation) -> Iterator[Folder]:
 
     for radius in itertools.count():
         folder.what = f"loop complex at radius {radius}"
+        walked.clear()
         if p.relators:
             walk(folder.origin, -2, radius)
         yield folder

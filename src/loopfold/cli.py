@@ -53,7 +53,7 @@ def _load_presentation(path: str) -> Presentation:
     try:
         with open(path, encoding="utf-8") as handle:
             return parse_presentation(handle.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read presentation: {exc}") from exc
 
 

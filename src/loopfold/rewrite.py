@@ -42,7 +42,10 @@ the cap-``L`` value meets the bound the system reads off its relators
 cost of a real derivation, so it is then the minimum), or else when it has
 stabilized across two consecutive length caps (``L`` and ``L + 2``).  The
 first is a proof; the second is a stop rule, and the cap-``L + 2`` sweep
-runs only for the words that need it.
+runs only for the words that need it.  A filling length is the first cap,
+tried upward from the word's length, whose sweep holds the word: ``Exact``
+even if the state budget cut that sweep, as a sweep holds only words it
+derived and every smaller cap's sweep was complete and missed the word.
 """
 
 from __future__ import annotations
@@ -480,38 +483,15 @@ def min_isoperimetric(w: Word, rs: RewriteSystem, budget: SearchBudget) -> Oracl
 
 
 def filling_length(w: Word, rs: RewriteSystem, budget: SearchBudget) -> OracleResult:
-    """Minimum over rewrite sequences ``w -> ... -> 1`` of the longest
-    intermediate word (the starting word included); equivalently the least
-    cap ``c`` whose reachable set contains ``w``."""
-    if len(w) == 0:
-        return OracleResult(0, OracleStatus.EXACT)
-    cap_limit = budget.max_word_length
-    if len(w) > cap_limit:
-        return OracleResult(None, OracleStatus.LOWER_BOUND_ONLY)
-
-    first = rs.explore(len(w), budget.max_states)
-    if not first.complete:
-        return OracleResult(None, OracleStatus.BUDGET_EXCEEDED)
-    if first.cost(w.codes) is not None:
-        return OracleResult(len(w), OracleStatus.EXACT)
-
-    outer = rs.explore(cap_limit, budget.max_states)
-    if not outer.complete:
-        return OracleResult(None, OracleStatus.BUDGET_EXCEEDED)
-    if outer.cost(w.codes) is None:
-        return OracleResult(None, OracleStatus.LOWER_BOUND_ONLY)
-
-    lo, hi = len(w), cap_limit  # unreached at lo, reached at hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        probe = rs.explore(mid, budget.max_states)
-        if not probe.complete:
+    """The least cap from ``|w|`` to the length cap whose sweep holds ``w``,
+    ``BudgetExceeded`` if a cut sweep misses it first."""
+    for cap in range(len(w), budget.max_word_length + 1):
+        sweep = rs.explore(cap, budget.max_states)
+        if sweep.cost(w.codes) is not None:
+            return OracleResult(cap, OracleStatus.EXACT)
+        if not sweep.complete:
             return OracleResult(None, OracleStatus.BUDGET_EXCEEDED)
-        if probe.cost(w.codes) is not None:
-            hi = mid
-        else:
-            lo = mid
-    return OracleResult(hi, OracleStatus.EXACT)
+    return OracleResult(None, OracleStatus.LOWER_BOUND_ONLY)
 
 
 def is_trivial(w: Word, rs: RewriteSystem, budget: SearchBudget) -> tuple[bool, OracleStatus]:

@@ -57,6 +57,16 @@ def test_wp_missing_file(capsys):
     assert "cannot read presentation" in capsys.readouterr().err
 
 
+def test_wp_presentation_not_utf8(tmp_path, capsys):
+    pres = tmp_path / "binary.pres"
+    pres.write_bytes(b"\xff")
+    assert run_cli("wp", str(pres), "a") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("loopfold: cannot read presentation: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_wp_negative_radius(capsys):
     assert run_cli("wp", Z2, "a", "--radius", "-1") == 2
 
@@ -228,6 +238,17 @@ def test_profile_state_budget_failure(capsys):
     rows = captured.out.splitlines()
     assert len(rows) == 8
     assert all(row.split(",")[2] == "BudgetExceeded" for row in rows[1:])
+    assert captured.err == "loopfold: P at n=0 is BudgetExceeded; raise --budget-states\n"
+
+
+def test_profile_filling_length_exact_at_a_cut_sweep(capsys):
+    # 50 orbits hold the sweeps at caps 0 to 7 but not the one at cap 8,
+    # which still holds a word of length 8: f(8) = 8 is Exact and the
+    # d ≤ f/2 check runs, while every P cell stays BudgetExceeded
+    assert run_cli("profile", Z3, "--n", "8", "--oracle", "rewrite:6",
+                   "--budget-states", "50") == 3
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[-1] == "8,1,BudgetExceeded,8,Exact,0,1,true,skipped,false"
     assert captured.err == "loopfold: P at n=0 is BudgetExceeded; raise --budget-states\n"
 
 

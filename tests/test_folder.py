@@ -24,6 +24,8 @@ PINS = {
     "loop-zxz": [
         "89f3bff4742d626c", "791bd93fe3ee3c50", "44e02d8dd71b5afe", "3c8c54c5bcedbe6f",
         "81276d2a14df5baa", "8efca68553fe204c", "90fc784025f4e235", "b4deca6bc7d828f1",
+        # Λ_8 … Λ_10, taken from the walk over every reduced conjugator
+        "076f4033c482428f", "4e99be8c3db442aa", "a53f4ea84d35b388",
     ],
     "loop-z2": [
         "6f7e76796430f43f", "6f7e76796430f43f", "6f7e76796430f43f", "6f7e76796430f43f",
@@ -87,6 +89,18 @@ def test_loop_complex_build_snapshots_only_its_radius(monkeypatch):
     monkeypatch.setattr(Folder, "snapshot", lambda folder: taken.append(folder) or snapshot(folder))
     assert digest(build_loop_complex(presentation("zxz"), 7)) == PINS["loop-zxz"][7]
     assert len(taken) == 1
+
+
+@pytest.mark.parametrize("p, j, steps", [
+    (presentation("zxz"), 7, 2_152),
+    # the Klein four-group: 4·3^19 reduced conjugators of length 20, four classes
+    (parse_presentation("gens: a b\nrels: aa bb abab"), 20, 4_412),
+], ids=["zxz", "klein"])
+def test_loop_complex_walks_each_class_once_per_last_letter_and_length_left(monkeypatch, p, j, steps):
+    step, calls = Folder.step, []
+    monkeypatch.setattr(Folder, "step", lambda folder, v, c: calls.append(c) or step(folder, v, c))
+    build_loop_complex(p, j)
+    assert len(calls) == steps
 
 
 @pytest.mark.parametrize("name", ["zxz", "free2"])

@@ -8,7 +8,7 @@ from collections import deque
 import pytest
 
 from loopfold.compression import compress
-from loopfold.core import EMPTY, Presentation, Word, parse_word
+from loopfold.core import EMPTY, Presentation, Word, parse_word, words_up_to
 from loopfold.rewrite import (
     OracleStatus,
     RewriteSystem,
@@ -22,6 +22,9 @@ Z2 = Presentation(1, [parse_word("aa", 1)])
 Z3 = Presentation(1, [parse_word("aaa", 1)])
 LATTICE = Presentation(2, [parse_word("abAB", 2)])  # free abelian of rank 2
 COLLAPSE = Presentation(2, [parse_word("ab", 2)])
+CONJUGATE = Presentation(2, [parse_word("aab", 2), parse_word("abA", 2)])  # abA is not cyclically reduced
+BS12 = Presentation(2, [parse_word("abABB", 2)])  # Baumslag–Solitar BS(1, 2)
+TRIVIAL = Presentation(1, [parse_word("aaaaa", 1), parse_word("aaa", 1)])  # a and aa need cap 3
 
 
 def w(text, n=2):
@@ -212,6 +215,35 @@ class TestFillingLength:
             else:
                 assert r.value == caps[0]
 
+    @pytest.mark.parametrize("p", [Z2, Z3, LATTICE, BS12, CONJUGATE],
+                             ids=["z2", "z3", "lattice", "bs12", "conjugate"])
+    @pytest.mark.parametrize("cap", [6, 8])
+    def test_least_cap_whose_sweep_holds_the_word(self, p, cap):
+        rs = RewriteSystem(p)
+        budget = SearchBudget(max_word_length=cap)
+        for u in words_up_to(p.alphabet_size, 6):
+            held = [c for c in range(cap + 1) if rs.explore(c).cost(u.codes) is not None]
+            expected = (held[0], OracleStatus.EXACT) if held else (None, OracleStatus.LOWER_BOUND_ONLY)
+            assert filling_length(u, rs, budget) == expected, u
+
+    def test_a_cut_sweep_that_holds_the_word_earns_exact(self):
+        # six orbits hold the sweeps at caps 1 and 2, which miss a and aa,
+        # but not the one at cap 3, which holds both
+        rs = RewriteSystem(TRIVIAL)
+        assert [rs.explore(c, 6).complete for c in (1, 2, 3)] == [True, True, False]
+        budget = SearchBudget(max_word_length=8, max_states=6)
+        for text in ("a", "aa"):
+            assert filling_length(w(text, 1), rs, budget) == (3, OracleStatus.EXACT)
+
+    def test_a_cut_sweep_that_misses_the_word_exceeds_the_budget(self):
+        # four orbits cut the cap-3 sweep before it reaches a, but after aa
+        rs = RewriteSystem(TRIVIAL)
+        cut = rs.explore(3, 4)
+        assert not cut.complete and cut.cost(w("a", 1).codes) is None
+        budget = SearchBudget(max_word_length=8, max_states=4)
+        assert filling_length(w("a", 1), rs, budget) == (None, OracleStatus.BUDGET_EXCEEDED)
+        assert filling_length(w("aa", 1), rs, budget) == (3, OracleStatus.EXACT)
+
     def test_untriviable_word_unreached(self):
         rs = RewriteSystem(Z2)
         r = filling_length(w("aaa", 1), rs, SearchBudget(max_word_length=8))
@@ -267,7 +299,6 @@ class TestIsTrivial:
 
 BS12 = Presentation(2, [parse_word("abABB", 2)])  # Baumslag-Solitar BS(1,2)
 ASYMMETRIC = Presentation(2, [parse_word("aab", 2), parse_word("bbbaB", 2)])
-CONJUGATE = Presentation(2, [parse_word("aab", 2), parse_word("abA", 2)])  # abA is not cyclically reduced
 
 
 class TestSymmetry:
