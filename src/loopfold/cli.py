@@ -127,6 +127,11 @@ def _fusion_holds(
                 f"fused {row.combined_area.status}); "
                 f"raise {budget_flags(row.base_area.status, row.combined_area.status)}"
             )
+    if report.triviality_agreement is None:
+        raise BudgetFailure(
+            "the two presentations list different trivial words where the state budget "
+            "cut a sweep; raise --budget-states"
+        )
     return report.all_hold
 
 

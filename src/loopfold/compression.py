@@ -96,7 +96,7 @@ class CompressionRow(NamedTuple):
 
 class CompressionReport(NamedTuple):
     rows: tuple[CompressionRow, ...]
-    triviality_agreement: bool
+    triviality_agreement: bool | None  # None: unequal lists, but the budget cut a sweep behind them
 
     @property
     def all_hold(self) -> bool:
@@ -113,7 +113,8 @@ def verify_compression(
     plus a same-group cross-check: both systems' rewrite-search oracles list
     the same trivial words of length ≤ n_max.  Both lists come from one
     enumeration order, so they are equal exactly when the systems agree on
-    every word.
+    every word.  Where the state budget cut a sweep behind them, unequal
+    lists decide nothing, and the agreement is None.
 
     ``base_system`` is the rewrite system of ``compressed.base``."""
     if base_system.presentation != compressed.base:
@@ -121,6 +122,11 @@ def verify_compression(
     combined_system = RewriteSystem(compressed.combined)
     trivial = ReferenceOracle.rewrite_search(base_system, budget).trivial_words(n_max)
     agreement = trivial == ReferenceOracle.rewrite_search(combined_system, budget).trivial_words(n_max)
+    if not agreement and any(
+        not system.explore(max(budget.max_word_length, n), budget.max_states).complete
+        for system in (base_system, combined_system) for n in range(n_max + 1)
+    ):
+        agreement = None
 
     base_areas = prefix_maxima(trivial, n_max, lambda w: min_isoperimetric(w, base_system, budget))
     combined_areas = prefix_maxima(trivial, n_max, lambda w: min_isoperimetric(w, combined_system, budget))

@@ -14,9 +14,14 @@ rule is made only once both triples on its right side derive some word, so
 the grammar names productive nonterminals only and its size follows the
 reachable triples rather than push moves times state pairs.
 
-No command calls :func:`build_dyck_pda`, :func:`simulate_pda`, :func:`generates`
-(acceptance criterion 6), :func:`render_cfg` (sha256 pins), :meth:`Cfg.nonterminals`
-(grammar sizes in tests), or yet :func:`loop_factors` and :func:`multiply_factors`.
+``grammar-bound`` builds one grammar per distinct (red(w), d(|w|)), and
+solves its reading phase once per tree (see the section on it below).  It
+checks each witness against the tree and through its factoring into
+conjugated relators (:func:`loop_factors`).  The per-word chain ending in
+:func:`shortest_word` stays as the reference that shared solve is tested
+against.  No command calls :func:`build_dyck_pda`, :func:`simulate_pda`,
+:func:`generates` (acceptance criterion 6), :func:`render_cfg` (sha256 pins),
+:meth:`Cfg.nonterminals` (grammar sizes in tests) or :func:`shortest_word`.
 
 PDA conventions: acceptance is by empty stack from initial stack ``(z,)``;
 every move either pushes one symbol above the inspected top or pops the top.
@@ -286,19 +291,22 @@ def generates(g: Cfg, w: Word) -> bool:
     return derives(g.start, 0, len(codes))
 
 
-def _best_rules(rules) -> dict:
+def _best_rules(rules, known=None) -> dict:
     """Knuth's least-fixpoint search over nonterminal costs (priority queue;
     ties broken by the rule itself).  Maps every productive
     nonterminal to the index of the rule that settled it at its least
-    derivable length.  Expanding these rules always terminates: a rule
-    settles only after every nonterminal on its right side has."""
+    derivable length, in the order they settled.  Expanding these rules
+    always terminates: a rule settles only after every nonterminal on its
+    right side has.  ``known`` gives the least costs of nonterminals that
+    have no rules here."""
+    known = known or {}
     occ: dict = {}  # nonterminal -> one rule index per occurrence on a right side
     remaining = []  # nonterminal occurrences not yet settled, per rule
     cost_acc = []  # letters plus the settled costs so far, per rule
     for idx, (lhs, rhs) in enumerate(rules):
-        nts = [s for s in rhs if _is_nonterminal(s)]
+        nts = [s for s in rhs if _is_nonterminal(s) and s not in known]
         remaining.append(len(nts))
-        cost_acc.append(len(rhs) - len(nts))
+        cost_acc.append(sum(known.get(s, 1) for s in rhs if s not in nts))
         for s in nts:
             occ.setdefault(s, []).append(idx)
 
@@ -317,6 +325,16 @@ def _best_rules(rules) -> dict:
             if remaining[jdx] == 0:
                 heapq.heappush(heap, (cost_acc[jdx], rules[jdx], jdx))
     return best_rule
+
+
+def _settled_words(rules, words: dict) -> dict:
+    """Extend ``words``, the shortest words of nonterminals that have no
+    rules here, by the shortest word of every nonterminal the rules derive,
+    each read off its best rule."""
+    best = _best_rules(rules, {s: len(word) for s, word in words.items()})
+    for lhs, idx in best.items():  # a rule's nonterminals settled before its left side
+        words[lhs] = b"".join(words[s] if _is_nonterminal(s) else bytes((s,)) for s in rules[idx][1])
+    return words
 
 
 def shortest_word(g: Cfg) -> tuple[int, Word] | None:
@@ -360,6 +378,77 @@ def render_cfg(g: Cfg) -> str:
         body = " ".join(_symbol_text(s) for s in rhs) if rhs else "1"
         lines.append(f"{_symbol_text(lhs)} -> {body}")
     return "\n".join(sorted(lines)) + "\n"
+
+
+# -- the reading phase solved once per tree ------------------------------------
+#
+# A product grammar's reading triples [(v, m), X, (v', m)] and their rules
+# name reading states only, all at one stage m, so they do not depend on the
+# target word, and their rules order alike at every m.  Every rule of a
+# simplified product grammar that is not empty holds a letter, so each
+# nonterminal settles on the least (cost, rule) among its own rules whatever
+# the others are, and pruning keeps every rule of a kept nonterminal.  So the
+# reading triples are solved once per tree, and per target only the
+# countdown triples [(v, m), X, (origin, i)] are built and solved: the same
+# shortest witness as :func:`shortest_word` of the simplified product grammar.
+
+
+def _reading_words(tree: LabeledGraph) -> dict[int, list[tuple[int, int, bytes]]]:
+    """The shortest word of every reading triple (p, X, v') of the tree's
+    product grammars, as (p, X, word) listed under v'.  The triples are those
+    of the empty target's grammar, at stage 0."""
+    g = pda_to_cfg(build_product_pda(EMPTY, tree))
+    words = _settled_words([rule for rule in g.rules if rule[0][2][1] == 0], {})  # not the final stage -1
+    by_end: dict = {}
+    for (p, x, q), word in words.items():
+        by_end.setdefault(q[0], []).append((p[0], x, word))
+    return by_end
+
+
+def _countdown_word(target: bytes, tree: LabeledGraph, reading: dict) -> bytes | None:
+    """The shortest word of the simplified product grammar for the reduced
+    ``target`` over ``tree``, from its countdown triples alone, with
+    :func:`_reading_words` for the reading triples on their right sides.
+
+    The triples are saturated as in :func:`pda_to_cfg`.  A countdown triple
+    [v, X, i] = ``[(v, m), X, (origin, i)]`` pops X on entering stage i, so
+    X is ``target[i]``, or the stack bottom at i = -1.  A push from v to p
+    reading a gives [v, X, i] -> a [p, a, u] [u, X, i], with [p, a, u] the
+    reading triple ``[(p, m), a, (u, m)]``, and when a is ``target[i + 1]``
+    also [v, X, i] -> a [p, a, i + 1] D, where D is the countdown's pop into
+    stage i.  :func:`simplify_cfg` then erases the empty-only triples as it
+    does on the whole grammar."""
+    m, origin = len(target), tree.origin
+    tops = (BOTTOM, *target)  # tops[i + 1] is popped on entering stage i
+
+    def triple(v, i):
+        return ((v, m), tops[i + 1], (origin, i))
+
+    rules = {(triple(origin, m - 1), ())}  # the countdown's first pop, then the later ones
+    for i in range(-1, m - 1):
+        rules.add((((origin, i + 1), tops[i + 1], (origin, i)), ()))
+    words = {}  # the reading triples on right sides, with their shortest words
+    productive, worklist = set(), [(origin, m - 1)]
+    while worklist:
+        u, i = worklist.pop()
+        if (u, i) in productive:
+            continue
+        productive.add((u, i))
+        x = tops[i + 1]
+        for p, a, word in reading.get(u, ()):  # [v, x, i] -> a [p, a, u] [u, x, i]
+            if x != a ^ 1:
+                first = ((p, m), a, (u, m))
+                words[first] = word
+                for v in tree.step(p, a ^ 1):
+                    rules.add((triple(v, i), (a, first, triple(u, i))))
+                    worklist.append((v, i))
+        if i >= 0 and tops[i] != x ^ 1:  # [v, tops[i], i - 1] -> x [u, x, i] D, x = target[i]
+            pop = ((origin, i), tops[i], (origin, i - 1))
+            for v in tree.step(u, x ^ 1):
+                rules.add((triple(v, i - 1), (x, triple(u, i), pop)))
+                worklist.append((v, i - 1))
+    g = simplify_cfg(Cfg(tree.num_generators, triple(origin, -1), tuple(rules)))
+    return _settled_words(g.rules, words).get(g.start)
 
 
 # -- closed-path factoring ----------------------------------------------------
@@ -516,25 +605,34 @@ def double_exp_experiment(
     diameters = [d.value for d in measure_isodiametric(p, n_max, trivial)]
     if None in diameters:
         raise BudgetFailure(f"diameter scan did not converge at n={diameters.index(None)}")
-    trees: dict[int, LabeledGraph] = {}
+    trees: dict[int, tuple[LabeledGraph, dict]] = {}  # d -> (tree, its reading words)
+    found: dict[tuple[bytes, int], tuple[int, Word]] = {}  # (red(w), d) -> (ell, witness)
     bounds: dict[tuple[int, int], int] = {}  # one shared int per (n, d)
     reports = []
     for candidate in trivial:
         length = len(candidate)
         d = diameters[length]
         if d not in trees:
-            trees[d] = build_tree_nfa(p, d)
-        tree = trees[d]
-        pda = build_product_pda(candidate, tree)
-        cfg = simplify_cfg(pda_to_cfg(pda))
-        found = shortest_word(cfg)
-        if found is None:
-            raise ValueError(f"empty intersection for the trivial word {candidate}")
-        ell, witness = found
-        if witness.reduce() != candidate.reduce():
-            raise ValueError("witness is not freely equal to its word")
-        if not nfa_accepts(tree, witness):
-            raise ValueError("witness rejected by the tree complex")
+            tree = build_tree_nfa(p, d)
+            trees[d] = tree, _reading_words(tree)
+        tree, reading = trees[d]
+        key = (candidate.reduce().codes, d)
+        if key not in found:
+            word = _countdown_word(key[0], tree, reading)
+            if word is None:
+                raise ValueError(f"empty intersection for the trivial word {candidate}")
+            witness = Word(word)
+            if witness.reduce().codes != key[0]:
+                raise ValueError("witness is not freely equal to its word")
+            if not nfa_accepts(tree, witness):
+                raise ValueError("witness rejected by the tree complex")
+            factors = loop_factors(tree, p, witness)
+            if multiply_factors(factors).codes != key[0]:
+                raise ValueError("witness factoring does not multiply out to its word")
+            if len(factors) > len(witness):
+                raise ValueError("witness factoring has more factors than the witness has letters")
+            found[key] = len(witness), witness
+        ell, witness = found[key]
         if (length, d) not in bounds:
             bounds[length, d] = double_exp_bound(p, length, d)
         area = min_isoperimetric(candidate, system, budget)

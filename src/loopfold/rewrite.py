@@ -38,11 +38,11 @@ presentation's own relators against the closure, which is enough (see
 Searches are capped by a :class:`SearchBudget`, and no a-priori bound on
 intermediate word length is available.  An area is reported ``Exact`` when
 the cap-``L`` value meets the bound the system reads off its relators
-(:meth:`RewriteSystem.area_lower_bound`; a complete sweep's value is the
-cost of a real derivation, so it is then the minimum), or else when it has
-stabilized across two consecutive length caps (``L`` and ``L + 2``).  The
-first is a proof; the second is a stop rule, and the cap-``L + 2`` sweep
-runs only for the words that need it.  A filling length is the first cap,
+(:meth:`RewriteSystem.area_lower_bound`; a sweep's value is the cost of a
+real derivation, even when the state budget cut the sweep, so it is then
+the minimum), or else when it has stabilized across two consecutive length
+caps (``L`` and ``L + 2``).  The first is a proof; the second is a stop
+rule, and the cap-``L + 2`` sweep runs only for the words that need it.  A filling length is the first cap,
 tried upward from the word's length, whose sweep holds the word: ``Exact``
 even if the state budget cut that sweep, as a sweep holds only words it
 derived and every smaller cap's sweep was complete and missed the word.
@@ -461,15 +461,17 @@ class RewriteSystem:
 def min_isoperimetric(w: Word, rs: RewriteSystem, budget: SearchBudget) -> OracleResult:
     """Minimum relator-rule count rewriting ``w`` to the empty word.
 
-    Runs the capped search at ``L``.  When that sweep is complete and its
-    value meets the system's proved lower bound on the area of ``w``
+    Runs the capped search at ``L``.  When that sweep holds ``w`` at the
+    system's proved lower bound on its area
     (:meth:`RewriteSystem.area_lower_bound`), the value is ``Exact`` by
-    proof and no other sweep runs.  Otherwise the search also runs at
-    ``L + 2``, and agreement of the two values is the evidence for ``Exact``.
+    proof and no other sweep runs, even if the state budget cut the sweep:
+    a sweep records only costs of derivations it found.  Otherwise the
+    search also runs at ``L + 2``, and agreement of the two values is the
+    evidence for ``Exact``.
     """
     lo = rs.explore(budget.max_word_length, budget.max_states)
     v_lo = lo.cost(w.codes)
-    if lo.complete and v_lo == rs.area_lower_bound(w.codes):
+    if v_lo is not None and v_lo == rs.area_lower_bound(w.codes):
         return OracleResult(v_lo, OracleStatus.EXACT)
     hi = rs.explore(budget.max_word_length + 2, budget.max_states)
     v_hi = hi.cost(w.codes)

@@ -230,26 +230,45 @@ def test_profile_enumerates_no_word(monkeypatch, capsys):
 
 
 def test_profile_state_budget_failure(capsys):
-    # 50 orbits stop every sweep, so every P cell is BudgetExceeded; the CSV
-    # is still written in full
+    # 50 orbits cut every sweep.  free2 has no relators, so every area bound
+    # is 0, and a cut sweep that holds a word at 0 proves its area: P is
+    # Exact up to n = 5.  The cut sweeps miss some word of length 6, so P(6)
+    # is BudgetExceeded; the CSV is still written in full
     assert run_cli("profile", FREE2, "--n", "6", "--oracle", "free:2",
                    "--budget-states", "50") == 3
     captured = capsys.readouterr()
-    rows = captured.out.splitlines()
-    assert len(rows) == 8
-    assert all(row.split(",")[2] == "BudgetExceeded" for row in rows[1:])
-    assert captured.err == "loopfold: P at n=0 is BudgetExceeded; raise --budget-states\n"
+    assert captured.out.splitlines()[1:] == [
+        "0,0,Exact,0,Exact,0,0,true,true,true",
+        "1,0,Exact,0,Exact,0,0,true,true,true",
+        "2,0,Exact,2,Exact,0,0,true,true,true",
+        "3,0,Exact,2,Exact,0,0,true,true,true",
+        "4,0,Exact,4,Exact,0,0,true,true,true",
+        "5,0,Exact,4,Exact,0,0,true,true,true",
+        "6,0,BudgetExceeded,6,Exact,0,0,true,skipped,true",
+    ]
+    assert captured.err == "loopfold: P at n=6 is BudgetExceeded; raise --budget-states\n"
 
 
 def test_profile_filling_length_exact_at_a_cut_sweep(capsys):
     # 50 orbits hold the sweeps at caps 0 to 7 but not the one at cap 8,
     # which still holds a word of length 8: f(8) = 8 is Exact and the
-    # d ≤ f/2 check runs, while every P cell stays BudgetExceeded
+    # d ≤ f/2 check runs.  P is Exact where the cut cap-6 sweep holds every
+    # word at its bound, up to n = 5, and BudgetExceeded from n = 6 on
     assert run_cli("profile", Z3, "--n", "8", "--oracle", "rewrite:6",
                    "--budget-states", "50") == 3
     captured = capsys.readouterr()
-    assert captured.out.splitlines()[-1] == "8,1,BudgetExceeded,8,Exact,0,1,true,skipped,false"
-    assert captured.err == "loopfold: P at n=0 is BudgetExceeded; raise --budget-states\n"
+    assert captured.out.splitlines()[1:] == [
+        "0,0,Exact,0,Exact,0,1,true,true,false",
+        "1,0,Exact,0,Exact,0,1,true,true,false",
+        "2,0,Exact,2,Exact,0,1,true,true,false",
+        "3,1,Exact,3,Exact,0,1,true,true,false",
+        "4,1,Exact,4,Exact,0,1,true,true,false",
+        "5,1,Exact,5,Exact,0,1,true,true,false",
+        "6,1,BudgetExceeded,6,Exact,0,1,true,skipped,false",
+        "7,1,BudgetExceeded,7,Exact,0,1,true,skipped,false",
+        "8,1,BudgetExceeded,8,Exact,0,1,true,skipped,false",
+    ]
+    assert captured.err == "loopfold: P at n=6 is BudgetExceeded; raise --budget-states\n"
 
 
 # -- compress ---------------------------------------------------------------------
@@ -486,25 +505,36 @@ def test_grammar_bound_budget_failure(capsys):
 
 
 @pytest.mark.parametrize("argv, out, err", [
-    (("compress", Z3, "--verify", "--n", "2", "--budget-states", "1"),
+    (("compress", Z3, "--verify", "--n", "4", "--budget-states", "4"),
      "gens: a\nrels: aaa AAA aaaaaa AAAAAA aaaaaaaaa AAAAAAAAA\n",
-     "loopfold: fusion check at n=0 is not Exact (base BudgetExceeded, fused BudgetExceeded); "
+     "loopfold: fusion check at n=4 is not Exact (base Exact, fused BudgetExceeded); "
      "raise --budget-states\n"),
     (("compress", Z2, "--verify", "--n", "8", "--budget-len", "2"),
      "gens: a\nrels: aa AA aaaa AAAA\n",
      "loopfold: fusion check at n=4 is not Exact (base LowerBoundOnly, fused LowerBoundOnly); "
      "raise --budget-len\n"),
-    (("grammar-bound", Z2, "--n", "3", "--oracle", "cyclic:2", "--budget-states", "3"),
+    (("grammar-bound", Z2, "--n", "4", "--oracle", "cyclic:2", "--budget-states", "3"),
      "",
-     "loopfold: area of 1 is BudgetExceeded, not Exact; raise --budget-states\n"),
+     "loopfold: area of aaaa is BudgetExceeded, not Exact; raise --budget-states\n"),
 ])
 def test_budget_failure_names_the_cap_that_stopped_it(capsys, argv, out, err):
-    # BudgetExceeded: the state cap stopped a sweep; LowerBoundOnly: the
+    # BudgetExceeded: the state cap stopped a sweep before it held the word
+    # (a word it holds at its area bound is Exact); LowerBoundOnly: the
     # length cap left the value unsettled (grammar-bound's LowerBoundOnly
     # message is pinned by test_grammar_bound_budget_failure)
     assert run_cli(*argv) == 3
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == (out, err)
+
+
+def test_compress_verify_cut_sweeps_that_disagree_decide_nothing(capsys):
+    # 15 orbits cut the sweeps of ℤ/3 and of its fused presentation, which
+    # then list different trivial words: a budget failure, not a verdict
+    assert run_cli("compress", Z3, "--verify", "--n", "6", "--budget-states", "15") == 3
+    assert capsys.readouterr().err == (
+        "loopfold: the two presentations list different trivial words where the state budget "
+        "cut a sweep; raise --budget-states\n"
+    )
 
 
 def test_grammar_bound_lists_trivial_words_once_and_decides_none(monkeypatch, capsys):

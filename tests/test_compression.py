@@ -4,13 +4,14 @@ import itertools
 
 import pytest
 
+from loopfold import compression
 from loopfold.compression import (
     CombinatorialBlowupError,
     compress,
     verify_compression,
 )
 from loopfold.core import Presentation, Word, parse_presentation, parse_word, render_presentation
-from loopfold.rewrite import OracleResult, OracleStatus, RewriteSystem, SearchBudget
+from loopfold.rewrite import OracleResult, OracleStatus, RewriteSystem, SearchBudget, min_isoperimetric
 
 Z2 = parse_presentation("gens: a\nrels: aa")
 Z3 = parse_presentation("gens: a\nrels: aaa")
@@ -115,6 +116,40 @@ def test_verify_zero_row():
     assert report.rows[0].base_area.value == 0
     assert report.rows[0].combined_area.value == 0
     assert report.rows[0].holds is True
+
+
+BS12 = parse_presentation("gens: a b\nrels: abABB")  # Baumslag–Solitar BS(1, 2)
+
+
+@pytest.mark.parametrize("p, n_max", [(Z2, 6), (Z3, 6), (LATTICE, 4), (BS12, 4)],
+                         ids=["z2", "z3", "lattice", "bs12"])
+def test_fusion_halves_every_word(p, n_max, monkeypatch):
+    # area'(w) ≤ ⌈(area(w) + |w|)/2⌉ word by word, read off the sweeps the
+    # per-n check runs: it measures each trivial word once per system
+    base_system = RewriteSystem(p)
+    areas = {}
+
+    def measured(w, system, budget):
+        result = min_isoperimetric(w, system, budget)
+        areas.setdefault(w, {})[system is base_system] = result
+        return result
+
+    monkeypatch.setattr(compression, "min_isoperimetric", measured)
+    budget = SearchBudget(max_word_length=n_max)
+    assert verify_compression(compress(p), n_max, budget, base_system).all_hold
+    assert areas
+    for w, by_system in areas.items():
+        base, combined = by_system[True], by_system[False]
+        assert base.exact and combined.exact, w
+        assert combined.value <= (base.value + len(w) + 1) // 2, w
+
+
+def test_verify_cut_sweeps_leave_unequal_lists_undecided():
+    # 15 orbits cut the sweeps of both systems, whose trivial-word lists
+    # then differ: that refutes nothing
+    report = verify_compression(compress(Z3), 6, SearchBudget(max_states=15), RewriteSystem(Z3))
+    assert report.triviality_agreement is None
+    assert not report.all_hold
 
 
 def test_verify_refuses_another_presentations_system():

@@ -6,6 +6,7 @@ from functools import lru_cache
 
 import pytest
 
+from loopfold import grammar
 from loopfold.automata import build_tree_nfa, nfa_accepts
 from loopfold.core import EMPTY, Presentation, Word, parse_word, render_word, words_up_to
 from loopfold.fillings import ReferenceOracle, double_exp_constants
@@ -418,3 +419,57 @@ def test_bound_experiment_z3():
     assert all(r.holds for r in reports)
     for r in reports:
         assert r.witness.reduce() == r.word.reduce()
+
+
+# -- one grammar per input, the reading phase once per tree ---------------------
+
+BS12 = Presentation(2, (parse_word("abABB", 2),))  # Baumslag–Solitar BS(1, 2)
+
+
+def test_shared_solve_matches_the_per_word_chain():
+    # every row's (ell, witness) is that of the whole simplified product
+    # grammar, which depends on the word only through red(w)
+    cases = [
+        (Z2, ReferenceOracle.cyclic(2), 7),
+        (Z3, ReferenceOracle.cyclic(3), 7),
+        (LATTICE, ReferenceOracle.free_abelian(2), 4),
+        (BS12, ReferenceOracle.rewrite_search(RewriteSystem(BS12), SearchBudget(max_word_length=6)), 5),
+    ]
+    for p, oracle, n_max in cases:
+        reports = double_exp_experiment(RewriteSystem(p), n_max, oracle, SearchBudget())
+        trees, chain = {}, {}
+        for r in reports:
+            key = (r.word.reduce(), r.diameter)
+            if key not in chain:
+                tree = trees.setdefault(r.diameter, build_tree_nfa(p, r.diameter))
+                chain[key] = shortest_word(simplify_cfg(pda_to_cfg(build_product_pda(r.word, tree))))
+            assert (r.shortest_length, r.witness) == chain[key], (p, r.word)
+
+
+def test_one_countdown_part_per_input_and_one_reading_solve_per_tree(monkeypatch):
+    # zxz at n = 6: 441 trivial words, 59 distinct (red(w), d), d ∈ {0, 2, 3}
+    calls = {"_reading_words": 0, "_countdown_word": 0}
+    for name in calls:
+        def counted(*args, _name=name, _solve=getattr(grammar, name)):
+            calls[_name] += 1
+            return _solve(*args)
+        monkeypatch.setattr(grammar, name, counted)
+    reports = double_exp_experiment(
+        RewriteSystem(LATTICE), 6, ReferenceOracle.free_abelian(2), SearchBudget(max_word_length=6)
+    )
+    assert len(reports) == 441
+    assert calls == {"_reading_words": 3, "_countdown_word": 59}
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda factors: factors[:-1],  # no longer multiplies out to the word
+    lambda factors: factors + [factors[0], (factors[0][0], factors[0][1], -factors[0][2])],  # past ell
+], ids=["product", "count"])
+def test_bound_experiment_rejects_a_bad_witness_factoring(monkeypatch, corrupt):
+    def corrupted(tree, p, witness):
+        factors = loop_factors(tree, p, witness)
+        return corrupt(factors) if factors else factors  # the empty word has none
+
+    monkeypatch.setattr(grammar, "loop_factors", corrupted)
+    with pytest.raises(ValueError, match="witness factoring"):
+        double_exp_experiment(RewriteSystem(Z2), 2, ReferenceOracle.cyclic(2), SearchBudget(max_word_length=6))

@@ -173,8 +173,21 @@ class TestMinIsoperimetric:
         assert r.value == 2
 
     def test_state_budget_exceeded(self):
+        # 3 orbits cut the cap-6 sweep before it reaches aabAAB
         rs = RewriteSystem(LATTICE)
-        r = min_isoperimetric(w("abAB"), rs, SearchBudget(max_word_length=6, max_states=3))
+        r = min_isoperimetric(w("aabAAB"), rs, SearchBudget(max_word_length=6, max_states=3))
+        assert r.status is OracleStatus.BUDGET_EXCEEDED
+
+    def test_cut_sweep_at_the_bound_is_exact(self):
+        # 10 orbits cut the cap-6 sweep of ℤ/3, which still holds aaa at
+        # cost 1, its exponent-sum bound: a cut sweep's cost is that of a
+        # real derivation, so the area is proved.  aaaaaa it misses.
+        rs = RewriteSystem(Z3)
+        budget = SearchBudget(max_word_length=6, max_states=10)
+        assert not rs.explore(6, 10).complete
+        r = min_isoperimetric(w("aaa", 1), rs, budget)
+        assert (r.value, r.status) == (1, OracleStatus.EXACT)
+        r = min_isoperimetric(w("aaaaaa", 1), rs, budget)
         assert r.status is OracleStatus.BUDGET_EXCEEDED
 
     def test_nontrivial_word_unreached(self):

@@ -19,8 +19,7 @@ KEPT = {
     "grammar.generates": "acceptance criterion 6: the grammar's membership",
     "grammar.render_cfg": "the text the grammar sha256 pins are taken of",
     "grammar.Cfg.nonterminals": "the tests' grammar-size measure",
-    "grammar.loop_factors": "for grammar-bound to check its witness with",
-    "grammar.multiply_factors": "for grammar-bound to check its witness with",
+    "grammar.shortest_word": "the per-word chain's last step, the reference for grammar-bound's shared solve",
     "rewrite.RewriteSystem.apply_rule_positions": "the single-step reference for the search",
 }
 

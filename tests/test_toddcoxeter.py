@@ -19,6 +19,7 @@ from loopfold.automata import (
 from loopfold.cli import main
 from loopfold.core import EMPTY, Presentation, Word, parse_presentation, parse_word, words_up_to
 from loopfold.fillings import ReferenceOracle, measure_isodiametric
+from loopfold.rewrite import RewriteSystem, SearchBudget
 from loopfold.toddcoxeter import coset_rounds, measure_tc_radius, partial_cayley, tc_round
 
 ZXZ = str(Path(__file__).resolve().parent.parent / "presentations" / "zxz.pres")
@@ -422,3 +423,27 @@ class TestMeasureRadius:
         assert column[0][0] == 1  # the empty word is decided at once
         assert column[1:] == [None, None]  # two rounds never agree on a letter
         assert measure_tc_radius(FREE2, 1, every_word, max_rounds=-1) == [None, None]
+
+
+class TestProvedRelations:
+    """rounds(n) ≤ max(d(n), 1): after round i ≥ 1 every word of length ≤ i
+    traces from the origin and every relator closes at its tip, so the
+    round-i graph accepts what Λ_i accepts.  ρ_TC(n) ≤ (1 + ⌊ℓ/2⌋)·rounds(n)
+    for ℓ the longest relator: a round adds one edge layer, then loops whose
+    new vertices lie within ⌊ℓ/2⌋ of their base, and neither folding nor
+    stripping hairs lengthens a distance to the core."""
+
+    @pytest.mark.parametrize("p, oracle, n_max", [
+        (Z2, ReferenceOracle.cyclic(2), 8),
+        (Z3, ReferenceOracle.cyclic(3), 8),
+        (LATTICE, ReferenceOracle.free_abelian(2), 8),
+        (FREE2, ReferenceOracle.free(2), 6),
+        (BS12[0], ReferenceOracle.rewrite_search(RewriteSystem(BS12[0]), SearchBudget(max_word_length=8)), 5),
+    ], ids=["Z/2", "Z/3", "Z^2", "F_2", "BS(1,2)-rewrite:8"])
+    def test_rounds_and_radius_within_the_diameter(self, p, oracle, n_max):
+        trivial = oracle.trivial_words(n_max)
+        longest = max(map(len, p.relators), default=0)
+        diameters = measure_isodiametric(p, n_max, trivial)
+        for n, (d, (rounds, radius, _pcg)) in enumerate(zip(diameters, measure_tc_radius(p, n_max, trivial))):
+            assert rounds <= max(d.value, 1), n
+            assert radius <= (1 + longest // 2) * max(d.value, 1), n
