@@ -1,10 +1,10 @@
 """Batch DFA tracing of word sets, and the one monotone scan built on it.
 
 Both d(n) and ρ_TC(n) are read off a growing sequence of folded graphs, the
-loop complexes Λ_0, Λ_1, … and the coset rounds: the first graph that
-accepts every reduced trivial word of length ≤ n.  No graph of either
-sequence accepts a non-trivial word (it maps onto the Cayley graph), so
-neither scan traces one.  Words are ``bytes`` strings of letter codes; a
+loop complexes Λ_0, Λ_1, … and the coset rounds 1, 2, …: the first graph
+i ≤ n that accepts every reduced trivial word of length ≤ n.  No graph of
+either sequence accepts a non-trivial word (it maps onto the Cayley graph),
+so neither scan traces one.  Words are ``bytes`` strings of letter codes; a
 DFA is a folded graph's ``delta``, one list of successor states per letter.
 """
 
@@ -49,25 +49,22 @@ def trivial_layers(trivial: Iterable[Word], n_max: int, alphabet_size: int) -> l
     return layers
 
 
-def first_deciding(
-    graphs: Iterable[G],
-    layers: list[list[bytes]],
-    limits: list[int],
-) -> list[tuple[int, G] | None]:
-    """Entry ``n`` is ``(i, graph)`` for the first graph ``i ≤ limits[n]``
-    of ``graphs`` that leads every word of every ``layers[m]``, ``m ≤ n``,
-    from the origin back to the origin, or None.
+def first_deciding(graphs: Iterable[G], layers: list[list[bytes]]) -> list[tuple[int, G] | None]:
+    """Entry ``n`` is ``(i, graph)`` for the first graph ``i ≤ n`` of
+    ``graphs`` that leads every word of every ``layers[m]``, ``m ≤ n``, from
+    the origin back to the origin, or None when no graph up to ``n`` does.
 
     Each graph must accept every word its predecessor accepts, as graphs
     grown in a folder that only merges classes do.  So a layer once
     accepted stays accepted: each graph is traced only on the layers that
-    no earlier graph accepted.  Graphs are drawn only when tried.
+    no earlier graph accepted.  Graphs are drawn only when tried, so at most
+    ``len(layers)`` of them.
     """
     graphs = iter(graphs)
     column: list[tuple[int, G] | None] = []
     i, g, accepted = 0, None, 0  # g is graph i once drawn; graphs from i on accept layers[:accepted]
-    for n, limit in enumerate(limits):
-        while accepted <= n and i <= limit:
+    for n in range(len(layers)):
+        while accepted <= n and i <= n:
             if g is None:
                 g = next(graphs)
             if all(s == g.origin for s in trace_batch(g.delta, g.origin, layers[accepted])):

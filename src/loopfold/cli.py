@@ -154,11 +154,9 @@ def cmd_profile(args) -> int:
     oracle = _parse_oracle(args.oracle, system, budget)
     if args.n < 0:
         raise UsageError("--n must be nonnegative")
-    if args.rounds < 1:
-        raise UsageError("--rounds must be at least 1")
     if args.verify:
         _need_relators(p, "profile --verify")
-    profile = measure_profile(system, args.n, oracle, budget, max_rounds=args.rounds)
+    profile = measure_profile(system, args.n, oracle, budget)
     report = check_inequalities(profile)
     _write(profile_to_csv(profile, report), args.csv)
     for row in profile.rows:
@@ -267,8 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--oracle", required=True,
                          help="cyclic:k | free-abelian:r | free:r | rewrite:L")
     profile.add_argument("--csv", help="output path (default stdout)")
-    profile.add_argument("--rounds", type=int, default=24,
-                         help="coset-enumeration round cap (default 24)")
     profile.add_argument("--verify", action="store_true",
                          help="also require the relator-fusion halving check "
                               "(exit 3 when a row is not Exact)")

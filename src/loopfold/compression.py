@@ -36,13 +36,13 @@ class CompressedPresentation(NamedTuple):
     m: int
 
 
-def compress(p: Presentation, max_products: int = DEFAULT_PRODUCT_CAP) -> CompressedPresentation:
+def compress(p: Presentation) -> CompressedPresentation:
     """Adjoin every nonempty reduced product of 2..m symmetrized relators.
 
     Products reducing to the empty word are discarded; the fused set keeps
     literal reduced words (no cyclic identification).  Raises
     :class:`CombinatorialBlowupError` instead of truncating when the tuple
-    count Σ |R_s|^i exceeds ``max_products``; the check runs before any
+    count Σ |R_s|^i exceeds ``DEFAULT_PRODUCT_CAP``; the check runs before any
     product is formed.
 
     Products are built level by level rather than tuple by tuple: the
@@ -55,9 +55,9 @@ def compress(p: Presentation, max_products: int = DEFAULT_PRODUCT_CAP) -> Compre
     symmetrized = p.symmetrized().relators
     m = p.max_relator_length
     total = sum(len(symmetrized) ** i for i in range(2, m + 1))
-    if total > max_products:
+    if total > DEFAULT_PRODUCT_CAP:
         raise CombinatorialBlowupError(
-            f"{total} relator tuples exceed the cap of {max_products}"
+            f"{total} relator tuples exceed the cap of {DEFAULT_PRODUCT_CAP}"
         )
     relators = [r.codes for r in symmetrized]
     level = set(relators)

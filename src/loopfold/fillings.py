@@ -187,7 +187,7 @@ def measure_isodiametric(p: Presentation, n_max: int, trivial: list[Word]) -> li
     return [
         OracleResult(None, OracleStatus.LOWER_BOUND_ONLY) if hit is None
         else OracleResult(hit[0], OracleStatus.EXACT)
-        for hit in _kernels.first_deciding(graphs, layers, list(range(n_max + 1)))
+        for hit in _kernels.first_deciding(graphs, layers)
     ]
 
 
@@ -212,7 +212,6 @@ def measure_profile(
     n_max: int,
     oracle: ReferenceOracle,
     budget: SearchBudget,
-    max_rounds: int = 24,
 ) -> FillingProfile:
     """Profile of all four filling functions for 0 ≤ n ≤ n_max, in one pass.
 
@@ -226,10 +225,12 @@ def measure_profile(
     and the coset saturation read the list's reduced words, filtered once
     here: both scans' :func:`_kernels.trivial_layers` would skip the
     unreduced words too, but only after checking each one's alphabet, and
-    most listed words are unreduced (4,980 of 5,341 for ℤ² at n = 8);
-    ``rhoTC`` is ``unreached`` from the first n that ``max_rounds`` rounds
-    do not decide.  ``system`` is the presentation's rewrite system, shared
-    with the caller so that no sweep of it runs twice.
+    most listed words are unreduced (4,980 of 5,341 for ℤ² at n = 8).
+    Both scans try graph i ≤ n at n, radius i for ``d`` and round i + 1
+    for ``rhoTC``, and leave an n that no such graph decides ``unreached``
+    and ``LowerBoundOnly``; as rounds(n) ≤ max(d(n), 1), ``rhoTC`` is
+    reached wherever ``d`` is.  ``system`` is the presentation's rewrite
+    system, shared with the caller so that no sweep of it runs twice.
     """
     p = system.presentation
     oracle.check(p)
@@ -240,9 +241,9 @@ def measure_profile(
     reduced = [w for w in trivial if w.is_reduced()]
     diameter = measure_isodiametric(p, n_max, reduced)
     tc = [
-        OracleResult(None, OracleStatus.BUDGET_EXCEEDED) if hit is None
+        OracleResult(None, OracleStatus.LOWER_BOUND_ONLY) if hit is None
         else OracleResult(hit[1], OracleStatus.EXACT)
-        for hit in measure_tc_radius(p, n_max, reduced, max_rounds=max_rounds)
+        for hit in measure_tc_radius(p, n_max, reduced)
     ]
     rows = (ProfileRow(n, *cells) for n, cells in enumerate(zip(area, length, diameter, tc)))
     return FillingProfile(p, tuple(rows))

@@ -7,9 +7,11 @@ vertex where the relator does not already trace a loop.  The folded graph
 with all hairs removed is a partial Cayley graph.  It maps onto the Cayley
 graph, so its origin loops never accept a non-trivial word, and they accept
 every trivial word up to a length that grows with the rounds.  The radius
-of the first partial Cayley graph that accepts every reduced trivial word
-of length up to ``n`` in a reference oracle's list is the saturation
-radius at ``n``.
+of the first partial Cayley graph, among rounds 1 … n + 1, that accepts
+every reduced trivial word of length up to ``n`` in a reference oracle's
+list is the saturation radius at ``n``.  Round i ≥ 1 accepts everything
+the loop complex Λ_i accepts, so those rounds reach every n that the
+isodiametric scan's radii 0 … n reach.
 """
 
 from __future__ import annotations
@@ -83,12 +85,12 @@ def measure_tc_radius(
     p: Presentation,
     n_max: int,
     trivial: list[Word],
-    max_rounds: int = 24,
 ) -> list[tuple[int, int, PartialCayleyGraph] | None]:
     """Entry ``n`` (0 ≤ n ≤ n_max) is (rounds, radius, graph) for the first
-    round whose partial Cayley graph accepts every reduced word of length ≤
-    ``n`` in ``trivial``, the oracle's list of trivial words of length ≤
-    n_max, or None when ``max_rounds`` rounds do not reach such a graph.
+    round ≤ n + 1 whose partial Cayley graph accepts every reduced word of
+    length ≤ ``n`` in ``trivial``, the oracle's list of trivial words of
+    length ≤ n_max, or None when no such round does.  As rounds(n) ≤
+    max(d(n), 1), that reaches every n the ``d`` scan reaches.
 
     No round accepts a non-trivial word, so with a correct oracle that
     round decides every word of length ≤ ``n``.  A reduced closed walk
@@ -97,6 +99,6 @@ def measure_tc_radius(
     """
     layers = _kernels.trivial_layers(trivial, n_max, p.alphabet_size)
     graphs = (f.snapshot() for f in coset_rounds(p))
-    hits = _kernels.first_deciding(graphs, layers, [max_rounds - 1] * (n_max + 1))
+    hits = _kernels.first_deciding(graphs, layers)
     pcgs = {i: PartialCayleyGraph(strip_hairs(g)) for i, g in dict(filter(None, hits)).items()}
     return [None if hit is None else (hit[0] + 1, pcgs[hit[0]].radius, pcgs[hit[0]]) for hit in hits]

@@ -132,15 +132,6 @@ def test_profile_bad_budget(capsys):
                    "--budget-len", "0") == 2
 
 
-def test_profile_rounds_must_be_positive(capsys):
-    for rounds in ("0", "-3"):
-        assert run_cli("profile", Z2, "--n", "2", "--oracle", "cyclic:2",
-                       "--rounds", rounds) == 2
-        captured = capsys.readouterr()
-        assert "--rounds must be at least 1" in captured.err
-        assert captured.out == ""
-
-
 def watch_oracle(monkeypatch):
     """Record the lengths the oracle lists trivial words for, and make any
     call to ``decide`` raise."""
@@ -185,8 +176,35 @@ def test_oracle_with_another_generator_count_is_a_usage_error(monkeypatch, capsy
 def test_oracle_of_a_quotient_group_is_accepted(capsys):
     # ℤ² kills every relator of the free group (there are none), so its list
     # holds every trivial word of F2 and more
-    assert run_cli("profile", FREE2, "--n", "2", "--rounds", "2", "--oracle", "free-abelian:2") == 0
+    assert run_cli("profile", FREE2, "--n", "2", "--oracle", "free-abelian:2") == 0
     assert capsys.readouterr().err == ""
+
+
+def test_quotient_oracle_stops_the_round_scan_where_d_stops(capsys):
+    # ℤ²'s list holds abAB, which no loop complex of F2 nor coset round
+    # accepts: both scans stop at graph n, radius 4 and round 5, instead of
+    # growing coset rounds of F2 into the memory ceiling
+    assert run_cli("profile", FREE2, "--n", "4", "--oracle", "free-abelian:2") == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines() == [
+        "n,P,P_status,f,f_status,d,rhoTC,d_le_half_f,double_exp,d_eq_rhoTC",
+        "0,0,Exact,0,Exact,0,0,true,true,true",
+        "1,0,Exact,0,Exact,0,0,true,true,true",
+        "2,0,Exact,2,Exact,0,0,true,true,true",
+        "3,0,Exact,2,Exact,0,0,true,true,true",
+        "4,0,LowerBoundOnly,4,LowerBoundOnly,unreached,unreached,skipped,skipped,skipped",
+    ]
+
+
+def test_profile_has_no_round_cap(capsys):
+    # the ρ_TC scan's reach is worked out from n; only tc takes --rounds
+    with pytest.raises(SystemExit) as exit_:
+        run_cli("profile", Z2, "--n", "2", "--oracle", "cyclic:2", "--rounds", "2")
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --rounds 2" in captured.err
 
 
 @pytest.mark.parametrize("oracle", ["cyclic:0", "free-abelian:0", "free:0", "rewrite:0"])

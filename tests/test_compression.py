@@ -67,9 +67,10 @@ def test_compress_rejects_empty_relator_set():
         compress(Presentation(2, ()))
 
 
-def test_compress_blowup_guard():
+def test_compress_blowup_guard(monkeypatch):
+    monkeypatch.setattr(compression, "DEFAULT_PRODUCT_CAP", 100)
     with pytest.raises(CombinatorialBlowupError):
-        compress(LATTICE, max_products=100)
+        compress(LATTICE)
 
 
 def test_no_empty_relator_in_combined():
@@ -176,11 +177,13 @@ def fused_by_definition(p):
 
 @pytest.mark.parametrize("p", [Z2, Z3, LATTICE, POWERS, CONJUGATE],
                          ids=["z2", "z3", "lattice", "powers", "conjugate"])
-def test_fusion_equals_its_definition(p):
+def test_fusion_equals_its_definition(p, monkeypatch):
     fused, combined, total = fused_by_definition(p)
     c = compress(p)
     assert c.fused == fused
     assert c.combined == combined
+    monkeypatch.setattr(compression, "DEFAULT_PRODUCT_CAP", total - 1)
     with pytest.raises(CombinatorialBlowupError):
-        compress(p, max_products=total - 1)
-    assert compress(p, max_products=total).fused == fused
+        compress(p)
+    monkeypatch.setattr(compression, "DEFAULT_PRODUCT_CAP", total)
+    assert compress(p).fused == fused

@@ -24,9 +24,7 @@ CASES = {
     "profile-z3-n6": ("profile presentations/z3.pres --n 6 --oracle cyclic:3", 1),
     "profile-free2-n6": ("profile presentations/free2.pres --n 6 --oracle free:2", 0),
     "profile-zxz-n5": ("profile presentations/zxz.pres --n 5 --oracle free-abelian:2", 1),
-    # two rounds decide n ≤ 5 only, so n = 6 is unreached/BudgetExceeded
-    "profile-zxz-n6-rounds2": (
-        "profile presentations/zxz.pres --n 6 --oracle free-abelian:2 --rounds 2", 1),
+    "profile-zxz-n6": ("profile presentations/zxz.pres --n 6 --oracle free-abelian:2", 1),
     "profile-z3-n6-rewrite6": ("profile presentations/z3.pres --n 6 --oracle rewrite:6", 1),
     # the benchmark's profile commands; n = 8 on ℤ² runs the cap-10 sweep
     "profile-zxz-n8": ("profile presentations/zxz.pres --n 8 --oracle free-abelian:2", 1),

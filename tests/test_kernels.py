@@ -31,8 +31,12 @@ NAMES = {id(g.delta): name for name, g in GRAPHS.items()}  # a graph's name by i
 # two-cycle also layer 2, and only the loop layer 3.
 LAYERS = [[b""], [], [b"\x00\x00", b"\x01\x01"], [b"\x00\x00\x00"]]
 
+# A single letter at n = 1, which neither the empty graph (graph 0) nor the
+# two-cycle (graph 1) accepts: no graph i ≤ 1 decides it.
+ODD_LAYERS = [[b""], [b"\x00"], [b"\x00\x00"], [b"\x01\x01\x01"]]
 
-def scan(limits, monkeypatch):
+
+def scan(layers, monkeypatch):
     """Run the scan over the four graphs; returns its column by graph name,
     the graphs drawn, and every traced batch as (graph, layer index)."""
     drawn, batches = [], []
@@ -43,19 +47,19 @@ def scan(limits, monkeypatch):
             yield g
 
     def traced(delta, start, words):
-        batches.append((NAMES[id(delta)], next(m for m, layer in enumerate(LAYERS) if layer is words)))
+        batches.append((NAMES[id(delta)], next(m for m, layer in enumerate(layers) if layer is words)))
         return trace_batch(delta, start, words)
 
     monkeypatch.setattr(_kernels, "trace_batch", traced)
-    column = first_deciding(graphs(), LAYERS, limits)
+    column = first_deciding(graphs(), layers)
     return [None if hit is None else (hit[0], NAMES[id(hit[1].delta)]) for hit in column], drawn, batches
 
 
 def test_first_deciding_never_retraces_an_accepted_layer(monkeypatch):
     # The empty graph accepts layers 0 and 1 and misses aa; the two-cycle
     # is tried from layer 2 on, the one the empty graph missed, and the
-    # loop from layer 3 on.
-    column, drawn, batches = scan([5] * 4, monkeypatch)
+    # loop from layer 3 on.  Each graph i decides at some n ≥ i.
+    column, drawn, batches = scan(LAYERS, monkeypatch)
     assert column == [(0, "empty"), (0, "empty"), (1, "cycle"), (2, "loop")]
     assert drawn == ["empty", "cycle", "loop"]
     assert batches == [
@@ -66,28 +70,17 @@ def test_first_deciding_never_retraces_an_accepted_layer(monkeypatch):
 
 
 def test_first_deciding_never_reports_a_missed_graph(monkeypatch):
-    # At n = 2 the limit stops the scan after the empty graph missed; at
-    # n = 3 the scan resumes with the next graph, from the layer the empty
-    # graph missed, and never goes back to it.
-    column, drawn, batches = scan([0, 0, 0, 2], monkeypatch)
-    assert column == [(0, "empty"), (0, "empty"), None, (2, "loop")]
+    # At n = 1 both graphs i ≤ 1 miss the letter a, so the entry is None;
+    # at n = 2 the scan resumes with graph 2, from the layer the two-cycle
+    # missed, and never goes back to an earlier graph.
+    column, drawn, batches = scan(ODD_LAYERS, monkeypatch)
+    assert column == [(0, "empty"), None, (2, "loop"), (2, "loop")]
     assert drawn == ["empty", "cycle", "loop"]
     assert batches == [
-        ("empty", 0), ("empty", 1), ("empty", 2),
-        ("cycle", 2), ("cycle", 3),
-        ("loop", 3),
+        ("empty", 0), ("empty", 1),
+        ("cycle", 1),
+        ("loop", 1), ("loop", 2), ("loop", 3),
     ]
-
-
-def test_first_deciding_draws_nothing_below_limit_zero():
-    drawn = []
-
-    def graphs():
-        drawn.append(EMPTY_GRAPH)
-        yield EMPTY_GRAPH
-
-    assert first_deciding(graphs(), LAYERS[:2], [-1, -1]) == [None, None]
-    assert drawn == []
 
 
 def of_length(k, L):

@@ -376,23 +376,26 @@ class TestMeasureRadius:
         # round whose partial Cayley graph accepts exactly the oracle's
         # trivial ones.  The scan checks only that the trivial ones are
         # accepted, since no round accepts a non-trivial word.
-        n_max, rounds = 6, 4
+        # Graph i is round i + 1, tried at n only when i ≤ n.
+        n_max = 6
         for name, (p, oracle) in GROUPS.items():
-            graphs = [partial_cayley(folder) for folder in islice(coset_rounds(p), rounds)]
             verdicts = [(u, oracle(u)) for u in words_up_to(p.alphabet_size, n_max) if u.is_reduced()]
             # round i + 1 decides the words of length ≤ n when n < wrong[i]
-            wrong = [min((len(u) for u, trivial in verdicts if accepts_reduced(pcg.graph, u) != trivial),
-                         default=n_max + 1) for pcg in graphs]
-            trivial = trivial_for(p, n_max, oracle)
-            for max_rounds in (2, rounds):
-                expected = []
-                for n in range(n_max + 1):
-                    i = next((i for i in range(max_rounds) if n < wrong[i]), None)
-                    expected.append(None if i is None else
-                                    (i + 1, graphs[i].radius, canonical_form(graphs[i].graph)))
-                got = [None if hit is None else (hit[0], hit[1], canonical_form(hit[2].graph))
-                       for hit in measure_tc_radius(p, n_max, trivial, max_rounds=max_rounds)]
-                assert got == expected, (name, max_rounds)
+            graphs, wrong = [], []
+            for folder in islice(coset_rounds(p), n_max + 1):
+                graphs.append(partial_cayley(folder))
+                wrong.append(min((len(u) for u, trivial in verdicts
+                                  if accepts_reduced(graphs[-1].graph, u) != trivial), default=n_max + 1))
+                if wrong[-1] > n_max:
+                    break  # this round decides every n, so no n reads a later one
+            expected = []
+            for n in range(n_max + 1):
+                i = next((i for i in range(n + 1) if n < wrong[i]), None)
+                expected.append(None if i is None else
+                                (i + 1, graphs[i].radius, canonical_form(graphs[i].graph)))
+            got = [None if hit is None else (hit[0], hit[1], canonical_form(hit[2].graph))
+                   for hit in measure_tc_radius(p, n_max, trivial_for(p, n_max, oracle))]
+            assert got == expected, name
 
     def test_hairs_are_stripped_only_from_reported_rounds(self, monkeypatch):
         # BS(1,3) at n = 6: round 2 is traced, misses layer 6 and is never
@@ -417,12 +420,17 @@ class TestMeasureRadius:
         assert [(rounds, rad) for rounds, rad, _pcg in column][-1] == (4, 12)
         assert len(traced) == 721
 
-    def test_nontermination_guard(self):
-        every_word = list(words_up_to(4, 2))  # a list that lies
-        column = measure_tc_radius(FREE2, 2, every_word, max_rounds=2)
-        assert column[0][0] == 1  # the empty word is decided at once
-        assert column[1:] == [None, None]  # two rounds never agree on a letter
-        assert measure_tc_radius(FREE2, 1, every_word, max_rounds=-1) == [None, None]
+    def test_nontermination_guard(self, monkeypatch):
+        # a list that lies: no round accepts a letter, and the scan stops at
+        # round n_max + 1 instead of growing the free group's tree forever
+        n_max, every_word = 2, list(words_up_to(4, 2))
+        calls = []
+        untimed = toddcoxeter.tc_round
+        monkeypatch.setattr(toddcoxeter, "tc_round", lambda *args: calls.append(args) or untimed(*args))
+        column = measure_tc_radius(FREE2, n_max, every_word)
+        assert column[0][:2] == (1, 0)  # the empty word is decided at once
+        assert column[1:] == [None, None]
+        assert len(calls) <= n_max + 1
 
 
 class TestProvedRelations:
@@ -438,12 +446,25 @@ class TestProvedRelations:
         (Z3, ReferenceOracle.cyclic(3), 8),
         (LATTICE, ReferenceOracle.free_abelian(2), 8),
         (FREE2, ReferenceOracle.free(2), 6),
-        (BS12[0], ReferenceOracle.rewrite_search(RewriteSystem(BS12[0]), SearchBudget(max_word_length=8)), 5),
-    ], ids=["Z/2", "Z/3", "Z^2", "F_2", "BS(1,2)-rewrite:8"])
+        *((p, ReferenceOracle.rewrite_search(RewriteSystem(p), SearchBudget(max_word_length=8)), 5) for p in [
+            BS12[0],
+            BS13[0],
+            Presentation(3, [w("abABC", 3), w("acAC", 3), w("bcBC", 3)]),
+            Presentation(2, [w("aa"), w("bb"), w("abab")]),
+            Presentation(2, [w("aa"), w("bbb"), w("abab")]),
+            Presentation(2, [w("aab"), w("abA")]),
+            Presentation(1, [w("aaaa", 1), w("aaaaaa", 1)]),
+        ]),
+    ], ids=["Z/2", "Z/3", "Z^2", "F_2"] + [f"{name}-rewrite:8" for name in [
+        "BS(1,2)", "BS(1,3)", "Heisenberg", "Klein", "S_3", "<a,b|aab,abA>", "<a|a^4,a^6>"]])
     def test_rounds_and_radius_within_the_diameter(self, p, oracle, n_max):
         trivial = oracle.trivial_words(n_max)
         longest = max(map(len, p.relators), default=0)
         diameters = measure_isodiametric(p, n_max, trivial)
-        for n, (d, (rounds, radius, _pcg)) in enumerate(zip(diameters, measure_tc_radius(p, n_max, trivial))):
+        for n, (d, hit) in enumerate(zip(diameters, measure_tc_radius(p, n_max, trivial))):
+            # every d cell here is Exact, and the ρ_TC scan, which tries
+            # rounds ≤ n + 1, reaches every n that d reaches
+            assert d.exact and hit is not None, n
+            rounds, radius, _pcg = hit
             assert rounds <= max(d.value, 1), n
             assert radius <= (1 + longest // 2) * max(d.value, 1), n
