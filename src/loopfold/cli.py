@@ -14,18 +14,10 @@ import contextlib
 import sys
 from itertools import islice
 
-from .automata import (
-    CeilingSettingError,
-    MemoryCeilingError,
-    decide_word_problem,
-    to_dot,
-)
-from .compression import (
-    CombinatorialBlowupError,
-    CompressedPresentation,
-    compress,
-    verify_compression,
-)
+# Layers are read through their modules, which the package registers lazily
+# (see loopfold/__init__.py), so a command compiles only the layers it calls.
+# main()'s except tuples are evaluated only when an exception reaches them.
+from . import automata, compression, fillings, grammar, rewrite, toddcoxeter
 from .core import (
     ParseError,
     Presentation,
@@ -34,15 +26,6 @@ from .core import (
     render_presentation,
     render_word,
 )
-from .fillings import (
-    ReferenceOracle,
-    check_inequalities,
-    measure_profile,
-    profile_to_csv,
-)
-from .grammar import double_exp_experiment
-from .rewrite import BudgetFailure, OracleStatus, RewriteSystem, SearchBudget, budget_flags
-from .toddcoxeter import coset_rounds, partial_cayley
 
 
 class UsageError(ValueError):
@@ -62,13 +45,15 @@ def _need_relators(p: Presentation, what: str) -> None:
         raise UsageError(f"{what} needs a presentation with at least one relator")
 
 
-def _budget(args) -> SearchBudget:
+def _budget(args) -> rewrite.SearchBudget:
     if args.budget_len <= 0 or args.budget_states <= 0:
         raise UsageError("budget caps must be positive")
-    return SearchBudget(max_word_length=args.budget_len, max_states=args.budget_states)
+    return rewrite.SearchBudget(max_word_length=args.budget_len, max_states=args.budget_states)
 
 
-def _parse_oracle(text: str, system: RewriteSystem, budget: SearchBudget) -> ReferenceOracle:
+def _parse_oracle(
+    text: str, system: rewrite.RewriteSystem, budget: rewrite.SearchBudget
+) -> fillings.ReferenceOracle:
     """The oracle ``text`` names, checked against ``system``'s presentation;
     ``rewrite:L`` searches ``system``, the command's one rewrite system."""
     name, sep, arg = text.partition(":")
@@ -79,11 +64,11 @@ def _parse_oracle(text: str, system: RewriteSystem, budget: SearchBudget) -> Ref
     except ValueError as exc:
         raise UsageError(f"oracle parameter {arg!r} is not an integer") from exc
     makers = {
-        "cyclic": ReferenceOracle.cyclic,
-        "free-abelian": ReferenceOracle.free_abelian,
-        "free": ReferenceOracle.free,
-        "rewrite": lambda length: ReferenceOracle.rewrite_search(
-            system, SearchBudget(max_word_length=length, max_states=budget.max_states)),
+        "cyclic": fillings.ReferenceOracle.cyclic,
+        "free-abelian": fillings.ReferenceOracle.free_abelian,
+        "free": fillings.ReferenceOracle.free,
+        "rewrite": lambda length: fillings.ReferenceOracle.rewrite_search(
+            system, rewrite.SearchBudget(max_word_length=length, max_states=budget.max_states)),
     }
     if name not in makers:
         raise UsageError(f"unknown oracle {name!r}")
@@ -115,20 +100,23 @@ def _write(text: str, path: str | None) -> None:
 
 
 def _fusion_holds(
-    compressed: CompressedPresentation, system: RewriteSystem, n: int, budget: SearchBudget
+    compressed: compression.CompressedPresentation,
+    system: rewrite.RewriteSystem,
+    n: int,
+    budget: rewrite.SearchBudget,
 ) -> bool:
     """The halving check behind ``--verify``; every row must be Exact.
     ``system`` is the rewrite system of the base presentation."""
-    report = verify_compression(compressed, n, budget, system)
+    report = compression.verify_compression(compressed, n, budget, system)
     for row in report.rows:
         if row.holds is None:
-            raise BudgetFailure(
+            raise rewrite.BudgetFailure(
                 f"fusion check at n={row.n} is not Exact (base {row.base_area.status}, "
                 f"fused {row.combined_area.status}); "
-                f"raise {budget_flags(row.base_area.status, row.combined_area.status)}"
+                f"raise {rewrite.budget_flags(row.base_area.status, row.combined_area.status)}"
             )
     if report.triviality_agreement is None:
-        raise BudgetFailure(
+        raise rewrite.BudgetFailure(
             "the two presentations list different trivial words where the state budget "
             "cut a sweep; raise --budget-states"
         )
@@ -140,7 +128,7 @@ def cmd_wp(args) -> int:
     word = parse_word(args.word, p.num_generators)
     if args.radius < 0:
         raise UsageError("--radius must be nonnegative")
-    if decide_word_problem(p, word, args.radius):
+    if automata.decide_word_problem(p, word, args.radius):
         print("trivial")
         return 0
     print(f"not-accepted-at-radius-{args.radius}")
@@ -150,23 +138,23 @@ def cmd_wp(args) -> int:
 def cmd_profile(args) -> int:
     p = _load_presentation(args.presentation)
     budget = _budget(args)
-    system = RewriteSystem(p)
+    system = rewrite.RewriteSystem(p)
     oracle = _parse_oracle(args.oracle, system, budget)
     if args.n < 0:
         raise UsageError("--n must be nonnegative")
     if args.verify:
         _need_relators(p, "profile --verify")
-    profile = measure_profile(system, args.n, oracle, budget)
-    report = check_inequalities(profile)
-    _write(profile_to_csv(profile, report), args.csv)
+    profile = fillings.measure_profile(system, args.n, oracle, budget)
+    report = fillings.check_inequalities(profile)
+    _write(fillings.profile_to_csv(profile, report), args.csv)
     for row in profile.rows:
         for name, cell in (("P", row.area), ("f", row.length)):
-            if cell.status is OracleStatus.BUDGET_EXCEEDED:
-                raise BudgetFailure(
+            if cell.status is rewrite.OracleStatus.BUDGET_EXCEEDED:
+                raise rewrite.BudgetFailure(
                     f"{name} at n={row.n} is BudgetExceeded; raise --budget-states")
     ok = report.asserted_hold and report.equality_holds
     if args.verify:
-        ok = _fusion_holds(compress(p), system, args.n, budget) and ok
+        ok = _fusion_holds(compression.compress(p), system, args.n, budget) and ok
     return 0 if ok else 1
 
 
@@ -176,10 +164,10 @@ def cmd_compress(args) -> int:
     budget = _budget(args) if args.verify else None
     if args.verify and args.n < 0:
         raise UsageError("--n must be nonnegative")
-    compressed = compress(p)
+    compressed = compression.compress(p)
     sys.stdout.write(render_presentation(compressed.combined))
     if args.verify:
-        if not _fusion_holds(compressed, RewriteSystem(p), args.n, budget):
+        if not _fusion_holds(compressed, rewrite.RewriteSystem(p), args.n, budget):
             return 1
     return 0
 
@@ -188,14 +176,15 @@ def cmd_tc(args) -> int:
     p = _load_presentation(args.presentation)
     if args.rounds < 1:
         raise UsageError("--rounds must be at least 1")
-    pcg = partial_cayley(next(islice(coset_rounds(p), args.rounds - 1, None)))
+    last = next(islice(toddcoxeter.coset_rounds(p), args.rounds - 1, None))
+    pcg = toddcoxeter.partial_cayley(last)
     summary = f"rounds={args.rounds} vertices={pcg.graph.num_vertices} radius={pcg.radius}"
     if args.dot is None:
         print(summary)
         return 0
     with _output(args.dot) as out:  # opened first: an unwritable path prints nothing
         print(summary)
-        out.write(to_dot(pcg.graph))
+        out.write(automata.to_dot(pcg.graph))
     return 0
 
 
@@ -214,12 +203,12 @@ def _decimal(value: int) -> str:
 def cmd_grammar_bound(args) -> int:
     p = _load_presentation(args.presentation)
     budget = _budget(args)
-    system = RewriteSystem(p)
+    system = rewrite.RewriteSystem(p)
     oracle = _parse_oracle(args.oracle, system, budget)
     if args.n < 0:
         raise UsageError("--n must be nonnegative")
     _need_relators(p, "grammar-bound")
-    reports = double_exp_experiment(system, args.n, oracle, budget)
+    reports = grammar.double_exp_experiment(system, args.n, oracle, budget)
     bounds: dict[tuple[int, int], str] = {}  # the bound depends on (n, d) only
     with _output(args.csv) as out:
         out.write("word,n,d,ell,witness,area,bound,holds\n")
@@ -304,10 +293,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, ParseError, CeilingSettingError) as exc:
+    except (UsageError, ParseError, automata.CeilingSettingError) as exc:
         print(f"loopfold: {exc}", file=sys.stderr)
         return 2
-    except (MemoryCeilingError, BudgetFailure, CombinatorialBlowupError) as exc:
+    except (
+        automata.MemoryCeilingError, rewrite.BudgetFailure, compression.CombinatorialBlowupError
+    ) as exc:
         print(f"loopfold: {exc}", file=sys.stderr)
         return 3
 

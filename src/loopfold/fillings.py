@@ -24,8 +24,9 @@ from __future__ import annotations
 from functools import reduce
 from typing import NamedTuple
 
-from . import _kernels
-from .automata import FoldedGraph, distances_from_origin, loop_complexes
+# layers read through their modules, so `compress --verify` loads neither
+# automata nor toddcoxeter (see loopfold/__init__.py)
+from . import _kernels, automata, toddcoxeter
 from .core import Presentation, Word, words_up_to
 from .rewrite import (
     OracleResult,
@@ -37,7 +38,6 @@ from .rewrite import (
     min_isoperimetric,
     prefix_maxima,
 )
-from .toddcoxeter import measure_tc_radius
 
 
 # -- reference oracles --------------------------------------------------------
@@ -118,7 +118,7 @@ class ReferenceOracle:
         # a prefix's element lies within n/2 of the identity, so its
         # neighbours all lie in the ball
         ball = self.cayley_ball(n // 2 + 1)
-        norm = distances_from_origin(ball)
+        norm = automata.distances_from_origin(ball)
         out: list[Word] = []
 
         def extend(prefix: bytes, v: int, left: int) -> None:
@@ -133,7 +133,7 @@ class ReferenceOracle:
             extend(b"", ball.origin, length)
         return out
 
-    def cayley_ball(self, radius: int) -> FoldedGraph:
+    def cayley_ball(self, radius: int) -> automata.FoldedGraph:
         """The ball of the group's Cayley graph: vertices within ``radius``
         of the identity, with all edges between them, numbered in BFS order.
         Raises ValueError for a negative radius, and for the rewrite-search
@@ -164,7 +164,7 @@ class ReferenceOracle:
                 t = index.get(act(elem, 2 * gen))
                 if t is not None:
                     delta[2 * gen][v], delta[2 * gen + 1][t] = t, v
-        return FoldedGraph(self.num_generators, 0, delta)
+        return automata.FoldedGraph(self.num_generators, 0, delta)
 
     def _kills(self, codes: bytes) -> bool:
         """Whether ``codes`` maps to the identity of the closed-form group."""
@@ -183,7 +183,7 @@ def measure_isodiametric(p: Presentation, n_max: int, trivial: list[Word]) -> li
     on the reduced words of the list (:func:`~loopfold._kernels.trivial_layers`).
     """
     layers = _kernels.trivial_layers(trivial, n_max, p.alphabet_size)
-    graphs = (f.snapshot() for f in loop_complexes(p))
+    graphs = (f.snapshot() for f in automata.loop_complexes(p))
     return [
         OracleResult(None, OracleStatus.LOWER_BOUND_ONLY) if hit is None
         else OracleResult(hit[0], OracleStatus.EXACT)
@@ -243,7 +243,7 @@ def measure_profile(
     tc = [
         OracleResult(None, OracleStatus.LOWER_BOUND_ONLY) if hit is None
         else OracleResult(hit[1], OracleStatus.EXACT)
-        for hit in measure_tc_radius(p, n_max, reduced)
+        for hit in toddcoxeter.measure_tc_radius(p, n_max, reduced)
     ]
     rows = (ProfileRow(n, *cells) for n, cells in enumerate(zip(area, length, diameter, tc)))
     return FillingProfile(p, tuple(rows))

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from loopfold import cli
+from loopfold import grammar
 from loopfold.cli import main
 from loopfold.core import parse_presentation, parse_word, words_up_to
 from loopfold.fillings import ReferenceOracle, double_exp_bound
@@ -570,7 +570,8 @@ def test_grammar_bound_renders_bounds_past_the_digit_limit(monkeypatch, capsys):
     bound = double_exp_bound(p, 4, 2)
     assert bound.bit_length() == 40_963
     report = BoundReport(word, 4, 2, 4, word, 1, bound)
-    monkeypatch.setattr(cli, "double_exp_experiment", lambda *args: [report])
+    # cli looks the experiment up in its layer's module
+    monkeypatch.setattr(grammar, "double_exp_experiment", lambda *args: [report])
     limit = sys.get_int_max_str_digits()
     assert run_cli("grammar-bound", ZXZ, "--n", "4", "--oracle", "free-abelian:2") == 0
     assert sys.get_int_max_str_digits() == limit
@@ -648,23 +649,92 @@ def test_runs_on_the_standard_library_only():
     assert proc.stdout.startswith("n,P,P_status,f,f_status,d,rhoTC,")
 
 
-def test_start_up_imports_neither_dataclasses_nor_inspect():
-    # the two modules cost about 30 ms of every command's start-up; -S keeps
-    # site hooks of the environment out of the check
+def _run_fresh(script, **env):
+    # -S keeps site hooks of the environment out of the check
+    return subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True,
+        env=dict(_child_env(0), **env), cwd=REPO,
+    )
+
+
+def _run_command_fresh(*argv):
+    """Runs one command as ``python -m loopfold`` does, in a fresh process;
+    the last line of stdout is its exit code, the modules among
+    ``dataclasses`` and ``inspect`` imported before or by the command, and
+    the loopfold modules it executed.  ``type()`` of a lazily registered
+    layer does not load it."""
     script = (
-        "import runpy, sys\n"
+        "import runpy, sys, types\n"
         "import loopfold.cli\n"
         "loaded = [m for m in ('dataclasses', 'inspect') if m in sys.modules]\n"
-        f"sys.argv = ['loopfold', 'wp', {Z2!r}, 'aaaa']\n"
+        f"sys.argv = ['loopfold', *{list(argv)!r}]\n"
         "try:\n"
         "    runpy.run_module('loopfold', run_name='__main__', alter_sys=True)\n"
         "except SystemExit as exc:\n"
         "    code = exc.code\n"
         "loaded += [m for m in ('dataclasses', 'inspect') if m in sys.modules]\n"
-        "print(code, sorted(set(loaded)))\n"
+        "executed = [n for n, m in sys.modules.items()\n"
+        "            if n.startswith('loopfold.') and type(m) is types.ModuleType]\n"
+        "print(code, sorted(set(loaded)), sorted(executed))\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", script], capture_output=True, text=True, env=_child_env(0), cwd=REPO
-    )
+    proc = _run_fresh(script)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "trivial\n0 []\n"
+    return proc.stdout
+
+
+def test_start_up_imports_neither_dataclasses_nor_inspect():
+    # the two modules cost about 30 ms of every command's start-up
+    out = _run_command_fresh("wp", Z2, "aaaa")
+    assert out.startswith("trivial\n0 [] ")
+
+
+LAYERS = {"_kernels", "automata", "compression", "fillings", "grammar", "rewrite", "toddcoxeter"}
+
+
+@pytest.mark.parametrize("argv, code, layers", [
+    (("wp", ZXZ, "abAB", "--radius", "2"), 0, {"automata"}),
+    (("tc", ZXZ, "--rounds", "3"), 0, {"automata", "toddcoxeter"}),
+    (("profile", Z2, "--n", "4", "--oracle", "cyclic:2"), 1, LAYERS - {"compression", "grammar"}),
+    (("compress", Z2, "--verify", "--n", "3"), 0, {"compression", "fillings", "rewrite"}),
+    (("grammar-bound", Z2, "--n", "2", "--oracle", "cyclic:2"), 0,
+     LAYERS - {"compression", "toddcoxeter"}),
+], ids=["wp", "tc", "profile", "compress-verify", "grammar-bound"])
+def test_each_command_executes_only_the_layers_it_calls(argv, code, layers):
+    # every command compiles cli and core; each layer it never calls stays
+    # registered but is neither compiled nor run
+    last = _run_command_fresh(*argv).splitlines()[-1]
+    executed = {f"loopfold.{name}" for name in layers | {"cli", "core"}}
+    assert last == f"{code} [] {sorted(executed)}"
+
+
+def test_layers_are_registered_lazily_and_load_on_first_use():
+    script = (
+        "import sys, types\n"
+        "import loopfold.cli\n"
+        f"layers = {sorted(LAYERS)!r}\n"
+        "modules = [sys.modules.get('loopfold.' + name) for name in layers]\n"
+        "print(None not in modules, [type(m) is types.ModuleType for m in modules])\n"
+        "from loopfold.grammar import double_exp_experiment\n"
+        "print(type(sys.modules['loopfold.grammar']) is types.ModuleType, double_exp_experiment.__name__)\n"
+        "import loopfold\n"
+        "print(loopfold.rewrite.RewriteSystem.__name__)\n"
+    )
+    proc = _run_fresh(script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        f"True {[False] * len(LAYERS)}\nTrue double_exp_experiment\nRewriteSystem\n"
+    )
+
+
+def test_error_exit_resolves_its_exception_classes_lazily():
+    # main's except tuples name classes of layers that wp never loads
+    script = (
+        "import sys\n"
+        "from loopfold.cli import main\n"
+        f"sys.exit(main(['wp', {ZXZ!r}, 'abAB', '--radius', '3']))\n"
+    )
+    proc = _run_fresh(script, FILLINGS_MEM_CEILING_MB="0.006")  # ten folder vertices
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("loopfold: loop complex at radius ")
+    assert proc.stderr.count("\n") == 1 and "FILLINGS_MEM_CEILING_MB" in proc.stderr
