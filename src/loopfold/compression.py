@@ -11,15 +11,10 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+# rewrite is read through its module, so plain `compress` does not load it
+# (see loopfold/__init__.py)
+from . import rewrite
 from .core import Presentation, Word
-from .fillings import ReferenceOracle
-from .rewrite import (
-    OracleResult,
-    RewriteSystem,
-    SearchBudget,
-    min_isoperimetric,
-    prefix_maxima,
-)
 
 DEFAULT_PRODUCT_CAP = 200_000
 
@@ -88,8 +83,8 @@ def compress(p: Presentation) -> CompressedPresentation:
 
 class CompressionRow(NamedTuple):
     n: int
-    base_area: OracleResult
-    combined_area: OracleResult
+    base_area: rewrite.OracleResult
+    combined_area: rewrite.OracleResult
     bound: int | None  # ⌈(P_base(n) + n) / 2⌉ when the base value is Exact
     holds: bool | None  # None when either area is not Exact
 
@@ -106,32 +101,36 @@ class CompressionReport(NamedTuple):
 def verify_compression(
     compressed: CompressedPresentation,
     n_max: int,
-    budget: SearchBudget,
-    base_system: RewriteSystem,
+    budget: rewrite.SearchBudget,
+    base_system: rewrite.RewriteSystem,
 ) -> CompressionReport:
     """Entrywise check of P_combined(n) ≤ ⌈P_base(n)/2 + n/2⌉ for n ≤ n_max,
-    plus a same-group cross-check: both systems' rewrite-search oracles list
-    the same trivial words of length ≤ n_max.  Both lists come from one
-    enumeration order, so they are equal exactly when the systems agree on
-    every word.  Where the state budget cut a sweep behind them, unequal
-    lists decide nothing, and the agreement is None.
+    plus a same-group cross-check: both systems' sweeps list the same
+    trivial words of length ≤ n_max (:func:`~loopfold.rewrite.trivial_words`).
+    Both lists are in shortlex order, so they are equal exactly when the
+    systems agree on every word.  Where the state budget cut a sweep behind
+    them, unequal lists decide nothing, and the agreement is None.
 
-    ``base_system`` is the rewrite system of ``compressed.base``."""
+    ``base_system`` is the rewrite system of ``compressed.base``; the
+    combined system takes its symmetries and area bound from it
+    (:meth:`~loopfold.rewrite.RewriteSystem.fused`)."""
     if base_system.presentation != compressed.base:
         raise ValueError("the rewrite system is not that of the base presentation")
-    combined_system = RewriteSystem(compressed.combined)
-    trivial = ReferenceOracle.rewrite_search(base_system, budget).trivial_words(n_max)
-    agreement = trivial == ReferenceOracle.rewrite_search(combined_system, budget).trivial_words(n_max)
+    combined_system = rewrite.RewriteSystem.fused(base_system, compressed.combined, compressed.m)
+    trivial = rewrite.trivial_words(base_system, budget, n_max)
+    agreement = trivial == rewrite.trivial_words(combined_system, budget, n_max)
     if not agreement and any(
         not system.explore(max(budget.max_word_length, n), budget.max_states).complete
         for system in (base_system, combined_system) for n in range(n_max + 1)
     ):
         agreement = None
 
-    base_areas = prefix_maxima(trivial, n_max, lambda w: min_isoperimetric(w, base_system, budget))
-    combined_areas = prefix_maxima(trivial, n_max, lambda w: min_isoperimetric(w, combined_system, budget))
+    def areas(system):
+        return rewrite.prefix_maxima(trivial, n_max,
+                                     lambda w: rewrite.min_isoperimetric(w, system, budget))
+
     rows = []
-    for n, (base_area, combined_area) in enumerate(zip(base_areas, combined_areas)):
+    for n, (base_area, combined_area) in enumerate(zip(areas(base_system), areas(combined_system))):
         bound = None
         holds = None
         if base_area.exact:

@@ -24,10 +24,10 @@ from __future__ import annotations
 from functools import reduce
 from typing import NamedTuple
 
-# layers read through their modules, so `compress --verify` loads neither
-# automata nor toddcoxeter (see loopfold/__init__.py)
-from . import _kernels, automata, toddcoxeter
-from .core import Presentation, Word, words_up_to
+# layers read through their modules, so `grammar-bound` does not load
+# toddcoxeter (see loopfold/__init__.py)
+from . import _kernels, automata, rewrite, toddcoxeter
+from .core import Presentation, Word
 from .rewrite import (
     OracleResult,
     OracleStatus,
@@ -110,11 +110,12 @@ class ReferenceOracle:
         A closed form walks prefixes through its Cayley ball and extends one
         only while the word norm of its element, its distance from the
         identity, is at most the number of letters left; the rewrite search
-        decides every word."""
+        reads the words its sweeps hold (:func:`~loopfold.rewrite.trivial_words`),
+        the same list as deciding every word by :meth:`decide`."""
         if n < 0:
             return []
         if self.system is not None:
-            return [w for w in words_up_to(2 * self.num_generators, n) if self.decide(w)]
+            return rewrite.trivial_words(self.system, self.budget, n)
         # a prefix's element lies within n/2 of the identity, so its
         # neighbours all lie in the ball
         ball = self.cayley_ball(n // 2 + 1)

@@ -32,8 +32,9 @@ the rewrite graph that keeps costs, lengths and the empty word, so a sweep
 holds one representative per orbit of such maps, its least image, and a
 state budget counts orbits.  The maps are found by checking the
 presentation's own relators against the closure, which is enough (see
-:func:`_letter_maps`).  A cost lookup canonicalizes the word first: see
-:meth:`Exploration.cost`.
+:func:`_letter_maps`); the system of a fused presentation takes those of
+its base instead (:meth:`RewriteSystem.fused`).  A cost lookup
+canonicalizes the word first: see :meth:`Exploration.cost`.
 
 Searches are capped by a :class:`SearchBudget`, and no a-priori bound on
 intermediate word length is available.  An area is reported ``Exact`` when
@@ -263,7 +264,10 @@ class Exploration(NamedTuple):
 class RewriteSystem:
     """Factor-rewriting rules of a presentation plus the free-group moves."""
 
-    def __init__(self, presentation: Presentation):
+    def __init__(self, presentation: Presentation, *, symmetries: tuple[bytes, ...] | None = None):
+        """``symmetries``, when given, is a group of letter maps that the
+        caller has proved map the symmetrized relators onto themselves
+        (see :meth:`fused`); by default they are searched."""
         self.presentation = presentation
 
         free_rules = []
@@ -287,13 +291,44 @@ class RewriteSystem:
         self._subst_within: dict[int, dict[bytes, tuple[bytes, ...]]] = {}
 
         # the symmetry group: letter maps, each also composed with inversion
-        maps = _letter_maps(frozenset(self._relators), [r.codes for r in presentation.relators],
-                            presentation.num_generators, _MAX_SYMMETRIES // 2)
-        self.symmetries: tuple[bytes, ...] = tuple(maps or [_IDENTITY])
+        if symmetries is None:
+            maps = _letter_maps(frozenset(self._relators), [r.codes for r in presentation.relators],
+                                presentation.num_generators, _MAX_SYMMETRIES // 2)
+            symmetries = tuple(maps or [_IDENTITY])
+        self.symmetries: tuple[bytes, ...] = symmetries
         # a table for w -> σ(w^-1), read on the reversed word
         self._inverted: tuple[bytes, ...] = tuple(t.translate(_INVERSE) for t in self.symmetries)
 
         self._sweeps: dict[tuple[int, int], Exploration] = {}
+
+    @classmethod
+    def fused(cls, base: "RewriteSystem", combined: Presentation, m: int) -> "RewriteSystem":
+        """The rewrite system of ``combined``, the symmetrized relators of
+        ``base.presentation`` together with the reduced products of 2..m of
+        them (:func:`~loopfold.compression.compress`), with its symmetries
+        and its area bound read off ``base`` instead of its own relators.
+
+        Symmetries.  Every relator of ``combined`` is the free reduction of
+        a product of at most m symmetrized base relators.  A letter map σ of
+        ``base``, alone or composed with ``w -> w^-1``, sends symmetrized
+        relators to symmetrized relators and commutes with products and
+        free reduction, so it sends such products to such products, and the
+        symmetric closure of ``combined`` onto itself: ``base``'s group is a
+        subgroup of the combined system's.  Sweeps up to any such subgroup
+        are sound.  Were the searched group larger, no cost would change;
+        only a state budget, which counts orbits, could cut a sweep earlier.
+
+        Area bound.  Each functional F of :attr:`area_lower_bound` (an
+        exponent sum, or the winding-number function of the balanced
+        projection) adds over products of closed words and is kept by free
+        reduction, and |F| by rotation and inversion.  So the largest |F|
+        over the combined relators is at most m times the largest over the
+        base relators, and r^m reaches it.  As ⌈⌈x/s⌉/m⌉ = ⌈x/(s·m)⌉, the
+        combined bound is ⌈base bound / m⌉."""
+        system = cls(combined, symmetries=base.symmetries)
+        base_bound = base.area_lower_bound
+        system.area_lower_bound = lambda codes: -(-base_bound(codes) // m)
+        return system
 
     def canonical(self, codes: bytes) -> bytes:
         """The least image of ``codes`` under the symmetry group."""
@@ -494,6 +529,26 @@ def filling_length(w: Word, rs: RewriteSystem, budget: SearchBudget) -> OracleRe
         if not sweep.complete:
             return OracleResult(None, OracleStatus.BUDGET_EXCEEDED)
     return OracleResult(None, OracleStatus.LOWER_BOUND_ONLY)
+
+
+def trivial_words(rs: RewriteSystem, budget: SearchBudget, n: int) -> list[Word]:
+    """Every word of length ≤ n that :func:`is_trivial` calls trivial, in
+    shortlex order, read off the sweeps rather than decided word by word.
+
+    A word ``w`` is trivial when the cap-max(L, |w|) sweep holds its least
+    image.  The maps form a group and a word's least image is one of its
+    images, so the trivial words of length k are the images of that sweep's
+    keys of length k: those of length ≤ min(n, L) of the cap-L sweep, and
+    those of length k of the cap-k sweep for L < k ≤ n."""
+    cap = budget.max_word_length
+    keys = [key for key in rs.explore(cap, budget.max_states).costs if len(key) <= n]
+    for k in range(cap + 1, n + 1):
+        keys += [key for key in rs.explore(k, budget.max_states).costs if len(key) == k]
+    images = {image for key in keys
+              for image in (*map(key.translate, rs.symmetries), *map(key[::-1].translate, rs._inverted))}
+    ordered = sorted(images)
+    ordered.sort(key=len)  # stable: shortlex
+    return list(map(Word, ordered))
 
 
 def is_trivial(w: Word, rs: RewriteSystem, budget: SearchBudget) -> tuple[bool, OracleStatus]:

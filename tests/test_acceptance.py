@@ -259,7 +259,8 @@ def test_criterion_9_determinism(capsys, tmp_path):
                 capture_output=True,
                 text=True,
                 cwd=REPO,
-                env={"PYTHONHASHSEED": str(run), "PATH": "/usr/bin:/bin", "PYTHONPATH": pythonpath},
+                env={"PYTHONHASHSEED": str(run), "PATH": "/usr/bin:/bin", "PYTHONPATH": pythonpath,
+                     "PYTHONDONTWRITEBYTECODE": "1"},
             )
             expected = 1 if label == "profile" else 0  # the z2 profile's radius columns disagree
             assert proc.returncode == expected, (label, proc.returncode, proc.stderr)

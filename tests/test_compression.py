@@ -4,14 +4,21 @@ import itertools
 
 import pytest
 
-from loopfold import compression
+from loopfold import compression, rewrite
 from loopfold.compression import (
     CombinatorialBlowupError,
     compress,
     verify_compression,
 )
-from loopfold.core import Presentation, Word, parse_presentation, parse_word, render_presentation
-from loopfold.rewrite import OracleResult, OracleStatus, RewriteSystem, SearchBudget, min_isoperimetric
+from loopfold.core import Presentation, Word, parse_presentation, parse_word, render_presentation, words_up_to
+from loopfold.rewrite import (
+    OracleResult,
+    OracleStatus,
+    RewriteSystem,
+    SearchBudget,
+    is_trivial,
+    min_isoperimetric,
+)
 
 Z2 = parse_presentation("gens: a\nrels: aa")
 Z3 = parse_presentation("gens: a\nrels: aaa")
@@ -135,7 +142,7 @@ def test_fusion_halves_every_word(p, n_max, monkeypatch):
         areas.setdefault(w, {})[system is base_system] = result
         return result
 
-    monkeypatch.setattr(compression, "min_isoperimetric", measured)
+    monkeypatch.setattr(rewrite, "min_isoperimetric", measured)
     budget = SearchBudget(max_word_length=n_max)
     assert verify_compression(compress(p), n_max, budget, base_system).all_hold
     assert areas
@@ -151,6 +158,28 @@ def test_verify_cut_sweeps_leave_unequal_lists_undecided():
     report = verify_compression(compress(Z3), 6, SearchBudget(max_states=15), RewriteSystem(Z3))
     assert report.triviality_agreement is None
     assert not report.all_hold
+
+
+KLEIN = parse_presentation("gens: a b\nrels: abAb")
+
+
+@pytest.mark.parametrize("p, n_max, budget", [
+    (Z2, 6, BUDGET), (Z3, 6, BUDGET), (LATTICE, 4, SearchBudget(max_word_length=4)),
+    (CONJUGATE, 4, SearchBudget(max_word_length=4)), (KLEIN, 4, SearchBudget(max_word_length=4)),
+    (Z3, 6, SearchBudget(max_states=15)), (LATTICE, 4, SearchBudget(4, max_states=15)),
+    (POWERS, 5, SearchBudget(3, max_states=15)),
+], ids=["z2", "z3", "lattice", "conjugate", "klein", "z3-cut", "lattice-cut", "powers-cut"])
+def test_verify_equals_the_searched_path(p, n_max, budget, monkeypatch):
+    # the reference searches the combined system's symmetries and area
+    # bound, and decides every word of length ≤ n_max on its own
+    report = verify_compression(compress(p), n_max, budget, RewriteSystem(p))
+
+    def decided(system, budget, n):
+        return [w for w in words_up_to(2 * p.num_generators, n) if is_trivial(w, system, budget)[0]]
+
+    monkeypatch.setattr(RewriteSystem, "fused", classmethod(lambda cls, base, combined, m: cls(combined)))
+    monkeypatch.setattr(rewrite, "trivial_words", decided)
+    assert verify_compression(compress(p), n_max, budget, RewriteSystem(p)) == report
 
 
 def test_verify_refuses_another_presentations_system():

@@ -8,7 +8,7 @@ from collections import deque
 import pytest
 
 from loopfold.compression import compress
-from loopfold.core import EMPTY, Presentation, Word, parse_word, words_up_to
+from loopfold.core import EMPTY, Presentation, Word, parse_word, symmetric_closure, words_up_to
 from loopfold.rewrite import (
     OracleStatus,
     RewriteSystem,
@@ -16,6 +16,7 @@ from loopfold.rewrite import (
     filling_length,
     is_trivial,
     min_isoperimetric,
+    trivial_words,
 )
 
 Z2 = Presentation(1, [parse_word("aa", 1)])
@@ -504,6 +505,62 @@ class TestFusedLattice:
         keys = [(len(r.lhs), r.lhs.codes, len(r.rhs), r.rhs.codes) for r in rules]
         assert all(a < b for a, b in zip(keys, keys[1:]))  # sorted, no repeats
         assert _digest((r.lhs.codes, r.rhs.codes) for r in rules) == "99779208c01989b6"
+
+
+KLEIN = Presentation(2, [parse_word("abAb", 2)])
+S3 = Presentation(2, [parse_word(t, 2) for t in ("aa", "bbb", "abab")])
+Z6 = Presentation(2, [parse_word(t, 2) for t in ("aa", "bbb", "abAB")])
+FUSED_SAMPLES = [Z2, Z3, LATTICE, COLLAPSE, CONJUGATE, A4_A6, KLEIN, S3, Z6,
+                 Presentation(2, [parse_word("a", 2)]), Presentation(2, [parse_word("aaB", 2)])]
+FUSED_IDS = ["z2", "z3", "zxz", "collapse", "conjugate", "a4-a6", "klein", "s3", "z6", "a", "aaB"]
+
+
+class TestFusedSystem:
+    """``RewriteSystem.fused`` reads the combined system's symmetries and
+    area bound off the base system; the searched ones are the reference."""
+
+    @pytest.mark.parametrize("p", FUSED_SAMPLES, ids=FUSED_IDS)
+    def test_symmetries_and_bound_equal_the_searched_ones(self, p):
+        c = compress(p)
+        fused = RewriteSystem.fused(RewriteSystem(p), c.combined, c.m)
+        searched = RewriteSystem(c.combined)
+        assert fused.presentation == c.combined
+        assert sorted(fused.symmetries) == sorted(searched.symmetries)
+        assert sorted(fused._inverted) == sorted(searched._inverted)
+        words = [*(u.codes for u in words_up_to(p.alphabet_size, 6)),
+                 *(r.codes for r in c.combined.relators)]
+        assert [fused.area_lower_bound(u) for u in words] == [searched.area_lower_bound(u) for u in words]
+
+    @pytest.mark.parametrize("p", FUSED_SAMPLES, ids=FUSED_IDS)
+    def test_each_derived_map_sends_the_combined_closure_onto_itself(self, p):
+        c = compress(p)
+        fused = RewriteSystem.fused(RewriteSystem(p), c.combined, c.m)
+        closure = set(symmetric_closure(c.combined.relators))
+        for m in symmetry_maps(fused):
+            assert {m(r) for r in closure} == closure
+
+
+class TestTrivialWords:
+    """The trivial words read off the sweeps are the words
+    :func:`is_trivial` accepts one by one, cut sweeps and n past the length
+    cap included."""
+
+    @pytest.mark.parametrize("p, n", [(Z2, 7), (Z3, 7), (A4_A6, 7), (TRIVIAL, 6), (LATTICE, 5),
+                                      (COLLAPSE, 5), (CONJUGATE, 5), (BS12, 5), (ASYMMETRIC, 5)],
+                             ids=["z2", "z3", "a4-a6", "trivial", "zxz", "collapse", "conjugate",
+                                  "bs12", "asymmetric"])
+    def test_equal_deciding_every_word(self, p, n):
+        rs = RewriteSystem(p)
+        words = list(words_up_to(p.alphabet_size, n))
+        for cap in range(1, 6):
+            for max_states in (3, 50, 2_000_000):
+                budget = SearchBudget(cap, max_states)
+                expected = [u for u in words if is_trivial(u, rs, budget)[0]]
+                assert trivial_words(rs, budget, n) == expected, (cap, max_states)
+                assert trivial_words(rs, budget, cap - 1) == [u for u in expected if len(u) < cap]
+
+    def test_none_below_length_zero(self):
+        assert trivial_words(RewriteSystem(Z2), SearchBudget(), -1) == []
 
 
 class TestIndexGrowth:
