@@ -238,9 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_budget(cmd):
         cmd.add_argument("--budget-len", type=int, default=8,
-                         help="search cap on rewrite word length (default 8)")
+                         help="search cap on rewrite word length (default %(default)d)")
         cmd.add_argument("--budget-states", type=int, default=2_000_000,
-                         help="search cap on the word orbits a sweep holds (default 2000000)")
+                         help="search cap on the word orbits a sweep holds (default %(default)d)")
 
     wp = sub.add_parser("wp", help="decide triviality against a folded loop complex")
     wp.add_argument("presentation")

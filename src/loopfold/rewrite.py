@@ -21,8 +21,8 @@ cap is asked for: the fused ℤ² lattice has 168,880 rules, and its sweeps at
 caps 4 and 6 index 408 and 4,872 of them.  Both indexes are cut again to the
 right-hand sides that fit in the room left under the cap, so a sweep costs
 what its reachable words need rather than what the rule count implies.  The
-rules as :class:`Rule` objects are made only when ``relator_rules`` is read,
-straight from the symmetrized relators: with ``free_rules`` and
+rules as :class:`Rule` objects, ``relator_rules`` (straight from the
+symmetrized relators) and ``free_rules``, are made only when read: with
 :meth:`RewriteSystem.apply_rule_positions`, the tests' reference for the search.
 
 Sweeps are taken up to symmetry (Emerson & Sistla, *Symmetry and model
@@ -30,11 +30,12 @@ checking*, 1996).  A signed generator permutation that maps the symmetrized
 relator set onto itself, with or without ``w -> w^-1``, is an automorphism of
 the rewrite graph that keeps costs, lengths and the empty word, so a sweep
 holds one representative per orbit of such maps, its least image, and a
-state budget counts orbits.  The maps are found by checking the
-presentation's own relators against the closure, which is enough (see
-:func:`_letter_maps`); the system of a fused presentation takes those of
-its base instead (:meth:`RewriteSystem.fused`).  A cost lookup
-canonicalizes the word first: see :meth:`Exploration.cost`.
+state budget counts orbits.  The first sweep searches the maps by checking
+the presentation's own relators against the closure, which is enough (see
+:func:`_letter_maps`); a fused system is given its base's instead
+(:meth:`RewriteSystem.fused`).  :meth:`RewriteSystem.orbit` lists a word's
+images, and a cost lookup canonicalizes the word first: see
+:meth:`Exploration.cost`.
 
 Searches are capped by a :class:`SearchBudget`, and no a-priori bound on
 intermediate word length is available.  An area is reported ``Exact`` when
@@ -108,31 +109,22 @@ def prefix_maxima(
     return column
 
 
-class SearchBudget:
+class _Caps(NamedTuple):
+    max_word_length: int = 8
+    max_states: int = 2_000_000
+
+
+class SearchBudget(_Caps):
     """The caps of a rewrite search: the longest intermediate word and the
     word orbits a sweep may hold.  Both must be at least 1."""
 
-    __slots__ = ("max_word_length", "max_states")
+    __slots__ = ()
 
-    def __init__(self, max_word_length: int = 8, max_states: int = 2_000_000):
-        if max_word_length < 1 or max_states < 1:
+    def __new__(cls, *args, **kwargs):
+        budget = super().__new__(cls, *args, **kwargs)
+        if min(budget) < 1:
             raise ValueError("budget fields must be positive")
-        object.__setattr__(self, "max_word_length", max_word_length)
-        object.__setattr__(self, "max_states", max_states)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SearchBudget is immutable")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SearchBudget):
-            return NotImplemented
-        return (self.max_word_length, self.max_states) == (other.max_word_length, other.max_states)
-
-    def __hash__(self) -> int:
-        return hash((self.max_word_length, self.max_states))
-
-    def __repr__(self) -> str:
-        return f"SearchBudget(max_word_length={self.max_word_length}, max_states={self.max_states})"
+        return budget
 
 
 class BudgetFailure(RuntimeError):
@@ -264,19 +256,8 @@ class Exploration(NamedTuple):
 class RewriteSystem:
     """Factor-rewriting rules of a presentation plus the free-group moves."""
 
-    def __init__(self, presentation: Presentation, *, symmetries: tuple[bytes, ...] | None = None):
-        """``symmetries``, when given, is a group of letter maps that the
-        caller has proved map the symmetrized relators onto themselves
-        (see :meth:`fused`); by default they are searched."""
+    def __init__(self, presentation: Presentation):
         self.presentation = presentation
-
-        free_rules = []
-        for c in range(presentation.alphabet_size):
-            pair = Word(bytes((c, c ^ 1)))
-            free_rules.append(Rule(pair, EMPTY, False))
-            free_rules.append(Rule(EMPTY, pair, False))
-        self.free_rules: tuple[Rule, ...] = tuple(free_rules)
-
         # the symmetrized relators, shortlex, so those that fit under a cap
         # come first
         self._relators = tuple(symmetric_closure(presentation.relators))
@@ -289,24 +270,33 @@ class RewriteSystem:
         # the same views cut to the right-hand sides that fit in a given room
         self._inserts_within: dict[int, tuple[bytes, ...]] = {}
         self._subst_within: dict[int, dict[bytes, tuple[bytes, ...]]] = {}
-
-        # the symmetry group: letter maps, each also composed with inversion
-        if symmetries is None:
-            maps = _letter_maps(frozenset(self._relators), [r.codes for r in presentation.relators],
-                                presentation.num_generators, _MAX_SYMMETRIES // 2)
-            symmetries = tuple(maps or [_IDENTITY])
-        self.symmetries: tuple[bytes, ...] = symmetries
-        # a table for w -> σ(w^-1), read on the reversed word
-        self._inverted: tuple[bytes, ...] = tuple(t.translate(_INVERSE) for t in self.symmetries)
-
         self._sweeps: dict[tuple[int, int], Exploration] = {}
+
+    @functools.cached_property
+    def symmetries(self) -> tuple[bytes, ...]:
+        """The letter maps of the symmetry group, searched on the first read
+        (:func:`_letter_maps`); past the search limit, the identity alone,
+        which with ``w -> w^-1`` makes a group of two."""
+        maps = _letter_maps(frozenset(self._relators), [r.codes for r in self.presentation.relators],
+                            self.presentation.num_generators, _MAX_SYMMETRIES // 2)
+        return tuple(maps or [_IDENTITY])
+
+    @functools.cached_property
+    def free_rules(self) -> tuple[Rule, ...]:
+        """The free moves ``c c^-1 -> 1`` and ``1 -> c c^-1`` as rules."""
+        rules = []
+        for c in range(self.presentation.alphabet_size):
+            pair = Word(bytes((c, c ^ 1)))
+            rules += [Rule(pair, EMPTY, False), Rule(EMPTY, pair, False)]
+        return tuple(rules)
 
     @classmethod
     def fused(cls, base: "RewriteSystem", combined: Presentation, m: int) -> "RewriteSystem":
         """The rewrite system of ``combined``, the symmetrized relators of
         ``base.presentation`` together with the reduced products of 2..m of
-        them (:func:`~loopfold.compression.compress`), with its symmetries
-        and its area bound read off ``base`` instead of its own relators.
+        them (:func:`~loopfold.compression.compress`), whose
+        :attr:`symmetries` and :attr:`area_lower_bound` are set from
+        ``base`` rather than searched over its own relators.
 
         Symmetries.  Every relator of ``combined`` is the free reduction of
         a product of at most m symmetrized base relators.  A letter map σ of
@@ -325,15 +315,21 @@ class RewriteSystem:
         over the combined relators is at most m times the largest over the
         base relators, and r^m reaches it.  As ⌈⌈x/s⌉/m⌉ = ⌈x/(s·m)⌉, the
         combined bound is ⌈base bound / m⌉."""
-        system = cls(combined, symmetries=base.symmetries)
+        system = cls(combined)
+        system.symmetries = base.symmetries
         base_bound = base.area_lower_bound
         system.area_lower_bound = lambda codes: -(-base_bound(codes) // m)
         return system
 
+    def orbit(self, codes: bytes) -> list[bytes]:
+        """The images of ``codes`` under the symmetry group: σ(w) and
+        σ(w^-1) for each letter map σ, repeats included."""
+        inverse = codes[::-1].translate(_INVERSE)
+        return [*map(codes.translate, self.symmetries), *map(inverse.translate, self.symmetries)]
+
     def canonical(self, codes: bytes) -> bytes:
         """The least image of ``codes`` under the symmetry group."""
-        return min([*map(codes.translate, self.symmetries),
-                    *map(codes[::-1].translate, self._inverted)])
+        return min(self.orbit(codes))
 
     @functools.cached_property
     def relator_rules(self) -> tuple[Rule, ...]:
@@ -450,7 +446,7 @@ class RewriteSystem:
 
     # -- exhaustive search -----------------------------------------------
 
-    def explore(self, cap: int, max_states: int = 2_000_000) -> Exploration:
+    def explore(self, cap: int, max_states: int = SearchBudget().max_states) -> Exploration:
         """0-1 BFS from the empty word over words of length ≤ ``cap``, on
         orbit representatives: each successor is replaced by its least image.
 
@@ -544,8 +540,7 @@ def trivial_words(rs: RewriteSystem, budget: SearchBudget, n: int) -> list[Word]
     keys = [key for key in rs.explore(cap, budget.max_states).costs if len(key) <= n]
     for k in range(cap + 1, n + 1):
         keys += [key for key in rs.explore(k, budget.max_states).costs if len(key) == k]
-    images = {image for key in keys
-              for image in (*map(key.translate, rs.symmetries), *map(key[::-1].translate, rs._inverted))}
+    images = {image for key in keys for image in rs.orbit(key)}
     ordered = sorted(images)
     ordered.sort(key=len)  # stable: shortlex
     return list(map(Word, ordered))

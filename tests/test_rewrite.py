@@ -7,6 +7,7 @@ from collections import deque
 
 import pytest
 
+from loopfold import rewrite
 from loopfold.compression import compress
 from loopfold.core import EMPTY, Presentation, Word, parse_word, symmetric_closure, words_up_to
 from loopfold.rewrite import (
@@ -526,7 +527,6 @@ class TestFusedSystem:
         searched = RewriteSystem(c.combined)
         assert fused.presentation == c.combined
         assert sorted(fused.symmetries) == sorted(searched.symmetries)
-        assert sorted(fused._inverted) == sorted(searched._inverted)
         words = [*(u.codes for u in words_up_to(p.alphabet_size, 6)),
                  *(r.codes for r in c.combined.relators)]
         assert [fused.area_lower_bound(u) for u in words] == [searched.area_lower_bound(u) for u in words]
@@ -538,6 +538,69 @@ class TestFusedSystem:
         closure = set(symmetric_closure(c.combined.relators))
         for m in symmetry_maps(fused):
             assert {m(r) for r in closure} == closure
+
+
+ORBIT_SAMPLES = [*((p, True) for p in FUSED_SAMPLES),
+                 *((p, False) for p in (BS12, HEISENBERG, Presentation(2, [parse_word("abaBAB", 2)]),
+                                        Presentation(2, [])))]
+ORBIT_IDS = [*FUSED_IDS, "bs12", "heisenberg", "abaBAB", "free2"]
+
+
+class TestOrbits:
+    """:meth:`RewriteSystem.orbit` lists a word's images.  ``measure_profile``
+    reads P and f once per orbit, and ``fused`` derives its bound, on the
+    fact that the area bound is constant on the orbit of a trivial word."""
+
+    @pytest.mark.parametrize("p, fuse", ORBIT_SAMPLES, ids=ORBIT_IDS)
+    def test_bound_and_least_image_are_constant_on_orbits(self, p, fuse):
+        base = RewriteSystem(p)
+        systems = [base]
+        if fuse:
+            c = compress(p)
+            systems.append(RewriteSystem.fused(base, c.combined, c.m))
+        n = 6 if p.num_generators < 3 else 5
+        for u in trivial_words(base, SearchBudget(6), n):
+            for rs in systems:
+                images = rs.orbit(u.codes)
+                assert u.codes in images
+                assert len({rs.area_lower_bound(v) for v in images}) == 1, u
+                assert len(set(map(rs.canonical, images))) == 1, u
+
+
+def count_symmetry_searches(monkeypatch):
+    calls = []
+    search = rewrite._letter_maps
+    monkeypatch.setattr(rewrite, "_letter_maps", lambda *args: calls.append(args) or search(*args))
+    return calls
+
+
+class TestSymmetrySearch:
+    """The symmetry group is searched on its first read, once per system,
+    and a fused system takes its base's without a search."""
+
+    @pytest.mark.parametrize("p", [Z3, LATTICE, BS12], ids=["z3", "zxz", "bs12"])
+    def test_a_base_system_searches_once(self, monkeypatch, p):
+        calls = count_symmetry_searches(monkeypatch)
+        rs = RewriteSystem(p)
+        assert calls == []
+        rs.explore(4)
+        rs.explore(6)
+        rs.canonical(p.relators[0].codes)
+        trivial_words(rs, SearchBudget(4), 5)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("p", [Z3, LATTICE, BS12], ids=["z3", "zxz", "bs12"])
+    def test_a_fused_system_never_searches(self, monkeypatch, p):
+        base = RewriteSystem(p)
+        assert base.symmetries  # searched before the count starts
+        calls = count_symmetry_searches(monkeypatch)
+        c = compress(p)
+        fused = RewriteSystem.fused(base, c.combined, c.m)
+        fused.explore(4)
+        fused.explore(6, 50)
+        trivial_words(fused, SearchBudget(4), 5)
+        assert calls == []
+        assert fused.symmetries is base.symmetries
 
 
 class TestTrivialWords:

@@ -13,7 +13,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "loopfold"
 KEPT = {
     "core.words_up_to": "lists every word: the per-word reference the sweep-read trivial words are checked against",
     "fillings.ReferenceOracle.decide": "decides one word: the per-word reference the sweep-read trivial words are checked against",
-    "automata.fold": "the whole-graph fold the folder's pins came from; perfbench times it",
+    "automata.fold": "the whole-graph fold the folder's pins came from; perfbench's tracer binds it by name",
     "automata.FoldedGraph.edges": "the edge lists the folder pins compare",
     "automata.restrict_to_radius": "acceptance criterion 3 compares Cayley balls with it",
     "automata.canonical_form": "the tests' isomorphism check of folded graphs",
