@@ -13,17 +13,17 @@ A system is built on ``bytes``: the symmetrized relators come from
 relators close to 11,040 in 1,470 rotation scans, as a relator or inverse
 already in the closure adds nothing.
 
-The search reads the relator rules as ``bytes`` from two indexes: the
+Each sweep indexes the relator rules it can fire, as ``bytes``: the
 insertions ``1 -> v`` and the substitutions keyed by left-hand side, each in
-rule order.  They hold only the rules that can fire under the largest cap
-asked for so far, those with |u| ≤ cap and |v| ≤ cap, and grow when a larger
-cap is asked for: the fused ℤ² lattice has 168,880 rules, and its sweeps at
-caps 4 and 6 index 408 and 4,872 of them.  Both indexes are cut again to the
-right-hand sides that fit in the room left under the cap, so a sweep costs
-what its reachable words need rather than what the rule count implies.  The
-rules as :class:`Rule` objects, ``relator_rules`` (straight from the
-symmetrized relators) and ``free_rules``, are made only when read: with
-:meth:`RewriteSystem.apply_rule_positions`, the tests' reference for the search.
+rule order, holding only the splits with |u| ≤ cap and |v| ≤ cap.  The fused
+ℤ² lattice has 168,880 rules, and its sweeps at caps 4 and 6 index 408 and
+4,872 of them.  The sweep cuts both indexes again to the right-hand sides
+that fit in the room left under the cap, so it costs what its reachable
+words need rather than what the rule count implies, and drops them all when
+it ends.  The rules as :class:`Rule` objects, ``relator_rules`` (straight
+from the symmetrized relators) and ``free_rules``, are made only when read:
+with :meth:`RewriteSystem.apply_rule_positions`, the tests' reference for
+the search.
 
 Sweeps are taken up to symmetry (Emerson & Sistla, *Symmetry and model
 checking*, 1996).  A signed generator permutation that maps the symmetrized
@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import math
 from collections import deque
 from itertools import combinations, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -261,15 +260,6 @@ class RewriteSystem:
         # the symmetrized relators, shortlex, so those that fit under a cap
         # come first
         self._relators = tuple(symmetric_closure(presentation.relators))
-        # factor-indexed views for the search inner loop, built from bytes by
-        # _cover for the largest cap asked for so far (empty until then)
-        self._index_cap: float = -1
-        self._relator_inserts: tuple[bytes, ...] = ()
-        self._subst: dict[bytes, tuple[bytes, ...]] = {}
-        self._lhs_lengths: tuple[int, ...] = ()
-        # the same views cut to the right-hand sides that fit in a given room
-        self._inserts_within: dict[int, tuple[bytes, ...]] = {}
-        self._subst_within: dict[int, dict[bytes, tuple[bytes, ...]]] = {}
         self._sweeps: dict[tuple[int, int], Exploration] = {}
 
     @functools.cached_property
@@ -339,29 +329,6 @@ class RewriteSystem:
         ordered = sorted(pairs, key=lambda p: (len(p[0]), p[0], len(p[1]), p[1]))
         return tuple(Rule(Word(u), Word(v), True) for u, v in ordered)
 
-    def _cover(self, cap: int) -> None:
-        """Index the relator rules that can fire under ``cap``: the splits
-        ``r = u * v^-1`` with |u| ≤ cap and |v| ≤ cap.  Any other rule has a
-        left-hand side longer than every word or a result longer than the
-        cap.  A relator longer than ``2 * cap`` has no such split, and the
-        relators are in shortlex order, so the loop stops at the first one.
-        Once the cap reaches the longest relator the index holds every rule
-        and is never rebuilt.  The cut views stay valid across a rebuild:
-        each holds only right-hand sides no longer than the cap it was cut
-        for, all of which were indexed then."""
-        by_lhs: dict[bytes, set[bytes]] = {}
-        for r in self._relators:
-            n = len(r)
-            if n > 2 * cap:
-                break
-            for i in range(max(0, n - cap), min(n, cap) + 1):
-                by_lhs.setdefault(r[:i], set()).add(r[i:][::-1].translate(_INVERSE))
-        self._relator_inserts = tuple(sorted(by_lhs.pop(b"", ())))
-        self._subst = {u: tuple(sorted(vs)) for u, vs in by_lhs.items()}
-        self._lhs_lengths = tuple(sorted({len(u) for u in self._subst}))
-        longest = len(self._relators[-1]) if self._relators else 0
-        self._index_cap = cap if cap < longest else math.inf
-
     # -- rule application ------------------------------------------------
 
     def apply_rule_positions(self, w: Word) -> set[tuple[Rule, int, Word]]:
@@ -374,46 +341,68 @@ class RewriteSystem:
                     out.add((rule, i, Word(w.codes[:i] + rule.rhs.codes + w.codes[i + k :])))
         return out
 
-    def _neighbors(self, codes: bytes, cap: int) -> Iterator[tuple[int, bytes]]:
-        """(cost, successor) pairs of ``codes``, intermediates capped at ``cap``.
+    def _successors(self, cap: int) -> Callable[[bytes], Iterator[tuple[int, bytes]]]:
+        """The successor function of a sweep capped at ``cap``: it maps a
+        word of length ≤ ``cap`` to its (cost, successor) pairs.
+
+        Only the relator rules that can fire under the cap are indexed: the
+        splits ``r = u * v^-1`` with |u| ≤ cap and |v| ≤ cap.  Any other
+        rule has a left-hand side longer than every word or a result longer
+        than the cap.  A relator longer than ``2 * cap`` has no such split,
+        and the relators are in shortlex order, so the loop stops at the
+        first one.
 
         Order: free cancellations, free insertions, relator insertions (by
         right-hand side, then position), substitutions (by left-hand length,
-        position, right-hand side).  Right-hand sides are read from views cut
-        to the room left under the cap, so no option is tested for length
-        here; a left-hand side's cut is made the first time it is met.  The
-        index is grown first if it does not cover the cap or the word.
-        """
-        n = len(codes)
-        if cap > self._index_cap or n > self._index_cap:
-            self._cover(max(cap, n))
-        for i in range(n - 1):
-            if codes[i + 1] == codes[i] ^ 1:
-                yield 0, codes[:i] + codes[i + 2 :]
-        if n + 2 <= cap:
-            for i in range(n + 1):
-                for c in range(self.presentation.alphabet_size):
-                    yield 0, codes[:i] + bytes((c, c ^ 1)) + codes[i:]
-        room = cap - n
-        inserts = self._inserts_within.get(room)
-        if inserts is None:
-            inserts = tuple(v for v in self._relator_inserts if len(v) <= room)
-            self._inserts_within[room] = inserts
-        for v in inserts:
-            for i in range(n + 1):
-                yield 1, codes[:i] + v + codes[i:]
-        for k in self._lhs_lengths:
-            if k > n:
+        position, right-hand side).  Right-hand sides are read from tables
+        cut to the room left under the cap, so no option is tested for
+        length per successor; a left-hand side's cut is made the first time
+        it is met."""
+        by_lhs: dict[bytes, set[bytes]] = {}
+        for r in self._relators:
+            n = len(r)
+            if n > 2 * cap:
                 break
-            within = self._subst_within.setdefault(room + k, {})
-            for i in range(n - k + 1):
-                u = codes[i : i + k]
-                options = within.get(u)
-                if options is None:
-                    options = tuple(v for v in self._subst.get(u, ()) if len(v) <= room + k)
-                    within[u] = options
-                for v in options:
-                    yield 1, codes[:i] + v + codes[i + k :]
+            for i in range(max(0, n - cap), min(n, cap) + 1):
+                by_lhs.setdefault(r[:i], set()).add(r[i:][::-1].translate(_INVERSE))
+        relator_inserts = sorted(by_lhs.pop(b"", ()))
+        subst = {u: sorted(vs) for u, vs in by_lhs.items()}
+        lhs_lengths = sorted({len(u) for u in subst})
+        pairs = [bytes((c, c ^ 1)) for c in range(self.presentation.alphabet_size)]
+        inserts_within: dict[int, tuple[bytes, ...]] = {}  # room -> insertions that fit
+        subst_within: dict[int, dict[bytes, tuple[bytes, ...]]] = {}  # room + |u| -> u -> vs
+
+        def successors(codes: bytes) -> Iterator[tuple[int, bytes]]:
+            n = len(codes)
+            for i in range(n - 1):
+                if codes[i + 1] == codes[i] ^ 1:
+                    yield 0, codes[:i] + codes[i + 2 :]
+            if n + 2 <= cap:
+                for i in range(n + 1):
+                    for pair in pairs:
+                        yield 0, codes[:i] + pair + codes[i:]
+            room = cap - n
+            inserts = inserts_within.get(room)
+            if inserts is None:
+                inserts = tuple(v for v in relator_inserts if len(v) <= room)
+                inserts_within[room] = inserts
+            for v in inserts:
+                for i in range(n + 1):
+                    yield 1, codes[:i] + v + codes[i:]
+            for k in lhs_lengths:
+                if k > n:
+                    break
+                within = subst_within.setdefault(room + k, {})
+                for i in range(n - k + 1):
+                    u = codes[i : i + k]
+                    options = within.get(u)
+                    if options is None:
+                        options = tuple(v for v in subst.get(u, ()) if len(v) <= room + k)
+                        within[u] = options
+                    for v in options:
+                        yield 1, codes[:i] + v + codes[i + k :]
+
+        return successors
 
     @functools.cached_property
     def area_lower_bound(self) -> Callable[[bytes], int]:
@@ -454,7 +443,8 @@ class RewriteSystem:
         minimum relator-rule count of a capped rewrite sequence from ``w``
         to the empty word.  The sweep holds at most ``max_states`` orbits;
         one more makes it incomplete.  Results are cached per (cap, state
-        budget).
+        budget); the rule index a sweep reads (:meth:`_successors`) is built
+        for its cap and dropped when it ends.
         """
         key = (cap, max_states)
         cached = self._sweeps.get(key)
@@ -462,6 +452,7 @@ class RewriteSystem:
             return cached
 
         canonical = self.canonical
+        successors = self._successors(cap)
         costs: dict[bytes, int] = {b"": 0}
         dq: deque[tuple[int, bytes]] = deque([(0, b"")])
         complete = True
@@ -469,7 +460,7 @@ class RewriteSystem:
             cost, codes = dq.popleft()
             if costs[codes] != cost:
                 continue
-            for dcost, nxt in self._neighbors(codes, cap):
+            for dcost, nxt in successors(codes):
                 nc = cost + dcost
                 old = costs.get(nxt)  # a key is its own least image
                 if old is None:

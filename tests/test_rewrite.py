@@ -93,18 +93,20 @@ class TestRuleSet:
                 back = {r2 for _r, _p, r2 in rs.apply_rule_positions(res)}
                 assert u in back
 
-    def test_neighbors_match_faithful_enumerator(self):
-        # Relators of mixed lengths and caps just above the word's length
-        # make the room filter cut inside an option list.
+    def test_successors_match_faithful_enumerator(self):
+        # Relators of mixed lengths and caps from the word's length up make
+        # the room filter cut inside an option list; at room 0 every relator
+        # insertion is cut and a substitution must not lengthen the word.
         rng = random.Random(32)
         mixed = Presentation(2, [w("aa"), w("abAB"), w("bbb")])
-        for p in (Z2, LATTICE, COLLAPSE, compress(Z2).combined, compress(Z3).combined, mixed):
+        for p in (Z2, LATTICE, COLLAPSE, compress(Z2).combined, compress(Z3).combined, mixed,
+                  HEISENBERG, BS12):
             rs = RewriteSystem(p)
             for _ in range(30):
                 u = random_word(rng, p.alphabet_size, rng.randrange(0, 5))
-                for cap in range(len(u) + 1, len(u) + 5):
+                for cap in range(len(u), len(u) + 5):
                     fast = {}
-                    for cost, codes in rs._neighbors(u.codes, cap):
+                    for cost, codes in rs._successors(cap)(u.codes):
                         fast[codes] = min(cost, fast.get(codes, 2))
                     slow = {}
                     for rule, _pos, res in rs.apply_rule_positions(u):
@@ -422,6 +424,19 @@ class TestDeterminism:
         assert a.costs == b.costs
         assert list(a.costs) == list(b.costs)
 
+    @pytest.mark.parametrize("max_states, orbits, cost_sum, digest", [
+        (50, 50, 27, "2997e84b5683d1bd"),
+        (300, 300, 108, "4f52db252631c9fc"),
+    ])
+    def test_cut_sweeps_keep_their_order(self, max_states, orbits, cost_sum, digest):
+        # three generators and relators of odd and even length: the
+        # successor order decides which orbits a cut sweep holds (a full
+        # sweep holds 463) and the order of its keys
+        sweep = RewriteSystem(HEISENBERG).explore(6, max_states)
+        assert sweep.complete is False
+        assert (len(sweep.costs), sum(sweep.costs.values())) == (orbits, cost_sum)
+        assert _digest((k, str(c).encode()) for k, c in sweep.costs.items()) == digest
+
 
 def expand_orbits(rs, sweep):
     """Every word of the sweep's orbits with its representative's cost."""
@@ -444,13 +459,14 @@ INVERSE = bytes(c ^ 1 for c in range(256))
 
 def plain_sweep(rs, cap):
     """A 0-1 BFS from the empty word over every word, no quotient."""
+    successors = rs._successors(cap)
     costs = {b"": 0}
     dq = deque([(0, b"")])
     while dq:
         cost, codes = dq.popleft()
         if costs[codes] != cost:
             continue
-        for dcost, nxt in rs._neighbors(codes, cap):
+        for dcost, nxt in successors(codes):
             if nxt not in costs or cost + dcost < costs[nxt]:
                 costs[nxt] = cost + dcost
                 (dq.append if dcost else dq.appendleft)((cost + dcost, nxt))
@@ -506,6 +522,21 @@ class TestFusedLattice:
         keys = [(len(r.lhs), r.lhs.codes, len(r.rhs), r.rhs.codes) for r in rules]
         assert all(a < b for a, b in zip(keys, keys[1:]))  # sorted, no repeats
         assert _digest((r.lhs.codes, r.rhs.codes) for r in rules) == "99779208c01989b6"
+
+    def test_fused_lattice_sweeps_index_only_what_they_use(self):
+        # the sweeps of compress --verify on ℤ² at its default budget; with
+        # all 168,880 rules indexed the peak is 33 MiB, with the 4,872 that
+        # fit under cap 6 it is 5.7 MiB
+        combined = compress(LATTICE).combined
+        tracemalloc.start()
+        try:
+            rs = RewriteSystem(combined)
+            rs.explore(4)
+            rs.explore(6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20, peak
 
 
 KLEIN = Presentation(2, [parse_word("abAb", 2)])
@@ -626,11 +657,11 @@ class TestTrivialWords:
         assert trivial_words(RewriteSystem(Z2), SearchBudget(), -1) == []
 
 
-class TestIndexGrowth:
-    """The rule index covers the largest cap asked for so far.  Each order
-    sweeps first at a cap below the longest relator (16, 3, 5 and 5), so
-    the index is built partial, read at a smaller cap, grown by a larger
-    one (complete for the last three), and read again."""
+class TestSweepIndependence:
+    """A sweep does not depend on the caps swept before it: a system swept
+    in any cap order equals fresh systems key for key.  Each order goes
+    down and up again, from a first cap below the longest relator (16, 3,
+    5 and 5) to, for the last three, caps above it."""
 
     @pytest.mark.parametrize("make, caps", [
         (lambda: compress(LATTICE).combined, (6, 4, 8)),
@@ -642,22 +673,7 @@ class TestIndexGrowth:
         p = make()
         rs = RewriteSystem(p)
         for cap in caps:
-            grown = rs.explore(cap)
+            swept = rs.explore(cap)
             fresh = RewriteSystem(p).explore(cap)
-            assert list(grown.costs.items()) == list(fresh.costs.items()), cap
-            assert grown.complete is fresh.complete
-
-    def test_fused_lattice_sweeps_index_only_what_they_use(self):
-        # the sweeps of compress --verify on ℤ² at its default budget; with
-        # all 168,880 rules indexed the peak is 33 MiB, with the 4,872 that
-        # fit under cap 6 it is 5.7 MiB
-        combined = compress(LATTICE).combined
-        tracemalloc.start()
-        try:
-            rs = RewriteSystem(combined)
-            rs.explore(4)
-            rs.explore(6)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 12 * 2**20, peak
+            assert list(swept.costs.items()) == list(fresh.costs.items()), cap
+            assert swept.complete is fresh.complete
