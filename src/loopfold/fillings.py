@@ -1,11 +1,14 @@
 """Filling-invariant profiles of a presentation, and their comparisons.
 
 For every length bound ``n`` up to a limit, the profile aggregates, over the
-trivial words of length ≤ n:
+trivial words of length ≤ n, all read off the reduced ones
+(:func:`measure_profile`):
 
 * ``P(n)`` — the largest minimum relator-application count (rewrite search,
   certified by :class:`RewriteSystem`'s area lower bound where the two meet);
-* ``f(n)`` — the largest filling length (rewrite search);
+  a word has the area of its free reduction;
+* ``f(n)`` — the largest filling length (rewrite search); a word ``w`` has
+  filling length max(|w|, FL(red w));
 * ``d(n)`` — the smallest loop-complex radius whose folded DFA accepts every
   reduced trivial word (completeness scan; soundness holds at any radius);
 * ``rhoTC(n)`` — the radius of the first partial Cayley graph that accepts
@@ -111,27 +114,43 @@ class ReferenceOracle:
         only while the word norm of its element, its distance from the
         identity, is at most the number of letters left; the rewrite search
         reads the words its sweeps hold (:func:`~loopfold.rewrite.trivial_words`),
-        the same list as deciding every word by :meth:`decide`."""
-        if n < 0:
-            return []
+        the same list as deciding every word by :meth:`decide`.
+        ``grammar-bound`` reads this full list, ``profile`` only
+        :meth:`reduced_trivial_words`."""
         if self.system is not None:
             return rewrite.trivial_words(self.system, self.budget, n)
+        return self._walk(n, reduced=False)
+
+    def reduced_trivial_words(self, n: int) -> list[Word]:
+        """The freely reduced words of :meth:`trivial_words`, in its order,
+        listed without the others: the closed-form walk never appends a
+        letter's inverse, and the rewrite search expands only its reduced
+        sweep keys (:func:`~loopfold.rewrite.reduced_trivial_words`)."""
+        if self.system is not None:
+            return rewrite.reduced_trivial_words(self.system, self.budget, n)
+        return self._walk(n, reduced=True)
+
+    def _walk(self, n: int, reduced: bool) -> list[Word]:
+        """The closed form's trivial words of length ≤ n, the reduced ones
+        alone if ``reduced``."""
+        if n < 0:
+            return []
         # a prefix's element lies within n/2 of the identity, so its
         # neighbours all lie in the ball
         ball = self.cayley_ball(n // 2 + 1)
         norm = automata.distances_from_origin(ball)
         out: list[Word] = []
 
-        def extend(prefix: bytes, v: int, left: int) -> None:
+        def extend(prefix: bytes, v: int, left: int, banned: int) -> None:
             if left == 0:
                 out.append(Word(prefix))
                 return
             for code, row in enumerate(ball.delta):
-                if norm[t := row[v]] < left:  # at most left - 1 letters remain
-                    extend(prefix + bytes((code,)), t, left - 1)
+                if code != banned and norm[t := row[v]] < left:  # at most left - 1 letters remain
+                    extend(prefix + bytes((code,)), t, left - 1, code ^ 1 if reduced else -1)
 
         for length in range(n + 1):
-            extend(b"", ball.origin, length)
+            extend(b"", ball.origin, length, -1)
         return out
 
     def cayley_ball(self, radius: int) -> automata.FoldedGraph:
@@ -216,17 +235,22 @@ def measure_profile(
 ) -> FillingProfile:
     """Profile of all four filling functions for 0 ≤ n ≤ n_max, in one pass.
 
-    The oracle lists the trivial words of length ≤ n_max once.  ``P`` and
-    ``f`` are running maxima of the per-word search oracles over the trivial
-    words, non-reduced words included (the word's own length counts); both
-    are constant on the orbits of the system's symmetries, so they are read
-    once per orbit.  An area that meets the bound ``system`` reads off its
-    relators (:meth:`RewriteSystem.area_lower_bound`) is ``Exact`` at the
-    length cap; only the others need the sweep at the cap plus 2.  The ``d`` scan
-    and the coset saturation read the list's reduced words, filtered once
-    here: both scans' :func:`_kernels.trivial_layers` would skip the
-    unreduced words too, but only after checking each one's alphabet, and
-    most listed words are unreduced (4,980 of 5,341 for ℤ² at n = 8).
+    The oracle lists the reduced trivial words of length ≤ n_max once
+    (:meth:`ReferenceOracle.reduced_trivial_words`), and all four columns
+    read that list.  Free moves cost nothing and the rewrite graph is
+    undirected, so a word ``w`` and its free reduction red(w) have the same
+    area, and FL(w) = max(|w|, FL(red w)): reduce ``w`` within its length,
+    then fill red(w); and a filling of ``w`` under a cap gives one of red(w)
+    under it.  So ``P`` is the running maximum of :func:`min_isoperimetric` over
+    the reduced trivial words, and ``f`` is the larger of the running
+    maximum of :func:`filling_length` over them and t(min(n, L)), where
+    t(m) is the longest trivial length ≤ m, a reduced trivial word padded
+    with ``xX`` pairs, and L is the length cap.  ``f`` is ``LowerBoundOnly``
+    once t(n) > L.  Both per-word measures are constant on the orbits of
+    the system's symmetries, so they run once per orbit.  An area that
+    meets the bound ``system`` reads off its relators
+    (:meth:`RewriteSystem.area_lower_bound`) is ``Exact`` at the length cap;
+    only the others need the sweep at the cap plus 2.
     Both scans try graph i ≤ n at n, radius i for ``d`` and round i + 1
     for ``rhoTC``, and leave an n that no such graph decides ``unreached``
     and ``LowerBoundOnly``; as rounds(n) ≤ max(d(n), 1), ``rhoTC`` is
@@ -235,11 +259,20 @@ def measure_profile(
     """
     p = system.presentation
     oracle.check(p)
-    trivial = oracle.trivial_words(n_max)
-    orbits = [Word(codes) for codes in dict.fromkeys(system.canonical(w.codes) for w in trivial)]
+    reduced = oracle.reduced_trivial_words(n_max)
+    orbits = [Word(codes) for codes in dict.fromkeys(system.canonical(w.codes) for w in reduced)]
     area = prefix_maxima(orbits, n_max, lambda w: min_isoperimetric(w, system, budget))
-    length = prefix_maxima(orbits, n_max, lambda w: filling_length(w, system, budget))
-    reduced = [w for w in trivial if w.is_reduced()]
+    fills = prefix_maxima(orbits, n_max, lambda w: filling_length(w, system, budget))
+    # t(m), the longest trivial length ≤ m: a reduced trivial word padded with xX pairs
+    odd = min((len(w) for w in reduced if len(w) % 2), default=n_max + 1)
+    longest = [m if m % 2 == 0 or m >= odd else m - 1 for m in range(n_max + 1)]
+    cap = budget.max_word_length
+    length = []
+    for n, fill in enumerate(fills):
+        status = fill.status
+        if longest[n] > cap and status is OracleStatus.EXACT:
+            status = OracleStatus.LOWER_BOUND_ONLY
+        length.append(OracleResult(max(fill.value, longest[min(n, cap)]), status))
     diameter = measure_isodiametric(p, n_max, reduced)
     tc = [
         OracleResult(None, OracleStatus.LOWER_BOUND_ONLY) if hit is None

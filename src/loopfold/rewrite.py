@@ -58,7 +58,7 @@ from collections import deque
 from itertools import combinations, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .core import _INVERSE, EMPTY, Presentation, Word, symmetric_closure
+from .core import _INVERSE, EMPTY, Presentation, Word, reduce_codes, symmetric_closure
 
 
 class OracleStatus(enum.Enum):
@@ -304,7 +304,9 @@ class RewriteSystem:
         reduction, and |F| by rotation and inversion.  So the largest |F|
         over the combined relators is at most m times the largest over the
         base relators, and r^m reaches it.  As ⌈⌈x/s⌉/m⌉ = ⌈x/(s·m)⌉, the
-        combined bound is ⌈base bound / m⌉."""
+        combined bound is ⌈base bound / m⌉.  On a word that is not freely
+        trivial it is still at least ⌈1/m⌉ = 1, and sound there, as such a
+        word needs a relator step of the combined system too."""
         system = cls(combined)
         system.symmetries = base.symmetries
         base_bound = base.area_lower_bound
@@ -418,7 +420,9 @@ class RewriteSystem:
         Gersten 1999; Abrams, Brady, Dani & Young, PNAS 2013): it sends every
         word of a derivation, and every ``u v^-1``, to a closed loop in ℤ^k,
         and winding numbers add.  An F that is 0 on every relator is constant
-        along a derivation, so it is left out."""
+        along a derivation, so it is left out.  A word whose free reduction
+        is not empty has area at least 1, as free moves alone keep a word's
+        element of the free group."""
         relators = [r.codes for r in self.presentation.relators]
         functionals = [functools.partial(_exponent_sum, g=g)
                        for g in range(self.presentation.num_generators)]
@@ -431,7 +435,8 @@ class RewriteSystem:
                                                            len(balanced)))
         steps = [max((abs(f(r)) for r in relators), default=0) for f in functionals]
         bounds = [(f, step) for f, step in zip(functionals, steps) if step]
-        return lambda codes: max((-(-abs(f(codes)) // step) for f, step in bounds), default=0)
+        return lambda codes: (max((-(-abs(f(codes)) // step) for f, step in bounds), default=0)
+                              or int(bool(reduce_codes(codes))))
 
     # -- exhaustive search -----------------------------------------------
 
@@ -527,10 +532,27 @@ def trivial_words(rs: RewriteSystem, budget: SearchBudget, n: int) -> list[Word]
     images, so the trivial words of length k are the images of that sweep's
     keys of length k: those of length ≤ min(n, L) of the cap-L sweep, and
     those of length k of the cap-k sweep for L < k ≤ n."""
+    return _images(rs, _sweep_keys(rs, budget, n))
+
+
+def reduced_trivial_words(rs: RewriteSystem, budget: SearchBudget, n: int) -> list[Word]:
+    """The freely reduced words of :func:`trivial_words`, in its order.
+    Letter maps and inversion keep a word reduced, so an orbit is reduced
+    exactly when its key is, and only the reduced keys are expanded."""
+    return _images(rs, [key for key in _sweep_keys(rs, budget, n) if Word(key).is_reduced()])
+
+
+def _sweep_keys(rs: RewriteSystem, budget: SearchBudget, n: int) -> list[bytes]:
+    """The sweep keys whose images :func:`trivial_words` lists."""
     cap = budget.max_word_length
     keys = [key for key in rs.explore(cap, budget.max_states).costs if len(key) <= n]
     for k in range(cap + 1, n + 1):
         keys += [key for key in rs.explore(k, budget.max_states).costs if len(key) == k]
+    return keys
+
+
+def _images(rs: RewriteSystem, keys: list[bytes]) -> list[Word]:
+    """The images of ``keys`` (:meth:`RewriteSystem.orbit`), in shortlex order."""
     images = {image for key in keys for image in rs.orbit(key)}
     ordered = sorted(images)
     ordered.sort(key=len)  # stable: shortlex

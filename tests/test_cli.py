@@ -133,12 +133,13 @@ def test_profile_bad_budget(capsys):
 
 
 def watch_oracle(monkeypatch):
-    """Record the lengths the oracle lists trivial words for, and make any
-    call to ``decide`` raise."""
-    trivial_words = ReferenceOracle.trivial_words
+    """Record each listing the oracle makes, as (method name, length), and
+    make any call to ``decide`` raise."""
     listed = []
-    monkeypatch.setattr(ReferenceOracle, "trivial_words",
-                        lambda self, n: listed.append(n) or trivial_words(self, n))
+    for name in ("trivial_words", "reduced_trivial_words"):
+        method = getattr(ReferenceOracle, name)
+        monkeypatch.setattr(ReferenceOracle, name, lambda self, n, _name=name, _method=method:
+                            listed.append((_name, n)) or _method(self, n))
     monkeypatch.setattr(ReferenceOracle, "decide", None)
     return listed
 
@@ -231,8 +232,9 @@ def test_relator_free_presentation_is_a_usage_error(capsys, argv):
 
 
 def test_profile_enumerates_no_word(monkeypatch, capsys):
-    # The oracle lists the trivial words once; both scans read that list,
-    # so no module enumerates words, and no word is decided one at a time.
+    # The oracle lists the reduced trivial words once; all four columns read
+    # that list, so no module enumerates words, and no word is decided one
+    # at a time.
     calls = []
     for name, module in list(sys.modules.items()):
         if name.startswith("loopfold.") and getattr(module, "words_up_to", None) is words_up_to:
@@ -243,18 +245,39 @@ def test_profile_enumerates_no_word(monkeypatch, capsys):
     listed = watch_oracle(monkeypatch)
     assert run_cli("profile", Z2, "--n", "4", "--oracle", "cyclic:2") == 1
     capsys.readouterr()
-    assert listed == [4]
+    assert listed == [("reduced_trivial_words", 4)]
     assert calls == []
 
 
 def test_profile_state_budget_failure(capsys):
-    # 50 orbits cut every sweep.  free2 has no relators, so every area bound
-    # is 0, and a cut sweep that holds a word at 0 proves its area: P is
-    # Exact up to n = 5.  The cut sweeps miss some word of length 6, so P(6)
-    # is BudgetExceeded; the CSV is still written in full
-    assert run_cli("profile", FREE2, "--n", "6", "--oracle", "free:2",
+    # 50 orbits cut the sweep at the default length cap 8, which holds the
+    # oracle's reduced trivial words up to length 5 at their bounds but
+    # misses aabAAB: P(6) is BudgetExceeded, the CSV is still written in
+    # full, and one line names the first such cell
+    assert run_cli("profile", ZXZ, "--n", "6", "--oracle", "rewrite:6",
                    "--budget-states", "50") == 3
     captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "n,P,P_status,f,f_status,d,rhoTC,d_le_half_f,double_exp,d_eq_rhoTC",
+        "0,0,Exact,0,Exact,0,3,true,true,false",
+        "1,0,Exact,0,Exact,0,3,true,true,false",
+        "2,0,Exact,2,Exact,0,3,true,true,false",
+        "3,0,Exact,2,Exact,0,3,true,true,false",
+        "4,1,Exact,4,Exact,2,6,true,true,false",
+        "5,1,Exact,4,Exact,2,6,true,true,false",
+        "6,1,BudgetExceeded,6,Exact,3,9,true,skipped,false",
+    ]
+    assert captured.err == "loopfold: P at n=6 is BudgetExceeded; raise --budget-states\n"
+
+
+def test_profile_of_a_free_group_needs_no_full_sweep(capsys):
+    # F2's only reduced trivial word is the empty word, which every sweep
+    # holds at its bound 0; the unreduced ones have its area 0 and filling
+    # length their own length, so 50 orbits give every cell Exact
+    assert run_cli("profile", FREE2, "--n", "6", "--oracle", "free:2",
+                   "--budget-states", "50") == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
     assert captured.out.splitlines()[1:] == [
         "0,0,Exact,0,Exact,0,0,true,true,true",
         "1,0,Exact,0,Exact,0,0,true,true,true",
@@ -262,9 +285,8 @@ def test_profile_state_budget_failure(capsys):
         "3,0,Exact,2,Exact,0,0,true,true,true",
         "4,0,Exact,4,Exact,0,0,true,true,true",
         "5,0,Exact,4,Exact,0,0,true,true,true",
-        "6,0,BudgetExceeded,6,Exact,0,0,true,skipped,true",
+        "6,0,Exact,6,Exact,0,0,true,true,true",
     ]
-    assert captured.err == "loopfold: P at n=6 is BudgetExceeded; raise --budget-states\n"
 
 
 def test_profile_filling_length_exact_at_a_cut_sweep(capsys):
@@ -559,7 +581,7 @@ def test_grammar_bound_lists_trivial_words_once_and_decides_none(monkeypatch, ca
     listed = watch_oracle(monkeypatch)
     assert run_cli("grammar-bound", Z3, "--n", "3", "--oracle", "cyclic:3") == 0
     assert "aaa,3,0,3,aaa,1," in capsys.readouterr().out
-    assert listed == [3]
+    assert listed == [("trivial_words", 3)]
 
 
 def test_grammar_bound_renders_bounds_past_the_digit_limit(monkeypatch, capsys):

@@ -9,6 +9,7 @@ from loopfold.automata import LabeledGraph, build_loop_complex, canonical_form, 
 from loopfold.core import EMPTY, Presentation, Word, parse_presentation, parse_word, words_up_to
 from loopfold.fillings import (
     FillingProfile,
+    ProfileRow,
     ReferenceOracle,
     check_inequalities,
     double_exp_bound,
@@ -18,8 +19,17 @@ from loopfold.fillings import (
     measure_profile,
     profile_to_csv,
 )
+from loopfold import fillings, toddcoxeter
 from loopfold.grammar import double_exp_experiment
-from loopfold.rewrite import OracleStatus, RewriteSystem, SearchBudget, min_isoperimetric
+from loopfold.rewrite import (
+    OracleResult,
+    OracleStatus,
+    RewriteSystem,
+    SearchBudget,
+    filling_length,
+    min_isoperimetric,
+    prefix_maxima,
+)
 
 Z2 = parse_presentation("gens: a\nrels: aa")
 Z3 = parse_presentation("gens: a\nrels: aaa")
@@ -105,6 +115,21 @@ def test_rewrite_oracle_agrees_with_cyclic():
 def test_trivial_words_are_the_decided_words_in_order(oracle, n):
     words = words_up_to(2 * oracle.num_generators, n)
     assert oracle.trivial_words(n) == [u for u in words if oracle.decide(u)]
+
+
+@pytest.mark.parametrize("oracle", [
+    ReferenceOracle.cyclic(1), ReferenceOracle.cyclic(2), ReferenceOracle.cyclic(3),
+    ReferenceOracle.free_abelian(1), ReferenceOracle.free_abelian(2), ReferenceOracle.free_abelian(3),
+    ReferenceOracle.free(1), ReferenceOracle.free(2),
+    ReferenceOracle.rewrite_search(RewriteSystem(Z3), SearchBudget(4)),
+    ReferenceOracle.rewrite_search(RewriteSystem(LATTICE), SearchBudget(4, 30)),
+    ReferenceOracle.rewrite_search(RewriteSystem(A4_A6), SearchBudget(2, 5)),
+], ids=["cyclic-1", "cyclic-2", "cyclic-3", "free-abelian-1", "free-abelian-2", "free-abelian-3",
+        "free-1", "free-2", "rewrite-z3", "rewrite-zxz-cut", "rewrite-a4-a6-cut"])
+def test_reduced_listing_is_the_reduced_part_of_the_list(oracle):
+    for n in (-1, 0, 1, 4, 6):
+        expected = [u for u in oracle.trivial_words(n) if u.is_reduced()]
+        assert oracle.reduced_trivial_words(n) == expected, n
 
 
 def test_oracle_validation():
@@ -292,6 +317,65 @@ def test_profile_budget_propagates():
     assert length6.value == 4  # longest word the budget could certify
     # Small n are still exact under the tight budget.
     assert tight.rows[3].area == z3_profile().rows[3].area
+
+
+# -- the reduced listing ------------------------------------------------------
+
+
+def full_list_profile(system, n_max, oracle, budget):
+    """The profile read off the oracle's full list: P and f over the orbits
+    of every trivial word, unreduced ones included, and both scans over the
+    list's reduced words.  The reference for :func:`measure_profile`."""
+    trivial = oracle.trivial_words(n_max)
+    orbits = [Word(codes) for codes in dict.fromkeys(system.canonical(u.codes) for u in trivial)]
+    area = prefix_maxima(orbits, n_max, lambda u: min_isoperimetric(u, system, budget))
+    length = prefix_maxima(orbits, n_max, lambda u: filling_length(u, system, budget))
+    reduced = [u for u in trivial if u.is_reduced()]
+    diameter = measure_isodiametric(system.presentation, n_max, reduced)
+    tc = [OracleResult(None, OracleStatus.LOWER_BOUND_ONLY) if hit is None
+          else OracleResult(hit[1], OracleStatus.EXACT)
+          for hit in toddcoxeter.measure_tc_radius(system.presentation, n_max, reduced)]
+    rows = (ProfileRow(n, *cells) for n, cells in enumerate(zip(area, length, diameter, tc)))
+    return FillingProfile(system.presentation, tuple(rows))
+
+
+@pytest.mark.parametrize("p, make_oracle, n_max", [
+    (Z2, lambda system: ReferenceOracle.cyclic(2), 8),
+    (Z3, lambda system: ReferenceOracle.cyclic(3), 8),
+    (FREE2, lambda system: ReferenceOracle.free(2), 6),
+    (LATTICE, lambda system: ReferenceOracle.free_abelian(2), 8),
+    (Z3, lambda system: ReferenceOracle.rewrite_search(system, SearchBudget(6)), 6),
+    (LATTICE, lambda system: ReferenceOracle.rewrite_search(system, SearchBudget(6)), 6),
+], ids=["z2", "z3", "free2", "zxz", "z3-rewrite", "zxz-rewrite"])
+@pytest.mark.parametrize("budget", [SearchBudget(8), SearchBudget(4), SearchBudget(8, 50),
+                                    SearchBudget(5, 12)], ids=["uncut", "len-4", "states-50", "both"])
+def test_profile_agrees_with_the_full_list(p, make_oracle, n_max, budget):
+    # Byte-equal where no cap cuts a sweep.  Elsewhere the unreduced words
+    # the full list adds can only make a cell worse: no status is better
+    # than the reduced list's, and an Exact cell is the same
+    system, reference_system = RewriteSystem(p), RewriteSystem(p)
+    profile = measure_profile(system, n_max, make_oracle(system), budget)
+    reference = full_list_profile(reference_system, n_max, make_oracle(reference_system), budget)
+    cut = (n_max > budget.max_word_length
+           or not all(sweep.complete for sweep in reference_system._sweeps.values()))
+    if not cut:
+        assert csv(profile) == csv(reference)
+    ranks = list(OracleStatus)
+    for row, old in zip(profile.rows, reference.rows):
+        for cell, old_cell in zip(row[1:], old[1:]):
+            assert ranks.index(cell.status) <= ranks.index(old_cell.status), (row, old)
+            assert cell == old_cell or not old_cell.exact, (row, old)
+
+
+def test_profile_reads_only_the_reduced_orbits(monkeypatch):
+    # ℤ² at n = 8: 361 of the 5,341 trivial words are reduced, in 30 orbits
+    oracle = ReferenceOracle.free_abelian(2)
+    assert (len(oracle.trivial_words(8)), len(oracle.reduced_trivial_words(8))) == (5341, 361)
+    calls = []
+    monkeypatch.setattr(fillings, "min_isoperimetric",
+                        lambda *args: calls.append(args[0]) or min_isoperimetric(*args))
+    measure_profile(RewriteSystem(LATTICE), 8, oracle, SearchBudget())
+    assert len(calls) == len(set(calls)) == 30
 
 
 # -- certified area -------------------------------------------------------------

@@ -410,11 +410,23 @@ class TestAreaLowerBound:
     @pytest.mark.parametrize("p", [HEISENBERG, HEISENBERG_A], ids=["central-c", "central-a"])
     def test_meets_the_heisenberg_plane_areas(self, p):
         # the central generator's exponent sum is not 0 on the commutator
-        # relator, so only the plane of the other two winds
+        # relator, so only the plane of the other two winds; the bound of 1
+        # on words that are not freely trivial meets 124 more orbits
         rs = RewriteSystem(p)
         costs = rs.explore(6).costs
         assert len(costs) == 463
-        assert sum(rs.area_lower_bound(codes) == cost for codes, cost in costs.items()) == 307
+        assert sum(rs.area_lower_bound(codes) == cost for codes, cost in costs.items()) == 431
+
+    def test_a_word_that_is_not_freely_trivial_needs_a_step(self):
+        # acAC has c-sum 0 and ab-winding 0, so only the rule that free moves
+        # keep the free-group element bounds it: its area 1 is Exact from the
+        # cut cap-6 sweep alone, which a cut cap-8 sweep could not confirm
+        rs = RewriteSystem(HEISENBERG)
+        assert rs.area_lower_bound(w("acCA", 3).codes) == 0
+        assert rs.area_lower_bound(w("acAC", 3).codes) == 1
+        assert not rs.explore(6, 50).complete and not rs.explore(8, 50).complete
+        result = min_isoperimetric(w("acAC", 3), rs, SearchBudget(6, 50))
+        assert (result.value, result.status) == (1, OracleStatus.EXACT)
 
 
 class TestDeterminism:
