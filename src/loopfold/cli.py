@@ -177,7 +177,7 @@ def cmd_tc(args) -> int:
     if args.rounds < 1:
         raise UsageError("--rounds must be at least 1")
     last = next(islice(toddcoxeter.coset_rounds(p), args.rounds - 1, None))
-    pcg = toddcoxeter.partial_cayley(last)
+    pcg = toddcoxeter.partial_cayley(last.snapshot())
     summary = f"rounds={args.rounds} vertices={pcg.graph.num_vertices} radius={pcg.radius}"
     if args.dot is None:
         print(summary)
@@ -214,7 +214,7 @@ def cmd_grammar_bound(args) -> int:
         out.write("word,n,d,ell,witness,area,bound,holds\n")
         for r in reports:
             if (r.n, r.diameter) not in bounds:
-                bounds[r.n, r.diameter] = _decimal(r.bound)
+                bounds[r.n, r.diameter] = _decimal(fillings.double_exp_bound(p, r.n, r.diameter))
             cells = (
                 render_word(r.word),
                 str(r.n),

@@ -36,8 +36,8 @@ import heapq
 from typing import Iterable, NamedTuple
 
 from .automata import LabeledGraph, build_tree_nfa, nfa_accepts
-from .core import EMPTY, Presentation, Word, render_word
-from .fillings import ReferenceOracle, double_exp_bound, measure_isodiametric
+from .core import _LETTERS, EMPTY, Presentation, Word, render_word
+from .fillings import ReferenceOracle, measure_isodiametric, within_double_exp
 from .rewrite import BudgetFailure, RewriteSystem, SearchBudget, budget_flags, min_isoperimetric
 
 BOTTOM = -1  # the stack-bottom marker, rendered "z"
@@ -155,10 +155,7 @@ def _state_text(state) -> str:
 
 
 def _letter_text(code: int) -> str:
-    if code == BOTTOM:
-        return "z"
-    base = "a" if code % 2 == 0 else "A"
-    return chr(ord(base) + code // 2)
+    return "z" if code == BOTTOM else chr(_LETTERS[code])
 
 
 def _symbol_text(sym) -> str:
@@ -573,17 +570,17 @@ def multiply_factors(factors: list[tuple[Word, Word, int]]) -> Word:
 
 
 class BoundReport(NamedTuple):
+    """One trivial word's row: ``holds`` is area ≤ ell ≤ n·2^(C·c^d), with
+    n = |word| and d = d(n).  The bound itself is left to whoever prints
+    it (:func:`~loopfold.fillings.double_exp_bound`)."""
+
     word: Word
     n: int
     diameter: int
     shortest_length: int
     witness: Word
     area: int
-    bound: int
-
-    @property
-    def holds(self) -> bool:
-        return self.area <= self.shortest_length <= self.bound
+    holds: bool
 
 
 def double_exp_experiment(
@@ -595,7 +592,9 @@ def double_exp_experiment(
     """For every oracle-trivial word of length ≤ n_max: run the full product
     pipeline, extract the shortest intersecting word, and compare it against
     the brute-force application count below and the explicit
-    double-exponential bound above.  ``system`` is the presentation's
+    double-exponential bound above, decided by
+    :func:`~loopfold.fillings.within_double_exp` as ``profile`` decides
+    it, without building the bound.  ``system`` is the presentation's
     rewrite system, shared with the caller; the bound it reads off its
     relators (:meth:`RewriteSystem.area_lower_bound`) certifies the areas
     it meets, as in :func:`~loopfold.fillings.measure_profile`."""
@@ -607,7 +606,6 @@ def double_exp_experiment(
         raise BudgetFailure(f"diameter scan did not converge at n={diameters.index(None)}")
     trees: dict[int, tuple[LabeledGraph, dict]] = {}  # d -> (tree, its reading words)
     found: dict[tuple[bytes, int], tuple[int, Word]] = {}  # (red(w), d) -> (ell, witness)
-    bounds: dict[tuple[int, int], int] = {}  # one shared int per (n, d)
     reports = []
     for candidate in trivial:
         length = len(candidate)
@@ -633,8 +631,6 @@ def double_exp_experiment(
                 raise ValueError("witness factoring has more factors than the witness has letters")
             found[key] = len(witness), witness
         ell, witness = found[key]
-        if (length, d) not in bounds:
-            bounds[length, d] = double_exp_bound(p, length, d)
         area = min_isoperimetric(candidate, system, budget)
         if not area.exact:
             raise BudgetFailure(
@@ -649,7 +645,7 @@ def double_exp_experiment(
                 shortest_length=ell,
                 witness=witness,
                 area=area.value,
-                bound=bounds[length, d],
+                holds=area.value <= ell and within_double_exp(p, length, d, ell),
             )
         )
     return reports

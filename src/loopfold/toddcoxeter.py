@@ -4,39 +4,33 @@ Starting from a single origin vertex, each round (1) gives every existing
 vertex a full set of outgoing and incoming generator edges, growing fresh
 vertices where edges are missing, and (2) folds in a relator cycle at every
 vertex where the relator does not already trace a loop.  The folded graph
-with all hairs removed is a partial Cayley graph.  It maps onto the Cayley
-graph, so its origin loops never accept a non-trivial word, and they accept
-every trivial word up to a length that grows with the rounds.  The radius
-of the first partial Cayley graph, among rounds 1 … n + 1, that accepts
-every reduced trivial word of length up to ``n`` in a reference oracle's
-list is the saturation radius at ``n``.  Round i ≥ 1 accepts everything
-the loop complex Λ_i accepts, so those rounds reach every n that the
-isodiametric scan's radii 0 … n reach.
+with all hairs removed is a partial Cayley graph; :func:`partial_cayley`
+builds it from a round's snapshot, for ``tc`` and the ρ_TC scan alike.
+It maps onto the Cayley graph, so its origin loops never accept a
+non-trivial word, and they accept every trivial word up to a length that
+grows with the rounds.  The radius of the first partial Cayley graph,
+among rounds 1 … n + 1, that accepts every reduced trivial word of length
+up to ``n`` in a reference oracle's list is the saturation radius at
+``n``.  Round i ≥ 1 accepts everything the loop complex Λ_i accepts, so
+those rounds reach every n that the isodiametric scan's radii 0 … n
+reach.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import _kernels
 from .core import Presentation, Word
 from .automata import Folder, FoldedGraph, radius as graph_radius, strip_hairs
 
 
-class PartialCayleyGraph:
-    """A round's folded graph with its hairs stripped; compares by identity."""
+class PartialCayleyGraph(NamedTuple):
+    """A round's folded graph with its hairs stripped, and its radius."""
 
-    def __init__(self, graph: FoldedGraph):
-        object.__setattr__(self, "graph", graph)  # hair-free
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PartialCayleyGraph is immutable")
-
-    @cached_property
-    def radius(self) -> int:
-        return graph_radius(self.graph)
+    graph: FoldedGraph  # hair-free
+    radius: int
 
 
 def tc_round(folder: Folder, p: Presentation, settled: int = 0) -> int:
@@ -76,9 +70,11 @@ def coset_rounds(p: Presentation) -> Iterator[Folder]:
         yield folder
 
 
-def partial_cayley(folder: Folder) -> PartialCayleyGraph:
-    """Strip hairs (iteratively) from the folder's folded graph."""
-    return PartialCayleyGraph(strip_hairs(folder.snapshot()))
+def partial_cayley(graph: FoldedGraph) -> PartialCayleyGraph:
+    """The partial Cayley graph of a round's snapshot ``graph``: its hairs
+    stripped (iteratively), and the radius of what remains."""
+    stripped = strip_hairs(graph)
+    return PartialCayleyGraph(stripped, graph_radius(stripped))
 
 
 def measure_tc_radius(
@@ -95,10 +91,11 @@ def measure_tc_radius(
     No round accepts a non-trivial word, so with a correct oracle that
     round decides every word of length ≤ ``n``.  A reduced closed walk
     never enters a hair, so rounds are traced on their snapshots, and
-    hairs are stripped only from the rounds the column reports.
+    only the rounds the column reports become partial Cayley graphs, once
+    each (:func:`partial_cayley`).
     """
     layers = _kernels.trivial_layers(trivial, n_max, p.alphabet_size)
     graphs = (f.snapshot() for f in coset_rounds(p))
     hits = _kernels.first_deciding(graphs, layers)
-    pcgs = {i: PartialCayleyGraph(strip_hairs(g)) for i, g in dict(filter(None, hits)).items()}
+    pcgs = {i: partial_cayley(g) for i, g in dict(filter(None, hits)).items()}
     return [None if hit is None else (hit[0] + 1, pcgs[hit[0]].radius, pcgs[hit[0]]) for hit in hits]

@@ -434,6 +434,18 @@ def test_profile_areas_certified_under_a_state_budget_that_stops_cap_ten(capsys)
     assert captured.err == ""
 
 
+@pytest.mark.xfail(strict=True, reason="a search oracle whose own sweeps are cut misses trivial "
+                                       "words, and the cells over its list still read Exact")
+def test_profile_under_a_cut_search_oracle_earns_every_exact(capsys):
+    # aaaa is trivial in ℤ/2 with area 2 (cyclic:2 reads 4,2,Exact), but the
+    # cut cap-4 sweep of rewrite:3 holds only "", aA and aa, so its list has
+    # no word of length 4 and P(4) reads 1
+    run_cli("profile", Z2, "--n", "6", "--oracle", "rewrite:3", "--budget-states", "3")
+    row = capsys.readouterr().out.splitlines()[5].split(",")
+    assert row[0] == "4"
+    assert row[2] != "Exact" or row[1] == "2", row
+
+
 @pytest.mark.parametrize("argv, code, golden", [
     (("compress", ZXZ, "--verify", "--n", "4", "--budget-len", "4", "--budget-states", "20"),
      0, "compress-zxz-n4-verify.out"),
@@ -591,7 +603,7 @@ def test_grammar_bound_renders_bounds_past_the_digit_limit(monkeypatch, capsys):
     word = parse_word("abAB", 2)
     bound = double_exp_bound(p, 4, 2)
     assert bound.bit_length() == 40_963
-    report = BoundReport(word, 4, 2, 4, word, 1, bound)
+    report = BoundReport(word, 4, 2, 4, word, 1, True)
     # cli looks the experiment up in its layer's module
     monkeypatch.setattr(grammar, "double_exp_experiment", lambda *args: [report])
     limit = sys.get_int_max_str_digits()

@@ -9,7 +9,7 @@ import pytest
 from loopfold import grammar
 from loopfold.automata import build_tree_nfa, nfa_accepts
 from loopfold.core import EMPTY, Presentation, Word, parse_word, render_word, words_up_to
-from loopfold.fillings import ReferenceOracle, double_exp_constants
+from loopfold.fillings import ReferenceOracle, double_exp_bound, double_exp_constants
 from loopfold.grammar import (
     BOTTOM,
     build_dyck_pda,
@@ -402,8 +402,8 @@ def test_bound_experiment_z2():
     top = by_word["aa"]
     assert (top.shortest_length, top.area, top.diameter) == (2, 1, 0)
     assert top.witness == w("aa")
-    assert top.bound == 2 * 2**24
-    assert by_word["1"].bound == 0
+    assert double_exp_bound(Z2, top.n, top.diameter) == 2 * 2**24
+    assert double_exp_bound(Z2, by_word["1"].n, by_word["1"].diameter) == 0
     assert by_word["aA"].shortest_length == 0
 
 
@@ -413,12 +413,25 @@ def test_bound_experiment_z3():
     )
     cubed = {render_word(r.word): r for r in reports}["aaa"]
     assert double_exp_constants(Z3) == (54, 4)
-    assert cubed.bound == 3 * 2**54
+    assert double_exp_bound(Z3, cubed.n, cubed.diameter) == 3 * 2**54
     assert cubed.shortest_length == 3
     assert cubed.area == 1
     assert all(r.holds for r in reports)
     for r in reports:
         assert r.witness.reduce() == r.word.reduce()
+
+
+@pytest.mark.parametrize("p, oracle, n_max", [
+    (Z2, ReferenceOracle.cyclic(2), 7),
+    (Z3, ReferenceOracle.cyclic(3), 7),
+    (LATTICE, ReferenceOracle.free_abelian(2), 4),
+], ids=["z2", "z3", "zxz"])
+def test_bound_experiment_holds_is_the_int_comparison(p, oracle, n_max):
+    # the experiment decides the bound by a shift, without building it
+    reports = double_exp_experiment(RewriteSystem(p), n_max, oracle, SearchBudget())
+    assert reports
+    for r in reports:
+        assert r.holds == (r.area <= r.shortest_length <= double_exp_bound(p, r.n, r.diameter)), r.word
 
 
 # -- one grammar per input, the reading phase once per tree ---------------------

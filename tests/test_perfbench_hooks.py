@@ -36,6 +36,19 @@ def test_tracer_counts_graph_vertices_and_traced_words(capsys):
         assert metrics[name] > 0, name
 
 
+def test_tracer_counts_the_saturation_scan_snapshots(capsys):
+    # the rhoTC scan builds its partial Cayley graphs through
+    # toddcoxeter.partial_cayley, as tc does, so profile alone counts them
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["profile", str(PRES / "z2.pres"), "--n", "4", "--oracle", "cyclic:2"]) == 1
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert tracer.layer_metrics()["toddcoxeter.snapshot_vertices"] > 0
+
+
 def test_tracer_sees_both_scans(capsys):
     # The d(n) scan, the saturation scan and the batch tracer under both are
     # called through their module globals, where the tracer binds them.

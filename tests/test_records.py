@@ -1,6 +1,7 @@
 """The contracts of loopfold's record types: value records compare and hash
 by value, the search budget refuses caps below 1, graph records compare by
-identity, and the lazy graph properties are computed once per object."""
+identity, and a partial Cayley graph's radius is computed once, when it is
+built."""
 
 from itertools import islice
 
@@ -70,10 +71,12 @@ def test_folded_graph_keeps_identity_equality():
         a.delta = [[-1], [-1]]
 
 
-def test_coset_records_keep_identity_equality():
+def test_partial_cayley_graph_is_a_value_record():
     graph = next(coset_rounds(LATTICE)).snapshot()
-    pcg = PartialCayleyGraph(graph)
-    assert pcg == pcg and pcg != PartialCayleyGraph(graph)
+    pcg = PartialCayleyGraph(graph, 1)
+    assert pcg == PartialCayleyGraph(graph, 1) and hash(pcg) == hash(PartialCayleyGraph(graph, 1))
+    assert pcg != PartialCayleyGraph(graph, 2)
+    assert pcg != PartialCayleyGraph(next(coset_rounds(LATTICE)).snapshot(), 1)  # the graph by identity
     with pytest.raises(AttributeError):
         pcg.graph = graph
 
@@ -82,6 +85,7 @@ def test_partial_cayley_radius_is_computed_once(monkeypatch):
     graph_radius = toddcoxeter.graph_radius
     calls = []
     monkeypatch.setattr(toddcoxeter, "graph_radius", lambda g: calls.append(g) or graph_radius(g))
-    pcg = partial_cayley(next(islice(coset_rounds(LATTICE), 1, None)))
+    pcg = partial_cayley(next(islice(coset_rounds(LATTICE), 1, None)).snapshot())
+    assert calls == [pcg.graph]  # at construction
     assert pcg.radius == pcg.radius == graph_radius(pcg.graph)
     assert calls == [pcg.graph]

@@ -136,7 +136,7 @@ class TestRound:
     def test_cyclic_three_first_round_gives_cycle(self):
         folder = next(coset_rounds(Z3))
         assert folder.what == "coset round 1"
-        pcg = partial_cayley(folder)
+        pcg = partial_cayley(folder.snapshot())
         assert canonical_form(pcg.graph) == canonical_form(fold(three_cycle())[0])
         assert pcg.radius == 1
 
@@ -144,15 +144,15 @@ class TestRound:
         rounds = coset_rounds(FREE2)
         folder = next(rounds)
         assert folder.snapshot().num_vertices == 5  # origin plus four fresh ends
-        assert partial_cayley(folder).radius == 0
+        assert partial_cayley(folder.snapshot()).radius == 0
         assert next(rounds) is folder  # grown in place
         assert folder.snapshot().num_vertices == 17  # ball of radius 2 in the tree
-        assert partial_cayley(folder).graph.num_vertices == 1
+        assert partial_cayley(folder.snapshot()).graph.num_vertices == 1
 
     def test_round_is_idempotent_on_complete_cayley_graph(self):
         folder = Folder.of_graph(three_cycle())
         assert tc_round(folder, Z3) == 3
-        assert canonical_form(partial_cayley(folder).graph) == canonical_form(fold(three_cycle())[0])
+        assert canonical_form(partial_cayley(folder.snapshot()).graph) == canonical_form(fold(three_cycle())[0])
 
     def test_rounds_fold_deterministic(self):
         for i, folder in enumerate(islice(coset_rounds(LATTICE), 3), 1):
@@ -252,7 +252,7 @@ class TestMemory:
         tracemalloc.start()
         try:
             for folder in islice(coset_rounds(LATTICE), 30):
-                pcg = partial_cayley(folder)
+                pcg = partial_cayley(folder.snapshot())
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -265,14 +265,14 @@ class TestPartialCayley:
     def test_single_edge_collapses_to_origin(self):
         g = LabeledGraph(1, 2)
         g.add_edge(0, 0, 1)
-        pcg = partial_cayley(Folder.of_graph(g))
+        pcg = partial_cayley(Folder.of_graph(g).snapshot())
         assert pcg.graph.num_vertices == 1
         assert pcg.radius == 0
 
     def test_pendant_edge_on_cycle_is_ignored(self):
         g = three_cycle()
         g.add_edge(1, 0, g.add_vertex())
-        pcg = partial_cayley(Folder.of_graph(g))
+        pcg = partial_cayley(Folder.of_graph(g).snapshot())
         assert canonical_form(pcg.graph) == canonical_form(fold(three_cycle())[0])
         assert pcg.radius == 1
 
@@ -284,13 +284,13 @@ class TestPartialCayley:
         g.add_edge(0, 0, v)
         g.add_edge(v, 0, u)
         g.add_edge(u, 0, t)
-        pcg = partial_cayley(Folder.of_graph(g))
+        pcg = partial_cayley(Folder.of_graph(g).snapshot())
         assert canonical_form(pcg.graph) == canonical_form(fold(three_cycle())[0])
 
 
 class TestDecisions:
     def test_cyclic_three_traces(self):
-        pcg = partial_cayley(next(coset_rounds(Z3)))
+        pcg = partial_cayley(next(coset_rounds(Z3)).snapshot())
         assert accepts_reduced(pcg.graph, w("aaa", 1)) is True
         assert accepts_reduced(pcg.graph, w("a", 1)) is False
         assert accepts_reduced(pcg.graph, EMPTY) is True
@@ -300,7 +300,7 @@ class TestDecisions:
         for p in (Z3, LATTICE):
             oracle = oracle_for(p)
             for i, folder in enumerate(islice(coset_rounds(p), 3), 1):
-                pcg = partial_cayley(folder)
+                pcg = partial_cayley(folder.snapshot())
                 for u in filter(Word.is_reduced, words_up_to(p.alphabet_size, 4)):
                     if accepts_reduced(pcg.graph, u):
                         assert oracle(u), (p, i, u)
@@ -383,7 +383,7 @@ class TestMeasureRadius:
             # round i + 1 decides the words of length ≤ n when n < wrong[i]
             graphs, wrong = [], []
             for folder in islice(coset_rounds(p), n_max + 1):
-                graphs.append(partial_cayley(folder))
+                graphs.append(partial_cayley(folder.snapshot()))
                 wrong.append(min((len(u) for u, trivial in verdicts
                                   if accepts_reduced(graphs[-1].graph, u) != trivial), default=n_max + 1))
                 if wrong[-1] > n_max:
