@@ -278,16 +278,6 @@ class Folder:
         """Fold in a cycle reading ``relator`` at ``basepoint``."""
         self._join(basepoint, relator.codes, basepoint)
 
-    def trace(self, v: int, word: Word) -> int:
-        """The class that ``v`` reaches by reading ``word``, or -1."""
-        find, delta = self.find, self.delta
-        v = find(v)
-        for c in word.codes:
-            if (t := delta[c][v]) < 0:
-                return -1
-            v = find(t)
-        return v
-
     def _numbering(self) -> list[int]:
         """Entry ``v`` is the number of the class of ``v``, classes numbered
         by least member; one more entry, -1, is what a missing edge maps to."""

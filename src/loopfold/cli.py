@@ -99,6 +99,16 @@ def _write(text: str, path: str | None) -> None:
         out.write(text)
 
 
+def _need_whole_list(oracle: fillings.ReferenceOracle, n: int) -> None:
+    """Refuse a search oracle's list of trivial words up to length ``n``
+    that a cut sweep may have left short: every column read off it could
+    then be too small."""
+    if oracle.budget_cut(n):
+        raise rewrite.BudgetFailure(
+            "the state budget cut a sweep the oracle lists trivial words from; "
+            "raise --budget-states")
+
+
 def _fusion_holds(
     compressed: compression.CompressedPresentation,
     system: rewrite.RewriteSystem,
@@ -152,6 +162,7 @@ def cmd_profile(args) -> int:
             if cell.status is rewrite.OracleStatus.BUDGET_EXCEEDED:
                 raise rewrite.BudgetFailure(
                     f"{name} at n={row.n} is BudgetExceeded; raise --budget-states")
+    _need_whole_list(oracle, args.n)
     ok = report.asserted_hold and report.equality_holds
     if args.verify:
         ok = _fusion_holds(compression.compress(p), system, args.n, budget) and ok
@@ -208,6 +219,7 @@ def cmd_grammar_bound(args) -> int:
     if args.n < 0:
         raise UsageError("--n must be nonnegative")
     _need_relators(p, "grammar-bound")
+    _need_whole_list(oracle, args.n)
     reports = grammar.double_exp_experiment(system, args.n, oracle, budget)
     bounds: dict[tuple[int, int], str] = {}  # the bound depends on (n, d) only
     with _output(args.csv) as out:

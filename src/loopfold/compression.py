@@ -105,11 +105,14 @@ def verify_compression(
     base_system: rewrite.RewriteSystem,
 ) -> CompressionReport:
     """Entrywise check of P_combined(n) ≤ ⌈P_base(n)/2 + n/2⌉ for n ≤ n_max,
-    plus a same-group cross-check: both systems' sweeps list the same
-    trivial words of length ≤ n_max (:func:`~loopfold.rewrite.trivial_words`).
-    Both lists are in shortlex order, so they are equal exactly when the
-    systems agree on every word.  Where the state budget cut a sweep behind
-    them, unequal lists decide nothing, and the agreement is None.
+    plus a same-group cross-check: both systems' sweeps hold the same
+    orbits of trivial words of length ≤ n_max
+    (:func:`~loopfold.rewrite.sweep_keys`).  Both canonicalize under the
+    base's symmetry group, so equal key sets mean equal lists of trivial
+    words (:func:`~loopfold.rewrite.trivial_words`), and the systems agree
+    on every word.  Where the state budget cut a sweep behind them, unequal
+    sets decide nothing, and the agreement is None.  An area is constant on
+    an orbit, so each column measures one word per base key.
 
     ``base_system`` is the rewrite system of ``compressed.base``; the
     combined system takes its symmetries and area bound from it
@@ -117,16 +120,15 @@ def verify_compression(
     if base_system.presentation != compressed.base:
         raise ValueError("the rewrite system is not that of the base presentation")
     combined_system = rewrite.RewriteSystem.fused(base_system, compressed.combined, compressed.m)
-    trivial = rewrite.trivial_words(base_system, budget, n_max)
-    agreement = trivial == rewrite.trivial_words(combined_system, budget, n_max)
-    if not agreement and any(
-        not system.explore(max(budget.max_word_length, n), budget.max_states).complete
-        for system in (base_system, combined_system) for n in range(n_max + 1)
-    ):
+    keys = rewrite.sweep_keys(base_system, budget, n_max)
+    agreement = set(keys) == set(rewrite.sweep_keys(combined_system, budget, n_max))
+    if not agreement and not all(rewrite.sweeps_complete(system, budget, n_max)
+                                 for system in (base_system, combined_system)):
         agreement = None
+    orbits = list(map(Word, keys))
 
     def areas(system):
-        return rewrite.prefix_maxima(trivial, n_max,
+        return rewrite.prefix_maxima(orbits, n_max,
                                      lambda w: rewrite.min_isoperimetric(w, system, budget))
 
     rows = []

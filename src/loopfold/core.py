@@ -211,40 +211,53 @@ class Presentation:
         return Presentation(self.num_generators, map(Word, symmetric_closure(self.relators)))
 
 
-def symmetric_closure(relators: Iterable[Word]) -> list[bytes]:
+def symmetric_closure(relators: Iterable[Word], max_length: int | None = None) -> list[bytes]:
     """The freely reduced cyclic permutations of nonempty reduced relators
-    and of their inverses, in shortlex order.
+    and of their inverses, in shortlex order; with ``max_length``, only
+    those of that length or less.
 
     A word already in the set is skipped: it is a reduced rotation of a word
     taken before, and the reduced rotations of a reduced rotation are among
-    those of the word, so they are in the set too.
+    those of the word, so they are in the set too.  Every reduced rotation
+    of a cyclically reduced relator, and of its inverse, keeps its length,
+    so one longer than ``max_length`` is skipped at a glance.
     """
     closure: set[bytes] = set()
     for r in relators:
-        for base in (r.codes, r.codes[::-1].translate(_INVERSE)):
+        codes = r.codes
+        bound = len(codes) if max_length is None else max_length
+        if len(codes) > bound and codes[0] != codes[-1] ^ 1:
+            continue
+        for base in (codes, codes[::-1].translate(_INVERSE)):
             if base not in closure:
-                closure |= _reduced_rotations(base)
+                closure |= _reduced_rotations(base, bound)
     ordered = sorted(closure)
     ordered.sort(key=len)  # stable: shortlex
     return ordered
 
 
-def _reduced_rotations(codes: bytes) -> set[bytes]:
-    """The freely reduced cyclic permutations of a nonempty reduced word.
+def _reduced_rotations(codes: bytes, max_length: int) -> set[bytes]:
+    """The freely reduced cyclic permutations of length ≤ ``max_length`` of
+    a nonempty reduced word.
 
     Write ``codes = x u x^-1`` with ``u`` cyclically reduced.  A rotation
     inside ``u`` reduces to a rotation of ``u``; one inside ``x`` or
     ``x^-1`` cancels at the seam down to ``y u y^-1`` for a suffix ``y`` of
     ``x``, the middle factor of ``codes`` that drops ``|x| - |y|`` letters
-    from each end.  So no rotation has to be reduced letter by letter.
+    from each end.  So no rotation has to be reduced letter by letter, and
+    none longer than ``max_length`` is made.
     """
     n = len(codes)
     k = 0  # |x|; the scan stops by the middle, as ``codes`` is reduced
     while codes[k] == codes[n - 1 - k] ^ 1:
         k += 1
     m = n - 2 * k
-    uu = codes[k : n - k] * 2
-    return {codes[i : n - i] for i in range(k)} | {uu[i : i + m] for i in range(m)}
+    # y u y^-1 with |y| = k - i has length n - 2i
+    rotations = {codes[i : n - i] for i in range(max(0, (n - max_length + 1) // 2), k)}
+    if m <= max_length:
+        uu = codes[k : n - k] * 2
+        rotations.update(uu[i : i + m] for i in range(m))
+    return rotations
 
 
 def parse_presentation(text: str) -> Presentation:

@@ -130,6 +130,12 @@ class ReferenceOracle:
             return rewrite.reduced_trivial_words(self.system, self.budget, n)
         return self._walk(n, reduced=True)
 
+    def budget_cut(self, n: int) -> bool:
+        """Whether the state budget cut a sweep that the lists up to length
+        n are read from (:func:`~loopfold.rewrite.sweeps_complete`), so
+        that they may miss trivial words; never for a closed form."""
+        return self.system is not None and not rewrite.sweeps_complete(self.system, self.budget, n)
+
     def _walk(self, n: int, reduced: bool) -> list[Word]:
         """The closed form's trivial words of length ≤ n, the reduced ones
         alone if ``reduced``."""

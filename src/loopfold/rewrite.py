@@ -7,11 +7,13 @@ resulting rewrite graph on words is undirected, so reachability and 0-1
 shortest-path distance from the empty word give, for every word at once, its
 triviality, its minimum relator-application count, and its filling length.
 
-A system is built on ``bytes``: the symmetrized relators come from
-:func:`~loopfold.core.symmetric_closure` once, in shortlex order, and no
-:class:`Presentation` of them is made.  The fused ℤ² lattice's 3,200
-relators close to 11,040 in 1,470 rotation scans, as a relator or inverse
-already in the closure adds nothing.
+A system is built on ``bytes`` and holds only its presentation: each sweep
+closes the relators it can fire, those whose symmetrized words fit twice
+its cap (:func:`~loopfold.core.symmetric_closure` with a length bound), and
+no :class:`Presentation` of them is made.  The fused ℤ² lattice's 3,200
+relators close to 11,040 words, of which its sweeps at caps 4 and 6 close
+the 296 of length ≤ 8 and the 2,648 of length ≤ 12; only the symmetry
+search and the reference rules close them all.
 
 Each sweep indexes the relator rules it can fire, as ``bytes``: the
 insertions ``1 -> v`` and the substitutions keyed by left-hand side, each in
@@ -257,9 +259,6 @@ class RewriteSystem:
 
     def __init__(self, presentation: Presentation):
         self.presentation = presentation
-        # the symmetrized relators, shortlex, so those that fit under a cap
-        # come first
-        self._relators = tuple(symmetric_closure(presentation.relators))
         self._sweeps: dict[tuple[int, int], Exploration] = {}
 
     @functools.cached_property
@@ -267,7 +266,8 @@ class RewriteSystem:
         """The letter maps of the symmetry group, searched on the first read
         (:func:`_letter_maps`); past the search limit, the identity alone,
         which with ``w -> w^-1`` makes a group of two."""
-        maps = _letter_maps(frozenset(self._relators), [r.codes for r in self.presentation.relators],
+        closure = frozenset(symmetric_closure(self.presentation.relators))
+        maps = _letter_maps(closure, [r.codes for r in self.presentation.relators],
                             self.presentation.num_generators, _MAX_SYMMETRIES // 2)
         return tuple(maps or [_IDENTITY])
 
@@ -327,7 +327,8 @@ class RewriteSystem:
     def relator_rules(self) -> tuple[Rule, ...]:
         """Every relator rule ``u -> v``, in (|u|, u, |v|, v) order."""
         pairs = {(r[:i], r[i:][::-1].translate(_INVERSE))
-                 for r in self._relators for i in range(len(r) + 1)}
+                 for r in symmetric_closure(self.presentation.relators)
+                 for i in range(len(r) + 1)}
         ordered = sorted(pairs, key=lambda p: (len(p[0]), p[0], len(p[1]), p[1]))
         return tuple(Rule(Word(u), Word(v), True) for u, v in ordered)
 
@@ -350,9 +351,9 @@ class RewriteSystem:
         Only the relator rules that can fire under the cap are indexed: the
         splits ``r = u * v^-1`` with |u| ≤ cap and |v| ≤ cap.  Any other
         rule has a left-hand side longer than every word or a result longer
-        than the cap.  A relator longer than ``2 * cap`` has no such split,
-        and the relators are in shortlex order, so the loop stops at the
-        first one.
+        than the cap.  A symmetrized relator longer than ``2 * cap`` has no
+        such split, so only those of length ≤ ``2 * cap`` are closed
+        (:func:`~loopfold.core.symmetric_closure`).
 
         Order: free cancellations, free insertions, relator insertions (by
         right-hand side, then position), substitutions (by left-hand length,
@@ -361,10 +362,8 @@ class RewriteSystem:
         length per successor; a left-hand side's cut is made the first time
         it is met."""
         by_lhs: dict[bytes, set[bytes]] = {}
-        for r in self._relators:
+        for r in symmetric_closure(self.presentation.relators, 2 * cap):
             n = len(r)
-            if n > 2 * cap:
-                break
             for i in range(max(0, n - cap), min(n, cap) + 1):
                 by_lhs.setdefault(r[:i], set()).add(r[i:][::-1].translate(_INVERSE))
         relator_inserts = sorted(by_lhs.pop(b"", ()))
@@ -525,30 +524,39 @@ def filling_length(w: Word, rs: RewriteSystem, budget: SearchBudget) -> OracleRe
 
 def trivial_words(rs: RewriteSystem, budget: SearchBudget, n: int) -> list[Word]:
     """Every word of length ≤ n that :func:`is_trivial` calls trivial, in
-    shortlex order, read off the sweeps rather than decided word by word.
-
-    A word ``w`` is trivial when the cap-max(L, |w|) sweep holds its least
-    image.  The maps form a group and a word's least image is one of its
-    images, so the trivial words of length k are the images of that sweep's
-    keys of length k: those of length ≤ min(n, L) of the cap-L sweep, and
-    those of length k of the cap-k sweep for L < k ≤ n."""
-    return _images(rs, _sweep_keys(rs, budget, n))
+    shortlex order: the images of the :func:`sweep_keys`, read off the
+    sweeps rather than decided word by word."""
+    return _images(rs, sweep_keys(rs, budget, n))
 
 
 def reduced_trivial_words(rs: RewriteSystem, budget: SearchBudget, n: int) -> list[Word]:
     """The freely reduced words of :func:`trivial_words`, in its order.
     Letter maps and inversion keep a word reduced, so an orbit is reduced
     exactly when its key is, and only the reduced keys are expanded."""
-    return _images(rs, [key for key in _sweep_keys(rs, budget, n) if Word(key).is_reduced()])
+    return _images(rs, [key for key in sweep_keys(rs, budget, n) if Word(key).is_reduced()])
 
 
-def _sweep_keys(rs: RewriteSystem, budget: SearchBudget, n: int) -> list[bytes]:
-    """The sweep keys whose images :func:`trivial_words` lists."""
+def sweep_keys(rs: RewriteSystem, budget: SearchBudget, n: int) -> list[bytes]:
+    """One key, its least image, per orbit of the words of length ≤ n that
+    :func:`is_trivial` calls trivial.
+
+    A word ``w`` is trivial when the cap-max(L, |w|) sweep holds its least
+    image.  The maps form a group and a word's least image is one of its
+    images, so the keys are those of length ≤ min(n, L) of the cap-L sweep,
+    and those of length k of the cap-k sweep for L < k ≤ n."""
     cap = budget.max_word_length
     keys = [key for key in rs.explore(cap, budget.max_states).costs if len(key) <= n]
     for k in range(cap + 1, n + 1):
         keys += [key for key in rs.explore(k, budget.max_states).costs if len(key) == k]
     return keys
+
+
+def sweeps_complete(rs: RewriteSystem, budget: SearchBudget, n: int) -> bool:
+    """Whether the state budget cut none of the sweeps that
+    :func:`sweep_keys` reads, so that its keys are those the same sweeps
+    would hold with no state budget."""
+    caps = range(budget.max_word_length, max(budget.max_word_length, n) + 1)
+    return all(rs.explore(cap, budget.max_states).complete for cap in caps)
 
 
 def _images(rs: RewriteSystem, keys: list[bytes]) -> list[Word]:

@@ -3,9 +3,10 @@
 Starting from a single origin vertex, each round (1) gives every existing
 vertex a full set of outgoing and incoming generator edges, growing fresh
 vertices where edges are missing, and (2) folds in a relator cycle at every
-vertex where the relator does not already trace a loop.  The folded graph
-with all hairs removed is a partial Cayley graph; :func:`partial_cayley`
-builds it from a round's snapshot, for ``tc`` and the ρ_TC scan alike.
+vertex, which changes nothing where the relator already traces a loop.  The
+folded graph with all hairs removed is a partial Cayley graph;
+:func:`partial_cayley` builds it from a round's snapshot, for ``tc`` and
+the ρ_TC scan alike.
 It maps onto the Cayley graph, so its origin loops never accept a
 non-trivial word, and they accept every trivial word up to a length that
 grows with the rounds.  The radius of the first partial Cayley graph,
@@ -35,11 +36,13 @@ class PartialCayleyGraph(NamedTuple):
 
 def tc_round(folder: Folder, p: Presentation, settled: int = 0) -> int:
     """One saturation round, advancing ``folder`` in place: complete edges,
-    attach missing relator loops, folding as they go.  Edge completion
-    covers the vertices present when the round starts; loop guards are
-    evaluated on the graph as it stands after completion, before any new
-    loop is attached.  Returns that starting vertex count, the next round's
-    ``settled``.
+    then fold in every relator's loop at every class rooted at ``settled``
+    or later, folding as they go.  Edge completion covers the vertices
+    present when the round starts.  A
+    loop the graph already closes changes nothing (:meth:`Folder.add_loop`
+    follows its edges back to the basepoint and merges nothing), so the
+    loops need no guard.  Returns the starting vertex count, the next
+    round's ``settled``.
 
     Every class rooted below ``settled`` must already be complete and close
     every relator; the default 0 claims nothing and checks every class.
@@ -47,15 +50,15 @@ def tc_round(folder: Folder, p: Presentation, settled: int = 0) -> int:
     is complete and closed, and stays so in every later round: folding only
     merges classes and never removes an edge, and a root is its class's
     least member.  The roots below ``settled`` need no edge and no loop, so
-    the round completes and traces only the roots from there on: it costs
+    the round completes and closes only the roots from there on: it costs
     what the previous round added, and builds the graph that checking every
     root would.
     """
     start = len(folder.parent)
     folder.complete(settled)
-    need = [(v, r) for v in folder.vertices(settled) for r in p.relators if folder.trace(v, r) != v]
-    for v, r in need:
-        folder.add_loop(v, r)
+    for v in folder.vertices(settled):
+        for r in p.relators:
+            folder.add_loop(v, r)
     return start
 
 

@@ -434,16 +434,27 @@ def test_profile_areas_certified_under_a_state_budget_that_stops_cap_ten(capsys)
     assert captured.err == ""
 
 
-@pytest.mark.xfail(strict=True, reason="a search oracle whose own sweeps are cut misses trivial "
-                                       "words, and the cells over its list still read Exact")
+CUT_LIST = ("loopfold: the state budget cut a sweep the oracle lists trivial words from; "
+            "raise --budget-states\n")
+
+
 def test_profile_under_a_cut_search_oracle_earns_every_exact(capsys):
     # aaaa is trivial in ℤ/2 with area 2 (cyclic:2 reads 4,2,Exact), but the
     # cut cap-4 sweep of rewrite:3 holds only "", aA and aa, so its list has
-    # no word of length 4 and P(4) reads 1
-    run_cli("profile", Z2, "--n", "6", "--oracle", "rewrite:3", "--budget-states", "3")
-    row = capsys.readouterr().out.splitlines()[5].split(",")
-    assert row[0] == "4"
-    assert row[2] != "Exact" or row[1] == "2", row
+    # no word of length 4 and P(4) reads 1.  The CSV is still written in
+    # full, as for a cell that reads BudgetExceeded, but the run is a budget
+    # failure: no cell of it counts as a result
+    assert run_cli("profile", Z2, "--n", "6", "--oracle", "rewrite:3", "--budget-states", "3") == 3
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == 8
+    assert captured.err == CUT_LIST
+
+
+def test_grammar_bound_under_a_cut_search_oracle_is_a_budget_failure(capsys):
+    # the same list would leave out every row of length 4 to 6
+    assert run_cli("grammar-bound", Z2, "--n", "6", "--oracle", "rewrite:3",
+                   "--budget-states", "3") == 3
+    assert capsys.readouterr() == ("", CUT_LIST)
 
 
 @pytest.mark.parametrize("argv, code, golden", [

@@ -65,6 +65,19 @@ def test_golden_compress_conjugate_digest(capsys, tmp_path):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+def test_golden_compress_bs12_verify_digest(capsys, tmp_path):
+    # BS(1,2)'s 73,810 fused relators, of which a cap-4 check closes only
+    # those of length ≤ 12: the 1,771,280-byte fused presentation is pinned
+    # by its digest, and every row of the halving check holds
+    pres = tmp_path / "bs12.pres"
+    pres.write_text("gens: a b\nrels: abABB\n", encoding="utf-8")
+    assert main(["compress", str(pres), "--verify", "--n", "4", "--budget-len", "4"]) == 0
+    out = capsys.readouterr().out
+    assert len(out) == 1_771_280
+    digest = "83f84156345103f7a5cb38a2c215e464f3ba6ff5fc0099603f1857ee692e51b4"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # the benchmark's coset saturation commands; the DOT goes through the
 # canonical renumbering, so it pins the folded snapshot up to isomorphism
 TC_CASES = {

@@ -582,6 +582,20 @@ class TestFusedSystem:
         for m in symmetry_maps(fused):
             assert {m(r) for r in closure} == closure
 
+    @pytest.mark.parametrize("p, not_cyclically_reduced", [
+        (Z2, 0), (Z3, 0), (LATTICE, 784), (CONJUGATE, 200), (BS12, 19_168),
+    ], ids=["z2", "z3", "zxz", "conjugate", "bs12"])
+    def test_capped_closure_is_the_full_closure_cut(self, p, not_cyclically_reduced):
+        # a sweep closes only the words of length ≤ 2·cap; the products
+        # x·u·x^-1 among the fused ones have reduced rotations shorter than
+        # themselves, down to the rotations of u
+        c = compress(p)
+        relators = c.combined.relators
+        assert sum(r.codes[0] == r.codes[-1] ^ 1 for r in c.fused) == not_cyclically_reduced
+        full = symmetric_closure(relators)
+        for bound in range(max(map(len, relators)) + 1):
+            assert symmetric_closure(relators, bound) == [r for r in full if len(r) <= bound], bound
+
 
 ORBIT_SAMPLES = [*((p, True) for p in FUSED_SAMPLES),
                  *((p, False) for p in (BS12, HEISENBERG, Presentation(2, [parse_word("abaBAB", 2)]),

@@ -133,6 +133,35 @@ class TestRound:
                 assert (graph.num_vertices, graph.origin, graph.edges()) == (
                     expected.num_vertices, expected.origin, expected.edges()), (p, i)
 
+    def test_rounds_fold_what_a_guarded_round_folds(self):
+        # a round folds every relator loop in at every class from settled
+        # on; one that the graph already closes changes nothing, so the
+        # rounds equal those that fold only the loops the completed graph
+        # does not close, down to the union-find's parent pointers
+        def closes(folder, v, relator):
+            u = v = folder.find(v)
+            for c in relator.codes:
+                if (t := folder.delta[c][u]) < 0:
+                    return False
+                u = folder.find(t)
+            return u == v
+
+        def guarded_round(folder, p, settled):
+            start = len(folder.parent)
+            folder.complete(settled)
+            need = [(v, r) for v in folder.vertices(settled) for r in p.relators
+                    if not closes(folder, v, r)]
+            for v, r in need:
+                folder.add_loop(v, r)
+            return start
+
+        heisenberg = Presentation(3, [w("abABC", 3), w("acAC", 3), w("bcBC", 3)])
+        for p, rounds in ((LATTICE, 60), (Z2, 6), (Z3, 6), (BS12[0], 8), (heisenberg, 6)):
+            guarded, settled = Folder(p.num_generators), 0
+            for i, folder in enumerate(islice(coset_rounds(p), rounds), 1):
+                settled = guarded_round(guarded, p, settled)
+                assert (folder.parent, folder.delta) == (guarded.parent, guarded.delta), (p, i)
+
     def test_cyclic_three_first_round_gives_cycle(self):
         folder = next(coset_rounds(Z3))
         assert folder.what == "coset round 1"
@@ -205,13 +234,13 @@ class TestOneFolder:
 class TestSettled:
     def test_round_traces_no_root_below_settled(self, monkeypatch):
         traced = []
-        untraced = Folder.trace
+        add_loop = Folder.add_loop
 
-        def recording(folder, v, word):
+        def recording(folder, v, relator):
             traced.append(v)
-            return untraced(folder, v, word)
+            add_loop(folder, v, relator)
 
-        monkeypatch.setattr(Folder, "trace", recording)
+        monkeypatch.setattr(Folder, "add_loop", recording)
         folder, settled, total = Folder(LATTICE.num_generators), 0, 0
         for i in range(30):
             traced.clear()
