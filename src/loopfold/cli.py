@@ -157,12 +157,12 @@ def cmd_profile(args) -> int:
     profile = fillings.measure_profile(system, args.n, oracle, budget)
     report = fillings.check_inequalities(profile)
     _write(fillings.profile_to_csv(profile, report), args.csv)
+    _need_whole_list(oracle, args.n)
     for row in profile.rows:
         for name, cell in (("P", row.area), ("f", row.length)):
             if cell.status is rewrite.OracleStatus.BUDGET_EXCEEDED:
                 raise rewrite.BudgetFailure(
                     f"{name} at n={row.n} is BudgetExceeded; raise --budget-states")
-    _need_whole_list(oracle, args.n)
     ok = report.asserted_hold and report.equality_holds
     if args.verify:
         ok = _fusion_holds(compression.compress(p), system, args.n, budget) and ok

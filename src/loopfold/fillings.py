@@ -4,11 +4,14 @@ For every length bound ``n`` up to a limit, the profile aggregates, over the
 trivial words of length ≤ n, all read off the reduced ones
 (:func:`measure_profile`):
 
-* ``P(n)`` — the largest minimum relator-application count (rewrite search,
-  certified by :class:`RewriteSystem`'s area lower bound where the two meet);
-  a word has the area of its free reduction;
-* ``f(n)`` — the largest filling length (rewrite search); a word ``w`` has
-  filling length max(|w|, FL(red w));
+* ``P(n)`` — the largest minimum relator-application count, proved by a
+  bound-tight derivation (:func:`~loopfold.rewrite.tight_derivations`) where
+  one is found, else by rewrite search, certified by :class:`RewriteSystem`'s
+  area lower bound where the two meet; a word has the area of its free
+  reduction;
+* ``f(n)`` — the largest filling length, |w| where a bound-tight derivation
+  proves it, else by rewrite search; a word ``w`` has filling length
+  max(|w|, FL(red w));
 * ``d(n)`` — the smallest loop-complex radius whose folded DFA accepts every
   reduced trivial word (completeness scan; soundness holds at any radius);
 * ``rhoTC(n)`` — the radius of the first partial Cayley graph that accepts
@@ -30,8 +33,9 @@ from typing import NamedTuple
 # layers read through their modules, so `grammar-bound` does not load
 # toddcoxeter (see loopfold/__init__.py)
 from . import _kernels, automata, rewrite, toddcoxeter
-from .core import Presentation, Word
+from .core import Presentation, Word, render_word
 from .rewrite import (
+    BudgetFailure,
     OracleResult,
     OracleStatus,
     RewriteSystem,
@@ -91,9 +95,16 @@ class ReferenceOracle:
         return cls(system.presentation.num_generators, system=system, budget=budget)
 
     def decide(self, w: Word) -> bool:
-        if self.system is not None:
-            return is_trivial(w, self.system, self.budget)[0]
-        return self._kills(w.codes)
+        """Whether ``w`` is trivial; the rewrite search raises
+        :class:`~loopfold.rewrite.BudgetFailure` when a sweep the state
+        budget cut misses ``w``, which it then cannot call non-trivial."""
+        if self.system is None:
+            return self._kills(w.codes)
+        trivial, status = is_trivial(w, self.system, self.budget)
+        if status is OracleStatus.BUDGET_EXCEEDED:
+            raise BudgetFailure(f"triviality of {render_word(w)} is BudgetExceeded; "
+                                "raise --budget-states")
+        return trivial
 
     def check(self, p: Presentation) -> None:
         """Raise ValueError unless the oracle speaks ``p``'s generators and
@@ -253,10 +264,16 @@ def measure_profile(
     t(m) is the longest trivial length ≤ m, a reduced trivial word padded
     with ``xX`` pairs, and L is the length cap.  ``f`` is ``LowerBoundOnly``
     once t(n) > L.  Both per-word measures are constant on the orbits of
-    the system's symmetries, so they run once per orbit.  An area that
-    meets the bound ``system`` reads off its relators
+    the system's symmetries, so they run once per orbit.  One search for
+    bound-tight derivations (:func:`~loopfold.rewrite.tight_derivations`)
+    runs first, over the orbits of length ≤ L, and each orbit it proves is
+    ``Exact`` at the area bound and its own length with no sweep.  Of the
+    others, an area that meets the bound ``system`` reads off its relators
     (:meth:`RewriteSystem.area_lower_bound`) is ``Exact`` at the length cap;
-    only the others need the sweep at the cap plus 2.
+    only the rest need the sweep at the cap plus 2.  When the state budget
+    cut a sweep the oracle lists its words from, the list may miss words of
+    the lengths that sweep lists, so ``P`` and ``f`` read ``BudgetExceeded``
+    from the first such length on (:meth:`ReferenceOracle.budget_cut`).
     Both scans try graph i ≤ n at n, radius i for ``d`` and round i + 1
     for ``rhoTC``, and leave an n that no such graph decides ``unreached``
     and ``LowerBoundOnly``; as rounds(n) ≤ max(d(n), 1), ``rhoTC`` is
@@ -266,26 +283,37 @@ def measure_profile(
     p = system.presentation
     oracle.check(p)
     reduced = oracle.reduced_trivial_words(n_max)
-    orbits = [Word(codes) for codes in dict.fromkeys(system.canonical(w.codes) for w in reduced)]
-    area = prefix_maxima(orbits, n_max, lambda w: min_isoperimetric(w, system, budget))
-    fills = prefix_maxima(orbits, n_max, lambda w: filling_length(w, system, budget))
+    keys = list(dict.fromkeys(system.canonical(w.codes) for w in reduced))
+    cap = budget.max_word_length
+    proved = rewrite.tight_derivations(system, keys, cap)
+    orbits = list(map(Word, keys))
+    area = prefix_maxima(orbits, n_max, lambda w: (
+        OracleResult(system.area_lower_bound(w.codes), OracleStatus.EXACT) if w.codes in proved
+        else min_isoperimetric(w, system, budget)))
+    fills = prefix_maxima(orbits, n_max, lambda w: (
+        OracleResult(len(w), OracleStatus.EXACT) if w.codes in proved
+        else filling_length(w, system, budget)))
     # t(m), the longest trivial length ≤ m: a reduced trivial word padded with xX pairs
     odd = min((len(w) for w in reduced if len(w) % 2), default=n_max + 1)
     longest = [m if m % 2 == 0 or m >= odd else m - 1 for m in range(n_max + 1)]
-    cap = budget.max_word_length
-    length = []
-    for n, fill in enumerate(fills):
-        status = fill.status
-        if longest[n] > cap and status is OracleStatus.EXACT:
-            status = OracleStatus.LOWER_BOUND_ONLY
-        length.append(OracleResult(max(fill.value, longest[min(n, cap)]), status))
     diameter = measure_isodiametric(p, n_max, reduced)
     tc = [
         OracleResult(None, OracleStatus.LOWER_BOUND_ONLY) if hit is None
         else OracleResult(hit[1], OracleStatus.EXACT)
         for hit in toddcoxeter.measure_tc_radius(p, n_max, reduced)
     ]
-    rows = (ProfileRow(n, *cells) for n, cells in enumerate(zip(area, length, diameter, tc)))
+    # a cut sweep may leave the list short from the first length it lists on
+    cut = next((n for n in range(1, n_max + 1) if oracle.budget_cut(n)), n_max + 1)
+    rows = []
+    for n, (area_cell, fill, d_cell, tc_cell) in enumerate(zip(area, fills, diameter, tc)):
+        status = fill.status
+        if longest[n] > cap and status is OracleStatus.EXACT:
+            status = OracleStatus.LOWER_BOUND_ONLY
+        f_cell = OracleResult(max(fill.value, longest[min(n, cap)]), status)
+        if n >= cut:
+            area_cell, f_cell = (cell._replace(status=OracleStatus.BUDGET_EXCEEDED)
+                                 for cell in (area_cell, f_cell))
+        rows.append(ProfileRow(n, area_cell, f_cell, d_cell, tc_cell))
     return FillingProfile(p, tuple(rows))
 
 

@@ -40,16 +40,21 @@ images, and a cost lookup canonicalizes the word first: see
 :meth:`Exploration.cost`.
 
 Searches are capped by a :class:`SearchBudget`, and no a-priori bound on
-intermediate word length is available.  An area is reported ``Exact`` when
-the cap-``L`` value meets the bound the system reads off its relators
-(:meth:`RewriteSystem.area_lower_bound`; a sweep's value is the cost of a
-real derivation, even when the state budget cut the sweep, so it is then
-the minimum), or else when it has stabilized across two consecutive length
-caps (``L`` and ``L + 2``).  The first is a proof; the second is a stop
-rule, and the cap-``L + 2`` sweep runs only for the words that need it.  A filling length is the first cap,
-tried upward from the word's length, whose sweep holds the word: ``Exact``
-even if the state budget cut that sweep, as a sweep holds only words it
-derived and every smaller cap's sweep was complete and missed the word.
+intermediate word length is available.  An area is ``Exact`` by one of
+three rules, tried in order.  First, a bound-tight derivation
+(:func:`tight_derivations`): one whose every relator step lowers the bound
+the system reads off its relators (:meth:`RewriteSystem.area_lower_bound`)
+by exactly 1 and whose words are no longer than the first proves the area
+equal to the bound and the filling length equal to the word's length, with
+no sweep.  Second, the cap-``L`` value meets that bound (a sweep's value is
+the cost of a real derivation, even when the state budget cut the sweep, so
+it is then the minimum).  Third, the value has stabilized across two
+consecutive length caps (``L`` and ``L + 2``).  The first two are proofs;
+the third is a stop rule, and the cap-``L + 2`` sweep runs only for the
+words that need it.  Otherwise a filling length is the first cap, tried
+upward from the word's length, whose sweep holds the word: ``Exact`` even if
+the state budget cut that sweep, as a sweep holds only words it derived and
+every smaller cap's sweep was complete and missed the word.
 """
 
 from __future__ import annotations
@@ -520,6 +525,58 @@ def filling_length(w: Word, rs: RewriteSystem, budget: SearchBudget) -> OracleRe
         if not sweep.complete:
             return OracleResult(None, OracleStatus.BUDGET_EXCEEDED)
     return OracleResult(None, OracleStatus.LOWER_BOUND_ONLY)
+
+
+# The words a certificate search visits for one key before it gives up; a
+# key it misses takes the sweeps, so the limit costs time, never a value.
+_CERTIFICATE_VISITS = 2_000
+
+
+def tight_derivations(
+    rs: RewriteSystem, keys: Iterable[bytes], cap: int
+) -> dict[bytes, list[bytes]]:
+    """Bound-tight derivations of the ``keys`` of length ≤ ``cap``: each key
+    ``w`` given one maps to the words of a derivation from ``w`` to the
+    empty word in which every relator step lowers
+    :attr:`~RewriteSystem.area_lower_bound` by exactly 1, no free pair is
+    inserted, and no word is longer than ``w``.  Such a derivation takes
+    bound(w) relator steps, so area(w) = bound(w), and stays within |w|, so
+    FL(w) = |w|: it is a proof of both, with no sweep.
+
+    Per key, a depth-first search over the successors of a sweep capped at
+    |w| (:meth:`~RewriteSystem._successors`, built once per length) stops at
+    the first success, or gives up after ``_CERTIFICATE_VISITS`` words.
+    Free moves leave every functional of the bound, and the free reduction,
+    unchanged, so the bound is evaluated on relator steps alone.  Each step
+    lowers the bound or the length, so no word recurs on a path, and a word
+    that failed once fails again: the search visits each word once."""
+    bound = rs.area_lower_bound
+    successors_at: dict[int, Callable[[bytes], Iterator[tuple[int, bytes]]]] = {}
+    found = {}
+    for key in keys:
+        if len(key) > cap:
+            continue
+        successors = successors_at.get(len(key))
+        if successors is None:
+            successors = successors_at[len(key)] = rs._successors(len(key))
+        path = [(key, bound(key), successors(key))]  # (word, its bound, untried steps)
+        seen = {key}
+        while path and path[-1][0]:
+            word, left, steps = path[-1]
+            for cost, nxt in steps:
+                if nxt in seen or (bound(nxt) != left - 1 if cost else len(nxt) > len(word)):
+                    continue
+                if len(seen) == _CERTIFICATE_VISITS:
+                    path.clear()
+                    break
+                seen.add(nxt)
+                path.append((nxt, left - cost, successors(nxt)))
+                break
+            else:
+                path.pop()
+        if path:  # it ends at the empty word
+            found[key] = [word for word, _, _ in path]
+    return found
 
 
 def trivial_words(rs: RewriteSystem, budget: SearchBudget, n: int) -> list[Word]:

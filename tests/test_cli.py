@@ -249,13 +249,34 @@ def test_profile_enumerates_no_word(monkeypatch, capsys):
     assert calls == []
 
 
-def test_profile_state_budget_failure(capsys):
-    # 50 orbits cut the sweep at the default length cap 8, which holds the
-    # oracle's reduced trivial words up to length 5 at their bounds but
-    # misses aabAAB: P(6) is BudgetExceeded, the CSV is still written in
-    # full, and one line names the first such cell
+def test_profile_state_budget_failure(tmp_path, capsys):
+    # On ⟨a | a⁴, a⁶⟩, aa has bound ⌈2/6⌉ = 1 and area 2, so no certificate
+    # settles it, and 2 orbits cut the cap-8 sweep before it holds aa: P(2)
+    # is BudgetExceeded, the CSV is still written in full, and one line
+    # names the first such cell.  aaaa is certified at area 1, which P(4)
+    # carries
+    pres = tmp_path / "a4a6.pres"
+    pres.write_text("gens: a\nrels: aaaa aaaaaa\n", encoding="utf-8")
+    assert run_cli("profile", str(pres), "--n", "4", "--oracle", "cyclic:2",
+                   "--budget-states", "2") == 3
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "n,P,P_status,f,f_status,d,rhoTC,d_le_half_f,double_exp,d_eq_rhoTC",
+        "0,0,Exact,0,Exact,0,1,true,true,false",
+        "1,0,Exact,0,Exact,0,1,true,true,false",
+        "2,0,BudgetExceeded,2,BudgetExceeded,0,1,skipped,skipped,false",
+        "3,0,BudgetExceeded,2,BudgetExceeded,0,1,skipped,skipped,false",
+        "4,1,BudgetExceeded,4,BudgetExceeded,0,1,skipped,skipped,false",
+    ]
+    assert captured.err == "loopfold: P at n=2 is BudgetExceeded; raise --budget-states\n"
+
+
+def test_profile_certifies_the_areas_a_cut_sweep_misses(capsys):
+    # 50 orbits cut the sweep at the default length cap 8, which misses
+    # aabAAB; its bound-tight derivation proves area 2 and filling length 6
+    # with no sweep, so every cell is Exact
     assert run_cli("profile", ZXZ, "--n", "6", "--oracle", "rewrite:6",
-                   "--budget-states", "50") == 3
+                   "--budget-states", "50") == 1
     captured = capsys.readouterr()
     assert captured.out.splitlines() == [
         "n,P,P_status,f,f_status,d,rhoTC,d_le_half_f,double_exp,d_eq_rhoTC",
@@ -265,9 +286,9 @@ def test_profile_state_budget_failure(capsys):
         "3,0,Exact,2,Exact,0,3,true,true,false",
         "4,1,Exact,4,Exact,2,6,true,true,false",
         "5,1,Exact,4,Exact,2,6,true,true,false",
-        "6,1,BudgetExceeded,6,Exact,3,9,true,skipped,false",
+        "6,2,Exact,6,Exact,3,9,true,true,false",
     ]
-    assert captured.err == "loopfold: P at n=6 is BudgetExceeded; raise --budget-states\n"
+    assert captured.err == ""
 
 
 def test_profile_of_a_free_group_needs_no_full_sweep(capsys):
@@ -290,10 +311,12 @@ def test_profile_of_a_free_group_needs_no_full_sweep(capsys):
 
 
 def test_profile_filling_length_exact_at_a_cut_sweep(capsys):
-    # 50 orbits hold the sweeps at caps 0 to 7 but not the one at cap 8,
-    # which still holds a word of length 8: f(8) = 8 is Exact and the
-    # d ≤ f/2 check runs.  P is Exact where the cut cap-6 sweep holds every
-    # word at its bound, up to n = 5, and BudgetExceeded from n = 6 on
+    # 50 orbits hold the sweeps at caps 0 to 7 but not the one at cap 8.
+    # Every listed word up to length 7 has a bound-tight derivation, so P
+    # and f are Exact there, the cut sweep notwithstanding.  The oracle
+    # lists the words of length 8 from the cut cap-8 sweep, which may miss
+    # some, so P(8) and f(8) are BudgetExceeded and their checks skipped;
+    # the line names the cut list
     assert run_cli("profile", Z3, "--n", "8", "--oracle", "rewrite:6",
                    "--budget-states", "50") == 3
     captured = capsys.readouterr()
@@ -304,11 +327,11 @@ def test_profile_filling_length_exact_at_a_cut_sweep(capsys):
         "3,1,Exact,3,Exact,0,1,true,true,false",
         "4,1,Exact,4,Exact,0,1,true,true,false",
         "5,1,Exact,5,Exact,0,1,true,true,false",
-        "6,1,BudgetExceeded,6,Exact,0,1,true,skipped,false",
-        "7,1,BudgetExceeded,7,Exact,0,1,true,skipped,false",
-        "8,1,BudgetExceeded,8,Exact,0,1,true,skipped,false",
+        "6,2,Exact,6,Exact,0,1,true,true,false",
+        "7,2,Exact,7,Exact,0,1,true,true,false",
+        "8,2,BudgetExceeded,8,BudgetExceeded,0,1,skipped,skipped,false",
     ]
-    assert captured.err == "loopfold: P at n=6 is BudgetExceeded; raise --budget-states\n"
+    assert captured.err == CUT_LIST
 
 
 # -- compress ---------------------------------------------------------------------
@@ -395,13 +418,16 @@ def swept_caps(monkeypatch, capsys, argv) -> set[int]:
 
 
 @pytest.mark.parametrize("argv, wider", [
-    # the benchmark's commands: the area bound certifies every cap-L area
+    # the benchmark's commands: a bound-tight derivation proves every area
+    # and filling length, so profile runs no sweep at all
     (("profile", ZXZ, "--n", "8", "--oracle", "free-abelian:2"), set()),
     (("profile", Z3, "--n", "8", "--oracle", "cyclic:3"), set()),
     (("profile", Z2, "--n", "8", "--oracle", "cyclic:2"), set()),
     (("profile", FREE2, "--n", "6", "--oracle", "free:2"), set()),
+    # the area bound certifies every cap-L area
     (("grammar-bound", Z2, "--n", "7", "--oracle", "cyclic:2"), set()),
-    # the bound comes from the presentation, so the rewrite search gets it too
+    # the bound comes from the presentation, so the rewrite search gets it
+    # too; profile sweeps only at the oracle's cap 6, to list its words
     (("profile", Z3, "--n", "6", "--oracle", "rewrite:6"), set()),
     (("compress", ZXZ, "--verify", "--n", "4", "--budget-len", "4"), set()),
     (("compress", Z2, "--verify", "--n", "8"), set()),
@@ -413,7 +439,11 @@ def test_only_uncertified_areas_sweep_past_the_length_cap(monkeypatch, capsys, a
     # stop rule's L + 2
     cap = int(argv[argv.index("--budget-len") + 1]) if "--budget-len" in argv else 8
     caps = swept_caps(monkeypatch, capsys, argv)
-    assert cap in caps and {c for c in caps if c > cap} == wider
+    if argv[0] == "profile":
+        oracle = argv[argv.index("--oracle") + 1]
+        assert caps == ({int(oracle[len("rewrite:"):])} if oracle.startswith("rewrite:") else set())
+    else:
+        assert cap in caps and {c for c in caps if c > cap} == wider
 
 
 def test_a_bound_short_of_the_area_sweeps_past_the_length_cap(tmp_path, monkeypatch, capsys):

@@ -19,9 +19,10 @@ from loopfold.fillings import (
     measure_profile,
     profile_to_csv,
 )
-from loopfold import fillings, toddcoxeter
+from loopfold import fillings, rewrite, toddcoxeter
 from loopfold.grammar import double_exp_experiment
 from loopfold.rewrite import (
+    BudgetFailure,
     OracleResult,
     OracleStatus,
     RewriteSystem,
@@ -29,6 +30,7 @@ from loopfold.rewrite import (
     filling_length,
     min_isoperimetric,
     prefix_maxima,
+    tight_derivations,
 )
 
 Z2 = parse_presentation("gens: a\nrels: aa")
@@ -103,6 +105,17 @@ def test_rewrite_oracle_agrees_with_cyclic():
     assert by_search.num_generators == 1
     for word in words_up_to(2, 5):
         assert by_search.decide(word) == closed_form.decide(word), word
+
+
+def test_a_cut_search_keeps_its_status():
+    # 3 orbits cut ℤ/3's cap-6 sweep after "", aA and aaa: aaa is trivial,
+    # and the search can call neither aaaaaa, which the sweep missed, nor
+    # aa non-trivial
+    oracle = ReferenceOracle.rewrite_search(RewriteSystem(Z3), SearchBudget(6, 3))
+    assert oracle.decide(w("aaa", 1)) is True
+    for text in ("aaaaaa", "aa"):
+        with pytest.raises(BudgetFailure, match=f"^triviality of {text} is BudgetExceeded; "):
+            oracle.decide(w(text, 1))
 
 
 @pytest.mark.parametrize("oracle, n", [
@@ -371,11 +384,56 @@ def test_profile_reads_only_the_reduced_orbits(monkeypatch):
     # ℤ² at n = 8: 361 of the 5,341 trivial words are reduced, in 30 orbits
     oracle = ReferenceOracle.free_abelian(2)
     assert (len(oracle.trivial_words(8)), len(oracle.reduced_trivial_words(8))) == (5341, 361)
-    calls = []
+    calls, proved = [], []
+
+    def tight(system, keys, cap):
+        found = tight_derivations(system, keys, cap)
+        proved.append((len(keys), len(found)))
+        return found
+    monkeypatch.setattr(rewrite, "tight_derivations", tight)
     monkeypatch.setattr(fillings, "min_isoperimetric",
                         lambda *args: calls.append(args[0]) or min_isoperimetric(*args))
     measure_profile(RewriteSystem(LATTICE), 8, oracle, SearchBudget())
-    assert len(calls) == len(set(calls)) == 30
+    # one certificate search over the 30 orbits proves them all
+    assert proved == [(30, 30)]
+    assert calls == []
+
+
+@pytest.mark.parametrize("p, make_oracle, n_max, budget", [
+    (Z2, lambda system: ReferenceOracle.cyclic(2), 8, SearchBudget()),
+    (LATTICE, lambda system: ReferenceOracle.free_abelian(2), 8, SearchBudget()),
+    (Z3, lambda system: ReferenceOracle.rewrite_search(system, SearchBudget(6)), 8, SearchBudget(6)),
+    (A4_A6, lambda system: ReferenceOracle.cyclic(2), 6, SearchBudget(6)),
+], ids=["z2", "zxz", "z3-rewrite", "a4-a6"])
+def test_a_missed_certificate_takes_the_sweeps(monkeypatch, p, make_oracle, n_max, budget):
+    # with room for the key alone, a search certifies the empty word only;
+    # every other orbit takes the sweeps, and the profile is the same
+    system = RewriteSystem(p)
+    expected = csv(measure_profile(system, n_max, make_oracle(system), budget))
+    monkeypatch.setattr(rewrite, "_CERTIFICATE_VISITS", 1)
+    calls = []
+    monkeypatch.setattr(fillings, "filling_length",
+                        lambda *args: calls.append(args[0]) or filling_length(*args))
+    system = RewriteSystem(p)
+    assert csv(measure_profile(system, n_max, make_oracle(system), budget)) == expected
+    assert calls and EMPTY not in calls
+
+
+@pytest.mark.parametrize("oracle_budget, cut", [
+    (SearchBudget(6, 3), 1),  # the cap-6 sweep, which lists every length from 1 on
+    (SearchBudget(6, 20), 7),  # the cap-7 sweep, which lists length 7
+], ids=["cap-l", "past-l"])
+def test_a_cut_list_exceeds_the_budget_from_its_first_listed_length(oracle_budget, cut):
+    # the list may miss words of the lengths a cut sweep lists, so P and f
+    # read BudgetExceeded from the first such length on, whatever the words
+    # it holds prove
+    system = RewriteSystem(Z3)
+    oracle = ReferenceOracle.rewrite_search(system, oracle_budget)
+    profile = measure_profile(system, 8, oracle, SearchBudget(8, oracle_budget.max_states))
+    exceeded = [n for n, row in enumerate(profile.rows)
+                if row.area.status is row.length.status is OracleStatus.BUDGET_EXCEEDED]
+    assert exceeded == list(range(cut, 9))
+    assert all(row.area.exact and row.length.exact for row in profile.rows[:cut])
 
 
 # -- certified area -------------------------------------------------------------

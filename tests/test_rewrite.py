@@ -703,3 +703,72 @@ class TestSweepIndependence:
             fresh = RewriteSystem(p).explore(cap)
             assert list(swept.costs.items()) == list(fresh.costs.items()), cap
             assert swept.complete is fresh.complete
+
+
+FREE2 = Presentation(2, ())
+
+
+class TestTightDerivations:
+    """A bound-tight derivation proves a key's area equal to its bound and
+    its filling length equal to its length.  Each one returned is replayed
+    rule by rule, and its values are checked against complete sweeps."""
+
+    @pytest.mark.parametrize("p, n, keys, proved", [
+        (Z2, 8, 101, 101),
+        (Z3, 8, 56, 56),
+        (LATTICE, 8, 396, 396),
+        (FREE2, 8, 197, 197),
+        (BS12, 6, 104, 104),
+        (HEISENBERG, 6, 463, 431),
+    ], ids=["z2", "z3", "zxz", "free2", "bs12", "heisenberg"])
+    def test_each_derivation_replays_and_meets_the_sweeps(self, p, n, keys, proved):
+        # the keys are those of every trivial word of length ≤ n, unreduced
+        # ones included.  On Heisenberg the 431 proved are as many as the
+        # orbits whose cap-6 cost meets the bound (TestAreaLowerBound)
+        rs = RewriteSystem(p)
+        bound = rs.area_lower_bound
+        found = rewrite.tight_derivations(rs, list(rs.explore(n).costs), n)
+        assert (len(rs.explore(n).costs), len(found)) == (keys, proved)
+        for key, path in found.items():
+            assert path[0] == key and path[-1] == b"", key
+            assert max(map(len, path)) == len(key), key
+            relator_steps = 0
+            for u, v in zip(path, path[1:]):
+                kinds = {rule.from_relators
+                         for rule, _pos, res in rs.apply_rule_positions(Word(u)) if res.codes == v}
+                assert len(kinds) == 1, (key, u, v)  # one rule application, of one kind
+                if kinds == {True}:
+                    relator_steps += 1
+                    assert bound(v) == bound(u) - 1, (key, u, v)
+                else:
+                    assert bound(v) == bound(u) and len(v) < len(u), (key, u, v)
+            assert relator_steps == bound(key), key
+            # the uncut sweeps: the area at cap n, the filling length the
+            # first cap that holds the key
+            assert rs.explore(n).cost(key) == bound(key), key
+            first = next(cap for cap in range(len(key), n + 1) if rs.explore(cap).cost(key) is not None)
+            assert first == len(key), key
+
+    def test_every_reduced_sample_key_is_certified(self):
+        for p in (Z2, Z3, LATTICE, FREE2):
+            rs = RewriteSystem(p)
+            keys = [key for key in rs.explore(8).costs if Word(key).is_reduced()]
+            assert set(rewrite.tight_derivations(rs, keys, 8)) == set(keys), p
+
+    def test_a_bound_short_of_the_area_is_not_certified(self):
+        # on ⟨a | a⁴, a⁶⟩, aa has bound ⌈2/6⌉ = 1 and area 2; aaaa is one relator
+        rs = RewriteSystem(A4_A6)
+        found = rewrite.tight_derivations(rs, [w("aa", 1).codes, w("aaaa", 1).codes], 8)
+        assert list(found) == [w("aaaa", 1).codes]
+
+    def test_keys_longer_than_the_cap_are_skipped(self):
+        rs = RewriteSystem(Z2)
+        assert list(rewrite.tight_derivations(rs, [b"", w("aa", 1).codes, w("aaaa", 1).codes], 3)) == [
+            b"", w("aa", 1).codes]
+
+    def test_the_visit_limit_gives_up(self, monkeypatch):
+        # with room for the key alone, only the empty word, which needs no
+        # step, is certified
+        monkeypatch.setattr(rewrite, "_CERTIFICATE_VISITS", 1)
+        rs = RewriteSystem(LATTICE)
+        assert list(rewrite.tight_derivations(rs, [b"", w("abAB").codes], 8)) == [b""]
