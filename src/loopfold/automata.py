@@ -234,10 +234,12 @@ class Folder:
     def _join(self, start: int, codes: bytes, end: int) -> int:
         """Fold in a path reading ``codes`` from ``start`` to ``end``;
         returns the class it ends in."""
-        find, delta = self.find, self.delta
+        # an edge mostly ends at a root, which is its own class: find is
+        # called only past a merge
+        find, parent, delta = self.find, self.parent, self.delta
         end, last = find(end), len(codes)
         while last and (t := delta[codes[last - 1] ^ 1][end]) >= 0:  # the tail already there
-            end, last = find(t), last - 1
+            end, last = (t if parent[t] == t else find(t)), last - 1
         if not last:  # the whole path is there already
             if find(start) != end:
                 self._merge(start, end)
@@ -246,7 +248,7 @@ class Folder:
         v = find(start)
         for c in codes[:last]:
             t = delta[c][v]
-            v = self._grow(v, c) if t < 0 else find(t)
+            v = self._grow(v, c) if t < 0 else t if parent[t] == t else find(t)
         c = codes[last]  # one closing edge v --c--> end, folded onto any c-edge there
         if (s := delta[c][v]) >= 0:
             self._merge(s, end)
@@ -277,6 +279,17 @@ class Folder:
     def add_loop(self, basepoint: int, relator: Word) -> None:
         """Fold in a cycle reading ``relator`` at ``basepoint``."""
         self._join(basepoint, relator.codes, basepoint)
+
+    def closes(self, codes: bytes) -> bool:
+        """Whether the walk reading ``codes`` from the origin stays on the
+        graph and returns to the origin's class."""
+        find, delta = self.find, self.delta
+        v = origin = find(self.origin)
+        for c in codes:
+            if (t := delta[c][v]) < 0:
+                return False
+            v = find(t)
+        return v == origin
 
     def _numbering(self) -> list[int]:
         """Entry ``v`` is the number of the class of ``v``, classes numbered
@@ -348,13 +361,19 @@ def loop_complexes(p: Presentation) -> Iterator[Folder]:
         yield folder
 
 
-def build_loop_complex(p: Presentation, j: int) -> FoldedGraph:
+def build_loop_complex(p: Presentation, j: int, until: Word | None = None) -> FoldedGraph:
     """The folded wedge, at a single origin, of one loop ``r^u`` per pair
     of a relator ``r`` and a reduced word ``u`` with ``|u| ≤ j``: a path
-    reading ``u`` with an ``r``-cycle at its tip."""
+    reading ``u`` with an ``r``-cycle at its tip.  Given a reduced word
+    ``until``, the complex of the first radius ``≤ j`` whose origin loops
+    read it, or of radius ``j`` when none does; the word is traced in the
+    folder after each radius."""
     if j < 0:
         raise ValueError("radius must be nonnegative")
-    return next(itertools.islice(loop_complexes(p), j, None)).snapshot()
+    for folder in itertools.islice(loop_complexes(p), j + 1):
+        if until is not None and folder.closes(until.codes):
+            break
+    return folder.snapshot()
 
 
 def build_tree_nfa(p: Presentation, j: int) -> LabeledGraph:
@@ -416,32 +435,42 @@ def nfa_accepts(graph: LabeledGraph, w: Word) -> bool:
 def decide_word_problem(p: Presentation, w: Word, j: int) -> bool:
     """Accept iff the folded radius-``j`` loop complex accepts ``red(w)``.
 
-    A True answer always certifies triviality; completeness additionally
-    needs ``j`` at least the isodiametric value at ``|w|``.
+    ``Λ_i`` accepts a subset of what ``Λ_j`` accepts for ``i ≤ j``, so the
+    answer is read off the first radius ``≤ j`` that accepts
+    (:func:`build_loop_complex` stops there), and no complex past it is
+    drawn.  A True answer always certifies triviality; completeness
+    additionally needs ``j`` at least the isodiametric value at ``|w|``.
     """
-    return accepts_reduced(build_loop_complex(p, j), w)
+    reduced = w.reduce()
+    return accepts_reduced(build_loop_complex(p, j, reduced), reduced)
 
 
 # -- analysis helpers ---------------------------------------------------------
 
 
-def distances_from_origin(graph: FoldedGraph) -> dict[int, int]:
-    """Undirected BFS distance of every reachable vertex from the origin,
-    in the order the search meets them, trying letters in the order a, a⁻¹,
-    b, b⁻¹, ..."""
-    dist = {graph.origin: 0}
+def breadth_first(graph: FoldedGraph) -> tuple[list[int], list[int]]:
+    """The origin's component in breadth-first order, trying letters in the
+    order a, a⁻¹, b, b⁻¹, …, and each vertex's undirected distance from the
+    origin, indexed by vertex, -1 where the origin does not reach.  The
+    order is the component's canonical numbering, and its last vertex lies
+    farthest from the origin."""
+    dist = [-1] * graph.num_vertices
+    dist[graph.origin] = 0
     order = [graph.origin]
+    rows = graph.delta
     for v in order:  # grows while read: breadth-first
-        for row in graph.delta:
-            if (u := row[v]) >= 0 and u not in dist:
-                dist[u] = dist[v] + 1
+        d = dist[v] + 1
+        for row in rows:
+            if (u := row[v]) >= 0 and dist[u] < 0:
+                dist[u] = d
                 order.append(u)
-    return dist
+    return order, dist
 
 
 def radius(graph: FoldedGraph) -> int:
     """Eccentricity of the origin over its reachable component."""
-    return max(distances_from_origin(graph).values())
+    order, dist = breadth_first(graph)
+    return dist[order[-1]]
 
 
 def _induced(graph: FoldedGraph, kept: list[int]) -> FoldedGraph:
@@ -457,18 +486,23 @@ def _induced(graph: FoldedGraph, kept: list[int]) -> FoldedGraph:
 def restrict_to_radius(graph: FoldedGraph, k: int) -> FoldedGraph:
     """Induced subgraph on vertices within distance ``k`` of the origin,
     renumbered ascending by original index."""
-    return _induced(graph, sorted(v for v, d in distances_from_origin(graph).items() if d <= k))
+    _order, dist = breadth_first(graph)
+    return _induced(graph, [v for v, d in enumerate(dist) if 0 <= d <= k])
 
 
 def strip_hairs(graph: FoldedGraph) -> FoldedGraph:
     """Repeatedly delete non-origin vertices of total degree ≤ 1 (and their
     edges).  A reduced closed walk at the origin never enters a hair, so
     the stripped graph accepts the same reduced words from a smaller
-    successor table."""
+    successor table.  A graph with no hair is returned as it is."""
     n, origin, delta = graph.num_vertices, graph.origin, graph.delta
-    degree = [sum(t >= 0 for t in ends) for ends in zip(*delta)]
+    degree = [0] * n
+    for row in delta:
+        degree = [d + (t >= 0) for d, t in zip(degree, row)]
+    hairs = [v for v, d in enumerate(degree) if d <= 1 and v != origin]
+    if not hairs:
+        return graph
     alive = [True] * n
-    hairs = [v for v in range(n) if v != origin and degree[v] <= 1]
     while hairs:
         v = hairs.pop()
         if alive[v]:
@@ -481,37 +515,42 @@ def strip_hairs(graph: FoldedGraph) -> FoldedGraph:
     return _induced(graph, [v for v in range(n) if alive[v]])
 
 
-def _component_edges(graph: FoldedGraph) -> tuple[int, Iterator[tuple[int, int, int]]]:
-    """The origin's component renumbered in the order of
-    :func:`distances_from_origin`: its vertex count and its edges, ascending.
-    Walking the vertices in that order, each through its forward rows in
-    letter order, meets the edges sorted, as a letter leaves a vertex once."""
-    number = {v: i for i, v in enumerate(distances_from_origin(graph))}
-    forward = list(enumerate(graph.delta[::2]))
-    edges = ((i, g, number[t]) for v, i in number.items() for g, row in forward if (t := row[v]) >= 0)
-    return len(number), edges
+def _component_numbering(graph: FoldedGraph) -> tuple[list[int], list[int]]:
+    """The origin's component in the order of :func:`breadth_first`, and
+    each vertex's number in that order, -1 off the component.  Walking the
+    vertices in that order, each through its forward rows in letter order,
+    meets the renumbered edges sorted, as a letter leaves a vertex once."""
+    order, _dist = breadth_first(graph)
+    number = [-1] * graph.num_vertices
+    for i, v in enumerate(order):
+        number[v] = i
+    return order, number
 
 
 def canonical_form(graph: FoldedGraph) -> tuple[int, tuple[tuple[int, int, int], ...]]:
     """Isomorphism invariant of the origin's component: vertices are
-    renumbered in the order of :func:`distances_from_origin`; returns
+    renumbered in the order of :func:`breadth_first`; returns
     (vertex count, edge tuple).  A folded graph is its successor table, so
     two graphs with one form are isomorphic and accept the same words."""
-    count, edges = _component_edges(graph)
-    return count, tuple(edges)
+    order, number = _component_numbering(graph)
+    forward = list(enumerate(graph.delta[::2]))
+    edges = tuple((i, g, number[t]) for i, v in enumerate(order) for g, row in forward if (t := row[v]) >= 0)
+    return len(order), edges
 
 
 def to_dot(graph: FoldedGraph) -> str:
     """Graphviz rendering of the origin's component, numbered as in
     :func:`canonical_form` so that it is stable across runs; the origin
     (vertex 0) double-circled, edges labeled by letter."""
-    count, edges = _component_edges(graph)
-    lines = ["digraph G {", "  rankdir=LR;"]
-    for v in range(count):
-        shape = "doublecircle" if v == 0 else "circle"
-        lines.append(f'  {v} [shape={shape}];')
-    labels = [chr(ord("a") + g) for g in range(graph.num_generators)]
-    for src, g, dst in edges:
-        lines.append(f'  {src} -> {dst} [label="{labels[g]}"];')
-    lines.append("}")
+    order, number = _component_numbering(graph)
+    forward = [(row, f' [label="{chr(ord("a") + g)}"];') for g, row in enumerate(graph.delta[::2])]
+    lines = [
+        "digraph G {",
+        "  rankdir=LR;",
+        "  0 [shape=doublecircle];",
+        *(f"  {i} [shape=circle];" for i in range(1, len(order))),
+        *(f"  {i} -> {number[t]}{label}" for i, v in enumerate(order) for row, label in forward
+          if (t := row[v]) >= 0),
+        "}",
+    ]
     return "\n".join(lines) + "\n"

@@ -219,14 +219,15 @@ def symmetric_closure(relators: Iterable[Word], max_length: int | None = None) -
     A word already in the set is skipped: it is a reduced rotation of a word
     taken before, and the reduced rotations of a reduced rotation are among
     those of the word, so they are in the set too.  Every reduced rotation
-    of a cyclically reduced relator, and of its inverse, keeps its length,
-    so one longer than ``max_length`` is skipped at a glance.
+    of a relator, and of its inverse, is at least as long as its cyclic
+    core, so a relator whose core is longer than ``max_length`` is skipped
+    before it is inverted.
     """
     closure: set[bytes] = set()
     for r in relators:
         codes = r.codes
         bound = len(codes) if max_length is None else max_length
-        if len(codes) > bound and codes[0] != codes[-1] ^ 1:
+        if len(codes) > bound and len(codes) - 2 * _conjugator_length(codes) > bound:
             continue
         for base in (codes, codes[::-1].translate(_INVERSE)):
             if base not in closure:
@@ -234,6 +235,16 @@ def symmetric_closure(relators: Iterable[Word], max_length: int | None = None) -
     ordered = sorted(closure)
     ordered.sort(key=len)  # stable: shortlex
     return ordered
+
+
+def _conjugator_length(codes: bytes) -> int:
+    """|x| where a nonempty reduced word is ``x u x^-1`` with ``u``
+    cyclically reduced; the scan stops by the middle, as the word is
+    reduced."""
+    n, k = len(codes), 0
+    while codes[k] == codes[n - 1 - k] ^ 1:
+        k += 1
+    return k
 
 
 def _reduced_rotations(codes: bytes, max_length: int) -> set[bytes]:
@@ -247,10 +258,7 @@ def _reduced_rotations(codes: bytes, max_length: int) -> set[bytes]:
     from each end.  So no rotation has to be reduced letter by letter, and
     none longer than ``max_length`` is made.
     """
-    n = len(codes)
-    k = 0  # |x|; the scan stops by the middle, as ``codes`` is reduced
-    while codes[k] == codes[n - 1 - k] ^ 1:
-        k += 1
+    n, k = len(codes), _conjugator_length(codes)
     m = n - 2 * k
     # y u y^-1 with |y| = k - i has length n - 2i
     rotations = {codes[i : n - i] for i in range(max(0, (n - max_length + 1) // 2), k)}

@@ -155,7 +155,7 @@ class ReferenceOracle:
         # a prefix's element lies within n/2 of the identity, so its
         # neighbours all lie in the ball
         ball = self.cayley_ball(n // 2 + 1)
-        norm = automata.distances_from_origin(ball)
+        _order, norm = automata.breadth_first(ball)
         out: list[Word] = []
 
         def extend(prefix: bytes, v: int, left: int, banned: int) -> None:

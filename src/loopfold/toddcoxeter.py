@@ -3,7 +3,8 @@
 Starting from a single origin vertex, each round (1) gives every existing
 vertex a full set of outgoing and incoming generator edges, growing fresh
 vertices where edges are missing, and (2) folds in a relator cycle at every
-vertex, which changes nothing where the relator already traces a loop.  The
+vertex, which changes nothing where the relator already traces a loop, so
+:func:`tc_round` folds each class's loops in once, at the round it appears.  The
 folded graph with all hairs removed is a partial Cayley graph;
 :func:`partial_cayley` builds it from a round's snapshot, for ``tc`` and
 the ρ_TC scan alike.
@@ -34,42 +35,45 @@ class PartialCayleyGraph(NamedTuple):
     radius: int
 
 
-def tc_round(folder: Folder, p: Presentation, settled: int = 0) -> int:
-    """One saturation round, advancing ``folder`` in place: complete edges,
-    then fold in every relator's loop at every class rooted at ``settled``
-    or later, folding as they go.  Edge completion covers the vertices
-    present when the round starts.  A
-    loop the graph already closes changes nothing (:meth:`Folder.add_loop`
-    follows its edges back to the basepoint and merges nothing), so the
-    loops need no guard.  Returns the starting vertex count, the next
-    round's ``settled``.
+def tc_round(folder: Folder, p: Presentation, settled: int = 0, closed: int = 0) -> tuple[int, int]:
+    """One saturation round, advancing ``folder`` in place: complete the
+    classes rooted at ``settled`` or later, then fold in every relator's
+    loop at every class rooted at ``closed`` or later, folding as they go.
+    Edge completion covers the vertices present when the round starts.
+    Returns the starting vertex count and the count after completion, the
+    next round's ``settled`` and ``closed``.
 
-    Every class rooted below ``settled`` must already be complete and close
-    every relator; the default 0 claims nothing and checks every class.
-    Afterwards every class holding a vertex present when the round started
-    is complete and closed, and stays so in every later round: folding only
-    merges classes and never removes an edge, and a root is its class's
-    least member.  The roots below ``settled`` need no edge and no loop, so
-    the round completes and closes only the roots from there on: it costs
-    what the previous round added, and builds the graph that checking every
-    root would.
+    Every class rooted below ``settled`` must already be complete, and
+    every class rooted below ``closed`` must already close every relator;
+    the defaults 0 claim nothing and check every class.  Afterwards every
+    class holding a vertex present when the round started is complete,
+    every class holding a vertex present after completion closes every
+    relator, and both stay so in every later round: folding only merges
+    classes and never removes an edge, and a root is its class's least
+    member.  So each class is completed once, and each relator loop is
+    folded in once, at the class a round's completion or the loops before
+    it created; walking it again at a class that already closes it would
+    follow the edges back to the basepoint and merge nothing
+    (:meth:`Folder.add_loop`).  The round costs what the previous round
+    added, and builds the graph that checking every root would.
     """
     start = len(folder.parent)
     folder.complete(settled)
-    for v in folder.vertices(settled):
+    completed = len(folder.parent)
+    for v in folder.vertices(closed):
         for r in p.relators:
             folder.add_loop(v, r)
-    return start
+    return start, completed
 
 
 def coset_rounds(p: Presentation) -> Iterator[Folder]:
     """Rounds 1, 2, … of coset saturation, grown in one folder: each round
     advances the folder in place, and the folder itself is yielded, valid
     until the next round is drawn."""
-    folder, settled = Folder(p.num_generators), 0
+    folder, settled, closed = Folder(p.num_generators), 0, 0
     for i in itertools.count(1):
         folder.what = f"coset round {i}"
-        settled = tc_round(folder, p, settled)
+        settled, closed = tc_round(folder, p, settled, closed)
         yield folder
 
 

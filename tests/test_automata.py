@@ -13,8 +13,8 @@ from loopfold.automata import (
     build_loop_complex,
     build_tree_nfa,
     canonical_form,
+    breadth_first,
     decide_word_problem,
-    distances_from_origin,
     fold,
     nfa_accepts,
     radius,
@@ -301,6 +301,46 @@ class TestAcceptance:
         assert decide_word_problem(FREE2, w("ab"), 2) is False
 
 
+class TestEarlyAnswer:
+    BS12 = Presentation(2, [parse_word("abABB", 2)])
+
+    @pytest.mark.parametrize("p", [LATTICE, Z3, BS12], ids=["zxz", "z3", "bs12"])
+    def test_answer_is_acceptance_by_the_whole_complex(self, p):
+        # random words, and random trivial ones: products of conjugated
+        # relators, most of them accepted below the largest radius
+        rng = random.Random(37)
+        k = p.alphabet_size
+        complexes = [build_loop_complex(p, j) for j in range(8)]
+        words = [Word(bytes(rng.randrange(k) for _ in range(rng.randint(0, 10)))) for _ in range(40)]
+        for _ in range(40):
+            y = Word(bytes(rng.randrange(k) for _ in range(rng.randint(0, 4))))
+            r = rng.choice(p.relators)
+            words.append(Word(y.codes + r.codes + y.inverse().codes))
+        for u in words:
+            for j, dfa in enumerate(complexes):
+                assert decide_word_problem(p, u, j) == accepts_reduced(dfa, u), (p, u, j)
+
+    def test_an_accepted_word_draws_no_complex_past_its_radius(self, monkeypatch):
+        from loopfold import automata
+
+        drawn = []
+        complexes = automata.loop_complexes
+
+        def counting(p):
+            for radius, folder in enumerate(complexes(p)):
+                drawn.append(radius)
+                yield folder
+
+        monkeypatch.setattr(automata, "loop_complexes", counting)
+        conjugate = w("baabABAB")  # ba·abAB·(ba)⁻¹, accepted from radius 2 on
+        for word, j, radii in ((w("abAB"), 7, [0]), (conjugate, 7, [0, 1, 2]), (conjugate, 1, [0, 1]),
+                               (w("ab"), 3, [0, 1, 2, 3])):
+            drawn.clear()
+            decide_word_problem(LATTICE, word, j)
+            assert drawn == radii, (word, j)
+        assert decide_word_problem(LATTICE, conjugate, 2) and not decide_word_problem(LATTICE, conjugate, 1)
+
+
 class TestGraphAnalysis:
     def test_trace_follows_in_edges_backwards(self):
         g = LabeledGraph(1, 2)
@@ -330,7 +370,7 @@ class TestGraphAnalysis:
             g = relabeled(base, perm)
             g.add_edge(g.add_vertex(), 1, g.add_vertex())
             graph = folded(g)
-            number = {v: i for i, v in enumerate(distances_from_origin(graph))}
+            number = {v: i for i, v in enumerate(breadth_first(graph)[0])}
             edges = sorted((number[v], gen, number[t]) for v, gen, t in graph.edges() if v in number)
             assert canonical_form(graph) == (base.num_vertices, tuple(edges))
 
@@ -355,7 +395,7 @@ class TestGraphAnalysis:
         for i in range(3):
             g.add_edge(i, 0, i + 1)
         g = folded(g)
-        assert distances_from_origin(g) == {0: 0, 1: 1, 2: 2, 3: 3}
+        assert breadth_first(g) == ([0, 1, 2, 3], [0, 1, 2, 3])
         assert radius(g) == 3
 
     def test_restrict_to_radius(self):

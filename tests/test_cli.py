@@ -73,7 +73,7 @@ def test_wp_negative_radius(capsys):
 
 def test_wp_over_the_memory_ceiling(capsys, monkeypatch):
     monkeypatch.setenv("FILLINGS_MEM_CEILING_MB", "0.006")  # ten folder vertices
-    assert run_cli("wp", ZXZ, "abAB", "--radius", "3") == 3
+    assert run_cli("wp", ZXZ, "baabABAB", "--radius", "3") == 3  # accepted from radius 2 on
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("loopfold: loop complex at radius ")
@@ -424,7 +424,8 @@ def swept_caps(monkeypatch, capsys, argv) -> set[int]:
     (("profile", Z3, "--n", "8", "--oracle", "cyclic:3"), set()),
     (("profile", Z2, "--n", "8", "--oracle", "cyclic:2"), set()),
     (("profile", FREE2, "--n", "6", "--oracle", "free:2"), set()),
-    # the area bound certifies every cap-L area
+    # each witness's factor count meets the area bound, so grammar-bound
+    # with a closed-form oracle runs no sweep either
     (("grammar-bound", Z2, "--n", "7", "--oracle", "cyclic:2"), set()),
     # the bound comes from the presentation, so the rewrite search gets it
     # too; profile sweeps only at the oracle's cap 6, to list its words
@@ -439,7 +440,7 @@ def test_only_uncertified_areas_sweep_past_the_length_cap(monkeypatch, capsys, a
     # stop rule's L + 2
     cap = int(argv[argv.index("--budget-len") + 1]) if "--budget-len" in argv else 8
     caps = swept_caps(monkeypatch, capsys, argv)
-    if argv[0] == "profile":
+    if argv[0] == "profile" or "--oracle" in argv:
         oracle = argv[argv.index("--oracle") + 1]
         assert caps == ({int(oracle[len("rewrite:"):])} if oracle.startswith("rewrite:") else set())
     else:
@@ -588,9 +589,18 @@ def test_grammar_bound_explicit_oracle(tmp_path):
     assert any(row.startswith("aaa,3,0,3,aaa,1,") for row in rows)
 
 
-def test_grammar_bound_budget_failure(capsys):
+def a8a12(tmp_path) -> str:
+    """⟨a | a⁸, a¹²⟩ = ℤ/4, where aaaa has area 2 and the relators bound it
+    by 1, so no factor count meets the bound and grammar-bound sweeps for
+    it (ℤ/2's aaaa is certified by its two factors)."""
+    pres = tmp_path / "a8a12.pres"
+    pres.write_text("gens: a\nrels: aaaaaaaa aaaaaaaaaaaa\n", encoding="utf-8")
+    return str(pres)
+
+
+def test_grammar_bound_budget_failure(capsys, tmp_path):
     # --budget-len 2 cannot settle the area of aaaa
-    assert run_cli("grammar-bound", Z2, "--n", "4", "--oracle", "cyclic:2",
+    assert run_cli("grammar-bound", a8a12(tmp_path), "--n", "4", "--oracle", "cyclic:4",
                    "--budget-len", "2") == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -606,15 +616,16 @@ def test_grammar_bound_budget_failure(capsys):
      "gens: a\nrels: aa AA aaaa AAAA\n",
      "loopfold: fusion check at n=4 is not Exact (base LowerBoundOnly, fused LowerBoundOnly); "
      "raise --budget-len\n"),
-    (("grammar-bound", Z2, "--n", "4", "--oracle", "cyclic:2", "--budget-states", "3"),
+    (("grammar-bound", "a8a12", "--n", "4", "--oracle", "cyclic:4", "--budget-states", "3"),
      "",
      "loopfold: area of aaaa is BudgetExceeded, not Exact; raise --budget-states\n"),
 ])
-def test_budget_failure_names_the_cap_that_stopped_it(capsys, argv, out, err):
+def test_budget_failure_names_the_cap_that_stopped_it(capsys, tmp_path, argv, out, err):
     # BudgetExceeded: the state cap stopped a sweep before it held the word
     # (a word it holds at its area bound is Exact); LowerBoundOnly: the
     # length cap left the value unsettled (grammar-bound's LowerBoundOnly
     # message is pinned by test_grammar_bound_budget_failure)
+    argv = [a8a12(tmp_path) if arg == "a8a12" else arg for arg in argv]
     assert run_cli(*argv) == 3
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == (out, err)
@@ -807,7 +818,7 @@ def test_error_exit_resolves_its_exception_classes_lazily():
     script = (
         "import sys\n"
         "from loopfold.cli import main\n"
-        f"sys.exit(main(['wp', {ZXZ!r}, 'abAB', '--radius', '3']))\n"
+        f"sys.exit(main(['wp', {ZXZ!r}, 'baabABAB', '--radius', '3']))\n"
     )
     proc = _run_fresh(script, FILLINGS_MEM_CEILING_MB="0.006")  # ten folder vertices
     assert proc.returncode == 3

@@ -486,3 +486,32 @@ def test_bound_experiment_rejects_a_bad_witness_factoring(monkeypatch, corrupt):
     monkeypatch.setattr(grammar, "loop_factors", corrupted)
     with pytest.raises(ValueError, match="witness factoring"):
         double_exp_experiment(RewriteSystem(Z2), 2, ReferenceOracle.cyclic(2), SearchBudget(max_word_length=6))
+
+
+# -- areas from the witness's factor list ---------------------------------------
+
+A4A6 = Presentation(1, (parse_word("aaaa", 1), parse_word("aaaaaa", 1)))  # ℤ/2, aa of area 2
+
+
+@pytest.mark.parametrize("p, oracle, n_max, swept", [
+    (Z2, ReferenceOracle.cyclic(2), 7, 0),
+    (Z3, ReferenceOracle.cyclic(3), 7, 0),
+    (LATTICE, ReferenceOracle.free_abelian(2), 4, 0),
+    (BS12, ReferenceOracle.rewrite_search(RewriteSystem(BS12), SearchBudget(max_word_length=6)), 5, 0),
+    (A4A6, ReferenceOracle.cyclic(2), 4, 10),
+], ids=["z2", "z3", "zxz", "bs12", "a4a6"])
+def test_factor_count_certifies_the_swept_area(monkeypatch, p, oracle, n_max, swept):
+    # a witness's factor count bounds the area above; where it meets the
+    # relators' lower bound the area needs no sweep, and it is the value
+    # the uncut sweep finds; on ⟨a | a⁴, a⁶⟩ the ten words freely equal
+    # to aa or AA (bound 1, area 2) fall back to the sweep
+    calls = []
+    measured = grammar.min_isoperimetric
+    monkeypatch.setattr(grammar, "min_isoperimetric",
+                        lambda word, *args: calls.append(word) or measured(word, *args))
+    system = RewriteSystem(p)
+    reports = double_exp_experiment(system, n_max, oracle, SearchBudget())
+    assert len(calls) == swept
+    for r in reports:
+        area = measured(r.word, RewriteSystem(p), SearchBudget())
+        assert area.exact and area.value == r.area, (p, r.word)

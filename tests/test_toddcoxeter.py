@@ -134,7 +134,7 @@ class TestRound:
                     expected.num_vertices, expected.origin, expected.edges()), (p, i)
 
     def test_rounds_fold_what_a_guarded_round_folds(self):
-        # a round folds every relator loop in at every class from settled
+        # a round folds every relator loop in at every class from closed
         # on; one that the graph already closes changes nothing, so the
         # rounds equal those that fold only the loops the completed graph
         # does not close, down to the union-find's parent pointers
@@ -146,20 +146,21 @@ class TestRound:
                 u = folder.find(t)
             return u == v
 
-        def guarded_round(folder, p, settled):
+        def guarded_round(folder, p, settled, closed):
             start = len(folder.parent)
             folder.complete(settled)
-            need = [(v, r) for v in folder.vertices(settled) for r in p.relators
+            completed = len(folder.parent)
+            need = [(v, r) for v in folder.vertices(closed) for r in p.relators
                     if not closes(folder, v, r)]
             for v, r in need:
                 folder.add_loop(v, r)
-            return start
+            return start, completed
 
         heisenberg = Presentation(3, [w("abABC", 3), w("acAC", 3), w("bcBC", 3)])
         for p, rounds in ((LATTICE, 60), (Z2, 6), (Z3, 6), (BS12[0], 8), (heisenberg, 6)):
-            guarded, settled = Folder(p.num_generators), 0
+            guarded, settled, closed = Folder(p.num_generators), 0, 0
             for i, folder in enumerate(islice(coset_rounds(p), rounds), 1):
-                settled = guarded_round(guarded, p, settled)
+                settled, closed = guarded_round(guarded, p, settled, closed)
                 assert (folder.parent, folder.delta) == (guarded.parent, guarded.delta), (p, i)
 
     def test_cyclic_three_first_round_gives_cycle(self):
@@ -180,7 +181,7 @@ class TestRound:
 
     def test_round_is_idempotent_on_complete_cayley_graph(self):
         folder = Folder.of_graph(three_cycle())
-        assert tc_round(folder, Z3) == 3
+        assert tc_round(folder, Z3) == (3, 3)
         assert canonical_form(partial_cayley(folder.snapshot()).graph) == canonical_form(fold(three_cycle())[0])
 
     def test_rounds_fold_deterministic(self):
@@ -241,16 +242,18 @@ class TestSettled:
             add_loop(folder, v, relator)
 
         monkeypatch.setattr(Folder, "add_loop", recording)
-        folder, settled, total = Folder(LATTICE.num_generators), 0, 0
+        folder, settled, closed, total = Folder(LATTICE.num_generators), 0, 0, 0
         for i in range(30):
             traced.clear()
             start = len(folder.parent)
-            after = tc_round(folder, LATTICE, settled)
-            assert traced and min(traced) >= settled, i
-            assert after == start
+            after = tc_round(folder, LATTICE, settled, closed)
+            assert traced and min(traced) >= closed >= settled, i
+            assert after[0] == start
             total += len(traced)
-            settled = after
-        assert total == 11_344  # checking every class in every round traces 66,995
+            settled, closed = after
+        # looping at every class from settled on walks 11,344, and checking
+        # every class in every round 66,995
+        assert total == 7_980
 
     def test_skipping_settled_classes_builds_the_graph_of_a_full_check(self):
         bs12 = Presentation(2, [w("abABB")])
@@ -258,9 +261,9 @@ class TestSettled:
 
         def replayed(p, rounds):
             """A fresh folder after ``rounds`` rounds, the last checking every class."""
-            folder, settled = Folder(p.num_generators), 0
+            folder, settled, closed = Folder(p.num_generators), 0, 0
             for _ in range(rounds - 1):
-                settled = tc_round(folder, p, settled)
+                settled, closed = tc_round(folder, p, settled, closed)
             tc_round(folder, p)
             return folder
 
@@ -270,6 +273,111 @@ class TestSettled:
                 assert len(folder.parent) == len(full.parent), (p, i)
                 got, expected = folder.snapshot(), full.snapshot()
                 assert (got.origin, got.delta) == (expected.origin, expected.delta)
+
+
+# The six presentations whose rounds are pinned against re-walking rounds.
+ROUND_SAMPLES = {
+    "zxz": (LATTICE, 7),
+    "z3": (Z3, 7),
+    "BS(1,2)": (BS12[0], 7),
+    "Heisenberg": (Presentation(3, [w("abABC", 3), w("acAC", 3), w("bcBC", 3)]), 7),
+    "(2,3,3) triangle": (Presentation(2, [w("aa"), w("bbb"), w("ababab")]), 7),
+    "<a,b|abaBAB>": (Presentation(2, [w("abaBAB")]), 5),
+}
+
+
+def rewalking_rounds(p):
+    """Rounds that fold every relator loop in again at every class rooted
+    at the previous round's starting count or later, the rule before loops
+    were bounded by the count after completion: the reference the bounded
+    rounds are checked against."""
+    folder, settled = Folder(p.num_generators), 0
+    while True:
+        start = len(folder.parent)
+        folder.complete(settled)
+        for v in folder.vertices(settled):
+            for r in p.relators:
+                folder.add_loop(v, r)
+        settled = start
+        yield folder
+
+
+class TestLoopBoundary:
+    @pytest.mark.parametrize("name", ROUND_SAMPLES)
+    def test_rounds_build_what_rewalking_rounds_build(self, name):
+        p, rounds = ROUND_SAMPLES[name]
+        pairs = zip(coset_rounds(p), rewalking_rounds(p))
+        for i, (folder, reference) in enumerate(islice(pairs, rounds), 1):
+            assert len(folder.parent) == len(reference.parent), (name, i)
+            assert folder.snapshot().delta == reference.snapshot().delta, (name, i)
+
+    @pytest.mark.parametrize("name", ["zxz", "z3", "BS(1,2)", "Heisenberg", "(2,3,3) triangle"])
+    def test_each_class_folds_each_relator_loop_once(self, name, monkeypatch):
+        # a round folds every relator's loop, in order, at each class rooted
+        # between the previous and its own count after completion, and no
+        # class twice over the rounds; a class still a root at the round's
+        # end was one when its loops went in
+        p, rounds = ROUND_SAMPLES[name]
+        traced = []
+        add_loop = Folder.add_loop
+        monkeypatch.setattr(Folder, "add_loop",
+                            lambda folder, v, r: traced.append((v, r.codes)) or add_loop(folder, v, r))
+        folder, settled, closed, seen = Folder(p.num_generators), 0, 0, set()
+        for i in range(rounds):
+            traced.clear()
+            start = len(folder.parent)
+            previous = closed
+            settled, closed = tc_round(folder, p, settled, closed)
+            assert settled == start
+            looped = sorted({v for v, _ in traced})
+            assert traced == [(v, r.codes) for v in looped for r in p.relators], (name, i)
+            assert all(previous <= v < closed for v in looped), (name, i)
+            assert {v for v in folder.vertices(previous) if v < closed} <= set(looped), (name, i)
+            assert seen.isdisjoint(looped), (name, i)
+            seen.update(looped)
+
+
+def dict_distances(graph):
+    """Breadth-first distances kept in a dict, in the order met, trying
+    letters a, A, b, B, …: the reference numbering of the DOT goldens."""
+    dist = {graph.origin: 0}
+    order = [graph.origin]
+    for v in order:  # grows while read: breadth-first
+        for row in graph.delta:
+            if (u := row[v]) >= 0 and u not in dist:
+                dist[u] = dist[v] + 1
+                order.append(u)
+    return dist
+
+
+def dict_dot(graph):
+    """The DOT text drawn from :func:`dict_distances`' numbering."""
+    number = {v: i for i, v in enumerate(dict_distances(graph))}
+    lines = ["digraph G {", "  rankdir=LR;"]
+    lines += [f"  {i} [shape={'doublecircle' if i == 0 else 'circle'}];" for i in range(len(number))]
+    edges = sorted((number[v], g, number[t]) for v, g, t in graph.edges() if v in number)
+    lines += [f'  {v} -> {t} [label="{chr(ord("a") + g)}"];' for v, g, t in edges]
+    return "\n".join(lines) + "\n}\n"
+
+
+class TestBreadthFirst:
+    @pytest.mark.parametrize("name", ROUND_SAMPLES)
+    def test_radius_and_dot_match_the_dict_numbering(self, name):
+        p, _rounds = ROUND_SAMPLES[name]
+        for i, folder in enumerate(islice(coset_rounds(p), 4), 1):
+            snapshot = folder.snapshot()
+            pcg = partial_cayley(snapshot)
+            for graph in (snapshot, pcg.graph):
+                assert automata.radius(graph) == max(dict_distances(graph).values()), (name, i)
+                assert automata.to_dot(graph) == dict_dot(graph), (name, i)
+            assert pcg.radius == max(dict_distances(pcg.graph).values())
+
+    def test_strip_hairs_returns_a_hair_free_graph_as_it_is(self):
+        for name, (p, _rounds) in ROUND_SAMPLES.items():
+            stripped = partial_cayley(next(islice(coset_rounds(p), 2, None)).snapshot()).graph
+            assert automata.strip_hairs(stripped) is stripped, name
+        lone = Folder(1).snapshot()
+        assert automata.strip_hairs(lone) is lone
 
 
 class TestMemory:
