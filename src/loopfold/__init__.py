@@ -50,6 +50,7 @@ def _register_lazily(name: str) -> None:
     globals()[name] = module
 
 
-for _layer in ("_kernels", "automata", "compression", "fillings", "grammar", "rewrite", "toddcoxeter"):
+for _layer in ("_kernels", "automata", "bounds", "compression", "fillings", "grammar", "rewrite",
+               "toddcoxeter"):
     _register_lazily(_layer)
 del _layer

@@ -12,12 +12,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
+import types
 from itertools import islice
 
 # Layers are read through their modules, which the package registers lazily
 # (see loopfold/__init__.py), so a command compiles only the layers it calls.
-# main()'s except tuples are evaluated only when an exception reaches them.
-from . import automata, compression, fillings, grammar, rewrite, toddcoxeter
+from . import automata, bounds, compression, fillings, grammar, rewrite, toddcoxeter
 from .core import (
     ParseError,
     Presentation,
@@ -45,17 +45,16 @@ def _need_relators(p: Presentation, what: str) -> None:
         raise UsageError(f"{what} needs a presentation with at least one relator")
 
 
-def _budget(args) -> rewrite.SearchBudget:
+def _budget(args) -> bounds.SearchBudget:
     if args.budget_len <= 0 or args.budget_states <= 0:
         raise UsageError("budget caps must be positive")
-    return rewrite.SearchBudget(max_word_length=args.budget_len, max_states=args.budget_states)
+    return bounds.SearchBudget(max_word_length=args.budget_len, max_states=args.budget_states)
 
 
-def _parse_oracle(
-    text: str, system: rewrite.RewriteSystem, budget: rewrite.SearchBudget
-) -> fillings.ReferenceOracle:
-    """The oracle ``text`` names, checked against ``system``'s presentation;
-    ``rewrite:L`` searches ``system``, the command's one rewrite system."""
+def _parse_oracle(text: str, p: Presentation, budget: bounds.SearchBudget) -> fillings.ReferenceOracle:
+    """The oracle ``text`` names, checked against ``p``.  ``rewrite:L``
+    searches a rewrite system of ``p`` built for it, which the command
+    shares; a closed form builds none."""
     name, sep, arg = text.partition(":")
     if not sep or not arg:
         raise UsageError(f"oracle {text!r} is not of the form name:parameter")
@@ -68,13 +67,14 @@ def _parse_oracle(
         "free-abelian": fillings.ReferenceOracle.free_abelian,
         "free": fillings.ReferenceOracle.free,
         "rewrite": lambda length: fillings.ReferenceOracle.rewrite_search(
-            system, rewrite.SearchBudget(max_word_length=length, max_states=budget.max_states)),
+            rewrite.RewriteSystem(p),
+            bounds.SearchBudget(max_word_length=length, max_states=budget.max_states)),
     }
     if name not in makers:
         raise UsageError(f"unknown oracle {name!r}")
     try:
         oracle = makers[name](value)
-        oracle.check(system.presentation)
+        oracle.check(p)
     except ValueError as exc:
         raise UsageError(f"oracle {text!r}: {exc}") from exc
     return oracle
@@ -104,7 +104,7 @@ def _need_whole_list(oracle: fillings.ReferenceOracle, n: int) -> None:
     that a cut sweep may have left short: every column read off it could
     then be too small."""
     if oracle.budget_cut(n):
-        raise rewrite.BudgetFailure(
+        raise bounds.BudgetFailure(
             "the state budget cut a sweep the oracle lists trivial words from; "
             "raise --budget-states")
 
@@ -113,20 +113,20 @@ def _fusion_holds(
     compressed: compression.CompressedPresentation,
     system: rewrite.RewriteSystem,
     n: int,
-    budget: rewrite.SearchBudget,
+    budget: bounds.SearchBudget,
 ) -> bool:
     """The halving check behind ``--verify``; every row must be Exact.
     ``system`` is the rewrite system of the base presentation."""
     report = compression.verify_compression(compressed, n, budget, system)
     for row in report.rows:
         if row.holds is None:
-            raise rewrite.BudgetFailure(
+            raise bounds.BudgetFailure(
                 f"fusion check at n={row.n} is not Exact (base {row.base_area.status}, "
                 f"fused {row.combined_area.status}); "
-                f"raise {rewrite.budget_flags(row.base_area.status, row.combined_area.status)}"
+                f"raise {bounds.budget_flags(row.base_area.status, row.combined_area.status)}"
             )
     if report.triviality_agreement is None:
-        raise rewrite.BudgetFailure(
+        raise bounds.BudgetFailure(
             "the two presentations list different trivial words where the state budget "
             "cut a sweep; raise --budget-states"
         )
@@ -148,20 +148,20 @@ def cmd_wp(args) -> int:
 def cmd_profile(args) -> int:
     p = _load_presentation(args.presentation)
     budget = _budget(args)
-    system = rewrite.RewriteSystem(p)
-    oracle = _parse_oracle(args.oracle, system, budget)
+    oracle = _parse_oracle(args.oracle, p, budget)
     if args.n < 0:
         raise UsageError("--n must be nonnegative")
     if args.verify:
         _need_relators(p, "profile --verify")
+    system = oracle.system or rewrite.RewriteSystem(p)  # the command's one rewrite system
     profile = fillings.measure_profile(system, args.n, oracle, budget)
     report = fillings.check_inequalities(profile)
     _write(fillings.profile_to_csv(profile, report), args.csv)
     _need_whole_list(oracle, args.n)
     for row in profile.rows:
         for name, cell in (("P", row.area), ("f", row.length)):
-            if cell.status is rewrite.OracleStatus.BUDGET_EXCEEDED:
-                raise rewrite.BudgetFailure(
+            if cell.status is bounds.OracleStatus.BUDGET_EXCEEDED:
+                raise bounds.BudgetFailure(
                     f"{name} at n={row.n} is BudgetExceeded; raise --budget-states")
     ok = report.asserted_hold and report.equality_holds
     if args.verify:
@@ -214,19 +214,18 @@ def _decimal(value: int) -> str:
 def cmd_grammar_bound(args) -> int:
     p = _load_presentation(args.presentation)
     budget = _budget(args)
-    system = rewrite.RewriteSystem(p)
-    oracle = _parse_oracle(args.oracle, system, budget)
+    oracle = _parse_oracle(args.oracle, p, budget)
     if args.n < 0:
         raise UsageError("--n must be nonnegative")
     _need_relators(p, "grammar-bound")
     _need_whole_list(oracle, args.n)
-    reports = grammar.double_exp_experiment(system, args.n, oracle, budget)
-    bounds: dict[tuple[int, int], str] = {}  # the bound depends on (n, d) only
+    reports = grammar.double_exp_experiment(p, args.n, oracle, budget)
+    rendered: dict[tuple[int, int], str] = {}  # the bound depends on (n, d) only
     with _output(args.csv) as out:
         out.write("word,n,d,ell,witness,area,bound,holds\n")
         for r in reports:
-            if (r.n, r.diameter) not in bounds:
-                bounds[r.n, r.diameter] = _decimal(fillings.double_exp_bound(p, r.n, r.diameter))
+            if (r.n, r.diameter) not in rendered:
+                rendered[r.n, r.diameter] = _decimal(fillings.double_exp_bound(p, r.n, r.diameter))
             cells = (
                 render_word(r.word),
                 str(r.n),
@@ -234,7 +233,7 @@ def cmd_grammar_bound(args) -> int:
                 str(r.shortest_length),
                 render_word(r.witness),
                 str(r.area),
-                bounds[r.n, r.diameter],
+                rendered[r.n, r.diameter],
                 "true" if r.holds else "false",
             )
             out.write(",".join(cells) + "\n")
@@ -301,16 +300,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _reported(code: int) -> tuple[type[Exception], ...]:
+    """The exception classes ``main`` reports with exit ``code``, 2 for a
+    usage or configuration error and 3 for a budget or ceiling failure, of
+    the layers that have run: one that has not raised nothing.  ``type()``
+    of a lazily registered layer reads none of its names, so an error exit
+    loads no layer the command did not run."""
+    classes = {2: [UsageError, ParseError], 3: []}
+    if type(automata) is types.ModuleType:
+        classes[2].append(automata.CeilingSettingError)
+        classes[3].append(automata.MemoryCeilingError)
+    if type(bounds) is types.ModuleType:
+        classes[3].append(bounds.BudgetFailure)
+    if type(compression) is types.ModuleType:
+        classes[3].append(compression.CombinatorialBlowupError)
+    return tuple(classes[code])
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, ParseError, automata.CeilingSettingError) as exc:
+    except _reported(2) as exc:
         print(f"loopfold: {exc}", file=sys.stderr)
         return 2
-    except (
-        automata.MemoryCeilingError, rewrite.BudgetFailure, compression.CombinatorialBlowupError
-    ) as exc:
+    except _reported(3) as exc:
         print(f"loopfold: {exc}", file=sys.stderr)
         return 3
 

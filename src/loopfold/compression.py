@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-# rewrite is read through its module, so plain `compress` does not load it
-# (see loopfold/__init__.py)
-from . import rewrite
+# bounds and rewrite are read through their modules, so plain `compress`
+# loads neither (see loopfold/__init__.py)
+from . import bounds, rewrite
 from .core import Presentation, Word
 
 DEFAULT_PRODUCT_CAP = 200_000
@@ -83,8 +83,8 @@ def compress(p: Presentation) -> CompressedPresentation:
 
 class CompressionRow(NamedTuple):
     n: int
-    base_area: rewrite.OracleResult
-    combined_area: rewrite.OracleResult
+    base_area: bounds.OracleResult
+    combined_area: bounds.OracleResult
     bound: int | None  # ⌈(P_base(n) + n) / 2⌉ when the base value is Exact
     holds: bool | None  # None when either area is not Exact
 
@@ -101,7 +101,7 @@ class CompressionReport(NamedTuple):
 def verify_compression(
     compressed: CompressedPresentation,
     n_max: int,
-    budget: rewrite.SearchBudget,
+    budget: bounds.SearchBudget,
     base_system: rewrite.RewriteSystem,
 ) -> CompressionReport:
     """Entrywise check of P_combined(n) ≤ ⌈P_base(n)/2 + n/2⌉ for n ≤ n_max,
@@ -128,8 +128,8 @@ def verify_compression(
     orbits = list(map(Word, keys))
 
     def areas(system):
-        return rewrite.prefix_maxima(orbits, n_max,
-                                     lambda w: rewrite.min_isoperimetric(w, system, budget))
+        return bounds.prefix_maxima(orbits, n_max,
+                                    lambda w: rewrite.min_isoperimetric(w, system, budget))
 
     rows = []
     for n, (base_area, combined_area) in enumerate(zip(areas(base_system), areas(combined_system))):

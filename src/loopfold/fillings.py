@@ -6,9 +6,10 @@ trivial words of length ≤ n, all read off the reduced ones
 
 * ``P(n)`` — the largest minimum relator-application count, proved by a
   bound-tight derivation (:func:`~loopfold.rewrite.tight_derivations`) where
-  one is found, else by rewrite search, certified by :class:`RewriteSystem`'s
-  area lower bound where the two meet; a word has the area of its free
-  reduction;
+  one is found, else by rewrite search, certified where the two meet by
+  the area lower bound the relators give
+  (:func:`~loopfold.bounds.area_lower_bound`); a word has the area of its
+  free reduction;
 * ``f(n)`` — the largest filling length, |w| where a bound-tight derivation
   proves it, else by rewrite search; a word ``w`` has filling length
   max(|w|, FL(red w));
@@ -30,21 +31,11 @@ from __future__ import annotations
 from functools import reduce
 from typing import NamedTuple
 
-# layers read through their modules, so `grammar-bound` does not load
-# toddcoxeter (see loopfold/__init__.py)
+# layers read through their modules, so `grammar-bound` loads neither
+# toddcoxeter nor, with a closed-form oracle, rewrite (see loopfold/__init__.py)
 from . import _kernels, automata, rewrite, toddcoxeter
+from .bounds import BudgetFailure, OracleResult, OracleStatus, SearchBudget, prefix_maxima
 from .core import Presentation, Word, render_word
-from .rewrite import (
-    BudgetFailure,
-    OracleResult,
-    OracleStatus,
-    RewriteSystem,
-    SearchBudget,
-    filling_length,
-    is_trivial,
-    min_isoperimetric,
-    prefix_maxima,
-)
 
 
 # -- reference oracles --------------------------------------------------------
@@ -57,7 +48,7 @@ class ReferenceOracle:
     fallback holds the rewrite ``system`` it searches under ``budget``."""
 
     def __init__(self, num_generators: int, *, identity=None, act=None,
-                 system: RewriteSystem | None = None, budget: SearchBudget | None = None):
+                 system: rewrite.RewriteSystem | None = None, budget: SearchBudget | None = None):
         self.num_generators = num_generators
         self.identity = identity
         self.act = act
@@ -90,7 +81,7 @@ class ReferenceOracle:
         return cls(rank, identity=b"", act=act)
 
     @classmethod
-    def rewrite_search(cls, system: RewriteSystem, budget: SearchBudget) -> "ReferenceOracle":
+    def rewrite_search(cls, system: rewrite.RewriteSystem, budget: SearchBudget) -> "ReferenceOracle":
         """Search ``system``; sweeps it has already made are reused."""
         return cls(system.presentation.num_generators, system=system, budget=budget)
 
@@ -100,7 +91,7 @@ class ReferenceOracle:
         budget cut misses ``w``, which it then cannot call non-trivial."""
         if self.system is None:
             return self._kills(w.codes)
-        trivial, status = is_trivial(w, self.system, self.budget)
+        trivial, status = rewrite.is_trivial(w, self.system, self.budget)
         if status is OracleStatus.BUDGET_EXCEEDED:
             raise BudgetFailure(f"triviality of {render_word(w)} is BudgetExceeded; "
                                 "raise --budget-states")
@@ -245,7 +236,7 @@ class FillingProfile(NamedTuple):
 
 
 def measure_profile(
-    system: RewriteSystem,
+    system: rewrite.RewriteSystem,
     n_max: int,
     oracle: ReferenceOracle,
     budget: SearchBudget,
@@ -258,10 +249,11 @@ def measure_profile(
     undirected, so a word ``w`` and its free reduction red(w) have the same
     area, and FL(w) = max(|w|, FL(red w)): reduce ``w`` within its length,
     then fill red(w); and a filling of ``w`` under a cap gives one of red(w)
-    under it.  So ``P`` is the running maximum of :func:`min_isoperimetric` over
-    the reduced trivial words, and ``f`` is the larger of the running
-    maximum of :func:`filling_length` over them and t(min(n, L)), where
-    t(m) is the longest trivial length ≤ m, a reduced trivial word padded
+    under it.  So ``P`` is the running maximum of
+    :func:`~loopfold.rewrite.min_isoperimetric` over the reduced trivial
+    words, and ``f`` is the larger of the running maximum of
+    :func:`~loopfold.rewrite.filling_length` over them and t(min(n, L)),
+    where t(m) is the longest trivial length ≤ m, a reduced trivial word padded
     with ``xX`` pairs, and L is the length cap.  ``f`` is ``LowerBoundOnly``
     once t(n) > L.  Both per-word measures are constant on the orbits of
     the system's symmetries, so they run once per orbit.  One search for
@@ -269,11 +261,12 @@ def measure_profile(
     runs first, over the orbits of length ≤ L, and each orbit it proves is
     ``Exact`` at the area bound and its own length with no sweep.  Of the
     others, an area that meets the bound ``system`` reads off its relators
-    (:meth:`RewriteSystem.area_lower_bound`) is ``Exact`` at the length cap;
-    only the rest need the sweep at the cap plus 2.  When the state budget
-    cut a sweep the oracle lists its words from, the list may miss words of
-    the lengths that sweep lists, so ``P`` and ``f`` read ``BudgetExceeded``
-    from the first such length on (:meth:`ReferenceOracle.budget_cut`).
+    (:meth:`~loopfold.rewrite.RewriteSystem.area_lower_bound`) is
+    ``Exact`` at the length cap; only the rest need the sweep at the cap
+    plus 2.  When the state budget cut a sweep the oracle lists its words
+    from, the list may miss words of the lengths that sweep lists, so ``P``
+    and ``f`` read ``BudgetExceeded`` from the first such length on
+    (:meth:`ReferenceOracle.budget_cut`).
     Both scans try graph i ≤ n at n, radius i for ``d`` and round i + 1
     for ``rhoTC``, and leave an n that no such graph decides ``unreached``
     and ``LowerBoundOnly``; as rounds(n) ≤ max(d(n), 1), ``rhoTC`` is
@@ -289,10 +282,10 @@ def measure_profile(
     orbits = list(map(Word, keys))
     area = prefix_maxima(orbits, n_max, lambda w: (
         OracleResult(system.area_lower_bound(w.codes), OracleStatus.EXACT) if w.codes in proved
-        else min_isoperimetric(w, system, budget)))
+        else rewrite.min_isoperimetric(w, system, budget)))
     fills = prefix_maxima(orbits, n_max, lambda w: (
         OracleResult(len(w), OracleStatus.EXACT) if w.codes in proved
-        else filling_length(w, system, budget)))
+        else rewrite.filling_length(w, system, budget)))
     # t(m), the longest trivial length ≤ m: a reduced trivial word padded with xX pairs
     odd = min((len(w) for w in reduced if len(w) % 2), default=n_max + 1)
     longest = [m if m % 2 == 0 or m >= odd else m - 1 for m in range(n_max + 1)]

@@ -5,8 +5,11 @@ fixed target word, its product with a tree-complex NFA, the triple-construction
 grammar for the product, simplification, and a shortest-generated-word
 computation.  The shortest word bounds the rewrite application count from
 above, and the pumping bound turns the grammar size into the explicit
-estimate n·2^{C·c^d}.  The count itself comes from the rewrite search,
-certified by the lower bound :class:`RewriteSystem` reads off the relators.
+estimate n·2^{C·c^d}.  The count itself is the witness's factor count
+(:func:`loop_factors`) where that meets the lower bound the relators give
+(:func:`~loopfold.bounds.area_lower_bound`), and the rewrite search
+measures the rest, so :mod:`~loopfold.rewrite` loads only for a word the
+factor count leaves unproved or for a searching oracle.
 
 The grammar is built by saturation from the pop moves (CFL reachability,
 Reps 1998; pushdown saturation, Bouajjani, Esparza & Maler 1997): a push
@@ -35,10 +38,13 @@ from __future__ import annotations
 import heapq
 from typing import Iterable, NamedTuple
 
+# rewrite is read through its module, so `grammar-bound` with a closed-form
+# oracle does not load it (see loopfold/__init__.py)
+from . import rewrite
 from .automata import LabeledGraph, build_tree_nfa, nfa_accepts
+from .bounds import BudgetFailure, SearchBudget, area_lower_bound, budget_flags
 from .core import _LETTERS, EMPTY, Presentation, Word, render_word
 from .fillings import ReferenceOracle, measure_isodiametric, within_double_exp
-from .rewrite import BudgetFailure, RewriteSystem, SearchBudget, budget_flags, min_isoperimetric
 
 BOTTOM = -1  # the stack-bottom marker, rendered "z"
 
@@ -584,7 +590,7 @@ class BoundReport(NamedTuple):
 
 
 def double_exp_experiment(
-    system: RewriteSystem,
+    p: Presentation,
     n_max: int,
     oracle: ReferenceOracle,
     budget: SearchBudget,
@@ -594,16 +600,18 @@ def double_exp_experiment(
     the brute-force application count below and the explicit
     double-exponential bound above, decided by
     :func:`~loopfold.fillings.within_double_exp` as ``profile`` decides
-    it, without building the bound.  ``system`` is the presentation's
-    rewrite system, shared with the caller; the bound it reads off its
-    relators (:meth:`RewriteSystem.area_lower_bound`) certifies the areas
-    it meets, as in :func:`~loopfold.fillings.measure_profile`.  The
+    it, without building the bound.  The lower bound ``p``'s relators give
+    (:func:`~loopfold.bounds.area_lower_bound`) certifies the areas it
+    meets, as in :func:`~loopfold.fillings.measure_profile`.  The
     witness's factor list writes ``w`` as a product of that many conjugated
     relators, so it bounds the area above; where the two bounds meet, the
-    area is Exact with no sweep, and :func:`min_isoperimetric` measures the
-    rest."""
-    p = system.presentation
+    area is Exact with no sweep, and
+    :func:`~loopfold.rewrite.min_isoperimetric` measures the rest, on the
+    oracle's rewrite system if it searches one, else on one built for the
+    first such word and shared by the others."""
     oracle.check(p)
+    bound = area_lower_bound(p)
+    system = oracle.system  # the rewrite system the fallback searches, once one is needed
     trivial = oracle.trivial_words(n_max)
     diameters = [d.value for d in measure_isodiametric(p, n_max, trivial)]
     if None in diameters:
@@ -636,10 +644,12 @@ def double_exp_experiment(
                 raise ValueError("witness factoring has more factors than the witness has letters")
             found[key] = len(witness), witness, len(factors)
         ell, witness, factors = found[key]
-        if factors == system.area_lower_bound(candidate.codes):
+        if factors == bound(candidate.codes):
             area = factors
         else:
-            result = min_isoperimetric(candidate, system, budget)
+            if system is None:
+                system = rewrite.RewriteSystem(p)
+            result = rewrite.min_isoperimetric(candidate, system, budget)
             if not result.exact:
                 raise BudgetFailure(
                     f"area of {render_word(candidate)} is {result.status}, not Exact; "

@@ -24,6 +24,7 @@ from loopfold.automata import (
     restrict_to_radius,
     strip_hairs,
 )
+from loopfold.bounds import OracleStatus, SearchBudget
 from loopfold.compression import compress, verify_compression
 from loopfold.core import Presentation, parse_word, render_word, words_up_to
 from loopfold.fillings import (
@@ -41,7 +42,7 @@ from loopfold.grammar import (
     simplify_cfg,
     simulate_pda,
 )
-from loopfold.rewrite import OracleStatus, RewriteSystem, SearchBudget, min_isoperimetric
+from loopfold.rewrite import RewriteSystem, min_isoperimetric
 from loopfold.toddcoxeter import measure_tc_radius
 
 REPO = Path(__file__).resolve().parent.parent

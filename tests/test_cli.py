@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from loopfold import grammar
+from loopfold import grammar, rewrite
 from loopfold.cli import main
 from loopfold.core import parse_presentation, parse_word, words_up_to
 from loopfold.fillings import ReferenceOracle, double_exp_bound
@@ -402,6 +402,52 @@ def test_each_sweep_runs_once_per_command(monkeypatch, capsys, argv):
     assert runs and all(count == 1 for *_, count in runs), runs
 
 
+def built_rewrite_systems(monkeypatch) -> list[RewriteSystem]:
+    """Every rewrite system built from here on, in order."""
+    built = []
+    init = RewriteSystem.__init__
+
+    def recording(self, presentation):
+        built.append(self)
+        init(self, presentation)
+
+    monkeypatch.setattr(RewriteSystem, "__init__", recording)
+    return built
+
+
+@pytest.mark.parametrize("argv, count", [
+    # each witness's factor count proves its area, so nothing is searched
+    (("grammar-bound", Z2, "--n", "7", "--oracle", "cyclic:2"), 0),
+    # the oracle's system, which a fallback would search too
+    (("grammar-bound", Z3, "--n", "5", "--oracle", "rewrite:6"), 1),
+    (("profile", Z2, "--n", "4", "--oracle", "cyclic:2"), 1),
+    (("profile", Z3, "--n", "6", "--oracle", "rewrite:6"), 1),
+], ids=["grammar-bound", "grammar-bound-rewrite", "profile", "profile-rewrite"])
+def test_each_command_builds_a_rewrite_system_only_to_search(monkeypatch, capsys, argv, count):
+    built = built_rewrite_systems(monkeypatch)
+    assert run_cli(*argv) in (0, 1)
+    capsys.readouterr()
+    assert len(built) == count
+
+
+@pytest.mark.parametrize("oracle", ["cyclic:2", "rewrite:6"])
+def test_the_area_fallback_searches_one_rewrite_system(tmp_path, monkeypatch, capsys, oracle):
+    # on ⟨a | a⁴, a⁶⟩ the ten words freely equal to aa or AA (bound 1,
+    # area 2) fall back to the search: of the oracle's system if it
+    # searches one, else of one built for the first of them
+    pres = tmp_path / "a4a6.pres"
+    pres.write_text("gens: a\nrels: aaaa aaaaaa\n", encoding="utf-8")
+    built = built_rewrite_systems(monkeypatch)
+    searched = []
+    measure = rewrite.min_isoperimetric
+    monkeypatch.setattr(rewrite, "min_isoperimetric",
+                        lambda word, system, budget: searched.append(system) or measure(word, system, budget))
+    assert run_cli("grammar-bound", str(pres), "--n", "4", "--oracle", oracle) == 0
+    assert "\naa,2,0,10,aaaaaaAAAA,2," in capsys.readouterr().out
+    assert len(searched) == 10 and len(built) == 1
+    assert all(system is built[0] for system in searched)
+
+
 def swept_caps(monkeypatch, capsys, argv) -> set[int]:
     """The caps of the sweeps a command runs; it must exit 0 or 1."""
     explore = RewriteSystem.explore
@@ -774,7 +820,7 @@ def test_start_up_imports_neither_dataclasses_nor_inspect():
     assert out.startswith("trivial\n0 [] ")
 
 
-LAYERS = {"_kernels", "automata", "compression", "fillings", "grammar", "rewrite", "toddcoxeter"}
+LAYERS = {"_kernels", "automata", "bounds", "compression", "fillings", "grammar", "rewrite", "toddcoxeter"}
 
 
 @pytest.mark.parametrize("argv, code, layers", [
@@ -782,10 +828,17 @@ LAYERS = {"_kernels", "automata", "compression", "fillings", "grammar", "rewrite
     (("tc", ZXZ, "--rounds", "3"), 0, {"automata", "toddcoxeter"}),
     (("profile", Z2, "--n", "4", "--oracle", "cyclic:2"), 1, LAYERS - {"compression", "grammar"}),
     (("compress", Z2), 0, {"compression"}),
-    (("compress", Z2, "--verify", "--n", "3"), 0, {"compression", "rewrite"}),
-    (("grammar-bound", Z2, "--n", "2", "--oracle", "cyclic:2"), 0,
+    (("compress", Z2, "--verify", "--n", "3"), 0, {"bounds", "compression", "rewrite"}),
+    # a budget failure exits 3 and reads no class of a layer the command did not run
+    (("compress", Z2, "--verify", "--n", "8", "--budget-len", "2"), 3,
+     {"bounds", "compression", "rewrite"}),
+    # a closed-form oracle's areas are all proved by the witnesses' factor counts
+    (("grammar-bound", Z2, "--n", "7", "--oracle", "cyclic:2"), 0,
+     LAYERS - {"compression", "rewrite", "toddcoxeter"}),
+    (("grammar-bound", Z2, "--n", "2", "--oracle", "rewrite:4"), 0,
      LAYERS - {"compression", "toddcoxeter"}),
-], ids=["wp", "tc", "profile", "compress", "compress-verify", "grammar-bound"])
+], ids=["wp", "tc", "profile", "compress", "compress-verify", "compress-verify-budget",
+        "grammar-bound", "grammar-bound-rewrite"])
 def test_each_command_executes_only_the_layers_it_calls(argv, code, layers):
     # every command compiles cli and core; each layer it never calls stays
     # registered but is neither compiled nor run

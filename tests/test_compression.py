@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from loopfold import compression, rewrite
+from loopfold.bounds import OracleResult, OracleStatus, SearchBudget, prefix_maxima
 from loopfold.compression import (
     CombinatorialBlowupError,
     CompressionReport,
@@ -13,15 +14,7 @@ from loopfold.compression import (
     verify_compression,
 )
 from loopfold.core import Presentation, Word, parse_presentation, parse_word, render_presentation, words_up_to
-from loopfold.rewrite import (
-    OracleResult,
-    OracleStatus,
-    RewriteSystem,
-    SearchBudget,
-    is_trivial,
-    min_isoperimetric,
-    prefix_maxima,
-)
+from loopfold.rewrite import RewriteSystem, is_trivial, min_isoperimetric
 
 Z2 = parse_presentation("gens: a\nrels: aa")
 Z3 = parse_presentation("gens: a\nrels: aaa")

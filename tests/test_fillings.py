@@ -6,6 +6,14 @@ import itertools
 import pytest
 
 from loopfold.automata import LabeledGraph, build_loop_complex, canonical_form, fold, trace
+from loopfold.bounds import (
+    BudgetFailure,
+    OracleResult,
+    OracleStatus,
+    SearchBudget,
+    area_lower_bound,
+    prefix_maxima,
+)
 from loopfold.core import EMPTY, Presentation, Word, parse_presentation, parse_word, words_up_to
 from loopfold.fillings import (
     FillingProfile,
@@ -19,19 +27,9 @@ from loopfold.fillings import (
     measure_profile,
     profile_to_csv,
 )
-from loopfold import fillings, rewrite, toddcoxeter
+from loopfold import rewrite, toddcoxeter
 from loopfold.grammar import double_exp_experiment
-from loopfold.rewrite import (
-    BudgetFailure,
-    OracleResult,
-    OracleStatus,
-    RewriteSystem,
-    SearchBudget,
-    filling_length,
-    min_isoperimetric,
-    prefix_maxima,
-    tight_derivations,
-)
+from loopfold.rewrite import RewriteSystem, filling_length, min_isoperimetric, tight_derivations
 
 Z2 = parse_presentation("gens: a\nrels: aa")
 Z3 = parse_presentation("gens: a\nrels: aaa")
@@ -391,7 +389,7 @@ def test_profile_reads_only_the_reduced_orbits(monkeypatch):
         proved.append((len(keys), len(found)))
         return found
     monkeypatch.setattr(rewrite, "tight_derivations", tight)
-    monkeypatch.setattr(fillings, "min_isoperimetric",
+    monkeypatch.setattr(rewrite, "min_isoperimetric",
                         lambda *args: calls.append(args[0]) or min_isoperimetric(*args))
     measure_profile(RewriteSystem(LATTICE), 8, oracle, SearchBudget())
     # one certificate search over the 30 orbits proves them all
@@ -412,7 +410,7 @@ def test_a_missed_certificate_takes_the_sweeps(monkeypatch, p, make_oracle, n_ma
     expected = csv(measure_profile(system, n_max, make_oracle(system), budget))
     monkeypatch.setattr(rewrite, "_CERTIFICATE_VISITS", 1)
     calls = []
-    monkeypatch.setattr(fillings, "filling_length",
+    monkeypatch.setattr(rewrite, "filling_length",
                         lambda *args: calls.append(args[0]) or filling_length(*args))
     system = RewriteSystem(p)
     assert csv(measure_profile(system, n_max, make_oracle(system), budget)) == expected
@@ -441,9 +439,10 @@ def test_a_cut_list_exceeds_the_budget_from_its_first_listed_length(oracle_budge
 
 def closed_form_bound(family: str, rank: int, p: Presentation, word: Word) -> int:
     """The area lower bound proved for the closed-form group ``family`` of
-    ``rank`` generators, kept as the reference for the one the rewrite system
-    reads off ``p``'s relators: homological area for ℤ^r, exponent sum for
-    ℤ/k, 0 for free groups, each over its largest value on a relator."""
+    ``rank`` generators, kept as the reference for the one read off ``p``'s
+    relators (:func:`~loopfold.bounds.area_lower_bound`): homological area
+    for ℤ^r, exponent sum for ℤ/k, 0 for free groups, each over its largest
+    value on a relator."""
     if family == "free":
         return 0
 
@@ -487,19 +486,19 @@ def stop_rule(word: Word, system: RewriteSystem, budget: SearchBudget) -> tuple[
 
 
 def test_area_lower_bound_values():
-    lattice = RewriteSystem(LATTICE).area_lower_bound
+    lattice = area_lower_bound(LATTICE)
     assert [lattice(w(t).codes) for t in ("", "aA", "abAB", "aabbAABB", "abABabAB", "abABbaBA")] == [
         0, 0, 1, 4, 2, 0]
-    lattice3 = RewriteSystem(LATTICE3).area_lower_bound
+    lattice3 = area_lower_bound(LATTICE3)
     # the hexagon abcABC projects to one unit square in each of the three planes
     assert [lattice3(w(t, 3).codes) for t in ("acAC", "abcABC", "aabcAABC")] == [1, 3, 5]
-    cyclic = RewriteSystem(Z3).area_lower_bound
+    cyclic = area_lower_bound(Z3)
     assert [cyclic(w(t, 1).codes) for t in ("aaaaaa", "aaaAAA", "AAA", "aaaa")] == [2, 0, 1, 2]
     # no relator to divide by: only the freely trivial words fill
-    assert RewriteSystem(FREE2).area_lower_bound(w("abBA").codes) == 0
+    assert area_lower_bound(FREE2)(w("abBA").codes) == 0
     # the ab-plane of the Heisenberg group: c's exponent sum is not 0 on abABC
-    heisenberg = RewriteSystem(parse_presentation("gens: a b c\nrels: abABC acAC bcBC"))
-    assert [heisenberg.area_lower_bound(w(t, 3).codes) for t in ("abABC", "aabbAABB", "cc")] == [
+    heisenberg = area_lower_bound(parse_presentation("gens: a b c\nrels: abABC acAC bcBC"))
+    assert [heisenberg(w(t, 3).codes) for t in ("abABC", "aabbAABB", "cc")] == [
         1, 4, 2]
 
 
@@ -515,7 +514,7 @@ CLOSED_FORMS = pytest.mark.parametrize("p, oracle, group, n", [
 
 @CLOSED_FORMS
 def test_area_lower_bound_equals_the_closed_form_one(p, oracle, group, n):
-    bound = RewriteSystem(p).area_lower_bound
+    bound = area_lower_bound(p)
     for word in oracle.trivial_words(n):
         assert bound(word.codes) == closed_form_bound(*group, p, word), word
 
@@ -543,7 +542,7 @@ def test_a_bound_short_of_the_area_falls_back_to_the_stop_rule():
 
 @pytest.mark.parametrize("run", [
     lambda system, oracle: measure_profile(system, 2, oracle, BUDGET),
-    lambda system, oracle: double_exp_experiment(system, 2, oracle, BUDGET),
+    lambda system, oracle: double_exp_experiment(system.presentation, 2, oracle, BUDGET),
 ], ids=["profile", "experiment"])
 @pytest.mark.parametrize("oracle, message", [
     (ReferenceOracle.cyclic(4), "does not kill every relator"),

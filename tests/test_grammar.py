@@ -6,8 +6,9 @@ from functools import lru_cache
 
 import pytest
 
-from loopfold import grammar
+from loopfold import grammar, rewrite
 from loopfold.automata import build_tree_nfa, nfa_accepts
+from loopfold.bounds import SearchBudget
 from loopfold.core import EMPTY, Presentation, Word, parse_word, render_word, words_up_to
 from loopfold.fillings import ReferenceOracle, double_exp_bound, double_exp_constants
 from loopfold.grammar import (
@@ -25,7 +26,7 @@ from loopfold.grammar import (
     simplify_cfg,
     simulate_pda,
 )
-from loopfold.rewrite import RewriteSystem, SearchBudget
+from loopfold.rewrite import RewriteSystem
 
 Z2 = Presentation(1, (parse_word("aa", 1),))
 Z3 = Presentation(1, (parse_word("aaa", 1),))
@@ -394,7 +395,7 @@ def test_loop_factors_requires_acceptance():
 
 def test_bound_experiment_z2():
     reports = double_exp_experiment(
-        RewriteSystem(Z2), 3, ReferenceOracle.cyclic(2), SearchBudget(max_word_length=6)
+        Z2, 3, ReferenceOracle.cyclic(2), SearchBudget(max_word_length=6)
     )
     by_word = {render_word(r.word): r for r in reports}
     assert sorted(by_word) == ["1", "AA", "Aa", "aA", "aa"]
@@ -409,7 +410,7 @@ def test_bound_experiment_z2():
 
 def test_bound_experiment_z3():
     reports = double_exp_experiment(
-        RewriteSystem(Z3), 3, ReferenceOracle.cyclic(3), SearchBudget(max_word_length=6)
+        Z3, 3, ReferenceOracle.cyclic(3), SearchBudget(max_word_length=6)
     )
     cubed = {render_word(r.word): r for r in reports}["aaa"]
     assert double_exp_constants(Z3) == (54, 4)
@@ -428,7 +429,7 @@ def test_bound_experiment_z3():
 ], ids=["z2", "z3", "zxz"])
 def test_bound_experiment_holds_is_the_int_comparison(p, oracle, n_max):
     # the experiment decides the bound by a shift, without building it
-    reports = double_exp_experiment(RewriteSystem(p), n_max, oracle, SearchBudget())
+    reports = double_exp_experiment(p, n_max, oracle, SearchBudget())
     assert reports
     for r in reports:
         assert r.holds == (r.area <= r.shortest_length <= double_exp_bound(p, r.n, r.diameter)), r.word
@@ -449,7 +450,7 @@ def test_shared_solve_matches_the_per_word_chain():
         (BS12, ReferenceOracle.rewrite_search(RewriteSystem(BS12), SearchBudget(max_word_length=6)), 5),
     ]
     for p, oracle, n_max in cases:
-        reports = double_exp_experiment(RewriteSystem(p), n_max, oracle, SearchBudget())
+        reports = double_exp_experiment(p, n_max, oracle, SearchBudget())
         trees, chain = {}, {}
         for r in reports:
             key = (r.word.reduce(), r.diameter)
@@ -468,7 +469,7 @@ def test_one_countdown_part_per_input_and_one_reading_solve_per_tree(monkeypatch
             return _solve(*args)
         monkeypatch.setattr(grammar, name, counted)
     reports = double_exp_experiment(
-        RewriteSystem(LATTICE), 6, ReferenceOracle.free_abelian(2), SearchBudget(max_word_length=6)
+        LATTICE, 6, ReferenceOracle.free_abelian(2), SearchBudget(max_word_length=6)
     )
     assert len(reports) == 441
     assert calls == {"_reading_words": 3, "_countdown_word": 59}
@@ -485,7 +486,7 @@ def test_bound_experiment_rejects_a_bad_witness_factoring(monkeypatch, corrupt):
 
     monkeypatch.setattr(grammar, "loop_factors", corrupted)
     with pytest.raises(ValueError, match="witness factoring"):
-        double_exp_experiment(RewriteSystem(Z2), 2, ReferenceOracle.cyclic(2), SearchBudget(max_word_length=6))
+        double_exp_experiment(Z2, 2, ReferenceOracle.cyclic(2), SearchBudget(max_word_length=6))
 
 
 # -- areas from the witness's factor list ---------------------------------------
@@ -499,19 +500,25 @@ A4A6 = Presentation(1, (parse_word("aaaa", 1), parse_word("aaaaaa", 1)))  # ℤ/
     (LATTICE, ReferenceOracle.free_abelian(2), 4, 0),
     (BS12, ReferenceOracle.rewrite_search(RewriteSystem(BS12), SearchBudget(max_word_length=6)), 5, 0),
     (A4A6, ReferenceOracle.cyclic(2), 4, 10),
-], ids=["z2", "z3", "zxz", "bs12", "a4a6"])
+    (A4A6, ReferenceOracle.rewrite_search(RewriteSystem(A4A6), SearchBudget(max_word_length=6)), 4, 10),
+], ids=["z2", "z3", "zxz", "bs12", "a4a6", "a4a6-rewrite"])
 def test_factor_count_certifies_the_swept_area(monkeypatch, p, oracle, n_max, swept):
     # a witness's factor count bounds the area above; where it meets the
     # relators' lower bound the area needs no sweep, and it is the value
     # the uncut sweep finds; on ⟨a | a⁴, a⁶⟩ the ten words freely equal
-    # to aa or AA (bound 1, area 2) fall back to the sweep
-    calls = []
-    measured = grammar.min_isoperimetric
-    monkeypatch.setattr(grammar, "min_isoperimetric",
+    # to aa or AA (bound 1, area 2) fall back to the sweep, of the oracle's
+    # rewrite system if it searches one, else of one built for the first
+    calls, built = [], []
+    measured = rewrite.min_isoperimetric
+    monkeypatch.setattr(rewrite, "min_isoperimetric",
                         lambda word, *args: calls.append(word) or measured(word, *args))
-    system = RewriteSystem(p)
-    reports = double_exp_experiment(system, n_max, oracle, SearchBudget())
+    init = RewriteSystem.__init__
+    monkeypatch.setattr(RewriteSystem, "__init__",
+                        lambda system, presentation: built.append(system) or init(system, presentation))
+    reports = double_exp_experiment(p, n_max, oracle, SearchBudget())
     assert len(calls) == swept
+    # a searching oracle's system is the one the fallback searches
+    assert len(built) == (1 if swept and oracle.system is None else 0)
     for r in reports:
         area = measured(r.word, RewriteSystem(p), SearchBudget())
         assert area.exact and area.value == r.area, (p, r.word)

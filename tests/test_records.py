@@ -9,9 +9,9 @@ import pytest
 
 from loopfold import toddcoxeter
 from loopfold.automata import FoldedGraph
+from loopfold.bounds import OracleResult, OracleStatus, SearchBudget, budget_flags
 from loopfold.core import Presentation, parse_word
 from loopfold.fillings import ProfileRow
-from loopfold.rewrite import OracleResult, OracleStatus, SearchBudget, budget_flags
 from loopfold.toddcoxeter import PartialCayleyGraph, coset_rounds, partial_cayley
 
 LATTICE = Presentation(2, [parse_word("abAB", 2)])

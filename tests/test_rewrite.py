@@ -8,12 +8,11 @@ from collections import deque
 import pytest
 
 from loopfold import rewrite
+from loopfold.bounds import OracleStatus, SearchBudget, area_lower_bound
 from loopfold.compression import compress
 from loopfold.core import EMPTY, Presentation, Word, parse_word, symmetric_closure, words_up_to
 from loopfold.rewrite import (
-    OracleStatus,
     RewriteSystem,
-    SearchBudget,
     filling_length,
     is_trivial,
     min_isoperimetric,
@@ -393,6 +392,10 @@ A4_A6 = Presentation(1, [parse_word("aaaa", 1), parse_word("aaaaaa", 1)])
 
 
 class TestAreaLowerBound:
+    """:func:`~loopfold.bounds.area_lower_bound`, read off a presentation's
+    relators without a rewrite system; the system's own bound delegates to
+    it."""
+
     @pytest.mark.parametrize("make, cap, orbits", [
         (lambda: BS12, 8, 792),
         (lambda: HEISENBERG, 6, 463),
@@ -402,31 +405,43 @@ class TestAreaLowerBound:
     ], ids=["bs12", "heisenberg", "conjugate", "a4-a6", "fused-lattice"])
     def test_at_most_the_cost_of_every_reached_orbit(self, make, cap, orbits):
         # a sweep's cost is that of a real derivation, so no proved bound exceeds it
-        rs = RewriteSystem(make())
-        sweep = rs.explore(cap)
+        p = make()
+        bound = area_lower_bound(p)
+        sweep = RewriteSystem(p).explore(cap)
         assert sweep.complete and len(sweep.costs) == orbits
-        assert all(rs.area_lower_bound(codes) <= cost for codes, cost in sweep.costs.items())
+        assert all(bound(codes) <= cost for codes, cost in sweep.costs.items())
 
     @pytest.mark.parametrize("p", [HEISENBERG, HEISENBERG_A], ids=["central-c", "central-a"])
     def test_meets_the_heisenberg_plane_areas(self, p):
         # the central generator's exponent sum is not 0 on the commutator
         # relator, so only the plane of the other two winds; the bound of 1
         # on words that are not freely trivial meets 124 more orbits
-        rs = RewriteSystem(p)
-        costs = rs.explore(6).costs
+        bound = area_lower_bound(p)
+        costs = RewriteSystem(p).explore(6).costs
         assert len(costs) == 463
-        assert sum(rs.area_lower_bound(codes) == cost for codes, cost in costs.items()) == 431
+        assert sum(bound(codes) == cost for codes, cost in costs.items()) == 431
 
     def test_a_word_that_is_not_freely_trivial_needs_a_step(self):
         # acAC has c-sum 0 and ab-winding 0, so only the rule that free moves
         # keep the free-group element bounds it: its area 1 is Exact from the
         # cut cap-6 sweep alone, which a cut cap-8 sweep could not confirm
+        bound = area_lower_bound(HEISENBERG)
+        assert bound(w("acCA", 3).codes) == 0
+        assert bound(w("acAC", 3).codes) == 1
         rs = RewriteSystem(HEISENBERG)
-        assert rs.area_lower_bound(w("acCA", 3).codes) == 0
-        assert rs.area_lower_bound(w("acAC", 3).codes) == 1
         assert not rs.explore(6, 50).complete and not rs.explore(8, 50).complete
         result = min_isoperimetric(w("acAC", 3), rs, SearchBudget(6, 50))
         assert (result.value, result.status) == (1, OracleStatus.EXACT)
+
+    @pytest.mark.parametrize("p, cap", [
+        (Z2, 8), (Z3, 8), (LATTICE, 8), (BS12, 8), (HEISENBERG, 6),
+    ], ids=["z2", "z3", "zxz", "bs12", "heisenberg"])
+    def test_is_the_rewrite_systems_bound(self, p, cap):
+        # every orbit a sweep reaches, and every image of it
+        rs = RewriteSystem(p)
+        bound = area_lower_bound(p)
+        words = [image for key in rs.explore(cap).costs for image in rs.orbit(key)]
+        assert [bound(u) for u in words] == [rs.area_lower_bound(u) for u in words]
 
 
 class TestDeterminism:
@@ -573,6 +588,20 @@ class TestFusedSystem:
         words = [*(u.codes for u in words_up_to(p.alphabet_size, 6)),
                  *(r.codes for r in c.combined.relators)]
         assert [fused.area_lower_bound(u) for u in words] == [searched.area_lower_bound(u) for u in words]
+
+    @pytest.mark.parametrize("p", FUSED_SAMPLES, ids=FUSED_IDS)
+    def test_bound_is_the_base_bound_over_m(self, monkeypatch, p):
+        # ⌈base bound / m⌉, with the bound read off the base relators alone
+        read = []
+        monkeypatch.setattr(rewrite, "area_lower_bound",
+                            lambda presentation: read.append(presentation) or area_lower_bound(presentation))
+        c = compress(p)
+        fused = RewriteSystem.fused(RewriteSystem(p), c.combined, c.m)
+        base = area_lower_bound(p)
+        words = [*(u.codes for u in words_up_to(p.alphabet_size, 6)),
+                 *(r.codes for r in c.combined.relators)]
+        assert [fused.area_lower_bound(u) for u in words] == [-(-base(u) // c.m) for u in words]
+        assert read == [p]
 
     @pytest.mark.parametrize("p", FUSED_SAMPLES, ids=FUSED_IDS)
     def test_each_derived_map_sends_the_combined_closure_onto_itself(self, p):

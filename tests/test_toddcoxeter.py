@@ -16,10 +16,11 @@ from loopfold.automata import (
     restrict_to_radius,
     trace,
 )
+from loopfold.bounds import SearchBudget
 from loopfold.cli import main
 from loopfold.core import EMPTY, Presentation, Word, parse_presentation, parse_word, words_up_to
 from loopfold.fillings import ReferenceOracle, measure_isodiametric
-from loopfold.rewrite import RewriteSystem, SearchBudget
+from loopfold.rewrite import RewriteSystem
 from loopfold.toddcoxeter import coset_rounds, measure_tc_radius, partial_cayley, tc_round
 
 ZXZ = str(Path(__file__).resolve().parent.parent / "presentations" / "zxz.pres")
