@@ -19,7 +19,6 @@ from .core import (
     EMPTY,
     ParseError,
     Presentation,
-    Word,
     parse_presentation,
     parse_word,
     render_presentation,
@@ -30,7 +29,6 @@ __all__ = [
     "EMPTY",
     "ParseError",
     "Presentation",
-    "Word",
     "parse_presentation",
     "parse_word",
     "render_presentation",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable, TypeVar
 
-from .core import Word
+from .core import is_reduced
 
 G = TypeVar("G")  # a folded graph: ``delta`` and ``origin``
 
@@ -35,17 +35,18 @@ def trace_batch(delta: list[list[int]], start: int, words: list[bytes]) -> list[
     return out
 
 
-def trivial_layers(trivial: Iterable[Word], n_max: int, alphabet_size: int) -> list[list[bytes]]:
-    """The codes of the reduced words of ``trivial`` of length ≤ n_max, by
-    length: the layers both scans hand :func:`first_deciding`.  Every listed
+def trivial_layers(trivial: Iterable[bytes], n_max: int, alphabet_size: int) -> list[list[bytes]]:
+    """The reduced words of ``trivial`` of length ≤ n_max, by length: the
+    layers both scans hand :func:`first_deciding`.  Every listed
     word reduces to one of them.  Longer words are skipped; a letter outside
     the alphabet raises ValueError."""
     layers: list[list[bytes]] = [[] for _ in range(n_max + 1)]
     for u in trivial:
-        if max(u.codes, default=0) >= alphabet_size:
-            raise ValueError(f"{u!r} has a letter outside the presentation's alphabet")
-        if len(u) <= n_max and u.is_reduced():
-            layers[len(u)].append(u.codes)
+        if max(u, default=0) >= alphabet_size:
+            raise ValueError(f"the word with letter codes {list(u)} has a letter outside "
+                             "the presentation's alphabet")
+        if len(u) <= n_max and is_reduced(u):
+            layers[len(u)].append(u)
     return layers
 
 

@@ -28,7 +28,7 @@ import math
 import os
 from typing import Iterator
 
-from .core import Presentation, Word
+from .core import Presentation, reduce_codes
 
 DEFAULT_MEM_CEILING_MB = 512.0
 MEM_CEILING_ENV = "FILLINGS_MEM_CEILING_MB"
@@ -99,16 +99,16 @@ class LabeledGraph:
         self.out[src].setdefault(gen, set()).add(dst)
         self.inc[dst].setdefault(gen, set()).add(src)
 
-    def add_loop(self, basepoint: int, relator: Word) -> None:
+    def add_loop(self, basepoint: int, relator: bytes) -> None:
         """Attach a cycle reading ``relator`` at ``basepoint``, through
         ``len(relator) - 1`` fresh vertices."""
         self.add_path(basepoint, relator, end=basepoint)
 
-    def add_path(self, start: int, word: Word, end: int | None = None) -> int:
+    def add_path(self, start: int, word: bytes, end: int | None = None) -> int:
         """Attach a path reading ``word`` from ``start`` through fresh vertices
         to ``end``, by default a fresh tip; returns its last vertex."""
         cur = start
-        for i, c in enumerate(word.codes):
+        for i, c in enumerate(word):
             nxt = end if end is not None and i == len(word) - 1 else self.add_vertex()
             if c & 1:
                 self.add_edge(nxt, c >> 1, cur)
@@ -276,9 +276,9 @@ class Folder:
                 if row[v] < 0:
                     self._grow(v, c)
 
-    def add_loop(self, basepoint: int, relator: Word) -> None:
+    def add_loop(self, basepoint: int, relator: bytes) -> None:
         """Fold in a cycle reading ``relator`` at ``basepoint``."""
-        self._join(basepoint, relator.codes, basepoint)
+        self._join(basepoint, relator, basepoint)
 
     def closes(self, codes: bytes) -> bool:
         """Whether the walk reading ``codes`` from the origin stays on the
@@ -361,7 +361,7 @@ def loop_complexes(p: Presentation) -> Iterator[Folder]:
         yield folder
 
 
-def build_loop_complex(p: Presentation, j: int, until: Word | None = None) -> FoldedGraph:
+def build_loop_complex(p: Presentation, j: int, until: bytes | None = None) -> FoldedGraph:
     """The folded wedge, at a single origin, of one loop ``r^u`` per pair
     of a relator ``r`` and a reduced word ``u`` with ``|u| ≤ j``: a path
     reading ``u`` with an ``r``-cycle at its tip.  Given a reduced word
@@ -371,7 +371,7 @@ def build_loop_complex(p: Presentation, j: int, until: Word | None = None) -> Fo
     if j < 0:
         raise ValueError("radius must be nonnegative")
     for folder in itertools.islice(loop_complexes(p), j + 1):
-        if until is not None and folder.closes(until.codes):
+        if until is not None and folder.closes(until):
             break
     return folder.snapshot()
 
@@ -392,7 +392,7 @@ def build_tree_nfa(p: Presentation, j: int) -> LabeledGraph:
     _check_ceiling(predicted, _TREE_BYTES_PER_VERTEX, f"tree automaton at radius {j}")
 
     g = LabeledGraph(p.num_generators)
-    letters = [Word(bytes((c,))) for c in range(k)]
+    letters = [bytes((c,)) for c in range(k)]
     layer = [(g.origin, -2)]  # the tips and their last letters
     for _ in range(j):
         layer = [(g.add_path(v, letters[c]), c) for v, last in layer for c in range(k) if c != last ^ 1]
@@ -405,34 +405,34 @@ def build_tree_nfa(p: Presentation, j: int) -> LabeledGraph:
 # -- decision procedures ------------------------------------------------------
 
 
-def trace(graph: FoldedGraph, w: Word, start: int | None = None) -> int | None:
+def trace(graph: FoldedGraph, w: bytes, start: int | None = None) -> int | None:
     """Deterministic trace of ``w``; returns the final vertex or None if the
     trace falls off the graph."""
     v = graph.origin if start is None else start
     delta = graph.delta
-    for c in w.codes:
+    for c in w:
         v = delta[c][v]
         if v < 0:
             return None
     return v
 
 
-def accepts_reduced(dfa: FoldedGraph, w: Word) -> bool:
+def accepts_reduced(dfa: FoldedGraph, w: bytes) -> bool:
     """Reduce ``w``, trace it from the origin, accept iff it returns there."""
-    return trace(dfa, w.reduce()) == dfa.origin
+    return trace(dfa, reduce_codes(w)) == dfa.origin
 
 
-def nfa_accepts(graph: LabeledGraph, w: Word) -> bool:
+def nfa_accepts(graph: LabeledGraph, w: bytes) -> bool:
     """Nondeterministic acceptance of the literal word (no free reduction)."""
     frontier = {graph.origin}
-    for c in w.codes:
+    for c in w:
         frontier = set().union(*(graph.step(v, c) for v in frontier))
         if not frontier:
             return False
     return graph.origin in frontier
 
 
-def decide_word_problem(p: Presentation, w: Word, j: int) -> bool:
+def decide_word_problem(p: Presentation, w: bytes, j: int) -> bool:
     """Accept iff the folded radius-``j`` loop complex accepts ``red(w)``.
 
     ``Λ_i`` accepts a subset of what ``Λ_j`` accepts for ``i ≤ j``, so the
@@ -441,7 +441,7 @@ def decide_word_problem(p: Presentation, w: Word, j: int) -> bool:
     drawn.  A True answer always certifies triviality; completeness
     additionally needs ``j`` at least the isodiametric value at ``|w|``.
     """
-    reduced = w.reduce()
+    reduced = reduce_codes(w)
     return accepts_reduced(build_loop_complex(p, j, reduced), reduced)
 
 

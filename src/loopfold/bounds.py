@@ -16,7 +16,7 @@ import functools
 from itertools import combinations
 from typing import Callable, Iterable, NamedTuple
 
-from .core import Presentation, Word, reduce_codes
+from .core import Presentation, reduce_codes
 
 
 class OracleStatus(enum.Enum):
@@ -45,7 +45,7 @@ class OracleResult(NamedTuple):
 
 
 def prefix_maxima(
-    words: Iterable[Word], n_max: int, measure: Callable[[Word], OracleResult]
+    words: Iterable[bytes], n_max: int, measure: Callable[[bytes], OracleResult]
 ) -> list[OracleResult]:
     """Entry ``n`` is the largest value ``measure`` gives a word of length
     ≤ n, with the worst status among those words; the maximum over no words
@@ -148,16 +148,15 @@ def area_lower_bound(p: Presentation) -> Callable[[bytes], int]:
     along a derivation, so it is left out.  A word whose free reduction
     is not empty has area at least 1, as free moves alone keep a word's
     element of the free group."""
-    relators = [r.codes for r in p.relators]
     functionals = [functools.partial(_exponent_sum, g=g) for g in range(p.num_generators)]
-    balanced = [g for g, f in enumerate(functionals) if not any(map(f, relators))]
+    balanced = [g for g, f in enumerate(functionals) if not any(map(f, p.relators))]
     if len(balanced) >= 2:
         kept = bytes(c for g in balanced for c in (2 * g, 2 * g + 1))
         project = bytes.maketrans(kept, bytes(range(len(kept))))
         dropped = bytes(c for c in range(p.alphabet_size) if c not in kept)
         functionals.append(lambda codes: _winding_area(codes.translate(project, dropped),
                                                        len(balanced)))
-    steps = [max((abs(f(r)) for r in relators), default=0) for f in functionals]
+    steps = [max((abs(f(r)) for r in p.relators), default=0) for f in functionals]
     nonzero = [(f, step) for f, step in zip(functionals, steps) if step]
     return lambda codes: (max((-(-abs(f(codes)) // step) for f, step in nonzero), default=0)
                           or int(bool(reduce_codes(codes))))

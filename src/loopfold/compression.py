@@ -14,7 +14,7 @@ from typing import NamedTuple
 # bounds and rewrite are read through their modules, so plain `compress`
 # loads neither (see loopfold/__init__.py)
 from . import bounds, rewrite
-from .core import Presentation, Word
+from .core import Presentation
 
 DEFAULT_PRODUCT_CAP = 200_000
 
@@ -25,8 +25,8 @@ class CombinatorialBlowupError(RuntimeError):
 
 class CompressedPresentation(NamedTuple):
     base: Presentation
-    symmetrized: tuple[Word, ...]
-    fused: tuple[Word, ...]
+    symmetrized: tuple[bytes, ...]
+    fused: tuple[bytes, ...]
     combined: Presentation
     m: int
 
@@ -54,14 +54,13 @@ def compress(p: Presentation) -> CompressedPresentation:
         raise CombinatorialBlowupError(
             f"{total} relator tuples exceed the cap of {DEFAULT_PRODUCT_CAP}"
         )
-    relators = [r.codes for r in symmetrized]
-    level = set(relators)
+    level = set(symmetrized)
     fused: set[bytes] = set()
     for _ in range(2, m + 1):
         products = set()
         for u in level:
             n = len(u)
-            for v in relators:
+            for v in symmetrized:
                 k = 0  # letters cancelled at the seam
                 while k < n and k < len(v) and u[n - 1 - k] == v[k] ^ 1:
                     k += 1
@@ -71,12 +70,11 @@ def compress(p: Presentation) -> CompressedPresentation:
     fused.discard(b"")
     ordered = sorted(fused)
     ordered.sort(key=len)  # stable: shortlex
-    fused_words = tuple(map(Word, ordered))
     return CompressedPresentation(
         base=p,
         symmetrized=symmetrized,
-        fused=fused_words,
-        combined=Presentation(p.num_generators, symmetrized + fused_words),
+        fused=tuple(ordered),
+        combined=Presentation(p.num_generators, [*symmetrized, *ordered]),
         m=m,
     )
 
@@ -125,10 +123,8 @@ def verify_compression(
     if not agreement and not all(rewrite.sweeps_complete(system, budget, n_max)
                                  for system in (base_system, combined_system)):
         agreement = None
-    orbits = list(map(Word, keys))
-
     def areas(system):
-        return bounds.prefix_maxima(orbits, n_max,
+        return bounds.prefix_maxima(keys, n_max,
                                     lambda w: rewrite.min_isoperimetric(w, system, budget))
 
     rows = []

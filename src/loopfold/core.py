@@ -2,9 +2,12 @@
 
 Letters are stored as small integer codes: generator ``g`` is ``2*g`` and its
 formal inverse is ``2*g + 1``, so inversion of a single letter is ``code ^ 1``.
-A word is an immutable sequence of codes; free reduction cancels adjacent
-``x x^-1`` pairs.  The text form writes generator ``g`` as a lowercase letter
-(``a``, ``b``, ...) and its inverse as the corresponding uppercase letter.
+A word is a ``bytes`` string of codes, so length, equality, hashing,
+concatenation and immutability are those of ``bytes``; :func:`reduce_codes`
+freely reduces a word by cancelling adjacent ``x x^-1`` pairs,
+:func:`inverse` inverts it and :func:`is_reduced` tests it.  The text form
+writes generator ``g`` as a lowercase letter (``a``, ``b``, ...) and its
+inverse as the corresponding uppercase letter.
 :func:`words_up_to` is the one general word lister: every word up to a
 length, shortest first and lexicographic in codes within a length, each
 length taken from ``itertools.product``.
@@ -33,55 +36,26 @@ def reduce_codes(codes: bytes) -> bytes:
     return bytes(out)
 
 
-class Word:
-    """An immutable word over the symmetric alphabet of a presentation."""
-
-    __slots__ = ("codes",)
-
-    def __init__(self, codes: bytes | bytearray | Iterable[int] = b""):
-        self.codes: bytes
-        object.__setattr__(self, "codes", bytes(codes))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Word is immutable")
-
-    def __len__(self) -> int:
-        return len(self.codes)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Word) and self.codes == other.codes
-
-    def __hash__(self) -> int:
-        return hash(self.codes)
-
-    def __mul__(self, other: "Word") -> "Word":
-        return Word(self.codes + other.codes)
-
-    def __repr__(self) -> str:
-        return f"Word({render_word(self)!r})"
-
-    def inverse(self) -> "Word":
-        return Word(self.codes[::-1].translate(_INVERSE))
-
-    def reduce(self) -> "Word":
-        return Word(reduce_codes(self.codes))
-
-    def is_reduced(self) -> bool:
-        """No letter is followed by its inverse (compared at C level)."""
-        codes = self.codes
-        return not any(map(operator.eq, codes[1:], codes.translate(_INVERSE)))
+def inverse(codes: bytes) -> bytes:
+    """The formal inverse of a word: its letters reversed and inverted."""
+    return codes[::-1].translate(_INVERSE)
 
 
-EMPTY = Word()
+def is_reduced(codes: bytes) -> bool:
+    """No letter is followed by its inverse (compared at C level)."""
+    return not any(map(operator.eq, codes[1:], codes.translate(_INVERSE)))
 
 
-def words_up_to(alphabet_size: int, n: int) -> Iterator[Word]:
+EMPTY = b""
+
+
+def words_up_to(alphabet_size: int, n: int) -> Iterator[bytes]:
     """Every word of length at most ``n`` over the codes ``0 ..
     alphabet_size - 1``: shortest first, lexicographic in codes within a
     length, as ``itertools.product`` lists each length.  Words are made one
     at a time, never held as a list."""
     for length in range(n + 1):
-        yield from map(Word, itertools.product(range(alphabet_size), repeat=length))
+        yield from map(bytes, itertools.product(range(alphabet_size), repeat=length))
 
 
 class ParseError(ValueError):
@@ -105,11 +79,11 @@ def _letter_code(ch: str, num_generators: int, line: int, col: int) -> int:
     return 2 * g + sign_bit
 
 
-def parse_word(text: str, num_generators: int, line: int = 1, col: int = 1) -> Word:
+def parse_word(text: str, num_generators: int, line: int = 1, col: int = 1) -> bytes:
     """Parse a word; ``""`` and ``"1"`` both denote the empty word."""
     if text == "" or text == "1":
         return EMPTY
-    return Word(bytes(_letter_code(ch, num_generators, line, col + i) for i, ch in enumerate(text)))
+    return bytes(_letter_code(ch, num_generators, line, col + i) for i, ch in enumerate(text))
 
 
 # letter code -> text: generator g as the g-th lowercase letter, its inverse
@@ -118,8 +92,7 @@ _LETTERS = bytes((ord("A") if c & 1 else ord("a")) + (c >> 1) for c in range(52)
 _TEXT = _LETTERS.ljust(256)
 
 
-def render_word(w: Word) -> str:
-    codes = w.codes
+def render_word(codes: bytes) -> str:
     if not codes:
         return "1"
     if max(codes) >= len(_LETTERS):
@@ -140,35 +113,38 @@ def _irregular(alphabet_size: int) -> re.Pattern[bytes]:
 class Presentation:
     """A finite presentation: a generator count and a tuple of relators.
 
-    Relators are freely reduced on load, the empty relator is rejected, and
-    literal duplicates are dropped.  Relators are kept in shortlex order so
-    that everything built from a presentation is order-deterministic.
+    Each relator is taken as ``bytes(relator)``, so a ``bytearray`` or a
+    list of codes is copied, and later changes to it do not reach the
+    presentation.  Relators are freely reduced on load, the empty relator is
+    rejected, and literal duplicates are dropped.  Relators are kept in
+    shortlex order so that everything built from a presentation is
+    order-deterministic.
     """
 
     __slots__ = ("num_generators", "relators")
 
-    def __init__(self, num_generators: int, relators: Iterable[Word] = ()):
+    def __init__(self, num_generators: int,
+                 relators: Iterable[bytes | bytearray | Iterable[int]] = ()):
         if not isinstance(num_generators, int) or num_generators < 1:
             raise ValueError("a presentation needs at least one generator")
         irregular = _irregular(2 * num_generators)
         reduced = []
-        for r in relators:
+        for r in map(bytes, relators):
             # most relators are reduced words over the alphabet already: one
             # C-level search finds them, and only the rest are reduced here
-            if r.codes and irregular.search(r.codes) is None:
+            if r and irregular.search(r) is None:
                 reduced.append(r)
                 continue
-            r = r.reduce()
+            r = reduce_codes(r)
             if len(r) == 0:
                 raise ValueError("the empty word is not allowed as a relator")
-            if any(c >= 2 * num_generators for c in r.codes):
+            if max(r) >= 2 * num_generators:
                 raise ValueError("relator uses a letter outside the alphabet")
             reduced.append(r)
-        reduced.sort(key=operator.attrgetter("codes"))
+        reduced.sort()
         reduced.sort(key=len)  # stable: shortlex
-        kept = {r.codes: r for r in reduced}  # first occurrence's place, one per code string
         object.__setattr__(self, "num_generators", num_generators)
-        object.__setattr__(self, "relators", tuple(kept.values()))
+        object.__setattr__(self, "relators", tuple(dict.fromkeys(reduced)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Presentation is immutable")
@@ -208,10 +184,10 @@ class Presentation:
         reduced; for cyclically reduced relators this is the literal
         closure.  The result presents the same group.
         """
-        return Presentation(self.num_generators, map(Word, symmetric_closure(self.relators)))
+        return Presentation(self.num_generators, symmetric_closure(self.relators))
 
 
-def symmetric_closure(relators: Iterable[Word], max_length: int | None = None) -> list[bytes]:
+def symmetric_closure(relators: Iterable[bytes], max_length: int | None = None) -> list[bytes]:
     """The freely reduced cyclic permutations of nonempty reduced relators
     and of their inverses, in shortlex order; with ``max_length``, only
     those of that length or less.
@@ -224,12 +200,11 @@ def symmetric_closure(relators: Iterable[Word], max_length: int | None = None) -
     before it is inverted.
     """
     closure: set[bytes] = set()
-    for r in relators:
-        codes = r.codes
+    for codes in relators:
         bound = len(codes) if max_length is None else max_length
         if len(codes) > bound and len(codes) - 2 * _conjugator_length(codes) > bound:
             continue
-        for base in (codes, codes[::-1].translate(_INVERSE)):
+        for base in (codes, inverse(codes)):
             if base not in closure:
                 closure |= _reduced_rotations(base, bound)
     ordered = sorted(closure)
@@ -301,7 +276,7 @@ def parse_presentation(text: str) -> Presentation:
         col = rtext.index(token, pos) + 1
         pos = col + len(token)
         w = parse_word(token, len(names), rline, col)
-        if len(w.reduce()) == 0:
+        if not reduce_codes(w):
             raise ParseError(f"relator {token!r} reduces to the empty word", rline, col)
         relators.append(w)
     return Presentation(len(names), relators)

@@ -35,7 +35,7 @@ from typing import NamedTuple
 # toddcoxeter nor, with a closed-form oracle, rewrite (see loopfold/__init__.py)
 from . import _kernels, automata, rewrite, toddcoxeter
 from .bounds import BudgetFailure, OracleResult, OracleStatus, SearchBudget, prefix_maxima
-from .core import Presentation, Word, render_word
+from .core import Presentation, render_word
 
 
 # -- reference oracles --------------------------------------------------------
@@ -85,12 +85,12 @@ class ReferenceOracle:
         """Search ``system``; sweeps it has already made are reused."""
         return cls(system.presentation.num_generators, system=system, budget=budget)
 
-    def decide(self, w: Word) -> bool:
+    def decide(self, w: bytes) -> bool:
         """Whether ``w`` is trivial; the rewrite search raises
         :class:`~loopfold.rewrite.BudgetFailure` when a sweep the state
         budget cut misses ``w``, which it then cannot call non-trivial."""
         if self.system is None:
-            return self._kills(w.codes)
+            return self._kills(w)
         trivial, status = rewrite.is_trivial(w, self.system, self.budget)
         if status is OracleStatus.BUDGET_EXCEEDED:
             raise BudgetFailure(f"triviality of {render_word(w)} is BudgetExceeded; "
@@ -105,11 +105,11 @@ class ReferenceOracle:
             raise ValueError(f"different generator counts: the oracle speaks "
                              f"{self.num_generators}, the presentation has {p.num_generators}")
         kills = (self.system.presentation == p if self.system is not None
-                 else all(self._kills(r.codes) for r in p.relators))
+                 else all(map(self._kills, p.relators)))
         if not kills:
             raise ValueError("its group does not kill every relator")
 
-    def trivial_words(self, n: int) -> list[Word]:
+    def trivial_words(self, n: int) -> list[bytes]:
         """Every word of length ≤ n that the oracle calls trivial, shortest
         first and lexicographic in codes within a length; none when n < 0.
         A closed form walks prefixes through its Cayley ball and extends one
@@ -123,7 +123,7 @@ class ReferenceOracle:
             return rewrite.trivial_words(self.system, self.budget, n)
         return self._walk(n, reduced=False)
 
-    def reduced_trivial_words(self, n: int) -> list[Word]:
+    def reduced_trivial_words(self, n: int) -> list[bytes]:
         """The freely reduced words of :meth:`trivial_words`, in its order,
         listed without the others: the closed-form walk never appends a
         letter's inverse, and the rewrite search expands only its reduced
@@ -138,7 +138,7 @@ class ReferenceOracle:
         that they may miss trivial words; never for a closed form."""
         return self.system is not None and not rewrite.sweeps_complete(self.system, self.budget, n)
 
-    def _walk(self, n: int, reduced: bool) -> list[Word]:
+    def _walk(self, n: int, reduced: bool) -> list[bytes]:
         """The closed form's trivial words of length ≤ n, the reduced ones
         alone if ``reduced``."""
         if n < 0:
@@ -147,11 +147,11 @@ class ReferenceOracle:
         # neighbours all lie in the ball
         ball = self.cayley_ball(n // 2 + 1)
         _order, norm = automata.breadth_first(ball)
-        out: list[Word] = []
+        out: list[bytes] = []
 
         def extend(prefix: bytes, v: int, left: int, banned: int) -> None:
             if left == 0:
-                out.append(Word(prefix))
+                out.append(prefix)
                 return
             for code, row in enumerate(ball.delta):
                 if code != banned and norm[t := row[v]] < left:  # at most left - 1 letters remain
@@ -202,7 +202,7 @@ class ReferenceOracle:
 # -- isodiametric measurement -------------------------------------------------
 
 
-def measure_isodiametric(p: Presentation, n_max: int, trivial: list[Word]) -> list[OracleResult]:
+def measure_isodiametric(p: Presentation, n_max: int, trivial: list[bytes]) -> list[OracleResult]:
     """Entry ``n`` (0 ≤ n ≤ n_max) is d(n), the smallest radius ``j ≤ n``
     whose folded loop complex accepts the reduction of every word of length
     ≤ n in ``trivial``, the oracle's list of trivial words of length ≤ n_max.
@@ -276,15 +276,14 @@ def measure_profile(
     p = system.presentation
     oracle.check(p)
     reduced = oracle.reduced_trivial_words(n_max)
-    keys = list(dict.fromkeys(system.canonical(w.codes) for w in reduced))
+    keys = list(dict.fromkeys(map(system.canonical, reduced)))
     cap = budget.max_word_length
     proved = rewrite.tight_derivations(system, keys, cap)
-    orbits = list(map(Word, keys))
-    area = prefix_maxima(orbits, n_max, lambda w: (
-        OracleResult(system.area_lower_bound(w.codes), OracleStatus.EXACT) if w.codes in proved
+    area = prefix_maxima(keys, n_max, lambda w: (
+        OracleResult(system.area_lower_bound(w), OracleStatus.EXACT) if w in proved
         else rewrite.min_isoperimetric(w, system, budget)))
-    fills = prefix_maxima(orbits, n_max, lambda w: (
-        OracleResult(len(w), OracleStatus.EXACT) if w.codes in proved
+    fills = prefix_maxima(keys, n_max, lambda w: (
+        OracleResult(len(w), OracleStatus.EXACT) if w in proved
         else rewrite.filling_length(w, system, budget)))
     # t(m), the longest trivial length ≤ m: a reduced trivial word padded with xX pairs
     odd = min((len(w) for w in reduced if len(w) % 2), default=n_max + 1)

@@ -43,7 +43,7 @@ from typing import Iterable, NamedTuple
 from . import rewrite
 from .automata import LabeledGraph, build_tree_nfa, nfa_accepts
 from .bounds import BudgetFailure, SearchBudget, area_lower_bound, budget_flags
-from .core import _LETTERS, EMPTY, Presentation, Word, render_word
+from .core import _LETTERS, EMPTY, Presentation, _conjugator_length, inverse, reduce_codes, render_word
 from .fillings import ReferenceOracle, measure_isodiametric, within_double_exp
 
 BOTTOM = -1  # the stack-bottom marker, rendered "z"
@@ -71,7 +71,7 @@ def _stack_alphabet(num_generators: int) -> list[int]:
     return [BOTTOM] + list(range(2 * num_generators))
 
 
-def build_dyck_pda(w: Word, num_generators: int) -> Pda:
+def build_dyck_pda(w: bytes, num_generators: int) -> Pda:
     """Standalone machine accepting exactly the words freely equal to ``w``:
     the product with a one-vertex NFA that loops on every letter."""
     bouquet = LabeledGraph(num_generators)
@@ -80,11 +80,11 @@ def build_dyck_pda(w: Word, num_generators: int) -> Pda:
     return build_product_pda(w, bouquet)
 
 
-def build_product_pda(w: Word, tree: LabeledGraph) -> Pda:
+def build_product_pda(w: bytes, tree: LabeledGraph) -> Pda:
     """Machine for the intersection: words freely equal to ``w`` that the
     tree complex accepts.  Reading moves step the NFA component; the
     countdown runs at the NFA origin only."""
-    target = w.reduce().codes
+    target = reduce_codes(w)
     m = len(target)
     k = tree.num_generators
     origin = tree.origin
@@ -103,12 +103,11 @@ def build_product_pda(w: Word, tree: LabeledGraph) -> Pda:
     return Pda(k, start=(origin, m), final=(origin, -1), moves=tuple(moves))
 
 
-def simulate_pda(pda: Pda, w: Word) -> bool:
+def simulate_pda(pda: Pda, codes: bytes) -> bool:
     """Empty-stack acceptance by breadth-first search over configurations."""
     by_input: dict[tuple, list[Move]] = {}
     for mv in pda.moves:
         by_input.setdefault((mv.src, mv.inp, mv.top), []).append(mv)
-    codes = w.codes
     start = (0, pda.start, (BOTTOM,))
     seen = {start}
     queue = [start]
@@ -261,10 +260,9 @@ def simplify_cfg(g: Cfg) -> Cfg:
     return Cfg(g.num_generators, start, tuple(kept))
 
 
-def generates(g: Cfg, w: Word) -> bool:
+def generates(g: Cfg, codes: bytes) -> bool:
     """Membership by memoized span derivation (right sides are short, so no
     normal form is needed)."""
-    codes = w.codes
     by_lhs: dict = {}
     for lhs, rhs in g.rules:
         by_lhs.setdefault(lhs, []).append(rhs)
@@ -340,7 +338,7 @@ def _settled_words(rules, words: dict) -> dict:
     return words
 
 
-def shortest_word(g: Cfg) -> tuple[int, Word] | None:
+def shortest_word(g: Cfg) -> tuple[int, bytes] | None:
     """Minimum-length derivable string with a witness, read off the settled
     rules of :func:`_best_rules`.  ``None`` when the language is empty."""
     tree = parse_tree(g)
@@ -353,7 +351,7 @@ def shortest_word(g: Cfg) -> tuple[int, Word] | None:
             return bytes((sym,))
         return b"".join(leaves(child) for child in children)
 
-    witness = Word(leaves(tree))
+    witness = leaves(tree)
     return len(witness), witness
 
 
@@ -457,9 +455,8 @@ def _countdown_word(target: bytes, tree: LabeledGraph, reading: dict) -> bytes |
 # -- closed-path factoring ----------------------------------------------------
 
 
-def _accepting_path(tree: LabeledGraph, w: Word) -> list[int] | None:
+def _accepting_path(tree: LabeledGraph, codes: bytes) -> list[int] | None:
     """Vertex sequence of the lexicographically first accepting run."""
-    codes = w.codes
     states = {(0, tree.origin): None}
     queue = [(0, tree.origin)]
     head = 0
@@ -483,7 +480,7 @@ def _accepting_path(tree: LabeledGraph, w: Word) -> list[int] | None:
     return path[::-1]
 
 
-def _spanning_tree(tree: LabeledGraph) -> tuple[dict[int, Word], set]:
+def _spanning_tree(tree: LabeledGraph) -> tuple[dict[int, bytes], set]:
     """Breadth-first geodesic words per vertex, plus the set of directed
     edges used as tree links."""
     words = {tree.origin: EMPTY}
@@ -496,41 +493,37 @@ def _spanning_tree(tree: LabeledGraph) -> tuple[dict[int, Word], set]:
         for code in range(2 * tree.num_generators):
             for t in sorted(tree.step(v, code)):
                 if t not in words:
-                    words[t] = Word(words[v].codes + bytes((code,)))
+                    words[t] = words[v] + bytes((code,))
                     edge = (v, code >> 1, t) if code % 2 == 0 else (t, code >> 1, v)
                     tree_edges.add(edge)
                     queue.append(t)
     return words, tree_edges
 
 
-def _cyclic_core(w: Word) -> tuple[Word, Word]:
-    """Split w = t · core · t⁻¹ with core cyclically reduced."""
-    codes = w.reduce().codes
-    lo, hi = 0, len(codes)
-    while hi - lo >= 2 and codes[lo] == codes[hi - 1] ^ 1:
-        lo += 1
-        hi -= 1
-    return Word(codes[:lo]), Word(codes[lo:hi])
+def _cyclic_core(w: bytes) -> tuple[bytes, bytes]:
+    """Split red(w) = t · core · t⁻¹ with core cyclically reduced."""
+    codes = reduce_codes(w)
+    k = _conjugator_length(codes) if codes else 0
+    return codes[:k], codes[k : len(codes) - k]
 
 
-def _match_rotation(core: Word, relators: Iterable[Word]) -> tuple[Word, Word, int] | None:
+def _match_rotation(core: bytes, relators: Iterable[bytes]) -> tuple[bytes, bytes, int] | None:
     """Find (prefix, relator, sign) with core equal to the relator (or its
     inverse) rotated past the prefix."""
     for r in relators:
-        for candidate, sign in ((r, 1), (r.inverse(), -1)):
-            codes = candidate.codes
+        for codes, sign in ((r, 1), (inverse(r), -1)):
             if len(codes) != len(core):
                 continue
             doubled = codes + codes
             for k in range(len(codes)):
-                if doubled[k : k + len(codes)] == core.codes:
-                    return Word(codes[:k]), r, sign
+                if doubled[k : k + len(codes)] == core:
+                    return codes[:k], r, sign
     return None
 
 
 def loop_factors(
-    tree: LabeledGraph, p: Presentation, w: Word
-) -> list[tuple[Word, Word, int]]:
+    tree: LabeledGraph, p: Presentation, w: bytes
+) -> list[tuple[bytes, bytes, int]]:
     """Decompose an accepted word into conjugated relators.
 
     Returns (conjugator y, relator r, sign s) triples whose product
@@ -542,34 +535,30 @@ def loop_factors(
         raise ValueError("the complex does not accept this word")
     words, tree_edges = _spanning_tree(tree)
     factors = []
-    for pos, code in enumerate(w.codes):
+    for pos, code in enumerate(w):
         u, v = path[pos], path[pos + 1]
         edge = (u, code >> 1, v) if code % 2 == 0 else (v, code >> 1, u)
         if edge in tree_edges:
             continue
         src, gen, dst = edge
-        cycle = Word(
-            words[src].codes + bytes((2 * gen,)) + words[dst].inverse().codes
-        )
-        shift, core = _cyclic_core(cycle)
+        shift, core = _cyclic_core(words[src] + bytes((2 * gen,)) + inverse(words[dst]))
         matched = _match_rotation(core, p.relators)
         if matched is None:
             raise ValueError("a non-tree edge does not close a relator cycle")
         prefix, relator, sign = matched
-        conjugator = Word(shift.codes + prefix.inverse().codes).reduce()
+        conjugator = reduce_codes(shift + inverse(prefix))
         if code % 2 == 1:
             sign = -sign
         factors.append((conjugator, relator, sign))
     return factors
 
 
-def multiply_factors(factors: list[tuple[Word, Word, int]]) -> Word:
+def multiply_factors(factors: list[tuple[bytes, bytes, int]]) -> bytes:
     """Reduced product of y·r^s·y⁻¹ over the factor list."""
     out = b""
     for y, r, s in factors:
-        body = r.codes if s > 0 else r.inverse().codes
-        out += y.codes + body + y.inverse().codes
-    return Word(out).reduce()
+        out += y + (r if s > 0 else inverse(r)) + inverse(y)
+    return reduce_codes(out)
 
 
 # -- the end-to-end bound experiment -------------------------------------------
@@ -580,11 +569,11 @@ class BoundReport(NamedTuple):
     n = |word| and d = d(n).  The bound itself is left to whoever prints
     it (:func:`~loopfold.fillings.double_exp_bound`)."""
 
-    word: Word
+    word: bytes
     n: int
     diameter: int
     shortest_length: int
-    witness: Word
+    witness: bytes
     area: int
     holds: bool
 
@@ -618,7 +607,7 @@ def double_exp_experiment(
         raise BudgetFailure(f"diameter scan did not converge at n={diameters.index(None)}")
     trees: dict[int, tuple[LabeledGraph, dict]] = {}  # d -> (tree, its reading words)
     # (red(w), d) -> (ell, witness, the witness's factor count)
-    found: dict[tuple[bytes, int], tuple[int, Word, int]] = {}
+    found: dict[tuple[bytes, int], tuple[int, bytes, int]] = {}
     reports = []
     for candidate in trivial:
         length = len(candidate)
@@ -627,24 +616,23 @@ def double_exp_experiment(
             tree = build_tree_nfa(p, d)
             trees[d] = tree, _reading_words(tree)
         tree, reading = trees[d]
-        key = (candidate.reduce().codes, d)
+        key = (reduce_codes(candidate), d)
         if key not in found:
-            word = _countdown_word(key[0], tree, reading)
-            if word is None:
-                raise ValueError(f"empty intersection for the trivial word {candidate}")
-            witness = Word(word)
-            if witness.reduce().codes != key[0]:
+            witness = _countdown_word(key[0], tree, reading)
+            if witness is None:
+                raise ValueError(f"empty intersection for the trivial word {render_word(candidate)}")
+            if reduce_codes(witness) != key[0]:
                 raise ValueError("witness is not freely equal to its word")
             if not nfa_accepts(tree, witness):
                 raise ValueError("witness rejected by the tree complex")
             factors = loop_factors(tree, p, witness)
-            if multiply_factors(factors).codes != key[0]:
+            if multiply_factors(factors) != key[0]:
                 raise ValueError("witness factoring does not multiply out to its word")
             if len(factors) > len(witness):
                 raise ValueError("witness factoring has more factors than the witness has letters")
             found[key] = len(witness), witness, len(factors)
         ell, witness, factors = found[key]
-        if factors == bound(candidate.codes):
+        if factors == bound(candidate):
             area = factors
         else:
             if system is None:

@@ -67,7 +67,7 @@ from itertools import repeat
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .bounds import OracleResult, OracleStatus, SearchBudget, area_lower_bound
-from .core import _INVERSE, EMPTY, Presentation, Word, symmetric_closure
+from .core import EMPTY, Presentation, inverse, is_reduced, symmetric_closure
 
 
 _IDENTITY = bytes(range(256))
@@ -129,8 +129,8 @@ def _letter_maps(
 
 
 class Rule(NamedTuple):
-    lhs: Word
-    rhs: Word
+    lhs: bytes
+    rhs: bytes
     from_relators: bool  # True: relator rule (costs a step); False: free move
 
 
@@ -161,7 +161,7 @@ class RewriteSystem:
         (:func:`_letter_maps`); past the search limit, the identity alone,
         which with ``w -> w^-1`` makes a group of two."""
         closure = frozenset(symmetric_closure(self.presentation.relators))
-        maps = _letter_maps(closure, [r.codes for r in self.presentation.relators],
+        maps = _letter_maps(closure, self.presentation.relators,
                             self.presentation.num_generators, _MAX_SYMMETRIES // 2)
         return tuple(maps or [_IDENTITY])
 
@@ -170,7 +170,7 @@ class RewriteSystem:
         """The free moves ``c c^-1 -> 1`` and ``1 -> c c^-1`` as rules."""
         rules = []
         for c in range(self.presentation.alphabet_size):
-            pair = Word(bytes((c, c ^ 1)))
+            pair = bytes((c, c ^ 1))
             rules += [Rule(pair, EMPTY, False), Rule(EMPTY, pair, False)]
         return tuple(rules)
 
@@ -210,8 +210,8 @@ class RewriteSystem:
     def orbit(self, codes: bytes) -> list[bytes]:
         """The images of ``codes`` under the symmetry group: σ(w) and
         σ(w^-1) for each letter map σ, repeats included."""
-        inverse = codes[::-1].translate(_INVERSE)
-        return [*map(codes.translate, self.symmetries), *map(inverse.translate, self.symmetries)]
+        inv = inverse(codes)
+        return [*map(codes.translate, self.symmetries), *map(inv.translate, self.symmetries)]
 
     def canonical(self, codes: bytes) -> bytes:
         """The least image of ``codes`` under the symmetry group."""
@@ -220,22 +220,22 @@ class RewriteSystem:
     @functools.cached_property
     def relator_rules(self) -> tuple[Rule, ...]:
         """Every relator rule ``u -> v``, in (|u|, u, |v|, v) order."""
-        pairs = {(r[:i], r[i:][::-1].translate(_INVERSE))
+        pairs = {(r[:i], inverse(r[i:]))
                  for r in symmetric_closure(self.presentation.relators)
                  for i in range(len(r) + 1)}
         ordered = sorted(pairs, key=lambda p: (len(p[0]), p[0], len(p[1]), p[1]))
-        return tuple(Rule(Word(u), Word(v), True) for u, v in ordered)
+        return tuple(Rule(u, v, True) for u, v in ordered)
 
     # -- rule application ------------------------------------------------
 
-    def apply_rule_positions(self, w: Word) -> set[tuple[Rule, int, Word]]:
+    def apply_rule_positions(self, w: bytes) -> set[tuple[Rule, int, bytes]]:
         """Every single-step rewrite of ``w``, as (rule, position, result)."""
         out = set()
         for rule in self.relator_rules + self.free_rules:
             k = len(rule.lhs)
             for i in range(len(w) - k + 1):
-                if w.codes[i : i + k] == rule.lhs.codes:
-                    out.add((rule, i, Word(w.codes[:i] + rule.rhs.codes + w.codes[i + k :])))
+                if w[i : i + k] == rule.lhs:
+                    out.add((rule, i, w[:i] + rule.rhs + w[i + k :]))
         return out
 
     def _successors(self, cap: int) -> Callable[[bytes], Iterator[tuple[int, bytes]]]:
@@ -259,7 +259,7 @@ class RewriteSystem:
         for r in symmetric_closure(self.presentation.relators, 2 * cap):
             n = len(r)
             for i in range(max(0, n - cap), min(n, cap) + 1):
-                by_lhs.setdefault(r[:i], set()).add(r[i:][::-1].translate(_INVERSE))
+                by_lhs.setdefault(r[:i], set()).add(inverse(r[i:]))
         relator_inserts = sorted(by_lhs.pop(b"", ()))
         subst = {u: sorted(vs) for u, vs in by_lhs.items()}
         lhs_lengths = sorted({len(u) for u in subst})
@@ -354,7 +354,7 @@ class RewriteSystem:
         return result
 
 
-def min_isoperimetric(w: Word, rs: RewriteSystem, budget: SearchBudget) -> OracleResult:
+def min_isoperimetric(w: bytes, rs: RewriteSystem, budget: SearchBudget) -> OracleResult:
     """Minimum relator-rule count rewriting ``w`` to the empty word.
 
     Runs the capped search at ``L``.  When that sweep holds ``w`` at the
@@ -366,11 +366,11 @@ def min_isoperimetric(w: Word, rs: RewriteSystem, budget: SearchBudget) -> Oracl
     evidence for ``Exact``.
     """
     lo = rs.explore(budget.max_word_length, budget.max_states)
-    v_lo = lo.cost(w.codes)
-    if v_lo is not None and v_lo == rs.area_lower_bound(w.codes):
+    v_lo = lo.cost(w)
+    if v_lo is not None and v_lo == rs.area_lower_bound(w):
         return OracleResult(v_lo, OracleStatus.EXACT)
     hi = rs.explore(budget.max_word_length + 2, budget.max_states)
-    v_hi = hi.cost(w.codes)
+    v_hi = hi.cost(w)
     if not (lo.complete and hi.complete):
         return OracleResult(v_hi if v_hi is not None else v_lo, OracleStatus.BUDGET_EXCEEDED)
     if v_hi is None:
@@ -380,12 +380,12 @@ def min_isoperimetric(w: Word, rs: RewriteSystem, budget: SearchBudget) -> Oracl
     return OracleResult(v_hi, OracleStatus.LOWER_BOUND_ONLY)
 
 
-def filling_length(w: Word, rs: RewriteSystem, budget: SearchBudget) -> OracleResult:
+def filling_length(w: bytes, rs: RewriteSystem, budget: SearchBudget) -> OracleResult:
     """The least cap from ``|w|`` to the length cap whose sweep holds ``w``,
     ``BudgetExceeded`` if a cut sweep misses it first."""
     for cap in range(len(w), budget.max_word_length + 1):
         sweep = rs.explore(cap, budget.max_states)
-        if sweep.cost(w.codes) is not None:
+        if sweep.cost(w) is not None:
             return OracleResult(cap, OracleStatus.EXACT)
         if not sweep.complete:
             return OracleResult(None, OracleStatus.BUDGET_EXCEEDED)
@@ -444,18 +444,18 @@ def tight_derivations(
     return found
 
 
-def trivial_words(rs: RewriteSystem, budget: SearchBudget, n: int) -> list[Word]:
+def trivial_words(rs: RewriteSystem, budget: SearchBudget, n: int) -> list[bytes]:
     """Every word of length ≤ n that :func:`is_trivial` calls trivial, in
     shortlex order: the images of the :func:`sweep_keys`, read off the
     sweeps rather than decided word by word."""
     return _images(rs, sweep_keys(rs, budget, n))
 
 
-def reduced_trivial_words(rs: RewriteSystem, budget: SearchBudget, n: int) -> list[Word]:
+def reduced_trivial_words(rs: RewriteSystem, budget: SearchBudget, n: int) -> list[bytes]:
     """The freely reduced words of :func:`trivial_words`, in its order.
     Letter maps and inversion keep a word reduced, so an orbit is reduced
     exactly when its key is, and only the reduced keys are expanded."""
-    return _images(rs, [key for key in sweep_keys(rs, budget, n) if Word(key).is_reduced()])
+    return _images(rs, list(filter(is_reduced, sweep_keys(rs, budget, n))))
 
 
 def sweep_keys(rs: RewriteSystem, budget: SearchBudget, n: int) -> list[bytes]:
@@ -481,19 +481,19 @@ def sweeps_complete(rs: RewriteSystem, budget: SearchBudget, n: int) -> bool:
     return all(rs.explore(cap, budget.max_states).complete for cap in caps)
 
 
-def _images(rs: RewriteSystem, keys: list[bytes]) -> list[Word]:
+def _images(rs: RewriteSystem, keys: list[bytes]) -> list[bytes]:
     """The images of ``keys`` (:meth:`RewriteSystem.orbit`), in shortlex order."""
     images = {image for key in keys for image in rs.orbit(key)}
     ordered = sorted(images)
     ordered.sort(key=len)  # stable: shortlex
-    return list(map(Word, ordered))
+    return ordered
 
 
-def is_trivial(w: Word, rs: RewriteSystem, budget: SearchBudget) -> tuple[bool, OracleStatus]:
+def is_trivial(w: bytes, rs: RewriteSystem, budget: SearchBudget) -> tuple[bool, OracleStatus]:
     """Semidecision: True iff ``w`` rewrites to the empty word within budget."""
     cap = max(budget.max_word_length, len(w))
     sweep = rs.explore(cap, budget.max_states)
-    if sweep.cost(w.codes) is not None:
+    if sweep.cost(w) is not None:
         return True, OracleStatus.EXACT
     return False, (
         OracleStatus.LOWER_BOUND_ONLY if sweep.complete else OracleStatus.BUDGET_EXCEEDED

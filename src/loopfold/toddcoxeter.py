@@ -24,7 +24,7 @@ import itertools
 from typing import Iterator, NamedTuple
 
 from . import _kernels
-from .core import Presentation, Word
+from .core import Presentation
 from .automata import Folder, FoldedGraph, radius as graph_radius, strip_hairs
 
 
@@ -87,7 +87,7 @@ def partial_cayley(graph: FoldedGraph) -> PartialCayleyGraph:
 def measure_tc_radius(
     p: Presentation,
     n_max: int,
-    trivial: list[Word],
+    trivial: list[bytes],
 ) -> list[tuple[int, int, PartialCayleyGraph] | None]:
     """Entry ``n`` (0 ≤ n ≤ n_max) is (rounds, radius, graph) for the first
     round ≤ n + 1 whose partial Cayley graph accepts every reduced word of

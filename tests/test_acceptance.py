@@ -26,7 +26,7 @@ from loopfold.automata import (
 )
 from loopfold.bounds import OracleStatus, SearchBudget
 from loopfold.compression import compress, verify_compression
-from loopfold.core import Presentation, parse_word, render_word, words_up_to
+from loopfold.core import Presentation, parse_word, reduce_codes, render_word, words_up_to
 from loopfold.fillings import (
     ReferenceOracle,
     check_inequalities,
@@ -184,7 +184,7 @@ def test_criterion_5_double_exp_pipeline(capsys):
             bound = double_exp_bound(p, len(w), d)
             good = (
                 generates(cfg, witness)
-                and witness.reduce() == w.reduce()
+                and reduce_codes(witness) == reduce_codes(w)
                 and nfa_accepts(tree, witness)
                 and area.exact
                 and area.value <= ell <= bound

@@ -23,7 +23,7 @@ from loopfold.automata import (
     to_dot,
     trace,
 )
-from loopfold.core import EMPTY, Presentation, Word, parse_word, words_up_to
+from loopfold.core import EMPTY, Presentation, inverse, is_reduced, parse_word, reduce_codes, words_up_to
 
 Z2 = Presentation(1, [parse_word("aa", 1)])
 Z3 = Presentation(1, [parse_word("aaa", 1)])
@@ -31,10 +31,10 @@ LATTICE = Presentation(2, [parse_word("abAB", 2)])
 FREE2 = Presentation(2, [])
 
 TRIVIAL_ORACLES = {
-    id(Z2): lambda u: sum(1 if c == 0 else -1 for c in u.codes) % 2 == 0,
-    id(Z3): lambda u: sum(1 if c == 0 else -1 for c in u.codes) % 3 == 0,
-    id(LATTICE): lambda u: sum(1 if c == 0 else -1 for c in u.codes if c < 2) == 0
-    and sum(1 if c == 2 else -1 for c in u.codes if c >= 2) == 0,
+    id(Z2): lambda u: sum(1 if c == 0 else -1 for c in u) % 2 == 0,
+    id(Z3): lambda u: sum(1 if c == 0 else -1 for c in u) % 3 == 0,
+    id(LATTICE): lambda u: sum(1 if c == 0 else -1 for c in u if c < 2) == 0
+    and sum(1 if c == 2 else -1 for c in u if c >= 2) == 0,
 }
 
 
@@ -57,7 +57,7 @@ def wedge(p, j):
     ``r``-cycle at its tip per pair of a relator ``r`` and a reduced word
     ``u`` with ``|u| ≤ j``; distinct pairs share only the origin."""
     g = LabeledGraph(p.num_generators)
-    for u in filter(Word.is_reduced, words_up_to(p.alphabet_size, j)):
+    for u in filter(is_reduced, words_up_to(p.alphabet_size, j)):
         for r in p.relators:
             g.add_loop(g.add_path(g.origin, u), r)
     return g
@@ -98,7 +98,7 @@ class TestConstruction:
             gens = rng.choice([1, 2])
             rels = []
             for _ in range(rng.randrange(1, 3)):
-                word = Word(bytes(rng.randrange(2 * gens) for _ in range(rng.randrange(2, 5)))).reduce()
+                word = reduce_codes(bytes(rng.randrange(2 * gens) for _ in range(rng.randrange(2, 5))))
                 if len(word):
                     rels.append(word)
             if not rels:
@@ -222,7 +222,7 @@ class TestFold:
         cases = [(Z2, 2), (Z3, 2), (LATTICE, 2)]
         while len(cases) < 20:  # relators need not be cyclically reduced
             gens = rng.choice([1, 2])
-            rels = [Word(bytes(rng.randrange(2 * gens) for _ in range(rng.randrange(1, 6)))).reduce()
+            rels = [reduce_codes(bytes(rng.randrange(2 * gens) for _ in range(rng.randrange(1, 6))))
                     for _ in range(rng.randrange(1, 3))]
             if all(len(r) for r in rels):
                 cases.append((Presentation(gens, rels), rng.randrange(0, 3)))
@@ -253,7 +253,7 @@ class TestAcceptance:
 
     def test_tree_language_radius_zero_order_two(self):
         nfa = build_tree_nfa(Z2, 0)
-        for u in [Word(bytes(cs)) for n in range(7) for cs in itertools.product(range(2), repeat=n)]:
+        for u in [bytes(cs) for n in range(7) for cs in itertools.product(range(2), repeat=n)]:
             assert nfa_accepts(nfa, u) == (len(u) % 2 == 0)
 
     def test_sampled_loop_words_are_sound(self):
@@ -262,15 +262,15 @@ class TestAcceptance:
             oracle = TRIVIAL_ORACLES[id(p)]
             complex_ = wedge(p, 2)
             dfa = build_loop_complex(p, 2)
-            conjugators = list(filter(Word.is_reduced, words_up_to(p.alphabet_size, 2)))
+            conjugators = list(filter(is_reduced, words_up_to(p.alphabet_size, 2)))
             for _ in range(40):
                 parts = []
                 for _ in range(rng.randrange(1, 4)):
                     u = rng.choice(conjugators)
                     r = rng.choice(p.relators)
-                    core = r if rng.random() < 0.5 else r.inverse()
-                    parts.append(u * core * u.inverse())
-                z = Word(b"".join(part.codes for part in parts))
+                    core = r if rng.random() < 0.5 else inverse(r)
+                    parts.append(u + core + inverse(u))
+                z = b"".join(parts)
                 assert nfa_accepts(complex_, z)
                 assert accepts_reduced(dfa, z)
                 assert oracle(z)
@@ -280,14 +280,14 @@ class TestAcceptance:
             oracle = TRIVIAL_ORACLES[id(p)]
             for j in range(3):
                 dfa = build_loop_complex(p, j)
-                for u in filter(Word.is_reduced, words_up_to(p.alphabet_size, 6)):
+                for u in filter(is_reduced, words_up_to(p.alphabet_size, 6)):
                     if accepts_reduced(dfa, u):
                         assert oracle(u), (p, j, u)
 
     def test_folded_acceptance_monotone_in_radius(self):
         for p in (Z2, Z3, LATTICE):
             dfas = [build_loop_complex(p, j) for j in range(3)]
-            for u in filter(Word.is_reduced, words_up_to(p.alphabet_size, 5)):
+            for u in filter(is_reduced, words_up_to(p.alphabet_size, 5)):
                 accepted = [accepts_reduced(d, u) for d in dfas]
                 for lo, hi in zip(accepted, accepted[1:]):
                     assert not (lo and not hi), (p, u)
@@ -311,11 +311,11 @@ class TestEarlyAnswer:
         rng = random.Random(37)
         k = p.alphabet_size
         complexes = [build_loop_complex(p, j) for j in range(8)]
-        words = [Word(bytes(rng.randrange(k) for _ in range(rng.randint(0, 10)))) for _ in range(40)]
+        words = [bytes(rng.randrange(k) for _ in range(rng.randint(0, 10))) for _ in range(40)]
         for _ in range(40):
-            y = Word(bytes(rng.randrange(k) for _ in range(rng.randint(0, 4))))
+            y = bytes(rng.randrange(k) for _ in range(rng.randint(0, 4)))
             r = rng.choice(p.relators)
-            words.append(Word(y.codes + r.codes + y.inverse().codes))
+            words.append(y + r + inverse(y))
         for u in words:
             for j, dfa in enumerate(complexes):
                 assert decide_word_problem(p, u, j) == accepts_reduced(dfa, u), (p, u, j)

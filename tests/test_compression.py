@@ -13,7 +13,7 @@ from loopfold.compression import (
     compress,
     verify_compression,
 )
-from loopfold.core import Presentation, Word, parse_presentation, parse_word, render_presentation, words_up_to
+from loopfold.core import Presentation, parse_presentation, parse_word, reduce_codes, render_presentation, words_up_to
 from loopfold.rewrite import RewriteSystem, is_trivial, min_isoperimetric
 
 Z2 = parse_presentation("gens: a\nrels: aa")
@@ -207,10 +207,10 @@ def fused_by_definition(p):
     fused = set()
     for i in range(2, m + 1):
         for combo in itertools.product(symmetrized, repeat=i):
-            product = Word(b"".join(r.codes for r in combo)).reduce()
+            product = reduce_codes(b"".join(combo))
             if len(product) > 0:
                 fused.add(product)
-    ordered = tuple(sorted(fused, key=lambda u: (len(u), u.codes)))
+    ordered = tuple(sorted(fused, key=lambda u: (len(u), u)))
     total = sum(len(symmetrized) ** i for i in range(2, m + 1))
     return ordered, Presentation(p.num_generators, symmetrized + ordered), total
 

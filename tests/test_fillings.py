@@ -14,7 +14,7 @@ from loopfold.bounds import (
     area_lower_bound,
     prefix_maxima,
 )
-from loopfold.core import EMPTY, Presentation, Word, parse_presentation, parse_word, words_up_to
+from loopfold.core import EMPTY, Presentation, is_reduced, parse_presentation, parse_word, words_up_to
 from loopfold.fillings import (
     FillingProfile,
     ProfileRow,
@@ -41,7 +41,7 @@ A4_A6 = parse_presentation("gens: a\nrels: aaaa aaaaaa")  # ℤ/2 again
 BUDGET = SearchBudget(max_word_length=6)
 
 
-def w(text: str, gens: int = 2) -> Word:
+def w(text: str, gens: int = 2) -> bytes:
     return parse_word(text, gens)
 
 
@@ -73,7 +73,7 @@ def test_cyclic_oracle_matches_exponent_count():
         oracle = ReferenceOracle.cyclic(k)
         assert oracle.num_generators == 1
         for word in words_up_to(2, 5):
-            exponent = sum(1 if c == 0 else -1 for c in word.codes)
+            exponent = sum(1 if c == 0 else -1 for c in word)
             assert oracle.decide(word) == (exponent % k == 0), (k, word)
 
 
@@ -139,7 +139,7 @@ def test_trivial_words_are_the_decided_words_in_order(oracle, n):
         "free-1", "free-2", "rewrite-z3", "rewrite-zxz-cut", "rewrite-a4-a6-cut"])
 def test_reduced_listing_is_the_reduced_part_of_the_list(oracle):
     for n in (-1, 0, 1, 4, 6):
-        expected = [u for u in oracle.trivial_words(n) if u.is_reduced()]
+        expected = [u for u in oracle.trivial_words(n) if is_reduced(u)]
         assert oracle.reduced_trivial_words(n) == expected, n
 
 
@@ -338,10 +338,10 @@ def full_list_profile(system, n_max, oracle, budget):
     of every trivial word, unreduced ones included, and both scans over the
     list's reduced words.  The reference for :func:`measure_profile`."""
     trivial = oracle.trivial_words(n_max)
-    orbits = [Word(codes) for codes in dict.fromkeys(system.canonical(u.codes) for u in trivial)]
+    orbits = list(dict.fromkeys(system.canonical(u) for u in trivial))
     area = prefix_maxima(orbits, n_max, lambda u: min_isoperimetric(u, system, budget))
     length = prefix_maxima(orbits, n_max, lambda u: filling_length(u, system, budget))
-    reduced = [u for u in trivial if u.is_reduced()]
+    reduced = [u for u in trivial if is_reduced(u)]
     diameter = measure_isodiametric(system.presentation, n_max, reduced)
     tc = [OracleResult(None, OracleStatus.LOWER_BOUND_ONLY) if hit is None
           else OracleResult(hit[1], OracleStatus.EXACT)
@@ -437,7 +437,7 @@ def test_a_cut_list_exceeds_the_budget_from_its_first_listed_length(oracle_budge
 # -- certified area -------------------------------------------------------------
 
 
-def closed_form_bound(family: str, rank: int, p: Presentation, word: Word) -> int:
+def closed_form_bound(family: str, rank: int, p: Presentation, word: bytes) -> int:
     """The area lower bound proved for the closed-form group ``family`` of
     ``rank`` generators, kept as the reference for the one read off ``p``'s
     relators (:func:`~loopfold.bounds.area_lower_bound`): homological area
@@ -472,33 +472,33 @@ def closed_form_bound(family: str, rank: int, p: Presentation, word: Word) -> in
         return len(codes) - 2 * codes.count(1)
 
     functional = exponent_sum if family == "cyclic" else winding_area
-    step = max((abs(functional(r.codes)) for r in p.relators), default=0) or 1
-    return -(-abs(functional(word.codes)) // step)
+    step = max((abs(functional(r)) for r in p.relators), default=0) or 1
+    return -(-abs(functional(word)) // step)
 
 
-def stop_rule(word: Word, system: RewriteSystem, budget: SearchBudget) -> tuple[int | None, bool]:
+def stop_rule(word: bytes, system: RewriteSystem, budget: SearchBudget) -> tuple[int | None, bool]:
     """The area at cap L + 2 and whether the caps L and L + 2 agree on it,
     with no lower bound: the rule every area rested on before the bound."""
     lo = system.explore(budget.max_word_length, budget.max_states)
     hi = system.explore(budget.max_word_length + 2, budget.max_states)
-    value = hi.cost(word.codes)
-    return value, lo.complete and hi.complete and value is not None and lo.cost(word.codes) == value
+    value = hi.cost(word)
+    return value, lo.complete and hi.complete and value is not None and lo.cost(word) == value
 
 
 def test_area_lower_bound_values():
     lattice = area_lower_bound(LATTICE)
-    assert [lattice(w(t).codes) for t in ("", "aA", "abAB", "aabbAABB", "abABabAB", "abABbaBA")] == [
+    assert [lattice(w(t)) for t in ("", "aA", "abAB", "aabbAABB", "abABabAB", "abABbaBA")] == [
         0, 0, 1, 4, 2, 0]
     lattice3 = area_lower_bound(LATTICE3)
     # the hexagon abcABC projects to one unit square in each of the three planes
-    assert [lattice3(w(t, 3).codes) for t in ("acAC", "abcABC", "aabcAABC")] == [1, 3, 5]
+    assert [lattice3(w(t, 3)) for t in ("acAC", "abcABC", "aabcAABC")] == [1, 3, 5]
     cyclic = area_lower_bound(Z3)
-    assert [cyclic(w(t, 1).codes) for t in ("aaaaaa", "aaaAAA", "AAA", "aaaa")] == [2, 0, 1, 2]
+    assert [cyclic(w(t, 1)) for t in ("aaaaaa", "aaaAAA", "AAA", "aaaa")] == [2, 0, 1, 2]
     # no relator to divide by: only the freely trivial words fill
-    assert area_lower_bound(FREE2)(w("abBA").codes) == 0
+    assert area_lower_bound(FREE2)(w("abBA")) == 0
     # the ab-plane of the Heisenberg group: c's exponent sum is not 0 on abABC
     heisenberg = area_lower_bound(parse_presentation("gens: a b c\nrels: abABC acAC bcBC"))
-    assert [heisenberg(w(t, 3).codes) for t in ("abABC", "aabbAABB", "cc")] == [
+    assert [heisenberg(w(t, 3)) for t in ("abABC", "aabbAABB", "cc")] == [
         1, 4, 2]
 
 
@@ -516,7 +516,7 @@ CLOSED_FORMS = pytest.mark.parametrize("p, oracle, group, n", [
 def test_area_lower_bound_equals_the_closed_form_one(p, oracle, group, n):
     bound = area_lower_bound(p)
     for word in oracle.trivial_words(n):
-        assert bound(word.codes) == closed_form_bound(*group, p, word), word
+        assert bound(word) == closed_form_bound(*group, p, word), word
 
 
 @CLOSED_FORMS
@@ -526,7 +526,7 @@ def test_area_lower_bound_is_sound(p, oracle, group, n):
     system, budget = RewriteSystem(p), SearchBudget(max_word_length=n)
     for word in oracle.trivial_words(n):
         value, exact = stop_rule(word, system, budget)
-        assert value is not None and system.area_lower_bound(word.codes) <= value, word
+        assert value is not None and system.area_lower_bound(word) <= value, word
         if exact:
             assert min_isoperimetric(word, system, budget) == (value, OracleStatus.EXACT), word
 
@@ -535,7 +535,7 @@ def test_a_bound_short_of_the_area_falls_back_to_the_stop_rule():
     # aa = a^6 a^-4 takes two relator steps, the bound only ⌈2/6⌉ = 1
     system, budget = RewriteSystem(A4_A6), SearchBudget(max_word_length=6)
     word = w("aa", 1)
-    assert system.area_lower_bound(word.codes) == 1
+    assert system.area_lower_bound(word) == 1
     assert min_isoperimetric(word, system, budget) == (2, OracleStatus.EXACT)
     assert (8, budget.max_states) in system._sweeps
 

@@ -9,7 +9,7 @@ import pytest
 from loopfold import grammar, rewrite
 from loopfold.automata import build_tree_nfa, nfa_accepts
 from loopfold.bounds import SearchBudget
-from loopfold.core import EMPTY, Presentation, Word, parse_word, render_word, words_up_to
+from loopfold.core import EMPTY, Presentation, parse_word, reduce_codes, render_word, words_up_to
 from loopfold.fillings import ReferenceOracle, double_exp_bound, double_exp_constants
 from loopfold.grammar import (
     BOTTOM,
@@ -55,17 +55,17 @@ def product_pipeline(name, d=0):
 
 def test_dyck_pda_matches_free_reduction_exhaustively():
     for target in ("", "aa"):
-        goal = w(target).reduce()
+        goal = reduce_codes(w(target))
         pda = build_dyck_pda(w(target), 1)
         for z in words_up_to(2, 5):
-            assert simulate_pda(pda, z) == (z.reduce() == goal), (target, z)
+            assert simulate_pda(pda, z) == (reduce_codes(z) == goal), (target, z)
 
 
 def test_dyck_pda_two_generators():
     pda = build_dyck_pda(w("ab", 2), 2)
     goal = w("ab", 2)
     for z in words_up_to(4, 4):
-        assert simulate_pda(pda, z) == (z.reduce() == goal)
+        assert simulate_pda(pda, z) == (reduce_codes(z) == goal)
 
 
 def test_dyck_pda_reduces_its_target():
@@ -89,7 +89,7 @@ def test_product_pda_is_the_intersection():
     tree, pda, _, _ = product_pipeline("z2")
     goal = w("aa")
     for z in words_up_to(2, 4):
-        expected = z.reduce() == goal and nfa_accepts(tree, z)
+        expected = reduce_codes(z) == goal and nfa_accepts(tree, z)
         assert simulate_pda(pda, z) == expected, z
 
 
@@ -262,7 +262,7 @@ def test_shortest_witness_is_generated():
         length, witness = shortest_word(simplified)
         assert len(witness) == length
         assert generates(simplified, witness)
-        assert Word(_tree_yield(parse_tree(simplified))) == witness
+        assert _tree_yield(parse_tree(simplified)) == witness
 
 
 def _hand_cfg(num_generators, start, rules):
@@ -314,7 +314,7 @@ def test_parse_tree_follows_the_shortest_word_rules():
     cfg = _hand_cfg(1, a, [(a, (b,)), (b, (a,)), (a, (c,)), (c, ()), (b, (d,)), (d, ())])
     assert shortest_word(cfg) == (0, EMPTY)
     tree = parse_tree(cfg)
-    assert Word(_tree_yield(tree)) == EMPTY
+    assert _tree_yield(tree) == EMPTY
     assert tree[0] == a
 
 
@@ -368,7 +368,7 @@ def test_loop_factors_conjugated_relator():
     for conj, relator, sign in factors:
         assert relator in LATTICE.relators
         assert sign in (-1, 1)
-    assert multiply_factors(factors) == word.reduce()
+    assert multiply_factors(factors) == reduce_codes(word)
 
 
 def test_loop_factors_every_accepted_word():
@@ -379,9 +379,23 @@ def test_loop_factors_every_accepted_word():
             continue
         factors = loop_factors(tree, Z3, z)
         assert len(factors) <= len(z)
-        assert multiply_factors(factors) == z.reduce(), z
+        assert multiply_factors(factors) == reduce_codes(z), z
         checked += 1
     assert checked > 10
+
+
+def test_cyclic_core_splits_every_word_as_the_pairwise_scan():
+    # the split the factoring used before it shared core's conjugator scan
+    def split(codes):
+        codes = reduce_codes(codes)
+        lo, hi = 0, len(codes)
+        while hi - lo >= 2 and codes[lo] == codes[hi - 1] ^ 1:
+            lo, hi = lo + 1, hi - 1
+        return codes[:lo], codes[lo:hi]
+
+    for z in words_up_to(4, 6):
+        assert grammar._cyclic_core(z) == split(z), z
+    assert grammar._cyclic_core(EMPTY) == (EMPTY, EMPTY)
 
 
 def test_loop_factors_requires_acceptance():
@@ -419,7 +433,7 @@ def test_bound_experiment_z3():
     assert cubed.area == 1
     assert all(r.holds for r in reports)
     for r in reports:
-        assert r.witness.reduce() == r.word.reduce()
+        assert reduce_codes(r.witness) == reduce_codes(r.word)
 
 
 @pytest.mark.parametrize("p, oracle, n_max", [
@@ -453,7 +467,7 @@ def test_shared_solve_matches_the_per_word_chain():
         reports = double_exp_experiment(p, n_max, oracle, SearchBudget())
         trees, chain = {}, {}
         for r in reports:
-            key = (r.word.reduce(), r.diameter)
+            key = (reduce_codes(r.word), r.diameter)
             if key not in chain:
                 tree = trees.setdefault(r.diameter, build_tree_nfa(p, r.diameter))
                 chain[key] = shortest_word(simplify_cfg(pda_to_cfg(build_product_pda(r.word, tree))))

@@ -84,7 +84,7 @@ def test_first_deciding_never_reports_a_missed_graph(monkeypatch):
 
 
 def of_length(k, L):
-    return [u.codes for u in words_up_to(k, L) if len(u) == L]
+    return [u for u in words_up_to(k, L) if len(u) == L]
 
 
 def test_enumerate_all_words_counts():

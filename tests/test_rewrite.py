@@ -10,7 +10,7 @@ import pytest
 from loopfold import rewrite
 from loopfold.bounds import OracleStatus, SearchBudget, area_lower_bound
 from loopfold.compression import compress
-from loopfold.core import EMPTY, Presentation, Word, parse_word, symmetric_closure, words_up_to
+from loopfold.core import EMPTY, Presentation, inverse, is_reduced, parse_word, reduce_codes, symmetric_closure, words_up_to
 from loopfold.rewrite import (
     RewriteSystem,
     filling_length,
@@ -33,24 +33,24 @@ def w(text, n=2):
 
 
 def random_word(rng, alphabet_size, length):
-    return Word(bytes(rng.randrange(alphabet_size) for _ in range(length)))
+    return bytes(rng.randrange(alphabet_size) for _ in range(length))
 
 
 def naive_cost_to_empty(start, rs, cap):
     """Independent 0-1 BFS from the word itself, driven by the faithful
     single-step enumerator rather than the indexed search kernel."""
-    dist = {start.codes: 0}
+    dist = {start: 0}
     dq = deque([(0, start)])
     while dq:
         cost, u = dq.popleft()
-        if dist.get(u.codes) != cost:
+        if dist.get(u) != cost:
             continue
         for rule, _pos, res in rs.apply_rule_positions(u):
             if len(res) > cap:
                 continue
             c2 = cost + (1 if rule.from_relators else 0)
-            if res.codes not in dist or c2 < dist[res.codes]:
-                dist[res.codes] = c2
+            if res not in dist or c2 < dist[res]:
+                dist[res] = c2
                 if rule.from_relators:
                     dq.append((c2, res))
                 else:
@@ -62,16 +62,16 @@ class TestRuleSet:
     def test_rules_are_symmetric(self):
         for p in (Z2, Z3, LATTICE, COLLAPSE):
             rs = RewriteSystem(p)
-            pairs = {(r.lhs.codes, r.rhs.codes) for r in rs.relator_rules}
+            pairs = {(r.lhs, r.rhs) for r in rs.relator_rules}
             assert pairs == {(v, u) for u, v in pairs}
-            fg = {(r.lhs.codes, r.rhs.codes) for r in rs.free_rules}
+            fg = {(r.lhs, r.rhs) for r in rs.free_rules}
             assert fg == {(v, u) for u, v in fg}
 
     def test_rule_products_lie_in_symmetrized_relators(self):
         rs = RewriteSystem(LATTICE)
         rels = set(rs.presentation.symmetrized().relators)
         for rule in rs.relator_rules:
-            assert (rule.lhs * rule.rhs.inverse()).reduce() in rels
+            assert reduce_codes(rule.lhs + inverse(rule.rhs)) in rels
 
     def test_apply_example_order_two(self):
         rs = RewriteSystem(Z2)
@@ -105,13 +105,13 @@ class TestRuleSet:
                 u = random_word(rng, p.alphabet_size, rng.randrange(0, 5))
                 for cap in range(len(u), len(u) + 5):
                     fast = {}
-                    for cost, codes in rs._successors(cap)(u.codes):
+                    for cost, codes in rs._successors(cap)(u):
                         fast[codes] = min(cost, fast.get(codes, 2))
                     slow = {}
                     for rule, _pos, res in rs.apply_rule_positions(u):
                         if len(res) <= cap:
                             c = 1 if rule.from_relators else 0
-                            slow[res.codes] = min(c, slow.get(res.codes, 2))
+                            slow[res] = min(c, slow.get(res, 2))
                     assert fast == slow, (p, u, cap)
 
 
@@ -138,8 +138,8 @@ class TestMinIsoperimetric:
             u = random_word(rng, 2, rng.randrange(0, 7))
             r = min_isoperimetric(u, rs, budget)
             if r.value == 0:
-                assert u.reduce() == EMPTY
-            if u.reduce() == EMPTY:
+                assert reduce_codes(u) == EMPTY
+            if reduce_codes(u) == EMPTY:
                 assert r.value == 0
 
     def test_matches_naive_search_from_word(self):
@@ -150,14 +150,14 @@ class TestMinIsoperimetric:
             sweep = rs.explore(cap)
             for _ in range(25):
                 u = random_word(rng, p.alphabet_size, rng.randrange(0, 5))
-                assert sweep.cost(u.codes) == naive_cost_to_empty(u, rs, cap)
+                assert sweep.cost(u) == naive_cost_to_empty(u, rs, cap)
 
     def test_matches_naive_search_lattice(self):
         rs = RewriteSystem(LATTICE)
         sweep = rs.explore(6)
         for text in ("abAB", "aabABA", "abab", "a"):
             u = w(text)
-            assert sweep.cost(u.codes) == naive_cost_to_empty(u, rs, 6)
+            assert sweep.cost(u) == naive_cost_to_empty(u, rs, 6)
 
     def test_budget_monotonicity(self):
         rs = RewriteSystem(Z2)
@@ -213,7 +213,7 @@ class TestFillingLength:
         budget = SearchBudget(max_word_length=9)
         for text in ("aaa", "aaaaaa", "AAA"):
             u = w(text, 1)
-            assert u.reduce() == u
+            assert reduce_codes(u) == u
             r = filling_length(u, rs, budget)
             assert r.status is OracleStatus.EXACT
             assert r.value >= len(u)
@@ -225,7 +225,7 @@ class TestFillingLength:
         for _ in range(60):
             u = random_word(rng, 2, rng.randrange(0, 7))
             r = filling_length(u, rs, budget)
-            caps = [c for c in range(0, 9) if rs.explore(c).cost(u.codes) is not None]
+            caps = [c for c in range(0, 9) if rs.explore(c).cost(u) is not None]
             if r.value is None:
                 assert not caps
             else:
@@ -238,7 +238,7 @@ class TestFillingLength:
         rs = RewriteSystem(p)
         budget = SearchBudget(max_word_length=cap)
         for u in words_up_to(p.alphabet_size, 6):
-            held = [c for c in range(cap + 1) if rs.explore(c).cost(u.codes) is not None]
+            held = [c for c in range(cap + 1) if rs.explore(c).cost(u) is not None]
             expected = (held[0], OracleStatus.EXACT) if held else (None, OracleStatus.LOWER_BOUND_ONLY)
             assert filling_length(u, rs, budget) == expected, u
 
@@ -255,7 +255,7 @@ class TestFillingLength:
         # four orbits cut the cap-3 sweep before it reaches a, but after aa
         rs = RewriteSystem(TRIVIAL)
         cut = rs.explore(3, 4)
-        assert not cut.complete and cut.cost(w("a", 1).codes) is None
+        assert not cut.complete and cut.cost(w("a", 1)) is None
         budget = SearchBudget(max_word_length=8, max_states=4)
         assert filling_length(w("a", 1), rs, budget) == (None, OracleStatus.BUDGET_EXCEEDED)
         assert filling_length(w("aa", 1), rs, budget) == (3, OracleStatus.EXACT)
@@ -285,20 +285,20 @@ class TestIsTrivial:
     def test_agreement_with_closed_forms(self):
         budget = SearchBudget(max_word_length=8)
         cases = [
-            (Z2, lambda u: sum(1 if c == 0 else -1 for c in u.codes) % 2 == 0),
-            (Z3, lambda u: sum(1 if c == 0 else -1 for c in u.codes) % 3 == 0),
+            (Z2, lambda u: sum(1 if c == 0 else -1 for c in u) % 2 == 0),
+            (Z3, lambda u: sum(1 if c == 0 else -1 for c in u) % 3 == 0),
             (
                 LATTICE,
-                lambda u: sum(1 if c == 0 else -1 for c in u.codes if c < 2) == 0
-                and sum(1 if c == 2 else -1 for c in u.codes if c >= 2) == 0,
+                lambda u: sum(1 if c == 0 else -1 for c in u if c < 2) == 0
+                and sum(1 if c == 2 else -1 for c in u if c >= 2) == 0,
             ),
         ]
         for p, closed_form in cases:
             rs = RewriteSystem(p)
             k = p.alphabet_size
-            words = [Word(b"")]
+            words = [b""]
             for _ in range(6):
-                words = [Word(u.codes + bytes([c])) for u in words for c in range(k)]
+                words = [u + bytes([c]) for u in words for c in range(k)]
                 for u in words:
                     assert is_trivial(u, rs, budget)[0] == closed_form(u), u
 
@@ -329,7 +329,7 @@ class TestSymmetry:
 
     def test_maps_commute_with_inversion_and_fix_the_relators(self, fused_lattice):
         for rs in (RewriteSystem(LATTICE), fused_lattice, RewriteSystem(Z3), RewriteSystem(BS12)):
-            rels = {r.codes for r in rs.presentation.symmetrized().relators}
+            rels = set(rs.presentation.symmetrized().relators)
             for t in rs.symmetries:
                 assert all(t[c ^ 1] == t[c] ^ 1 for c in range(rs.presentation.alphabet_size))
             for m in symmetry_maps(rs):
@@ -342,7 +342,7 @@ class TestSymmetry:
         # symmetrized relator
         for rs in (RewriteSystem(LATTICE), fused_lattice, RewriteSystem(Z3), RewriteSystem(BS12),
                    RewriteSystem(ASYMMETRIC), RewriteSystem(CONJUGATE)):
-            closure = {r.codes for r in rs.presentation.symmetrized().relators}
+            closure = set(rs.presentation.symmetrized().relators)
             g = rs.presentation.num_generators
             expected = []
             for images in itertools.permutations(range(g)):
@@ -381,7 +381,7 @@ class TestSymmetry:
         sweep = rs.explore(6)
         assert time.perf_counter() - start < 1.0
         assert len(symmetry_maps(rs)) == 2
-        assert sweep.complete and sweep.cost(w("abcCBA", 8).codes) == 0
+        assert sweep.complete and sweep.cost(w("abcCBA", 8)) == 0
 
 
 HEISENBERG = Presentation(3, [parse_word(t, 3) for t in ("abABC", "acAC", "bcBC")])
@@ -426,8 +426,8 @@ class TestAreaLowerBound:
         # keep the free-group element bounds it: its area 1 is Exact from the
         # cut cap-6 sweep alone, which a cut cap-8 sweep could not confirm
         bound = area_lower_bound(HEISENBERG)
-        assert bound(w("acCA", 3).codes) == 0
-        assert bound(w("acAC", 3).codes) == 1
+        assert bound(w("acCA", 3)) == 0
+        assert bound(w("acAC", 3)) == 1
         rs = RewriteSystem(HEISENBERG)
         assert not rs.explore(6, 50).complete and not rs.explore(8, 50).complete
         result = min_isoperimetric(w("acAC", 3), rs, SearchBudget(6, 50))
@@ -546,9 +546,9 @@ class TestFusedLattice:
         rules = fused_lattice.relator_rules
         assert len(rules) == 168_880
         assert all(r.from_relators for r in rules)
-        keys = [(len(r.lhs), r.lhs.codes, len(r.rhs), r.rhs.codes) for r in rules]
+        keys = [(len(r.lhs), r.lhs, len(r.rhs), r.rhs) for r in rules]
         assert all(a < b for a, b in zip(keys, keys[1:]))  # sorted, no repeats
-        assert _digest((r.lhs.codes, r.rhs.codes) for r in rules) == "99779208c01989b6"
+        assert _digest((r.lhs, r.rhs) for r in rules) == "99779208c01989b6"
 
     def test_fused_lattice_sweeps_index_only_what_they_use(self):
         # the sweeps of compress --verify on ℤ² at its default budget; with
@@ -585,8 +585,7 @@ class TestFusedSystem:
         searched = RewriteSystem(c.combined)
         assert fused.presentation == c.combined
         assert sorted(fused.symmetries) == sorted(searched.symmetries)
-        words = [*(u.codes for u in words_up_to(p.alphabet_size, 6)),
-                 *(r.codes for r in c.combined.relators)]
+        words = [*words_up_to(p.alphabet_size, 6), *c.combined.relators]
         assert [fused.area_lower_bound(u) for u in words] == [searched.area_lower_bound(u) for u in words]
 
     @pytest.mark.parametrize("p", FUSED_SAMPLES, ids=FUSED_IDS)
@@ -598,8 +597,7 @@ class TestFusedSystem:
         c = compress(p)
         fused = RewriteSystem.fused(RewriteSystem(p), c.combined, c.m)
         base = area_lower_bound(p)
-        words = [*(u.codes for u in words_up_to(p.alphabet_size, 6)),
-                 *(r.codes for r in c.combined.relators)]
+        words = [*words_up_to(p.alphabet_size, 6), *c.combined.relators]
         assert [fused.area_lower_bound(u) for u in words] == [-(-base(u) // c.m) for u in words]
         assert read == [p]
 
@@ -620,7 +618,7 @@ class TestFusedSystem:
         # themselves, down to the rotations of u
         c = compress(p)
         relators = c.combined.relators
-        assert sum(r.codes[0] == r.codes[-1] ^ 1 for r in c.fused) == not_cyclically_reduced
+        assert sum(r[0] == r[-1] ^ 1 for r in c.fused) == not_cyclically_reduced
         full = symmetric_closure(relators)
         for bound in range(max(map(len, relators)) + 1):
             assert symmetric_closure(relators, bound) == [r for r in full if len(r) <= bound], bound
@@ -647,8 +645,8 @@ class TestOrbits:
         n = 6 if p.num_generators < 3 else 5
         for u in trivial_words(base, SearchBudget(6), n):
             for rs in systems:
-                images = rs.orbit(u.codes)
-                assert u.codes in images
+                images = rs.orbit(u)
+                assert u in images
                 assert len({rs.area_lower_bound(v) for v in images}) == 1, u
                 assert len(set(map(rs.canonical, images))) == 1, u
 
@@ -671,7 +669,7 @@ class TestSymmetrySearch:
         assert calls == []
         rs.explore(4)
         rs.explore(6)
-        rs.canonical(p.relators[0].codes)
+        rs.canonical(p.relators[0])
         trivial_words(rs, SearchBudget(4), 5)
         assert len(calls) == 1
 
@@ -764,7 +762,7 @@ class TestTightDerivations:
             relator_steps = 0
             for u, v in zip(path, path[1:]):
                 kinds = {rule.from_relators
-                         for rule, _pos, res in rs.apply_rule_positions(Word(u)) if res.codes == v}
+                         for rule, _pos, res in rs.apply_rule_positions(u) if res == v}
                 assert len(kinds) == 1, (key, u, v)  # one rule application, of one kind
                 if kinds == {True}:
                     relator_steps += 1
@@ -781,23 +779,23 @@ class TestTightDerivations:
     def test_every_reduced_sample_key_is_certified(self):
         for p in (Z2, Z3, LATTICE, FREE2):
             rs = RewriteSystem(p)
-            keys = [key for key in rs.explore(8).costs if Word(key).is_reduced()]
+            keys = [key for key in rs.explore(8).costs if is_reduced(key)]
             assert set(rewrite.tight_derivations(rs, keys, 8)) == set(keys), p
 
     def test_a_bound_short_of_the_area_is_not_certified(self):
         # on ⟨a | a⁴, a⁶⟩, aa has bound ⌈2/6⌉ = 1 and area 2; aaaa is one relator
         rs = RewriteSystem(A4_A6)
-        found = rewrite.tight_derivations(rs, [w("aa", 1).codes, w("aaaa", 1).codes], 8)
-        assert list(found) == [w("aaaa", 1).codes]
+        found = rewrite.tight_derivations(rs, [w("aa", 1), w("aaaa", 1)], 8)
+        assert list(found) == [w("aaaa", 1)]
 
     def test_keys_longer_than_the_cap_are_skipped(self):
         rs = RewriteSystem(Z2)
-        assert list(rewrite.tight_derivations(rs, [b"", w("aa", 1).codes, w("aaaa", 1).codes], 3)) == [
-            b"", w("aa", 1).codes]
+        assert list(rewrite.tight_derivations(rs, [b"", w("aa", 1), w("aaaa", 1)], 3)) == [
+            b"", w("aa", 1)]
 
     def test_the_visit_limit_gives_up(self, monkeypatch):
         # with room for the key alone, only the empty word, which needs no
         # step, is certified
         monkeypatch.setattr(rewrite, "_CERTIFICATE_VISITS", 1)
         rs = RewriteSystem(LATTICE)
-        assert list(rewrite.tight_derivations(rs, [b"", w("abAB").codes], 8)) == [b""]
+        assert list(rewrite.tight_derivations(rs, [b"", w("abAB")], 8)) == [b""]

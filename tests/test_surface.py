@@ -1,12 +1,23 @@
-"""The library surface that no code in ``src`` reaches.
+"""The library surface that no code in ``src`` reaches, and the one word
+representation.
 
 Every module-level function and class of ``loopfold``, and every public
 method, must be referenced somewhere in ``src`` (as a name, an attribute or a
 keyword) or be listed below with the reason it stays.  Code that only tests
-reach either serves as a reference for a check, or it goes."""
+reach either serves as a reference for a check, or it goes.
+
+A word is ``bytes`` of letter codes in every layer: no module of ``src``
+names a ``Word`` wrapper or reads a ``codes`` attribute, which a static scan
+finds on paths no test runs too, and every producer of words returns
+``bytes``."""
 
 import ast
 from pathlib import Path
+
+from loopfold import compression, fillings, grammar, rewrite
+from loopfold.automata import build_tree_nfa
+from loopfold.bounds import SearchBudget
+from loopfold.core import Presentation, parse_presentation, parse_word, words_up_to
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "loopfold"
 
@@ -60,3 +71,53 @@ def test_unreferenced_surface_is_the_kept_references():
     shared = {qualified for qualified, name in definitions.items() if bare.count(name) > 1}
     assert set(KEPT) <= set(definitions)
     assert unreferenced == set(KEPT) - shared
+
+
+def test_src_has_no_word_wrapper():
+    leftovers = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in ("codes", "Word"):
+                leftovers.append((path.name, node.lineno, node.attr))
+            elif isinstance(node, ast.Name) and node.id == "Word":
+                leftovers.append((path.name, node.lineno, node.id))
+            elif isinstance(node, ast.alias) and "Word" in (node.name, node.asname):
+                leftovers.append((path.name, node.lineno, node.name))
+            elif isinstance(node, ast.ClassDef) and node.name == "Word":
+                leftovers.append((path.name, node.lineno, node.name))
+            elif isinstance(node, ast.Constant) and node.value == "Word":  # a quoted annotation
+                leftovers.append((path.name, node.lineno, node.value))
+    assert leftovers == []
+
+
+def _all_bytes(words) -> bool:
+    words = list(words)
+    return bool(words) and all(type(u) is bytes for u in words)
+
+
+def test_every_word_producer_returns_bytes():
+    z2 = parse_presentation("gens: a\nrels: aa\n")
+    lattice = Presentation(2, [bytearray(parse_word("abAB", 2))])
+    budget = SearchBudget(max_word_length=4)
+    system = rewrite.RewriteSystem(z2)
+    searching = fillings.ReferenceOracle.rewrite_search(system, budget)
+    closed = fillings.ReferenceOracle.cyclic(2)
+    assert _all_bytes(z2.relators) and _all_bytes(lattice.relators)
+    assert _all_bytes(lattice.symmetrized().relators)
+    assert type(parse_word("aB", 2)) is bytes and type(parse_word("1", 2)) is bytes
+    assert _all_bytes(words_up_to(2, 2))
+    for oracle in (closed, searching):
+        assert _all_bytes(oracle.trivial_words(4))
+        assert _all_bytes(oracle.reduced_trivial_words(4))
+    assert _all_bytes(rewrite.trivial_words(system, budget, 4))
+    assert _all_bytes(rewrite.reduced_trivial_words(system, budget, 4))
+    assert _all_bytes(rewrite.sweep_keys(system, budget, 4))
+    compressed = compression.compress(z2)
+    assert _all_bytes(compressed.symmetrized) and _all_bytes(compressed.fused)
+    rules = system.relator_rules + system.free_rules
+    assert _all_bytes(rule.lhs for rule in rules) and _all_bytes(rule.rhs for rule in rules)
+    reports = grammar.double_exp_experiment(z2, 3, closed, budget)
+    assert _all_bytes(r.word for r in reports) and _all_bytes(r.witness for r in reports)
+    factors = grammar.loop_factors(build_tree_nfa(z2, 0), z2, parse_word("aaaa", 1))
+    assert _all_bytes(y for y, _r, _s in factors) and _all_bytes(r for _y, r, _s in factors)
+    assert type(grammar.multiply_factors(factors)) is bytes

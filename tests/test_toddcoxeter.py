@@ -18,7 +18,7 @@ from loopfold.automata import (
 )
 from loopfold.bounds import SearchBudget
 from loopfold.cli import main
-from loopfold.core import EMPTY, Presentation, Word, parse_presentation, parse_word, words_up_to
+from loopfold.core import EMPTY, Presentation, is_reduced, parse_presentation, parse_word, reduce_codes, words_up_to
 from loopfold.fillings import ReferenceOracle, measure_isodiametric
 from loopfold.rewrite import RewriteSystem
 from loopfold.toddcoxeter import coset_rounds, measure_tc_radius, partial_cayley, tc_round
@@ -36,7 +36,7 @@ def w(text, n=2):
 
 
 def exponent_sum(u, gen):
-    return sum(1 if c == 2 * gen else -1 for c in u.codes if c >> 1 == gen)
+    return sum(1 if c == 2 * gen else -1 for c in u if c >> 1 == gen)
 
 
 def oracle_for(p):
@@ -46,7 +46,7 @@ def oracle_for(p):
         return lambda u: exponent_sum(u, 0) % 3 == 0
     if p is LATTICE:
         return lambda u: exponent_sum(u, 0) == 0 and exponent_sum(u, 1) == 0
-    return lambda u: u.reduce() == EMPTY
+    return lambda u: reduce_codes(u) == EMPTY
 
 
 def trivial_for(p, n, oracle=None):
@@ -63,7 +63,7 @@ def baumslag_solitar(k):
 
     def oracle(u):
         m, t = Fraction(1), Fraction(0)
-        for c in u.codes:
+        for c in u:
             f, g = maps[c]
             m, t = m * f, m * g + t  # compose, the last letter acting first
         return m == 1 and t == 0
@@ -141,7 +141,7 @@ class TestRound:
         # does not close, down to the union-find's parent pointers
         def closes(folder, v, relator):
             u = v = folder.find(v)
-            for c in relator.codes:
+            for c in relator:
                 if (t := folder.delta[c][u]) < 0:
                     return False
                 u = folder.find(t)
@@ -322,7 +322,7 @@ class TestLoopBoundary:
         traced = []
         add_loop = Folder.add_loop
         monkeypatch.setattr(Folder, "add_loop",
-                            lambda folder, v, r: traced.append((v, r.codes)) or add_loop(folder, v, r))
+                            lambda folder, v, r: traced.append((v, r)) or add_loop(folder, v, r))
         folder, settled, closed, seen = Folder(p.num_generators), 0, 0, set()
         for i in range(rounds):
             traced.clear()
@@ -331,7 +331,7 @@ class TestLoopBoundary:
             settled, closed = tc_round(folder, p, settled, closed)
             assert settled == start
             looped = sorted({v for v, _ in traced})
-            assert traced == [(v, r.codes) for v in looped for r in p.relators], (name, i)
+            assert traced == [(v, r) for v in looped for r in p.relators], (name, i)
             assert all(previous <= v < closed for v in looped), (name, i)
             assert {v for v in folder.vertices(previous) if v < closed} <= set(looped), (name, i)
             assert seen.isdisjoint(looped), (name, i)
@@ -439,7 +439,7 @@ class TestDecisions:
             oracle = oracle_for(p)
             for i, folder in enumerate(islice(coset_rounds(p), 3), 1):
                 pcg = partial_cayley(folder.snapshot())
-                for u in filter(Word.is_reduced, words_up_to(p.alphabet_size, 4)):
+                for u in filter(is_reduced, words_up_to(p.alphabet_size, 4)):
                     if accepts_reduced(pcg.graph, u):
                         assert oracle(u), (p, i, u)
 
@@ -451,7 +451,7 @@ class TestMonotone:
     @staticmethod
     def assert_only_gain(sequence, count, n):
         for name, (p, _oracle) in GROUPS.items():
-            words = list(filter(Word.is_reduced, words_up_to(p.alphabet_size, n)))
+            words = list(filter(is_reduced, words_up_to(p.alphabet_size, n)))
             before = set()
             for i, folder in enumerate(islice(sequence(p), count)):
                 graph = folder.snapshot()
@@ -492,7 +492,7 @@ class TestMeasureRadius:
     def test_agreement_is_genuine(self):
         oracle = oracle_for(Z3)
         _rounds, _rad, pcg = measure_tc_radius(Z3, 5, trivial_for(Z3, 5))[5]
-        for u in filter(Word.is_reduced, words_up_to(2, 5)):
+        for u in filter(is_reduced, words_up_to(2, 5)):
             assert accepts_reduced(pcg.graph, u) == oracle(u)
 
     def test_trivial_list_over_another_alphabet_is_refused(self):
@@ -517,7 +517,7 @@ class TestMeasureRadius:
         # Graph i is round i + 1, tried at n only when i ≤ n.
         n_max = 6
         for name, (p, oracle) in GROUPS.items():
-            verdicts = [(u, oracle(u)) for u in words_up_to(p.alphabet_size, n_max) if u.is_reduced()]
+            verdicts = [(u, oracle(u)) for u in words_up_to(p.alphabet_size, n_max) if is_reduced(u)]
             # round i + 1 decides the words of length ≤ n when n < wrong[i]
             graphs, wrong = [], []
             for folder in islice(coset_rounds(p), n_max + 1):
