@@ -10,8 +10,9 @@ A :class:`LabeledGraph` is an unfolded graph (an NFA of edge sets), a
 successor table and nothing more: every consumer reads the per-letter
 successor lists, and the loops folded in are not recorded, since the
 graph's own closed walks give them back (Stallings 1983).  No command calls
-the references :func:`fold` (whence the folder's pins), :func:`restrict_to_radius`
-(acceptance criterion 3) or :func:`canonical_form` (isomorphism in tests).
+the references :func:`fold` (whence the folder's pins) or
+:func:`restrict_to_radius` (acceptance criterion 3); :func:`to_dot` draws
+the numbering :func:`canonical_form` gives, the tests' isomorphism check.
 
 Two graph families are built here: the loop complex ``Λ_j`` (the folded
 wedge of conjugated-relator loops ``r^u`` over all reduced ``u`` with
@@ -515,42 +516,34 @@ def strip_hairs(graph: FoldedGraph) -> FoldedGraph:
     return _induced(graph, [v for v in range(n) if alive[v]])
 
 
-def _component_numbering(graph: FoldedGraph) -> tuple[list[int], list[int]]:
-    """The origin's component in the order of :func:`breadth_first`, and
-    each vertex's number in that order, -1 off the component.  Walking the
-    vertices in that order, each through its forward rows in letter order,
-    meets the renumbered edges sorted, as a letter leaves a vertex once."""
+def canonical_form(graph: FoldedGraph) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+    """Isomorphism invariant of the origin's component: vertices are
+    renumbered in the order of :func:`breadth_first`; returns
+    (vertex count, edge tuple).  Walking the vertices in that order, each
+    through its forward rows in letter order, meets the renumbered edges
+    sorted, as a letter leaves a vertex once.  A folded graph is its
+    successor table, so two graphs with one form are isomorphic and accept
+    the same words."""
     order, _dist = breadth_first(graph)
     number = [-1] * graph.num_vertices
     for i, v in enumerate(order):
         number[v] = i
-    return order, number
-
-
-def canonical_form(graph: FoldedGraph) -> tuple[int, tuple[tuple[int, int, int], ...]]:
-    """Isomorphism invariant of the origin's component: vertices are
-    renumbered in the order of :func:`breadth_first`; returns
-    (vertex count, edge tuple).  A folded graph is its successor table, so
-    two graphs with one form are isomorphic and accept the same words."""
-    order, number = _component_numbering(graph)
     forward = list(enumerate(graph.delta[::2]))
     edges = tuple((i, g, number[t]) for i, v in enumerate(order) for g, row in forward if (t := row[v]) >= 0)
     return len(order), edges
 
 
 def to_dot(graph: FoldedGraph) -> str:
-    """Graphviz rendering of the origin's component, numbered as in
-    :func:`canonical_form` so that it is stable across runs; the origin
-    (vertex 0) double-circled, edges labeled by letter."""
-    order, number = _component_numbering(graph)
-    forward = [(row, f' [label="{chr(ord("a") + g)}"];') for g, row in enumerate(graph.delta[::2])]
+    """Graphviz rendering of the origin's component as
+    :func:`canonical_form` numbers it, so that it is stable across runs; the
+    origin (vertex 0) double-circled, edges labeled by letter."""
+    count, edges = canonical_form(graph)
     lines = [
         "digraph G {",
         "  rankdir=LR;",
         "  0 [shape=doublecircle];",
-        *(f"  {i} [shape=circle];" for i in range(1, len(order))),
-        *(f"  {i} -> {number[t]}{label}" for i, v in enumerate(order) for row, label in forward
-          if (t := row[v]) >= 0),
+        *(f"  {i} [shape=circle];" for i in range(1, count)),
+        *(f'  {i} -> {t} [label="{chr(ord("a") + g)}"];' for i, g, t in edges),
         "}",
     ]
     return "\n".join(lines) + "\n"

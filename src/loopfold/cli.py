@@ -94,11 +94,6 @@ def _output(path: str | None):
         yield handle
 
 
-def _write(text: str, path: str | None) -> None:
-    with _output(path) as out:
-        out.write(text)
-
-
 def _need_whole_list(oracle: fillings.ReferenceOracle, n: int) -> None:
     """Refuse a search oracle's list of trivial words up to length ``n``
     that a cut sweep may have left short: every column read off it could
@@ -156,7 +151,8 @@ def cmd_profile(args) -> int:
     system = oracle.system or rewrite.RewriteSystem(p)  # the command's one rewrite system
     profile = fillings.measure_profile(system, args.n, oracle, budget)
     report = fillings.check_inequalities(profile)
-    _write(fillings.profile_to_csv(profile, report), args.csv)
+    with _output(args.csv) as out:
+        out.write(fillings.profile_to_csv(profile, report))
     _need_whole_list(oracle, args.n)
     for row in profile.rows:
         for name, cell in (("P", row.area), ("f", row.length)):

@@ -19,7 +19,7 @@ import functools
 import itertools
 import operator
 import re
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 
 _INVERSE = bytes(c ^ 1 for c in range(256))  # letter code -> inverse letter code
@@ -110,26 +110,35 @@ def _irregular(alphabet_size: int) -> re.Pattern[bytes]:
     return re.compile(b"|".join([*pairs, b"[^\\x00-\\x%02x]" % top]))
 
 
-class Presentation:
+class _Relators(NamedTuple):
+    num_generators: int
+    relators: tuple[bytes, ...]
+
+
+class Presentation(_Relators):
     """A finite presentation: a generator count and a tuple of relators.
 
     Each relator is taken as ``bytes(relator)``, so a ``bytearray`` or a
     list of codes is copied, and later changes to it do not reach the
-    presentation.  Relators are freely reduced on load, the empty relator is
+    presentation; an ``int`` or a ``str`` relator is refused with a
+    TypeError.  Relators are freely reduced on load, the empty relator is
     rejected, and literal duplicates are dropped.  Relators are kept in
     shortlex order so that everything built from a presentation is
     order-deterministic.
     """
 
-    __slots__ = ("num_generators", "relators")
+    __slots__ = ()
 
-    def __init__(self, num_generators: int,
-                 relators: Iterable[bytes | bytearray | Iterable[int]] = ()):
+    def __new__(cls, num_generators: int,
+                relators: Iterable[bytes | bytearray | Iterable[int]] = ()):
         if not isinstance(num_generators, int) or num_generators < 1:
             raise ValueError("a presentation needs at least one generator")
         irregular = _irregular(2 * num_generators)
         reduced = []
-        for r in map(bytes, relators):
+        for r in relators:
+            if isinstance(r, (int, str)):
+                raise TypeError(f"relator {r!r} is not a word of letter codes")
+            r = bytes(r)
             # most relators are reduced words over the alphabet already: one
             # C-level search finds them, and only the rest are reduced here
             if r and irregular.search(r) is None:
@@ -143,21 +152,7 @@ class Presentation:
             reduced.append(r)
         reduced.sort()
         reduced.sort(key=len)  # stable: shortlex
-        object.__setattr__(self, "num_generators", num_generators)
-        object.__setattr__(self, "relators", tuple(dict.fromkeys(reduced)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Presentation is immutable")
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Presentation)
-            and self.num_generators == other.num_generators
-            and self.relators == other.relators
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.num_generators, self.relators))
+        return super().__new__(cls, num_generators, tuple(dict.fromkeys(reduced)))
 
     def __repr__(self) -> str:
         gens = " ".join(chr(ord("a") + g) for g in range(self.num_generators))

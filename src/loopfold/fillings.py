@@ -29,7 +29,7 @@ explicit constants ``C = 2(2|A|+1)·||R||²`` and ``c = (2|A|)²``.
 from __future__ import annotations
 
 from functools import reduce
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 # layers read through their modules, so `grammar-bound` loads neither
 # toddcoxeter nor, with a closed-form oracle, rewrite (see loopfold/__init__.py)
@@ -41,19 +41,17 @@ from .core import Presentation, render_word
 # -- reference oracles --------------------------------------------------------
 
 
-class ReferenceOracle:
+class ReferenceOracle(NamedTuple):
     """Ground-truth triviality decider.  A closed form (cyclic, free abelian
     or free group) holds its group as data: the ``identity`` and
     ``act(element, code)``, the element times the letter ``code``.  The
     fallback holds the rewrite ``system`` it searches under ``budget``."""
 
-    def __init__(self, num_generators: int, *, identity=None, act=None,
-                 system: rewrite.RewriteSystem | None = None, budget: SearchBudget | None = None):
-        self.num_generators = num_generators
-        self.identity = identity
-        self.act = act
-        self.system = system
-        self.budget = budget
+    num_generators: int
+    identity: object = None
+    act: Callable[[object, int], object] | None = None
+    system: rewrite.RewriteSystem | None = None
+    budget: SearchBudget | None = None
 
     @classmethod
     def cyclic(cls, k: int) -> "ReferenceOracle":

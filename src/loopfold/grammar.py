@@ -27,7 +27,8 @@ against.  No command calls :func:`build_dyck_pda`, :func:`simulate_pda`,
 :meth:`Cfg.nonterminals` (grammar sizes in tests) or :func:`shortest_word`.
 
 PDA conventions: acceptance is by empty stack from initial stack ``(z,)``;
-every move either pushes one symbol above the inspected top or pops the top.
+a move's ``push`` is the letter code it pushes above the inspected top, or
+None for a move that pops the top.
 A state pairs an NFA vertex with a stage: the countdown stages m..0 (stage
 m doubles as the reading phase) plus -1 for the final state.  Both parts
 are integers, so states order deterministically.
@@ -48,16 +49,13 @@ from .fillings import ReferenceOracle, measure_isodiametric, within_double_exp
 
 BOTTOM = -1  # the stack-bottom marker, rendered "z"
 
-PUSH = "push"
-POP = "pop"
-
 
 class Move(NamedTuple):
     src: object
     inp: int | None  # None = empty-input move
     top: int  # inspected top of stack (letter code or BOTTOM)
     dst: object
-    action: tuple  # (PUSH, code) or (POP,)
+    push: int | None  # the letter code pushed above top, or None = pop top
 
 
 class Pda(NamedTuple):
@@ -93,13 +91,10 @@ def build_product_pda(w: bytes, tree: LabeledGraph) -> Pda:
         for a in range(2 * k):
             for p in sorted(tree.step(v, a)):
                 for t in _stack_alphabet(k):
-                    if t == a ^ 1:
-                        moves.append(Move((v, m), a, t, (p, m), (POP,)))
-                    else:
-                        moves.append(Move((v, m), a, t, (p, m), (PUSH, a)))
+                    moves.append(Move((v, m), a, t, (p, m), None if t == a ^ 1 else a))
     for i in range(m, 0, -1):
-        moves.append(Move((origin, i), None, target[i - 1], (origin, i - 1), (POP,)))
-    moves.append(Move((origin, 0), None, BOTTOM, (origin, -1), (POP,)))
+        moves.append(Move((origin, i), None, target[i - 1], (origin, i - 1), None))
+    moves.append(Move((origin, 0), None, BOTTOM, (origin, -1), None))
     return Pda(k, start=(origin, m), final=(origin, -1), moves=tuple(moves))
 
 
@@ -125,7 +120,7 @@ def simulate_pda(pda: Pda, codes: bytes) -> bool:
             candidates += by_input.get((state, codes[pos], top), ())
         for mv in candidates:
             next_pos = pos if mv.inp is None else pos + 1
-            next_stack = stack + (mv.action[1],) if mv.action[0] == PUSH else stack[:-1]
+            next_stack = stack[:-1] if mv.push is None else stack + (mv.push,)
             config = (next_pos, mv.dst, next_stack)
             if config not in seen:
                 seen.add(config)
@@ -189,10 +184,10 @@ def pda_to_cfg(pda: Pda) -> Cfg:
     waiting: dict = {}  # (r1, X) -> push rules whose first triple ends at r1
     for mv in pda.moves:
         read = () if mv.inp is None else (mv.inp,)
-        if mv.action[0] == POP:
+        if mv.push is None:
             rules.add(((mv.src, mv.top, mv.dst), read))
         else:
-            pushes.setdefault((mv.dst, mv.action[1]), []).append((mv, read))
+            pushes.setdefault((mv.dst, mv.push), []).append((mv, read))
     worklist = [lhs for lhs, _ in rules]
     while worklist:
         triple = worklist.pop()

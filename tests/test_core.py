@@ -101,6 +101,12 @@ class TestPresentation:
         with pytest.raises(ValueError):
             Presentation(1, [w("ab")])
 
+    @pytest.mark.parametrize("relator", [3, "aa"])
+    def test_rejects_a_relator_that_is_not_a_word(self, relator):
+        # an int would be that many zero codes, a str has no letter codes
+        with pytest.raises(TypeError, match=f"relator {relator!r} is not a word"):
+            Presentation(1, [w("aa", 1), relator])
+
     def test_rejects_zero_generators(self):
         with pytest.raises(ValueError):
             Presentation(0, [])

@@ -105,9 +105,9 @@ def test_pda_shape():
     assert pda.final == (0, -1)
     # every move pops the inspected top or pushes exactly one symbol above it
     for mv in pda.moves:
-        assert mv.action[0] in ("push", "pop")
+        assert mv.push is None or mv.push in range(2 * pda.num_generators)
         if mv.inp is None:
-            assert mv.action == ("pop",)
+            assert mv.push is None
 
 
 # -- triple construction ------------------------------------------------------

@@ -1,7 +1,7 @@
 """The contracts of loopfold's record types: value records compare and hash
-by value, the search budget refuses caps below 1, graph records compare by
-identity, and a partial Cayley graph's radius is computed once, when it is
-built."""
+by value and refuse attribute assignment, the search budget refuses caps
+below 1, graph records compare by identity, and a partial Cayley graph's
+radius is computed once, when it is built."""
 
 from itertools import islice
 
@@ -11,7 +11,7 @@ from loopfold import toddcoxeter
 from loopfold.automata import FoldedGraph
 from loopfold.bounds import OracleResult, OracleStatus, SearchBudget, budget_flags
 from loopfold.core import Presentation, parse_word
-from loopfold.fillings import ProfileRow
+from loopfold.fillings import ProfileRow, ReferenceOracle
 from loopfold.toddcoxeter import PartialCayleyGraph, coset_rounds, partial_cayley
 
 LATTICE = Presentation(2, [parse_word("abAB", 2)])
@@ -53,6 +53,37 @@ def test_profile_row_compares_and_hashes_by_value():
     assert a == b and hash(a) == hash(b)
     assert a != ProfileRow(3, *cells)
     assert a.tc_radius == OracleResult(3, EXACT)
+
+
+def test_presentation_compares_and_hashes_by_value():
+    relator = parse_word("abAB", 2)
+    a, b, c = (Presentation(2, [make(relator)]) for make in (bytes, bytearray, list))
+    assert a == b == c and a is not b
+    assert hash(a) == hash(b) == hash(c) == hash((2, (relator,)))
+    assert len({a, b, c}) == 1
+    assert a != Presentation(2, [parse_word("abAB", 2), parse_word("aa", 2)])
+    assert a != Presentation(3, [relator])
+
+
+def test_presentation_refuses_attribute_assignment():
+    with pytest.raises(AttributeError):
+        LATTICE.relators = ()
+    with pytest.raises(AttributeError):
+        LATTICE.num_generators = 3
+    with pytest.raises(AttributeError):
+        LATTICE.extra = 1
+    assert LATTICE == Presentation(2, [parse_word("abAB", 2)])
+
+
+def test_reference_oracle_refuses_attribute_assignment():
+    oracle = ReferenceOracle.cyclic(3)
+    with pytest.raises(AttributeError):
+        oracle.identity = 1
+    with pytest.raises(AttributeError):
+        oracle.system = None
+    with pytest.raises(AttributeError):
+        oracle.extra = 1
+    assert (oracle.num_generators, oracle.identity, oracle.system, oracle.budget) == (1, 0, None, None)
 
 
 def test_budget_flags_name_the_cap_behind_each_status():

@@ -1,5 +1,5 @@
-"""The library surface that no code in ``src`` reaches, and the one word
-representation.
+"""The library surface that no code in ``src`` reaches, the one word
+representation, and the one record idiom.
 
 Every module-level function and class of ``loopfold``, and every public
 method, must be referenced somewhere in ``src`` (as a name, an attribute or a
@@ -9,7 +9,9 @@ reach either serves as a reference for a check, or it goes.
 A word is ``bytes`` of letter codes in every layer: no module of ``src``
 names a ``Word`` wrapper or reads a ``codes`` attribute, which a static scan
 finds on paths no test runs too, and every producer of words returns
-``bytes``."""
+``bytes``.  No class of ``src`` but the identity record ``FoldedGraph``
+writes its own equality, hash or attribute guard: value records are
+NamedTuples."""
 
 import ast
 from pathlib import Path
@@ -27,7 +29,6 @@ KEPT = {
     "automata.fold": "the whole-graph fold the folder's pins came from; perfbench's tracer binds it by name",
     "automata.FoldedGraph.edges": "the edge lists the folder pins compare",
     "automata.restrict_to_radius": "acceptance criterion 3 compares Cayley balls with it",
-    "automata.canonical_form": "the tests' isomorphism check of folded graphs",
     "grammar.build_dyck_pda": "acceptance criterion 6: the machine the grammar is checked against",
     "grammar.simulate_pda": "acceptance criterion 6: the machine's acceptance",
     "grammar.generates": "acceptance criterion 6: the grammar's membership",
@@ -88,6 +89,20 @@ def test_src_has_no_word_wrapper():
             elif isinstance(node, ast.Constant) and node.value == "Word":  # a quoted annotation
                 leftovers.append((path.name, node.lineno, node.value))
     assert leftovers == []
+
+
+def test_records_are_named_tuples_or_the_identity_graph():
+    # value records are NamedTuples; FoldedGraph, compared by identity, is
+    # the one class that guards its own attributes
+    handwritten = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                handwritten += [
+                    f"{node.name}.{item.name}" for item in node.body
+                    if isinstance(item, ast.FunctionDef) and item.name in ("__eq__", "__hash__", "__setattr__")
+                ]
+    assert handwritten == ["FoldedGraph.__setattr__"]
 
 
 def _all_bytes(words) -> bool:
