@@ -10,9 +10,11 @@ A :class:`LabeledGraph` is an unfolded graph (an NFA of edge sets), a
 successor table and nothing more: every consumer reads the per-letter
 successor lists, and the loops folded in are not recorded, since the
 graph's own closed walks give them back (Stallings 1983).  No command calls
-the references :func:`fold` (whence the folder's pins) or
-:func:`restrict_to_radius` (acceptance criterion 3); :func:`to_dot` draws
-the numbering :func:`canonical_form` gives, the tests' isomorphism check.
+the references :func:`fold` (whence the folder's pins),
+:func:`restrict_to_radius` (acceptance criterion 3) or
+:func:`canonical_form` (the tests' isomorphism check); :func:`to_dot` draws
+the vertices in the breadth-first order ``tc`` already took for the radius,
+which is the numbering :func:`canonical_form` gives.
 
 Two graph families are built here: the loop complex ``Λ_j`` (the folded
 wedge of conjugated-relator loops ``r^u`` over all reduced ``u`` with
@@ -27,7 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .core import Presentation, reduce_codes
 
@@ -35,10 +37,10 @@ DEFAULT_MEM_CEILING_MB = 512.0
 MEM_CEILING_ENV = "FILLINGS_MEM_CEILING_MB"
 # Bytes per allocated vertex, above the peak measured with tracemalloc (Python
 # 3.11).  A folder vertex takes about 95, and coset rounds grow one folder.
-# `tc` pays the peak at its last round: 30 rounds of ℤ² peak at 284 with that
-# round's snapshot and its hair-stripped graph (about 47 each) beside the
-# folder.  The constant is kept at 600, so that a given ceiling keeps stopping
-# the same commands.
+# `tc` pays the peak at its last round: 30 rounds of ℤ² peak at 232 with that
+# round's snapshot and its hair-stripped graph (about 47 each) and the
+# breadth-first order of the latter beside the folder.  The constant is kept
+# at 600, so that a given ceiling keeps stopping the same commands.
 _BYTES_PER_VERTEX = 600
 _TREE_BYTES_PER_VERTEX = 1000  # unfolded tree automaton: 1.0 kB
 
@@ -200,14 +202,27 @@ class Folder:
         parent = self.parent
         return [v for v in range(start, len(parent)) if parent[v] == v]
 
+    def _allocate(self, count: int) -> list[int]:
+        """Append ``count`` fresh vertices, each its own class with no edge,
+        and return their numbers.  The ceiling is checked once for the
+        batch, and names the first vertex count over it, as growing one at
+        a time would.  Edges to the fresh vertices take the returned ints,
+        so that ``parent`` and ``delta`` share one int object per vertex."""
+        parent = self.parent
+        first = len(parent)
+        if first + count > self._max_vertices:
+            for n in range(max(first, int(self._max_vertices)) + 1, first + count + 1):
+                _check_ceiling(n, _BYTES_PER_VERTEX, self.what)
+        fresh = list(range(first, first + count))
+        parent += fresh
+        blank = [-1] * count
+        for row in self.delta:
+            row += blank
+        return fresh
+
     def _grow(self, v: int, c: int) -> int:
         """A fresh vertex, reached from the root ``v`` by the letter ``c``."""
-        t = len(self.parent)
-        if t + 1 > self._max_vertices:
-            _check_ceiling(t + 1, _BYTES_PER_VERTEX, self.what)
-        self.parent.append(t)
-        for row in self.delta:
-            row.append(-1)
+        [t] = self._allocate(1)
         self.delta[c][v] = t
         self.delta[c ^ 1][t] = v
         return t
@@ -232,24 +247,37 @@ class Folder:
                     else:
                         pending.append((s, t))
 
-    def _join(self, start: int, codes: bytes, end: int) -> int:
-        """Fold in a path reading ``codes`` from ``start`` to ``end``;
-        returns the class it ends in."""
-        # an edge mostly ends at a root, which is its own class: find is
-        # called only past a merge
-        find, parent, delta = self.find, self.parent, self.delta
-        end, last = find(end), len(codes)
+    def _join(self, start: int, codes: bytes, end: int) -> None:
+        """Fold in a path reading ``codes`` from ``start`` to ``end``."""
+        # a vertex is mostly a root, its own class: find is called only on
+        # one that is not
+        parent, delta = self.parent, self.delta
+        if parent[end] != end:
+            end = self.find(end)
+        last = len(codes)
         while last and (t := delta[codes[last - 1] ^ 1][end]) >= 0:  # the tail already there
-            end, last = (t if parent[t] == t else find(t)), last - 1
+            end, last = (t if parent[t] == t else self.find(t)), last - 1
+        v = start if parent[start] == start else self.find(start)
         if not last:  # the whole path is there already
-            if find(start) != end:
-                self._merge(start, end)
-            return find(end)
+            if v != end:
+                self._merge(v, end)
+            return
         last -= 1  # codes[last] is the closing edge
-        v = find(start)
-        for c in codes[:last]:
-            t = delta[c][v]
-            v = self._grow(v, c) if t < 0 else t if parent[t] == t else find(t)
+        i = 0
+        while i < last:
+            if (t := delta[codes[i]][v]) >= 0:
+                v, i = (t if parent[t] == t else self.find(t)), i + 1
+                continue
+            # off the graph: each letter grows a fresh vertex, in one batch,
+            # up to one that cancels the letter before it and walks back
+            j = i + 1
+            while j < last and codes[j] != codes[j - 1] ^ 1:
+                j += 1
+            for c, t in zip(codes[i:j], self._allocate(j - i)):
+                delta[c][v] = t
+                delta[c ^ 1][t] = v
+                v = t
+            i = j
         c = codes[last]  # one closing edge v --c--> end, folded onto any c-edge there
         if (s := delta[c][v]) >= 0:
             self._merge(s, end)
@@ -257,7 +285,6 @@ class Folder:
             self._merge(t, v)
         else:
             delta[c][v], delta[c ^ 1][end] = end, v
-        return find(end)
 
     def add_edge(self, src: int, gen: int, dst: int) -> None:
         self._join(src, bytes((2 * gen,)), dst)
@@ -271,11 +298,15 @@ class Folder:
 
     def complete(self, start: int = 0) -> None:
         """Give every class rooted at ``start`` or later an edge for every
-        letter, growing a fresh vertex where one is missing."""
-        for v in self.vertices(start):
-            for c, row in enumerate(self.delta):
-                if row[v] < 0:
-                    self._grow(v, c)
+        letter, growing a fresh vertex where one is missing.  The missing
+        edges are listed by root, then by letter, and grow their vertices
+        in that order, in one batch."""
+        delta = self.delta
+        rows = list(enumerate(delta))
+        missing = [(v, c) for v in self.vertices(start) for c, row in rows if row[v] < 0]
+        for t, (v, c) in zip(self._allocate(len(missing)), missing):
+            delta[c][v] = t
+            delta[c ^ 1][t] = v
 
     def add_loop(self, basepoint: int, relator: bytes) -> None:
         """Fold in a cycle reading ``relator`` at ``basepoint``."""
@@ -468,12 +499,6 @@ def breadth_first(graph: FoldedGraph) -> tuple[list[int], list[int]]:
     return order, dist
 
 
-def radius(graph: FoldedGraph) -> int:
-    """Eccentricity of the origin over its reachable component."""
-    order, dist = breadth_first(graph)
-    return dist[order[-1]]
-
-
 def _induced(graph: FoldedGraph, kept: list[int]) -> FoldedGraph:
     """The subgraph induced on the ascending vertex list ``kept``, renumbered
     in that order."""
@@ -533,17 +558,23 @@ def canonical_form(graph: FoldedGraph) -> tuple[int, tuple[tuple[int, int, int],
     return len(order), edges
 
 
-def to_dot(graph: FoldedGraph) -> str:
-    """Graphviz rendering of the origin's component as
-    :func:`canonical_form` numbers it, so that it is stable across runs; the
-    origin (vertex 0) double-circled, edges labeled by letter."""
-    count, edges = canonical_form(graph)
-    lines = [
-        "digraph G {",
-        "  rankdir=LR;",
-        "  0 [shape=doublecircle];",
-        *(f"  {i} [shape=circle];" for i in range(1, count)),
-        *(f'  {i} -> {t} [label="{chr(ord("a") + g)}"];' for i, g, t in edges),
-        "}",
-    ]
+def to_dot(graph: FoldedGraph, order: Sequence[int] | None = None) -> str:
+    """Graphviz rendering of the origin's component, its vertices numbered
+    in ``order``, the component listed from the origin on, by default as
+    :func:`breadth_first` lists it: :func:`canonical_form`'s numbering,
+    stable across runs.  The origin (vertex 0) is double-circled and edges
+    are labeled by letter; each vertex number and each label is formatted
+    once."""
+    if order is None:
+        order, _dist = breadth_first(graph)
+    names = list(map(str, range(len(order))))
+    name = [""] * graph.num_vertices
+    for v, text in zip(order, names):
+        name[v] = text
+    forward = [(row, f' [label="{chr(ord("a") + g)}"];') for g, row in enumerate(graph.delta[::2])]
+    lines = ["digraph G {", "  rankdir=LR;", "  0 [shape=doublecircle];"]
+    lines += [f"  {text} [shape=circle];" for text in names[1:]]
+    lines += [f"  {name[v]} -> {name[t]}{label}"
+              for v in order for row, label in forward if (t := row[v]) >= 0]
+    lines.append("}")
     return "\n".join(lines) + "\n"

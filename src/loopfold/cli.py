@@ -191,7 +191,7 @@ def cmd_tc(args) -> int:
         return 0
     with _output(args.dot) as out:  # opened first: an unwritable path prints nothing
         print(summary)
-        out.write(automata.to_dot(pcg.graph))
+        out.write(automata.to_dot(pcg.graph, pcg.order))
     return 0
 
 

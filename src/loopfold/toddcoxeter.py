@@ -25,14 +25,16 @@ from typing import Iterator, NamedTuple
 
 from . import _kernels
 from .core import Presentation
-from .automata import Folder, FoldedGraph, radius as graph_radius, strip_hairs
+from .automata import Folder, FoldedGraph, breadth_first, strip_hairs
 
 
 class PartialCayleyGraph(NamedTuple):
-    """A round's folded graph with its hairs stripped, and its radius."""
+    """A round's folded graph with its hairs stripped, its radius, and its
+    vertices in breadth-first order, the numbering ``tc`` draws."""
 
     graph: FoldedGraph  # hair-free
     radius: int
+    order: tuple[int, ...]  # as automata.breadth_first lists them
 
 
 def tc_round(folder: Folder, p: Presentation, settled: int = 0, closed: int = 0) -> tuple[int, int]:
@@ -60,9 +62,10 @@ def tc_round(folder: Folder, p: Presentation, settled: int = 0, closed: int = 0)
     start = len(folder.parent)
     folder.complete(settled)
     completed = len(folder.parent)
+    add_loop, relators = folder.add_loop, p.relators
     for v in folder.vertices(closed):
-        for r in p.relators:
-            folder.add_loop(v, r)
+        for r in relators:
+            add_loop(v, r)
     return start, completed
 
 
@@ -79,9 +82,13 @@ def coset_rounds(p: Presentation) -> Iterator[Folder]:
 
 def partial_cayley(graph: FoldedGraph) -> PartialCayleyGraph:
     """The partial Cayley graph of a round's snapshot ``graph``: its hairs
-    stripped (iteratively), and the radius of what remains."""
+    stripped (iteratively), and the radius and breadth-first order of what
+    remains, from one breadth-first pass."""
     stripped = strip_hairs(graph)
-    return PartialCayleyGraph(stripped, graph_radius(stripped))
+    order, dist = breadth_first(stripped)
+    radius = dist[order[-1]]
+    del dist  # the order's copy takes the distances' place, so the peak stays
+    return PartialCayleyGraph(stripped, radius, tuple(order))
 
 
 def measure_tc_radius(

@@ -17,7 +17,6 @@ from loopfold.automata import (
     decide_word_problem,
     fold,
     nfa_accepts,
-    radius,
     restrict_to_radius,
     strip_hairs,
     to_dot,
@@ -395,8 +394,9 @@ class TestGraphAnalysis:
         for i in range(3):
             g.add_edge(i, 0, i + 1)
         g = folded(g)
-        assert breadth_first(g) == ([0, 1, 2, 3], [0, 1, 2, 3])
-        assert radius(g) == 3
+        order, dist = breadth_first(g)
+        assert (order, dist) == ([0, 1, 2, 3], [0, 1, 2, 3])
+        assert dist[order[-1]] == max(dist) == 3  # the last vertex lies farthest
 
     def test_restrict_to_radius(self):
         g = LabeledGraph(1, 4)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from loopfold import grammar, rewrite
+from loopfold import automata, grammar, rewrite
 from loopfold.cli import main
 from loopfold.core import parse_presentation, parse_word, words_up_to
 from loopfold.fillings import ReferenceOracle, double_exp_bound
@@ -593,6 +593,43 @@ def test_tc_over_the_memory_ceiling(capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err.startswith("loopfold: coset round ")
     assert captured.err.count("\n") == 1 and "FILLINGS_MEM_CEILING_MB" in captured.err
+
+
+# Round 3 of zxz completes its classes in one batch, from 41 vertices to 69,
+# and a loop of that round grows a two-vertex path, to 73 and 74 vertices.
+# A ceiling inside either batch names the count that growing one vertex at a
+# time stopped at; the messages are those of doing so.
+@pytest.mark.parametrize("ceiling, message", [
+    ("0.03", "loopfold: coset round 3 needs 51 vertices or more (~0.0 MB), "
+             "over the 0.03 MB ceiling (FILLINGS_MEM_CEILING_MB)\n"),
+    ("0.04381", "loopfold: coset round 3 needs 74 vertices or more (~0.0 MB), "
+                "over the 0.04381 MB ceiling (FILLINGS_MEM_CEILING_MB)\n"),
+], ids=["in-completion", "in-a-loop"])
+def test_tc_ceiling_inside_a_batch(tmp_path, capsys, monkeypatch, ceiling, message):
+    monkeypatch.setenv("FILLINGS_MEM_CEILING_MB", ceiling)
+    dot = tmp_path / "zxz.dot"
+    assert run_cli("tc", ZXZ, "--rounds", "30", "--dot", str(dot)) == 3
+    assert capsys.readouterr() == ("", message)
+    assert not dot.exists()
+
+
+def test_tc_dot_takes_one_breadth_first_pass(tmp_path, capsys, monkeypatch):
+    # the radius and the DOT numbering come from one pass, wherever loopfold
+    # binds the function
+    original, calls = automata.breadth_first, []
+
+    def counting(graph):
+        calls.append(graph)
+        return original(graph)
+
+    for name, module in list(sys.modules.items()):
+        if name == "loopfold" or name.startswith("loopfold."):
+            for bound, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, bound, counting)
+    assert run_cli("tc", ZXZ, "--rounds", "30", "--dot", str(tmp_path / "zxz.dot")) == 0
+    assert capsys.readouterr().out == "rounds=30 vertices=6421 radius=90\n"
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("value", ["1GB", "abc", "-1", "nan", "-inf"])

@@ -104,19 +104,23 @@ def test_folded_graph_keeps_identity_equality():
 
 def test_partial_cayley_graph_is_a_value_record():
     graph = next(coset_rounds(LATTICE)).snapshot()
-    pcg = PartialCayleyGraph(graph, 1)
-    assert pcg == PartialCayleyGraph(graph, 1) and hash(pcg) == hash(PartialCayleyGraph(graph, 1))
-    assert pcg != PartialCayleyGraph(graph, 2)
-    assert pcg != PartialCayleyGraph(next(coset_rounds(LATTICE)).snapshot(), 1)  # the graph by identity
+    order = (0, 1)
+    pcg = PartialCayleyGraph(graph, 1, order)
+    assert pcg == PartialCayleyGraph(graph, 1, order) and hash(pcg) == hash(PartialCayleyGraph(graph, 1, order))
+    assert pcg != PartialCayleyGraph(graph, 2, order)
+    assert pcg != PartialCayleyGraph(graph, 1, (1, 0))
+    assert pcg != PartialCayleyGraph(next(coset_rounds(LATTICE)).snapshot(), 1, order)  # the graph by identity
     with pytest.raises(AttributeError):
         pcg.graph = graph
 
 
 def test_partial_cayley_radius_is_computed_once(monkeypatch):
-    graph_radius = toddcoxeter.graph_radius
+    breadth_first = toddcoxeter.breadth_first
     calls = []
-    monkeypatch.setattr(toddcoxeter, "graph_radius", lambda g: calls.append(g) or graph_radius(g))
+    monkeypatch.setattr(toddcoxeter, "breadth_first", lambda g: calls.append(g) or breadth_first(g))
     pcg = partial_cayley(next(islice(coset_rounds(LATTICE), 1, None)).snapshot())
     assert calls == [pcg.graph]  # at construction
-    assert pcg.radius == pcg.radius == graph_radius(pcg.graph)
+    order, dist = breadth_first(pcg.graph)
+    assert pcg.radius == pcg.radius == dist[order[-1]]
+    assert pcg.order == tuple(order)
     assert calls == [pcg.graph]

@@ -28,6 +28,7 @@ KEPT = {
     "fillings.ReferenceOracle.decide": "decides one word: the per-word reference the sweep-read trivial words are checked against",
     "automata.fold": "the whole-graph fold the folder's pins came from; perfbench's tracer binds it by name",
     "automata.FoldedGraph.edges": "the edge lists the folder pins compare",
+    "automata.canonical_form": "the tests' isomorphism check of folded graphs",
     "automata.restrict_to_radius": "acceptance criterion 3 compares Cayley balls with it",
     "grammar.build_dyck_pda": "acceptance criterion 6: the machine the grammar is checked against",
     "grammar.simulate_pda": "acceptance criterion 6: the machine's acceptance",

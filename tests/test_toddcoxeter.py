@@ -338,6 +338,61 @@ class TestLoopBoundary:
             seen.update(looped)
 
 
+class OneAtATime(Folder):
+    """The folder growing one vertex at a time: a missing edge of
+    :meth:`complete`, and each vertex a loop's path lacks, appends its
+    vertex on its own.  The reference the batched growth is checked
+    against."""
+
+    def grow(self, v, c):
+        t = len(self.parent)
+        self.parent.append(t)
+        for row in self.delta:
+            row.append(-1)
+        self.delta[c][v], self.delta[c ^ 1][t] = t, v
+        return t
+
+    def complete(self, start=0):
+        for v in self.vertices(start):
+            for c, row in enumerate(self.delta):
+                if row[v] < 0:
+                    self.grow(v, c)
+
+    def add_loop(self, basepoint, relator):
+        find, delta = self.find, self.delta
+        end, last = find(basepoint), len(relator)
+        while last and (t := delta[relator[last - 1] ^ 1][end]) >= 0:  # the tail already there
+            end, last = find(t), last - 1
+        v = find(basepoint)
+        if not last:
+            self._merge(v, end)
+            return
+        for c in relator[:last - 1]:
+            t = delta[c][v]
+            v = self.grow(v, c) if t < 0 else find(t)
+        c = relator[last - 1]  # the closing edge v --c--> end
+        if (s := delta[c][v]) >= 0:
+            self._merge(s, end)
+        elif (t := delta[c ^ 1][end]) >= 0:
+            self._merge(t, v)
+        else:
+            delta[c][v], delta[c ^ 1][end] = end, v
+
+
+class TestBatchedGrowth:
+    @pytest.mark.parametrize("p, rounds", [
+        (LATTICE, 30),
+        (BS12[0], 4),
+        (FREE2, 6),
+        (Presentation(2, [w("aa"), w("bbb"), w("ababab")]), 4),
+    ], ids=["zxz", "BS(1,2)", "free2", "(2,3,3) triangle"])
+    def test_rounds_match_one_vertex_at_a_time(self, p, rounds):
+        reference, settled, closed = OneAtATime(p.num_generators), 0, 0
+        for i, folder in enumerate(islice(coset_rounds(p), rounds), 1):
+            settled, closed = tc_round(reference, p, settled, closed)
+            assert (folder.parent, folder.delta) == (reference.parent, reference.delta), i
+
+
 def dict_distances(graph):
     """Breadth-first distances kept in a dict, in the order met, trying
     letters a, A, b, B, …: the reference numbering of the DOT goldens."""
@@ -369,9 +424,13 @@ class TestBreadthFirst:
             snapshot = folder.snapshot()
             pcg = partial_cayley(snapshot)
             for graph in (snapshot, pcg.graph):
-                assert automata.radius(graph) == max(dict_distances(graph).values()), (name, i)
+                order, dist = automata.breadth_first(graph)
+                assert order == list(dict_distances(graph)), (name, i)
+                assert dist[order[-1]] == max(dict_distances(graph).values()), (name, i)
                 assert automata.to_dot(graph) == dict_dot(graph), (name, i)
             assert pcg.radius == max(dict_distances(pcg.graph).values())
+            assert pcg.order == tuple(dict_distances(pcg.graph))
+            assert automata.to_dot(pcg.graph, pcg.order) == dict_dot(pcg.graph), (name, i)
 
     def test_strip_hairs_returns_a_hair_free_graph_as_it_is(self):
         for name, (p, _rounds) in ROUND_SAMPLES.items():
@@ -386,7 +445,7 @@ class TestMemory:
         # the calibration of the memory ceiling: 30 rounds of ℤ², each with
         # its snapshot and partial Cayley graph; the last round's pair beside
         # the folder sets the peak, which is what `tc` pays at its last round:
-        # 284 bytes per allocated vertex (Python 3.11), under the ceiling's 600
+        # 232 bytes per allocated vertex (Python 3.11), under the ceiling's 600
         tracemalloc.start()
         try:
             for folder in islice(coset_rounds(LATTICE), 30):
@@ -399,31 +458,56 @@ class TestMemory:
         assert peak / allocated <= automata._BYTES_PER_VERTEX, (peak, allocated)
 
 
+def single_edge():
+    g = LabeledGraph(1, 2)
+    g.add_edge(0, 0, 1)
+    return g
+
+
+def pendant_on_cycle():
+    g = three_cycle()
+    g.add_edge(1, 0, g.add_vertex())
+    return g
+
+
+def hair_chain():
+    g = three_cycle()
+    v = g.add_vertex()
+    u = g.add_vertex()
+    t = g.add_vertex()
+    g.add_edge(0, 0, v)
+    g.add_edge(v, 0, u)
+    g.add_edge(u, 0, t)
+    return g
+
+
 class TestPartialCayley:
     def test_single_edge_collapses_to_origin(self):
-        g = LabeledGraph(1, 2)
-        g.add_edge(0, 0, 1)
-        pcg = partial_cayley(Folder.of_graph(g).snapshot())
+        pcg = partial_cayley(Folder.of_graph(single_edge()).snapshot())
         assert pcg.graph.num_vertices == 1
         assert pcg.radius == 0
 
     def test_pendant_edge_on_cycle_is_ignored(self):
-        g = three_cycle()
-        g.add_edge(1, 0, g.add_vertex())
-        pcg = partial_cayley(Folder.of_graph(g).snapshot())
+        pcg = partial_cayley(Folder.of_graph(pendant_on_cycle()).snapshot())
         assert canonical_form(pcg.graph) == canonical_form(fold(three_cycle())[0])
         assert pcg.radius == 1
 
     def test_hair_chains_removed_transitively(self):
-        g = three_cycle()
-        v = g.add_vertex()
-        u = g.add_vertex()
-        t = g.add_vertex()
-        g.add_edge(0, 0, v)
-        g.add_edge(v, 0, u)
-        g.add_edge(u, 0, t)
-        pcg = partial_cayley(Folder.of_graph(g).snapshot())
+        pcg = partial_cayley(Folder.of_graph(hair_chain()).snapshot())
         assert canonical_form(pcg.graph) == canonical_form(fold(three_cycle())[0])
+
+    def test_order_numbers_the_graph_as_canonical_form_does(self):
+        # the hand-built hair graphs, and free2, whose rounds strip down to
+        # the origin
+        snapshots = [Folder.of_graph(g()).snapshot() for g in (single_edge, pendant_on_cycle, hair_chain)]
+        snapshots += [folder.snapshot() for folder in islice(coset_rounds(FREE2), 4)]
+        for i, snapshot in enumerate(snapshots):
+            pcg = partial_cayley(snapshot)
+            number = {v: n for n, v in enumerate(pcg.order)}
+            edges = tuple(sorted((number[v], g, number[t]) for v, g, t in pcg.graph.edges() if v in number))
+            assert canonical_form(pcg.graph) == (len(pcg.order), edges), i
+            assert automata.to_dot(pcg.graph, pcg.order) == automata.to_dot(pcg.graph), i
+        assert pcg.order == (0,)
 
 
 class TestDecisions:
