@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable, TypeVar
 
-from .core import is_reduced
+from .core import _irregular
 
 G = TypeVar("G")  # a folded graph: ``delta`` and ``origin``
 
@@ -36,24 +36,29 @@ def trace_batch(delta: list[list[int]], start: int, words: list[bytes]) -> list[
 
 
 def trivial_layers(trivial: Iterable[bytes], n_max: int, alphabet_size: int) -> list[list[bytes]]:
-    """The reduced words of ``trivial`` of length ≤ n_max, by length: the
-    layers both scans hand :func:`first_deciding`.  Every listed
-    word reduces to one of them.  Longer words are skipped; a letter outside
-    the alphabet raises ValueError."""
+    """The reduced words of ``trivial`` of length ≤ n_max by length, in list
+    order: the layers both scans take, laid out once per command.  Longer
+    words and words with a cancelling pair are skipped; a letter outside
+    the alphabet raises ValueError, in a word of any length.  One search
+    per word passes a reduced word over the alphabet
+    (:func:`~loopfold.core._irregular`)."""
     layers: list[list[bytes]] = [[] for _ in range(n_max + 1)]
+    irregular = _irregular(alphabet_size).search
     for u in trivial:
-        if max(u, default=0) >= alphabet_size:
+        if irregular(u) is None:
+            if len(u) <= n_max:
+                layers[len(u)].append(u)
+        elif max(u) >= alphabet_size:
             raise ValueError(f"the word with letter codes {list(u)} has a letter outside "
                              "the presentation's alphabet")
-        if len(u) <= n_max and is_reduced(u):
-            layers[len(u)].append(u)
     return layers
 
 
 def first_deciding(graphs: Iterable[G], layers: list[list[bytes]]) -> list[tuple[int, G] | None]:
-    """Entry ``n`` is ``(i, graph)`` for the first graph ``i ≤ n`` of
-    ``graphs`` that leads every word of every ``layers[m]``, ``m ≤ n``, from
-    the origin back to the origin, or None when no graph up to ``n`` does.
+    """Entry ``n < len(layers)`` is ``(i, graph)`` for the first graph
+    ``i ≤ n`` of ``graphs`` that leads every word of every ``layers[m]``
+    (:func:`trivial_layers`), ``m ≤ n``, from the origin back to the
+    origin, or None when no graph up to ``n`` does.
 
     Each graph must accept every word its predecessor accepts, as graphs
     grown in a folder that only merges classes do.  So a layer once

@@ -28,16 +28,17 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 from typing import Iterator, Sequence
 
-from .core import Presentation, reduce_codes
+from .core import InputError, LimitError, Presentation, reduce_codes
 
 DEFAULT_MEM_CEILING_MB = 512.0
 MEM_CEILING_ENV = "FILLINGS_MEM_CEILING_MB"
 # Bytes per allocated vertex, above the peak measured with tracemalloc (Python
 # 3.11).  A folder vertex takes about 95, and coset rounds grow one folder.
-# `tc` pays the peak at its last round: 30 rounds of ℤ² peak at 232 with that
+# `tc` pays the peak at its last round: 30 rounds of ℤ² peak at 212 with that
 # round's snapshot and its hair-stripped graph (about 47 each) and the
 # breadth-first order of the latter beside the folder.  The constant is kept
 # at 600, so that a given ceiling keeps stopping the same commands.
@@ -45,11 +46,11 @@ _BYTES_PER_VERTEX = 600
 _TREE_BYTES_PER_VERTEX = 1000  # unfolded tree automaton: 1.0 kB
 
 
-class MemoryCeilingError(MemoryError):
+class MemoryCeilingError(LimitError, MemoryError):
     """Construction would exceed the configured memory ceiling."""
 
 
-class CeilingSettingError(ValueError):
+class CeilingSettingError(InputError):
     """The memory ceiling setting is not a nonnegative number."""
 
 
@@ -325,19 +326,19 @@ class Folder:
 
     def _numbering(self) -> list[int]:
         """Entry ``v`` is the number of the class of ``v``, classes numbered
-        by least member; one more entry, -1, is what a missing edge maps to."""
-        number = [-1] * (len(self.parent) + 1)
-        for i, root in enumerate(self.vertices()):
-            number[root] = i
-        for v in range(len(self.parent)):
-            number[v] = number[self.find(v)]
+        by least member; one more entry, -1, is what a missing edge maps to.
+        A root is its class's least member, so ``parent[v] < v`` off the
+        roots, and one ascending pass numbers each vertex as its parent."""
+        number, classes = [-1] * (len(self.parent) + 1), itertools.count()
+        for v, u in enumerate(self.parent):
+            number[v] = next(classes) if u == v else number[u]
         return number
 
     def snapshot(self) -> FoldedGraph:
         """The folded graph, its classes numbered by least member."""
         number = self._numbering()
-        roots = self.vertices()
-        delta = [[number[row[r]] for r in roots] for row in self.delta]
+        roots = bytes(map(operator.eq, self.parent, itertools.count()))  # 1 at a root
+        delta = [[number[t] for t in itertools.compress(row, roots)] for row in self.delta]
         return FoldedGraph(self.num_generators, number[self.origin], delta)
 
 

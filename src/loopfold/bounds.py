@@ -16,7 +16,7 @@ import functools
 from itertools import combinations
 from typing import Callable, Iterable, NamedTuple
 
-from .core import Presentation, reduce_codes
+from .core import LimitError, Presentation, reduce_codes
 
 
 class OracleStatus(enum.Enum):
@@ -84,7 +84,7 @@ class SearchBudget(_Caps):
         return budget
 
 
-class BudgetFailure(RuntimeError):
+class BudgetFailure(LimitError, RuntimeError):
     """A result that needs Exact values got one the budget could not settle."""
 
 

@@ -2,8 +2,9 @@
 inequality columns, relator fusion, coset enumeration snapshots, and the
 grammar-based bound experiment.
 
-Exit codes: 0 success, 1 negative verdict, 2 usage or configuration error,
-3 budget or ceiling failure.  All output is deterministic for a fixed
+Exit codes: 0 success, 1 negative verdict, 2 usage or configuration error
+(:class:`~loopfold.core.InputError`), 3 budget or ceiling failure
+(:class:`~loopfold.core.LimitError`).  All output is deterministic for a fixed
 configuration.
 """
 
@@ -12,14 +13,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
-import types
 from itertools import islice
 
 # Layers are read through their modules, which the package registers lazily
 # (see loopfold/__init__.py), so a command compiles only the layers it calls.
 from . import automata, bounds, compression, fillings, grammar, rewrite, toddcoxeter
 from .core import (
-    ParseError,
+    InputError,
+    LimitError,
     Presentation,
     parse_presentation,
     parse_word,
@@ -28,7 +29,7 @@ from .core import (
 )
 
 
-class UsageError(ValueError):
+class UsageError(InputError):
     """Bad flags, bad files, or an oracle that does not fit the presentation."""
 
 
@@ -296,33 +297,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _reported(code: int) -> tuple[type[Exception], ...]:
-    """The exception classes ``main`` reports with exit ``code``, 2 for a
-    usage or configuration error and 3 for a budget or ceiling failure, of
-    the layers that have run: one that has not raised nothing.  ``type()``
-    of a lazily registered layer reads none of its names, so an error exit
-    loads no layer the command did not run."""
-    classes = {2: [UsageError, ParseError], 3: []}
-    if type(automata) is types.ModuleType:
-        classes[2].append(automata.CeilingSettingError)
-        classes[3].append(automata.MemoryCeilingError)
-    if type(bounds) is types.ModuleType:
-        classes[3].append(bounds.BudgetFailure)
-    if type(compression) is types.ModuleType:
-        classes[3].append(compression.CombinatorialBlowupError)
-    return tuple(classes[code])
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _reported(2) as exc:
+    except (InputError, LimitError) as exc:
         print(f"loopfold: {exc}", file=sys.stderr)
-        return 2
-    except _reported(3) as exc:
-        print(f"loopfold: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, InputError) else 3
 
 
 if __name__ == "__main__":

@@ -14,12 +14,12 @@ from typing import NamedTuple
 # bounds and rewrite are read through their modules, so plain `compress`
 # loads neither (see loopfold/__init__.py)
 from . import bounds, rewrite
-from .core import Presentation
+from .core import LimitError, Presentation
 
 DEFAULT_PRODUCT_CAP = 200_000
 
 
-class CombinatorialBlowupError(RuntimeError):
+class CombinatorialBlowupError(LimitError, RuntimeError):
     """The fused-relator enumeration would exceed the configured cap."""
 
 

@@ -58,7 +58,15 @@ def words_up_to(alphabet_size: int, n: int) -> Iterator[bytes]:
         yield from map(bytes, itertools.product(range(alphabet_size), repeat=length))
 
 
-class ParseError(ValueError):
+class InputError(ValueError):
+    """A usage or configuration error; a command exits 2 on it."""
+
+
+class LimitError(Exception):
+    """A budget, cap or memory ceiling stopped the run; a command exits 3 on it."""
+
+
+class ParseError(InputError):
     """A syntax error in presentation or word text, with 1-based position."""
 
     def __init__(self, message: str, line: int, col: int):

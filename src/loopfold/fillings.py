@@ -28,6 +28,7 @@ explicit constants ``C = 2(2|A|+1)·||R||²`` and ``c = (2|A|)²``.
 
 from __future__ import annotations
 
+import itertools
 from functools import reduce
 from typing import Callable, NamedTuple
 
@@ -157,6 +158,7 @@ class ReferenceOracle(NamedTuple):
 
         for length in range(n + 1):
             extend(b"", ball.origin, length, -1)
+        del extend  # its closure holds itself and ``out``, a cycle only a collection frees
         return out
 
     def cayley_ball(self, radius: int) -> automata.FoldedGraph:
@@ -200,15 +202,13 @@ class ReferenceOracle(NamedTuple):
 # -- isodiametric measurement -------------------------------------------------
 
 
-def measure_isodiametric(p: Presentation, n_max: int, trivial: list[bytes]) -> list[OracleResult]:
-    """Entry ``n`` (0 ≤ n ≤ n_max) is d(n), the smallest radius ``j ≤ n``
-    whose folded loop complex accepts the reduction of every word of length
-    ≤ n in ``trivial``, the oracle's list of trivial words of length ≤ n_max.
-
-    Acceptance is sound at every radius, so only completeness is scanned,
-    on the reduced words of the list (:func:`~loopfold._kernels.trivial_layers`).
+def measure_isodiametric(p: Presentation, layers: list[list[bytes]]) -> list[OracleResult]:
+    """Entry ``n`` (0 ≤ n < ``len(layers)``) is d(n), the smallest radius
+    ``j ≤ n`` whose folded loop complex accepts every word of ``layers[m]``,
+    m ≤ n, the reduced trivial words of length m
+    (:func:`~loopfold._kernels.trivial_layers`).  Acceptance is sound at
+    every radius, so only completeness is scanned.
     """
-    layers = _kernels.trivial_layers(trivial, n_max, p.alphabet_size)
     graphs = (f.snapshot() for f in automata.loop_complexes(p))
     return [
         OracleResult(None, OracleStatus.LOWER_BOUND_ONLY) if hit is None
@@ -242,8 +242,9 @@ def measure_profile(
     """Profile of all four filling functions for 0 ≤ n ≤ n_max, in one pass.
 
     The oracle lists the reduced trivial words of length ≤ n_max once
-    (:meth:`ReferenceOracle.reduced_trivial_words`), and all four columns
-    read that list.  Free moves cost nothing and the rewrite graph is
+    (:meth:`ReferenceOracle.reduced_trivial_words`), laid out by length
+    (:func:`~loopfold._kernels.trivial_layers`), and all four columns read
+    those layers.  Free moves cost nothing and the rewrite graph is
     undirected, so a word ``w`` and its free reduction red(w) have the same
     area, and FL(w) = max(|w|, FL(red w)): reduce ``w`` within its length,
     then fill red(w); and a filling of ``w`` under a cap gives one of red(w)
@@ -273,8 +274,8 @@ def measure_profile(
     """
     p = system.presentation
     oracle.check(p)
-    reduced = oracle.reduced_trivial_words(n_max)
-    keys = list(dict.fromkeys(map(system.canonical, reduced)))
+    layers = _kernels.trivial_layers(oracle.reduced_trivial_words(n_max), n_max, p.alphabet_size)
+    keys = list(dict.fromkeys(map(system.canonical, itertools.chain.from_iterable(layers))))
     cap = budget.max_word_length
     proved = rewrite.tight_derivations(system, keys, cap)
     area = prefix_maxima(keys, n_max, lambda w: (
@@ -284,13 +285,13 @@ def measure_profile(
         OracleResult(len(w), OracleStatus.EXACT) if w in proved
         else rewrite.filling_length(w, system, budget)))
     # t(m), the longest trivial length ≤ m: a reduced trivial word padded with xX pairs
-    odd = min((len(w) for w in reduced if len(w) % 2), default=n_max + 1)
+    odd = next((m for m in range(1, n_max + 1, 2) if layers[m]), n_max + 1)
     longest = [m if m % 2 == 0 or m >= odd else m - 1 for m in range(n_max + 1)]
-    diameter = measure_isodiametric(p, n_max, reduced)
+    diameter = measure_isodiametric(p, layers)
     tc = [
         OracleResult(None, OracleStatus.LOWER_BOUND_ONLY) if hit is None
         else OracleResult(hit[1], OracleStatus.EXACT)
-        for hit in toddcoxeter.measure_tc_radius(p, n_max, reduced)
+        for hit in toddcoxeter.measure_tc_radius(p, layers)
     ]
     # a cut sweep may leave the list short from the first length it lists on
     cut = next((n for n in range(1, n_max + 1) if oracle.budget_cut(n)), n_max + 1)

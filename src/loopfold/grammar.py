@@ -41,7 +41,7 @@ from typing import Iterable, NamedTuple
 
 # rewrite is read through its module, so `grammar-bound` with a closed-form
 # oracle does not load it (see loopfold/__init__.py)
-from . import rewrite
+from . import _kernels, rewrite
 from .automata import LabeledGraph, build_tree_nfa, nfa_accepts
 from .bounds import BudgetFailure, SearchBudget, area_lower_bound, budget_flags
 from .core import _LETTERS, EMPTY, Presentation, _conjugator_length, inverse, reduce_codes, render_word
@@ -597,7 +597,8 @@ def double_exp_experiment(
     bound = area_lower_bound(p)
     system = oracle.system  # the rewrite system the fallback searches, once one is needed
     trivial = oracle.trivial_words(n_max)
-    diameters = [d.value for d in measure_isodiametric(p, n_max, trivial)]
+    layers = _kernels.trivial_layers(trivial, n_max, p.alphabet_size)
+    diameters = [d.value for d in measure_isodiametric(p, layers)]
     if None in diameters:
         raise BudgetFailure(f"diameter scan did not converge at n={diameters.index(None)}")
     trees: dict[int, tuple[LabeledGraph, dict]] = {}  # d -> (tree, its reading words)

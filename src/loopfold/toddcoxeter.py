@@ -93,14 +93,14 @@ def partial_cayley(graph: FoldedGraph) -> PartialCayleyGraph:
 
 def measure_tc_radius(
     p: Presentation,
-    n_max: int,
-    trivial: list[bytes],
+    layers: list[list[bytes]],
 ) -> list[tuple[int, int, PartialCayleyGraph] | None]:
-    """Entry ``n`` (0 ≤ n ≤ n_max) is (rounds, radius, graph) for the first
-    round ≤ n + 1 whose partial Cayley graph accepts every reduced word of
-    length ≤ ``n`` in ``trivial``, the oracle's list of trivial words of
-    length ≤ n_max, or None when no such round does.  As rounds(n) ≤
-    max(d(n), 1), that reaches every n the ``d`` scan reaches.
+    """Entry ``n`` (0 ≤ n < ``len(layers)``) is (rounds, radius, graph) for
+    the first round ≤ n + 1 whose partial Cayley graph accepts every word
+    of ``layers[m]``, m ≤ n, the reduced trivial words of length m
+    (:func:`~loopfold._kernels.trivial_layers`), or None when no such round
+    does.  As rounds(n) ≤ max(d(n), 1), that reaches every n the ``d``
+    scan reaches.
 
     No round accepts a non-trivial word, so with a correct oracle that
     round decides every word of length ≤ ``n``.  A reduced closed walk
@@ -108,7 +108,6 @@ def measure_tc_radius(
     only the rounds the column reports become partial Cayley graphs, once
     each (:func:`partial_cayley`).
     """
-    layers = _kernels.trivial_layers(trivial, n_max, p.alphabet_size)
     graphs = (f.snapshot() for f in coset_rounds(p))
     hits = _kernels.first_deciding(graphs, layers)
     pcgs = {i: partial_cayley(g) for i, g in dict(filter(None, hits)).items()}

@@ -15,6 +15,7 @@ import time
 from functools import lru_cache
 from pathlib import Path
 
+from loopfold._kernels import trivial_layers
 from loopfold.automata import (
     accepts_reduced,
     build_loop_complex,
@@ -62,9 +63,16 @@ def _report(capsys, name, ok, detail=""):
 
 
 @lru_cache(maxsize=None)
-def diameters(name):
+def layers(name):
+    """The oracle's trivial words of length ≤ 6, laid out once for both scans."""
     p, oracle = MATRIX[name]
-    column = measure_isodiametric(p, 6, oracle.trivial_words(6))
+    return trivial_layers(oracle.trivial_words(6), 6, p.alphabet_size)
+
+
+@lru_cache(maxsize=None)
+def diameters(name):
+    p, _oracle = MATRIX[name]
+    column = measure_isodiametric(p, layers(name))
     assert all(result.exact for result in column)
     return [result.value for result in column]
 
@@ -75,8 +83,8 @@ def diameter(name, n):
 
 @lru_cache(maxsize=None)
 def tc_snapshots(name):
-    p, oracle = MATRIX[name]
-    return measure_tc_radius(p, 6, oracle.trivial_words(6))
+    p, _oracle = MATRIX[name]
+    return measure_tc_radius(p, layers(name))
 
 
 def tc_snapshot(name, n):

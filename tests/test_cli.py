@@ -9,9 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from loopfold import automata, grammar, rewrite
-from loopfold.cli import main
-from loopfold.core import parse_presentation, parse_word, words_up_to
+from loopfold import automata, bounds, compression, grammar, rewrite
+from loopfold.cli import UsageError, main
+from loopfold.core import InputError, LimitError, ParseError, parse_presentation, parse_word, words_up_to
 from loopfold.fillings import ReferenceOracle, double_exp_bound
 from loopfold.grammar import BoundReport
 from loopfold.rewrite import RewriteSystem
@@ -827,11 +827,11 @@ def _run_fresh(script, **env):
 
 
 def _run_command_fresh(*argv):
-    """Runs one command as ``python -m loopfold`` does, in a fresh process;
-    the last line of stdout is its exit code, the modules among
-    ``dataclasses`` and ``inspect`` imported before or by the command, and
-    the loopfold modules it executed.  ``type()`` of a lazily registered
-    layer does not load it."""
+    """Runs one command as ``python -m loopfold`` does, in a fresh process,
+    and returns the process; the last line of its stdout is the command's
+    exit code, the modules among ``dataclasses`` and ``inspect`` imported
+    before or by the command, and the loopfold modules it executed.
+    ``type()`` of a lazily registered layer does not load it."""
     script = (
         "import runpy, sys, types\n"
         "import loopfold.cli\n"
@@ -848,40 +848,54 @@ def _run_command_fresh(*argv):
     )
     proc = _run_fresh(script)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+    return proc
 
 
 def test_start_up_imports_neither_dataclasses_nor_inspect():
     # the two modules cost about 30 ms of every command's start-up
-    out = _run_command_fresh("wp", Z2, "aaaa")
+    out = _run_command_fresh("wp", Z2, "aaaa").stdout
     assert out.startswith("trivial\n0 [] ")
 
 
 LAYERS = {"_kernels", "automata", "bounds", "compression", "fillings", "grammar", "rewrite", "toddcoxeter"}
 
 
-@pytest.mark.parametrize("argv, code, layers", [
-    (("wp", ZXZ, "abAB", "--radius", "2"), 0, {"automata"}),
-    (("tc", ZXZ, "--rounds", "3"), 0, {"automata", "toddcoxeter"}),
-    (("profile", Z2, "--n", "4", "--oracle", "cyclic:2"), 1, LAYERS - {"compression", "grammar"}),
-    (("compress", Z2), 0, {"compression"}),
-    (("compress", Z2, "--verify", "--n", "3"), 0, {"bounds", "compression", "rewrite"}),
+# ⟨a,b | abaBAB⟩, whose fused relators would take 3,257,424 relator tuples
+BLOWUP = "gens: a b\nrels: abaBAB\n"
+
+
+@pytest.mark.parametrize("argv, code, layers, err", [
+    (("wp", ZXZ, "abAB", "--radius", "2"), 0, {"automata"}, ""),
+    (("tc", ZXZ, "--rounds", "3"), 0, {"automata", "toddcoxeter"}, ""),
+    (("profile", Z2, "--n", "4", "--oracle", "cyclic:2"), 1, LAYERS - {"compression", "grammar"}, ""),
+    (("compress", Z2), 0, {"compression"}, ""),
+    (("compress", Z2, "--verify", "--n", "3"), 0, {"bounds", "compression", "rewrite"}, ""),
     # a budget failure exits 3 and reads no class of a layer the command did not run
     (("compress", Z2, "--verify", "--n", "8", "--budget-len", "2"), 3,
-     {"bounds", "compression", "rewrite"}),
+     {"bounds", "compression", "rewrite"},
+     "loopfold: fusion check at n=4 is not Exact (base LowerBoundOnly, fused LowerBoundOnly); "
+     "raise --budget-len\n"),
+    # the product cap exits 3 before anything is written or searched
+    (("compress", BLOWUP), 3, {"compression"},
+     "loopfold: 3257424 relator tuples exceed the cap of 200000\n"),
     # a closed-form oracle's areas are all proved by the witnesses' factor counts
     (("grammar-bound", Z2, "--n", "7", "--oracle", "cyclic:2"), 0,
-     LAYERS - {"compression", "rewrite", "toddcoxeter"}),
+     LAYERS - {"compression", "rewrite", "toddcoxeter"}, ""),
     (("grammar-bound", Z2, "--n", "2", "--oracle", "rewrite:4"), 0,
-     LAYERS - {"compression", "toddcoxeter"}),
+     LAYERS - {"compression", "toddcoxeter"}, ""),
 ], ids=["wp", "tc", "profile", "compress", "compress-verify", "compress-verify-budget",
-        "grammar-bound", "grammar-bound-rewrite"])
-def test_each_command_executes_only_the_layers_it_calls(argv, code, layers):
+        "compress-product-cap", "grammar-bound", "grammar-bound-rewrite"])
+def test_each_command_executes_only_the_layers_it_calls(tmp_path, argv, code, layers, err):
     # every command compiles cli and core; each layer it never calls stays
     # registered but is neither compiled nor run
-    last = _run_command_fresh(*argv).splitlines()[-1]
+    if argv[1].startswith("gens:"):  # a presentation given as text is read from a file
+        path = tmp_path / "given.pres"
+        path.write_text(argv[1], encoding="utf-8")
+        argv = (argv[0], str(path), *argv[2:])
+    proc = _run_command_fresh(*argv)
     executed = {f"loopfold.{name}" for name in layers | {"cli", "core"}}
-    assert last == f"{code} [] {sorted(executed)}"
+    assert proc.stdout.splitlines()[-1] == f"{code} [] {sorted(executed)}"
+    assert proc.stderr == err
 
 
 def test_layers_are_registered_lazily_and_load_on_first_use():
@@ -903,8 +917,20 @@ def test_layers_are_registered_lazily_and_load_on_first_use():
     )
 
 
+def test_exit_codes_come_from_two_core_base_classes():
+    # main maps InputError to exit 2 and LimitError to exit 3; each error
+    # class keeps its builtin base
+    for cls in (UsageError, ParseError, automata.CeilingSettingError):
+        assert issubclass(cls, InputError) and issubclass(cls, ValueError), cls
+    for cls, builtin in ((automata.MemoryCeilingError, MemoryError), (bounds.BudgetFailure, RuntimeError),
+                         (compression.CombinatorialBlowupError, RuntimeError)):
+        assert issubclass(cls, LimitError) and issubclass(cls, builtin), cls
+    assert not issubclass(LimitError, ValueError)
+
+
 def test_error_exit_resolves_its_exception_classes_lazily():
-    # main's except tuples name classes of layers that wp never loads
+    # main catches the two base classes of core, so it names no class of a
+    # layer that wp never loads
     script = (
         "import sys\n"
         "from loopfold.cli import main\n"

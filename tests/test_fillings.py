@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import sys
 
 import pytest
 
@@ -27,7 +28,7 @@ from loopfold.fillings import (
     measure_profile,
     profile_to_csv,
 )
-from loopfold import rewrite, toddcoxeter
+from loopfold import _kernels, rewrite, toddcoxeter
 from loopfold.grammar import double_exp_experiment
 from loopfold.rewrite import RewriteSystem, filling_length, min_isoperimetric, tight_derivations
 
@@ -143,6 +144,15 @@ def test_reduced_listing_is_the_reduced_part_of_the_list(oracle):
         assert oracle.reduced_trivial_words(n) == expected, n
 
 
+def test_a_closed_form_list_is_held_by_its_reader_alone():
+    # profile lays the reduced list out by length and drops it; a walk that
+    # kept it in a reference cycle would hold it until a collection
+    for oracle in (ReferenceOracle.cyclic(3), ReferenceOracle.free_abelian(2), ReferenceOracle.free(2)):
+        for listing in (oracle.trivial_words, oracle.reduced_trivial_words):
+            words = listing(4)
+            assert sys.getrefcount(words) == 2, listing  # the name and the call's argument
+
+
 def test_oracle_validation():
     with pytest.raises(ValueError):
         ReferenceOracle.cyclic(0)
@@ -216,13 +226,19 @@ def test_cayley_ball_deterministic():
 # -- isodiametric scan --------------------------------------------------------
 
 
+def laid_out(p, n, words):
+    """The layers both scans take: the reduced ``words`` of length ≤ n, by
+    length, as a command lays them out once."""
+    return _kernels.trivial_layers(words, n, p.alphabet_size)
+
+
 def test_isodiametric_even_words():
-    column = measure_isodiametric(Z2, 4, ReferenceOracle.cyclic(2).trivial_words(4))
+    column = measure_isodiametric(Z2, laid_out(Z2, 4, ReferenceOracle.cyclic(2).trivial_words(4)))
     assert [(r.value, r.status) for r in column] == [(0, OracleStatus.EXACT)] * 5
 
 
 def test_isodiametric_three_cycle():
-    result = measure_isodiametric(Z3, 3, ReferenceOracle.cyclic(3).trivial_words(3))[3]
+    result = measure_isodiametric(Z3, laid_out(Z3, 3, ReferenceOracle.cyclic(3).trivial_words(3)))[3]
     assert (result.value, result.status) == (0, OracleStatus.EXACT)
 
 
@@ -232,11 +248,12 @@ def test_isodiametric_n_zero():
         (LATTICE, ReferenceOracle.free_abelian(2)),
         (FREE2, ReferenceOracle.free(2)),
     ):
-        assert measure_isodiametric(p, 0, oracle.trivial_words(0))[0].value == 0
+        assert measure_isodiametric(p, laid_out(p, 0, oracle.trivial_words(0)))[0].value == 0
 
 
 def test_isodiametric_lattice_values():
-    column = measure_isodiametric(LATTICE, 6, ReferenceOracle.free_abelian(2).trivial_words(6))
+    layers = laid_out(LATTICE, 6, ReferenceOracle.free_abelian(2).trivial_words(6))
+    column = measure_isodiametric(LATTICE, layers)
     assert [r.value for r in column] == [0, 0, 0, 0, 2, 2, 3]
 
 
@@ -258,7 +275,7 @@ def test_isodiametric_lattice_witnesses():
 def test_isodiametric_radius_cutoff():
     # ℤ/2's list holds aa, which no loop complex of ℤ/3 accepts: from n = 2
     # on, no radius j ≤ n decides
-    column = measure_isodiametric(Z3, 4, ReferenceOracle.cyclic(2).trivial_words(4))
+    column = measure_isodiametric(Z3, laid_out(Z3, 4, ReferenceOracle.cyclic(2).trivial_words(4)))
     assert column == [(0, OracleStatus.EXACT)] * 2 + [(None, OracleStatus.LOWER_BOUND_ONLY)] * 3
 
 
@@ -341,13 +358,25 @@ def full_list_profile(system, n_max, oracle, budget):
     orbits = list(dict.fromkeys(system.canonical(u) for u in trivial))
     area = prefix_maxima(orbits, n_max, lambda u: min_isoperimetric(u, system, budget))
     length = prefix_maxima(orbits, n_max, lambda u: filling_length(u, system, budget))
-    reduced = [u for u in trivial if is_reduced(u)]
-    diameter = measure_isodiametric(system.presentation, n_max, reduced)
+    layers = laid_out(system.presentation, n_max, [u for u in trivial if is_reduced(u)])
+    diameter = measure_isodiametric(system.presentation, layers)
     tc = [OracleResult(None, OracleStatus.LOWER_BOUND_ONLY) if hit is None
           else OracleResult(hit[1], OracleStatus.EXACT)
-          for hit in toddcoxeter.measure_tc_radius(system.presentation, n_max, reduced)]
+          for hit in toddcoxeter.measure_tc_radius(system.presentation, layers)]
     rows = (ProfileRow(n, *cells) for n, cells in enumerate(zip(area, length, diameter, tc)))
     return FillingProfile(system.presentation, tuple(rows))
+
+
+def test_each_measurement_lays_its_trivial_words_out_once(monkeypatch):
+    # profile's four columns read one layering of the reduced list, and the
+    # bound experiment's d(n) scan one of the full list
+    laid, untouched = [], _kernels.trivial_layers
+    monkeypatch.setattr(_kernels, "trivial_layers", lambda *args: laid.append(args[1:]) or untouched(*args))
+    measure_profile(RewriteSystem(LATTICE), 6, ReferenceOracle.free_abelian(2), SearchBudget(max_word_length=4))
+    assert laid == [(6, 4)]
+    laid.clear()
+    double_exp_experiment(Z3, 4, ReferenceOracle.cyclic(3), SearchBudget(max_word_length=4))
+    assert laid == [(4, 2)]
 
 
 @pytest.mark.parametrize("p, make_oracle, n_max", [

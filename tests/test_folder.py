@@ -108,3 +108,15 @@ def test_coset_rounds_match_pins(name):
     pins = PINS[f"tc-{name}"]
     rounds = itertools.islice(coset_rounds(presentation(name)), len(pins))
     assert [digest(folder.snapshot()) for folder in rounds] == pins
+
+
+@pytest.mark.parametrize("name", ["zxz", "z2", "z3", "free2"])
+def test_no_vertex_points_to_a_later_parent(name):
+    # a class's root is its least member and path halving only moves a
+    # pointer up its chain, so parent[v] ≤ v throughout: the snapshot
+    # numbers every vertex as its parent in one ascending pass
+    p = presentation(name)
+    counts = {"zxz": (11, 30), "z2": (6, 8), "z3": (6, 8), "free2": (4, 4)}[name]
+    for sequence, count in zip((loop_complexes, coset_rounds), counts):
+        for i, folder in enumerate(itertools.islice(sequence(p), count)):
+            assert all(u <= v for v, u in enumerate(folder.parent)), (sequence.__name__, i)

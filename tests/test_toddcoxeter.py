@@ -55,6 +55,12 @@ def trivial_for(p, n, oracle=None):
     return [u for u in words_up_to(p.alphabet_size, n) if oracle(u)]
 
 
+def laid_out(p, n, words):
+    """The layers both scans take: the reduced ``words`` of length ≤ n, by
+    length, as a command lays them out once."""
+    return _kernels.trivial_layers(words, n, p.alphabet_size)
+
+
 def baumslag_solitar(k):
     """BS(1, k) = ⟨a, b | a b a⁻¹ = b^k⟩ and its faithful affine action on
     the rationals, a ↦ (x ↦ kx) and b ↦ (x ↦ x + 1): a word is trivial when
@@ -228,7 +234,7 @@ class TestOneFolder:
         assert len(folders) == 1
 
     def test_tc_radius_scan_builds_one_folder(self, folders):
-        column = measure_tc_radius(LATTICE, 4, trivial_for(LATTICE, 4))
+        column = measure_tc_radius(LATTICE, laid_out(LATTICE, 4, trivial_for(LATTICE, 4)))
         assert max(rounds for rounds, _rad, _pcg in column) > 1
         assert len(folders) == 1
 
@@ -445,7 +451,7 @@ class TestMemory:
         # the calibration of the memory ceiling: 30 rounds of ℤ², each with
         # its snapshot and partial Cayley graph; the last round's pair beside
         # the folder sets the peak, which is what `tc` pays at its last round:
-        # 232 bytes per allocated vertex (Python 3.11), under the ceiling's 600
+        # 212 bytes per allocated vertex (Python 3.11), under the ceiling's 600
         tracemalloc.start()
         try:
             for folder in islice(coset_rounds(LATTICE), 30):
@@ -552,19 +558,19 @@ class TestMonotone:
 
 class TestMeasureRadius:
     def test_cyclic_groups(self):
-        column = measure_tc_radius(Z3, 6, trivial_for(Z3, 6))
+        column = measure_tc_radius(Z3, laid_out(Z3, 6, trivial_for(Z3, 6)))
         assert [(rounds, rad) for rounds, rad, _pcg in column] == [(1, 1)] * 7
-        rounds, rad, _pcg = measure_tc_radius(Z2, 4, trivial_for(Z2, 4))[4]
+        rounds, rad, _pcg = measure_tc_radius(Z2, laid_out(Z2, 4, trivial_for(Z2, 4)))[4]
         assert (rounds, rad) == (1, 1)
 
     def test_free_group_radius_zero(self):
-        rounds, rad, pcg = measure_tc_radius(FREE2, 3, trivial_for(FREE2, 3))[3]
+        rounds, rad, pcg = measure_tc_radius(FREE2, laid_out(FREE2, 3, trivial_for(FREE2, 3)))[3]
         assert rounds == 1
         assert rad == 0
         assert pcg.graph.num_vertices == 1
 
     def test_lattice_small_lengths(self):
-        _rounds, rad, pcg = measure_tc_radius(LATTICE, 2, trivial_for(LATTICE, 2))[2]
+        _rounds, rad, pcg = measure_tc_radius(LATTICE, laid_out(LATTICE, 2, trivial_for(LATTICE, 2)))[2]
         assert rad >= 1
         ball = LabeledGraph(2, 5)
         ball.add_edge(0, 0, 1)
@@ -575,23 +581,29 @@ class TestMeasureRadius:
 
     def test_agreement_is_genuine(self):
         oracle = oracle_for(Z3)
-        _rounds, _rad, pcg = measure_tc_radius(Z3, 5, trivial_for(Z3, 5))[5]
+        _rounds, _rad, pcg = measure_tc_radius(Z3, laid_out(Z3, 5, trivial_for(Z3, 5)))[5]
         for u in filter(is_reduced, words_up_to(2, 5)):
             assert accepts_reduced(pcg.graph, u) == oracle(u)
 
     def test_trivial_list_over_another_alphabet_is_refused(self):
-        # both scans read the list through one layer builder
+        # both scans take their layers from the one layer builder, which
+        # refuses a foreign letter in a word of any length, and skips a
+        # word with a cancelling pair
         trivial = trivial_for(Z3, 4)
-        for scan in (measure_tc_radius, measure_isodiametric):
+        for foreign in (w("bbbb"), w("aaabaa")):
             with pytest.raises(ValueError, match="outside the presentation's alphabet"):
-                scan(Z3, 4, trivial + [w("bbbb")])
+                laid_out(Z3, 4, trivial + [foreign])
+        assert laid_out(Z3, 4, [w("aAaA", 1)]) == [[], [], [], [], []]
+        assert laid_out(Z3, 4, trivial) == [[b""], [], [], [w("aaa", 1), w("AAA", 1)], []]
 
     def test_words_past_n_max_are_skipped(self):
         trivial = trivial_for(Z3, 4)
         longer = trivial + [w("aaaaaa", 1)]
-        assert measure_isodiametric(Z3, 4, longer) == measure_isodiametric(Z3, 4, trivial)
-        assert ([hit[:2] for hit in measure_tc_radius(Z3, 4, longer)]
-                == [hit[:2] for hit in measure_tc_radius(Z3, 4, trivial)])
+        assert laid_out(Z3, 4, longer) == laid_out(Z3, 4, trivial)
+        assert (measure_isodiametric(Z3, laid_out(Z3, 4, longer))
+                == measure_isodiametric(Z3, laid_out(Z3, 4, trivial)))
+        assert ([hit[:2] for hit in measure_tc_radius(Z3, laid_out(Z3, 4, longer))]
+                == [hit[:2] for hit in measure_tc_radius(Z3, laid_out(Z3, 4, trivial))])
 
     def test_scan_matches_the_deciding_definition(self):
         # The reference: among all reduced words of length ≤ n, the first
@@ -616,7 +628,7 @@ class TestMeasureRadius:
                 expected.append(None if i is None else
                                 (i + 1, graphs[i].radius, canonical_form(graphs[i].graph)))
             got = [None if hit is None else (hit[0], hit[1], canonical_form(hit[2].graph))
-                   for hit in measure_tc_radius(p, n_max, trivial_for(p, n_max, oracle))]
+                   for hit in measure_tc_radius(p, laid_out(p, n_max, trivial_for(p, n_max, oracle)))]
             assert got == expected, name
 
     def test_hairs_are_stripped_only_from_reported_rounds(self, monkeypatch):
@@ -625,7 +637,7 @@ class TestMeasureRadius:
         stripped = []
         monkeypatch.setattr(toddcoxeter, "strip_hairs", lambda g: stripped.append(g) or automata.strip_hairs(g))
         p, oracle = BS13
-        column = measure_tc_radius(p, 6, trivial_for(p, 6, oracle))
+        column = measure_tc_radius(p, laid_out(p, 6, trivial_for(p, 6, oracle)))
         assert [rounds for rounds, _rad, _pcg in column] == [1] * 6 + [3]
         assert len(stripped) == 2
 
@@ -638,7 +650,7 @@ class TestMeasureRadius:
         untraced = _kernels.trace_batch
         monkeypatch.setattr(_kernels, "trace_batch",
                             lambda delta, start, words: traced.extend(words) or untraced(delta, start, words))
-        column = measure_tc_radius(p, 8, ReferenceOracle.free_abelian(2).trivial_words(8))
+        column = measure_tc_radius(p, laid_out(p, 8, ReferenceOracle.free_abelian(2).trivial_words(8)))
         assert [(rounds, rad) for rounds, rad, _pcg in column][-1] == (4, 12)
         assert len(traced) == 721
 
@@ -649,7 +661,7 @@ class TestMeasureRadius:
         calls = []
         untimed = toddcoxeter.tc_round
         monkeypatch.setattr(toddcoxeter, "tc_round", lambda *args: calls.append(args) or untimed(*args))
-        column = measure_tc_radius(FREE2, n_max, every_word)
+        column = measure_tc_radius(FREE2, laid_out(FREE2, n_max, every_word))
         assert column[0][:2] == (1, 0)  # the empty word is decided at once
         assert column[1:] == [None, None]
         assert len(calls) <= n_max + 1
@@ -680,10 +692,10 @@ class TestProvedRelations:
     ], ids=["Z/2", "Z/3", "Z^2", "F_2"] + [f"{name}-rewrite:8" for name in [
         "BS(1,2)", "BS(1,3)", "Heisenberg", "Klein", "S_3", "<a,b|aab,abA>", "<a|a^4,a^6>"]])
     def test_rounds_and_radius_within_the_diameter(self, p, oracle, n_max):
-        trivial = oracle.trivial_words(n_max)
+        layers = laid_out(p, n_max, oracle.trivial_words(n_max))
         longest = max(map(len, p.relators), default=0)
-        diameters = measure_isodiametric(p, n_max, trivial)
-        for n, (d, hit) in enumerate(zip(diameters, measure_tc_radius(p, n_max, trivial))):
+        diameters = measure_isodiametric(p, layers)
+        for n, (d, hit) in enumerate(zip(diameters, measure_tc_radius(p, layers))):
             # every d cell here is Exact, and the ρ_TC scan, which tries
             # rounds ≤ n + 1, reaches every n that d reaches
             assert d.exact and hit is not None, n
