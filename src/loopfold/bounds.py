@@ -3,8 +3,8 @@ records of a capped search's results and caps, and the area lower bound a
 presentation's relators give.
 
 ``grammar-bound`` proves most areas by a witness's factor count meeting
-:func:`area_lower_bound`, and ``profile`` reads its columns through
-:func:`prefix_maxima`; the rewrite search of :mod:`~loopfold.rewrite`
+:func:`area_lower_bound`, and ``profile`` and the fusion check read their
+columns through :func:`prefix_maxima`; the rewrite search of :mod:`~loopfold.rewrite`
 takes these records and this bound, and is loaded only where a search
 runs.
 """
@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import enum
 import functools
-from itertools import combinations
-from typing import Callable, Iterable, NamedTuple
+from itertools import chain, combinations
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .core import LimitError, Presentation, reduce_codes
 
@@ -45,25 +45,39 @@ class OracleResult(NamedTuple):
 
 
 def prefix_maxima(
-    words: Iterable[bytes], n_max: int, measure: Callable[[bytes], OracleResult]
-) -> list[OracleResult]:
+    words: Iterable[bytes] | Iterable[Iterable[bytes]],
+    n_max: int,
+    measure: Callable[[bytes], OracleResult],
+) -> Iterator[OracleResult]:
     """Entry ``n`` is the largest value ``measure`` gives a word of length
     ≤ n, with the worst status among those words; the maximum over no words
-    is exactly 0.  ``measure`` runs once per word."""
+    is exactly 0.  ``measure`` runs once per word, shortest first.
+
+    ``words`` is either the words, of length ≤ n_max and in any order, or
+    their layers: an iterable whose item ``k`` holds the words of length
+    ``k``, and that may end early, where every later layer is empty.  The
+    entries are yielded in order of n, entry ``n`` as soon as layer ``n`` is
+    measured: layer ``n + 1`` is not asked for before entry ``n + 1`` is, so
+    a generator of layers makes each one only when it is needed.  Flat
+    words are laid out first, as any of them may be the shortest."""
+    items = iter(words)
+    first = next(items, None)
+    if first is None or isinstance(first, bytes):
+        layers: list[list[bytes]] = [[] for _ in range(n_max + 1)]
+        for w in chain(() if first is None else [first], items):
+            layers[len(w)].append(w)
+        items = iter(layers)
+    else:
+        items = chain([first], items)
     ranks = list(OracleStatus)
-    best = [0] * (n_max + 1)
-    worst = [0] * (n_max + 1)
-    for w in words:
-        result = measure(w)
-        if result.value is not None:
-            best[len(w)] = max(best[len(w)], result.value)
-        worst[len(w)] = max(worst[len(w)], ranks.index(result.status))
-    column = []
     value = rank = 0
-    for n in range(n_max + 1):
-        value, rank = max(value, best[n]), max(rank, worst[n])
-        column.append(OracleResult(value, ranks[rank]))
-    return column
+    for _ in range(n_max + 1):
+        for w in next(items, ()):
+            result = measure(w)
+            if result.value is not None:
+                value = max(value, result.value)
+            rank = max(rank, ranks.index(result.status))
+        yield OracleResult(value, ranks[rank])
 
 
 class _Caps(NamedTuple):

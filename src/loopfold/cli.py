@@ -111,22 +111,35 @@ def _fusion_holds(
     n: int,
     budget: bounds.SearchBudget,
 ) -> bool:
-    """The halving check behind ``--verify``; every row must be Exact.
+    """The halving check behind ``--verify``: the rows of
+    :func:`~loopfold.compression.verify_compression`, decided in order of n.
+    The first row that is not Exact is a budget failure, raised before any
+    sweep that only a later row needs runs.  Once every row is Exact, the
+    trivial-word agreement is read; it is a budget failure too when a cut
+    sweep leaves it undecided, or when the lists agree but the state budget
+    cut a sweep they are read from, as both may then miss the same words.
     ``system`` is the rewrite system of the base presentation."""
-    report = compression.verify_compression(compressed, n, budget, system)
-    for row in report.rows:
+    combined = compression.combined_system(compressed, system)
+    rows = []
+    for row in compression.compression_rows(system, combined, n, budget):
         if row.holds is None:
             raise bounds.BudgetFailure(
                 f"fusion check at n={row.n} is not Exact (base {row.base_area.status}, "
                 f"fused {row.combined_area.status}); "
                 f"raise {bounds.budget_flags(row.base_area.status, row.combined_area.status)}"
             )
-    if report.triviality_agreement is None:
+        rows.append(row)
+    agreement = compression.triviality_agreement(system, combined, n, budget)
+    if agreement is None:
         raise bounds.BudgetFailure(
             "the two presentations list different trivial words where the state budget "
             "cut a sweep; raise --budget-states"
         )
-    return report.all_hold
+    if not all(rewrite.sweeps_complete(rs, budget, n) for rs in (system, combined)):
+        raise bounds.BudgetFailure(
+            "the state budget cut a sweep the fusion check lists trivial words from; "
+            "raise --budget-states")
+    return compression.CompressionReport(tuple(rows), agreement).all_hold
 
 
 def cmd_wp(args) -> int:

@@ -9,7 +9,8 @@ through the 0-1 BFS oracle and compares entrywise.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+import itertools
+from typing import Iterator, NamedTuple
 
 # bounds and rewrite are read through their modules, so plain `compress`
 # loads neither (see loopfold/__init__.py)
@@ -93,7 +94,69 @@ class CompressionReport(NamedTuple):
 
     @property
     def all_hold(self) -> bool:
-        return self.triviality_agreement and all(r.holds is not False for r in self.rows)
+        return self.triviality_agreement is True and all(r.holds is not False for r in self.rows)
+
+
+def combined_system(
+    compressed: CompressedPresentation, base_system: rewrite.RewriteSystem
+) -> rewrite.RewriteSystem:
+    """The rewrite system of ``compressed.combined``, which takes its
+    symmetries and area bound from ``base_system``
+    (:meth:`~loopfold.rewrite.RewriteSystem.fused`); ``base_system`` must be
+    the rewrite system of ``compressed.base``."""
+    if base_system.presentation != compressed.base:
+        raise ValueError("the rewrite system is not that of the base presentation")
+    return rewrite.RewriteSystem.fused(base_system, compressed.combined, compressed.m)
+
+
+def compression_rows(
+    base_system: rewrite.RewriteSystem,
+    combined: rewrite.RewriteSystem,
+    n_max: int,
+    budget: bounds.SearchBudget,
+) -> Iterator[CompressionRow]:
+    """The rows of the check P_combined(n) ≤ ⌈P_base(n)/2 + n/2⌉ for
+    n ≤ n_max, in order of n.  Row n reads the base's keys of length ≤ n
+    (:func:`~loopfold.rewrite.sweep_layers`) and their areas on both
+    systems (:func:`~loopfold.rewrite.min_isoperimetric`, at caps L and
+    L + 2), and is yielded before any sweep that only a later row needs
+    runs.  An area is constant on an orbit, so each column measures one
+    word per base key."""
+    base_layers, combined_layers = itertools.tee(rewrite.sweep_layers(base_system, budget, n_max))
+
+    def areas(system, layers):
+        return bounds.prefix_maxima(layers, n_max,
+                                    lambda w: rewrite.min_isoperimetric(w, system, budget))
+
+    pairs = zip(areas(base_system, base_layers), areas(combined, combined_layers))
+    for n, (base_area, combined_area) in enumerate(pairs):
+        bound = None
+        holds = None
+        if base_area.exact:
+            bound = (base_area.value + n + 1) // 2
+            if combined_area.exact:
+                holds = combined_area.value <= bound
+        yield CompressionRow(n, base_area, combined_area, bound, holds)
+
+
+def triviality_agreement(
+    base_system: rewrite.RewriteSystem,
+    combined: rewrite.RewriteSystem,
+    n_max: int,
+    budget: bounds.SearchBudget,
+) -> bool | None:
+    """Whether both systems' sweeps hold the same orbits of trivial words of
+    length ≤ n_max (:func:`~loopfold.rewrite.sweep_keys`).  Both
+    canonicalize under the base's symmetry group, so equal key sets mean
+    equal lists of trivial words (:func:`~loopfold.rewrite.trivial_words`),
+    and the systems agree on every word.  Where the state budget cut a sweep
+    behind them, unequal sets decide nothing, and the agreement is None."""
+    agreement = (set(rewrite.sweep_keys(base_system, budget, n_max))
+                 == set(rewrite.sweep_keys(combined, budget, n_max)))
+    if not agreement and not all(rewrite.sweeps_complete(system, budget, n_max)
+                                 for system in (base_system, combined)):
+        return None
+    return agreement
 
 
 def verify_compression(
@@ -102,38 +165,16 @@ def verify_compression(
     budget: bounds.SearchBudget,
     base_system: rewrite.RewriteSystem,
 ) -> CompressionReport:
-    """Entrywise check of P_combined(n) ≤ ⌈P_base(n)/2 + n/2⌉ for n ≤ n_max,
-    plus a same-group cross-check: both systems' sweeps hold the same
-    orbits of trivial words of length ≤ n_max
-    (:func:`~loopfold.rewrite.sweep_keys`).  Both canonicalize under the
-    base's symmetry group, so equal key sets mean equal lists of trivial
-    words (:func:`~loopfold.rewrite.trivial_words`), and the systems agree
-    on every word.  Where the state budget cut a sweep behind them, unequal
-    sets decide nothing, and the agreement is None.  An area is constant on
-    an orbit, so each column measures one word per base key.
+    """Entrywise check of P_combined(n) ≤ ⌈P_base(n)/2 + n/2⌉ for n ≤ n_max
+    (:func:`compression_rows`), plus a same-group cross-check: both
+    systems list the same trivial words of length ≤ n_max
+    (:func:`triviality_agreement`).
 
     ``base_system`` is the rewrite system of ``compressed.base``; the
     combined system takes its symmetries and area bound from it
-    (:meth:`~loopfold.rewrite.RewriteSystem.fused`)."""
-    if base_system.presentation != compressed.base:
-        raise ValueError("the rewrite system is not that of the base presentation")
-    combined_system = rewrite.RewriteSystem.fused(base_system, compressed.combined, compressed.m)
-    keys = rewrite.sweep_keys(base_system, budget, n_max)
-    agreement = set(keys) == set(rewrite.sweep_keys(combined_system, budget, n_max))
-    if not agreement and not all(rewrite.sweeps_complete(system, budget, n_max)
-                                 for system in (base_system, combined_system)):
-        agreement = None
-    def areas(system):
-        return bounds.prefix_maxima(keys, n_max,
-                                    lambda w: rewrite.min_isoperimetric(w, system, budget))
-
-    rows = []
-    for n, (base_area, combined_area) in enumerate(zip(areas(base_system), areas(combined_system))):
-        bound = None
-        holds = None
-        if base_area.exact:
-            bound = (base_area.value + n + 1) // 2
-            if combined_area.exact:
-                holds = combined_area.value <= bound
-        rows.append(CompressionRow(n, base_area, combined_area, bound, holds))
-    return CompressionReport(tuple(rows), agreement)
+    (:func:`combined_system`).  The command line reads the same rows one at
+    a time and stops at the first that is not Exact, so the sweeps only
+    later rows need do not run there."""
+    combined = combined_system(compressed, base_system)
+    rows = tuple(compression_rows(base_system, combined, n_max, budget))
+    return CompressionReport(rows, triviality_agreement(base_system, combined, n_max, budget))

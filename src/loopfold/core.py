@@ -200,13 +200,20 @@ def symmetric_closure(relators: Iterable[bytes], max_length: int | None = None) 
     those of the word, so they are in the set too.  Every reduced rotation
     of a relator, and of its inverse, is at least as long as its cyclic
     core, so a relator whose core is longer than ``max_length`` is skipped
-    before it is inverted.
+    before it is inverted.  A longer relator x·u·x⁻¹ whose core fits has
+    the same rotations that fit as its longest middle factor y·u·y⁻¹ that
+    fits, which is tested for instead, as only a word that fits can be in
+    the set.
     """
     closure: set[bytes] = set()
     for codes in relators:
-        bound = len(codes) if max_length is None else max_length
-        if len(codes) > bound and len(codes) - 2 * _conjugator_length(codes) > bound:
-            continue
+        n = len(codes)
+        bound = n if max_length is None else max_length
+        if n > bound:
+            if n - 2 * _conjugator_length(codes) > bound:
+                continue
+            cut = (n - bound + 1) // 2  # letters cut from each end: the longest middle factor that fits
+            codes = codes[cut : n - cut]
         for base in (codes, inverse(codes)):
             if base not in closure:
                 closure |= _reduced_rotations(base, bound)
@@ -286,6 +293,12 @@ def parse_presentation(text: str) -> Presentation:
 
 
 def render_presentation(p: Presentation) -> str:
+    """The text form of ``p``, its relators translated in one pass: they are
+    joined by a code past the letters, which renders as a space, so ``k``
+    relators leave ``k - 1`` spaces, and one more is a relator code with no
+    text form."""
     gens = " ".join(chr(ord("a") + g) for g in range(p.num_generators))
-    rels = " ".join(render_word(r) for r in p.relators)
-    return f"gens: {gens}\nrels: {rels}\n"
+    rels = bytes([len(_LETTERS)]).join(p.relators).translate(_TEXT)
+    if p.relators and rels.count(b" ") >= len(p.relators):
+        raise ValueError("text form supports at most 26 generators")
+    return f"gens: {gens}\nrels: {rels.decode('ascii')}\n"

@@ -460,17 +460,29 @@ def reduced_trivial_words(rs: RewriteSystem, budget: SearchBudget, n: int) -> li
 
 def sweep_keys(rs: RewriteSystem, budget: SearchBudget, n: int) -> list[bytes]:
     """One key, its least image, per orbit of the words of length ≤ n that
-    :func:`is_trivial` calls trivial.
+    :func:`is_trivial` calls trivial, shortest first: the
+    :func:`sweep_layers` in a row."""
+    return [key for layer in sweep_layers(rs, budget, n) for key in layer]
+
+
+def sweep_layers(rs: RewriteSystem, budget: SearchBudget, n: int) -> Iterator[list[bytes]]:
+    """The keys of :func:`sweep_keys` laid out by length: item ``k``, for
+    0 ≤ k ≤ n, holds those of length ``k``.
 
     A word ``w`` is trivial when the cap-max(L, |w|) sweep holds its least
     image.  The maps form a group and a word's least image is one of its
     images, so the keys are those of length ≤ min(n, L) of the cap-L sweep,
-    and those of length k of the cap-k sweep for L < k ≤ n."""
+    and those of length k of the cap-k sweep for L < k ≤ n.  The cap-L sweep
+    runs when the first item is taken, and the cap-k sweep only when item
+    ``k`` is."""
     cap = budget.max_word_length
-    keys = [key for key in rs.explore(cap, budget.max_states).costs if len(key) <= n]
+    layers: list[list[bytes]] = [[] for _ in range(min(n, cap) + 1)]
+    for key in rs.explore(cap, budget.max_states).costs:
+        if len(key) <= n:
+            layers[len(key)].append(key)
+    yield from layers
     for k in range(cap + 1, n + 1):
-        keys += [key for key in rs.explore(k, budget.max_states).costs if len(key) == k]
-    return keys
+        yield [key for key in rs.explore(k, budget.max_states).costs if len(key) == k]
 
 
 def sweeps_complete(rs: RewriteSystem, budget: SearchBudget, n: int) -> bool:

@@ -448,8 +448,9 @@ def test_the_area_fallback_searches_one_rewrite_system(tmp_path, monkeypatch, ca
     assert all(system is built[0] for system in searched)
 
 
-def swept_caps(monkeypatch, capsys, argv) -> set[int]:
-    """The caps of the sweeps a command runs; it must exit 0 or 1."""
+def swept_caps(monkeypatch, capsys, argv, exit_codes=(0, 1)) -> set[int]:
+    """The caps of the sweeps a command runs; it must exit with one of
+    ``exit_codes``."""
     explore = RewriteSystem.explore
     caps = set()
 
@@ -458,7 +459,7 @@ def swept_caps(monkeypatch, capsys, argv) -> set[int]:
         return explore(self, cap, max_states)
 
     monkeypatch.setattr(RewriteSystem, "explore", recording)
-    assert run_cli(*argv) in (0, 1)
+    assert run_cli(*argv) in exit_codes
     capsys.readouterr()
     return caps
 
@@ -491,6 +492,20 @@ def test_only_uncertified_areas_sweep_past_the_length_cap(monkeypatch, capsys, a
         assert caps == ({int(oracle[len("rewrite:"):])} if oracle.startswith("rewrite:") else set())
     else:
         assert cap in caps and {c for c in caps if c > cap} == wider
+
+
+@pytest.mark.parametrize("argv, top", [
+    # the first row short of Exact is n = 4, and L + 2 = 4
+    (("compress", Z2, "--verify", "--n", "8", "--budget-len", "2"), 4),
+    (("profile", Z2, "--n", "6", "--oracle", "cyclic:2", "--verify", "--budget-len", "2"), 4),
+    # n = 6, and L + 2 = 6: no sweep at caps 7 to 12, which take seconds
+    (("compress", ZXZ, "--verify", "--n", "12", "--budget-len", "4"), 6),
+])
+def test_fusion_check_sweeps_no_cap_past_its_first_row_short_of_exact(monkeypatch, capsys, argv, top):
+    # row n reads the keys of the cap-max(L, n) sweep and their areas at
+    # caps L and L + 2, so a budget failure at row n sweeps no cap above
+    # max(L + 2, n)
+    assert max(swept_caps(monkeypatch, capsys, argv, exit_codes=(3,))) <= top
 
 
 def test_a_bound_short_of_the_area_sweeps_past_the_length_cap(tmp_path, monkeypatch, capsys):
@@ -721,6 +736,31 @@ def test_compress_verify_cut_sweeps_that_disagree_decide_nothing(capsys):
     assert capsys.readouterr().err == (
         "loopfold: the two presentations list different trivial words where the state budget "
         "cut a sweep; raise --budget-states\n"
+    )
+
+
+def test_compress_verify_stops_at_the_first_row_short_of_exact(capsys):
+    assert run_cli("compress", ZXZ, "--verify", "--n", "12", "--budget-len", "4") == 3
+    captured = capsys.readouterr()
+    assert captured.out == (REPO / "tests" / "golden" / "compress-zxz-n4-verify.out").read_text(encoding="utf-8")
+    assert captured.err == (
+        "loopfold: fusion check at n=6 is not Exact (base LowerBoundOnly, fused LowerBoundOnly); "
+        "raise --budget-len\n"
+    )
+
+
+@pytest.mark.parametrize("argv", [
+    ("compress", Z2, "--verify", "--n", "3", "--budget-states", "1"),
+    ("profile", Z2, "--n", "3", "--oracle", "cyclic:2", "--verify", "--budget-states", "1"),
+])
+def test_fusion_check_refuses_lists_that_agree_where_the_budget_cut_a_sweep(capsys, argv):
+    # one orbit cuts the cap-8 sweeps of ℤ/2 and of its fused presentation
+    # at the empty word: both list it alone, so the lists agree and every
+    # row reads Exact 0, though aa has area 1
+    assert run_cli(*argv) == 3
+    assert capsys.readouterr().err == (
+        "loopfold: the state budget cut a sweep the fusion check lists trivial words from; "
+        "raise --budget-states\n"
     )
 
 

@@ -156,6 +156,44 @@ def test_verify_cut_sweeps_leave_unequal_lists_undecided():
     assert not report.all_hold
 
 
+def test_all_hold_is_false_when_the_agreement_is_undecided():
+    report = verify_compression(compress(Z3), 6, SearchBudget(max_states=15), RewriteSystem(Z3))
+    assert report.triviality_agreement is None
+    assert report.all_hold is False
+
+
+def test_prefix_maxima_takes_each_layer_only_when_its_entry_is_wanted():
+    taken = []
+
+    def layers():
+        for k in (0, 1, 2):
+            taken.append(k)
+            yield [bytes(k), bytes(k)]
+
+    exact = OracleStatus.EXACT
+    column = prefix_maxima(layers(), 4, lambda w: OracleResult(len(w), exact))
+    assert next(column) == OracleResult(0, exact) and taken == [0]
+    assert next(column) == OracleResult(1, exact) and taken == [0, 1]
+    # the layers end early: the later ones are empty
+    assert list(column) == [OracleResult(2, exact)] * 3 and taken == [0, 1, 2]
+
+
+def test_prefix_maxima_lays_flat_words_out_by_length():
+    results = {b"": OracleResult(0, OracleStatus.EXACT),
+               b"\x00\x00": OracleResult(3, OracleStatus.LOWER_BOUND_ONLY),
+               b"\x01\x01": OracleResult(None, OracleStatus.BUDGET_EXCEEDED),
+               b"\x00": OracleResult(1, OracleStatus.EXACT)}
+    flat = list(prefix_maxima(results, 3, results.__getitem__))
+    layered = list(prefix_maxima([[b""], [b"\x00"], [b"\x00\x00", b"\x01\x01"]], 3, results.__getitem__))
+    assert flat == layered == [
+        OracleResult(0, OracleStatus.EXACT),
+        OracleResult(1, OracleStatus.EXACT),
+        OracleResult(3, OracleStatus.BUDGET_EXCEEDED),
+        OracleResult(3, OracleStatus.BUDGET_EXCEEDED),
+    ]
+    assert list(prefix_maxima([], 1, results.__getitem__)) == [OracleResult(0, OracleStatus.EXACT)] * 2
+
+
 KLEIN = parse_presentation("gens: a b\nrels: abAb")
 
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from loopfold.compression import compress
 from loopfold.core import (
     EMPTY,
     ParseError,
@@ -223,6 +224,22 @@ class TestTextFormat:
         p = parse_presentation(text)
         assert p.num_generators == 2
         assert render_presentation(p) == text
+
+    def test_render_presentation_joins_the_rendered_relators(self):
+        def joined(p):
+            gens = " ".join(chr(ord("a") + g) for g in range(p.num_generators))
+            return f"gens: {gens}\nrels: {' '.join(map(render_word, p.relators))}\n"
+
+        samples = [parse_presentation(text) for text in (
+            "gens: a\nrels: aa", "gens: a\nrels: aaa", "gens: a b\nrels: abAB", "gens: a b\nrels: abABB")]
+        samples += [compress(p).combined for p in samples[:3]]
+        samples += [Presentation(2), Presentation(26, [bytes([51, 0, 50])])]
+        for p in samples:
+            assert render_presentation(p) == joined(p)
+        assert render_presentation(Presentation(2)) == "gens: a b\nrels: \n"
+        for relators in ([bytes([52])], [bytes([0]), bytes([2, 53, 3])]):
+            with pytest.raises(ValueError, match="at most 26 generators"):
+                render_presentation(Presentation(27, relators))
 
     def test_parse_word_empty_forms(self):
         assert parse_word("", 2) == EMPTY

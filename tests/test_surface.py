@@ -37,6 +37,8 @@ KEPT = {
     "grammar.Cfg.nonterminals": "the tests' grammar-size measure",
     "grammar.shortest_word": "the per-word chain's last step, the reference for grammar-bound's shared solve",
     "rewrite.RewriteSystem.apply_rule_positions": "the single-step reference for the search",
+    "compression.verify_compression": "the whole report the tests compare to the searched path; "
+                                      "perfbench's tracer binds it by name",
 }
 
 
