@@ -10,10 +10,10 @@ configuration.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import sys
 from itertools import islice
+from types import SimpleNamespace
 
 # Layers are read through their modules, which the package registers lazily
 # (see loopfold/__init__.py), so a command compiles only the layers it calls.
@@ -250,70 +250,132 @@ def cmd_grammar_bound(args) -> int:
     return 0 if all(r.holds for r in reports) else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="loopfold",
-        description="Filling-function measurements over finite presentations.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# The command line, one entry per command: (handler, summary, positionals,
+# flags).  A flag maps to (type, default, help): type ``bool`` is a switch
+# that takes no value, and a ``REQUIRED`` default must be given.  The
+# handler reads each value as an attribute, a flag's without its dashes and
+# with ``_`` for ``-`` (``--budget-len`` -> ``budget_len``).
+REQUIRED = object()
 
-    def add_budget(cmd):
-        cmd.add_argument("--budget-len", type=int, default=8,
-                         help="search cap on rewrite word length (default %(default)d)")
-        cmd.add_argument("--budget-states", type=int, default=2_000_000,
-                         help="search cap on the word orbits a sweep holds (default %(default)d)")
+_BUDGET_FLAGS = {
+    "--budget-len": (int, 8, "search cap on rewrite word length"),
+    "--budget-states": (int, 2_000_000, "search cap on the word orbits a sweep holds"),
+}
+_ORACLES = "cyclic:k | free-abelian:r | free:r | rewrite:L"
 
-    wp = sub.add_parser("wp", help="decide triviality against a folded loop complex")
-    wp.add_argument("presentation")
-    wp.add_argument("word")
-    wp.add_argument("--radius", type=int, default=0, help="complex radius j (default 0)")
-    wp.set_defaults(func=cmd_wp)
+COMMANDS = {
+    "wp": (cmd_wp, "decide triviality against a folded loop complex", ("presentation", "word"), {
+        "--radius": (int, 0, "complex radius j"),
+    }),
+    "profile": (cmd_profile, "measure filling profiles and inequality columns", ("presentation",), {
+        "--n": (int, REQUIRED, "maximum word length"),
+        "--oracle": (str, REQUIRED, _ORACLES),
+        "--csv": (str, None, "output path (default stdout)"),
+        "--verify": (bool, False, "also require the relator-fusion halving check, "
+                                  "exiting 3 when a row is not Exact"),
+        **_BUDGET_FLAGS,
+    }),
+    "compress": (cmd_compress, "emit the fused presentation", ("presentation",), {
+        "--verify": (bool, False, "check the halving bound up to --n, exiting 1 on "
+                                  "failure and 3 when a row is not Exact"),
+        "--n": (int, 4, "verification depth for --verify"),
+        **_BUDGET_FLAGS,
+    }),
+    "tc": (cmd_tc, "run coset-enumeration rounds and report the snapshot", ("presentation",), {
+        "--rounds": (int, REQUIRED, "number of rounds to run"),
+        "--dot": (str, None, "output path for the snapshot graph in DOT form (default none)"),
+    }),
+    "grammar-bound": (cmd_grammar_bound, "per-word shortest-witness lengths against the explicit bound",
+                      ("presentation",), {
+        "--n": (int, REQUIRED, "maximum word length"),
+        "--oracle": (str, "rewrite:8", _ORACLES),
+        "--csv": (str, None, "output path (default stdout)"),
+        **_BUDGET_FLAGS,
+    }),
+}
 
-    profile = sub.add_parser("profile", help="measure filling profiles and inequality columns")
-    profile.add_argument("presentation")
-    profile.add_argument("--n", type=int, required=True, help="maximum word length")
-    profile.add_argument("--oracle", required=True,
-                         help="cyclic:k | free-abelian:r | free:r | rewrite:L")
-    profile.add_argument("--csv", help="output path (default stdout)")
-    profile.add_argument("--verify", action="store_true",
-                         help="also require the relator-fusion halving check "
-                              "(exit 3 when a row is not Exact)")
-    add_budget(profile)
-    profile.set_defaults(func=cmd_profile)
 
-    compress_cmd = sub.add_parser("compress", help="emit the fused presentation")
-    compress_cmd.add_argument("presentation")
-    compress_cmd.add_argument("--verify", action="store_true",
-                              help="check the halving bound up to --n; exit 1 on failure, "
-                                   "3 when a row is not Exact")
-    compress_cmd.add_argument("--n", type=int, default=4,
-                              help="verification depth for --verify (default 4)")
-    add_budget(compress_cmd)
-    compress_cmd.set_defaults(func=cmd_compress)
+def _help(names) -> str:
+    """Usage of the commands ``names``, each flag with its default."""
+    lines = ["Filling-function measurements over finite presentations."]
+    for name in names:
+        _handler, summary, positionals, flags = COMMANDS[name]
+        lines += ["", f"usage: loopfold {name} {' '.join(p.upper() for p in positionals)} [flags]",
+                  f"  {summary}"]
+        for flag, (kind, default, text) in flags.items():
+            if default is REQUIRED:
+                text += " (required)"
+            elif kind is bool:
+                text += " (default off)"
+            elif default is not None:
+                text += f" (default {default})"
+            spelled = flag if kind is bool else f"{flag} {'N' if kind is int else 'TEXT'}"
+            lines.append(f"  {spelled:<22}{text}")
+    return "\n".join(lines) + "\n"
 
-    tc = sub.add_parser("tc", help="run coset-enumeration rounds and report the snapshot")
-    tc.add_argument("presentation")
-    tc.add_argument("--rounds", type=int, required=True, help="number of rounds to run")
-    tc.add_argument("--dot", help="write the snapshot graph in DOT form")
-    tc.set_defaults(func=cmd_tc)
 
-    bound = sub.add_parser("grammar-bound",
-                           help="per-word shortest-witness lengths against the explicit bound")
-    bound.add_argument("presentation")
-    bound.add_argument("--n", type=int, required=True, help="maximum word length")
-    bound.add_argument("--oracle", default="rewrite:8",
-                       help="cyclic:k | free-abelian:r | free:r | rewrite:L (default rewrite:8)")
-    bound.add_argument("--csv", help="output path (default stdout)")
-    add_budget(bound)
-    bound.set_defaults(func=cmd_grammar_bound)
+def _show_help(text: str) -> int:
+    sys.stdout.write(text)
+    return 0
 
-    return parser
+
+def parse_argv(argv: list[str]):
+    """The handler ``argv`` names and what it passes that handler: the
+    parsed arguments, or the help text to ``_show_help`` when ``-h`` or
+    ``--help`` is among them.  A token that starts with ``--`` is a flag,
+    given as ``--flag value`` or ``--flag=value``; every other token fills
+    the next positional.  A flag given twice keeps its last value.  Raises
+    :class:`UsageError` naming the command, flag or token at fault."""
+    if not argv:
+        raise UsageError(f"no command given; choose from {', '.join(COMMANDS)}")
+    name, *rest = argv
+    if name in ("-h", "--help"):
+        return _show_help, _help(COMMANDS)
+    if name not in COMMANDS:
+        raise UsageError(f"unknown command {name!r}; choose from {', '.join(COMMANDS)}")
+    if "-h" in rest or "--help" in rest:
+        return _show_help, _help([name])
+    handler, _summary, positionals, flags = COMMANDS[name]
+    values = {flag: default for flag, (_kind, default, _text) in flags.items()}
+    given: list[str] = []
+    unrecognized: list[str] = []
+    tokens = iter(rest)
+    for token in tokens:
+        if not token.startswith("--"):
+            (given if len(given) < len(positionals) else unrecognized).append(token)
+            continue
+        flag, has_value, value = token.partition("=")
+        if flag not in flags:
+            unrecognized.append(token)
+            continue
+        kind = flags[flag][0]
+        if kind is bool:
+            if has_value:
+                raise UsageError(f"{flag} takes no value")
+            values[flag] = True
+            continue
+        if not has_value:
+            value = next(tokens, None)
+            if value is None or value.startswith("--"):
+                raise UsageError(f"{flag} needs a value")
+        try:
+            values[flag] = kind(value)
+        except ValueError:
+            raise UsageError(f"{flag} needs an integer, not {value!r}") from None
+    missing = [*positionals[len(given):], *(flag for flag, value in values.items() if value is REQUIRED)]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if unrecognized:
+        raise UsageError(f"unrecognized arguments: {' '.join(unrecognized)}")
+    args = dict(zip(positionals, given))
+    args.update((flag[2:].replace("-", "_"), value) for flag, value in values.items())
+    return handler, SimpleNamespace(**args)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        handler, args = parse_argv(sys.argv[1:] if argv is None else argv)
+        return handler(args)
     except (InputError, LimitError) as exc:
         print(f"loopfold: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, InputError) else 3

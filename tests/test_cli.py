@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from loopfold import automata, bounds, compression, grammar, rewrite
+from loopfold import automata, bounds, cli, compression, grammar, rewrite
 from loopfold.cli import UsageError, main
 from loopfold.core import InputError, LimitError, ParseError, parse_presentation, parse_word, words_up_to
 from loopfold.fillings import ReferenceOracle, double_exp_bound
@@ -121,10 +121,12 @@ def test_profile_malformed_oracle(capsys):
     assert run_cli("profile", Z2, "--n", "2", "--oracle", "cyclic") == 2
 
 
-def test_profile_requires_oracle():
-    with pytest.raises(SystemExit) as err:
-        run_cli("profile", Z2, "--n", "2")
-    assert err.value.code == 2
+def test_profile_requires_oracle(capsys):
+    assert run_cli("profile", Z2, "--n", "2") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("loopfold: ") and captured.err.count("\n") == 1
+    assert "--oracle" in captured.err
 
 
 def test_profile_bad_budget(capsys):
@@ -200,11 +202,10 @@ def test_quotient_oracle_stops_the_round_scan_where_d_stops(capsys):
 
 def test_profile_has_no_round_cap(capsys):
     # the ρ_TC scan's reach is worked out from n; only tc takes --rounds
-    with pytest.raises(SystemExit) as exit_:
-        run_cli("profile", Z2, "--n", "2", "--oracle", "cyclic:2", "--rounds", "2")
-    assert exit_.value.code == 2
+    assert run_cli("profile", Z2, "--n", "2", "--oracle", "cyclic:2", "--rounds", "2") == 2
     captured = capsys.readouterr()
     assert captured.out == ""
+    assert captured.err.startswith("loopfold: ") and captured.err.count("\n") == 1
     assert "unrecognized arguments: --rounds 2" in captured.err
 
 
@@ -658,9 +659,12 @@ def test_malformed_memory_ceiling_is_a_usage_error(capsys, monkeypatch, argv, va
     assert captured.err.count("\n") == 1 and repr(value) in captured.err
 
 
-def test_tc_requires_rounds():
-    with pytest.raises(SystemExit):
-        run_cli("tc", Z3)
+def test_tc_requires_rounds(capsys):
+    assert run_cli("tc", Z3) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("loopfold: ") and captured.err.count("\n") == 1
+    assert "--rounds" in captured.err
 
 
 def test_tc_zero_rounds(capsys):
@@ -788,6 +792,159 @@ def test_grammar_bound_renders_bounds_past_the_digit_limit(monkeypatch, capsys):
     assert lines[1] == f"abAB,4,2,4,abAB,1,{Decimal(bound)},true"
 
 
+# -- argument parsing --------------------------------------------------------------
+
+
+def reference_parser():
+    """argparse built from ``cli.COMMANDS``: the reference the table's own
+    parser is compared to."""
+    import argparse
+
+    parser = argparse.ArgumentParser(prog="loopfold")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (handler, summary, positionals, flags) in cli.COMMANDS.items():
+        cmd = sub.add_parser(name, help=summary)
+        for positional in positionals:
+            cmd.add_argument(positional)
+        for flag, (kind, default, text) in flags.items():
+            if kind is bool:
+                cmd.add_argument(flag, action="store_true", help=text)
+            elif default is cli.REQUIRED:
+                cmd.add_argument(flag, type=kind, required=True, help=text)
+            else:
+                cmd.add_argument(flag, type=kind, default=default, help=text)
+        cmd.set_defaults(handler=handler)
+    return parser
+
+
+PARSED = [
+    # the benchmark's commands, its wp words drawn by seed 0
+    ("profile", ZXZ, "--n", "8", "--oracle", "free-abelian:2"),
+    ("profile", Z3, "--n", "8", "--oracle", "cyclic:3"),
+    ("profile", Z2, "--n", "8", "--oracle", "cyclic:2"),
+    ("profile", FREE2, "--n", "6", "--oracle", "free:2"),
+    ("compress", ZXZ, "--verify", "--n", "4", "--budget-len", "4"),
+    ("compress", Z2, "--verify", "--n", "8"),
+    ("compress", Z3, "--verify", "--n", "8"),
+    ("compress", Z2, "--verify", "--n", "8", "--budget-len", "2"),
+    ("grammar-bound", Z2, "--n", "7", "--oracle", "cyclic:2"),
+    ("grammar-bound", Z3, "--n", "7", "--oracle", "cyclic:3"),
+    ("tc", ZXZ, "--rounds", "30", "--dot", "out.dot"),
+    ("tc", Z3, "--rounds", "4", "--dot", "out.dot"),
+    ("wp", ZXZ, "abbbbBBBBbABBb", "--radius", "7"),
+    ("wp", ZXZ, "aabBabBbABB", "--radius", "7"),
+    # README examples
+    ("wp", Z2, "aaaa", "--radius", "0"),
+    ("profile", Z2, "--n", "4", "--oracle", "cyclic:2", "--csv", "out.csv"),
+    ("compress", Z2, "--verify"),
+    ("tc", Z3, "--rounds", "2", "--dot", "out.dot"),
+    ("grammar-bound", Z2, "--n", "4"),
+    ("wp", ZXZ, "abAB", "--radius", "12"),
+    ("compress", Z3, "--verify", "--n", "8", "--budget-states", "100"),
+    ("profile", ZXZ, "--n", "12", "--budget-len", "12", "--oracle", "free-abelian:2"),
+    ("profile", Z2, "--n", "6", "--oracle", "rewrite:3", "--budget-states", "3"),
+    ("tc", ZXZ, "--rounds", "90"),
+    # --flag=value, flags before the positional, negative values, a
+    # repeated flag (the last wins), the empty word
+    ("profile", Z2, "--n=4", "--oracle=cyclic:2", "--budget-states=7"),
+    ("profile", "--n", "4", "--oracle", "cyclic:2", Z2, "--verify"),
+    ("wp", "--radius", "2", Z2, "aa"),
+    ("wp", Z2, "--radius", "2", "aa"),
+    ("wp", Z2, "a", "--radius", "-1"),
+    ("compress", Z2, "--verify", "--n", "-1"),
+    ("grammar-bound", Z2, "--n", "3", "--n", "5", "--oracle", "free:1", "--oracle", "cyclic:2"),
+    ("wp", Z2, ""),
+]
+
+
+def argv_id(argv) -> str:
+    return " ".join(Path(a).stem if a.endswith(".pres") else a or '""' for a in argv) or "no command"
+
+
+@pytest.mark.parametrize("argv", PARSED, ids=argv_id)
+def test_table_parser_reads_what_argparse_reads(argv):
+    expected = vars(reference_parser().parse_args(argv))
+    handler, args = cli.parse_argv(list(argv))
+    assert expected.pop("command") == argv[0]
+    assert handler is expected.pop("handler")
+    assert vars(args) == expected
+
+
+MISUSED = [
+    (),
+    ("dihedral", Z2),
+    ("profile", Z2, "--n", "2"),
+    ("tc", Z3, "--rounds", "2", "--radius", "1"),
+    ("wp", Z2, "aa", "aa"),
+    ("profile", Z2, "--n", "x", "--oracle", "cyclic:2"),
+    ("profile", Z2, "--oracle", "cyclic:2", "--n"),
+    ("profile", Z2, "--n", "--oracle", "cyclic:2"),
+    ("compress", Z2, "--verify=1"),
+]
+
+
+@pytest.mark.parametrize("argv", MISUSED, ids=argv_id)
+def test_usage_errors_exit_2_where_argparse_does(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        reference_parser().parse_args(argv)
+    assert exit_.value.code == 2
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("loopfold: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, named", [
+    ((), "wp, profile, compress, tc, grammar-bound"),
+    (("dihedral", Z2), "'dihedral'"),
+    (("grammar-bound", Z2, "--n", "2", "--orac", "cyclic:2"), "unrecognized arguments: --orac cyclic:2"),
+    (("tc", Z3), "required: --rounds"),
+    (("wp", Z2), "required: word"),
+    (("wp", Z2, "aa", "aa"), "unrecognized arguments: aa"),
+    (("profile", Z2, "--n", "x", "--oracle", "cyclic:2"), "--n needs an integer, not 'x'"),
+    (("profile", Z2, "--oracle", "cyclic:2", "--n"), "--n needs a value"),
+    (("profile", Z2, "--n", "--oracle", "cyclic:2"), "--n needs a value"),
+    (("compress", Z2, "--verify=1"), "--verify takes no value"),
+])
+def test_usage_errors_name_the_token_at_fault(capsys, argv, named):
+    # no prefix abbreviations: --orac is not --oracle
+    assert run_cli(*argv) == 2
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--help",),
+    ("-h",),
+    *((name, "--help") for name in cli.COMMANDS),
+    ("wp", Z2, "aa", "--radius", "1", "-h"),
+    ("profile", Z2, "-h", "--n", "x"),
+], ids=argv_id)
+def test_help_names_every_flag_with_its_default(capsys, argv):
+    # help for one command, or for all of them ahead of any command
+    commands = list(cli.COMMANDS) if argv[0] in ("-h", "--help") else [argv[0]]
+    assert run_cli(*argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    for name, (_handler, _summary, positionals, flags) in cli.COMMANDS.items():
+        usage = [line for line in lines if line.startswith(f"usage: loopfold {name} ")]
+        assert len(usage) == (name in commands)
+        if name not in commands:
+            continue
+        assert all(p.upper() in usage[0] for p in positionals)
+        for flag, (_kind, default, _text) in flags.items():
+            line = lines[lines.index(usage[0]) + 2 + list(flags).index(flag)]
+            assert line.split()[0] == flag
+            assert ("(required)" in line) if default is cli.REQUIRED else ("(default " in line)
+
+
+def test_help_exits_0_from_a_fresh_process():
+    proc = _run_subprocess(["grammar-bound", "--help"], 0)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "--oracle TEXT" in proc.stdout and "(default rewrite:8)" in proc.stdout
+
+
 # -- whole-process checks ------------------------------------------------------------
 
 
@@ -866,22 +1023,26 @@ def _run_fresh(script, **env):
     )
 
 
+# modules no command imports
+WATCHED = ("dataclasses", "inspect", "argparse", "gettext")
+
+
 def _run_command_fresh(*argv):
     """Runs one command as ``python -m loopfold`` does, in a fresh process,
     and returns the process; the last line of its stdout is the command's
-    exit code, the modules among ``dataclasses`` and ``inspect`` imported
-    before or by the command, and the loopfold modules it executed.
-    ``type()`` of a lazily registered layer does not load it."""
+    exit code, the modules among ``WATCHED`` imported before or by the
+    command, and the loopfold modules it executed.  ``type()`` of a lazily
+    registered layer does not load it."""
     script = (
         "import runpy, sys, types\n"
         "import loopfold.cli\n"
-        "loaded = [m for m in ('dataclasses', 'inspect') if m in sys.modules]\n"
+        f"loaded = [m for m in {WATCHED!r} if m in sys.modules]\n"
         f"sys.argv = ['loopfold', *{list(argv)!r}]\n"
         "try:\n"
         "    runpy.run_module('loopfold', run_name='__main__', alter_sys=True)\n"
         "except SystemExit as exc:\n"
         "    code = exc.code\n"
-        "loaded += [m for m in ('dataclasses', 'inspect') if m in sys.modules]\n"
+        f"loaded += [m for m in {WATCHED!r} if m in sys.modules]\n"
         "executed = [n for n, m in sys.modules.items()\n"
         "            if n.startswith('loopfold.') and type(m) is types.ModuleType]\n"
         "print(code, sorted(set(loaded)), sorted(executed))\n"
@@ -891,8 +1052,9 @@ def _run_command_fresh(*argv):
     return proc
 
 
-def test_start_up_imports_neither_dataclasses_nor_inspect():
-    # the two modules cost about 30 ms of every command's start-up
+def test_start_up_imports_none_of_dataclasses_inspect_argparse_gettext():
+    # dataclasses and inspect cost about 30 ms of every command's start-up,
+    # argparse and gettext about 4 ms
     out = _run_command_fresh("wp", Z2, "aaaa").stdout
     assert out.startswith("trivial\n0 [] ")
 
